@@ -18,9 +18,9 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `unsafe-audit` | `unsafe` appears only in `crates/sat/src/ipasir.rs`, `crates/ipasir-shim/`, `crates/cli/src/signal.rs` and the counting-allocator test `crates/sat/tests/clone_allocations.rs`; every audited use carries an adjacent `// SAFETY:` comment (or `# Safety` doc section); every crate root carries `#![forbid(unsafe_code)]` or `#![deny(unsafe_code)]`. |
-//! | `determinism` | `Instant::now`, `SystemTime::now`, `thread::sleep` and `Ordering::Relaxed` appear only in the timing allowlist (`crates/sat/src/budget.rs`, `crates/sat/src/portfolio.rs` race telemetry, `crates/serve/`, `crates/bench/`, the criterion shim and `examples/`) — time never influences the merge path.  Test code is exempt. |
-//! | `strict-env` | `env::var("HTD_…")` appears only in the designated strict-parsing modules (`htd-serve` config, `htd-serve` fault harness, `CheckerOptions`, `SessionBuilder`, `PropertyScheduler`), which reject malformed values loudly. |
-//! | `exhaustive-stats` | inside `accumulate*`/`delta_since`/`normalized`, a `SolverStats`/`SessionStats`/`RaceStats` struct pattern or literal must not use `..` — a new counter must be a compile error, never a silently dropped value (the exact bug class PR 4 fixed by hand). |
+//! | `determinism` | `Instant::now`, `SystemTime::now`, `thread::sleep` and `Ordering::Relaxed` appear only in the timing allowlist (`crates/sat/src/budget.rs`, `crates/serve/`, `crates/bench/`, the criterion shim and `examples/`) — time never influences the merge path.  Test code is exempt. |
+//! | `strict-env` | `env::var("HTD_…")` appears only in the designated strict-parsing modules (`htd-serve` config, `htd-serve` fault harness, `CheckerOptions`, `PropertyScheduler`), which reject malformed values loudly. |
+//! | `exhaustive-stats` | inside `accumulate*`/`delta_since`/`normalized`, a `SolverStats`/`SessionStats` struct pattern or literal must not use `..` — a new counter must be a compile error, never a silently dropped value (the exact bug class PR 4 fixed by hand). |
 //! | `serve-panic-hygiene` | `unwrap()`/`expect()` are forbidden in the request-handling modules of `htd-serve` (`server.rs`, `http.rs`, `json.rs`, `queue.rs`, `cache.rs`); a tenant request settles with a structured error, never a panic.  Test code is exempt. |
 //! | `waiver-hygiene` | waiver pragmas themselves: a waiver without a justification, naming an unknown rule, or matching no finding is a finding.  Not waivable. |
 //!
@@ -179,7 +179,6 @@ impl Default for LintConfig {
             unsafe_attr_exempt: owned(&["crates/ipasir-shim/"]),
             determinism_allowlist: owned(&[
                 "crates/sat/src/budget.rs",
-                "crates/sat/src/portfolio.rs",
                 "crates/serve/",
                 "crates/bench/",
                 // The vendored criterion shim is a wall-clock measurement
@@ -192,7 +191,6 @@ impl Default for LintConfig {
                 "crates/serve/src/lib.rs",
                 "crates/serve/src/fault.rs",
                 "crates/ipc/src/checker.rs",
-                "crates/core/src/session.rs",
                 "crates/core/src/scheduler.rs",
             ]),
             serve_request_paths: owned(&[

@@ -442,9 +442,7 @@ fn determinism(ctx: &FileContext<'_>, config: &LintConfig, findings: &mut Vec<Fi
                     Rule::Determinism,
                     ctx.rel_path,
                     line,
-                    format!(
-                        "{label} outside the timing allowlist (budget, portfolio, serve, bench)"
-                    ),
+                    format!("{label} outside the timing allowlist (budget, serve, bench)"),
                 ));
             }
         }
@@ -487,7 +485,7 @@ fn strict_env(ctx: &FileContext<'_>, config: &LintConfig, findings: &mut Vec<Fin
     }
 }
 
-const STAT_TYPES: &[&str] = &["SolverStats", "SessionStats", "RaceStats"];
+const STAT_TYPES: &[&str] = &["SolverStats", "SessionStats"];
 
 fn stats_fn_name(name: &str) -> bool {
     name == "delta_since"

@@ -13,7 +13,7 @@
 //!   fast-forwards over any trigger history.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use htd_bench::{deep_sequential_design, run_detection, xor_pipeline};
+use htd_bench::{deep_sequential_design, run_session_detection, xor_pipeline};
 use htd_core::DetectorConfig;
 
 fn depth_scaling(c: &mut Criterion) {
@@ -25,7 +25,7 @@ fn depth_scaling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("structural_depth", depth),
             &design,
-            |b, design| b.iter(|| run_detection(design, &DetectorConfig::default())),
+            |b, design| b.iter(|| run_session_detection(design, &DetectorConfig::default())),
         );
     }
 
@@ -34,7 +34,7 @@ fn depth_scaling(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::new("sequential_depth_independence", counter_bits),
             &design,
-            |b, design| b.iter(|| run_detection(design, &DetectorConfig::default())),
+            |b, design| b.iter(|| run_session_detection(design, &DetectorConfig::default())),
         );
     }
 

@@ -5,7 +5,7 @@
 //! reported in Sec. VI of the paper.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use htd_bench::{prepared_benchmark, run_detection};
+use htd_bench::{prepared_benchmark, run_session_detection};
 use htd_trusthub::registry::Benchmark;
 
 fn table1_detection(c: &mut Criterion) {
@@ -34,7 +34,7 @@ fn table1_detection(c: &mut Criterion) {
         group.bench_with_input(
             BenchmarkId::from_parameter(benchmark.name()),
             &(design, config),
-            |b, (design, config)| b.iter(|| run_detection(design, config)),
+            |b, (design, config)| b.iter(|| run_session_detection(design, config)),
         );
     }
     group.finish();

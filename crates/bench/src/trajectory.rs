@@ -1,12 +1,13 @@
 //! The perf-trajectory harness behind `htd bench --json`.
 //!
-//! Runs the bundled benchmark set through both property-checking engines —
-//! the sequential single-miter reference path and the sharded
-//! [`PropertyScheduler`](htd_core::PropertyScheduler) — and collects one
-//! [`TrajectoryRecord`] per design: wall-clock for each engine, verdict, and
-//! the solver work counters (conflicts, propagations, restarts, clause-GC
-//! and LBD totals).  [`to_json`] renders the records as a self-contained
-//! `BENCH_*.json` file so future changes have a baseline to diff against.
+//! Runs the bundled benchmark set through the flow-graph executor twice —
+//! at the requested worker count and at one worker — and collects one
+//! [`TrajectoryRecord`] per design: both wall-clocks, verdict, and the
+//! solver work counters (conflicts, propagations, restarts, clause-GC and
+//! LBD totals).  Reports are identical at every worker count, so the
+//! one-worker column isolates what extra workers buy.  [`to_json`] renders
+//! the records as a self-contained `BENCH_*.json` file so future changes
+//! have a baseline to diff against.
 //!
 //! Wall-clocks are the best of [`MEASURE_RUNS`] runs: the designs are small
 //! enough that scheduler noise would otherwise dominate single-digit
@@ -19,8 +20,8 @@ use htd_core::{BackendChoice, DetectorConfig, EngineChoice, PropertyScheduler, S
 
 use htd_trusthub::registry::Benchmark;
 
-/// How many times each (design, engine) pair is run; the fastest run is
-/// recorded.
+/// How many times each (design, worker count) pair is run; the fastest run
+/// is recorded.
 pub const MEASURE_RUNS: usize = 3;
 
 /// One benchmark's measurements for the perf-trajectory file.
@@ -30,21 +31,21 @@ pub struct TrajectoryRecord {
     pub name: String,
     /// One-line verdict (`secure`, or the detection mechanism).
     pub verdict: String,
-    /// Properties checked by the flow (scheduler engine).
+    /// Properties checked by the flow.
     pub properties_checked: usize,
-    /// Spurious counterexamples resolved (scheduler engine).
+    /// Spurious counterexamples resolved.
     pub spurious_resolved: usize,
-    /// Best wall-clock of the sharded scheduler engine, in seconds.
+    /// Best wall-clock at the requested worker count, in seconds.
     pub wall_secs: f64,
-    /// Best wall-clock of the sequential single-miter engine, in seconds.
+    /// Best wall-clock of the same executor at one worker, in seconds.
     pub sequential_secs: f64,
-    /// Solver conflicts across the whole flow (scheduler engine).
+    /// Solver conflicts across the whole flow.
     pub conflicts: u64,
-    /// Solver propagations across the whole flow (scheduler engine).
+    /// Solver propagations across the whole flow.
     pub propagations: u64,
-    /// Solver restarts across the whole flow (scheduler engine).
+    /// Solver restarts across the whole flow.
     pub restarts: u64,
-    /// Solver decisions across the whole flow (scheduler engine).
+    /// Solver decisions across the whole flow.
     pub decisions: u64,
     /// Clause garbage collections across the whole flow.
     pub gc_runs: u64,
@@ -76,23 +77,11 @@ pub struct TrajectoryRecord {
     pub snapshot_forks: u64,
     /// Bytes those master-side snapshot clones copied.
     pub snapshot_bytes_cloned: u64,
-    /// Solve tasks answered by a portfolio race (0 for single backends).
-    pub race_solves: u64,
-    /// Races decided by a racer member rather than the primary; primary
-    /// wins are `race_solves - race_wins`.
-    pub race_wins: u64,
-    /// Member solves cancelled because another member answered first.
-    pub race_cancels: u64,
-    /// Conflicts spent by members whose solve was cancelled.
-    pub race_wasted_conflicts: u64,
-    /// Total microseconds between a cancel request and the cancelled
-    /// member returning (divide by `race_cancels` for the average
-    /// cancellation latency).
-    pub race_cancel_latency_us: u64,
 }
 
 impl TrajectoryRecord {
-    /// Sequential wall-clock divided by scheduler wall-clock.
+    /// One-worker wall-clock divided by the wall-clock at the requested
+    /// worker count.
     #[must_use]
     pub fn speedup(&self) -> f64 {
         if self.wall_secs > 0.0 {
@@ -128,7 +117,11 @@ struct RunOutcome {
     snapshot_bytes_cloned: u64,
 }
 
-fn run_once(benchmark: Benchmark, engine: EngineChoice, backend: &BackendChoice) -> RunOutcome {
+fn run_once(
+    benchmark: Benchmark,
+    scheduler: PropertyScheduler,
+    backend: &BackendChoice,
+) -> RunOutcome {
     let design = benchmark.build().expect("bundled benchmarks build");
     let config = DetectorConfig {
         benign_state: benchmark.benign_state(&design),
@@ -136,7 +129,7 @@ fn run_once(benchmark: Benchmark, engine: EngineChoice, backend: &BackendChoice)
     };
     let mut session = SessionBuilder::new(design)
         .config(config)
-        .engine(engine)
+        .engine(EngineChoice::Scheduled(scheduler))
         .backend(backend.clone())
         .build()
         .expect("bundled benchmarks are accepted");
@@ -154,9 +147,9 @@ fn run_once(benchmark: Benchmark, engine: EngineChoice, backend: &BackendChoice)
     }
 }
 
-/// Measures one benchmark with both engines (the flow-graph executor at
-/// `jobs` workers with `pipeline` controlling level pipelining, and the
-/// sequential single-miter reference), solving on `backend`.
+/// Measures one benchmark on the flow-graph executor at `jobs` workers and
+/// at one worker, with `pipeline` controlling level pipelining, solving on
+/// `backend`.
 #[must_use]
 pub fn measure(
     benchmark: Benchmark,
@@ -164,8 +157,8 @@ pub fn measure(
     pipeline: bool,
     backend: &BackendChoice,
 ) -> TrajectoryRecord {
-    let scheduled =
-        EngineChoice::Scheduled(PropertyScheduler::new(jobs).with_level_pipelining(pipeline));
+    let scheduled = PropertyScheduler::new(jobs).with_level_pipelining(pipeline);
+    let single = PropertyScheduler::new(NonZeroUsize::MIN).with_level_pipelining(pipeline);
     let mut wall_secs = f64::INFINITY;
     let mut sequential_secs = f64::INFINITY;
     let mut measured = None;
@@ -175,9 +168,9 @@ pub fn measure(
             wall_secs = outcome.secs;
         }
         measured = Some(outcome);
-        let sequential = run_once(benchmark, EngineChoice::Sequential, backend);
-        if sequential.secs < sequential_secs {
-            sequential_secs = sequential.secs;
+        let one_worker = run_once(benchmark, single, backend);
+        if one_worker.secs < sequential_secs {
+            sequential_secs = one_worker.secs;
         }
     }
     let outcome = measured.expect("at least one run");
@@ -210,11 +203,6 @@ pub fn measure(
         arena_words_reclaimed: totals.arena_words_reclaimed,
         snapshot_forks: outcome.snapshot_forks,
         snapshot_bytes_cloned: outcome.snapshot_bytes_cloned,
-        race_solves: totals.race_solves,
-        race_wins: totals.race_wins,
-        race_cancels: totals.race_cancels,
-        race_wasted_conflicts: totals.race_wasted_conflicts,
-        race_cancel_latency_us: totals.race_cancel_latency_us,
     }
 }
 
@@ -259,16 +247,13 @@ pub fn to_json(
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    // Schema v6 adds the portfolio-race cost model: per-design race counts,
-    // racer wins (primary wins are race_solves - race_wins), cancelled
-    // member solves, the conflicts those cancelled solves wasted, and the
-    // cancel-to-return latency total.  All five are 0 for single backends,
-    // so single-backend trajectories stay diffable against v5 rows
-    // column-for-column.  (v5 split the fork cost model with
+    // Schema v7: `sequential_secs` times the same executor at one worker
+    // (it used to time a separate single-miter engine), and the v6
+    // portfolio-race columns are gone.  (v5 split the fork cost model with
     // `watcher_bytes_cloned`; v4 tagged the trajectory with the SAT backend
     // it measured; v3 added the fork cost model of the arena-backed clause
     // store: per-flow fork counts, snapshot bytes and compaction words.)
-    out.push_str("  \"schema\": \"htd-bench-trajectory-v6\",\n");
+    out.push_str("  \"schema\": \"htd-bench-trajectory-v7\",\n");
     out.push_str("  \"engine\": \"flowgraph\",\n");
     out.push_str(&format!(
         "  \"backend\": \"{}\",\n",
@@ -355,19 +340,8 @@ pub fn to_json(
             r.snapshot_forks
         ));
         out.push_str(&format!(
-            "      \"snapshot_bytes_cloned\": {},\n",
+            "      \"snapshot_bytes_cloned\": {}\n",
             r.snapshot_bytes_cloned
-        ));
-        out.push_str(&format!("      \"race_solves\": {},\n", r.race_solves));
-        out.push_str(&format!("      \"race_wins\": {},\n", r.race_wins));
-        out.push_str(&format!("      \"race_cancels\": {},\n", r.race_cancels));
-        out.push_str(&format!(
-            "      \"race_wasted_conflicts\": {},\n",
-            r.race_wasted_conflicts
-        ));
-        out.push_str(&format!(
-            "      \"race_cancel_latency_us\": {}\n",
-            r.race_cancel_latency_us
         ));
         out.push_str(if i + 1 < records.len() {
             "    },\n"
@@ -392,7 +366,7 @@ mod tests {
         assert_eq!(records[0].verdict, "fanout_property_1");
         assert!(records[0].wall_secs > 0.0);
         let json = to_json(&records, jobs, true, &backend);
-        assert!(json.contains("\"schema\": \"htd-bench-trajectory-v6\""));
+        assert!(json.contains("\"schema\": \"htd-bench-trajectory-v7\""));
         assert!(json.contains("\"backend\": \"builtin\""));
         assert!(json.contains("\"engine\": \"flowgraph\""));
         assert!(json.contains("\"host_parallelism\""));
@@ -405,30 +379,6 @@ mod tests {
         assert!(json.contains("\"watcher_bytes_cloned\""));
         assert!(json.contains("\"arena_words_reclaimed\""));
         assert!(json.contains("\"snapshot_forks\""));
-        // The race columns are present on every row, zero for a single
-        // backend, so portfolio and single-backend trajectories share one
-        // schema.
-        assert!(json.contains("\"race_solves\": 0"));
-        assert!(json.contains("\"race_wins\": 0"));
-        assert!(json.contains("\"race_cancels\": 0"));
-        assert!(json.contains("\"race_wasted_conflicts\": 0"));
-        assert!(json.contains("\"race_cancel_latency_us\": 0"));
-    }
-
-    #[test]
-    fn a_portfolio_trajectory_records_its_races() {
-        let jobs = NonZeroUsize::new(2).unwrap();
-        let backend = BackendChoice::portfolio(
-            vec![BackendChoice::Builtin, BackendChoice::Builtin],
-            htd_core::RacePolicy::DeterministicCex,
-        );
-        let records = run_trajectory(&[Benchmark::Rs232T2400], jobs, true, &backend);
-        assert_eq!(records.len(), 1);
-        assert_eq!(records[0].verdict, "fanout_property_1");
-        assert!(records[0].race_solves > 0, "every solve task raced");
-        let json = to_json(&records, jobs, true, &backend);
-        assert!(json.contains("\"backend\": \"portfolio:builtin,builtin\""));
-        assert!(!json.contains("\"race_solves\": 0"));
     }
 
     #[test]

@@ -21,9 +21,8 @@ pub enum ParseArgsError {
     MissingInput,
     /// A numeric flag value could not be parsed.
     InvalidNumber(String),
-    /// The `--backend` value (or the `HTD_PORTFOLIO` environment default)
-    /// is not `builtin`, `dimacs:CMD`, `ipasir:LIB` or
-    /// `portfolio:B1,B2,…`.
+    /// The `--backend` value is not `builtin`, `dimacs:CMD` or
+    /// `ipasir:LIB`.
     InvalidBackend(String),
 }
 
@@ -60,11 +59,11 @@ pub struct DetectArgs {
     pub dot: Option<PathBuf>,
     /// Write counterexample waveforms to `<prefix>_instance{1,2}.vcd`.
     pub vcd_prefix: Option<PathBuf>,
-    /// Register names to waive as benign state (Sec. V-B scenario 2).
+    /// Register names to waive as benign state (Sec. V-B scenario 2).  A
+    /// name the design does not define is an error, never silently dropped.
     pub benign: Vec<String>,
-    /// The SAT backend to solve with (`builtin`, `dimacs:CMD`,
-    /// `ipasir:LIB` or `portfolio:B1,B2,…`).  When `--backend` is absent
-    /// the strict `HTD_PORTFOLIO` environment default applies.
+    /// The SAT backend to solve with (`builtin`, `dimacs:CMD` or
+    /// `ipasir:LIB`).
     pub backend: BackendChoice,
     /// Stream per-property progress to stderr while the flow runs.
     pub progress: bool,
@@ -156,7 +155,7 @@ pub enum Command {
     /// Regenerate Table I of the paper on the bundled benchmarks.
     Table1,
     /// Run the perf-trajectory benchmark harness: the Table-I set (or a
-    /// smoke subset) through the sequential and sharded engines, printing a
+    /// smoke subset) timed at `jobs` workers and at one worker, printing a
     /// comparison table and optionally writing a `BENCH_*.json` file.
     Bench {
         /// Write the JSON trajectory to this path.
@@ -165,7 +164,7 @@ pub enum Command {
         jobs: Option<usize>,
         /// Run only the cheap smoke subset (used by CI).
         smoke: bool,
-        /// Disable cross-level pipelining in the scheduled engine.
+        /// Disable cross-level pipelining.
         no_pipeline: bool,
         /// The SAT backend to measure (rows and the JSON header carry the
         /// tag, so trajectories of different backends never get compared
@@ -236,7 +235,6 @@ impl Command {
             "detect" => {
                 let mut parsed = DetectArgs::default();
                 let mut input = None;
-                let mut backend_explicit = false;
                 let mut iter = rest.into_iter();
                 while let Some(arg) = iter.next() {
                     match arg.as_str() {
@@ -250,7 +248,6 @@ impl Command {
                             let value = required(&mut iter, "--backend")?;
                             parsed.backend =
                                 value.parse().map_err(ParseArgsError::InvalidBackend)?;
-                            backend_explicit = true;
                         }
                         "--progress" => parsed.progress = true,
                         "--jobs" => {
@@ -272,13 +269,6 @@ impl Command {
                     }
                 }
                 parsed.input = input.ok_or(ParseArgsError::MissingInput)?;
-                if !backend_explicit {
-                    // An explicit flag beats the environment; without one the
-                    // strict HTD_PORTFOLIO default applies (a malformed value
-                    // is a parse error, never a silent builtin fallback).
-                    parsed.backend = BackendChoice::try_default_from_env()
-                        .map_err(ParseArgsError::InvalidBackend)?;
-                }
                 Ok(Command::Detect(parsed))
             }
             "serve" => {
@@ -427,7 +417,7 @@ impl Command {
                 let mut jobs = None;
                 let mut smoke = false;
                 let mut no_pipeline = false;
-                let mut backend = None;
+                let mut backend = BackendChoice::Builtin;
                 let mut iter = rest.into_iter();
                 while let Some(arg) = iter.next() {
                     match arg.as_str() {
@@ -446,18 +436,11 @@ impl Command {
                         "--no-pipeline" => no_pipeline = true,
                         "--backend" => {
                             let value = required(&mut iter, "--backend")?;
-                            backend = Some(value.parse().map_err(ParseArgsError::InvalidBackend)?);
+                            backend = value.parse().map_err(ParseArgsError::InvalidBackend)?;
                         }
                         other => return Err(ParseArgsError::UnknownFlag(other.to_string())),
                     }
                 }
-                let backend = match backend {
-                    Some(backend) => backend,
-                    // Same environment fallback as `detect`: benchmark runs
-                    // honour HTD_PORTFOLIO unless --backend overrides it.
-                    None => BackendChoice::try_default_from_env()
-                        .map_err(ParseArgsError::InvalidBackend)?,
-                };
                 Ok(Command::Bench {
                     json,
                     jobs,
@@ -541,7 +524,7 @@ pub fn usage() -> &'static str {
 
 USAGE:
     htd detect <file> [--top NAME] [--benign REG]... [--dot FILE] [--vcd PREFIX]
-                      [--backend builtin|dimacs:CMD|ipasir:LIB|portfolio:B1,B2,…]
+                      [--backend builtin|dimacs:CMD|ipasir:LIB]
                       [--progress] [--jobs N] [--no-pipeline] [--normalize]
     htd serve [--addr HOST:PORT] [--max-jobs N] [--cache-bytes N] [--jobs N]
               [--budget-deadline-ms N] [--budget-conflicts N]
@@ -554,7 +537,7 @@ USAGE:
     htd baselines <file> [--top NAME] [--bound N]
     htd table1
     htd bench [--json FILE] [--jobs N] [--smoke] [--no-pipeline]
-              [--backend builtin|dimacs:CMD|ipasir:LIB|portfolio:B1,B2,…]
+              [--backend builtin|dimacs:CMD|ipasir:LIB]
     htd sat <file.cnf>
     htd lint [ROOT] [--json]
     htd help
@@ -572,13 +555,15 @@ SUBCOMMANDS:
     stats       design statistics and the structural fanout levels
     baselines   bounded model checking, random testing, UCI and FANCI
     table1      regenerate Table I of the paper on the bundled benchmarks
-    bench       perf-trajectory harness (sequential vs sharded engine timings)
+    bench       perf-trajectory harness (timings at --jobs N and at one worker)
     sat         solve a DIMACS CNF file (SAT-competition output format)
     lint        check the workspace sources against the repo invariants
                 (unsafe-audit, determinism, strict-env, exhaustive-stats,
                 serve-panic-hygiene); exits non-zero on unwaived findings
 
 DETECT FLAGS:
+    --benign REG             waive register REG as benign state (repeatable);
+                             a name the design does not define is an error
     --backend builtin        solve with the bundled incremental CDCL solver (default)
     --backend dimacs:CMD     shell out to a DIMACS-speaking solver binary per query
                              (the solver re-reads the whole CNF every time)
@@ -587,18 +572,6 @@ DETECT FLAGS:
                              the solver stays live across all queries.  The
                              bundled reference library is built by
                              `cargo build -p ipasir-shim` (libipasir_htd.so)
-    --backend portfolio:B1,B2,…
-                             race every solve task across N member backends
-                             (e.g. portfolio:builtin,ipasir:libipasir_htd.so);
-                             first definitive answer wins, losers are cancelled.
-                             An optional policy token picks the counterexample
-                             rule: deterministic-cex (default — SAT models come
-                             only from the first member, so reports are
-                             byte-identical to running it alone and racers can
-                             only accelerate UNSAT answers) or fastest-cex
-                             (take the winner's model, fastest wall-clock).
-                             Without --backend, the HTD_PORTFOLIO environment
-                             variable supplies the same member list
     --progress               stream per-property progress to stderr while running
     --jobs N                 worker shards per fanout level (default: available
                              parallelism; reports are identical for every N)
@@ -640,13 +613,12 @@ SUBMIT FLAGS:
 
 BENCH FLAGS:
     --json FILE              write the BENCH_*.json perf-trajectory file
-    --jobs N                 worker shards for the sharded engine
+    --jobs N                 worker shards of the timed run (every design is also
+                             timed at one worker: the jobs=1 column)
     --smoke                  run only the cheap CI smoke subset
-    --no-pipeline            disable cross-level pipelining in the scheduled engine
+    --no-pipeline            disable cross-level pipelining
     --backend ...            measure an alternative SAT backend (rows and the
-                             JSON header carry the backend tag); portfolio:B1,B2,…
-                             races the members per solve task and the table
-                             reports per-design race wins
+                             JSON header carry the backend tag)
 
 LINT FLAGS:
     ROOT                     workspace root to lint (default: walk up from the
@@ -754,51 +726,6 @@ mod tests {
             other => panic!("expected bench, got {other:?}"),
         }
         assert!(usage().contains("ipasir:LIB"));
-    }
-
-    #[test]
-    fn parses_the_portfolio_backend_for_detect_and_bench() {
-        use htd_core::RacePolicy;
-
-        let spec = "portfolio:builtin,ipasir:lib.so";
-        match Command::parse(["detect", "x.v", "--backend", spec]).unwrap() {
-            Command::Detect(args) => {
-                assert_eq!(args.backend, spec.parse::<BackendChoice>().unwrap());
-                assert_eq!(args.backend.to_string(), spec);
-            }
-            other => panic!("expected detect, got {other:?}"),
-        }
-        match Command::parse([
-            "bench",
-            "--smoke",
-            "--backend",
-            "portfolio:builtin,builtin,fastest-cex",
-        ])
-        .unwrap()
-        {
-            Command::Bench { backend, .. } => {
-                assert_eq!(
-                    backend,
-                    BackendChoice::portfolio(
-                        vec![BackendChoice::Builtin, BackendChoice::Builtin],
-                        RacePolicy::FastestCex,
-                    )
-                );
-            }
-            other => panic!("expected bench, got {other:?}"),
-        }
-        assert!(matches!(
-            Command::parse(["detect", "x.v", "--backend", "portfolio:"]).unwrap_err(),
-            ParseArgsError::InvalidBackend(_)
-        ));
-        assert!(matches!(
-            Command::parse(["bench", "--backend", "portfolio:builtin,z3"]).unwrap_err(),
-            ParseArgsError::InvalidBackend(_)
-        ));
-        assert!(usage().contains("portfolio:B1,B2"));
-        assert!(usage().contains("deterministic-cex"));
-        assert!(usage().contains("fastest-cex"));
-        assert!(usage().contains("HTD_PORTFOLIO"));
     }
 
     #[test]

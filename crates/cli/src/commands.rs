@@ -56,8 +56,8 @@ pub enum CliError {
         /// The underlying message.
         message: String,
     },
-    /// A `serve`/`submit` configuration value (a flag or an `HTD_SERVE_*`
-    /// environment variable) was rejected.
+    /// A configuration value (a flag such as an unknown `--benign` register,
+    /// or an `HTD_SERVE_*` environment variable) was rejected.
     Config {
         /// The underlying message.
         message: String,
@@ -375,8 +375,15 @@ fn detect(args: &DetectArgs) -> Result<String, CliError> {
     let benign = args
         .benign
         .iter()
-        .filter_map(|name| d.lookup(name))
-        .collect::<Vec<_>>();
+        .map(|name| {
+            d.lookup(name).ok_or_else(|| CliError::Config {
+                message: format!(
+                    "--benign {name}: design `{}` has no register named `{name}`",
+                    d.name()
+                ),
+            })
+        })
+        .collect::<Result<Vec<_>, _>>()?;
     let config = DetectorConfig {
         benign_state: benign,
         ..DetectorConfig::default()
@@ -456,9 +463,9 @@ fn detect(args: &DetectArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `htd bench`: the perf-trajectory harness — run the benchmark set through
-/// the sequential and sharded engines, print a comparison table, and write
-/// the `BENCH_*.json` file when requested.
+/// `htd bench`: the perf-trajectory harness — time the benchmark set at
+/// `jobs` workers and at one worker, print a comparison table, and write the
+/// `BENCH_*.json` file when requested.
 fn bench(
     json: Option<&Path>,
     jobs: Option<usize>,
@@ -487,7 +494,7 @@ fn bench(
         "Benchmark",
         "Verdict",
         "wall (s)",
-        "seq (s)",
+        "jobs=1 (s)",
         "speedup",
         "conflicts",
         "GC",
@@ -516,7 +523,7 @@ fn bench(
     let total_seq: f64 = records.iter().map(|r| r.sequential_secs).sum();
     let _ = writeln!(
         out,
-        "total: {total_wall:.3}s sharded ({} jobs) vs {total_seq:.3}s sequential ({:.2}x)",
+        "total: {total_wall:.3}s at {} jobs vs {total_seq:.3}s at 1 job ({:.2}x)",
         jobs.get(),
         if total_wall > 0.0 {
             total_seq / total_wall
@@ -524,43 +531,6 @@ fn bench(
             1.0
         }
     );
-    // Per-design winner tally for portfolio backends: who actually won the
-    // races, and what the losing members burnt.  Absent for single
-    // backends, whose race counters are always zero.
-    if records.iter().any(|r| r.race_solves > 0) {
-        let _ = writeln!(
-            out,
-            "portfolio race tally (winner = first definitive answer):"
-        );
-        for r in &records {
-            let _ = writeln!(
-                out,
-                "  {:<18} {:>5} racer wins / {:>5} races ({} primary), {} cancels wasting {} conflicts",
-                r.name,
-                r.race_wins,
-                r.race_solves,
-                r.race_solves - r.race_wins,
-                r.race_cancels,
-                r.race_wasted_conflicts
-            );
-        }
-        let races: u64 = records.iter().map(|r| r.race_solves).sum();
-        let wins: u64 = records.iter().map(|r| r.race_wins).sum();
-        let cancels: u64 = records.iter().map(|r| r.race_cancels).sum();
-        let wasted: u64 = records.iter().map(|r| r.race_wasted_conflicts).sum();
-        let latency: u64 = records.iter().map(|r| r.race_cancel_latency_us).sum();
-        let _ = writeln!(
-            out,
-            "  total: {wins} racer wins / {races} races ({} primary), {cancels} cancels wasting \
-             {wasted} conflicts, mean cancel latency {:.1}us",
-            races - wins,
-            if cancels > 0 {
-                latency as f64 / cancels as f64
-            } else {
-                0.0
-            }
-        );
-    }
     if let Some(path) = json {
         std::fs::write(path, trajectory::to_json(&records, jobs, pipeline, backend)).map_err(
             |e| CliError::Io {
@@ -782,6 +752,24 @@ endmodule
         });
         let output = run(&command).unwrap();
         assert!(output.contains("session: 1 bit-blast(s)"), "{output}");
+        std::fs::remove_file(input).ok();
+    }
+
+    #[test]
+    fn detect_rejects_an_unknown_benign_register_by_name() {
+        let input = write_temp("htd_cli_detect_benign_input.v", INFECTED);
+        let command = Command::Detect(DetectArgs {
+            input: input.clone(),
+            benign: vec!["armed".to_string(), "no_such_reg".to_string()],
+            ..DetectArgs::default()
+        });
+        match run(&command).unwrap_err() {
+            CliError::Config { message } => {
+                assert!(message.contains("`no_such_reg`"), "{message}");
+                assert!(!message.contains("`armed`"), "{message}");
+            }
+            other => panic!("expected a configuration error, got {other:?}"),
+        }
         std::fs::remove_file(input).ok();
     }
 

@@ -36,9 +36,9 @@ pub enum DetectError {
         /// What is wrong with the configuration.
         reason: String,
     },
-    /// The SAT backend failed (only process backends can fail — e.g. the
-    /// external solver binary is missing or speaks a different output
-    /// format).
+    /// The SAT backend failed: an external solver binary is missing or
+    /// speaks a different output format, or a backend could not fork a
+    /// solve-task snapshot.
     Backend {
         /// The underlying backend error.
         message: String,
@@ -90,6 +90,14 @@ impl fmt::Display for DetectError {
 }
 
 impl Error for DetectError {}
+
+impl From<htd_sat::BackendError> for DetectError {
+    fn from(e: htd_sat::BackendError) -> Self {
+        DetectError::Backend {
+            message: e.to_string(),
+        }
+    }
+}
 
 #[cfg(test)]
 mod tests {

@@ -1,20 +1,25 @@
 //! Detector configuration and the legacy borrow-tied detector shim.
 //!
-//! The flow itself (Algorithm 1 of the paper) lives in
-//! [`crate::session::run_flow`] and is shared between the incremental
-//! [`DetectionSession`](crate::DetectionSession) — the primary entry point —
-//! and the deprecated [`TrojanDetector`] kept here for backward
-//! compatibility and as the *fresh-solve reference path*: it rebuilds the
-//! AIG, the CNF and the SAT solver for every property, which the
-//! equivalence tests and the `property_runtime` benchmark compare the
-//! session path against.
+//! The primary entry point is the incremental
+//! [`DetectionSession`](crate::DetectionSession), which runs Algorithm 1 of
+//! the paper on the pipelined flow-graph executor.  The deprecated
+//! [`TrojanDetector`] is kept here for backward compatibility and as the
+//! *fresh-solve reference path*: it walks the same flow graph in node order
+//! and rebuilds the AIG, the CNF and the SAT solver for every property,
+//! which the equivalence tests and the `property_runtime` benchmark compare
+//! the session path against.
 
-use htd_ipc::{CheckerOptions, IntervalProperty, PropertyChecker, PropertyReport};
+use std::time::Instant;
+
+use htd_ipc::{CheckOutcome, CheckerOptions, Counterexample, IntervalProperty, PropertyChecker};
 use htd_rtl::{SignalId, ValidatedDesign};
+use htd_sat::SolverStats;
 
+use crate::diagnosis::{benign_fanin_of, diagnose};
 use crate::error::DetectError;
-use crate::report::DetectionReport;
-use crate::session::{run_flow, validate_config, validate_design, PropertyEngine};
+use crate::flowgraph::FlowGraph;
+use crate::report::{DetectedBy, DetectionOutcome, DetectionReport, PropertyTrace};
+use crate::session::{validate_config, validate_design};
 
 /// Configuration of the detection flow.
 #[derive(Clone, Debug, PartialEq)]
@@ -60,28 +65,6 @@ impl Default for DetectorConfig {
             max_flow_iterations: 4096,
             budget: htd_sat::SolveBudget::default(),
         }
-    }
-}
-
-/// The legacy fresh-solve engine: one `PropertyChecker` encoding (AIG + CNF +
-/// solver) per property check.
-pub(crate) struct LegacyEngine {
-    options: CheckerOptions,
-}
-
-impl LegacyEngine {
-    pub(crate) fn new(options: CheckerOptions) -> Self {
-        LegacyEngine { options }
-    }
-}
-
-impl PropertyEngine for LegacyEngine {
-    fn check(
-        &mut self,
-        design: &ValidatedDesign,
-        property: &IntervalProperty,
-    ) -> Result<PropertyReport, DetectError> {
-        Ok(PropertyChecker::with_options(design, self.options).check(property))
     }
 }
 
@@ -139,7 +122,9 @@ impl<'a> TrojanDetector<'a> {
     }
 
     /// Runs the full detection flow: init property, fanout properties until
-    /// the structural fixpoint, then the signal-coverage check.
+    /// the structural fixpoint, then the signal-coverage check.  The levels
+    /// and their properties come from the planned [`FlowGraph`]; each one is
+    /// checked on a fresh [`PropertyChecker`] encoding.
     ///
     /// The flow stops at the first property that fails after
     /// spurious-counterexample resolution, exactly as a verification engineer
@@ -152,8 +137,124 @@ impl<'a> TrojanDetector<'a> {
     /// [`DetectError::ResolutionLimit`] when the configured safety bounds are
     /// exceeded (which indicates a configuration problem, not a Trojan).
     pub fn run(&self) -> Result<DetectionReport, DetectError> {
-        let mut engine = LegacyEngine::new(self.config.checker);
-        run_flow(self.design, &self.config, &mut engine, None, &mut |_| {})
+        let design = self.design;
+        let mut graph = FlowGraph::plan(design, &self.config)?;
+        // htd-lint: allow(determinism): feeds DetectionReport.total_duration only, which render_normalized() zeroes
+        let start = Instant::now();
+        let d = design.design();
+        let names = |sigs: &[SignalId]| -> Vec<String> {
+            sigs.iter().map(|&s| d.signal_name(s).to_string()).collect()
+        };
+
+        let mut fanout_levels: Vec<Vec<String>> = Vec::new();
+        let mut properties: Vec<PropertyTrace> = Vec::new();
+        let mut solver_totals = SolverStats::default();
+        let mut failure = None;
+        let mut level_idx = 0usize;
+        while graph.ensure_level(design, level_idx)? {
+            let node = graph.level_node(level_idx);
+            fanout_levels.push(names(&node.signals));
+            let property = node.property.clone().expect("level nodes carry properties");
+            let (trace, failed) = self.check_with_resolution(property, &mut solver_totals)?;
+            properties.push(trace);
+            if let Some(cex) = failed {
+                let detected_by = if level_idx == 0 {
+                    DetectedBy::InitProperty
+                } else {
+                    DetectedBy::FanoutProperty(level_idx)
+                };
+                failure = Some(DetectionOutcome::PropertyFailed {
+                    detected_by,
+                    counterexample: Box::new(cex),
+                });
+                break;
+            }
+            level_idx += 1;
+        }
+        let outcome = match failure {
+            Some(failure) => failure,
+            None => {
+                // The coverage node (case 2 of Sec. IV-D).
+                let (_, _, uncovered) = graph.finish_coverage(design)?;
+                if uncovered.is_empty() {
+                    DetectionOutcome::Secure
+                } else {
+                    DetectionOutcome::UncoveredSignals {
+                        signals: names(&uncovered),
+                    }
+                }
+            }
+        };
+        Ok(DetectionReport {
+            design: d.name().to_string(),
+            outcome,
+            fanout_levels,
+            spurious_resolved: properties.iter().map(|p| p.spurious_resolved).sum(),
+            properties,
+            solver_totals,
+            total_duration: start.elapsed(),
+        })
+    }
+
+    /// Checks one level's property, resolving spurious counterexamples
+    /// (Sec. V-B): each round re-checks the property with equality
+    /// assumptions for the waived benign state.  Every round's solver work
+    /// is added to `solver_totals`.
+    fn check_with_resolution(
+        &self,
+        property: IntervalProperty,
+        solver_totals: &mut SolverStats,
+    ) -> Result<(PropertyTrace, Option<Counterexample>), DetectError> {
+        let (design, config) = (self.design, &self.config);
+        let proves: Vec<String> = property
+            .prove_equal
+            .iter()
+            .map(|&s| design.design().signal_name(s).to_string())
+            .collect();
+        let mut current = property;
+        let mut resolved = 0usize;
+        loop {
+            let report = PropertyChecker::with_options(design, config.checker).check(&current);
+            solver_totals.accumulate(&report.stats.solver);
+            let failed = match &report.outcome {
+                CheckOutcome::Holds => None,
+                CheckOutcome::Fails(cex) => {
+                    if diagnose(design, cex, &current.assume_equal, &config.benign_state)
+                        .is_spurious()
+                    {
+                        if resolved >= config.max_resolution_iterations {
+                            return Err(DetectError::ResolutionLimit {
+                                property: current.name.clone(),
+                                limit: config.max_resolution_iterations,
+                            });
+                        }
+                        resolved += 1;
+                        // Assume the benign fanin of the whole level equal,
+                        // not only the registers this model happened to
+                        // flip: the engineer has disqualified all of it, and
+                        // waiving it register-by-register would just replay
+                        // the same divergence with a different benign cause
+                        // next round.
+                        let waived = benign_fanin_of(
+                            design,
+                            &current.prove_equal,
+                            &current.assume_equal,
+                            &config.benign_state,
+                        );
+                        current = current.with_extra_assumptions(&waived);
+                        continue;
+                    }
+                    Some((**cex).clone())
+                }
+            };
+            let trace = PropertyTrace {
+                name: current.name.clone(),
+                proves,
+                report,
+                spurious_resolved: resolved,
+            };
+            return Ok((trace, failed));
+        }
     }
 }
 

@@ -25,11 +25,12 @@
 //! prepares — that level, so a flow that dies on the init property pays for
 //! one level of planning, exactly like the sequential loop it replaces.
 //!
-//! Executors walk the graph instead of re-deriving the loop: the sequential
-//! reference engines visit nodes in id order, while the pipelined executor
-//! (`htd-core`'s scheduler) prepares and solves independent sub-properties of
-//! *different* level nodes concurrently, merging results in node order so
-//! reports stay deterministic.  Node ids are stable across executors and are
+//! Executors walk the graph instead of re-deriving the loop: the fresh-encode
+//! reference [`TrojanDetector`](crate::TrojanDetector) visits nodes in id
+//! order, while the pipelined executor (`htd-core`'s scheduler) prepares and
+//! solves independent sub-properties of *different* level nodes
+//! concurrently, merging results in node order so reports stay
+//! deterministic.  Node ids are stable across executors and are
 //! surfaced in every [`FlowEvent`](crate::FlowEvent).
 
 use std::collections::BTreeSet;

@@ -44,7 +44,7 @@
 //!   benchmark harness for per-property timing.
 //!
 //! The deprecated [`TrojanDetector`] remains as the borrow-tied, re-encode-
-//! per-property reference path; it runs the exact same flow skeleton, so the
+//! per-property reference path; it walks the same planned flow graph, so the
 //! equivalence suite can compare the two.
 //!
 //! # Quickstart
@@ -110,11 +110,9 @@ pub use flow::DetectorConfig;
 #[allow(deprecated)]
 pub use flow::TrojanDetector;
 pub use flowgraph::{FlowGraph, FlowNode, FlowNodeKind};
-pub use htd_sat::{BudgetTracker, RacePolicy, SolveBudget};
+pub use htd_sat::{BudgetTracker, SolveBudget};
 pub use report::{DetectedBy, DetectionOutcome, DetectionReport, PropertyTrace};
 pub use scheduler::{
     PipelineStats, PropertyScheduler, SharedSolvePool, JOBS_ENV_VAR, LEVEL_PIPELINE_ENV_VAR,
 };
-pub use session::{
-    BackendChoice, DetectionSession, EngineChoice, FlowEvent, SessionBuilder, PORTFOLIO_ENV_VAR,
-};
+pub use session::{BackendChoice, DetectionSession, EngineChoice, FlowEvent, SessionBuilder};

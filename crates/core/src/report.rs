@@ -131,12 +131,7 @@ impl DetectionReport {
     }
 
     /// A copy of this report with every wall-clock-dependent field zeroed:
-    /// the flow total, each property's check time, and the race outcome
-    /// counters a portfolio backend records (`race_wins`, `race_cancels`,
-    /// wasted conflicts, cancel latency — which member crossed the finish
-    /// line first is a scheduling accident, even though the *verdict* is
-    /// not).  `race_solves` stays: the number of raced queries is as
-    /// deterministic as the query count itself.
+    /// the flow total and each property's check time.
     ///
     /// Two detection runs over the same design are *deterministic* up to
     /// wall-clock time: the sharded scheduler guarantees identical verdicts,
@@ -145,18 +140,10 @@ impl DetectionReport {
     /// byte-for-byte.  The determinism suite relies on this.
     #[must_use]
     pub fn normalized(&self) -> DetectionReport {
-        fn settle_races(stats: &mut SolverStats) {
-            stats.race_wins = 0;
-            stats.race_cancels = 0;
-            stats.race_wasted_conflicts = 0;
-            stats.race_cancel_latency_us = 0;
-        }
         let mut report = self.clone();
         report.total_duration = Duration::ZERO;
-        settle_races(&mut report.solver_totals);
         for trace in &mut report.properties {
             trace.report.stats.duration = Duration::ZERO;
-            settle_races(&mut trace.report.stats.solver);
         }
         report
     }
@@ -212,18 +199,6 @@ impl fmt::Display for DetectionReport {
             self.solver_totals.bytes_cloned,
             self.solver_totals.arena_words_reclaimed
         )?;
-        // Only rendered when a portfolio actually raced: single-backend runs
-        // keep their rendered reports byte-identical to earlier releases.
-        if self.solver_totals.race_solves > 0 || self.solver_totals.race_cancels > 0 {
-            writeln!(
-                f,
-                "  portfolio: {} races, {} racer wins, {} cancels wasting {} conflicts",
-                self.solver_totals.race_solves,
-                self.solver_totals.race_wins,
-                self.solver_totals.race_cancels,
-                self.solver_totals.race_wasted_conflicts
-            )?;
-        }
         for trace in &self.properties {
             writeln!(
                 f,

@@ -57,9 +57,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use htd_ipc::{
-    CheckOutcome, IntervalProperty, MiterSession, PreparedLevel, PropertyReport, TaskOutcome,
-};
+use htd_ipc::{CheckOutcome, MiterSession, PreparedLevel, TaskOutcome};
 use htd_rtl::{SignalId, ValidatedDesign};
 use htd_sat::SolverStats;
 
@@ -68,7 +66,7 @@ use crate::error::DetectError;
 use crate::flow::DetectorConfig;
 use crate::flowgraph::FlowGraph;
 use crate::report::{DetectedBy, DetectionOutcome, DetectionReport, PropertyTrace};
-use crate::session::{FlowEvent, PropertyEngine};
+use crate::session::FlowEvent;
 
 /// Environment variable overriding the default worker count of new sessions.
 pub const JOBS_ENV_VAR: &str = "HTD_JOBS";
@@ -253,33 +251,6 @@ pub struct PipelineStats {
     /// store each clone is a handful of flat-buffer memcpys proportional to
     /// the master's live database size at the prepare boundary.
     pub snapshot_bytes_cloned: u64,
-}
-
-/// Engine over a [`MiterSession`] driven level-at-a-time — the fallback for
-/// backends that cannot fork snapshots (the pipelined executor requires
-/// forks; this path is merely sharded within each level, sequential on the
-/// master).
-pub(crate) struct SchedulerEngine<'a> {
-    pub(crate) miter: &'a mut MiterSession,
-    pub(crate) jobs: NonZeroUsize,
-}
-
-impl PropertyEngine for SchedulerEngine<'_> {
-    fn check(
-        &mut self,
-        design: &ValidatedDesign,
-        property: &IntervalProperty,
-    ) -> Result<PropertyReport, DetectError> {
-        self.miter
-            .check_level(design, property, self.jobs)
-            .map_err(|e| DetectError::Backend {
-                message: e.to_string(),
-            })
-    }
-
-    fn finish(&mut self) -> SolverStats {
-        self.miter.finish_level_flow()
-    }
 }
 
 /// One prepared generation in flight: the frozen sub-property tasks plus the
@@ -587,8 +558,7 @@ impl SharedSolvePool {
     }
 }
 
-/// Runs the full flow on the pipelined graph executor.  Requires a backend
-/// that can fork ([`MiterSession::backend_can_fork`]).
+/// Runs the full flow on the pipelined graph executor.
 ///
 /// `pool` switches task execution from flow-owned scoped threads to the
 /// given shared pool; `cancel` installs an external kill switch (observed by
@@ -735,7 +705,7 @@ pub(crate) fn run_pipelined(
                     );
                     let job = Arc::new(GenJob::new(
                         node_id,
-                        miter.prepare_level(design, &property, !inline),
+                        miter.prepare_level(design, &property, !inline)?,
                     ));
                     dispatch(&job, &mut stats);
                     level_jobs.push(job);
@@ -828,7 +798,7 @@ pub(crate) fn run_pipelined(
                                     );
                                     let job = Arc::new(GenJob::new(
                                         node_id,
-                                        miter.prepare_level(design, &property, true),
+                                        miter.prepare_level(design, &property, true)?,
                                     ));
                                     dispatch(&job, &mut stats);
                                     level_jobs.push(job);
@@ -860,11 +830,7 @@ pub(crate) fn run_pipelined(
                         return Err(DetectError::Cancelled);
                     }
                     let outcomes = current_job.take_outcomes();
-                    let check = miter
-                        .merge_level(design, &current_job.prepared, outcomes)
-                        .map_err(|e| DetectError::Backend {
-                            message: e.to_string(),
-                        })?;
+                    let check = miter.merge_level(design, &current_job.prepared, outcomes)?;
                     // The generation is decided: free its snapshot clone
                     // (in-flight stragglers keep their own forks alive) and
                     // stop scanning it in the workers' overlap check.
@@ -930,7 +896,10 @@ pub(crate) fn run_pipelined(
                             resolved += 1;
                             // Assume the benign fanin of the whole level
                             // equal, not only the registers this model
-                            // happened to flip (see `check_with_resolution`).
+                            // happened to flip: the engineer has
+                            // disqualified all of it, and waiving it
+                            // register-by-register would just replay the
+                            // same divergence next round.
                             let waived = benign_fanin_of(
                                 design,
                                 &current_property.prove_equal,
@@ -956,7 +925,7 @@ pub(crate) fn run_pipelined(
                                         );
                                         let job = Arc::new(GenJob::new(
                                             node_id,
-                                            miter.prepare_level(design, &property, true),
+                                            miter.prepare_level(design, &property, true)?,
                                         ));
                                         dispatch(&job, &mut stats);
                                         level_jobs.push(job);
@@ -981,7 +950,7 @@ pub(crate) fn run_pipelined(
                             }
                             let job = Arc::new(GenJob::new(
                                 res_node,
-                                miter.prepare_level(design, &current_property, !inline),
+                                miter.prepare_level(design, &current_property, !inline)?,
                             ));
                             dispatch(&job, &mut stats);
                             current_job = job;
@@ -994,10 +963,8 @@ pub(crate) fn run_pipelined(
                 if let Some(cex) = failed {
                     // Same end-of-flow hygiene as the secure exit: the
                     // pending activation literals retire and the master
-                    // compacts, so a reused session starts clean.  The delta
-                    // is deliberately NOT folded into the report: which acts
-                    // are still pending depends on how far speculation got.
-                    let _ = miter.finish_level_flow();
+                    // compacts, so a reused session starts clean.
+                    miter.finish_level_flow();
                     let detected_by = if level_idx == 0 {
                         DetectedBy::InitProperty
                     } else {
@@ -1021,10 +988,8 @@ pub(crate) fn run_pipelined(
             }
 
             // End-of-flow hygiene: retire the last generation's activation
-            // literals and compact.  The delta stays out of the report —
-            // which acts are still pending depends on how far speculation
-            // got, and reports must be schedule-invariant.
-            let _ = miter.finish_level_flow();
+            // literals and compact.
+            miter.finish_level_flow();
             let (coverage_node, covered, uncovered) = graph.finish_coverage(design)?;
             let uncovered = names(&uncovered);
             emit(&FlowEvent::Coverage {

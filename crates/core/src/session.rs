@@ -17,19 +17,18 @@
 //! node per fanout level (carrying the level's interval property and an
 //! edge to the level it structurally depends on), dynamically appended
 //! resolution-round nodes, and a final coverage node.  Planning the graph
-//! is purely structural, so every engine walks the same nodes:
-//!
-//! * the **sequential engines** (the deprecated fresh-solve
-//!   [`TrojanDetector`](crate::TrojanDetector) and
-//!   [`EngineChoice::Sequential`]) visit nodes in id order through
-//!   [`run_flow`];
-//! * the default **pipelined executor** ([`EngineChoice::Scheduled`], see
-//!   [`PropertyScheduler`]) splits each level node into per-signal
-//!   sub-properties, freezes each level behind a forked solver snapshot, and
-//!   lets one worker pool solve sub-properties of *different* levels
-//!   concurrently while the master encodes ahead.  Results merge in node
-//!   order, so reports are byte-identical for every worker count and with
-//!   pipelining on or off ([`DetectionReport::normalized`]).
+//! is purely structural.  A session walks it with the **pipelined
+//! executor** (see [`PropertyScheduler`]): each level node splits into
+//! per-signal sub-properties, each level freezes behind a forked solver
+//! snapshot, and one worker pool solves sub-properties of *different* levels
+//! concurrently while the master encodes ahead.  With a single worker the
+//! executor solves each level inline, on forks of the unmutated master.
+//! Results merge in node order, so reports are byte-identical for every
+//! worker count and with pipelining on or off
+//! ([`DetectionReport::normalized`]).  The deprecated
+//! [`TrojanDetector`](crate::TrojanDetector) visits the same nodes in id
+//! order with a fresh encoding per property: the reference the equivalence
+//! suite compares sessions against.
 //!
 //! [`DetectionReport::normalized`]: crate::DetectionReport::normalized
 //!
@@ -71,27 +70,20 @@
 use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-use htd_ipc::{
-    CheckOutcome, Counterexample, IntervalProperty, MiterSession, PropertyReport, SessionStats,
-};
-use htd_rtl::{SignalId, ValidatedDesign};
+use htd_ipc::{MiterSession, SessionStats};
+use htd_rtl::ValidatedDesign;
 use htd_sat::{
-    BudgetTracker, DimacsProcessBackend, IpasirBackend, PortfolioBackend, RacePolicy, SatBackend,
-    Solver, SolverStats,
+    BudgetTracker, DimacsProcessBackend, IpasirBackend, SatBackend, Solver, SolverStats,
 };
 
-use crate::diagnosis::{diagnose, Diagnosis};
 use crate::error::DetectError;
 use crate::flow::DetectorConfig;
-use crate::flowgraph::FlowGraph;
-use crate::report::{DetectedBy, DetectionOutcome, DetectionReport, PropertyTrace};
-use crate::scheduler::{
-    run_pipelined, PipelineStats, PropertyScheduler, SchedulerEngine, SharedSolvePool,
-};
+use crate::report::DetectionReport;
+use crate::scheduler::{run_pipelined, PipelineStats, PropertyScheduler, SharedSolvePool};
 
 /// Which SAT backend a session solves with.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -110,61 +102,6 @@ pub enum BackendChoice {
     /// handle stays live across every query of the flow.  The bundled
     /// reference library is `crates/ipasir-shim` (`libipasir_htd.so`).
     Ipasir(PathBuf),
-    /// A first-answer-wins portfolio racing every solve task across the
-    /// member backends concurrently, losers cancelled through the interrupt
-    /// / `set_terminate` seam (`portfolio:builtin,ipasir:LIB.so`).  Member 0
-    /// is the *primary*: under the default
-    /// [`RacePolicy::DeterministicCex`] it is the only source of SAT
-    /// models, so reports stay byte-identical to running the primary alone;
-    /// `fastest-cex` takes the winner's model instead.  Members cannot
-    /// themselves be portfolios.
-    Portfolio(Vec<BackendChoice>, RacePolicy),
-}
-
-/// Environment variable supplying a default portfolio member list (see
-/// [`BackendChoice::try_default_from_env`]): a comma-separated backend list
-/// with an optional race-policy token, with or without the `portfolio:`
-/// prefix — e.g. `HTD_PORTFOLIO=builtin,ipasir:target/release/libipasir_htd.so`.
-pub const PORTFOLIO_ENV_VAR: &str = "HTD_PORTFOLIO";
-
-/// Parses the member list of a `portfolio:` backend spec: comma-separated
-/// member backends, with an optional race-policy token
-/// (`deterministic-cex` / `fastest-cex`) anywhere in the list.
-fn parse_portfolio(spec: &str) -> Result<BackendChoice, String> {
-    let mut members = Vec::new();
-    let mut policy: Option<RacePolicy> = None;
-    for piece in spec.split(',') {
-        let piece = piece.trim();
-        if piece.is_empty() {
-            return Err(
-                "`portfolio:` has an empty member entry (expected a comma-separated \
-                        backend list, e.g. `portfolio:builtin,ipasir:LIB.so`)"
-                    .into(),
-            );
-        }
-        if let Ok(parsed) = piece.parse::<RacePolicy>() {
-            if policy.replace(parsed).is_some() {
-                return Err("`portfolio:` lists more than one race policy".into());
-            }
-            continue;
-        }
-        if piece.starts_with("portfolio:") {
-            return Err("`portfolio:` members cannot be portfolios themselves".into());
-        }
-        let member: BackendChoice = piece
-            .parse()
-            .map_err(|e| format!("in `portfolio:` member `{piece}`: {e}"))?;
-        members.push(member);
-    }
-    if members.is_empty() {
-        return Err("`portfolio:` needs at least one member backend, e.g. \
-                    `portfolio:builtin,ipasir:target/release/libipasir_htd.so`"
-            .into());
-    }
-    Ok(BackendChoice::Portfolio(
-        members,
-        policy.unwrap_or_default(),
-    ))
 }
 
 impl BackendChoice {
@@ -180,48 +117,6 @@ impl BackendChoice {
         BackendChoice::Ipasir(library.into())
     }
 
-    /// A first-answer-wins portfolio over `members` (member 0 is the
-    /// primary — the SAT-model source under
-    /// [`RacePolicy::DeterministicCex`]).
-    #[must_use]
-    pub fn portfolio(members: Vec<BackendChoice>, policy: RacePolicy) -> Self {
-        BackendChoice::Portfolio(members, policy)
-    }
-
-    /// The default backend for sessions that do not choose one explicitly:
-    /// [`Builtin`](Self::Builtin), unless the `HTD_PORTFOLIO` environment
-    /// variable supplies a portfolio member list (comma-separated member
-    /// backends plus an optional race-policy token, with or without the
-    /// `portfolio:` prefix).
-    ///
-    /// # Errors
-    ///
-    /// A set-but-malformed `HTD_PORTFOLIO` is an error, never a silent
-    /// fallback — a typo would otherwise quietly solve without the racers
-    /// it was meant to add (same strictness as `HTD_JOBS`).
-    pub fn try_default_from_env() -> Result<BackendChoice, String> {
-        let Ok(value) = std::env::var(PORTFOLIO_ENV_VAR) else {
-            return Ok(BackendChoice::Builtin);
-        };
-        let spec = value.trim();
-        let spec = spec.strip_prefix("portfolio:").unwrap_or(spec);
-        parse_portfolio(spec).map_err(|message| {
-            format!("{PORTFOLIO_ENV_VAR}={value:?} is not a valid portfolio spec: {message}")
-        })
-    }
-
-    /// [`try_default_from_env`](Self::try_default_from_env), panicking on a
-    /// malformed `HTD_PORTFOLIO` — misconfigured environments fail loudly,
-    /// like the strict `HTD_JOBS` / `HTD_GC_*` overrides.
-    ///
-    /// # Panics
-    ///
-    /// If `HTD_PORTFOLIO` is set to anything but a valid portfolio spec.
-    #[must_use]
-    pub fn default_from_env() -> BackendChoice {
-        Self::try_default_from_env().unwrap_or_else(|message| panic!("{message}"))
-    }
-
     /// Checks the choice can be brought up at all — for `ipasir:` this
     /// dlopens the library and resolves its symbols (then releases it), for
     /// `dimacs:` it checks the solver program exists (directly or on
@@ -233,11 +128,6 @@ impl BackendChoice {
     /// [`DetectError::Backend`] when instantiation (or, for process
     /// backends, the first solver spawn) would fail.
     pub fn validate(&self) -> Result<(), DetectError> {
-        if let BackendChoice::Portfolio(members, _) = self {
-            for member in members {
-                member.validate()?;
-            }
-        }
         if let BackendChoice::DimacsProcess(program, _) = self {
             // A bare program name goes through the PATH search `Command`
             // will perform; anything with a separator is a filesystem path.
@@ -265,17 +155,16 @@ impl BackendChoice {
         self.instantiate().map(drop)
     }
 
-    /// Brings up one backend instance of this choice: the bundled solver,
-    /// an external process/library wrapper, or a [`PortfolioBackend`] over
-    /// freshly instantiated members.  Callers that manage their own miter
+    /// Brings up one backend instance of this choice: the bundled solver or
+    /// an external process/library wrapper.  Callers that manage their own miter
     /// encodings (e.g. the serve tier's frozen-master snapshot cache) use
     /// this to solve on the configured backend instead of hardcoding the
     /// builtin solver.
     ///
     /// # Errors
     ///
-    /// [`DetectError::Backend`] when bring-up fails (missing library,
-    /// empty portfolio, …).
+    /// [`DetectError::Backend`] when bring-up fails (e.g. a missing
+    /// library).
     pub fn instantiate(&self) -> Result<Box<dyn SatBackend>, DetectError> {
         match self {
             BackendChoice::Builtin => Ok(Box::new(Solver::new())),
@@ -289,16 +178,6 @@ impl BackendChoice {
                 Ok(backend) => Ok(Box::new(backend)),
                 Err(e) => Err(DetectError::Backend { message: e.message }),
             },
-            BackendChoice::Portfolio(members, policy) => {
-                let mut instances = Vec::with_capacity(members.len());
-                for member in members {
-                    instances.push(member.instantiate()?);
-                }
-                match PortfolioBackend::new(instances, *policy) {
-                    Ok(backend) => Ok(Box::new(backend)),
-                    Err(e) => Err(DetectError::Backend { message: e.message }),
-                }
-            }
         }
     }
 }
@@ -336,12 +215,8 @@ impl FromStr for BackendChoice {
             }
             return Ok(BackendChoice::Ipasir(PathBuf::from(library)));
         }
-        if let Some(spec) = s.strip_prefix("portfolio:") {
-            return parse_portfolio(spec);
-        }
         Err(format!(
-            "unknown backend `{s}` (expected `builtin`, `dimacs:CMD`, `ipasir:LIB` or \
-             `portfolio:B1,B2,…[,deterministic-cex|fastest-cex]`)"
+            "unknown backend `{s}` (expected `builtin`, `dimacs:CMD` or `ipasir:LIB`)"
         ))
     }
 }
@@ -358,34 +233,16 @@ impl std::fmt::Display for BackendChoice {
                 Ok(())
             }
             BackendChoice::Ipasir(path) => write!(f, "ipasir:{}", path.display()),
-            BackendChoice::Portfolio(members, policy) => {
-                write!(f, "portfolio:")?;
-                for (i, member) in members.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{member}")?;
-                }
-                // The default policy is implied; only the opt-in renders,
-                // so the output round-trips through `FromStr` unchanged.
-                if *policy == RacePolicy::FastestCex {
-                    write!(f, ",{policy}")?;
-                }
-                Ok(())
-            }
         }
     }
 }
 
-/// Which property-checking engine a session drives the flow with.
+/// How a session schedules the flow.  There is one engine, the pipelined
+/// flow-graph executor, so this only wraps its [`PropertyScheduler`];
+/// [`SessionBuilder::jobs`] is the shorthand for the common case.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineChoice {
-    /// The single-miter incremental engine: each level is one disjunctive
-    /// miter solved on the session's master solver, one graph node at a
-    /// time.  Kept as the sequential reference path for perf-trajectory
-    /// benchmarks.
-    Sequential,
-    /// The pipelined flow-graph executor (default): each level node is split
+    /// The pipelined flow-graph executor: each level node is split
     /// into per-signal sub-properties solved on forked solver shards, with
     /// sub-properties of *different* levels solving concurrently and a
     /// deterministic node-order merge.  Reports are identical for any worker
@@ -478,42 +335,6 @@ pub enum FlowEvent {
     },
 }
 
-/// The property-checking engine a flow run drives: either the legacy
-/// fresh-solve checker or an incremental miter session.
-pub(crate) trait PropertyEngine {
-    fn check(
-        &mut self,
-        design: &ValidatedDesign,
-        property: &IntervalProperty,
-    ) -> Result<PropertyReport, DetectError>;
-
-    /// End-of-flow hook, called once after every level held: engines with
-    /// deferred clause retirement flush and compact here, returning the
-    /// solver-work delta to fold into the flow totals.
-    fn finish(&mut self) -> SolverStats {
-        SolverStats::default()
-    }
-}
-
-/// Engine over a [`MiterSession`] (the incremental path).
-struct SessionEngine<'a> {
-    miter: &'a mut MiterSession,
-}
-
-impl PropertyEngine for SessionEngine<'_> {
-    fn check(
-        &mut self,
-        design: &ValidatedDesign,
-        property: &IntervalProperty,
-    ) -> Result<PropertyReport, DetectError> {
-        self.miter
-            .check(design, property)
-            .map_err(|e| DetectError::Backend {
-                message: e.to_string(),
-            })
-    }
-}
-
 /// Validates a detector configuration.
 pub(crate) fn validate_config(config: &DetectorConfig) -> Result<(), DetectError> {
     if config.max_resolution_iterations == 0 {
@@ -583,9 +404,7 @@ impl SessionBuilder {
         SessionBuilder {
             design,
             config: DetectorConfig::default(),
-            // Builtin unless HTD_PORTFOLIO supplies a racing portfolio
-            // (panics on a malformed value — strict, like HTD_JOBS).
-            backend: BackendChoice::default_from_env(),
+            backend: BackendChoice::Builtin,
             engine: EngineChoice::default(),
         }
     }
@@ -604,7 +423,7 @@ impl SessionBuilder {
         self
     }
 
-    /// Selects the property-checking engine.
+    /// Selects the executor's schedule.
     #[must_use]
     pub fn engine(mut self, engine: EngineChoice) -> Self {
         self.engine = engine;
@@ -737,7 +556,7 @@ impl DetectionSession {
         &self.backend
     }
 
-    /// The chosen property-checking engine.
+    /// The chosen schedule.
     #[must_use]
     pub fn engine(&self) -> &EngineChoice {
         &self.engine
@@ -768,9 +587,8 @@ impl DetectionSession {
     /// level was in flight — and the per-generation snapshot cost
     /// (`snapshot_forks` / `snapshot_bytes_cloned`: what freezing each
     /// generation's clause database actually copied).  All zero before the
-    /// first run and for the sequential/non-forkable paths.  Unlike the
-    /// report, these describe the schedule actually taken and may vary
-    /// between runs.
+    /// first run.  Unlike the report, these describe the schedule actually
+    /// taken and may vary between runs.
     #[must_use]
     pub fn pipeline_stats(&self) -> PipelineStats {
         self.pipeline_stats
@@ -787,9 +605,7 @@ impl DetectionSession {
     /// queue with the pool for the duration of each run, and the pool's
     /// workers serve all registered sessions round-robin (see
     /// [`SharedSolvePool`]).  Reports are unaffected — the executor is
-    /// schedule-invariant.  Only the pipelined engine uses the pool; the
-    /// sequential engine and non-forkable backends solve on the calling
-    /// thread as before.
+    /// schedule-invariant.
     pub fn attach_pool(&mut self, pool: SharedSolvePool) {
         self.pool = Some(pool);
     }
@@ -798,9 +614,7 @@ impl DetectionSession {
     /// [`run`](Self::run): setting it to `true` from any thread interrupts
     /// in-flight solver tasks mid-search and makes the run return
     /// [`DetectError::Cancelled`].  The flag is one-shot — the run's
-    /// wind-down sets it, so install a fresh flag per run.  The sequential
-    /// engine honours it at property granularity (between graph nodes)
-    /// rather than mid-solve.
+    /// wind-down sets it, so install a fresh flag per run.
     pub fn set_cancel_flag(&mut self, cancel: Arc<AtomicBool>) {
         self.cancel = Some(cancel);
     }
@@ -819,7 +633,8 @@ impl DetectionSession {
     ///
     /// [`DetectError::IterationLimit`] / [`DetectError::ResolutionLimit`]
     /// when the configured safety bounds are exceeded, and
-    /// [`DetectError::Backend`] if an external solver backend fails.
+    /// [`DetectError::Backend`] if the solver backend fails (an external
+    /// solver, or a fork of a solve-task snapshot).
     pub fn run(&mut self) -> Result<DetectionReport, DetectError> {
         self.run_with_observer(&mut |_| {})
     }
@@ -862,44 +677,30 @@ impl DetectionSession {
             miter.set_budget(Some(Arc::clone(&tracker)));
             Some(tracker)
         };
-        let result = match engine_choice {
-            EngineChoice::Sequential => {
-                let mut engine = SessionEngine { miter };
-                run_flow(design, config, &mut engine, cancel.as_ref(), &mut emit)
-            }
-            EngineChoice::Scheduled(scheduler) if miter.backend_can_fork() => run_pipelined(
-                design,
-                config,
-                miter,
-                scheduler,
-                pool.as_ref(),
-                cancel.as_ref(),
-                &mut emit,
-            )
-            .map(|(report, stats)| {
-                *pipeline_stats = stats;
-                report
-            }),
-            EngineChoice::Scheduled(scheduler) => {
-                // Non-forkable backends cannot pipeline (no frozen
-                // snapshots); fall back to sharded level-at-a-time checking.
-                let mut engine = SchedulerEngine {
-                    miter,
-                    jobs: scheduler.jobs(),
-                };
-                run_flow(design, config, &mut engine, cancel.as_ref(), &mut emit)
-            }
-        };
+        let EngineChoice::Scheduled(scheduler) = engine_choice;
+        let result = run_pipelined(
+            design,
+            config,
+            miter,
+            scheduler,
+            pool.as_ref(),
+            cancel.as_ref(),
+            &mut emit,
+        )
+        .map(|(report, stats)| {
+            *pipeline_stats = stats;
+            report
+        });
         let Some(tracker) = tracker else {
             return result;
         };
         miter.set_budget(None);
         match tracker.exhausted() {
-            // Exhaustion surfaces engine-dependently (the kill switch makes
-            // the pipelined executor report `Cancelled`, an interrupted
-            // master query reports `Backend`); fold every post-exhaustion
-            // failure into the one structured cause.  A run that reached its
-            // verdict before the trip keeps it.
+            // Exhaustion surfaces schedule-dependently (the kill switch
+            // makes the executor report `Cancelled`, a task interrupted
+            // mid-solve can surface as `Backend`); fold every
+            // post-exhaustion failure into the one structured cause.  A run
+            // that reached its verdict before the trip keeps it.
             Some(reason) if result.is_err() => Err(DetectError::BudgetExhausted {
                 reason: reason.to_owned(),
                 conflicts: tracker.conflicts(),
@@ -909,236 +710,13 @@ impl DetectionSession {
     }
 }
 
-/// Algorithm 1 of the paper as a walk over the planned [`FlowGraph`], generic
-/// over the property-checking engine.
-///
-/// Shared by [`EngineChoice::Sequential`] and the legacy
-/// [`TrojanDetector`](crate::TrojanDetector) (fresh-solve engine), so the two
-/// paths cannot drift apart; the default pipelined executor
-/// (`scheduler::run_pipelined`) walks the *same* graph with a worker pool.
-/// There is no structural per-level loop here: the levels, their properties
-/// and their dependency edges were all planned up front, and this driver
-/// merely visits the nodes in id order, appending resolution nodes as
-/// spurious counterexamples are diagnosed.
-///
-/// `cancel` is honoured at node granularity: the walk checks the flag before
-/// every level (sequential engines run whole properties on the calling
-/// thread, so there is no mid-solve interrupt point here — the pipelined
-/// executor provides that).
-pub(crate) fn run_flow(
-    design: &ValidatedDesign,
-    config: &DetectorConfig,
-    engine: &mut dyn PropertyEngine,
-    cancel: Option<&Arc<AtomicBool>>,
-    emit: &mut dyn FnMut(&FlowEvent),
-) -> Result<DetectionReport, DetectError> {
-    let mut graph = FlowGraph::plan(design, config)?;
-    // htd-lint: allow(determinism): feeds DetectionReport.total_duration only, which render_normalized() zeroes
-    let start = Instant::now();
-    let d = design.design();
-    let names = |sigs: &[SignalId]| -> Vec<String> {
-        sigs.iter().map(|&s| d.signal_name(s).to_string()).collect()
-    };
-
-    let mut fanout_levels: Vec<Vec<String>> = Vec::new();
-    let mut properties: Vec<PropertyTrace> = Vec::new();
-    let mut spurious_total = 0usize;
-    let mut solver_totals = SolverStats::default();
-
-    let report = |outcome: DetectionOutcome,
-                  fanout_levels: Vec<Vec<String>>,
-                  properties: Vec<PropertyTrace>,
-                  spurious_resolved: usize,
-                  solver_totals: SolverStats| DetectionReport {
-        design: d.name().to_string(),
-        outcome,
-        fanout_levels,
-        properties,
-        spurious_resolved,
-        solver_totals,
-        total_duration: start.elapsed(),
-    };
-
-    let mut level_idx = 0usize;
-    while graph.ensure_level(design, level_idx)? {
-        if cancel.is_some_and(|flag| flag.load(Ordering::SeqCst)) {
-            return Err(DetectError::Cancelled);
-        }
-        let node = graph.level_node(level_idx).clone();
-        let property = node.property.clone().expect("level nodes carry properties");
-        fanout_levels.push(names(&node.signals));
-        emit(&FlowEvent::LevelStarted {
-            level: level_idx + 1,
-            signals: names(&node.signals),
-            node: node.id,
-            deps: node.deps.clone(),
-            dep_signals: names(&node.dep_signals),
-        });
-        let (trace, failed) = check_with_resolution(
-            design,
-            config,
-            engine,
-            property,
-            &mut graph,
-            node.id,
-            emit,
-            &mut solver_totals,
-        )?;
-        spurious_total += trace.spurious_resolved;
-        properties.push(trace);
-        if let Some(cex) = failed {
-            let _ = engine.finish();
-            let detected_by = if level_idx == 0 {
-                DetectedBy::InitProperty
-            } else {
-                DetectedBy::FanoutProperty(level_idx)
-            };
-            return Ok(report(
-                DetectionOutcome::PropertyFailed {
-                    detected_by,
-                    counterexample: Box::new(cex),
-                },
-                fanout_levels,
-                properties,
-                spurious_total,
-                solver_totals,
-            ));
-        }
-        level_idx += 1;
-    }
-
-    // The coverage node (case 2 of Sec. IV-D).
-    let _ = engine.finish();
-    let (coverage_node, covered, uncovered) = graph.finish_coverage(design)?;
-    let uncovered = names(&uncovered);
-    emit(&FlowEvent::Coverage {
-        covered,
-        uncovered: uncovered.clone(),
-        node: coverage_node,
-    });
-    let outcome = if uncovered.is_empty() {
-        DetectionOutcome::Secure
-    } else {
-        DetectionOutcome::UncoveredSignals { signals: uncovered }
-    };
-    Ok(report(
-        outcome,
-        fanout_levels,
-        properties,
-        spurious_total,
-        solver_totals,
-    ))
-}
-
-/// Checks one level node's property, resolving spurious counterexamples by
-/// appending resolution-round nodes to the graph (Sec. V-B): each round
-/// re-enqueues the property with equality assumptions for the waived benign
-/// state.
-#[allow(clippy::too_many_arguments)]
-fn check_with_resolution(
-    design: &ValidatedDesign,
-    config: &DetectorConfig,
-    engine: &mut dyn PropertyEngine,
-    property: IntervalProperty,
-    graph: &mut FlowGraph,
-    level_node: usize,
-    emit: &mut dyn FnMut(&FlowEvent),
-    solver_totals: &mut SolverStats,
-) -> Result<(PropertyTrace, Option<Counterexample>), DetectError> {
-    let d = design.design();
-    let proves: Vec<String> = property
-        .prove_equal
-        .iter()
-        .map(|&s| d.signal_name(s).to_string())
-        .collect();
-    let mut current = property;
-    let mut current_node = level_node;
-    let mut resolved = 0usize;
-    loop {
-        let report: PropertyReport = engine.check(design, &current)?;
-        // Totals include every resolution round, not just the final check.
-        solver_totals.accumulate(&report.stats.solver);
-        match &report.outcome {
-            CheckOutcome::Holds => {
-                emit(&FlowEvent::PropertyProved {
-                    property: current.name.clone(),
-                    duration: report.stats.duration,
-                    spurious_resolved: resolved,
-                    solver: report.stats.solver,
-                    node: current_node,
-                });
-                return Ok((
-                    PropertyTrace {
-                        name: current.name.clone(),
-                        proves,
-                        report,
-                        spurious_resolved: resolved,
-                    },
-                    None,
-                ));
-            }
-            CheckOutcome::Fails(cex) => {
-                let diag: Diagnosis =
-                    diagnose(design, cex, &current.assume_equal, &config.benign_state);
-                let spurious = diag.is_spurious();
-                emit(&FlowEvent::CounterexampleFound {
-                    property: current.name.clone(),
-                    diffs: cex.diff_names().iter().map(ToString::to_string).collect(),
-                    spurious,
-                    solver: report.stats.solver,
-                    node: current_node,
-                });
-                if spurious {
-                    if resolved >= config.max_resolution_iterations {
-                        return Err(DetectError::ResolutionLimit {
-                            property: current.name.clone(),
-                            limit: config.max_resolution_iterations,
-                        });
-                    }
-                    resolved += 1;
-                    // Assume the benign fanin of the whole level equal, not
-                    // only the registers this model happened to flip: the
-                    // engineer has disqualified all of it, and waiving it
-                    // register-by-register would just replay the same
-                    // divergence with a different benign cause next round.
-                    let waived = crate::diagnosis::benign_fanin_of(
-                        design,
-                        &current.prove_equal,
-                        &current.assume_equal,
-                        &config.benign_state,
-                    );
-                    current = current.with_extra_assumptions(&waived);
-                    current_node = graph.add_resolution(current_node, resolved, current.clone());
-                    emit(&FlowEvent::ResolutionRound {
-                        property: current.name.clone(),
-                        round: resolved,
-                        waived: waived
-                            .iter()
-                            .map(|&s| d.signal_name(s).to_string())
-                            .collect(),
-                        node: current_node,
-                    });
-                    continue;
-                }
-                let cex = (**cex).clone();
-                return Ok((
-                    PropertyTrace {
-                        name: current.name.clone(),
-                        proves,
-                        report,
-                        spurious_resolved: resolved,
-                    },
-                    Some(cex),
-                ));
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::report::{DetectedBy, DetectionOutcome};
     use htd_rtl::Design;
+    use htd_sat::{BackendError, BackendStats, Lit, SolveResult, Var};
+    use std::sync::atomic::Ordering;
 
     fn infected_design() -> ValidatedDesign {
         let mut d = Design::new("infected");
@@ -1234,7 +812,7 @@ mod tests {
     }
 
     #[test]
-    fn builder_selects_engines_and_reports_are_engine_invariant_on_verdicts() {
+    fn builder_selects_the_worker_count_and_reports_are_invariant() {
         let jobs = NonZeroUsize::new(3).unwrap();
         let mut sharded = SessionBuilder::new(infected_design())
             .jobs(jobs)
@@ -1244,13 +822,14 @@ mod tests {
             *sharded.engine(),
             EngineChoice::Scheduled(PropertyScheduler::new(jobs))
         );
-        let mut sequential = SessionBuilder::new(infected_design())
-            .engine(EngineChoice::Sequential)
+        let mut single = SessionBuilder::new(infected_design())
+            .jobs(NonZeroUsize::MIN)
             .build()
             .unwrap();
-        let a = sharded.run().unwrap();
-        let b = sequential.run().unwrap();
-        assert_eq!(a.outcome.detected_by(), b.outcome.detected_by());
+        assert_eq!(
+            sharded.run().unwrap().normalized(),
+            single.run().unwrap().normalized()
+        );
     }
 
     #[test]
@@ -1271,14 +850,8 @@ mod tests {
     }
 
     #[test]
-    fn a_preset_cancel_flag_aborts_both_engines() {
+    fn a_preset_cancel_flag_aborts_the_run() {
         let mut session = SessionBuilder::new(clean_pipeline()).build().unwrap();
-        session.set_cancel_flag(Arc::new(AtomicBool::new(true)));
-        assert_eq!(session.run().unwrap_err(), DetectError::Cancelled);
-        let mut session = SessionBuilder::new(clean_pipeline())
-            .engine(EngineChoice::Sequential)
-            .build()
-            .unwrap();
         session.set_cancel_flag(Arc::new(AtomicBool::new(true)));
         assert_eq!(session.run().unwrap_err(), DetectError::Cancelled);
     }
@@ -1450,93 +1023,68 @@ mod tests {
         );
     }
 
-    #[test]
-    fn backend_choice_parses_the_portfolio_syntax() {
-        assert_eq!(
-            "portfolio:builtin,ipasir:lib.so"
-                .parse::<BackendChoice>()
-                .unwrap(),
-            BackendChoice::portfolio(
-                vec![BackendChoice::Builtin, BackendChoice::ipasir("lib.so")],
-                RacePolicy::DeterministicCex,
-            )
-        );
-        // The policy token is recognised anywhere in the member list.
-        assert_eq!(
-            "portfolio:fastest-cex,builtin,builtin"
-                .parse::<BackendChoice>()
-                .unwrap(),
-            BackendChoice::portfolio(
-                vec![BackendChoice::Builtin, BackendChoice::Builtin],
-                RacePolicy::FastestCex,
-            )
-        );
-        // Round-trips through Display: the policy suffix only appears when
-        // it differs from the default.
-        for spec in [
-            "portfolio:builtin,ipasir:lib.so",
-            "portfolio:builtin,builtin,fastest-cex",
-            "portfolio:builtin,dimacs:htd sat",
-        ] {
-            let choice = spec.parse::<BackendChoice>().unwrap();
-            assert_eq!(choice.to_string(), spec);
-            assert_eq!(choice.to_string().parse::<BackendChoice>().unwrap(), choice);
+    /// The builtin solver behind a `fork` that always fails — what an
+    /// IPASIR library that cannot open another solver handle looks like to
+    /// the flow.
+    struct UnforkableSolver(Solver);
+
+    impl SatBackend for UnforkableSolver {
+        fn name(&self) -> String {
+            "unforkable".to_owned()
         }
 
-        let empty = "portfolio:".parse::<BackendChoice>().unwrap_err();
-        assert!(empty.contains("empty member entry"), "{empty}");
-        let only_policy = "portfolio:deterministic-cex"
-            .parse::<BackendChoice>()
-            .unwrap_err();
-        assert!(only_policy.contains("at least one member"), "{only_policy}");
-        let nested = "portfolio:builtin,portfolio:builtin"
-            .parse::<BackendChoice>()
-            .unwrap_err();
-        assert!(nested.contains("cannot be portfolios"), "{nested}");
-        let dup = "portfolio:builtin,fastest-cex,deterministic-cex"
-            .parse::<BackendChoice>()
-            .unwrap_err();
-        assert!(dup.contains("more than one race policy"), "{dup}");
-        let bad_member = "portfolio:builtin,z3".parse::<BackendChoice>().unwrap_err();
-        assert!(bad_member.contains("member `z3`"), "{bad_member}");
+        fn new_var(&mut self) -> Var {
+            SatBackend::new_var(&mut self.0)
+        }
+
+        fn add_clause(&mut self, lits: &[Lit]) -> bool {
+            SatBackend::add_clause(&mut self.0, lits)
+        }
+
+        fn solve_under(&mut self, assumptions: &[Lit]) -> Result<SolveResult, BackendError> {
+            self.0.solve_under(assumptions)
+        }
+
+        fn model_value(&self, var: Var) -> Option<bool> {
+            self.0.model_value(var)
+        }
+
+        fn stats(&self) -> BackendStats {
+            SatBackend::stats(&self.0)
+        }
+
+        fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError> {
+            Err(BackendError {
+                message: "no second solver handle".to_owned(),
+            })
+        }
+
+        fn snapshot_bytes(&self) -> u64 {
+            0
+        }
     }
 
+    /// Every solve task runs on a fork, so a backend that cannot fork fails
+    /// the run with a backend error — on the inline single-worker schedule
+    /// (the task's fork off the master) and on the frozen-snapshot schedule
+    /// (the generation's snapshot fork) alike, without hanging the pool.
     #[test]
-    fn portfolio_validation_recurses_into_members() {
-        let good = BackendChoice::portfolio(
-            vec![BackendChoice::Builtin, BackendChoice::Builtin],
-            RacePolicy::DeterministicCex,
-        );
-        assert_eq!(good.validate(), Ok(()));
-        let bad = BackendChoice::portfolio(
-            vec![
-                BackendChoice::Builtin,
-                BackendChoice::ipasir("/nonexistent/libhtd-missing.so"),
-            ],
-            RacePolicy::DeterministicCex,
-        );
-        assert!(bad
-            .validate()
-            .unwrap_err()
-            .to_string()
-            .contains("libhtd-missing.so"));
-    }
-
-    #[test]
-    fn a_portfolio_of_builtins_runs_the_flow() {
-        let report = SessionBuilder::new(infected_design())
-            .backend(BackendChoice::portfolio(
-                vec![BackendChoice::Builtin, BackendChoice::Builtin],
-                RacePolicy::DeterministicCex,
-            ))
-            .build()
-            .unwrap()
-            .run()
-            .unwrap();
-        assert!(matches!(
-            report.outcome,
-            DetectionOutcome::PropertyFailed { .. }
-        ));
-        assert!(report.solver_totals.race_solves > 0);
+    fn a_failing_fork_is_a_backend_error_at_any_worker_count() {
+        for jobs in [1, 2] {
+            let design = infected_design();
+            let miter = MiterSession::new(&design, Box::new(UnforkableSolver(Solver::new())));
+            let scheduler = PropertyScheduler::new(NonZeroUsize::new(jobs).unwrap())
+                .with_oversubscription(true);
+            let mut session = SessionBuilder::new(design)
+                .engine(EngineChoice::Scheduled(scheduler))
+                .build_with_miter(miter)
+                .unwrap();
+            match session.run() {
+                Err(DetectError::Backend { message }) => {
+                    assert!(message.contains("no second solver handle"), "{message}");
+                }
+                other => panic!("jobs {jobs}: expected a backend error, got {other:?}"),
+            }
+        }
     }
 }

@@ -35,16 +35,15 @@
 //! # The `ipasir_htd_*` extensions
 //!
 //! Three optional extra symbols expose the solver's decision-variable
-//! masking so the `IpasirBackend` in `htd-sat` can focus the search on a
-//! query's cone exactly like the builtin backend does (standard IPASIR
-//! clients never look these up and are unaffected):
+//! masking and its O(bytes) clone so the `IpasirBackend` in `htd-sat` can
+//! focus the search on a query's cone and fork exactly like the builtin
+//! backend does (standard IPASIR clients never look these up and are
+//! unaffected):
 //!
 //! * `ipasir_htd_mask_all_decisions(S)` — mark every variable ineligible
 //!   for branching ([`Solver::mask_all_decisions`]).
 //! * `ipasir_htd_set_decision(S, var, eligible)` — per-variable eligibility
 //!   ([`Solver::set_decision_var`]), `var` 1-based as everywhere in IPASIR.
-//! * `ipasir_htd_begin_new_query(S)` — reset the search heuristics between
-//!   unrelated queries ([`Solver::reset_decision_heuristics`]).
 //! * `ipasir_htd_clone(S) -> S'` — snapshot the handle in O(bytes): the
 //!   solver's arena-backed clause and watcher stores make `Solver::clone` a
 //!   fixed number of flat-buffer memcpys, and the returned handle is fully
@@ -339,19 +338,6 @@ pub unsafe extern "C" fn ipasir_htd_set_decision(solver: *mut c_void, var: c_int
     }
     shim.solver
         .set_decision_var(Var::from_index(index), eligible != 0);
-}
-
-/// Extension: reset the search heuristics between unrelated queries
-/// ([`Solver::reset_decision_heuristics`]).
-///
-/// # Safety
-///
-/// `solver` must be a live [`ipasir_init`] handle.
-#[no_mangle]
-pub unsafe extern "C" fn ipasir_htd_begin_new_query(solver: *mut c_void) {
-    // SAFETY: this entry point's contract — `solver` is a live handle.
-    let shim = unsafe { shim(solver) };
-    shim.solver.reset_decision_heuristics();
 }
 
 /// Extension: returns an independent snapshot of the handle — same formula,

@@ -17,10 +17,11 @@
 //! * **Antecedents as assumptions.**  Equality assumptions on combinational
 //!   signals become solver *assumptions* instead of baked-in unit clauses, so
 //!   the same encoding serves every antecedent the flow tries.
-//! * **Per-property miters behind activation literals.**  Each property's
-//!   "some proved signal differs" disjunction is guarded by a fresh
-//!   activation literal; once the property is decided the literal is retired
-//!   with a unit clause, permanently simplifying the clause away.
+//! * **Per-signal miters behind activation literals.**  Each prove signal's
+//!   "differs in the two instances" clause is guarded by a fresh activation
+//!   literal and solved on a fork of the master; once the next property is
+//!   prepared the literals are retired with unit clauses, permanently
+//!   simplifying the clauses away.
 //!
 //! Register starting-state variables follow the same sharing discipline as
 //! the legacy checker (see
@@ -31,9 +32,8 @@
 //! `ablation_hashing` benchmark applies unchanged to the incremental path.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
-use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use htd_rtl::{SignalId, SignalKind, ValidatedDesign};
@@ -130,11 +130,6 @@ pub struct MiterSession {
     /// Canonical shared starting-state words (used by both instances while a
     /// register *is* assumed equal), allocated lazily.
     shared_regs: FxHashMap<SignalId, BitVec>,
-    /// Variables currently eligible for branching: the cone of the most
-    /// recent query.  Everything else in the backend belongs to retired
-    /// queries and is purely definitional — masking it keeps the search
-    /// inside the live cone.
-    active_vars: FxHashSet<Var>,
     /// Register-only combinational support of each signal's driver, computed
     /// lazily and kept for the whole session (the structure never changes).
     support_cache: FxHashMap<SignalId, Vec<SignalId>>,
@@ -169,8 +164,8 @@ struct LevelTask {
 
 /// A generation's frozen fork source.
 enum Snapshot {
-    /// No snapshot: taskless generation, non-forkable backend, or an inline
-    /// schedule that forks the unmutated master at solve time.
+    /// No snapshot: taskless generation, or an inline schedule that forks
+    /// the unmutated master at solve time.
     None,
     /// Single-task generations: the sole task takes the snapshot and solves
     /// on it directly (no second clone).
@@ -208,9 +203,6 @@ enum TaskResult {
     /// A counterexample was found on a forked shard (the shard is kept alive
     /// so its model can be read during reconstruction).
     Sat(SolverStats, u64, Box<dyn SatBackend>),
-    /// A counterexample was found on the master (non-forkable fallback); the
-    /// model is read from the master itself during reconstruction.
-    MasterSat(SolverStats, u64),
     /// Cancelled: a lower-id task had already failed, or the whole flow was
     /// cancelled behind an earlier generation's verdict.
     Skipped,
@@ -219,22 +211,11 @@ enum TaskResult {
 }
 
 /// The opaque outcome of one sub-property solve: produced by
-/// [`PreparedLevel::solve_task`] (or the session's non-forkable master
-/// fallback) and consumed by [`MiterSession::merge_level`].
+/// [`PreparedLevel::solve_task`] (or [`MiterSession::solve_task_inline`])
+/// and consumed by [`MiterSession::merge_level`].
 pub struct TaskOutcome(TaskResult);
 
 impl TaskOutcome {
-    /// `true` if this outcome ends its level (a counterexample or an
-    /// infrastructure error): sequential drivers stop dispatching the
-    /// remaining sub-properties of the generation.
-    #[must_use]
-    pub fn ends_level(&self) -> bool {
-        matches!(
-            self.0,
-            TaskResult::Sat(..) | TaskResult::MasterSat(..) | TaskResult::Error(..)
-        )
-    }
-
     fn skipped() -> Self {
         TaskOutcome(TaskResult::Skipped)
     }
@@ -257,7 +238,6 @@ impl std::fmt::Debug for TaskOutcome {
         f.write_str(match &self.0 {
             TaskResult::Unsat(..) => "TaskOutcome::Unsat",
             TaskResult::Sat(..) => "TaskOutcome::Sat",
-            TaskResult::MasterSat(..) => "TaskOutcome::MasterSat",
             TaskResult::Skipped => "TaskOutcome::Skipped",
             TaskResult::Error(..) => "TaskOutcome::Error",
         })
@@ -277,11 +257,11 @@ impl std::fmt::Debug for TaskOutcome {
 pub struct PreparedLevel {
     property_name: String,
     tasks: Vec<LevelTask>,
-    /// The frozen master snapshot tasks fork from (`None` when the backend
-    /// cannot fork or the generation has no tasks).  Single-task generations
-    /// hold it exclusively and solve on it directly instead of paying for a
-    /// second clone; multi-task generations share it so workers fork
-    /// *outside* any lock.
+    /// The frozen master snapshot tasks fork from (`None` when the
+    /// generation has no tasks or was prepared for an inline schedule).
+    /// Single-task generations hold it exclusively and solve on it directly
+    /// instead of paying for a second clone; multi-task generations share
+    /// it so workers fork *outside* any lock.
     snapshot: Snapshot,
     /// This generation's epoch starting-state words, kept for counterexample
     /// reconstruction at merge time (the session's live epoch may already
@@ -290,8 +270,8 @@ pub struct PreparedLevel {
     start: Instant,
     structurally_proved: u64,
     /// Bytes the generation's frozen snapshot clone copied off the master
-    /// (0 when no snapshot was taken: taskless generations, inline
-    /// schedules, non-forkable backends).
+    /// (0 when no snapshot was taken: taskless generations and inline
+    /// schedules).
     snapshot_bytes: u64,
     /// Master-side work bracketed over this generation's prepare: AIG and
     /// CNF growth plus any clause-GC the master ran before the snapshot.
@@ -368,38 +348,49 @@ impl PreparedLevel {
         if doomed.load(Ordering::SeqCst) < index || cancelled.load(Ordering::SeqCst) {
             return TaskOutcome::skipped();
         }
+        let unavailable = || BackendError {
+            message: "generation snapshot unavailable (prepared for an inline schedule, or \
+                      already released)"
+                .to_string(),
+        };
         let shard = match &self.snapshot {
-            Snapshot::None => None,
+            Snapshot::None => Err(unavailable()),
             // Sole task of the generation: solve on the snapshot itself
             // instead of paying for a second clone.
-            Snapshot::Exclusive(slot) => slot.lock().expect("no poisoned locks").take(),
+            Snapshot::Exclusive(slot) => slot
+                .lock()
+                .expect("no poisoned locks")
+                .take()
+                .ok_or_else(unavailable),
             Snapshot::Shared(slot) => {
                 // Clone the handle under the lock, fork outside it: clause
                 // database clones never serialise the workers.
                 let handle = slot.lock().expect("no poisoned locks").clone();
-                handle.and_then(|master| master.fork())
+                handle
+                    .ok_or_else(unavailable)
+                    .and_then(|master| master.fork())
             }
         };
         self.solve_on(shard, index, doomed, cancelled)
     }
 
-    /// The shared solving core: masks, focuses and solves one task on an
-    /// already-acquired shard.
+    /// The shared solving core: masks, focuses and solves one task on a
+    /// freshly forked shard.  A failed fork fails the task (and dooms the
+    /// tasks behind it) with the backend's error.
     fn solve_on(
         &self,
-        shard: Option<Box<dyn SatBackend>>,
+        shard: Result<Box<dyn SatBackend>, BackendError>,
         index: usize,
         doomed: &Arc<AtomicUsize>,
         cancelled: &Arc<AtomicBool>,
     ) -> TaskOutcome {
         let task = &self.tasks[index];
-        let Some(mut shard) = shard else {
-            doomed.fetch_min(index, Ordering::SeqCst);
-            return TaskOutcome(TaskResult::Error(BackendError {
-                message: "generation snapshot unavailable (backend advertised can_fork but \
-                          fork() returned None)"
-                    .to_string(),
-            }));
+        let mut shard = match shard {
+            Ok(shard) => shard,
+            Err(e) => {
+                doomed.fetch_min(index, Ordering::SeqCst);
+                return TaskOutcome(TaskResult::Error(e));
+            }
         };
         // The byte cost of the fork that produced this shard.  It is folded
         // into the consumed task's work delta below — and it is schedule-
@@ -451,45 +442,6 @@ impl PreparedLevel {
             }
         }
     }
-}
-
-/// Solves every task of a prepared generation with up to `jobs` worker
-/// threads pulling from a shared queue, honouring the PR-2 cancellation
-/// semantics (tasks behind a lower-id failure are skipped or interrupted).
-/// The building block of [`MiterSession::check_level`]; the flow-graph
-/// executor in `htd-core` drives [`PreparedLevel::solve_task`] directly so
-/// one worker pool can interleave tasks of *different* generations.
-#[must_use]
-pub fn solve_prepared(prepared: &PreparedLevel, jobs: NonZeroUsize) -> Vec<Option<TaskOutcome>> {
-    let n = prepared.num_tasks();
-    let next = AtomicUsize::new(0);
-    let doomed = Arc::new(AtomicUsize::new(usize::MAX));
-    let cancelled = Arc::new(AtomicBool::new(false));
-    let results: Vec<OnceLock<TaskOutcome>> = (0..n).map(|_| OnceLock::new()).collect();
-    let worker = || loop {
-        let i = next.fetch_add(1, Ordering::SeqCst);
-        if i >= n {
-            break;
-        }
-        let _ = results[i].set(prepared.solve_task(i, &doomed, &cancelled));
-    };
-    // CPU-bound solver shards gain nothing from oversubscription: cap the
-    // thread count at the machine's parallelism (results are
-    // worker-count-independent either way).
-    let hardware = std::thread::available_parallelism()
-        .map(NonZeroUsize::get)
-        .unwrap_or(1);
-    let workers = jobs.get().min(n).min(hardware);
-    if workers <= 1 {
-        worker();
-    } else {
-        std::thread::scope(|s| {
-            for _ in 0..workers {
-                s.spawn(worker);
-            }
-        });
-    }
-    results.into_iter().map(OnceLock::into_inner).collect()
 }
 
 /// The lowering contexts of one binding epoch (one merged-register set).
@@ -562,7 +514,6 @@ impl MiterSession {
             inputs,
             split_regs,
             shared_regs: FxHashMap::default(),
-            active_vars: FxHashSet::default(),
             support_cache: FxHashMap::default(),
             epoch: None,
             pending_acts: Vec::new(),
@@ -594,7 +545,7 @@ impl MiterSession {
     /// Bytes a fork of the session's master backend would copy — the
     /// O(bytes) cost model of the arena-backed clause store, used both for
     /// the per-generation snapshot accounting and as the eviction cost of a
-    /// design-keyed session cache (0 for backends that cannot fork).
+    /// design-keyed session cache.
     #[must_use]
     pub fn snapshot_bytes(&self) -> u64 {
         self.backend.snapshot_bytes()
@@ -613,8 +564,7 @@ impl MiterSession {
 
     /// Forks the whole session: an O(bytes) clone of the encoding state (AIG,
     /// encoder maps, epoch contexts) plus a [`SatBackend::fork`] of the
-    /// master solver.  Returns `None` when the backend cannot fork (process
-    /// backends).
+    /// master solver.
     ///
     /// The fork is a fully independent session over the same design: checks
     /// run on it never touch the parent.  The intended use is a **frozen
@@ -625,24 +575,32 @@ impl MiterSession {
     /// activation literals carry over, so reports from such a fork are not
     /// byte-identical to a fresh session's; fork pristine masters when
     /// report-identity matters.
-    #[must_use]
-    pub fn try_fork(&self) -> Option<MiterSession> {
-        let backend = self.backend.fork()?;
-        Some(MiterSession {
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BackendError`] when the backend fails to fork (e.g. an
+    /// IPASIR library that cannot open another solver handle).
+    pub fn fork(&self) -> Result<MiterSession, BackendError> {
+        Ok(MiterSession {
+            backend: self.backend.fork()?,
             aig: self.aig.clone(),
-            backend,
             encoder: self.encoder.clone(),
             options: self.options,
             design_name: self.design_name.clone(),
             inputs: self.inputs.clone(),
             split_regs: self.split_regs.clone(),
             shared_regs: self.shared_regs.clone(),
-            active_vars: self.active_vars.clone(),
             support_cache: self.support_cache.clone(),
             epoch: self.epoch.clone(),
             pending_acts: self.pending_acts.clone(),
             stats: self.stats,
         })
+    }
+
+    /// [`fork`](Self::fork), discarding the backend's error message.
+    #[must_use]
+    pub fn try_fork(&self) -> Option<MiterSession> {
+        self.fork().ok()
     }
 
     /// Session-level counters.
@@ -656,14 +614,19 @@ impl MiterSession {
         }
     }
 
-    /// Checks a single-cycle interval property against the live miter.
+    /// Checks a single-cycle interval property against the live miter: the
+    /// flow executor's single-worker schedule as one call —
+    /// [`prepare_level`](Self::prepare_level) without a snapshot, each
+    /// sub-property solved on a fork of the master, then the deterministic
+    /// [`merge_level`](Self::merge_level) (the lowest-id counterexample
+    /// wins).
     ///
     /// Must be called with the same design the session was built from.
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError`] if the backend infrastructure fails (only
-    /// possible for process backends).
+    /// Returns [`BackendError`] if the backend infrastructure fails (a
+    /// process backend, a failed fork, or an interrupted query).
     ///
     /// # Panics
     ///
@@ -673,156 +636,13 @@ impl MiterSession {
         design: &ValidatedDesign,
         property: &IntervalProperty,
     ) -> Result<PropertyReport, BackendError> {
-        // htd-lint: allow(determinism): feeds PropertyReport.duration only, zeroed by the normalized rendering
-        let start = Instant::now();
-        let d = design.design();
-        assert_eq!(d.name(), self.design_name, "session is bound to one design");
-        self.stats.properties_checked += 1;
-        // A session mixing the level API with `check` must not leave stale
-        // activation literals armed.
-        self.flush_retired();
-        // Snapshots so the per-property report carries deltas, not
-        // session-cumulative totals.
-        let aig_nodes_before = self.aig.num_nodes();
-        let aig_ands_before = self.aig.num_ands();
-        let strash_before = self.aig.strash_hits();
-        let backend_before = self.backend.stats();
-
-        let share = self.options.share_assumed_equal;
-        let assume_regs: FxHashSet<SignalId> = property
-            .assume_equal
-            .iter()
-            .copied()
-            .filter(|s| d.signal_info(*s).kind().is_register())
+        let prepared = self.prepare_level(design, property, false)?;
+        let doomed = Arc::new(AtomicUsize::new(usize::MAX));
+        let cancelled = Arc::new(AtomicBool::new(false));
+        let outcomes = (0..prepared.num_tasks())
+            .map(|i| Some(self.solve_task_inline(&prepared, i, &doomed, &cancelled)))
             .collect();
-
-        // Reuse (or build) the lowering contexts of this binding epoch.
-        let mut epoch = self.take_epoch(design, &assume_regs);
-
-        // Antecedent: equality assumptions not discharged by variable
-        // sharing, expressed as solver assumptions.
-        let assumption_aig = self.lower_assumptions(design, property, &assume_regs, &mut epoch);
-
-        // Consequent: values of the proved signals at time t+1 per instance.
-        let mut prove_values: Vec<(SignalId, BitVec, BitVec)> = Vec::new();
-        for &sig in &property.prove_equal {
-            // Structural fast path: once the antecedent registers are merged,
-            // a prove signal whose whole cone reduces to shared variables is
-            // equal in every model — it contributes no miter input, no AIG
-            // nodes and no solver work.  This is where the incremental
-            // session beats the re-encode path: proven levels make the next
-            // level's equality structural.
-            if share && self.structurally_equal_next(design, sig, &assume_regs) {
-                self.stats.structurally_proved += 1;
-                continue;
-            }
-            if let Some((b1, b2)) = self.lower_prove_signal(design, &mut epoch, sig) {
-                prove_values.push((sig, b1, b2));
-            }
-        }
-
-        // Miter: some proved signal differs.
-        let mut diff_lits: Vec<AigLit> = Vec::new();
-        for (_, b1, b2) in &prove_values {
-            diff_lits.push(equal(&mut self.aig, b1, b2).invert());
-        }
-        let miter = self.aig.or_all(&diff_lits);
-
-        // Mirror the new cones into the backend.
-        let mut roots: Vec<AigLit> = assumption_aig.clone();
-        roots.push(miter);
-        let fresh = self
-            .encoder
-            .encode(self.backend.as_mut(), &self.aig, &roots);
-        self.stats.nodes_encoded += fresh as u64;
-
-        let mut assumptions: Vec<Lit> = Vec::new();
-        let mut vacuous = false;
-        for &a in &assumption_aig {
-            if a == AigLit::TRUE {
-                continue;
-            }
-            if a == AigLit::FALSE {
-                // The antecedent is structurally unsatisfiable; the property
-                // holds vacuously.
-                vacuous = true;
-                break;
-            }
-            assumptions.push(self.encoder.lit(a));
-        }
-
-        let result = if vacuous || miter == AigLit::FALSE {
-            // No query needed — but any cones this property *did* encode must
-            // still leave the decision-eligible set, or later searches could
-            // wander into them.
-            if fresh > 0 {
-                self.focus_search(&roots, None);
-            }
-            SolveResult::Unsat
-        } else if miter == AigLit::TRUE {
-            // Some proved signal differs structurally for every assignment;
-            // a query is still needed to find a model of the antecedent.
-            self.focus_search(&roots, None);
-            self.backend.solve_under(&assumptions)?
-        } else {
-            let act = self.backend.new_var();
-            self.focus_search(&roots, Some(act));
-            let miter_lit = self.encoder.lit(miter);
-            self.backend.add_clause(&[Lit::neg(act), miter_lit]);
-            assumptions.push(Lit::pos(act));
-            let result = self.backend.solve_under(&assumptions)?;
-            // Retire the activation literal: the property's miter clause is
-            // permanently disabled and can never pollute later queries.  Let
-            // the backend compact once enough retired cones and stale learnt
-            // clauses have piled up.
-            self.backend.add_clause(&[Lit::neg(act)]);
-            let _ = self.backend.collect_garbage();
-            result
-        };
-
-        let outcome = match result {
-            SolveResult::Interrupted => {
-                // Only a tripped budget (or a cancel flag folded into the
-                // backend's interrupt seam) abandons a master query; surface
-                // it as a structured error so the session layer can map it
-                // to the job-level cause.
-                return Err(BackendError {
-                    message: "master query interrupted (budget exhausted or cancelled)".to_owned(),
-                });
-            }
-            SolveResult::Unsat => CheckOutcome::Holds,
-            SolveResult::Sat => CheckOutcome::Fails(Box::new(self.reconstruct_with(
-                self.backend.as_ref(),
-                d,
-                &property.name,
-                &prove_values,
-                &epoch.regs,
-            ))),
-        };
-        self.epoch = Some(epoch);
-
-        // Report deltas against the start-of-check snapshots: `CheckStats`
-        // describes one property check, not the whole session.
-        let backend_after = self.backend.stats();
-        let solver_delta = SolverStats {
-            // The learnt-clause gauge reports the database size, not a delta.
-            learnt_clauses: backend_after.solver.learnt_clauses,
-            ..backend_after.solver.delta_since(&backend_before.solver)
-        };
-        let stats = CheckStats {
-            aig_nodes: self.aig.num_nodes() - aig_nodes_before,
-            aig_ands: self.aig.num_ands() - aig_ands_before,
-            strash_hits: self.aig.strash_hits() - strash_before,
-            cnf_vars: backend_after.vars - backend_before.vars,
-            cnf_clauses: backend_after.clauses.saturating_sub(backend_before.clauses),
-            solver: solver_delta,
-            duration: start.elapsed(),
-        };
-        Ok(PropertyReport {
-            property: property.name.clone(),
-            outcome,
-            stats,
-        })
+        self.merge_level(design, &prepared, outcomes)
     }
 
     /// Lowers and encodes one generation of the flow graph — a fanout level's
@@ -849,8 +669,13 @@ impl MiterSession {
     /// solve this generation's tasks (via
     /// [`solve_task_inline`](Self::solve_task_inline)) before the master
     /// mutates again, which makes a master fork at solve time byte-identical
-    /// to a fork of the omitted snapshot.  Sequential schedules use this to
-    /// avoid paying for a clone nobody shares.
+    /// to a fork of the omitted snapshot.  Single-worker schedules use this
+    /// to avoid paying for a clone nobody shares.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BackendError`] if freezing the snapshot fails (the
+    /// backend's [`fork`](SatBackend::fork)).
     ///
     /// # Panics
     ///
@@ -860,7 +685,7 @@ impl MiterSession {
         design: &ValidatedDesign,
         property: &IntervalProperty,
         freeze: bool,
-    ) -> PreparedLevel {
+    ) -> Result<PreparedLevel, BackendError> {
         // htd-lint: allow(determinism): feeds PropertyReport.duration only, zeroed by the normalized rendering
         let start = Instant::now();
         let d = design.design();
@@ -970,21 +795,18 @@ impl MiterSession {
             // database.
             let _ = self.backend.collect_garbage();
         }
+        self.pending_acts.extend(tasks.iter().filter_map(|t| t.act));
+        let regs = epoch.regs.clone();
+        self.epoch = Some(epoch);
         let snapshot = if tasks.is_empty() || !freeze {
             // Taskless generation, or the caller promises to solve inline
             // before the master mutates again (tasks then fork straight off
             // the master via `solve_task_inline`, saving the snapshot clone).
             Snapshot::None
         } else if tasks.len() == 1 {
-            match self.backend.fork() {
-                Some(fork) => Snapshot::Exclusive(Mutex::new(Some(fork))),
-                None => Snapshot::None,
-            }
+            Snapshot::Exclusive(Mutex::new(Some(self.backend.fork()?)))
         } else {
-            match self.backend.fork() {
-                Some(fork) => Snapshot::Shared(Mutex::new(Some(Arc::from(fork)))),
-                None => Snapshot::None,
-            }
+            Snapshot::Shared(Mutex::new(Some(Arc::from(self.backend.fork()?))))
         };
         // Master-side fork accounting: with the arena-backed clause store a
         // snapshot clone costs O(bytes of live database), and these counters
@@ -992,7 +814,7 @@ impl MiterSession {
         // report (which counts the schedule-invariant per-task forks
         // instead) because inline schedules legitimately skip the clone.
         // The byte computation itself only runs when a snapshot was taken —
-        // for process backends it scans the clause list.
+        // for the external backends it scans the clause log.
         let snapshot_bytes = if snapshot.is_some() {
             let bytes = self.backend.snapshot_bytes();
             self.stats.snapshot_forks += 1;
@@ -1001,14 +823,13 @@ impl MiterSession {
         } else {
             0
         };
-        self.pending_acts.extend(tasks.iter().filter_map(|t| t.act));
 
         let backend_after = self.backend.stats();
-        let prepared = PreparedLevel {
+        Ok(PreparedLevel {
             property_name: property.name.clone(),
             tasks,
             snapshot,
-            regs: epoch.regs.clone(),
+            regs,
             start,
             structurally_proved,
             snapshot_bytes,
@@ -1018,56 +839,7 @@ impl MiterSession {
             cnf_vars: backend_after.vars - backend_before.vars,
             cnf_clauses: backend_after.clauses.saturating_sub(backend_before.clauses),
             master_solver: backend_after.solver.delta_since(&backend_before.solver),
-        };
-        self.epoch = Some(epoch);
-        prepared
-    }
-
-    /// Solves sub-property `index` of a prepared generation on the master
-    /// backend — the fallback for backends that cannot fork.  The caller must
-    /// drive tasks in id order and stop after the first outcome for which
-    /// [`TaskOutcome::ends_level`] is true, which preserves the merge
-    /// semantics of the forked path (deterministic, never parallel).
-    #[must_use]
-    pub fn solve_task_on_master(&mut self, prepared: &PreparedLevel, index: usize) -> TaskOutcome {
-        let task = &prepared.tasks[index];
-        self.backend.begin_new_query();
-        let cone: FxHashSet<Var> = task.cone.iter().copied().collect();
-        for &var in self.active_vars.difference(&cone) {
-            self.backend.set_decision_var(var, false);
-        }
-        for &var in cone.difference(&self.active_vars) {
-            self.backend.set_decision_var(var, true);
-        }
-        self.active_vars = cone;
-        // The master's own query counter already counts this solve (the
-        // session reports backend queries plus fork queries), so the outcome
-        // carries a zero query count — but the solver-work deltas must flow
-        // through the outcome, because the generation's master bracket closed
-        // at the end of prepare.
-        let before = self.backend.stats();
-        match self.backend.solve_under(&task.assumptions) {
-            Err(e) => TaskOutcome(TaskResult::Error(e)),
-            Ok(SolveResult::Interrupted) => TaskOutcome(TaskResult::Error(BackendError {
-                // A tripped budget (or cancel) on the sequential fallback
-                // path; the session layer maps it to the job-level cause.
-                message: "master query interrupted (budget exhausted or cancelled)".to_owned(),
-            })),
-            Ok(SolveResult::Unsat) => {
-                let after = self.backend.stats();
-                TaskOutcome(TaskResult::Unsat(
-                    after.solver.delta_since(&before.solver),
-                    0,
-                ))
-            }
-            Ok(SolveResult::Sat) => {
-                let after = self.backend.stats();
-                TaskOutcome(TaskResult::MasterSat(
-                    after.solver.delta_since(&before.solver),
-                    0,
-                ))
-            }
-        }
+        })
     }
 
     /// Solves sub-property `index` of a generation prepared with
@@ -1121,7 +893,7 @@ impl MiterSession {
 
         let mut level_delta = SolverStats::default();
         let mut fork_queries = 0u64;
-        let mut winner: Option<(usize, Option<Box<dyn SatBackend>>)> = None;
+        let mut winner: Option<(usize, Box<dyn SatBackend>)> = None;
         let mut first_error: Option<BackendError> = None;
         let mut skipped = 0u64;
         for (i, outcome) in outcomes.into_iter().enumerate() {
@@ -1137,12 +909,7 @@ impl MiterSession {
                 Some(TaskResult::Sat(delta, queries, shard)) => {
                     level_delta.accumulate(&delta);
                     fork_queries += queries;
-                    winner = Some((i, Some(shard)));
-                }
-                Some(TaskResult::MasterSat(delta, queries)) => {
-                    level_delta.accumulate(&delta);
-                    fork_queries += queries;
-                    winner = Some((i, None));
+                    winner = Some((i, shard));
                 }
                 Some(TaskResult::Error(e)) => first_error = Some(e),
                 Some(TaskResult::Skipped) | None => {
@@ -1167,13 +934,9 @@ impl MiterSession {
             None => CheckOutcome::Holds,
             Some((i, shard)) => {
                 let task = &prepared.tasks[*i];
-                let model_source: &dyn SatBackend = match shard {
-                    Some(shard) => shard.as_ref(),
-                    None => self.backend.as_ref(),
-                };
                 let prove_values = vec![(task.sig, task.b1.clone(), task.b2.clone())];
                 CheckOutcome::Fails(Box::new(self.reconstruct_with(
-                    model_source,
+                    shard.as_ref(),
                     d,
                     &prepared.property_name,
                     &prove_values,
@@ -1223,13 +986,6 @@ impl MiterSession {
         retired
     }
 
-    /// `true` if the backend can fork frozen snapshots — the prerequisite for
-    /// the pipelined flow-graph executor.
-    #[must_use]
-    pub fn backend_can_fork(&self) -> bool {
-        self.backend.can_fork()
-    }
-
     /// The master backend's cumulative counters (variables, clauses, queries
     /// and solver work including clause-GC).
     #[must_use]
@@ -1248,81 +1004,14 @@ impl MiterSession {
 
     /// Ends a level-flow: retires the final generation's activation literals
     /// and lets the backend compact the clauses that just died, so a reused
-    /// session starts its next run with a clean database.  Returns the
-    /// master's solver-work delta (clause-GC counters); callers must NOT
-    /// fold it into a flow report — which literals are still pending depends
-    /// on how far ahead the executor speculated, and reports are
-    /// schedule-invariant.  Inspect [`backend_stats`](Self::backend_stats)
-    /// for the cumulative picture instead.
-    pub fn finish_level_flow(&mut self) -> SolverStats {
-        let before = self.backend.stats();
+    /// session starts its next run with a clean database.  The clause-GC
+    /// work shows only in [`backend_stats`](Self::backend_stats), never in a
+    /// flow report: which literals are still pending depends on how far
+    /// ahead the executor speculated, and reports are schedule-invariant.
+    pub fn finish_level_flow(&mut self) {
         if self.flush_retired() {
             let _ = self.backend.collect_garbage();
         }
-        self.backend.stats().solver.delta_since(&before.solver)
-    }
-
-    /// Checks one property by partitioning it into per-signal sub-properties
-    /// solved on sharded solvers: [`prepare_level`](Self::prepare_level), a
-    /// worker pool over [`PreparedLevel::solve_task`] (or the sequential
-    /// master fallback for non-forkable backends), then the deterministic
-    /// [`merge_level`](Self::merge_level).  The flow-graph executor in
-    /// `htd-core` drives the same three stages with one pool across *all*
-    /// generations, which is what pipelines property checking across levels.
-    ///
-    /// **Determinism**: every fork starts from the same frozen snapshot, so a
-    /// task's result does not depend on which worker ran it or on how many
-    /// workers there are.  Results merge in sub-property id order (the prove-
-    /// list order) and the first counterexample wins; tasks after a known
-    /// failure are cancelled, and the merged [`CheckStats`] sum only the
-    /// consumed tasks.  `check_level(p, 1)` and `check_level(p, n)` therefore
-    /// return identical reports (up to wall-clock durations).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError`] if the backend infrastructure fails.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `design` is not the session's design.
-    pub fn check_level(
-        &mut self,
-        design: &ValidatedDesign,
-        property: &IntervalProperty,
-        jobs: NonZeroUsize,
-    ) -> Result<PropertyReport, BackendError> {
-        let freeze = jobs.get() > 1 && self.backend.can_fork();
-        let prepared = self.prepare_level(design, property, freeze);
-        let outcomes = if prepared.tasks.is_empty() {
-            Vec::new()
-        } else if prepared.has_snapshot() {
-            solve_prepared(&prepared, jobs)
-        } else if self.backend.can_fork() {
-            // Single-worker schedule: fork each task straight off the
-            // unmutated master (identical content to the omitted snapshot).
-            let doomed = Arc::new(AtomicUsize::new(usize::MAX));
-            let cancelled = Arc::new(AtomicBool::new(false));
-            (0..prepared.tasks.len())
-                .map(|i| Some(self.solve_task_inline(&prepared, i, &doomed, &cancelled)))
-                .collect()
-        } else {
-            // Non-forkable backend: solve in id order on the master, stopping
-            // at the first counterexample (identical merge semantics, never
-            // parallel).
-            let mut outcomes: Vec<Option<TaskOutcome>> = Vec::with_capacity(prepared.tasks.len());
-            let mut stop = false;
-            for index in 0..prepared.tasks.len() {
-                if stop {
-                    outcomes.push(Some(TaskOutcome::skipped()));
-                    continue;
-                }
-                let outcome = self.solve_task_on_master(&prepared, index);
-                stop = outcome.ends_level();
-                outcomes.push(Some(outcome));
-            }
-            outcomes
-        };
-        self.merge_level(design, &prepared, outcomes)
     }
 
     /// The registers in the combinational support of `sig`'s driver
@@ -1518,25 +1207,6 @@ impl MiterSession {
         }
     }
 
-    /// Points the backend's search at the current query: resets the decision
-    /// heuristics (activities and phases tuned for the previous property's
-    /// conflict structure routinely mislead the next query) and confines
-    /// branching to the cone of `roots` plus the activation literal.
-    /// Variables of retired queries are purely definitional, so masking them
-    /// is sound — see [`htd_sat::Solver::set_decision_var`].
-    fn focus_search(&mut self, roots: &[AigLit], act: Option<Var>) {
-        self.backend.begin_new_query();
-        let mut cone = self.encoder.cone_vars(&self.aig, roots);
-        cone.extend(act);
-        for &var in self.active_vars.difference(&cone) {
-            self.backend.set_decision_var(var, false);
-        }
-        for &var in cone.difference(&self.active_vars) {
-            self.backend.set_decision_var(var, true);
-        }
-        self.active_vars = cone;
-    }
-
     /// Rebuilds a concrete counterexample from the given backend's model via
     /// the reconstruction shared with the one-shot checker.  The model source
     /// is a parameter because a parallel level check reads it from the forked
@@ -1658,39 +1328,17 @@ mod tests {
     }
 
     #[test]
-    fn check_level_matches_check_on_holding_and_failing_properties() {
-        let jobs = NonZeroUsize::new(2).unwrap();
-        // Failing property on the trojan design.
+    fn check_reports_the_lowest_failing_sub_property() {
         let design = trojan_design();
         let d = design.design();
         let data = d.require("data").unwrap();
         let trigger = d.require("trigger").unwrap();
         let failing = IntervalProperty::new("init_property", vec![], vec![trigger, data]);
-        let mut plain = MiterSession::new(&design, Box::new(Solver::new()));
-        let mut sharded = MiterSession::new(&design, Box::new(Solver::new()));
-        let plain_report = plain.check(&design, &failing).unwrap();
-        let sharded_report = sharded.check_level(&design, &failing, jobs).unwrap();
-        assert!(!plain_report.holds());
-        assert!(!sharded_report.holds());
-        // First-counterexample-wins: the lowest-id failing prove signal.
-        let cex = sharded_report.outcome.counterexample().unwrap();
-        assert_eq!(cex.diff_names(), vec!["trigger"]);
-
-        // Holding properties on the clean pipeline.
-        let design = pipeline();
-        let d = design.design();
-        let s1 = d.require("s1").unwrap();
-        let s2 = d.require("s2").unwrap();
-        let out = d.require("out").unwrap();
         let mut session = MiterSession::new(&design, Box::new(Solver::new()));
-        for property in [
-            IntervalProperty::new("init_property", vec![], vec![s1]),
-            IntervalProperty::new("fanout_property_1", vec![s1], vec![s2, out]),
-        ] {
-            let report = session.check_level(&design, &property, jobs).unwrap();
-            assert!(report.holds(), "{} should hold", property.name);
-        }
-        assert_eq!(session.stats().bit_blasts, 1);
+        let report = session.check(&design, &failing).unwrap();
+        // First-counterexample-wins: the lowest-id failing prove signal.
+        let cex = report.outcome.counterexample().unwrap();
+        assert_eq!(cex.diff_names(), vec!["trigger"]);
     }
 
     /// A fork of a pristine (never-run) master behaves exactly like a fresh
@@ -1727,43 +1375,22 @@ mod tests {
     }
 
     #[test]
-    fn check_level_is_worker_count_invariant() {
-        let design = trojan_design();
-        let d = design.design();
-        let trigger = d.require("trigger").unwrap();
-        let data = d.require("data").unwrap();
-        let property = IntervalProperty::new("init_property", vec![], vec![trigger, data]);
-        let mut reports = Vec::new();
-        for jobs in [1usize, 2, 4] {
-            let mut session = MiterSession::new(&design, Box::new(Solver::new()));
-            let mut report = session
-                .check_level(&design, &property, NonZeroUsize::new(jobs).unwrap())
-                .unwrap();
-            report.stats.duration = std::time::Duration::ZERO;
-            reports.push(report);
-        }
-        assert_eq!(reports[0], reports[1]);
-        assert_eq!(reports[0], reports[2]);
-    }
-
-    #[test]
     fn properties_sharing_an_antecedent_share_one_binding_epoch() {
         let design = pipeline();
         let d = design.design();
         let s1 = d.require("s1").unwrap();
         let s2 = d.require("s2").unwrap();
         let out = d.require("out").unwrap();
-        let jobs = NonZeroUsize::MIN;
         let mut session = MiterSession::new(&design, Box::new(Solver::new()));
         // Same antecedent twice: one epoch.
         let p1 = IntervalProperty::new("a", vec![s1], vec![s2]);
         let p2 = IntervalProperty::new("b", vec![s1], vec![out]);
-        session.check_level(&design, &p1, jobs).unwrap();
-        session.check_level(&design, &p2, jobs).unwrap();
+        session.check(&design, &p1).unwrap();
+        session.check(&design, &p2).unwrap();
         assert_eq!(session.stats().epoch_rebinds, 1);
         // A different antecedent rebinds.
         let p3 = IntervalProperty::new("c", vec![s1, s2], vec![out]);
-        session.check_level(&design, &p3, jobs).unwrap();
+        session.check(&design, &p3).unwrap();
         assert_eq!(session.stats().epoch_rebinds, 2);
     }
 

@@ -118,11 +118,6 @@ pub trait SatBackend: Send + Sync {
     /// Work counters accumulated so far.
     fn stats(&self) -> BackendStats;
 
-    /// Hint that the next query targets a *different* objective than the
-    /// previous one: backends may reset search heuristics tuned to the old
-    /// query (keeping the clause database).  Default: no-op.
-    fn begin_new_query(&mut self) {}
-
     /// Marks a variable as eligible (default) or ineligible for branching.
     ///
     /// Incremental clients mask variables belonging to retired queries so
@@ -138,32 +133,27 @@ pub trait SatBackend: Send + Sync {
     /// Backends without decision-variable support ignore it.
     fn mask_all_decisions(&mut self) {}
 
-    /// `true` if [`fork`](Self::fork) returns `Some` — checked up front so
-    /// schedulers can pick an execution strategy without paying for a probe
-    /// clone.
-    fn can_fork(&self) -> bool {
-        false
-    }
-
     /// Creates an independent snapshot of this backend: same variables, same
     /// clause database, no shared mutable state, ready to solve a different
-    /// query concurrently.  Returns `None` if the backend cannot fork (the
-    /// parallel scheduler then falls back to sequential solving on the
-    /// master).  Work counters carry over — plus one recorded fork of
-    /// [`snapshot_bytes`](Self::snapshot_bytes) bytes on the child, so the
-    /// O(bytes) cost model is observable; callers attribute per-fork work by
-    /// differencing against the snapshot's [`stats`](Self::stats).
-    fn fork(&self) -> Option<Box<dyn SatBackend>> {
-        None
-    }
+    /// query concurrently.  Every solve task of the detection flow runs on a
+    /// fork, so this is a required capability.  Work counters carry over —
+    /// plus one recorded fork of [`snapshot_bytes`](Self::snapshot_bytes)
+    /// bytes on the child, so the O(bytes) cost model is observable; callers
+    /// attribute per-fork work by differencing against the snapshot's
+    /// [`stats`](Self::stats).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`BackendError`] if the snapshot cannot be brought up (e.g.
+    /// an IPASIR library whose `ipasir_init` returns no handle).
+    fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError>;
 
     /// The byte cost of one [`fork`](Self::fork): how much a snapshot clone
     /// copies.  For the bundled solver this is the arena-backed cost model
     /// ([`Solver::snapshot_bytes`]) — proportional to the live database
-    /// size, never to the clause count.  Backends that cannot fork return 0.
-    fn snapshot_bytes(&self) -> u64 {
-        0
-    }
+    /// size, never to the clause count; the external backends price the
+    /// clause log they copy or replay.
+    fn snapshot_bytes(&self) -> u64;
 
     /// The slice of [`snapshot_bytes`](Self::snapshot_bytes) spent copying
     /// the watcher store.  Only meaningful for backends whose watcher lists
@@ -236,10 +226,6 @@ impl SatBackend for Solver {
         }
     }
 
-    fn begin_new_query(&mut self) {
-        self.reset_decision_heuristics();
-    }
-
     fn set_decision_var(&mut self, var: Var, eligible: bool) {
         Solver::set_decision_var(self, var, eligible);
     }
@@ -248,11 +234,7 @@ impl SatBackend for Solver {
         Solver::mask_all_decisions(self);
     }
 
-    fn can_fork(&self) -> bool {
-        true
-    }
-
-    fn fork(&self) -> Option<Box<dyn SatBackend>> {
+    fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError> {
         // With both stores arena-backed the clone is a fixed number of
         // flat-buffer memcpys — no allocation scales with the clause or
         // variable count; the child records the fork so the cost is
@@ -261,7 +243,7 @@ impl SatBackend for Solver {
         let watcher_bytes = self.watcher_bytes();
         let mut child = self.clone();
         child.record_fork(bytes, watcher_bytes);
-        Some(Box::new(child))
+        Ok(Box::new(child))
     }
 
     fn snapshot_bytes(&self) -> u64 {
@@ -721,11 +703,7 @@ impl SatBackend for DimacsProcessBackend {
         }
     }
 
-    fn can_fork(&self) -> bool {
-        true
-    }
-
-    fn fork(&self) -> Option<Box<dyn SatBackend>> {
+    fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError> {
         // Work counters carry over — plus one recorded fork of
         // `snapshot_bytes` on the child, mirroring the bundled solver's
         // fork contract, so delta-based task accounting sees the clone
@@ -733,7 +711,7 @@ impl SatBackend for DimacsProcessBackend {
         let mut stats = self.stats;
         stats.fork_count += 1;
         stats.bytes_cloned += self.snapshot_bytes();
-        Some(Box::new(DimacsProcessBackend {
+        Ok(Box::new(DimacsProcessBackend {
             solver_path: self.solver_path.clone(),
             extra_args: self.extra_args.clone(),
             // htd-lint: allow(determinism): unique temp-file tag; only uniqueness matters, not order
@@ -914,19 +892,17 @@ mod tests {
         backend.truncate_assumptions();
     }
 
-    /// The process backend advertises forkability (each query writes a fresh
-    /// CNF, so a fork is just a clone of the accumulated clause list) — this
-    /// is what lets `--jobs N` shard levels with external solvers instead of
-    /// silently degrading to sequential solving on the master.  Work
-    /// counters carry over and the fork records its clone cost, exactly
-    /// like the bundled solver's fork contract.
+    /// The process backend forks by cloning the accumulated clause list
+    /// (each query writes a fresh CNF), so external solvers shard levels
+    /// under `--jobs N` like the bundled one.  Work counters carry over and
+    /// the fork records its clone cost, exactly like the bundled solver's
+    /// fork contract.
     #[test]
     fn process_backend_forks_an_independent_snapshot() {
         let mut backend = DimacsProcessBackend::new("/nonexistent/htd-test-solver");
         let a = backend.new_var();
         let b = backend.new_var();
         backend.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-        assert!(backend.can_fork());
         // One (failing — the binary does not exist) query on the master, so
         // carry-over is observable.
         let _ = backend.solve_under(&[]);
@@ -934,7 +910,6 @@ mod tests {
         assert_eq!(backend.stats().solver.solves, 1);
 
         let mut fork = backend.fork().expect("process backend forks");
-        assert!(fork.can_fork());
         let forked = fork.stats();
         assert_eq!(forked.queries, 1, "work counters carry over to the fork");
         assert_eq!(forked.solver.solves, 1);

@@ -54,13 +54,12 @@
 //! |---|---|
 //! | `ipasir_htd_mask_all_decisions(S)` | [`SatBackend::mask_all_decisions`] |
 //! | `ipasir_htd_set_decision(S, var, eligible)` | [`SatBackend::set_decision_var`] |
-//! | `ipasir_htd_begin_new_query(S)` | [`SatBackend::begin_new_query`] |
 //! | `ipasir_htd_clone(S) -> S'` | [`SatBackend::fork`] (O(bytes) snapshot; see above) |
 //!
 //! `ipasir_htd_clone` returns an independent handle holding the same
 //! formula, learnt clauses and heuristic state as `S`; the caller owns it
 //! and releases it through `ipasir_release` like any other handle.  It is
-//! resolved separately from the decision-masking trio — a library may
+//! resolved separately from the decision-masking pair — a library may
 //! export either subset without the other.
 //!
 //! With the extensions resolved, a forked shim handle receives exactly the
@@ -119,7 +118,6 @@ type TerminateCallback = unsafe extern "C" fn(*mut c_void) -> c_int;
 type IpasirSetTerminate = unsafe extern "C" fn(*mut c_void, *mut c_void, Option<TerminateCallback>);
 type HtdMaskAll = unsafe extern "C" fn(*mut c_void);
 type HtdSetDecision = unsafe extern "C" fn(*mut c_void, c_int, c_int);
-type HtdBeginNewQuery = unsafe extern "C" fn(*mut c_void);
 type HtdClone = unsafe extern "C" fn(*mut c_void) -> *mut c_void;
 
 /// A loaded IPASIR shared library: the `dlopen` handle plus every resolved
@@ -148,7 +146,6 @@ struct IpasirLibrary {
     set_terminate: Option<IpasirSetTerminate>,
     htd_mask_all: Option<HtdMaskAll>,
     htd_set_decision: Option<HtdSetDecision>,
-    htd_begin_new_query: Option<HtdBeginNewQuery>,
     htd_clone: Option<HtdClone>,
 }
 
@@ -278,8 +275,6 @@ impl IpasirLibrary {
                     .map(|p| std::mem::transmute::<*mut c_void, HtdMaskAll>(p)),
                 htd_set_decision: optional("ipasir_htd_set_decision")
                     .map(|p| std::mem::transmute::<*mut c_void, HtdSetDecision>(p)),
-                htd_begin_new_query: optional("ipasir_htd_begin_new_query")
-                    .map(|p| std::mem::transmute::<*mut c_void, HtdBeginNewQuery>(p)),
                 htd_clone: optional("ipasir_htd_clone")
                     .map(|p| std::mem::transmute::<*mut c_void, HtdClone>(p)),
             }
@@ -445,9 +440,7 @@ impl IpasirBackend {
     /// extension subset (see the [module docs](self)).
     #[must_use]
     pub fn has_htd_extensions(&self) -> bool {
-        self.library.htd_set_decision.is_some()
-            && self.library.htd_mask_all.is_some()
-            && self.library.htd_begin_new_query.is_some()
+        self.library.htd_set_decision.is_some() && self.library.htd_mask_all.is_some()
     }
 
     /// `true` if the library exports the optional `ipasir_htd_clone`
@@ -681,13 +674,6 @@ impl SatBackend for IpasirBackend {
         }
     }
 
-    fn begin_new_query(&mut self) {
-        if let Some(begin) = self.library.htd_begin_new_query {
-            // SAFETY: live handle; optional extension resolved at load time.
-            unsafe { begin(self.solver) };
-        }
-    }
-
     fn set_decision_var(&mut self, var: Var, eligible: bool) {
         if let Some(set_decision) = self.library.htd_set_decision {
             // SAFETY: live handle; optional extension resolved at load time.
@@ -702,15 +688,11 @@ impl SatBackend for IpasirBackend {
         }
     }
 
-    fn can_fork(&self) -> bool {
-        true
-    }
-
-    fn fork(&self) -> Option<Box<dyn SatBackend>> {
+    fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError> {
         // Fast path: the `ipasir_htd_clone` extension snapshots the solver
         // behind the ABI in O(bytes) with zero clause re-transmissions.
         if let Some(child) = self.fork_native() {
-            return Some(Box::new(child));
+            return Ok(Box::new(child));
         }
         // Portable fallback: the standard IPASIR ABI cannot clone a handle,
         // so a fork opens a fresh one and replays the clause log — each
@@ -721,7 +703,10 @@ impl SatBackend for IpasirBackend {
         // SAFETY: `init` resolved from the live shared library.
         let solver = unsafe { (self.library.init)() };
         if solver.is_null() {
-            return None;
+            return Err(BackendError::new(format!(
+                "`{}`: ipasir_init returned a null solver handle for a fork",
+                self.library.path.display()
+            )));
         }
         let mut child = IpasirBackend {
             library: Arc::clone(&self.library),
@@ -751,7 +736,7 @@ impl SatBackend for IpasirBackend {
         child.install_terminate();
         child.stats.fork_count += 1;
         child.stats.bytes_cloned += self.snapshot_bytes();
-        Some(Box::new(child))
+        Ok(Box::new(child))
     }
 
     fn snapshot_bytes(&self) -> u64 {

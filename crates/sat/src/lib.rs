@@ -28,10 +28,7 @@
 //! [`DimacsProcessBackend`] (shells out to any DIMACS-speaking solver binary
 //! so the flow can be benchmarked against reference solvers) and by
 //! [`IpasirBackend`] (drives any shared library exporting the standard
-//! IPASIR incremental C ABI, keeping external solvers live across queries),
-//! and by [`PortfolioBackend`] (mirrors the formula into N member backends
-//! and races every query across all of them, first definitive answer wins —
-//! see [`RacePolicy`] for the counterexample-determinism policies).
+//! IPASIR incremental C ABI, keeping external solvers live across queries).
 //!
 //! # Example
 //!
@@ -62,7 +59,6 @@ mod budget;
 mod dimacs;
 mod ipasir;
 mod literal;
-mod portfolio;
 mod solver;
 mod watch;
 
@@ -71,7 +67,6 @@ pub use budget::{BudgetTracker, SolveBudget};
 pub use dimacs::{parse_dimacs, to_dimacs, ParseDimacsError};
 pub use ipasir::IpasirBackend;
 pub use literal::{Lit, Var};
-pub use portfolio::{PortfolioBackend, RacePolicy, RaceStats};
 pub use solver::{
     ClauseRef, SolveResult, Solver, SolverStats, DEFAULT_GC_DEAD_FRACTION, DEFAULT_GC_MIN_CLAUSES,
 };

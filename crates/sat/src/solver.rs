@@ -134,28 +134,6 @@ pub struct SolverStats {
     pub watcher_bytes_cloned: u64,
     /// Arena words freed by garbage-collection compaction sweeps.
     pub arena_words_reclaimed: u64,
-    /// Solve tasks answered by a portfolio race (one per
-    /// `PortfolioBackend::solve_under` that reached a verdict).  Zero for
-    /// every non-portfolio backend.
-    pub race_solves: u64,
-    /// Portfolio races decided by a *racer* member rather than the primary
-    /// (under `deterministic-cex` this means a racer proved UNSAT first and
-    /// cancelled the primary; primary wins are `race_solves - race_wins`).
-    pub race_wins: u64,
-    /// Member solves cancelled mid-search because another member answered
-    /// first (each cancelled member counts once per race).
-    pub race_cancels: u64,
-    /// Conflicts spent by members whose answer was discarded — the
-    /// duplicated work a portfolio pays for its latency wins.  Only counts
-    /// members that report conflict counters (the builtin solver; external
-    /// IPASIR libraries are black boxes and contribute zero).
-    pub race_wasted_conflicts: u64,
-    /// Total observed cancel→return latency in microseconds: the time from
-    /// raising a member's cancel flag to its `solve_under` returning, summed
-    /// over all cancelled members.  Divide by
-    /// [`race_cancels`](Self::race_cancels) for the mean latency the
-    /// interrupt seams actually deliver.
-    pub race_cancel_latency_us: u64,
 }
 
 impl SolverStats {
@@ -183,11 +161,6 @@ impl SolverStats {
             bytes_cloned,
             watcher_bytes_cloned,
             arena_words_reclaimed,
-            race_solves,
-            race_wins,
-            race_cancels,
-            race_wasted_conflicts,
-            race_cancel_latency_us,
         } = *other;
         self.decisions += decisions;
         self.propagations += propagations;
@@ -203,11 +176,6 @@ impl SolverStats {
         self.bytes_cloned += bytes_cloned;
         self.watcher_bytes_cloned += watcher_bytes_cloned;
         self.arena_words_reclaimed += arena_words_reclaimed;
-        self.race_solves += race_solves;
-        self.race_wins += race_wins;
-        self.race_cancels += race_cancels;
-        self.race_wasted_conflicts += race_wasted_conflicts;
-        self.race_cancel_latency_us += race_cancel_latency_us;
     }
 
     /// The counter-wise difference `self - earlier` (used to attribute work
@@ -231,11 +199,6 @@ impl SolverStats {
             bytes_cloned,
             watcher_bytes_cloned,
             arena_words_reclaimed,
-            race_solves,
-            race_wins,
-            race_cancels,
-            race_wasted_conflicts,
-            race_cancel_latency_us,
         } = *earlier;
         SolverStats {
             decisions: self.decisions - decisions,
@@ -252,11 +215,6 @@ impl SolverStats {
             bytes_cloned: self.bytes_cloned - bytes_cloned,
             watcher_bytes_cloned: self.watcher_bytes_cloned - watcher_bytes_cloned,
             arena_words_reclaimed: self.arena_words_reclaimed - arena_words_reclaimed,
-            race_solves: self.race_solves - race_solves,
-            race_wins: self.race_wins - race_wins,
-            race_cancels: self.race_cancels - race_cancels,
-            race_wasted_conflicts: self.race_wasted_conflicts - race_wasted_conflicts,
-            race_cancel_latency_us: self.race_cancel_latency_us - race_cancel_latency_us,
         }
     }
 }
@@ -569,37 +527,6 @@ impl Solver {
     #[must_use]
     pub fn is_decision_var(&self, var: Var) -> bool {
         self.decision[var.index() as usize]
-    }
-
-    /// Resets the decision heuristics — VSIDS activities, saved phases and
-    /// the variable order — to their initial state, keeping the clause
-    /// database (including learnt clauses) intact.
-    ///
-    /// Incremental clients solving a *sequence of different queries* over one
-    /// growing formula call this between queries: activities and phases tuned
-    /// for the previous query's conflict structure can steer the next search
-    /// into an irrelevant subspace (measured 5–10x slowdowns on the
-    /// spurious-counterexample re-verification queries of the detection
-    /// flow), while the learnt clauses remain useful.
-    pub fn reset_decision_heuristics(&mut self) {
-        debug_assert_eq!(self.decision_level(), 0);
-        self.var_inc = 1.0;
-        for a in &mut self.activity {
-            *a = 0.0;
-        }
-        for p in &mut self.phase {
-            *p = false;
-        }
-        self.order.clear();
-        for index in 0..self.num_vars() as u32 {
-            let v = Var::from_index(index);
-            if self.var_value(v).is_none() {
-                self.order.push(HeapEntry {
-                    activity: 0.0,
-                    var: v,
-                });
-            }
-        }
     }
 
     /// Adds a clause (a disjunction of literals) to the formula.
@@ -1270,9 +1197,8 @@ impl Solver {
                 if conflicts_since_restart >= restart_limit {
                     // Restart boundaries are the cheapest place to honour a
                     // cancellation promptly — the trail is about to be torn
-                    // down anyway — so portfolio races and doomed-task
-                    // cancels are never stretched across a whole restart
-                    // interval.
+                    // down anyway — so doomed-task and job cancels are
+                    // never stretched across a whole restart interval.
                     if self.interrupted() {
                         self.cancel_until(0);
                         return SolveResult::Interrupted;
@@ -1797,11 +1723,6 @@ mod tests {
             bytes_cloned: 12,
             watcher_bytes_cloned: 13,
             arena_words_reclaimed: 14,
-            race_solves: 15,
-            race_wins: 16,
-            race_cancels: 17,
-            race_wasted_conflicts: 18,
-            race_cancel_latency_us: 19,
         };
         let b = a;
         a.accumulate(&b);
@@ -1809,11 +1730,6 @@ mod tests {
         assert_eq!(a.bytes_cloned, 24);
         assert_eq!(a.watcher_bytes_cloned, 26);
         assert_eq!(a.arena_words_reclaimed, 28);
-        assert_eq!(a.race_solves, 30);
-        assert_eq!(a.race_wins, 32);
-        assert_eq!(a.race_cancels, 34);
-        assert_eq!(a.race_wasted_conflicts, 36);
-        assert_eq!(a.race_cancel_latency_us, 38);
         let delta = a.delta_since(&b);
         assert_eq!(delta, b);
     }

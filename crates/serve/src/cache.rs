@@ -109,9 +109,9 @@ impl SnapshotCache {
             .iter_mut()
             .find(|e| e.key == key && e.dump == dump)
         {
-            // The builtin arena backend always forks; a non-forkable master
-            // could only get here through a future backend change, and then
-            // the honest answer is a miss, not a panic.
+            // A fork can fail (e.g. an IPASIR library out of solver
+            // handles); the honest answer is then a miss, not a panic — the
+            // caller rebuilds, and its own fork reports the failure.
             if let Some(fork) = entry.master.miter.try_fork() {
                 entry.last_used = self.clock;
                 self.hits += 1;

@@ -128,15 +128,6 @@
 //! subscribers).  Job states: `queued`, `running`, `completed`,
 //! `cancelled`, `failed`, `budget_exhausted`.
 //!
-//! `solver_totals` also carries the portfolio-race counters
-//! (`race_solves`, `race_wins`, `race_cancels`, `race_wasted_conflicts`,
-//! `race_cancel_latency_us`): when the daemon's backend is a racing
-//! portfolio (the `HTD_PORTFOLIO` environment default applies to the
-//! serve tier like any other session), these report how many solve tasks
-//! raced, how many were decided by a racer rather than the primary
-//! member, and what the cancelled losers cost.  All five are zero for
-//! single backends, so existing consumers see only additive fields.
-//!
 //! # Environment
 //!
 //! Mirroring the strict `HTD_JOBS` / `HTD_GC_*` style, a malformed value is
@@ -156,10 +147,6 @@
 //! * [`HTD_SERVE_DRAIN_DEADLINE_MS`](DRAIN_DEADLINE_ENV_VAR) — how long a
 //!   drain waits for in-flight jobs before cancelling them (default 30 s);
 //!   a positive integer.
-//! * [`HTD_PORTFOLIO`](htd_core::PORTFOLIO_ENV_VAR) — race every served
-//!   solve across a portfolio of backends (same syntax as
-//!   `--backend portfolio:…`); the members must support snapshot-forking,
-//!   and `Server::start` refuses a non-forkable choice.
 //! * [`HTD_SERVE_HEADER_TIMEOUT_MS`](HEADER_TIMEOUT_ENV_VAR) — per-read
 //!   timeout while parsing request headers, the slow-loris guard (default
 //!   5 s); a positive integer.

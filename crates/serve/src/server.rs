@@ -117,10 +117,8 @@ pub struct ServeOptions {
     /// The detection configuration applied to every served job.
     pub config: DetectorConfig,
     /// The SAT backend every frozen master (and so every served job) solves
-    /// on.  Must support snapshot-forking — [`Server::start`] refuses
-    /// non-forkable choices.  Defaults to the builtin solver;
-    /// [`from_env`](Self::from_env) resolves the strict `HTD_PORTFOLIO`
-    /// default so the daemon races portfolios like any other session.
+    /// on.  Defaults to the builtin solver; [`Server::start`] refuses a
+    /// choice that cannot be brought up.
     pub backend: BackendChoice,
     /// Server-wide cap on per-job solve budgets: a request's own budget is
     /// clamped to the tighter of the two.  Unlimited by default.
@@ -168,7 +166,6 @@ impl ServeOptions {
             drain_deadline: crate::try_default_drain_deadline()?,
             header_timeout: crate::try_default_header_timeout()?,
             fault: crate::fault::try_default_fault()?,
-            backend: BackendChoice::try_default_from_env()?,
             ..ServeOptions::default()
         })
     }
@@ -324,25 +321,12 @@ impl Server {
     /// # Errors
     ///
     /// Propagates socket errors from binding the address, and rejects a
-    /// backend choice that cannot be brought up or cannot snapshot-fork
-    /// (every served job runs on a fork of a frozen master, so a
-    /// non-forkable backend could never serve a single job).
+    /// backend choice that cannot be brought up.
     pub fn start(options: ServeOptions) -> io::Result<Server> {
-        let probe = options
+        options
             .backend
             .instantiate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        if !probe.can_fork() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidInput,
-                format!(
-                    "backend `{}` cannot snapshot-fork; the serve tier requires a forkable \
-                     backend (builtin, ipasir:LIB, or a portfolio of those)",
-                    options.backend
-                ),
-            ));
-        }
-        drop(probe);
         let listener = TcpListener::bind(&*options.addr)?;
         let addr = listener.local_addr()?;
         let pool = SharedSolvePool::new(options.workers);
@@ -1082,10 +1066,10 @@ fn serve_detection(
 ) -> (JobState, Option<&'static str>, Vec<Json>) {
     let mut config = state.options.config.clone();
     config.budget = budget;
-    // Frozen masters solve on the configured backend (builtin unless
-    // HTD_PORTFOLIO races a portfolio).  Bring-up was validated at
-    // Server::start, so a failure here (e.g. a solver library deleted at
-    // runtime) fails only this job, with a clean frame.
+    // Frozen masters solve on the configured backend.  Bring-up was
+    // validated at Server::start, so a failure here (e.g. a solver library
+    // deleted at runtime, or one that cannot open another solver handle for
+    // the run's fork) fails only this job, with a clean frame.
     let build_master = || -> Result<MiterSession, DetectError> {
         Ok(MiterSession::with_options(
             design,
@@ -1099,8 +1083,8 @@ fn serve_detection(
         // The lookup still goes through the (always-empty) cache so the
         // miss counter reflects every lookup, as CacheStats documents.
         let _ = lock_unpoisoned(&state.cache).fetch(key, dump);
-        let master = match build_master() {
-            Ok(master) => master,
+        let fork = match build_master().and_then(|master| Ok(master.fork()?)) {
+            Ok(fork) => fork,
             Err(e) => {
                 return (
                     JobState::Failed,
@@ -1109,8 +1093,6 @@ fn serve_detection(
                 );
             }
         };
-        // htd-lint: allow(serve-panic-hygiene): Server::start refused non-forkable backends; a panic here is caught by the runner's catch_unwind and fails only this job
-        let fork = master.try_fork().expect("startup-validated backends fork");
         (design.clone(), fork, "off")
     } else {
         let cached = lock_unpoisoned(&state.cache).fetch(key, dump);
@@ -1120,8 +1102,9 @@ fn serve_detection(
                 // Build outside the cache lock: an expensive bit-blast must
                 // not stall unrelated jobs' cache lookups.  A concurrent
                 // same-key build loses the insert race and is simply dropped.
-                let master = match build_master() {
-                    Ok(master) => master,
+                let built = build_master().and_then(|master| Ok((master.fork()?, master)));
+                let (fork, master) = match built {
+                    Ok(built) => built,
                     Err(e) => {
                         return (
                             JobState::Failed,
@@ -1130,8 +1113,6 @@ fn serve_detection(
                         );
                     }
                 };
-                // htd-lint: allow(serve-panic-hygiene): Server::start refused non-forkable backends; a panic here is caught by the runner's catch_unwind and fails only this job
-                let fork = master.try_fork().expect("startup-validated backends fork");
                 lock_unpoisoned(&state.cache).insert(
                     key,
                     dump.to_owned(),
@@ -1347,19 +1328,6 @@ fn solver_json(stats: &SolverStats) -> Json {
             "arena_words_reclaimed",
             Json::UInt(stats.arena_words_reclaimed),
         ),
-        // Portfolio-race counters: all zero unless HTD_PORTFOLIO races
-        // the daemon's solves across multiple backends.
-        ("race_solves", Json::UInt(stats.race_solves)),
-        ("race_wins", Json::UInt(stats.race_wins)),
-        ("race_cancels", Json::UInt(stats.race_cancels)),
-        (
-            "race_wasted_conflicts",
-            Json::UInt(stats.race_wasted_conflicts),
-        ),
-        (
-            "race_cancel_latency_us",
-            Json::UInt(stats.race_cancel_latency_us),
-        ),
     ])
 }
 
@@ -1384,8 +1352,8 @@ fn session_json(stats: &SessionStats) -> Json {
 
 fn accumulate_solver(into: &mut SolverStats, add: &SolverStats) {
     // Exhaustive by construction: `SolverStats::accumulate` destructures
-    // every counter, so new solver counters (e.g. the portfolio race
-    // telemetry) can never silently go missing from the daemon totals.
+    // every counter, so new solver counters can never silently go missing
+    // from the daemon totals.
     into.accumulate(add);
 }
 

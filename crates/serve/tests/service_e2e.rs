@@ -474,85 +474,6 @@ fn request_budgets_clamp_to_the_server_cap() {
 }
 
 #[test]
-fn a_portfolio_backend_serves_identical_reports_and_counts_its_races() {
-    use htd_core::{BackendChoice, RacePolicy};
-
-    let server = Server::start(ServeOptions {
-        backend: BackendChoice::portfolio(
-            vec![BackendChoice::Builtin, BackendChoice::Builtin],
-            RacePolicy::DeterministicCex,
-        ),
-        ..test_options()
-    })
-    .expect("a portfolio of builtins forks, so the server starts");
-    let addr = server.addr().to_string();
-    let infected = accelerator(true);
-
-    // Deterministic-cex: the served verdict, property table and — most
-    // importantly — the counterexample bytes match a solo run on the
-    // builtin backend alone.  Only the work-counter lines may differ
-    // (forking N members copies N× the bytes, and the portfolio prints its
-    // race tally), so those are filtered before comparing.
-    let counters_scrubbed = |text: &str| -> String {
-        text.lines()
-            .filter(|line| {
-                !line.starts_with("  solver:")
-                    && !line.starts_with("  snapshots:")
-                    && !line.starts_with("  portfolio:")
-            })
-            .collect::<Vec<_>>()
-            .join("\n")
-    };
-    let got = client::submit(&addr, &infected, &mut |_| {}).expect("portfolio job completes");
-    assert_eq!(
-        counters_scrubbed(&got.report_text),
-        counters_scrubbed(&solo_normalized_report(&infected))
-    );
-    assert!(
-        got.report_text.contains("  portfolio: "),
-        "{}",
-        got.report_text
-    );
-
-    // The race telemetry reaches /stats through solver_totals.
-    let served = client::stats(&addr).expect("stats endpoint answers");
-    let solver = served.get("solver_totals").expect("solver totals present");
-    let races = solver.get("race_solves").and_then(Json::as_u64).unwrap();
-    assert!(races > 0, "every solve task raced: {solver:?}");
-    let wins = solver.get("race_wins").and_then(Json::as_u64).unwrap();
-    assert!(wins <= races);
-    assert!(solver.get("race_cancels").is_some());
-    assert!(solver.get("race_wasted_conflicts").is_some());
-    assert!(solver.get("race_cancel_latency_us").is_some());
-
-    // An exhausted budget stops every racing member: the job settles with
-    // exactly one budget_exhausted frame and the pool stays healthy.
-    let options = SubmitOptions {
-        deadline_ms: Some(0),
-        ..SubmitOptions::default()
-    };
-    let mut frames = Vec::new();
-    match client::submit_with_options(&addr, &infected, &options, &mut |line| {
-        frames.push(line.to_owned());
-    }) {
-        Err(ClientError::Server { code, .. }) => assert_eq!(code, "budget_exhausted"),
-        other => panic!("expected budget_exhausted, got {other:?}"),
-    }
-    assert_eq!(
-        exhausted_frames(&frames),
-        1,
-        "one terminal frame even with racing members: {frames:?}"
-    );
-    let ok = client::submit(&addr, &infected, &mut |_| {}).expect("pool survives");
-    assert_eq!(
-        counters_scrubbed(&ok.report_text),
-        counters_scrubbed(&solo_normalized_report(&infected))
-    );
-
-    server.stop();
-}
-
-#[test]
 fn an_unusable_backend_is_refused_at_startup() {
     use htd_core::BackendChoice;
 

@@ -1,11 +1,10 @@
 //! The strict environment overrides (`HTD_GC_DEAD_PCT` /
 //! `HTD_GC_MIN_CLAUSES` / `HTD_JOBS` / `HTD_LEVEL_PIPELINE` /
-//! `HTD_PORTFOLIO` / `HTD_SERVE_*`), in a test
-//! binary of their own: mutating process-global environment variables must
-//! not race sibling tests that read them through `CheckerOptions::default()`
-//! or `PropertyScheduler::default_jobs()` (cargo runs test *binaries*
-//! sequentially, but tests within one binary in parallel — which is why
-//! every test here serialises on [`env_lock`]).
+//! `HTD_SERVE_*`), in a test binary of their own: mutating process-global
+//! environment variables must not race sibling tests that read them through
+//! `CheckerOptions::default()` or `PropertyScheduler::default_jobs()` (cargo
+//! runs test *binaries* sequentially, but tests within one binary in
+//! parallel — which is why every test here serialises on [`env_lock`]).
 //!
 //! The overrides are strict on purpose: an unset variable falls back to the
 //! default, but a set-but-malformed one fails loudly.  `parse().ok()` would
@@ -191,68 +190,6 @@ fn level_pipeline_env_override_is_strict_and_understands_off() {
         ),
         "unset default is on"
     );
-}
-
-/// `HTD_PORTFOLIO` turns the default backend into a racing portfolio for
-/// every session that does not choose one explicitly — and, being strict,
-/// a malformed spec is an error everywhere it is consulted (sessions, the
-/// CLI fallback and `ServeOptions::from_env`), never a silent builtin.
-#[test]
-fn portfolio_env_override_is_strict() {
-    use golden_free_htd::detect::{BackendChoice, RacePolicy, PORTFOLIO_ENV_VAR};
-
-    let _guard = env_lock();
-    // With or without the `portfolio:` prefix, with an optional policy token.
-    let choice = with_env(PORTFOLIO_ENV_VAR, "builtin,builtin", || {
-        BackendChoice::try_default_from_env().expect("well-formed spec")
-    });
-    assert_eq!(
-        choice,
-        BackendChoice::portfolio(
-            vec![BackendChoice::Builtin, BackendChoice::Builtin],
-            RacePolicy::DeterministicCex,
-        )
-    );
-    let choice = with_env(
-        PORTFOLIO_ENV_VAR,
-        "portfolio:fastest-cex,builtin,dimacs:/bin/solver",
-        BackendChoice::default_from_env,
-    );
-    assert_eq!(
-        choice,
-        BackendChoice::portfolio(
-            vec![BackendChoice::Builtin, BackendChoice::dimacs("/bin/solver")],
-            RacePolicy::FastestCex,
-        )
-    );
-
-    for bad in ["", "z3", "builtin,,builtin", "deterministic-cex"] {
-        let error = with_env(PORTFOLIO_ENV_VAR, bad, BackendChoice::try_default_from_env)
-            .expect_err("malformed HTD_PORTFOLIO is an error");
-        assert!(
-            error.contains("HTD_PORTFOLIO"),
-            "HTD_PORTFOLIO={bad}: {error}"
-        );
-        let message = panic_message_with_env(PORTFOLIO_ENV_VAR, bad, || {
-            let _ = BackendChoice::default_from_env();
-        });
-        assert!(message.contains("HTD_PORTFOLIO"), "{message}");
-        // The serve tier consults the same variable and refuses the same way.
-        let error = with_env(PORTFOLIO_ENV_VAR, bad, serve::ServeOptions::from_env)
-            .expect_err("ServeOptions::from_env propagates the refusal");
-        assert!(error.contains("HTD_PORTFOLIO"), "{error}");
-    }
-
-    assert_eq!(
-        without_env(PORTFOLIO_ENV_VAR, BackendChoice::try_default_from_env),
-        Ok(BackendChoice::Builtin),
-        "unset default is the builtin solver"
-    );
-    let options = without_env(PORTFOLIO_ENV_VAR, || {
-        without_env(serve::FAULT_ENV_VAR, serve::ServeOptions::from_env)
-    })
-    .expect("unset environment yields the default options");
-    assert_eq!(options.backend, BackendChoice::Builtin);
 }
 
 /// `HTD_SERVE_ADDR` must be a socket address; whitespace is trimmed, and a

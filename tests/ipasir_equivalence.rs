@@ -282,11 +282,11 @@ fn interrupts_reach_the_library_through_set_terminate() {
     assert_eq!(backend.solve_under(&[]).unwrap(), SolveResult::Sat);
 }
 
-/// Regression for the fork/interrupt seam the portfolio backend cancels
-/// losers through: a child forked *after* the parent armed a conflict
-/// ceiling must honour it without a fresh `set_budget` — `fork_native`
-/// used to drop the inherited terminate state on the floor, so a racing
-/// fork would grind on after its budget was spent.
+/// Regression for the fork/interrupt seam every per-task shard is cancelled
+/// through: a child forked *after* the parent armed a conflict ceiling must
+/// honour it without a fresh `set_budget` — `fork_native` used to drop the
+/// inherited terminate state on the floor, so a forked shard would grind on
+/// after its budget was spent.
 #[test]
 fn a_forked_child_honours_a_pre_armed_conflict_ceiling() {
     use std::sync::atomic::AtomicBool;
