@@ -2,10 +2,11 @@
 //!
 //! Runs the bundled benchmark set through the flow-graph executor twice —
 //! at the requested worker count and at one worker — and collects one
-//! [`TrajectoryRecord`] per design: both wall-clocks, verdict, and the
-//! solver work counters (conflicts, propagations, restarts, clause-GC and
-//! LBD totals).  Reports are identical at every worker count, so the
-//! one-worker column isolates what extra workers buy.  [`to_json`] renders
+//! [`TrajectoryRecord`] per design: both wall-clocks, verdict, the lowering
+//! volume (AIG nodes built, CNF variables created) and the solver work
+//! counters (conflicts, propagations, restarts, clause-GC and LBD totals).
+//! Reports are identical at every worker count, so the one-worker column
+//! isolates what extra workers buy.  [`to_json`] renders
 //! the records as a self-contained `BENCH_*.json` file so future changes
 //! have a baseline to diff against.
 //!
@@ -39,6 +40,11 @@ pub struct TrajectoryRecord {
     pub wall_secs: f64,
     /// Best wall-clock of the same executor at one worker, in seconds.
     pub sequential_secs: f64,
+    /// AIG nodes built, summed over the report's properties (part of the
+    /// normalized report, so identical at every worker count).
+    pub aig_nodes: u64,
+    /// CNF variables created, summed over the report's properties.
+    pub cnf_vars: u64,
     /// Solver conflicts across the whole flow.
     pub conflicts: u64,
     /// Solver propagations across the whole flow.
@@ -88,6 +94,18 @@ impl TrajectoryRecord {
             self.sequential_secs / self.wall_secs
         } else {
             1.0
+        }
+    }
+
+    /// AIG nodes built per CNF variable created: how much of the lowering
+    /// the solver never sees.  Around 1 when the flow encodes what it
+    /// lowers; infinite when it lowered nodes but encoded none.
+    #[must_use]
+    pub fn aig_per_cnf_var(&self) -> f64 {
+        match (self.aig_nodes, self.cnf_vars) {
+            (0, _) => 0.0,
+            (_, 0) => f64::INFINITY,
+            (nodes, vars) => nodes as f64 / vars as f64,
         }
     }
 }
@@ -180,6 +198,13 @@ pub fn measure(
         Some(mechanism) => mechanism.to_string(),
     };
     let totals = report.solver_totals;
+    let volume = |stat: fn(&htd_ipc::CheckStats) -> usize| {
+        report
+            .properties
+            .iter()
+            .map(|p| stat(&p.report.stats) as u64)
+            .sum()
+    };
     TrajectoryRecord {
         name: benchmark.name().to_string(),
         verdict,
@@ -187,6 +212,8 @@ pub fn measure(
         spurious_resolved: report.spurious_resolved,
         wall_secs,
         sequential_secs,
+        aig_nodes: volume(|s| s.aig_nodes),
+        cnf_vars: volume(|s| s.cnf_vars),
         conflicts: totals.conflicts,
         propagations: totals.propagations,
         restarts: totals.restarts,
@@ -247,13 +274,15 @@ pub fn to_json(
 ) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    // Schema v7: `sequential_secs` times the same executor at one worker
-    // (it used to time a separate single-miter engine), and the v6
-    // portfolio-race columns are gone.  (v5 split the fork cost model with
-    // `watcher_bytes_cloned`; v4 tagged the trajectory with the SAT backend
-    // it measured; v3 added the fork cost model of the arena-backed clause
-    // store: per-flow fork counts, snapshot bytes and compaction words.)
-    out.push_str("  \"schema\": \"htd-bench-trajectory-v7\",\n");
+    // Schema v8: per-design lowering volume, `aig_nodes` and `cnf_vars`
+    // summed over the report's properties.  (v7: `sequential_secs` times
+    // the same executor at one worker — it used to time a separate
+    // single-miter engine — and the v6 portfolio-race columns are gone; v5
+    // split the fork cost model with `watcher_bytes_cloned`; v4 tagged the
+    // trajectory with the SAT backend it measured; v3 added the fork cost
+    // model of the arena-backed clause store: per-flow fork counts,
+    // snapshot bytes and compaction words.)
+    out.push_str("  \"schema\": \"htd-bench-trajectory-v8\",\n");
     out.push_str("  \"engine\": \"flowgraph\",\n");
     out.push_str(&format!(
         "  \"backend\": \"{}\",\n",
@@ -303,6 +332,8 @@ pub fn to_json(
             r.sequential_secs
         ));
         out.push_str(&format!("      \"speedup\": {:.3},\n", r.speedup()));
+        out.push_str(&format!("      \"aig_nodes\": {},\n", r.aig_nodes));
+        out.push_str(&format!("      \"cnf_vars\": {},\n", r.cnf_vars));
         out.push_str(&format!("      \"conflicts\": {},\n", r.conflicts));
         out.push_str(&format!("      \"propagations\": {},\n", r.propagations));
         out.push_str(&format!("      \"restarts\": {},\n", r.restarts));
@@ -366,7 +397,7 @@ mod tests {
         assert_eq!(records[0].verdict, "fanout_property_1");
         assert!(records[0].wall_secs > 0.0);
         let json = to_json(&records, jobs, true, &backend);
-        assert!(json.contains("\"schema\": \"htd-bench-trajectory-v7\""));
+        assert!(json.contains("\"schema\": \"htd-bench-trajectory-v8\""));
         assert!(json.contains("\"backend\": \"builtin\""));
         assert!(json.contains("\"engine\": \"flowgraph\""));
         assert!(json.contains("\"host_parallelism\""));
@@ -374,6 +405,9 @@ mod tests {
         assert!(json.contains("\"jobs\": 2"));
         assert!(json.contains("RS232-T2400"));
         assert!(json.contains("\"speedup\""));
+        assert!(json.contains(&format!("\"aig_nodes\": {}", records[0].aig_nodes)));
+        assert!(json.contains(&format!("\"cnf_vars\": {}", records[0].cnf_vars)));
+        assert!(records[0].aig_nodes > 0 && records[0].cnf_vars > 0);
         assert!(json.contains("\"fork_count\""));
         assert!(json.contains("\"bytes_cloned\""));
         assert!(json.contains("\"watcher_bytes_cloned\""));

@@ -61,6 +61,7 @@ pub struct DetectArgs {
     pub vcd_prefix: Option<PathBuf>,
     /// Register names to waive as benign state (Sec. V-B scenario 2).  A
     /// name the design does not define is an error, never silently dropped.
+    /// A `trusthub:NAME` input adds these to the benchmark's own waivers.
     pub benign: Vec<String>,
     /// The SAT backend to solve with (`builtin`, `dimacs:CMD` or
     /// `ipasir:LIB`).
@@ -563,7 +564,9 @@ SUBCOMMANDS:
 
 DETECT FLAGS:
     --benign REG             waive register REG as benign state (repeatable);
-                             a name the design does not define is an error
+                             a name the design does not define is an error;
+                             trusthub:NAME inputs already carry the
+                             benchmark's own waivers, and REG adds to them
     --backend builtin        solve with the bundled incremental CDCL solver (default)
     --backend dimacs:CMD     shell out to a DIMACS-speaking solver binary per query
                              (the solver re-reads the whole CNF every time)

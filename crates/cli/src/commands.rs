@@ -27,7 +27,7 @@ use htd_serve::{client as serve_client, ClientError};
 use htd_trusthub::registry::Benchmark;
 
 use crate::args::{usage, Command, DetectArgs, ServeArgs, SubmitArgs};
-use crate::input::load_design;
+use crate::input::{load_design, trusthub_benchmark};
 use crate::signal;
 
 /// Errors reported by the command runner.
@@ -372,18 +372,23 @@ fn render_event(event: &FlowEvent) -> Option<String> {
 fn detect(args: &DetectArgs) -> Result<String, CliError> {
     let design = load_design(&args.input, args.top.as_deref())?;
     let d = design.design();
-    let benign = args
-        .benign
-        .iter()
-        .map(|name| {
-            d.lookup(name).ok_or_else(|| CliError::Config {
-                message: format!(
-                    "--benign {name}: design `{}` has no register named `{name}`",
-                    d.name()
-                ),
-            })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
+    // A bundled benchmark brings its own benign-state waivers (the ones
+    // `table1` and `bench` apply); `--benign` names add to them.
+    let mut benign = match trusthub_benchmark(&args.input)? {
+        Some(benchmark) => benchmark.benign_state(&design),
+        None => Vec::new(),
+    };
+    for name in &args.benign {
+        let reg = d.lookup(name).ok_or_else(|| CliError::Config {
+            message: format!(
+                "--benign {name}: design `{}` has no register named `{name}`",
+                d.name()
+            ),
+        })?;
+        if !benign.contains(&reg) {
+            benign.push(reg);
+        }
+    }
     let config = DetectorConfig {
         benign_state: benign,
         ..DetectorConfig::default()
@@ -490,28 +495,32 @@ fn bench(
     let _ = writeln!(out, "backend: {backend}");
     let _ = writeln!(
         out,
-        "{:<18} {:<20} {:>10} {:>12} {:>8}  {:>9} {:>6} {:>9} {:>6} {:>11}",
+        "{:<18} {:<20} {:>10} {:>12} {:>8}  {:>9} {:>8} {:>9} {:>6} {:>9} {:>6} {:>11}",
         "Benchmark",
         "Verdict",
         "wall (s)",
         "jobs=1 (s)",
         "speedup",
+        "AIG nodes",
+        "AIG/var",
         "conflicts",
         "GC",
         "collected",
         "forks",
         "fork bytes"
     );
-    let _ = writeln!(out, "{}", "-".repeat(117));
+    let _ = writeln!(out, "{}", "-".repeat(137));
     for r in &records {
         let _ = writeln!(
             out,
-            "{:<18} {:<20} {:>10.4} {:>12.4} {:>7.2}x  {:>9} {:>6} {:>9} {:>6} {:>11}",
+            "{:<18} {:<20} {:>10.4} {:>12.4} {:>7.2}x  {:>9} {:>8.2} {:>9} {:>6} {:>9} {:>6} {:>11}",
             r.name,
             r.verdict,
             r.wall_secs,
             r.sequential_secs,
             r.speedup(),
+            r.aig_nodes,
+            r.aig_per_cnf_var(),
             r.conflicts,
             r.gc_runs,
             r.clauses_collected,
@@ -771,6 +780,55 @@ endmodule
             other => panic!("expected a configuration error, got {other:?}"),
         }
         std::fs::remove_file(input).ok();
+    }
+
+    /// `trusthub:NAME` carries the benchmark's own waivers, so every bundled
+    /// design gets the verdict Table I expects without any `--benign` flag.
+    #[test]
+    fn detect_trusthub_names_apply_the_bundled_waivers() {
+        use htd_trusthub::registry::ExpectedDetection;
+        for benchmark in Benchmark::all() {
+            let info = benchmark.info();
+            let output = run(&Command::Detect(DetectArgs {
+                input: PathBuf::from(format!("trusthub:{}", info.name)),
+                jobs: Some(2),
+                ..DetectArgs::default()
+            }))
+            .unwrap();
+            let verdict = output
+                .lines()
+                .find(|line| line.starts_with("  verdict: "))
+                .unwrap_or_default();
+            let want = match info.expected {
+                ExpectedDetection::Secure => "SECURE".to_string(),
+                ExpectedDetection::InitProperty => "(detected by init_property)".to_string(),
+                ExpectedDetection::FanoutProperty(k) => {
+                    format!("(detected by fanout_property_{k})")
+                }
+                ExpectedDetection::AnyFanoutProperty => "(detected by fanout_property_".to_string(),
+                ExpectedDetection::CoverageCheck => "(coverage check)".to_string(),
+            };
+            assert!(verdict.contains(&want), "{}: {verdict}", info.name);
+        }
+    }
+
+    /// A `--benign` name the benchmark already waives is not applied twice:
+    /// the report matches the run without the flag.
+    #[test]
+    fn detect_deduplicates_benign_names_against_the_bundled_waivers() {
+        let detect = |benign: Vec<String>| {
+            run(&Command::Detect(DetectArgs {
+                input: PathBuf::from("trusthub:RS232-T2400"),
+                normalize: true,
+                jobs: Some(1),
+                benign,
+                ..DetectArgs::default()
+            }))
+            .unwrap()
+        };
+        let plain = detect(vec![]);
+        assert!(plain.contains("detected by fanout_property_1"), "{plain}");
+        assert_eq!(detect(vec!["tx_busy".to_string()]), plain);
     }
 
     #[test]

@@ -56,8 +56,11 @@ impl fmt::Display for InputFormat {
 /// Returns a [`CliError`] for I/O problems and for parse or elaboration
 /// errors of the selected front-end.
 pub fn load_design(path: &Path, top: Option<&str>) -> Result<ValidatedDesign, CliError> {
-    if let Some(name) = path.to_str().and_then(|s| s.strip_prefix("trusthub:")) {
-        return build_benchmark(path, name);
+    if let Some(benchmark) = trusthub_benchmark(path)? {
+        return benchmark.build().map_err(|e| CliError::Frontend {
+            path: path.to_path_buf(),
+            message: e.to_string(),
+        });
     }
     let source = std::fs::read_to_string(path).map_err(|e| CliError::Io {
         path: path.to_path_buf(),
@@ -81,9 +84,20 @@ pub fn load_design(path: &Path, top: Option<&str>) -> Result<ValidatedDesign, Cl
     }
 }
 
-/// Resolves a `trusthub:NAME` reference against the bundled benchmark
-/// registry.  Matching is case-insensitive and ignores `-`/`_`.
-fn build_benchmark(path: &Path, name: &str) -> Result<ValidatedDesign, CliError> {
+/// The bundled benchmark a `trusthub:NAME` input names (`None` for any
+/// other input).  Matching is case-insensitive and ignores `-`/`_`.
+///
+/// # Errors
+///
+/// Returns [`CliError::Frontend`] when `NAME` is no bundled benchmark.
+pub fn trusthub_benchmark(path: &Path) -> Result<Option<Benchmark>, CliError> {
+    match path.to_str().and_then(|s| s.strip_prefix("trusthub:")) {
+        Some(name) => find_benchmark(path, name).map(Some),
+        None => Ok(None),
+    }
+}
+
+fn find_benchmark(path: &Path, name: &str) -> Result<Benchmark, CliError> {
     fn canon(s: &str) -> String {
         s.chars()
             .filter(char::is_ascii_alphanumeric)
@@ -91,7 +105,7 @@ fn build_benchmark(path: &Path, name: &str) -> Result<ValidatedDesign, CliError>
             .collect()
     }
     let wanted = canon(name);
-    let benchmark = Benchmark::all()
+    Benchmark::all()
         .into_iter()
         .find(|b| canon(b.info().name) == wanted)
         .ok_or_else(|| CliError::Frontend {
@@ -104,11 +118,7 @@ fn build_benchmark(path: &Path, name: &str) -> Result<ValidatedDesign, CliError>
                     .collect::<Vec<_>>()
                     .join(", ")
             ),
-        })?;
-    benchmark.build().map_err(|e| CliError::Frontend {
-        path: path.to_path_buf(),
-        message: e.to_string(),
-    })
+        })
 }
 
 #[cfg(test)]

@@ -451,8 +451,10 @@ struct EpochCtx {
     key: Vec<SignalId>,
     /// Frame-`t` contexts of the two instances.
     ctx_t: [BlastContext; 2],
-    /// Frame-`t+1` contexts, built lazily when a wire/output is proved.
-    ctx_t1: [Option<BlastContext>; 2],
+    /// Frame-`t+1` contexts: seeded with the `t+1` input words, and each
+    /// register bound to its next-state word only once a proved wire/output
+    /// reads it.
+    ctx_t1: [BlastContext; 2],
     /// Per-instance starting-state words under this epoch's sharing.
     regs: [FxHashMap<SignalId, BitVec>; 2],
 }
@@ -1090,12 +1092,15 @@ impl MiterSession {
         }
         self.stats.epoch_rebinds += 1;
         let d = design.design();
-        let mut ctx_t: [BlastContext; 2] = [BlastContext::new(), BlastContext::new()];
-        for ctx in &mut ctx_t {
-            for (s, bits) in &self.inputs[0] {
+        let seeded = |words: &FxHashMap<SignalId, BitVec>| {
+            let mut ctx = BlastContext::new();
+            for (s, bits) in words {
                 ctx.bind(*s, bits.clone());
             }
-        }
+            ctx
+        };
+        let mut ctx_t = [seeded(&self.inputs[0]), seeded(&self.inputs[0])];
+        let ctx_t1 = [seeded(&self.inputs[1]), seeded(&self.inputs[1])];
         let mut regs: [FxHashMap<SignalId, BitVec>; 2] =
             [FxHashMap::default(), FxHashMap::default()];
         for r in d.registers() {
@@ -1122,7 +1127,7 @@ impl MiterSession {
         EpochCtx {
             key,
             ctx_t,
-            ctx_t1: [None, None],
+            ctx_t1,
             regs,
         }
     }
@@ -1159,8 +1164,16 @@ impl MiterSession {
 
     /// Lowers one prove signal's next-cycle value in both instances.
     /// Registers are proved through their drivers at `t`; wires and outputs
-    /// through the (lazily built) frame-`t+1` contexts.  Inputs are shared by
+    /// through the epoch's frame-`t+1` contexts.  Inputs are shared by
     /// construction — nothing to prove, `None`.
+    ///
+    /// A wire's value at `t+1` reads the `t+1` inputs and the next state of
+    /// exactly the registers in its driver's combinational support, so only
+    /// those registers get their next-state function lowered and bound into
+    /// the frame-`t+1` contexts (the fanout cone of Algorithm 1).  The
+    /// bindings stay in the epoch, so later prove signals and properties of
+    /// the same epoch reuse them; registers outside every proved cone are
+    /// never lowered at `t+1`.
     fn lower_prove_signal(
         &mut self,
         design: &ValidatedDesign,
@@ -1177,30 +1190,18 @@ impl MiterSession {
                 Some((b1, b2))
             }
             SignalKind::Output | SignalKind::Wire => {
+                let support = self.driver_reg_support(design, sig);
                 for inst in 0..2 {
-                    if epoch.ctx_t1[inst].is_none() {
-                        let mut next_ctx = BlastContext::new();
-                        for (s, bits) in &self.inputs[1] {
-                            next_ctx.bind(*s, bits.clone());
-                        }
-                        for r in d.registers() {
+                    for &r in &support {
+                        if epoch.ctx_t1[inst].binding(r).is_none() {
                             let next = d.signal_info(r).driver().expect("validated design");
                             let bits = epoch.ctx_t[inst].expr(d, &mut self.aig, next);
-                            next_ctx.bind(r, bits);
+                            epoch.ctx_t1[inst].bind(r, bits);
                         }
-                        epoch.ctx_t1[inst] = Some(next_ctx);
                     }
                 }
-                let b1 =
-                    epoch.ctx_t1[0]
-                        .as_mut()
-                        .expect("built above")
-                        .signal(d, &mut self.aig, sig);
-                let b2 =
-                    epoch.ctx_t1[1]
-                        .as_mut()
-                        .expect("built above")
-                        .signal(d, &mut self.aig, sig);
+                let b1 = epoch.ctx_t1[0].signal(d, &mut self.aig, sig);
+                let b2 = epoch.ctx_t1[1].signal(d, &mut self.aig, sig);
                 Some((b1, b2))
             }
             SignalKind::Input => None,
@@ -1372,6 +1373,43 @@ mod tests {
         let mut again = second.check(&design, &property).unwrap();
         again.stats.duration = std::time::Duration::ZERO;
         assert_eq!(again, from_fresh);
+    }
+
+    /// An accumulator `acc` (next = acc ^ in) drives the output; with
+    /// `bystander`, a multiplier register outside the output's cone is
+    /// added.
+    fn accumulator(bystander: bool) -> ValidatedDesign {
+        let mut d = Design::new("accumulator");
+        let input = d.add_input("in", 8).unwrap();
+        let acc = d.add_register("acc", 8, 0).unwrap();
+        let next = d.xor(d.signal(acc), d.signal(input)).unwrap();
+        d.set_register_next(acc, next).unwrap();
+        if bystander {
+            let product = d.add_register("product", 8, 1).unwrap();
+            let next = d.mul(d.signal(product), d.signal(input)).unwrap();
+            d.set_register_next(product, next).unwrap();
+            d.add_output("product_out", d.signal(product)).unwrap();
+        }
+        d.add_output("out", d.signal(acc)).unwrap();
+        d.validated().unwrap()
+    }
+
+    /// Proving a wire at `t+1` lowers the next state of the registers its
+    /// driver reads and nothing else: a register outside the cone adds no
+    /// AIG node to the property.
+    #[test]
+    fn proving_a_wire_lowers_only_the_registers_in_its_cone() {
+        let nodes = |design: &ValidatedDesign| {
+            let out = design.design().require("out").unwrap();
+            let property = IntervalProperty::new("fanout_property_1", vec![], vec![out]);
+            let mut session = MiterSession::new(design, Box::new(Solver::new()));
+            let report = session.check(design, &property).unwrap();
+            assert!(!report.holds(), "acc diverges without an antecedent");
+            report.stats.aig_nodes
+        };
+        let alone = nodes(&accumulator(false));
+        assert!(alone > 0);
+        assert_eq!(nodes(&accumulator(true)), alone);
     }
 
     #[test]

@@ -4,7 +4,10 @@
 //!
 //! Every response closes the connection (`Connection: close`), which is what
 //! makes the NDJSON stream EOF-terminated — no chunked transfer encoding,
-//! no keep-alive state machine.
+//! no keep-alive state machine.  Request bodies must be framed by
+//! `Content-Length`; a `Transfer-Encoding` body is refused, and a client
+//! that sends `Expect: 100-continue` gets its interim `100 Continue` before
+//! the body is read.
 
 use std::io::{self, BufRead, Write};
 
@@ -41,6 +44,9 @@ pub enum RequestError {
         /// The server's limit.
         limit: usize,
     },
+    /// The body is framed by `Transfer-Encoding` instead of
+    /// `Content-Length` (maps to `411`).
+    LengthRequired(String),
 }
 
 impl From<io::Error> for RequestError {
@@ -49,14 +55,37 @@ impl From<io::Error> for RequestError {
     }
 }
 
+/// Reads one already-buffered request from `reader`, capping the body at
+/// `max_body` bytes: [`read_request_with_interim`] with nowhere to send an
+/// interim response, so an `Expect: 100-continue` goes unanswered.
+///
+/// # Errors
+///
+/// As [`read_request_with_interim`].
+pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Request, RequestError> {
+    read_request_with_interim(reader, &mut io::sink(), max_body)
+}
+
 /// Reads one request from `reader`, capping the body at `max_body` bytes.
+///
+/// When the request carries `Expect: 100-continue` and passes the header
+/// checks, the interim `HTTP/1.1 100 Continue` response is written to
+/// `interim` before the body is read, so a client waiting for it sends the
+/// body at once instead of after its own timeout.  A request refused on its
+/// headers (oversized, or framed by `Transfer-Encoding`) gets no interim
+/// response: the caller answers it with the final status.
 ///
 /// # Errors
 ///
 /// [`RequestError::Malformed`] on syntax errors, [`RequestError::TooLarge`]
-/// when `Content-Length` exceeds the cap, [`RequestError::Io`] when the
-/// underlying stream fails.
-pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Request, RequestError> {
+/// when `Content-Length` exceeds the cap, [`RequestError::LengthRequired`]
+/// when the request has a `Transfer-Encoding` header,
+/// [`RequestError::Io`] when the underlying stream fails.
+pub fn read_request_with_interim(
+    reader: &mut impl BufRead,
+    interim: &mut impl Write,
+    max_body: usize,
+) -> Result<Request, RequestError> {
     let line = read_line(reader)?;
     let mut parts = line.split_whitespace();
     let (Some(method), Some(path), Some(version)) = (parts.next(), parts.next(), parts.next())
@@ -75,6 +104,10 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Reques
 
     let mut content_length = 0usize;
     let mut tenant = None;
+    let mut transfer_encoding = None;
+    // HTTP/1.0 requests must have the expectation ignored (RFC 9110 10.1.1).
+    let mut expect_continue = false;
+    let continue_allowed = version != "HTTP/1.0";
     loop {
         let line = read_line(reader)?;
         if line.is_empty() {
@@ -92,13 +125,27 @@ pub fn read_request(reader: &mut impl BufRead, max_body: usize) -> Result<Reques
             if !value.is_empty() {
                 tenant = Some(value.to_owned());
             }
+        } else if name.trim().eq_ignore_ascii_case("transfer-encoding") {
+            transfer_encoding = Some(value.trim().to_owned());
+        } else if name.trim().eq_ignore_ascii_case("expect") {
+            expect_continue = continue_allowed && value.trim().eq_ignore_ascii_case("100-continue");
         }
+    }
+    if let Some(coding) = transfer_encoding {
+        return Err(RequestError::LengthRequired(format!(
+            "request bodies with Transfer-Encoding {coding:?} are not supported; \
+             send the body with a Content-Length header"
+        )));
     }
     if content_length > max_body {
         return Err(RequestError::TooLarge {
             declared: content_length,
             limit: max_body,
         });
+    }
+    if expect_continue {
+        interim.write_all(b"HTTP/1.1 100 Continue\r\n\r\n")?;
+        interim.flush()?;
     }
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
@@ -209,6 +256,14 @@ mod tests {
         read_request(&mut BufReader::new(raw.as_bytes()), 1024)
     }
 
+    /// Parses `raw` and returns what was written back before the body.
+    fn parse_with_interim(raw: &str) -> (Result<Request, RequestError>, String) {
+        let mut interim = Vec::new();
+        let result =
+            read_request_with_interim(&mut BufReader::new(raw.as_bytes()), &mut interim, 1024);
+        (result, String::from_utf8(interim).unwrap())
+    }
+
     #[test]
     fn parses_a_post_with_body() {
         let req = parse("POST /jobs HTTP/1.1\r\nHost: x\r\nContent-Length: 4\r\n\r\nbody").unwrap();
@@ -248,6 +303,44 @@ mod tests {
             }
             other => panic!("expected TooLarge, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn answers_expect_100_continue_before_the_body() {
+        let (req, interim) = parse_with_interim(
+            "POST /jobs HTTP/1.1\r\nExpect: 100-Continue\r\nContent-Length: 4\r\n\r\nbody",
+        );
+        assert_eq!(req.unwrap().body, "body");
+        assert_eq!(interim, "HTTP/1.1 100 Continue\r\n\r\n");
+        // No expectation, or an HTTP/1.0 client: no interim response.
+        let (_, interim) =
+            parse_with_interim("POST /jobs HTTP/1.1\r\nContent-Length: 4\r\n\r\nbody");
+        assert_eq!(interim, "");
+        let (_, interim) = parse_with_interim(
+            "POST /jobs HTTP/1.0\r\nExpect: 100-continue\r\nContent-Length: 4\r\n\r\nbody",
+        );
+        assert_eq!(interim, "");
+        // An oversized declaration is refused without inviting the body.
+        let (req, interim) = parse_with_interim(
+            "POST /jobs HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 4096\r\n\r\n",
+        );
+        assert!(matches!(req, Err(RequestError::TooLarge { .. })));
+        assert_eq!(interim, "");
+    }
+
+    #[test]
+    fn rejects_transfer_encoded_bodies_before_reading_them() {
+        let (req, interim) = parse_with_interim(
+            "POST /jobs HTTP/1.1\r\nExpect: 100-continue\r\nTransfer-Encoding: chunked\r\n\r\n\
+             4\r\nbody\r\n0\r\n\r\n",
+        );
+        match req {
+            Err(RequestError::LengthRequired(message)) => {
+                assert!(message.contains("chunked"), "{message}");
+            }
+            other => panic!("expected LengthRequired, got {other:?}"),
+        }
+        assert_eq!(interim, "");
     }
 
     #[test]

@@ -16,14 +16,21 @@
 //! # Wire protocol
 //!
 //! All endpoints speak HTTP/1.1 with `Connection: close`; there is no
-//! keep-alive and no chunked encoding.  Non-streaming responses carry a
-//! `Content-Length`-framed JSON body; failures use one structured schema:
+//! keep-alive and no chunked encoding.  Request bodies are framed by
+//! `Content-Length` only: a request with a `Transfer-Encoding` header is
+//! refused with `411 length_required` before any body byte is read.  A
+//! request carrying `Expect: 100-continue` gets the interim `HTTP/1.1 100
+//! Continue` once its headers pass those checks, so stock clients send the
+//! body at once; an oversized declaration gets its `413` instead.
+//! Non-streaming responses carry a `Content-Length`-framed JSON body;
+//! failures use one structured schema:
 //!
 //! ```text
 //! {"error":{"code":"<machine-readable>","message":"<human-readable>"}}
 //! ```
 //!
-//! with codes `bad_request` (400), `oversized` (413), `not_found` (404),
+//! with codes `bad_request` (400), `oversized` (413), `length_required`
+//! (411), `not_found` (404),
 //! `method_not_allowed` (405), `timeout` (408, the request headers did not
 //! arrive within the header read timeout — the slow-loris guard),
 //! `overloaded` (503) and `draining` (503, the daemon is shutting down and

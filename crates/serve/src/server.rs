@@ -498,7 +498,7 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
         Ok(clone) => clone,
         Err(_) => return,
     });
-    let request = match http::read_request(&mut reader, MAX_BODY_BYTES) {
+    let request = match http::read_request_with_interim(&mut reader, &mut stream, MAX_BODY_BYTES) {
         Ok(request) => request,
         Err(RequestError::TooLarge { declared, limit }) => {
             let _ = http::write_error(
@@ -512,6 +512,16 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
         }
         Err(RequestError::Malformed(message)) => {
             let _ = http::write_error(&mut stream, 400, "Bad Request", "bad_request", &message);
+            return;
+        }
+        Err(RequestError::LengthRequired(message)) => {
+            let _ = http::write_error(
+                &mut stream,
+                411,
+                "Length Required",
+                "length_required",
+                &message,
+            );
             return;
         }
         Err(RequestError::Io(e))

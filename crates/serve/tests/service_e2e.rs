@@ -247,6 +247,90 @@ fn rejections_use_the_structured_error_schema() {
     server.stop();
 }
 
+/// The `text` of the terminal `report` frame in a raw NDJSON response.
+fn report_text(response: &str) -> Option<String> {
+    response
+        .lines()
+        .filter_map(|line| Json::parse(line).ok())
+        .find(|frame| frame.get("event").and_then(Json::as_str) == Some("report"))
+        .and_then(|frame| frame.get("text").and_then(Json::as_str).map(str::to_owned))
+}
+
+#[test]
+fn expect_100_continue_is_answered_before_the_body_is_sent() {
+    let server = test_server();
+    let addr = server.addr().to_string();
+    let netlist_text = accelerator(true);
+    let body = Json::obj([("netlist", Json::str(netlist_text.as_str()))]).to_string();
+
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    // A daemon that never answers would leave this read blocked; fail
+    // loudly instead of hanging the suite.
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    write!(
+        raw,
+        "POST /jobs HTTP/1.1\r\nHost: {addr}\r\nContent-Type: application/json\r\n\
+         Content-Length: {}\r\nExpect: 100-continue\r\n\r\n",
+        body.len()
+    )
+    .unwrap();
+    let mut reader = BufReader::new(raw.try_clone().unwrap());
+    let mut interim = String::new();
+    reader.read_line(&mut interim).unwrap();
+    assert_eq!(interim, "HTTP/1.1 100 Continue\r\n");
+    let mut blank = String::new();
+    reader.read_line(&mut blank).unwrap();
+    assert_eq!(blank, "\r\n");
+
+    // Only now does the body go out.
+    raw.write_all(body.as_bytes()).unwrap();
+    let mut response = String::new();
+    reader.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 200 OK\r\n"), "{response}");
+    let got = report_text(&response).expect("a report frame is streamed");
+
+    let plain = client::submit(&addr, &netlist_text, &mut |_| {}).unwrap();
+    assert_eq!(got, plain.report_text);
+    assert_eq!(got, solo_normalized_report(&netlist_text));
+    server.stop();
+}
+
+#[test]
+fn transfer_encoded_bodies_get_a_structured_411() {
+    let server = test_server();
+    let addr = server.addr().to_string();
+    let body = Json::obj([("netlist", Json::str(accelerator(false).as_str()))]).to_string();
+
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    raw.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    let request = format!(
+        "POST /jobs HTTP/1.1\r\nHost: {addr}\r\nTransfer-Encoding: chunked\r\n\r\n\
+         {:x}\r\n{body}\r\n0\r\n\r\n",
+        body.len()
+    );
+    raw.write_all(request.as_bytes()).unwrap();
+    let mut response = String::new();
+    BufReader::new(raw).read_to_string(&mut response).unwrap();
+    assert!(
+        response.starts_with("HTTP/1.1 411 Length Required\r\n"),
+        "{response}"
+    );
+    let error = Json::parse(response.split("\r\n\r\n").nth(1).unwrap().trim()).unwrap();
+    let error = error.get("error").expect("structured error schema");
+    assert_eq!(
+        error.get("code").and_then(Json::as_str),
+        Some("length_required")
+    );
+    assert!(
+        error
+            .get("message")
+            .and_then(Json::as_str)
+            .is_some_and(|m| m.contains("Content-Length")),
+        "{response}"
+    );
+    server.stop();
+}
+
 #[test]
 fn an_exhausted_budget_streams_a_structured_frame_and_frees_the_runner() {
     let server = test_server();
