@@ -449,9 +449,12 @@ fn determinism(ctx: &FileContext<'_>, config: &LintConfig, findings: &mut Vec<Fi
     }
 }
 
-/// **strict-env** — `env::var("HTD_…")` may appear only in the designated
-/// strict-parsing modules; everywhere else configuration must flow through
-/// the `try_default_*` parsers that reject malformed values loudly.
+/// **strict-env** — outside the designated strict-parsing modules (the
+/// daemon edge), `env::var`/`env::var_os` may only read a string literal
+/// that does not name an `HTD_*` variable.  A read through any other
+/// argument — a named constant, a parameter — fires as well: that is how a
+/// strict accessor spells its read, and matching only `"HTD_…"` literals
+/// would let one live anywhere.
 fn strict_env(ctx: &FileContext<'_>, config: &LintConfig, findings: &mut Vec<Finding>) {
     if path_matches(ctx.rel_path, &config.strict_env_allowlist) {
         return;
@@ -471,17 +474,22 @@ fn strict_env(ctx: &FileContext<'_>, config: &LintConfig, findings: &mut Vec<Fin
             continue;
         }
         let arg = &ctx.tokens[ctx.code[k + 2]];
-        if arg.kind == TokenKind::Literal && arg.text.starts_with("\"HTD_") {
-            findings.push(Finding::new(
-                Rule::StrictEnv,
-                ctx.rel_path,
-                t.line,
-                format!(
-                    "raw `env::{}({})` outside the strict-parsing modules",
-                    t.text, arg.text
-                ),
-            ));
-        }
+        let literal = ctx
+            .code_token(k + 3)
+            .filter(|next| next.is_punct(')') && arg.kind == TokenKind::Literal)
+            .and_then(|_| arg.text.strip_prefix('"')?.strip_suffix('"'));
+        let message = match literal {
+            Some(name) if !name.starts_with("HTD_") => continue,
+            Some(_) => format!(
+                "raw `env::{}({})` outside the strict-parsing modules",
+                t.text, arg.text
+            ),
+            None => format!(
+                "`env::{}` of a non-literal name outside the strict-parsing modules",
+                t.text
+            ),
+        };
+        findings.push(Finding::new(Rule::StrictEnv, ctx.rel_path, t.line, message));
     }
 }
 

@@ -137,6 +137,24 @@ fn htd_env_read_in_strict_module_is_clean() {
     assert!(found.is_empty(), "{found:?}");
 }
 
+#[test]
+fn htd_env_read_through_a_const_fires_outside_the_daemon_edge() {
+    // The library modules that used to hold strict accessors are off the
+    // allowlist: a read through a named constant fires there like anywhere.
+    for path in ["crates/core/src/scheduler.rs", "crates/ipc/src/checker.rs"] {
+        let found = findings(path, include_str!("fixtures/strict_env_const.rs"));
+        assert_eq!(found.len(), 1, "PATH read must not fire: {found:?}");
+        assert_eq!(found[0].rule, Rule::StrictEnv);
+        assert_eq!(found[0].line, 9);
+        assert!(found[0].message.contains("non-literal"), "{found:?}");
+    }
+    let found = findings(
+        "crates/serve/src/fault.rs",
+        include_str!("fixtures/strict_env_const.rs"),
+    );
+    assert!(found.is_empty(), "{found:?}");
+}
+
 // ------------------------------------------------------------ exhaustive-stats
 
 #[test]

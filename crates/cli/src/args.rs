@@ -97,8 +97,9 @@ impl Default for DetectArgs {
     }
 }
 
-/// Options of the `serve` subcommand.  Every `None` falls back to the
-/// strict `HTD_SERVE_*` environment defaults.
+/// Options of the `serve` subcommand.  Every `None` but `jobs` falls back
+/// to the strict `HTD_SERVE_*` environment defaults; `jobs` has no variable
+/// and defaults to the machine's available parallelism.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeArgs {
     /// Listen address (`--addr`), e.g. `127.0.0.1:7171`.

@@ -4,12 +4,39 @@
 //! answer parsing, model reconstruction — is exercised without any
 //! third-party solver installed.
 
-use htd_core::{BackendChoice, DetectedBy, DetectionOutcome, DetectorConfig, SessionBuilder};
-use htd_rtl::Design;
+use std::num::NonZeroUsize;
+
+use htd_core::{
+    BackendChoice, DetectedBy, DetectionOutcome, DetectionReport, EngineChoice, PropertyScheduler,
+    SessionBuilder,
+};
+use htd_rtl::{Design, ValidatedDesign};
 use htd_sat::{DimacsProcessBackend, Lit, SatBackend, SolveResult};
 
 fn htd_binary() -> &'static str {
     env!("CARGO_BIN_EXE_htd")
+}
+
+/// Runs the flow on `backend` at 1, 2 and 4 workers (oversubscribed, so the
+/// multi-worker schedules run on any host), requires equal normalized
+/// reports and one bit-blast per session, and returns the one-worker report.
+fn run_at_every_schedule(design: &ValidatedDesign, backend: &BackendChoice) -> DetectionReport {
+    let [one, rest @ ..] = [1, 2, 4].map(|jobs| {
+        let scheduler =
+            PropertyScheduler::new(NonZeroUsize::new(jobs).unwrap()).with_oversubscription(true);
+        let mut session = SessionBuilder::new(design.clone())
+            .backend(backend.clone())
+            .engine(EngineChoice::Scheduled(scheduler))
+            .build()
+            .unwrap();
+        let report = session.run().unwrap();
+        assert_eq!(session.session_stats().bit_blasts, 1, "{jobs} workers");
+        report
+    });
+    for (jobs, report) in [2, 4].into_iter().zip(rest) {
+        assert_eq!(report.normalized(), one.normalized(), "{jobs} workers vs 1");
+    }
+    one
 }
 
 #[test]
@@ -96,16 +123,10 @@ fn detection_session_runs_on_the_dimacs_process_backend() {
     // `htd sat` has no incremental interface, so each query re-reads the
     // CNF, but the session still performs a single bit-blast.
     let backend = BackendChoice::DimacsProcess(htd_binary().into(), vec!["sat".to_string()]);
-    let mut external_session = SessionBuilder::new(design.clone())
-        .config(DetectorConfig::default())
-        .backend(backend)
-        .build()
-        .unwrap();
-    let external_report = external_session.run().unwrap();
-    assert_eq!(external_session.session_stats().bit_blasts, 1);
+    let external_report = run_at_every_schedule(&design, &backend);
 
     // The builtin path must agree on the verdict.
-    let builtin_report = SessionBuilder::new(design).build().unwrap().run().unwrap();
+    let builtin_report = run_at_every_schedule(&design, &BackendChoice::Builtin);
     for (label, report) in [("external", &external_report), ("builtin", &builtin_report)] {
         match &report.outcome {
             DetectionOutcome::PropertyFailed {

@@ -112,7 +112,5 @@ pub use flow::TrojanDetector;
 pub use flowgraph::{FlowGraph, FlowNode, FlowNodeKind};
 pub use htd_sat::{BudgetTracker, SolveBudget};
 pub use report::{DetectedBy, DetectionOutcome, DetectionReport, PropertyTrace};
-pub use scheduler::{
-    PipelineStats, PropertyScheduler, SharedSolvePool, JOBS_ENV_VAR, LEVEL_PIPELINE_ENV_VAR,
-};
+pub use scheduler::{PipelineStats, PropertyScheduler, SharedSolvePool};
 pub use session::{BackendChoice, DetectionSession, EngineChoice, FlowEvent, SessionBuilder};

@@ -42,11 +42,10 @@
 //! sub-properties (RSA-class accelerators, infected AES levels).  Flows
 //! dominated by the structural fast path dispatch few or no solve tasks, so
 //! extra workers are harmless but idle.  The CLI defaults to the machine's
-//! available parallelism; the library defaults to one worker (set the
-//! `HTD_JOBS` environment variable or call [`SessionBuilder::jobs`] to
-//! change it).  Level pipelining is on by default; set `HTD_LEVEL_PIPELINE=0`
-//! or use [`PropertyScheduler::with_level_pipelining`] to fall back to
-//! merge-gated solving.
+//! available parallelism; the library defaults to one worker (call
+//! [`SessionBuilder::jobs`] to change it).  Level pipelining is on by
+//! default; [`PropertyScheduler::with_level_pipelining`] falls back to
+//! merge-gated solving.  Neither default reads the environment.
 //!
 //! [`SessionBuilder::jobs`]: crate::SessionBuilder::jobs
 //! [`MiterSession::prepare_level`]: htd_ipc::MiterSession::prepare_level
@@ -68,12 +67,6 @@ use crate::flowgraph::FlowGraph;
 use crate::report::{DetectedBy, DetectionOutcome, DetectionReport, PropertyTrace};
 use crate::session::FlowEvent;
 
-/// Environment variable overriding the default worker count of new sessions.
-pub const JOBS_ENV_VAR: &str = "HTD_JOBS";
-
-/// Environment variable disabling level pipelining when set to `0`.
-pub const LEVEL_PIPELINE_ENV_VAR: &str = "HTD_LEVEL_PIPELINE";
-
 /// Policy object selecting how the flow-graph executor schedules work: the
 /// worker count and whether sub-properties of different levels may solve
 /// concurrently.
@@ -89,12 +82,12 @@ pub struct PropertyScheduler {
 
 impl PropertyScheduler {
     /// A scheduler running up to `jobs` worker shards, with level pipelining
-    /// at its default (on, unless `HTD_LEVEL_PIPELINE=0`).
+    /// on.
     #[must_use]
     pub fn new(jobs: NonZeroUsize) -> Self {
         PropertyScheduler {
             jobs,
-            pipeline_levels: Self::default_level_pipelining(),
+            pipeline_levels: true,
             oversubscribe: false,
         }
     }
@@ -148,77 +141,12 @@ impl PropertyScheduler {
     pub fn available_parallelism() -> NonZeroUsize {
         std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN)
     }
-
-    /// The default worker count for new sessions: the `HTD_JOBS` environment
-    /// variable when set, otherwise 1.
-    ///
-    /// # Errors
-    ///
-    /// A set-but-malformed `HTD_JOBS` (not a positive integer) is an error,
-    /// never a silent fallback: a typo like `HTD_JOBS=two` or `HTD_JOBS=0`
-    /// would otherwise quietly serialise a run that was meant to shard.
-    pub fn try_default_jobs() -> Result<NonZeroUsize, String> {
-        let Ok(value) = std::env::var(JOBS_ENV_VAR) else {
-            return Ok(NonZeroUsize::MIN);
-        };
-        value.trim().parse::<NonZeroUsize>().map_err(|_| {
-            format!(
-                "{JOBS_ENV_VAR}={value:?} is not a positive integer worker count \
-                 (e.g. {JOBS_ENV_VAR}=4); unset it for the default of 1"
-            )
-        })
-    }
-
-    /// [`try_default_jobs`](Self::try_default_jobs), panicking on a
-    /// malformed `HTD_JOBS` — misconfigured environments fail loudly, like
-    /// the strict `HTD_GC_*` overrides.
-    ///
-    /// # Panics
-    ///
-    /// If `HTD_JOBS` is set to anything but a positive integer.
-    #[must_use]
-    pub fn default_jobs() -> NonZeroUsize {
-        Self::try_default_jobs().unwrap_or_else(|message| panic!("{message}"))
-    }
-
-    /// The default level-pipelining mode: on, unless the
-    /// `HTD_LEVEL_PIPELINE` environment variable disables it.
-    ///
-    /// # Errors
-    ///
-    /// Accepts `1` / `true` / `on` / `yes` (enable) and `0` / `false` /
-    /// `off` / `no` (disable), case-insensitively; anything else is an
-    /// error.  (`HTD_LEVEL_PIPELINE=off` used to *enable* pipelining
-    /// because only the literal `0` was recognised.)
-    pub fn try_default_level_pipelining() -> Result<bool, String> {
-        let Ok(value) = std::env::var(LEVEL_PIPELINE_ENV_VAR) else {
-            return Ok(true);
-        };
-        match value.trim().to_ascii_lowercase().as_str() {
-            "1" | "true" | "on" | "yes" => Ok(true),
-            "0" | "false" | "off" | "no" => Ok(false),
-            _ => Err(format!(
-                "{LEVEL_PIPELINE_ENV_VAR}={value:?} is not a recognised switch \
-                 (use 1/true/on/yes or 0/false/off/no); unset it for the default (on)"
-            )),
-        }
-    }
-
-    /// [`try_default_level_pipelining`](Self::try_default_level_pipelining),
-    /// panicking on a malformed `HTD_LEVEL_PIPELINE`.
-    ///
-    /// # Panics
-    ///
-    /// If `HTD_LEVEL_PIPELINE` is set to an unrecognised value.
-    #[must_use]
-    pub fn default_level_pipelining() -> bool {
-        Self::try_default_level_pipelining().unwrap_or_else(|message| panic!("{message}"))
-    }
 }
 
+/// One worker with level pipelining on.
 impl Default for PropertyScheduler {
     fn default() -> Self {
-        PropertyScheduler::new(Self::default_jobs())
+        PropertyScheduler::new(NonZeroUsize::MIN)
     }
 }
 
@@ -1045,8 +973,9 @@ mod tests {
     use super::*;
 
     #[test]
-    fn scheduler_defaults_to_at_least_one_worker() {
-        assert!(PropertyScheduler::default().jobs().get() >= 1);
+    fn scheduler_defaults_to_one_pipelined_worker() {
+        assert_eq!(PropertyScheduler::default().jobs(), NonZeroUsize::MIN);
+        assert!(PropertyScheduler::default().pipelines_levels());
         assert!(PropertyScheduler::available_parallelism().get() >= 1);
     }
 

@@ -397,8 +397,8 @@ pub struct SessionBuilder {
 
 impl SessionBuilder {
     /// Starts a builder for the given design with the default configuration,
-    /// the builtin backend and the sharded scheduler at its default worker
-    /// count (the `HTD_JOBS` environment variable, or 1).
+    /// the builtin backend and the pipelined scheduler at one worker.  The
+    /// defaults are constants: nothing here reads the environment.
     #[must_use]
     pub fn new(design: ValidatedDesign) -> Self {
         SessionBuilder {

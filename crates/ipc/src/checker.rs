@@ -45,44 +45,22 @@ pub struct CheckerOptions {
     /// quantifies the difference.
     pub share_assumed_equal: bool,
     /// Percentage of the backend's clause database that must be dead before
-    /// opportunistic garbage collection compacts it (default: 25, or the
-    /// `HTD_GC_DEAD_PCT` environment variable).  The session runs the check
-    /// on the master encoding before every fork snapshot, so lowering this
-    /// shrinks the clause database every worker shard clones.
+    /// opportunistic garbage collection compacts it (default: 25).  The
+    /// session runs the check on the master encoding before every fork
+    /// snapshot, so lowering this shrinks the clause database every worker
+    /// shard clones.
     pub gc_dead_pct: u32,
     /// Minimum clause-database size before garbage collection is considered
-    /// at all (default: 128, or the `HTD_GC_MIN_CLAUSES` environment
-    /// variable).
+    /// at all (default: 128).
     pub gc_min_clauses: usize,
-}
-
-/// Environment variable overriding [`CheckerOptions::gc_dead_pct`].
-pub const GC_DEAD_PCT_ENV_VAR: &str = "HTD_GC_DEAD_PCT";
-
-/// Environment variable overriding [`CheckerOptions::gc_min_clauses`].
-pub const GC_MIN_CLAUSES_ENV_VAR: &str = "HTD_GC_MIN_CLAUSES";
-
-/// Reads a numeric environment override strictly: an unset variable yields
-/// the fallback, a set-but-malformed one panics with the variable name — a
-/// typo must never silently run with default thresholds.
-fn env_number<T: std::str::FromStr>(var: &str, fallback: T) -> T {
-    let Ok(value) = std::env::var(var) else {
-        return fallback;
-    };
-    value.trim().parse::<T>().unwrap_or_else(|_| {
-        panic!("{var}={value:?} is not a valid number; unset it for the default")
-    })
 }
 
 impl Default for CheckerOptions {
     fn default() -> Self {
         CheckerOptions {
             share_assumed_equal: true,
-            gc_dead_pct: env_number(
-                GC_DEAD_PCT_ENV_VAR,
-                (htd_sat::DEFAULT_GC_DEAD_FRACTION * 100.0) as u32,
-            ),
-            gc_min_clauses: env_number(GC_MIN_CLAUSES_ENV_VAR, htd_sat::DEFAULT_GC_MIN_CLAUSES),
+            gc_dead_pct: (htd_sat::DEFAULT_GC_DEAD_FRACTION * 100.0) as u32,
+            gc_min_clauses: htd_sat::DEFAULT_GC_MIN_CLAUSES,
         }
     }
 }

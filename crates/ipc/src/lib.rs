@@ -69,7 +69,7 @@ pub mod fxhash;
 mod incremental;
 mod property;
 
-pub use checker::{CheckerOptions, PropertyChecker, GC_DEAD_PCT_ENV_VAR, GC_MIN_CLAUSES_ENV_VAR};
+pub use checker::{CheckerOptions, PropertyChecker};
 pub use incremental::{MiterSession, PreparedLevel, SessionStats, TaskOutcome};
 pub use property::{
     CheckOutcome, CheckStats, Counterexample, IntervalProperty, PropertyReport, SignalValuePair,

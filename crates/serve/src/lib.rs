@@ -137,8 +137,10 @@
 //!
 //! # Environment
 //!
-//! Mirroring the strict `HTD_JOBS` / `HTD_GC_*` style, a malformed value is
-//! a loud error, never a silent default:
+//! These are the only `HTD_*` variables the product reads, once, when
+//! `htd serve` or `htd submit` starts ([`ServeOptions::from_env`],
+//! [`try_default_addr`]); the detection library reads no environment.  A
+//! malformed value is a loud error, never a silent default:
 //!
 //! * [`HTD_SERVE_ADDR`](ADDR_ENV_VAR) — listen address
 //!   (default `127.0.0.1:7171`); must parse as a socket address.
@@ -228,7 +230,7 @@ pub const DEFAULT_HEADER_TIMEOUT: Duration = Duration::from_secs(5);
 /// # Errors
 ///
 /// When the variable is set but does not parse as a socket address — never
-/// a silent fallback, matching the strict `HTD_JOBS` / `HTD_GC_*` style.
+/// a silent fallback.
 pub fn try_default_addr() -> Result<String, String> {
     let Ok(value) = std::env::var(ADDR_ENV_VAR) else {
         return Ok(DEFAULT_ADDR.to_owned());
@@ -241,16 +243,6 @@ pub fn try_default_addr() -> Result<String, String> {
         )
     })?;
     Ok(trimmed.to_owned())
-}
-
-/// [`try_default_addr`], panicking on a malformed [`ADDR_ENV_VAR`].
-///
-/// # Panics
-///
-/// If the variable is set to anything but a socket address.
-#[must_use]
-pub fn default_addr() -> String {
-    try_default_addr().unwrap_or_else(|message| panic!("{message}"))
 }
 
 /// The default admission bound: [`MAX_JOBS_ENV_VAR`] or
@@ -271,16 +263,6 @@ pub fn try_default_max_jobs() -> Result<NonZeroUsize, String> {
     })
 }
 
-/// [`try_default_max_jobs`], panicking on a malformed [`MAX_JOBS_ENV_VAR`].
-///
-/// # Panics
-///
-/// If the variable is set to anything but a positive integer.
-#[must_use]
-pub fn default_max_jobs() -> NonZeroUsize {
-    try_default_max_jobs().unwrap_or_else(|message| panic!("{message}"))
-}
-
 /// The default cache budget: [`CACHE_BYTES_ENV_VAR`] or
 /// [`DEFAULT_CACHE_BYTES`].  Zero disables caching.
 ///
@@ -298,17 +280,6 @@ pub fn try_default_cache_bytes() -> Result<u64, String> {
              unset it for the default of {DEFAULT_CACHE_BYTES}"
         )
     })
-}
-
-/// [`try_default_cache_bytes`], panicking on a malformed
-/// [`CACHE_BYTES_ENV_VAR`].
-///
-/// # Panics
-///
-/// If the variable is set to anything but a non-negative integer.
-#[must_use]
-pub fn default_cache_bytes() -> u64 {
-    try_default_cache_bytes().unwrap_or_else(|message| panic!("{message}"))
 }
 
 /// A positive-millisecond environment variable as an optional [`Duration`]

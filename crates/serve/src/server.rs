@@ -1136,7 +1136,7 @@ fn serve_detection(
         }
     };
 
-    let scheduler = PropertyScheduler::new(state.options.workers).with_level_pipelining(true);
+    let scheduler = PropertyScheduler::new(state.options.workers);
     let mut session = match SessionBuilder::new(design)
         .config(config)
         .engine(EngineChoice::Scheduled(scheduler))

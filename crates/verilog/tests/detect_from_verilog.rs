@@ -5,8 +5,33 @@
 //! the RTL of a (possibly infected) accelerator, no golden model and no
 //! functional specification.
 
-use htd_core::{DetectedBy, DetectionOutcome, SessionBuilder};
+use std::num::NonZeroUsize;
+
+use htd_core::{
+    DetectedBy, DetectionOutcome, DetectionReport, EngineChoice, PropertyScheduler, SessionBuilder,
+};
+use htd_rtl::ValidatedDesign;
 use htd_verilog::compile;
+
+/// Runs the flow at 1, 2 and 4 workers (oversubscribed, so the multi-worker
+/// schedules run on any host), requires equal normalized reports and
+/// returns the one-worker report.
+fn run_at_every_schedule(design: &ValidatedDesign) -> DetectionReport {
+    let [one, rest @ ..] = [1, 2, 4].map(|jobs| {
+        let scheduler =
+            PropertyScheduler::new(NonZeroUsize::new(jobs).unwrap()).with_oversubscription(true);
+        SessionBuilder::new(design.clone())
+            .engine(EngineChoice::Scheduled(scheduler))
+            .build()
+            .unwrap()
+            .run()
+            .unwrap()
+    });
+    for (jobs, report) in [2, 4].into_iter().zip(rest) {
+        assert_eq!(report.normalized(), one.normalized(), "{jobs} workers vs 1");
+    }
+    one
+}
 
 /// A toy streaming cipher: the "key add" stage xors the latched data word
 /// with a key register, a second stage rotates it.  Non-interfering and
@@ -106,11 +131,7 @@ endmodule
 #[test]
 fn clean_verilog_cipher_verifies_secure() {
     let design = compile(CLEAN_CIPHER).expect("clean cipher compiles");
-    let report = SessionBuilder::new(design.clone())
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
+    let report = run_at_every_schedule(&design);
     assert!(report.outcome.is_secure(), "{report}");
     assert_eq!(report.spurious_resolved, 0);
 }
@@ -118,11 +139,7 @@ fn clean_verilog_cipher_verifies_secure() {
 #[test]
 fn plaintext_triggered_trojan_in_verilog_is_detected() {
     let design = compile(INFECTED_CIPHER).expect("infected cipher compiles");
-    let report = SessionBuilder::new(design.clone())
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
+    let report = run_at_every_schedule(&design);
     match &report.outcome {
         DetectionOutcome::PropertyFailed {
             detected_by,
@@ -151,11 +168,7 @@ fn plaintext_triggered_trojan_in_verilog_is_detected() {
 #[test]
 fn counter_triggered_side_channel_trojan_is_caught_by_coverage_check() {
     let design = compile(COUNTER_TROJAN).expect("counter trojan compiles");
-    let report = SessionBuilder::new(design.clone())
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
+    let report = run_at_every_schedule(&design);
     match &report.outcome {
         DetectionOutcome::UncoveredSignals { signals } => {
             assert!(signals.iter().any(|s| s.contains("heartbeat")));
@@ -171,16 +184,8 @@ fn infected_and_clean_designs_differ_only_in_the_verdict() {
     // no reference design was needed to tell them apart.
     let clean = compile(CLEAN_CIPHER).unwrap();
     let infected = compile(INFECTED_CIPHER).unwrap();
-    let clean_report = SessionBuilder::new(clean.clone())
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
-    let infected_report = SessionBuilder::new(infected.clone())
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
+    let clean_report = run_at_every_schedule(&clean);
+    let infected_report = run_at_every_schedule(&infected);
     assert!(clean_report.outcome.is_secure());
     assert!(!infected_report.outcome.is_secure());
 }
@@ -239,10 +244,6 @@ endmodule
     // The design is interfering (the FSM state persists across frames), so
     // the plain flow may or may not raise spurious counterexamples — what
     // matters here is that the whole pipeline runs and produces a report.
-    let report = SessionBuilder::new(design.clone())
-        .build()
-        .unwrap()
-        .run()
-        .unwrap();
+    let report = run_at_every_schedule(&design);
     assert!(report.properties_checked() >= 1);
 }

@@ -21,26 +21,48 @@
 
 mod common;
 
+use std::num::NonZeroUsize;
+
 use common::{build_design, design_recipe, layered_recipe};
 use golden_free_htd::detect::aggregate::check_trojan_property;
-use golden_free_htd::detect::{DetectionOutcome, DetectorConfig, SessionBuilder};
+use golden_free_htd::detect::{
+    DetectionOutcome, DetectionReport, DetectorConfig, EngineChoice, PropertyScheduler,
+    SessionBuilder,
+};
 use golden_free_htd::rtl::structural::{data_driven_violations, is_data_driven};
+use golden_free_htd::rtl::ValidatedDesign;
 use golden_free_htd::trusthub::registry::Benchmark;
 use proptest::prelude::*;
 
+/// Runs the flow at 1, 2 and 4 workers (oversubscribed, so the multi-worker
+/// schedules run on any host), requires equal normalized reports and
+/// returns the one-worker report.
+fn run_at_every_schedule(design: &ValidatedDesign, config: &DetectorConfig) -> DetectionReport {
+    let [one, rest @ ..] = [1, 2, 4].map(|jobs| {
+        let scheduler =
+            PropertyScheduler::new(NonZeroUsize::new(jobs).unwrap()).with_oversubscription(true);
+        SessionBuilder::new(design.clone())
+            .config(config.clone())
+            .engine(EngineChoice::Scheduled(scheduler))
+            .build()
+            .expect("random designs have inputs and state")
+            .run()
+            .expect("flow completes")
+    });
+    for (jobs, report) in [2, 4].into_iter().zip(rest) {
+        assert_eq!(report.normalized(), one.normalized(), "{jobs} workers vs 1");
+    }
+    one
+}
+
 /// Runs the decomposed flow in its plain Algorithm-1 form (no extra
 /// assumptions, no waivers) and reports whether any property failed.
-fn decomposed_fails(design: &golden_free_htd::rtl::ValidatedDesign) -> bool {
+fn decomposed_fails(design: &ValidatedDesign) -> bool {
     let config = DetectorConfig {
         assume_previously_proven: false,
         ..DetectorConfig::default()
     };
-    let report = SessionBuilder::new(design.clone())
-        .config(config)
-        .build()
-        .expect("random designs have inputs and state")
-        .run()
-        .expect("flow completes");
+    let report = run_at_every_schedule(design, &config);
     matches!(report.outcome, DetectionOutcome::PropertyFailed { .. })
 }
 
@@ -86,11 +108,7 @@ proptest! {
             "layered recipes satisfy the cumulative side condition"
         );
         let aggregate_fails = !check_trojan_property(&design).holds();
-        let report = SessionBuilder::new(design.clone())
-            .build()
-            .expect("layered designs have inputs and state")
-            .run()
-            .expect("flow completes");
+        let report = run_at_every_schedule(&design, &DetectorConfig::default());
         let decomposed = matches!(report.outcome, DetectionOutcome::PropertyFailed { .. });
         prop_assert_eq!(decomposed, aggregate_fails);
         prop_assert!(!aggregate_fails, "a layered design has no state to hide a trigger in");

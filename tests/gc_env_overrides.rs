@@ -1,22 +1,26 @@
-//! The strict environment overrides (`HTD_GC_DEAD_PCT` /
-//! `HTD_GC_MIN_CLAUSES` / `HTD_JOBS` / `HTD_LEVEL_PIPELINE` /
-//! `HTD_SERVE_*`), in a test binary of their own: mutating process-global
-//! environment variables must not race sibling tests that read them through
-//! `CheckerOptions::default()` or `PropertyScheduler::default_jobs()` (cargo
-//! runs test *binaries* sequentially, but tests within one binary in
-//! parallel — which is why every test here serialises on [`env_lock`]).
+//! The environment the product reads, in a test binary of its own:
+//! mutating process-global environment variables must not race sibling
+//! tests (cargo runs test *binaries* sequentially, but tests within one
+//! binary in parallel — which is why every test here serialises on
+//! [`env_lock`]).
 //!
-//! The overrides are strict on purpose: an unset variable falls back to the
-//! default, but a set-but-malformed one fails loudly.  `parse().ok()` would
-//! let a typo (`HTD_JOBS=two`, `HTD_GC_DEAD_PCT=5%`) silently run a
-//! differently-scheduled flow than the operator asked for.
+//! Only the daemon edge reads `HTD_*` variables: the strict `HTD_SERVE_*`
+//! overrides, parsed once when `htd serve` / `htd submit` starts.  An unset
+//! variable falls back to the default, but a set-but-malformed one fails
+//! loudly — `parse().ok()` would let a typo (`HTD_SERVE_MAX_JOBS=eight`)
+//! silently run a differently-configured daemon than the operator asked
+//! for.  The detection library reads no environment at all: the variables
+//! its defaults used to parse are inert, junk values included.
 
+use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use golden_free_htd::detect::PropertyScheduler;
+use golden_free_htd::detect::{PropertyScheduler, SessionBuilder};
 use golden_free_htd::ipc::CheckerOptions;
-use golden_free_htd::serve;
+use golden_free_htd::rtl::netlist;
+use golden_free_htd::serve::{self, client, ServeOptions, Server};
+use golden_free_htd::trusthub::registry::Benchmark;
 
 /// Serialises the tests in this binary: they all mutate the process
 /// environment.  Taken once at the top of every test (the helpers below do
@@ -31,6 +35,7 @@ fn env_lock() -> MutexGuard<'static, ()> {
 /// Runs `body` with `var` set to `value`, restoring the previous state.
 /// Caller holds [`env_lock`].
 fn with_env<R>(var: &str, value: &str, body: impl FnOnce() -> R) -> R {
+    // htd-lint: allow(strict-env): saves the caller's value to restore it afterwards; nothing is parsed
     let previous = std::env::var(var).ok();
     std::env::set_var(var, value);
     let result = catch_unwind(AssertUnwindSafe(body));
@@ -45,10 +50,10 @@ fn with_env<R>(var: &str, value: &str, body: impl FnOnce() -> R) -> R {
 }
 
 /// Runs `body` with `var` removed from the environment, restoring the
-/// previous state — the CI matrix exports `HTD_JOBS`/`HTD_LEVEL_PIPELINE`
-/// for whole test runs, so "unset" defaults must be asserted under an
-/// explicit unset, not the ambient environment.  Caller holds [`env_lock`].
+/// previous state — "unset" defaults are asserted under an explicit unset,
+/// never the ambient environment.  Caller holds [`env_lock`].
 fn without_env<R>(var: &str, body: impl FnOnce() -> R) -> R {
+    // htd-lint: allow(strict-env): saves the caller's value to restore it afterwards; nothing is parsed
     let previous = std::env::var(var).ok();
     std::env::remove_var(var);
     let result = catch_unwind(AssertUnwindSafe(body));
@@ -61,135 +66,74 @@ fn without_env<R>(var: &str, body: impl FnOnce() -> R) -> R {
     }
 }
 
-/// Like [`with_env`], but expects `body` to panic and returns the message.
-fn panic_message_with_env(var: &str, value: &str, body: impl FnOnce()) -> String {
-    with_env(var, value, || {
-        let panic = catch_unwind(AssertUnwindSafe(body)).expect_err("expected a panic");
-        panic
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| panic.downcast_ref::<&str>().map(ToString::to_string))
-            .unwrap_or_default()
+/// Runs `body` with junk in every variable the library defaults used to
+/// parse.  Caller holds [`env_lock`].
+fn with_deleted_library_variables<R>(body: impl FnOnce() -> R) -> R {
+    with_env("HTD_JOBS", "two", || {
+        with_env("HTD_LEVEL_PIPELINE", "maybe", || {
+            with_env("HTD_GC_DEAD_PCT", "5%", || {
+                with_env("HTD_GC_MIN_CLAUSES", "many", body)
+            })
+        })
     })
 }
 
-/// The `HTD_GC_DEAD_PCT` / `HTD_GC_MIN_CLAUSES` environment variables
-/// override the `CheckerOptions` defaults.
+/// The library defaults are constants: junk in the variables they used to
+/// parse neither changes them nor stops a default session from detecting
+/// the Trojan.
 #[test]
-fn gc_threshold_env_overrides_are_honoured() {
+fn library_defaults_ignore_the_deleted_variables() {
     let _guard = env_lock();
-    let options = with_env(golden_free_htd::ipc::GC_DEAD_PCT_ENV_VAR, "5", || {
-        with_env(
-            golden_free_htd::ipc::GC_MIN_CLAUSES_ENV_VAR,
-            "7",
-            CheckerOptions::default,
-        )
+    with_deleted_library_variables(|| {
+        let scheduler = PropertyScheduler::default();
+        assert_eq!(scheduler.jobs(), NonZeroUsize::MIN);
+        assert!(scheduler.pipelines_levels());
+        assert!(PropertyScheduler::new(NonZeroUsize::new(2).unwrap()).pipelines_levels());
+        let options = CheckerOptions::default();
+        assert_eq!((options.gc_dead_pct, options.gc_min_clauses), (25, 128));
+
+        let design = Benchmark::Rs232T2400.build().expect("benchmark builds");
+        let report = SessionBuilder::new(design)
+            .build()
+            .expect("a default session builds")
+            .run()
+            .expect("flow completes");
+        assert!(
+            report.outcome.detected_by().is_some(),
+            "{:?}",
+            report.outcome
+        );
     });
-    assert_eq!(options.gc_dead_pct, 5);
-    assert_eq!(options.gc_min_clauses, 7);
-    let defaults = CheckerOptions::default();
-    assert_eq!(defaults.gc_dead_pct, 25);
-    assert_eq!(defaults.gc_min_clauses, 128);
 }
 
-/// A malformed GC threshold fails loudly (naming the variable) instead of
-/// silently running with the default.
+/// A daemon whose process environment holds the deleted variables serves
+/// the report `htd detect --normalize` prints.
 #[test]
-fn malformed_gc_thresholds_are_rejected() {
+fn daemon_ignores_the_deleted_library_variables() {
     let _guard = env_lock();
-    let message = panic_message_with_env(golden_free_htd::ipc::GC_DEAD_PCT_ENV_VAR, "5%", || {
-        let _ = CheckerOptions::default();
-    });
-    assert!(message.contains("HTD_GC_DEAD_PCT"), "{message}");
-    let message =
-        panic_message_with_env(golden_free_htd::ipc::GC_MIN_CLAUSES_ENV_VAR, "many", || {
-            let _ = CheckerOptions::default();
-        });
-    assert!(message.contains("HTD_GC_MIN_CLAUSES"), "{message}");
-}
+    let design = Benchmark::Rs232T2400.build().expect("benchmark builds");
+    let netlist_text = netlist::dump(&design);
+    let report = SessionBuilder::new(design)
+        .jobs(NonZeroUsize::new(2).unwrap())
+        .build()
+        .expect("session builds")
+        .run()
+        .expect("flow completes");
+    let want = format!("{}\n", report.normalized());
 
-/// `HTD_JOBS` must be a positive integer; whitespace is tolerated, zero and
-/// garbage are not.
-#[test]
-fn jobs_env_override_is_strict() {
-    let _guard = env_lock();
-    assert_eq!(
-        with_env("HTD_JOBS", "3", PropertyScheduler::default_jobs).get(),
-        3
-    );
-    assert_eq!(
-        with_env("HTD_JOBS", " 2 ", PropertyScheduler::default_jobs).get(),
-        2
-    );
-    for bad in ["0", "two", "-1", "", "4x"] {
-        let message = panic_message_with_env("HTD_JOBS", bad, || {
-            let _ = PropertyScheduler::default_jobs();
-        });
-        assert!(
-            message.contains("HTD_JOBS") && message.contains("positive integer"),
-            "HTD_JOBS={bad}: {message}"
-        );
-        let error = with_env("HTD_JOBS", bad, PropertyScheduler::try_default_jobs)
-            .expect_err("malformed HTD_JOBS is an error");
-        assert!(error.contains("HTD_JOBS"), "{error}");
-    }
-    assert_eq!(
-        without_env("HTD_JOBS", PropertyScheduler::default_jobs).get(),
-        1,
-        "unset default"
-    );
-}
-
-/// `HTD_LEVEL_PIPELINE` understands the usual boolean spellings — in
-/// particular `off` and `false` *disable* pipelining (they used to be
-/// treated as enabled, because only the literal `0` was recognised) — and
-/// rejects anything else.
-#[test]
-fn level_pipeline_env_override_is_strict_and_understands_off() {
-    let _guard = env_lock();
-    for on in ["1", "true", "on", "yes", "TRUE", " On "] {
-        assert!(
-            with_env(
-                "HTD_LEVEL_PIPELINE",
-                on,
-                PropertyScheduler::default_level_pipelining
-            ),
-            "HTD_LEVEL_PIPELINE={on} must enable pipelining"
-        );
-    }
-    for off in ["0", "false", "off", "no", "OFF", "False"] {
-        assert!(
-            !with_env(
-                "HTD_LEVEL_PIPELINE",
-                off,
-                PropertyScheduler::default_level_pipelining
-            ),
-            "HTD_LEVEL_PIPELINE={off} must disable pipelining"
-        );
-    }
-    for bad in ["2", "banana", "enabled", ""] {
-        let message = panic_message_with_env("HTD_LEVEL_PIPELINE", bad, || {
-            let _ = PropertyScheduler::default_level_pipelining();
-        });
-        assert!(
-            message.contains("HTD_LEVEL_PIPELINE"),
-            "HTD_LEVEL_PIPELINE={bad}: {message}"
-        );
-        let error = with_env(
-            "HTD_LEVEL_PIPELINE",
-            bad,
-            PropertyScheduler::try_default_level_pipelining,
-        )
-        .expect_err("malformed HTD_LEVEL_PIPELINE is an error");
-        assert!(error.contains("HTD_LEVEL_PIPELINE"), "{error}");
-    }
-    assert!(
-        without_env(
-            "HTD_LEVEL_PIPELINE",
-            PropertyScheduler::default_level_pipelining
-        ),
-        "unset default is on"
-    );
+    let options = ServeOptions {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: NonZeroUsize::new(2).unwrap(),
+        ..ServeOptions::default()
+    };
+    let served = with_deleted_library_variables(|| {
+        let server = Server::start(options).expect("loopback server starts");
+        let submission = client::submit(&server.addr().to_string(), &netlist_text, &mut |_| {});
+        server.stop();
+        submission
+    })
+    .expect("the job completes");
+    assert_eq!(served.report_text, want);
 }
 
 /// `HTD_SERVE_ADDR` must be a socket address; whitespace is trimmed, and a
@@ -198,28 +142,24 @@ fn level_pipeline_env_override_is_strict_and_understands_off() {
 fn serve_addr_env_override_is_strict() {
     let _guard = env_lock();
     assert_eq!(
-        with_env(serve::ADDR_ENV_VAR, "0.0.0.0:9000", serve::default_addr),
-        "0.0.0.0:9000"
+        with_env(serve::ADDR_ENV_VAR, "0.0.0.0:9000", serve::try_default_addr),
+        Ok("0.0.0.0:9000".to_owned())
     );
     assert_eq!(
-        with_env(serve::ADDR_ENV_VAR, " [::1]:7171 ", serve::default_addr),
-        "[::1]:7171"
+        with_env(serve::ADDR_ENV_VAR, " [::1]:7171 ", serve::try_default_addr),
+        Ok("[::1]:7171".to_owned())
     );
     for bad in ["localhost:7171", "7171", "127.0.0.1", "", "not an addr"] {
-        let message = panic_message_with_env(serve::ADDR_ENV_VAR, bad, || {
-            let _ = serve::default_addr();
-        });
-        assert!(
-            message.contains("HTD_SERVE_ADDR") && message.contains("socket address"),
-            "HTD_SERVE_ADDR={bad}: {message}"
-        );
         let error = with_env(serve::ADDR_ENV_VAR, bad, serve::try_default_addr)
             .expect_err("malformed HTD_SERVE_ADDR is an error");
-        assert!(error.contains("HTD_SERVE_ADDR"), "{error}");
+        assert!(
+            error.contains("HTD_SERVE_ADDR") && error.contains("socket address"),
+            "HTD_SERVE_ADDR={bad}: {error}"
+        );
     }
     assert_eq!(
-        without_env(serve::ADDR_ENV_VAR, serve::default_addr),
-        serve::DEFAULT_ADDR,
+        without_env(serve::ADDR_ENV_VAR, serve::try_default_addr),
+        Ok(serve::DEFAULT_ADDR.to_owned()),
         "unset default"
     );
 }
@@ -229,29 +169,19 @@ fn serve_addr_env_override_is_strict() {
 #[test]
 fn serve_max_jobs_env_override_is_strict() {
     let _guard = env_lock();
-    assert_eq!(
-        with_env(serve::MAX_JOBS_ENV_VAR, "3", serve::default_max_jobs).get(),
-        3
-    );
-    assert_eq!(
-        with_env(serve::MAX_JOBS_ENV_VAR, " 12 ", serve::default_max_jobs).get(),
-        12
-    );
+    let max_jobs = |value| with_env(serve::MAX_JOBS_ENV_VAR, value, serve::try_default_max_jobs);
+    assert_eq!(max_jobs("3").map(NonZeroUsize::get), Ok(3));
+    assert_eq!(max_jobs(" 12 ").map(NonZeroUsize::get), Ok(12));
     for bad in ["0", "eight", "-1", "", "4x"] {
-        let message = panic_message_with_env(serve::MAX_JOBS_ENV_VAR, bad, || {
-            let _ = serve::default_max_jobs();
-        });
+        let error = max_jobs(bad).expect_err("malformed HTD_SERVE_MAX_JOBS is an error");
         assert!(
-            message.contains("HTD_SERVE_MAX_JOBS") && message.contains("positive integer"),
-            "HTD_SERVE_MAX_JOBS={bad}: {message}"
+            error.contains("HTD_SERVE_MAX_JOBS") && error.contains("positive integer"),
+            "HTD_SERVE_MAX_JOBS={bad}: {error}"
         );
-        let error = with_env(serve::MAX_JOBS_ENV_VAR, bad, serve::try_default_max_jobs)
-            .expect_err("malformed HTD_SERVE_MAX_JOBS is an error");
-        assert!(error.contains("HTD_SERVE_MAX_JOBS"), "{error}");
     }
     assert_eq!(
-        without_env(serve::MAX_JOBS_ENV_VAR, serve::default_max_jobs).get(),
-        serve::DEFAULT_MAX_JOBS,
+        without_env(serve::MAX_JOBS_ENV_VAR, serve::try_default_max_jobs).map(NonZeroUsize::get),
+        Ok(serve::DEFAULT_MAX_JOBS),
         "unset default"
     );
 }
@@ -261,38 +191,29 @@ fn serve_max_jobs_env_override_is_strict() {
 #[test]
 fn serve_cache_bytes_env_override_is_strict() {
     let _guard = env_lock();
-    assert_eq!(
-        with_env(serve::CACHE_BYTES_ENV_VAR, "0", serve::default_cache_bytes),
-        0,
-        "zero disables caching, it is not an error"
-    );
-    assert_eq!(
+    let cache_bytes = |value| {
         with_env(
             serve::CACHE_BYTES_ENV_VAR,
-            " 1048576 ",
-            serve::default_cache_bytes
-        ),
-        1_048_576
-    );
-    for bad in ["-1", "1MiB", "lots", "", "0.5"] {
-        let message = panic_message_with_env(serve::CACHE_BYTES_ENV_VAR, bad, || {
-            let _ = serve::default_cache_bytes();
-        });
-        assert!(
-            message.contains("HTD_SERVE_CACHE_BYTES") && message.contains("byte count"),
-            "HTD_SERVE_CACHE_BYTES={bad}: {message}"
-        );
-        let error = with_env(
-            serve::CACHE_BYTES_ENV_VAR,
-            bad,
+            value,
             serve::try_default_cache_bytes,
         )
-        .expect_err("malformed HTD_SERVE_CACHE_BYTES is an error");
-        assert!(error.contains("HTD_SERVE_CACHE_BYTES"), "{error}");
+    };
+    assert_eq!(
+        cache_bytes("0"),
+        Ok(0),
+        "zero disables caching, it is not an error"
+    );
+    assert_eq!(cache_bytes(" 1048576 "), Ok(1_048_576));
+    for bad in ["-1", "1MiB", "lots", "", "0.5"] {
+        let error = cache_bytes(bad).expect_err("malformed HTD_SERVE_CACHE_BYTES is an error");
+        assert!(
+            error.contains("HTD_SERVE_CACHE_BYTES") && error.contains("byte count"),
+            "HTD_SERVE_CACHE_BYTES={bad}: {error}"
+        );
     }
     assert_eq!(
-        without_env(serve::CACHE_BYTES_ENV_VAR, serve::default_cache_bytes),
-        serve::DEFAULT_CACHE_BYTES,
+        without_env(serve::CACHE_BYTES_ENV_VAR, serve::try_default_cache_bytes),
+        Ok(serve::DEFAULT_CACHE_BYTES),
         "unset default"
     );
 }
