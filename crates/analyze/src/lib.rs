@@ -6,8 +6,8 @@
 //! every worker count, pipelining mode, backend and tenant mix — rests on
 //! implementation invariants that `rustc` cannot check: no wall-clock read
 //! may leak into the report merge path, every `unsafe` block at the FFI seam
-//! must be audited, configuration must flow through the strict `HTD_*`
-//! parsers, and statistics aggregation must notice new counters at compile
+//! must be audited, no product code may read an `HTD_*` environment
+//! variable, and statistics aggregation must notice new counters at compile
 //! time.  This crate makes those reviewer conventions mechanically
 //! checkable: a hand-rolled Rust token scanner (same ethos as the in-tree
 //! JSON/HTTP/FxHash) walks every workspace `.rs` file and enforces a
@@ -19,7 +19,7 @@
 //! |------|-----------|
 //! | `unsafe-audit` | `unsafe` appears only in `crates/sat/src/ipasir.rs`, `crates/ipasir-shim/`, `crates/cli/src/signal.rs` and the counting-allocator test `crates/sat/tests/clone_allocations.rs`; every audited use carries an adjacent `// SAFETY:` comment (or `# Safety` doc section); every crate root carries `#![forbid(unsafe_code)]` or `#![deny(unsafe_code)]`. |
 //! | `determinism` | `Instant::now`, `SystemTime::now`, `thread::sleep` and `Ordering::Relaxed` appear only in the timing allowlist (`crates/sat/src/budget.rs`, `crates/serve/`, `crates/bench/`, the criterion shim and `examples/`) — time never influences the merge path.  Test code is exempt. |
-//! | `strict-env` | `env::var`/`env::var_os` of an `"HTD_…"` literal, or of any non-literal name (a `const`, a parameter), appears only at the daemon edge (`crates/serve/src/lib.rs` config, `crates/serve/src/fault.rs` fault harness), whose strict parsers reject malformed values loudly.  Reads of other literal names (`"PATH"`) are not this rule's business. |
+//! | `strict-env` | `env::var`/`env::var_os` of an `"HTD_…"` literal, or of any non-literal name (a `const`, a parameter), is a finding in every module: the product reads no `HTD_*` variable, and its only settings are flags and config structs.  Reads of other literal names (`"PATH"`) are not this rule's business.  A test helper that saves such a variable to restore it carries a waiver. |
 //! | `exhaustive-stats` | inside `accumulate*`/`delta_since`/`normalized`, a `SolverStats`/`SessionStats` struct pattern or literal must not use `..` — a new counter must be a compile error, never a silently dropped value (the exact bug class PR 4 fixed by hand). |
 //! | `serve-panic-hygiene` | `unwrap()`/`expect()` are forbidden in the request-handling modules of `htd-serve` (`server.rs`, `http.rs`, `json.rs`, `queue.rs`, `cache.rs`); a tenant request settles with a structured error, never a panic.  Test code is exempt. |
 //! | `waiver-hygiene` | waiver pragmas themselves: a waiver without a justification, naming an unknown rule, or matching no finding is a finding.  Not waivable. |
@@ -68,7 +68,7 @@ pub enum Rule {
     UnsafeAudit,
     /// No wall clock, sleeps or relaxed atomics outside the timing modules.
     Determinism,
-    /// `HTD_*` (or non-literal) environment reads only at the daemon edge.
+    /// No `HTD_*` (or non-literal) environment read anywhere.
     StrictEnv,
     /// No `..` rest patterns in stats aggregation.
     ExhaustiveStats,
@@ -153,9 +153,6 @@ pub struct LintConfig {
     pub unsafe_attr_exempt: Vec<String>,
     /// Modules where wall-clock reads / sleeps / relaxed atomics are legal.
     pub determinism_allowlist: Vec<String>,
-    /// Modules allowed to read `HTD_*` environment variables, or any
-    /// variable named by a non-literal.
-    pub strict_env_allowlist: Vec<String>,
     /// The request-handling modules of `htd-serve` covered by
     /// `serve-panic-hygiene`.
     pub serve_request_paths: Vec<String>,
@@ -188,7 +185,6 @@ impl Default for LintConfig {
                 "crates/shims/criterion/",
                 "examples/",
             ]),
-            strict_env_allowlist: owned(&["crates/serve/src/lib.rs", "crates/serve/src/fault.rs"]),
             serve_request_paths: owned(&[
                 "crates/serve/src/server.rs",
                 "crates/serve/src/http.rs",

@@ -289,7 +289,7 @@ pub fn run_all(ctx: &FileContext<'_>, config: &LintConfig) -> Vec<Finding> {
     let mut findings = Vec::new();
     unsafe_audit(ctx, config, &mut findings);
     determinism(ctx, config, &mut findings);
-    strict_env(ctx, config, &mut findings);
+    strict_env(ctx, &mut findings);
     exhaustive_stats(ctx, &mut findings);
     serve_panic_hygiene(ctx, config, &mut findings);
     findings
@@ -449,16 +449,14 @@ fn determinism(ctx: &FileContext<'_>, config: &LintConfig, findings: &mut Vec<Fi
     }
 }
 
-/// **strict-env** — outside the designated strict-parsing modules (the
-/// daemon edge), `env::var`/`env::var_os` may only read a string literal
-/// that does not name an `HTD_*` variable.  A read through any other
-/// argument — a named constant, a parameter — fires as well: that is how a
-/// strict accessor spells its read, and matching only `"HTD_…"` literals
-/// would let one live anywhere.
-fn strict_env(ctx: &FileContext<'_>, config: &LintConfig, findings: &mut Vec<Finding>) {
-    if path_matches(ctx.rel_path, &config.strict_env_allowlist) {
-        return;
-    }
+/// **strict-env** — the product reads no `HTD_*` environment variable:
+/// in every module, `env::var`/`env::var_os` may only read a string
+/// literal that does not name one.  A read through any other argument — a
+/// named constant, a parameter — fires as well: that is how an accessor
+/// spells its read, and matching only `"HTD_…"` literals would let one
+/// live anywhere.  Test code is not exempt; a helper that saves a variable
+/// to restore it carries a waiver.
+fn strict_env(ctx: &FileContext<'_>, findings: &mut Vec<Finding>) {
     for k in 3..ctx.code.len().saturating_sub(2) {
         let t = &ctx.tokens[ctx.code[k]];
         if !(t.is_ident("var") || t.is_ident("var_os")) {
@@ -481,11 +479,11 @@ fn strict_env(ctx: &FileContext<'_>, config: &LintConfig, findings: &mut Vec<Fin
         let message = match literal {
             Some(name) if !name.starts_with("HTD_") => continue,
             Some(_) => format!(
-                "raw `env::{}({})` outside the strict-parsing modules",
+                "`env::{}({})` reads an `HTD_*` variable; settings are flags",
                 t.text, arg.text
             ),
             None => format!(
-                "`env::{}` of a non-literal name outside the strict-parsing modules",
+                "`env::{}` of a non-literal name, which may be an `HTD_*` variable",
                 t.text
             ),
         };

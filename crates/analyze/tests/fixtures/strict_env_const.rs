@@ -1,6 +1,6 @@
-//! Fixture: an `HTD_*` read through a named constant, the way a strict
-//! accessor spells it.  Outside the strict-parsing modules it fires once, on
-//! the read; the `PATH` literal still passes.
+//! Fixture: an `HTD_*` read through a named constant, the way an accessor
+//! spells it.  It fires once in every module, on the read; the `PATH`
+//! literal still passes.
 
 const JOBS_VAR: &str = "HTD_JOBS";
 

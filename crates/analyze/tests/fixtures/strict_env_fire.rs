@@ -1,5 +1,5 @@
-//! Fixture: a raw `HTD_*` environment read outside the strict-parsing
-//! modules.  The `PATH` read must NOT fire — only the `HTD_` prefix does.
+//! Fixture: a raw `HTD_*` environment read.  The `PATH` read must NOT
+//! fire — only the `HTD_` prefix does.
 
 pub fn addr() -> Option<String> {
     let _ = std::env::var("PATH");

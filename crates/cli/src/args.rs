@@ -97,9 +97,9 @@ impl Default for DetectArgs {
     }
 }
 
-/// Options of the `serve` subcommand.  Every `None` but `jobs` falls back
-/// to the strict `HTD_SERVE_*` environment defaults; `jobs` has no variable
-/// and defaults to the machine's available parallelism.
+/// Options of the `serve` subcommand.  Every `None` keeps the
+/// [`ServeOptions`](htd_serve::ServeOptions) default; `jobs` defaults to the
+/// machine's available parallelism.
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeArgs {
     /// Listen address (`--addr`), e.g. `127.0.0.1:7171`.
@@ -125,7 +125,7 @@ pub struct SubmitArgs {
     pub input: PathBuf,
     /// Explicit top module name for Verilog inputs.
     pub top: Option<String>,
-    /// Daemon address (`--addr`; default: the `HTD_SERVE_ADDR` resolution).
+    /// Daemon address (`--addr`; default [`htd_serve::DEFAULT_ADDR`]).
     pub addr: Option<String>,
     /// Echo every raw NDJSON frame to stdout instead of the report text.
     pub ndjson: bool,
@@ -585,25 +585,23 @@ DETECT FLAGS:
                              runs over the same design are then byte-identical
                              (submit streams exactly this rendering)
 
-SERVE FLAGS (flags override the strict HTD_SERVE_* environment defaults):
-    --addr HOST:PORT         listen address (HTD_SERVE_ADDR; default 127.0.0.1:7171)
-    --max-jobs N             admission bound on queued+running jobs
-                             (HTD_SERVE_MAX_JOBS; default 8)
+SERVE FLAGS (the daemon's only settings; none come from the environment):
+    --addr HOST:PORT         listen address (default 127.0.0.1:7171)
+    --max-jobs N             admission bound on queued+running jobs (default 8)
     --cache-bytes N          frozen-master snapshot-cache budget, 0 disables
-                             (HTD_SERVE_CACHE_BYTES; default 256 MiB)
+                             (default 256 MiB)
     --jobs N                 shared solve-pool workers (default: available
                              parallelism)
     --budget-deadline-ms N   per-job wall-clock ceiling; exhausted jobs stream a
-                             budget_exhausted frame (HTD_SERVE_BUDGET_DEADLINE_MS;
-                             default: unlimited)
+                             budget_exhausted frame (default: unlimited)
     --budget-conflicts N     per-job solver-conflict ceiling, builtin backend
-                             (HTD_SERVE_BUDGET_CONFLICTS; default: unlimited)
+                             (default: unlimited)
     --drain-deadline-ms N    grace period for running jobs after SIGTERM or
                              POST /admin/drain before they are cancelled
-                             (HTD_SERVE_DRAIN_DEADLINE_MS; default 30000)
+                             (default 30000)
 
 SUBMIT FLAGS:
-    --addr HOST:PORT         daemon address (default: the HTD_SERVE_ADDR resolution)
+    --addr HOST:PORT         daemon address (default 127.0.0.1:7171)
     --ndjson                 print every raw NDJSON frame instead of the report
     --tenant NAME            fair-share tenant label (X-HTD-Tenant header;
                              default: the daemon buckets by peer address)

@@ -56,8 +56,8 @@ pub enum CliError {
         /// The underlying message.
         message: String,
     },
-    /// A configuration value (a flag such as an unknown `--benign` register,
-    /// or an `HTD_SERVE_*` environment variable) was rejected.
+    /// A configuration value (a flag such as an unknown `--benign` register)
+    /// was rejected.
     Config {
         /// The underlying message.
         message: String,
@@ -194,11 +194,11 @@ fn lint(json: bool, root: Option<&Path>) -> Result<String, CliError> {
 }
 
 /// `htd serve`: run the multi-tenant detection daemon until killed or
-/// drained.  Resolution order for every knob: flag, `HTD_SERVE_*`
-/// environment variable, built-in default.  SIGTERM triggers a graceful
-/// drain: admission stops, running jobs get the drain deadline to finish.
+/// drained.  Every knob is a flag applied over [`ServeOptions::default`];
+/// none comes from the environment.  SIGTERM triggers a graceful drain:
+/// admission stops, running jobs get the drain deadline to finish.
 fn serve(args: &ServeArgs) -> Result<String, CliError> {
-    let mut options = ServeOptions::from_env().map_err(|message| CliError::Config { message })?;
+    let mut options = ServeOptions::default();
     if let Some(addr) = &args.addr {
         options.addr.clone_from(addr);
     }
@@ -253,10 +253,7 @@ fn serve(args: &ServeArgs) -> Result<String, CliError> {
 fn submit(args: &SubmitArgs) -> Result<String, CliError> {
     let design = load_design(&args.input, args.top.as_deref())?;
     let netlist_text = netlist::dump(&design);
-    let addr = match &args.addr {
-        Some(addr) => addr.clone(),
-        None => htd_serve::try_default_addr().map_err(|message| CliError::Config { message })?,
-    };
+    let addr = args.addr.as_deref().unwrap_or(htd_serve::DEFAULT_ADDR);
     let ndjson = args.ndjson;
     let options = serve_client::SubmitOptions {
         tenant: args.tenant.clone(),
@@ -273,7 +270,7 @@ fn submit(args: &SubmitArgs) -> Result<String, CliError> {
         }),
     };
     let submission =
-        serve_client::submit_with_options(&addr, &netlist_text, &options, &mut |line| {
+        serve_client::submit_with_options(addr, &netlist_text, &options, &mut |line| {
             if ndjson {
                 println!("{line}");
             }

@@ -1,143 +1,32 @@
-//! Test-only fault injection for the daemon.
+//! Fault injection for the daemon's robustness tests.
 //!
 //! The robustness claims of the serve tier — a panicking flow fails one job,
 //! a stalled solve is drainable, a vanishing client never wedges a runner —
 //! are only claims until a test can *provoke* those situations on demand.
-//! [`FaultSpec`] names the provocations; the server consults it at the
-//! matching points of the job lifecycle.
+//! [`FaultSpec`] names the provocations; the server consults
+//! [`ServeOptions::fault`](crate::ServeOptions::fault) at the matching points
+//! of the job lifecycle.
 //!
-//! The knob is the [`HTD_SERVE_FAULT`](crate::FAULT_ENV_VAR) environment
-//! variable, parsed strictly like every other `HTD_SERVE_*` variable.  It is
-//! **compiled out of release builds**: only test builds and builds with the
-//! `fault-injection` feature accept it, and a release daemon that finds it
-//! set refuses to start rather than silently ignoring a knob the operator
-//! believed was active.
+//! Only tests set that field.  No flag or environment variable arms a fault,
+//! so a daemon started by `htd serve` never runs one.
 
-use std::str::FromStr;
 use std::time::Duration;
 
-/// One injected fault.  The type is always compiled (tests construct it
-/// directly); only the *environment* acceptance is feature-gated.
+/// One injected fault, armed through
+/// [`ServeOptions::fault`](crate::ServeOptions::fault).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FaultSpec {
-    /// The first job to reach a runner panics mid-flow (`runner-panic`).
-    /// One-shot: later jobs run normally, so a test can prove the pool
-    /// survives the panic.
+    /// The first job to reach a runner panics mid-flow.  One-shot: later
+    /// jobs run normally, so a test can prove the pool survives the panic.
     RunnerPanic,
-    /// Every job stalls for the given duration before solving
-    /// (`solve-stall:<ms>`), honouring cancellation while stalled.  Gives
-    /// tests a window to coalesce onto, cancel, or drain an in-flight job.
+    /// Every job stalls for the given duration before solving, honouring
+    /// cancellation while stalled.  Gives tests a window to coalesce onto,
+    /// cancel, or drain an in-flight job.
     SolveStall(Duration),
     /// The server force-closes the first subscriber's socket after the
-    /// job's `<n>`-th streamed frame (`stream-disconnect:<n>`).  One-shot.
+    /// job's `n`-th streamed frame.  One-shot.
     StreamDisconnect(u64),
-    /// Every frame write is preceded by the given sleep
-    /// (`slow-writes:<ms>`), simulating a slow-reading client.
+    /// Every frame write is preceded by the given sleep, simulating a
+    /// slow-reading client.
     SlowWrites(Duration),
-}
-
-impl FromStr for FaultSpec {
-    type Err = String;
-
-    fn from_str(spec: &str) -> Result<FaultSpec, String> {
-        let spec = spec.trim();
-        if spec == "runner-panic" {
-            return Ok(FaultSpec::RunnerPanic);
-        }
-        if let Some(ms) = spec.strip_prefix("solve-stall:") {
-            let ms: u64 = ms
-                .parse()
-                .map_err(|_| format!("bad solve-stall milliseconds: {ms:?}"))?;
-            return Ok(FaultSpec::SolveStall(Duration::from_millis(ms)));
-        }
-        if let Some(n) = spec.strip_prefix("stream-disconnect:") {
-            let n: u64 = n
-                .parse()
-                .map_err(|_| format!("bad stream-disconnect frame count: {n:?}"))?;
-            return Ok(FaultSpec::StreamDisconnect(n));
-        }
-        if let Some(ms) = spec.strip_prefix("slow-writes:") {
-            let ms: u64 = ms
-                .parse()
-                .map_err(|_| format!("bad slow-writes milliseconds: {ms:?}"))?;
-            return Ok(FaultSpec::SlowWrites(Duration::from_millis(ms)));
-        }
-        Err(format!(
-            "unknown fault {spec:?} (known: runner-panic, solve-stall:<ms>, \
-             stream-disconnect:<n>, slow-writes:<ms>)"
-        ))
-    }
-}
-
-/// The injected fault from [`HTD_SERVE_FAULT`](crate::FAULT_ENV_VAR), or
-/// `None` when unset.  Only available to test builds and builds with the
-/// `fault-injection` feature.
-///
-/// # Errors
-///
-/// When the variable is set to an unknown or malformed fault spec.
-#[cfg(any(test, feature = "fault-injection"))]
-pub fn try_default_fault() -> Result<Option<FaultSpec>, String> {
-    let Ok(value) = std::env::var(crate::FAULT_ENV_VAR) else {
-        return Ok(None);
-    };
-    value.parse().map(Some).map_err(|e| {
-        format!(
-            "{var}={value:?} is not a fault spec: {e}; unset it to run without fault injection",
-            var = crate::FAULT_ENV_VAR
-        )
-    })
-}
-
-/// Release builds do not inject faults: a set
-/// [`HTD_SERVE_FAULT`](crate::FAULT_ENV_VAR) is refused loudly so an
-/// operator never believes a fault is armed when the hooks were compiled
-/// out.
-///
-/// # Errors
-///
-/// Whenever the variable is set at all.
-#[cfg(not(any(test, feature = "fault-injection")))]
-pub fn try_default_fault() -> Result<Option<FaultSpec>, String> {
-    match std::env::var(crate::FAULT_ENV_VAR) {
-        Err(_) => Ok(None),
-        Ok(value) => Err(format!(
-            "{var}={value:?} is set, but this build has no fault-injection hooks \
-             (they are compiled in only with the `fault-injection` feature); \
-             unset it or rebuild with --features htd-serve/fault-injection",
-            var = crate::FAULT_ENV_VAR
-        )),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_every_fault_kind() {
-        assert_eq!("runner-panic".parse(), Ok(FaultSpec::RunnerPanic));
-        assert_eq!(
-            "solve-stall:250".parse(),
-            Ok(FaultSpec::SolveStall(Duration::from_millis(250)))
-        );
-        assert_eq!(
-            "stream-disconnect:3".parse(),
-            Ok(FaultSpec::StreamDisconnect(3))
-        );
-        assert_eq!(
-            " slow-writes:10 ".parse(),
-            Ok(FaultSpec::SlowWrites(Duration::from_millis(10)))
-        );
-    }
-
-    #[test]
-    fn rejects_unknown_and_malformed_specs() {
-        assert!(FaultSpec::from_str("coffee-spill").is_err());
-        assert!(FaultSpec::from_str("solve-stall:").is_err());
-        assert!(FaultSpec::from_str("solve-stall:soon").is_err());
-        assert!(FaultSpec::from_str("stream-disconnect:-1").is_err());
-        let err = FaultSpec::from_str("nope").unwrap_err();
-        assert!(err.contains("runner-panic"), "error names the knobs: {err}");
-    }
 }

@@ -135,33 +135,13 @@
 //! subscribers).  Job states: `queued`, `running`, `completed`,
 //! `cancelled`, `failed`, `budget_exhausted`.
 //!
-//! # Environment
+//! # Configuration
 //!
-//! These are the only `HTD_*` variables the product reads, once, when
-//! `htd serve` or `htd submit` starts ([`ServeOptions::from_env`],
-//! [`try_default_addr`]); the detection library reads no environment.  A
-//! malformed value is a loud error, never a silent default:
-//!
-//! * [`HTD_SERVE_ADDR`](ADDR_ENV_VAR) — listen address
-//!   (default `127.0.0.1:7171`); must parse as a socket address.
-//! * [`HTD_SERVE_MAX_JOBS`](MAX_JOBS_ENV_VAR) — admission bound
-//!   (default 8); must be a positive integer.
-//! * [`HTD_SERVE_CACHE_BYTES`](CACHE_BYTES_ENV_VAR) — snapshot-cache byte
-//!   budget (default 256 MiB); a non-negative integer, `0` disables caching.
-//! * [`HTD_SERVE_BUDGET_DEADLINE_MS`](BUDGET_DEADLINE_ENV_VAR) — per-job
-//!   wall-clock budget cap in milliseconds (default unlimited); a positive
-//!   integer.
-//! * [`HTD_SERVE_BUDGET_CONFLICTS`](BUDGET_CONFLICTS_ENV_VAR) — per-job
-//!   solver-conflict budget cap (default unlimited); a positive integer.
-//! * [`HTD_SERVE_DRAIN_DEADLINE_MS`](DRAIN_DEADLINE_ENV_VAR) — how long a
-//!   drain waits for in-flight jobs before cancelling them (default 30 s);
-//!   a positive integer.
-//! * [`HTD_SERVE_HEADER_TIMEOUT_MS`](HEADER_TIMEOUT_ENV_VAR) — per-read
-//!   timeout while parsing request headers, the slow-loris guard (default
-//!   5 s); a positive integer.
-//! * [`HTD_SERVE_FAULT`](FAULT_ENV_VAR) — test-only fault injection
-//!   ([`fault`]); release builds without the `fault-injection` feature
-//!   refuse to start when it is set.
+//! The daemon takes no setting from the environment.  [`ServeOptions`] is
+//! its whole configuration: `htd serve` starts from
+//! [`ServeOptions::default`] (the `DEFAULT_*` constants below) and applies
+//! its flags, and `htd submit` connects to [`DEFAULT_ADDR`] unless given
+//! `--addr`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -174,8 +154,6 @@ pub mod json;
 pub mod queue;
 pub mod server;
 
-use std::net::SocketAddr;
-use std::num::NonZeroUsize;
 use std::time::Duration;
 
 pub use cache::{CacheStats, FrozenMaster, SnapshotCache};
@@ -185,159 +163,17 @@ pub use json::Json;
 pub use queue::FairQueue;
 pub use server::{DrainHandle, ServeOptions, Server};
 
-/// Environment variable naming the daemon's listen address.
-pub const ADDR_ENV_VAR: &str = "HTD_SERVE_ADDR";
-
-/// Environment variable bounding admitted (queued plus running) jobs.
-pub const MAX_JOBS_ENV_VAR: &str = "HTD_SERVE_MAX_JOBS";
-
-/// Environment variable budgeting the snapshot cache, in bytes.
-pub const CACHE_BYTES_ENV_VAR: &str = "HTD_SERVE_CACHE_BYTES";
-
-/// Environment variable capping per-job wall-clock budgets, in milliseconds.
-pub const BUDGET_DEADLINE_ENV_VAR: &str = "HTD_SERVE_BUDGET_DEADLINE_MS";
-
-/// Environment variable capping per-job solver-conflict budgets.
-pub const BUDGET_CONFLICTS_ENV_VAR: &str = "HTD_SERVE_BUDGET_CONFLICTS";
-
-/// Environment variable setting the drain deadline, in milliseconds.
-pub const DRAIN_DEADLINE_ENV_VAR: &str = "HTD_SERVE_DRAIN_DEADLINE_MS";
-
-/// Environment variable setting the header read timeout, in milliseconds.
-pub const HEADER_TIMEOUT_ENV_VAR: &str = "HTD_SERVE_HEADER_TIMEOUT_MS";
-
-/// Environment variable naming an injected fault (test builds only; see
-/// [`fault`]).
-pub const FAULT_ENV_VAR: &str = "HTD_SERVE_FAULT";
-
-/// The listen address used when [`ADDR_ENV_VAR`] is unset.
+/// The default listen address ([`ServeOptions::addr`]).
 pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 
-/// The admission bound used when [`MAX_JOBS_ENV_VAR`] is unset.
+/// The default admission bound ([`ServeOptions::max_jobs`]).
 pub const DEFAULT_MAX_JOBS: usize = 8;
 
-/// The cache budget used when [`CACHE_BYTES_ENV_VAR`] is unset (256 MiB).
+/// The default snapshot-cache budget, 256 MiB ([`ServeOptions::cache_bytes`]).
 pub const DEFAULT_CACHE_BYTES: u64 = 256 * 1024 * 1024;
 
-/// The drain deadline used when [`DRAIN_DEADLINE_ENV_VAR`] is unset.
+/// The default drain deadline ([`ServeOptions::drain_deadline`]).
 pub const DEFAULT_DRAIN_DEADLINE: Duration = Duration::from_secs(30);
 
-/// The header read timeout used when [`HEADER_TIMEOUT_ENV_VAR`] is unset.
+/// The default header read timeout ([`ServeOptions::header_timeout`]).
 pub const DEFAULT_HEADER_TIMEOUT: Duration = Duration::from_secs(5);
-
-/// The default listen address: [`ADDR_ENV_VAR`] or [`DEFAULT_ADDR`].
-///
-/// # Errors
-///
-/// When the variable is set but does not parse as a socket address — never
-/// a silent fallback.
-pub fn try_default_addr() -> Result<String, String> {
-    let Ok(value) = std::env::var(ADDR_ENV_VAR) else {
-        return Ok(DEFAULT_ADDR.to_owned());
-    };
-    let trimmed = value.trim();
-    trimmed.parse::<SocketAddr>().map_err(|_| {
-        format!(
-            "{ADDR_ENV_VAR}={value:?} is not a socket address \
-             (e.g. {ADDR_ENV_VAR}=127.0.0.1:7171); unset it for the default of {DEFAULT_ADDR}"
-        )
-    })?;
-    Ok(trimmed.to_owned())
-}
-
-/// The default admission bound: [`MAX_JOBS_ENV_VAR`] or
-/// [`DEFAULT_MAX_JOBS`].
-///
-/// # Errors
-///
-/// When the variable is set but is not a positive integer.
-pub fn try_default_max_jobs() -> Result<NonZeroUsize, String> {
-    let Ok(value) = std::env::var(MAX_JOBS_ENV_VAR) else {
-        return Ok(NonZeroUsize::new(DEFAULT_MAX_JOBS).expect("default bound is positive"));
-    };
-    value.trim().parse::<NonZeroUsize>().map_err(|_| {
-        format!(
-            "{MAX_JOBS_ENV_VAR}={value:?} is not a positive integer job bound \
-             (e.g. {MAX_JOBS_ENV_VAR}=8); unset it for the default of {DEFAULT_MAX_JOBS}"
-        )
-    })
-}
-
-/// The default cache budget: [`CACHE_BYTES_ENV_VAR`] or
-/// [`DEFAULT_CACHE_BYTES`].  Zero disables caching.
-///
-/// # Errors
-///
-/// When the variable is set but is not a non-negative integer.
-pub fn try_default_cache_bytes() -> Result<u64, String> {
-    let Ok(value) = std::env::var(CACHE_BYTES_ENV_VAR) else {
-        return Ok(DEFAULT_CACHE_BYTES);
-    };
-    value.trim().parse::<u64>().map_err(|_| {
-        format!(
-            "{CACHE_BYTES_ENV_VAR}={value:?} is not a byte count \
-             (e.g. {CACHE_BYTES_ENV_VAR}=268435456, or 0 to disable caching); \
-             unset it for the default of {DEFAULT_CACHE_BYTES}"
-        )
-    })
-}
-
-/// A positive-millisecond environment variable as an optional [`Duration`]
-/// (`None` when unset), in the strict `HTD_SERVE_*` style.
-fn try_millis_var(var: &str, example: u64) -> Result<Option<Duration>, String> {
-    let Ok(value) = std::env::var(var) else {
-        return Ok(None);
-    };
-    match value.trim().parse::<u64>() {
-        Ok(ms) if ms > 0 => Ok(Some(Duration::from_millis(ms))),
-        _ => Err(format!(
-            "{var}={value:?} is not a positive millisecond count (e.g. {var}={example})"
-        )),
-    }
-}
-
-/// The server-wide per-job budget cap from [`BUDGET_DEADLINE_ENV_VAR`] and
-/// [`BUDGET_CONFLICTS_ENV_VAR`]; unlimited when both are unset.
-///
-/// # Errors
-///
-/// When either variable is set but is not a positive integer.
-pub fn try_default_budget() -> Result<htd_core::SolveBudget, String> {
-    let deadline = try_millis_var(BUDGET_DEADLINE_ENV_VAR, 60_000)?;
-    let conflict_ceiling = match std::env::var(BUDGET_CONFLICTS_ENV_VAR) {
-        Err(_) => None,
-        Ok(value) => match value.trim().parse::<u64>() {
-            Ok(n) if n > 0 => Some(n),
-            _ => {
-                return Err(format!(
-                    "{BUDGET_CONFLICTS_ENV_VAR}={value:?} is not a positive conflict count \
-                     (e.g. {BUDGET_CONFLICTS_ENV_VAR}=1000000); unset it for no conflict cap"
-                ));
-            }
-        },
-    };
-    Ok(htd_core::SolveBudget {
-        deadline,
-        conflict_ceiling,
-    })
-}
-
-/// The drain deadline: [`DRAIN_DEADLINE_ENV_VAR`] or
-/// [`DEFAULT_DRAIN_DEADLINE`].
-///
-/// # Errors
-///
-/// When the variable is set but is not a positive integer.
-pub fn try_default_drain_deadline() -> Result<Duration, String> {
-    Ok(try_millis_var(DRAIN_DEADLINE_ENV_VAR, 30_000)?.unwrap_or(DEFAULT_DRAIN_DEADLINE))
-}
-
-/// The header read timeout: [`HEADER_TIMEOUT_ENV_VAR`] or
-/// [`DEFAULT_HEADER_TIMEOUT`].
-///
-/// # Errors
-///
-/// When the variable is set but is not a positive integer.
-pub fn try_default_header_timeout() -> Result<Duration, String> {
-    Ok(try_millis_var(HEADER_TIMEOUT_ENV_VAR, 5_000)?.unwrap_or(DEFAULT_HEADER_TIMEOUT))
-}

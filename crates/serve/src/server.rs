@@ -101,8 +101,8 @@ fn lock_unpoisoned<T>(mutex: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
         .unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
-/// Daemon configuration, resolved from the environment by
-/// [`from_env`](Self::from_env) and overridable per flag by the CLI.
+/// Daemon configuration.  `htd serve` starts from [`Default`] and applies
+/// its flags; no field is read from the environment.
 #[derive(Clone, Debug)]
 pub struct ServeOptions {
     /// The listen address, e.g. `127.0.0.1:7171` (port 0 picks a free one).
@@ -127,7 +127,8 @@ pub struct ServeOptions {
     pub drain_deadline: Duration,
     /// Per-read timeout while parsing request headers (slow-loris guard).
     pub header_timeout: Duration,
-    /// Injected fault for robustness tests; `None` in production.
+    /// Injected fault for robustness tests; `None` in production, where no
+    /// flag sets it.
     pub fault: Option<FaultSpec>,
 }
 
@@ -146,28 +147,6 @@ impl Default for ServeOptions {
             header_timeout: crate::DEFAULT_HEADER_TIMEOUT,
             fault: None,
         }
-    }
-}
-
-impl ServeOptions {
-    /// Resolves the daemon configuration from `HTD_SERVE_*` (strict: a
-    /// malformed value is an error, never a silent default), with the pool
-    /// sized to the host's available parallelism.
-    ///
-    /// # Errors
-    ///
-    /// A description of the malformed environment variable.
-    pub fn from_env() -> Result<ServeOptions, String> {
-        Ok(ServeOptions {
-            addr: crate::try_default_addr()?,
-            max_jobs: crate::try_default_max_jobs()?,
-            cache_bytes: crate::try_default_cache_bytes()?,
-            budget: crate::try_default_budget()?,
-            drain_deadline: crate::try_default_drain_deadline()?,
-            header_timeout: crate::try_default_header_timeout()?,
-            fault: crate::fault::try_default_fault()?,
-            ..ServeOptions::default()
-        })
     }
 }
 
@@ -235,7 +214,7 @@ struct Subscribers {
     /// remain (or on drain-deadline / shutdown).
     cancel: Arc<AtomicBool>,
     sinks: Mutex<Vec<Sink>>,
-    /// Streamed frame counter, for the `stream-disconnect:<n>` fault.
+    /// Streamed frame counter, for the [`FaultSpec::StreamDisconnect`] fault.
     frames: AtomicU64,
 }
 
@@ -285,7 +264,8 @@ struct ServerState {
     totals: Mutex<Totals>,
     draining: AtomicBool,
     shutdown: AtomicBool,
-    /// One-shot faults (`runner-panic`, `stream-disconnect`) fire once.
+    /// One-shot faults ([`FaultSpec::RunnerPanic`],
+    /// [`FaultSpec::StreamDisconnect`]) fire once.
     fault_armed: AtomicBool,
 }
 
@@ -929,7 +909,7 @@ fn run_job(state: &Arc<ServerState>, job: QueuedJob) {
         if matches!(fault, Some(FaultSpec::RunnerPanic))
             && state.fault_armed.swap(false, Ordering::SeqCst)
         {
-            panic!("injected runner panic (HTD_SERVE_FAULT=runner-panic)");
+            panic!("injected runner panic (FaultSpec::RunnerPanic)");
         }
         if let Some(FaultSpec::SolveStall(stall)) = fault {
             let stall_until = Instant::now() + stall;
@@ -1087,42 +1067,32 @@ fn serve_detection(
             state.options.backend.instantiate()?,
         ))
     };
-    let (design, run_miter, cache_tag) = if state.options.cache_bytes == 0 {
-        // Caching disabled: build and fork anyway, so all three cache
-        // dispositions execute the identical fork-of-pristine-master path.
-        // The lookup still goes through the (always-empty) cache so the
-        // miss counter reflects every lookup, as CacheStats documents.
-        let _ = lock_unpoisoned(&state.cache).fetch(key, dump);
-        let fork = match build_master().and_then(|master| Ok(master.fork()?)) {
-            Ok(fork) => fork,
-            Err(e) => {
-                return (
-                    JobState::Failed,
-                    Some("off"),
-                    vec![error_frame(id, "rejected", &e.to_string())],
-                );
-            }
-        };
-        (design.clone(), fork, "off")
-    } else {
-        let cached = lock_unpoisoned(&state.cache).fetch(key, dump);
-        match cached {
-            Some((design, fork)) => (design, fork, "hit"),
-            None => {
-                // Build outside the cache lock: an expensive bit-blast must
-                // not stall unrelated jobs' cache lookups.  A concurrent
-                // same-key build loses the insert race and is simply dropped.
-                let built = build_master().and_then(|master| Ok((master.fork()?, master)));
-                let (fork, master) = match built {
-                    Ok(built) => built,
-                    Err(e) => {
-                        return (
-                            JobState::Failed,
-                            Some("miss"),
-                            vec![error_frame(id, "rejected", &e.to_string())],
-                        );
-                    }
-                };
+    // The lookup goes through the cache even when caching is disabled, so
+    // the miss counter reflects every lookup, as CacheStats documents.
+    let cached = lock_unpoisoned(&state.cache).fetch(key, dump);
+    let (design, run_miter, cache_tag) = match cached {
+        Some((design, fork)) => (design, fork, "hit"),
+        None => {
+            // Build outside the cache lock: an expensive bit-blast must not
+            // stall unrelated jobs' cache lookups.  With caching disabled the
+            // job still runs on a fork of a pristine master, so every cache
+            // disposition executes the identical solver work.
+            let caching = state.options.cache_bytes > 0;
+            let cache_tag = if caching { "miss" } else { "off" };
+            let built = build_master().and_then(|master| Ok((master.fork()?, master)));
+            let (fork, master) = match built {
+                Ok(built) => built,
+                Err(e) => {
+                    return (
+                        JobState::Failed,
+                        Some(cache_tag),
+                        vec![error_frame(id, "rejected", &e.to_string())],
+                    );
+                }
+            };
+            if caching {
+                // A concurrent same-key build loses the insert race and is
+                // simply dropped.
                 lock_unpoisoned(&state.cache).insert(
                     key,
                     dump.to_owned(),
@@ -1131,8 +1101,8 @@ fn serve_detection(
                         miter: master,
                     },
                 );
-                (design.clone(), fork, "miss")
             }
+            (design.clone(), fork, cache_tag)
         }
     };
 

@@ -146,6 +146,44 @@ fn concurrent_tenants_match_solo_runs_and_resubmits_hit_the_cache() {
 }
 
 #[test]
+fn a_cache_disabled_daemon_builds_every_job_and_retains_nothing() {
+    let infected = accelerator(true);
+    let want = solo_normalized_report(&infected);
+    let server = Server::start(ServeOptions {
+        cache_bytes: 0,
+        ..test_options()
+    })
+    .expect("loopback server starts");
+    let addr = server.addr().to_string();
+
+    // Sequential submissions, so the second cannot coalesce into the first.
+    for _ in 0..2 {
+        let got = client::submit(&addr, &infected, &mut |_| {}).expect("job completes");
+        assert_eq!(got.report_text, want);
+        let stats = got.stats.expect("a stats frame is streamed");
+        assert_eq!(stats.get("cache").and_then(Json::as_str), Some("off"));
+        assert_eq!(
+            stats
+                .get("session")
+                .and_then(|s| s.get("bit_blasts"))
+                .and_then(Json::as_u64),
+            Some(1),
+            "every job bit-blasts its own master once"
+        );
+    }
+
+    let served = client::stats(&addr).expect("stats endpoint answers");
+    let cache = served.get("cache").expect("cache counters present");
+    let counter = |name| cache.get(name).and_then(Json::as_u64);
+    assert_eq!(counter("entries"), Some(0));
+    assert_eq!(counter("hits"), Some(0));
+    assert_eq!(counter("misses"), Some(2));
+    assert_eq!(counter("evicted_entries"), Some(0));
+
+    server.stop();
+}
+
+#[test]
 fn a_dropped_client_never_perturbs_a_live_tenant() {
     let clean = accelerator(false);
     let infected = accelerator(true);

@@ -2,14 +2,13 @@
 //! settle the job record and leave the pool serviceable.
 //!
 //! The faults come from two directions.  *Injected* ones use the
-//! [`FaultSpec`] hooks compiled into the daemon (runner panics, forced
-//! stream disconnects, artificial solve stalls, slow frame writes) — the
-//! suite sets them programmatically through `ServeOptions::fault`, the same
-//! spot the `HTD_SERVE_FAULT` variable feeds in test builds.  *Budget* ones
-//! exercise the [`SolveBudget`] interrupt seam of all three SAT backends:
-//! the builtin solver through a real loopback daemon, the DIMACS process
-//! backend against a deliberately stalling child solver, and the IPASIR shim
-//! through its terminate callback.
+//! [`FaultSpec`] hooks in the daemon (runner panics, forced stream
+//! disconnects, artificial solve stalls, slow frame writes) — the suite
+//! arms them through `ServeOptions::fault`, which only tests set.  *Budget*
+//! ones exercise the [`SolveBudget`] interrupt seam of all three SAT
+//! backends: the builtin solver through a real loopback daemon, the DIMACS
+//! process backend against a deliberately stalling child solver, and the
+//! IPASIR shim through its terminate callback.
 
 use std::io::{Read as _, Write as _};
 use std::net::TcpStream;
