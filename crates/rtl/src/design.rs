@@ -1,6 +1,6 @@
 //! The [`Design`] container: signals, expression arena and builder API.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 use std::fmt;
 use std::sync::Arc;
 
@@ -113,6 +113,10 @@ pub struct Design {
     exprs: Vec<Expr>,
     expr_widths: Vec<u32>,
     names: HashMap<String, SignalId>,
+    /// Every distinct ROM table, stored once: [`Design::rom`] hands out the
+    /// resident copy when a caller passes equal contents.  The default
+    /// hasher, because parsed tables come from outside the program.
+    tables: HashSet<Arc<Vec<u128>>>,
 }
 
 impl Design {
@@ -125,6 +129,7 @@ impl Design {
             exprs: Vec::new(),
             expr_widths: Vec::new(),
             names: HashMap::new(),
+            tables: HashSet::new(),
         }
     }
 
@@ -149,12 +154,7 @@ impl Design {
         if width == 0 || width > MAX_WIDTH {
             return Err(DesignError::InvalidWidth { width });
         }
-        if name.is_empty() || name.chars().any(char::is_whitespace) {
-            return Err(DesignError::Parse {
-                line: 0,
-                message: format!("invalid signal name `{name}`"),
-            });
-        }
+        check_name("signal", &name)?;
         if self.names.contains_key(&name) {
             return Err(DesignError::DuplicateName { name });
         }
@@ -325,6 +325,22 @@ impl Design {
         self.exprs.len()
     }
 
+    /// Heap bytes the design holds: its signal, expression and width
+    /// vectors, the signal names (stored twice: in the signal and in the
+    /// name index) and every distinct ROM table once.
+    #[must_use]
+    pub fn heap_bytes(&self) -> u64 {
+        use std::mem::size_of;
+        let names: usize = self.signals.iter().map(|s| s.name.len()).sum();
+        let tables: usize = self.tables.iter().map(|t| t.len()).sum();
+        (self.signals.len() * size_of::<Signal>()
+            + self.exprs.len() * size_of::<Expr>()
+            + self.expr_widths.len() * size_of::<u32>()
+            + self.names.len() * size_of::<(String, SignalId)>()
+            + 2 * names
+            + tables * size_of::<u128>()) as u64
+    }
+
     /// Iterates over all signal ids in creation order.
     pub fn signal_ids(&self) -> impl Iterator<Item = SignalId> + '_ {
         (0..self.signals.len() as u32).map(SignalId)
@@ -446,7 +462,7 @@ impl Design {
         self.constant(value, width)
     }
 
-    fn unary(&mut self, op: UnaryOp, a: ExprId) -> ExprId {
+    pub(crate) fn unary(&mut self, op: UnaryOp, a: ExprId) -> ExprId {
         let width = match op {
             UnaryOp::Not | UnaryOp::Neg => self.expr_width(a),
             UnaryOp::RedAnd | UnaryOp::RedOr | UnaryOp::RedXor => 1,
@@ -454,7 +470,12 @@ impl Design {
         self.intern(Expr::Unary { op, a }, width)
     }
 
-    fn binary(&mut self, op: BinaryOp, a: ExprId, b: ExprId) -> Result<ExprId, DesignError> {
+    pub(crate) fn binary(
+        &mut self,
+        op: BinaryOp,
+        a: ExprId,
+        b: ExprId,
+    ) -> Result<ExprId, DesignError> {
         let wa = self.expr_width(a);
         let wb = self.expr_width(b);
         let width = match op {
@@ -730,7 +751,9 @@ impl Design {
     /// A read-only lookup table (e.g. the AES S-box).
     ///
     /// `table` must have exactly `2^index_width` entries, each fitting into
-    /// `width` bits, where `index_width` is the width of `index`.
+    /// `width` bits, where `index_width` is the width of `index`.  Tables
+    /// are interned by content: every `rom` node whose table equals an
+    /// earlier one shares that table's allocation.
     ///
     /// # Errors
     ///
@@ -763,9 +786,16 @@ impl Design {
                 });
             }
         }
+        let table = if let Some(resident) = self.tables.get(&table) {
+            Arc::clone(resident)
+        } else {
+            let table = Arc::new(table);
+            self.tables.insert(Arc::clone(&table));
+            table
+        };
         Ok(self.intern(
             Expr::Rom {
-                table: Arc::new(table),
+                table,
                 index,
                 width,
             },
@@ -897,6 +927,37 @@ impl Design {
         }
         Ok(())
     }
+}
+
+/// Characters the netlist text uses as syntax: `(` and `)` delimit
+/// expressions, `#` starts a comment and `=` ends a statement header.
+const RESERVED_CHARS: [char; 4] = ['(', ')', '#', '='];
+
+/// Checks that `name` can be written to and read back from the netlist
+/// text: non-empty, no whitespace, `(`, `)`, `#` or `=` anywhere, and no
+/// leading `%` or `@` (the sigils of `let` bindings and ROM tables).
+/// `what` names the kind of name in the error (`"signal"`, `"design"`).
+///
+/// # Errors
+///
+/// Returns [`DesignError::Parse`] at line 0 naming the name and the
+/// offending character.
+pub fn check_name(what: &str, name: &str) -> Result<(), DesignError> {
+    let reason = match name.chars().next() {
+        None => "it is empty".to_string(),
+        Some(c @ ('%' | '@')) => format!("a leading {c:?} is reserved"),
+        Some(_) => {
+            let reserved = |c: char| c.is_whitespace() || RESERVED_CHARS.contains(&c);
+            match name.chars().find(|&c| reserved(c)) {
+                Some(c) => format!("{c:?} is reserved"),
+                None => return Ok(()),
+            }
+        }
+    };
+    Err(DesignError::Parse {
+        line: 0,
+        message: format!("invalid {what} name `{name}`: {reason}"),
+    })
 }
 
 fn reg_check(design: &Design, reg: SignalId) -> Result<SignalId, DesignError> {

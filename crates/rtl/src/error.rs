@@ -87,9 +87,12 @@ pub enum DesignError {
         /// What was expected.
         expected: &'static str,
     },
-    /// The textual netlist could not be parsed.
+    /// The textual netlist could not be parsed, or a signal or design name
+    /// could not be written to it (see [`crate::check_name`]: whitespace,
+    /// `(`, `)`, `#` and `=` are reserved, and so are a leading `%` or `@`).
     Parse {
-        /// Line number (1-based) where the error occurred.
+        /// Line number (1-based) where the error occurred; 0 for an invalid
+        /// name met outside a netlist and for an empty netlist.
         line: usize,
         /// Explanation of the problem.
         message: String,

@@ -39,6 +39,15 @@ pub enum UnaryOp {
 }
 
 impl UnaryOp {
+    /// Every unary operator.
+    pub(crate) const ALL: [UnaryOp; 5] = [
+        UnaryOp::Not,
+        UnaryOp::Neg,
+        UnaryOp::RedAnd,
+        UnaryOp::RedOr,
+        UnaryOp::RedXor,
+    ];
+
     /// Human-readable mnemonic used by the netlist format.
     #[must_use]
     pub const fn mnemonic(self) -> &'static str {
@@ -88,6 +97,22 @@ pub enum BinaryOp {
 }
 
 impl BinaryOp {
+    /// Every binary operator.
+    pub(crate) const ALL: [BinaryOp; 12] = [
+        BinaryOp::And,
+        BinaryOp::Or,
+        BinaryOp::Xor,
+        BinaryOp::Add,
+        BinaryOp::Sub,
+        BinaryOp::Mul,
+        BinaryOp::Eq,
+        BinaryOp::Ne,
+        BinaryOp::Ult,
+        BinaryOp::Ule,
+        BinaryOp::Shl,
+        BinaryOp::Shr,
+    ];
+
     /// Human-readable mnemonic used by the netlist format.
     #[must_use]
     pub const fn mnemonic(self) -> &'static str {
@@ -260,32 +285,11 @@ mod tests {
     #[test]
     fn mnemonics_are_unique() {
         use std::collections::HashSet;
-        let unary = [
-            UnaryOp::Not,
-            UnaryOp::Neg,
-            UnaryOp::RedAnd,
-            UnaryOp::RedOr,
-            UnaryOp::RedXor,
-        ];
-        let binary = [
-            BinaryOp::And,
-            BinaryOp::Or,
-            BinaryOp::Xor,
-            BinaryOp::Add,
-            BinaryOp::Sub,
-            BinaryOp::Mul,
-            BinaryOp::Eq,
-            BinaryOp::Ne,
-            BinaryOp::Ult,
-            BinaryOp::Ule,
-            BinaryOp::Shl,
-            BinaryOp::Shr,
-        ];
         let mut names = HashSet::new();
-        for u in unary {
+        for u in UnaryOp::ALL {
             assert!(names.insert(u.mnemonic()));
         }
-        for b in binary {
+        for b in BinaryOp::ALL {
             assert!(names.insert(b.mnemonic()));
         }
     }

@@ -60,7 +60,7 @@ pub mod sim;
 pub mod stats;
 pub mod structural;
 
-pub use design::{Design, Signal, SignalId, SignalKind, ValidatedDesign};
+pub use design::{check_name, Design, Signal, SignalId, SignalKind, ValidatedDesign};
 pub use error::DesignError;
 pub use expr::{BinaryOp, Expr, ExprId, UnaryOp};
 

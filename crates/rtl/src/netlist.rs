@@ -9,83 +9,233 @@
 //! # Format
 //!
 //! ```text
-//! design counter
+//! design lookup
 //! input en 1
-//! register count 4 0
-//! wire inc 4 = (add count (const 4 1))
-//! next count = (mux en inc count)
-//! output value 4 = count
+//! input idx 2
+//! register acc 4 0x0
+//! table @0 (0x5 0x6 0x7 0x8)
+//! let %0 4 = (rom 4 @0 idx)
+//! wire mixed 4 = (xor %0 acc)
+//! output value 4 = (mux en %0 mixed)
+//! next acc = mixed
 //! ```
 //!
 //! * One statement per line; `#` starts a comment.
-//! * Expressions are s-expressions; bare identifiers refer to signals,
-//!   `(const <width> <value>)` is a constant (decimal or `0x…`),
-//!   `(rom <width> (v0 v1 …) <index>)` is a lookup table.
-//! * Signals must be declared before they are referenced; `next` supplies a
-//!   register's next-state function after its declaration.
+//! * `input NAME WIDTH` and `register NAME WIDTH RESET` declare signals;
+//!   `wire NAME WIDTH = EXPR` and `output NAME WIDTH = EXPR` declare and
+//!   drive them; `next REG = EXPR` supplies a register's next-state function.
+//! * Expressions are s-expressions: bare identifiers refer to signals,
+//!   `(const WIDTH VALUE)` is a constant (decimal or `0x…`) and
+//!   `(OP ARG…)` applies an operator (`add`, `mux`, `slice E HI LO`, …).
+//! * `let %N WIDTH = EXPR` binds a subterm; later expressions write `%N`
+//!   for that one node.  `table @N (V0 V1 …)` declares a ROM table and
+//!   `(rom WIDTH @N INDEX)` reads it.  The inline form
+//!   `(rom WIDTH (V0 V1 …) INDEX)` is accepted too.
+//! * Everything is declared before it is referenced: signals, `%N` and
+//!   `@N` alike.  A register's `next` line may come anywhere after its
+//!   declaration.
+//! * Signal and design names must not contain whitespace, `(`, `)`, `#` or
+//!   `=`, and must not start with `%` or `@` (see [`check_name`]).
+//!
+//! [`dump`] writes the canonical form, which keeps the design's DAG:
+//!
+//! * every signal in creation order, then the `next` lines, so the parsed
+//!   design's [`SignalId`](crate::SignalId)s equal the original's;
+//! * every non-signal subterm that the reachable DAG references twice or
+//!   more (as a child or as a driver) bound by one `let` just before its
+//!   first use, numbered in dump order — so each reachable node is printed
+//!   once and parsing rebuilds exactly that many nodes;
+//! * every distinct ROM table once, numbered in dump order.
+//!
+//! [`check_name`]: crate::check_name
 
-use std::fmt::Write as _;
+use std::collections::hash_map::Entry;
+use std::collections::HashMap;
+use std::fmt::{self, Write as _};
+use std::sync::Arc;
 
-use crate::design::{Design, SignalId, SignalKind, ValidatedDesign};
+use crate::design::{Design, SignalKind, ValidatedDesign};
 use crate::error::DesignError;
 use crate::expr::{BinaryOp, Expr, ExprId, UnaryOp};
 
-/// Serialises a design to the textual netlist format.
+/// Serialises a design to the canonical netlist text (see the
+/// [module docs](self)).
 ///
 /// The output round-trips through [`parse`]: `parse(&dump(d))` reconstructs a
-/// design with the same signals and behaviour.
+/// design with the same signals, in the same order, and the same behaviour,
+/// and `dump(&parse(&dump(d))?) == dump(d)`.
 #[must_use]
 pub fn dump(design: &ValidatedDesign) -> String {
     let d = design.design();
-    let mut out = String::new();
-    let _ = writeln!(out, "design {}", d.name());
-    // Declarations first (inputs, registers), then wires/outputs/next in
-    // creation order so that references are always to already-printed names.
+    let mut printer = Printer {
+        d,
+        out: String::new(),
+        uses: use_counts(d),
+        lets: vec![None; d.num_exprs()],
+        next_let: 0,
+        tables: HashMap::new(),
+    };
+    let _ = writeln!(printer.out, "design {}", d.name());
     for (_, s) in d.signals() {
-        match s.kind() {
+        let (name, width) = (s.name(), s.width());
+        let keyword = match s.kind() {
             SignalKind::Input => {
-                let _ = writeln!(out, "input {} {}", s.name(), s.width());
+                let _ = writeln!(printer.out, "input {name} {width}");
+                continue;
             }
             SignalKind::Register { reset } => {
-                let _ = writeln!(out, "register {} {} {:#x}", s.name(), s.width(), reset);
+                let _ = writeln!(printer.out, "register {name} {width} {reset:#x}");
+                continue;
             }
-            _ => {}
-        }
-    }
-    for (_, s) in d.signals() {
-        match s.kind() {
-            SignalKind::Wire => {
-                let _ = writeln!(
-                    out,
-                    "wire {} {} = {}",
-                    s.name(),
-                    s.width(),
-                    format_expr(d, s.driver().expect("validated design"))
-                );
-            }
-            SignalKind::Output => {
-                let _ = writeln!(
-                    out,
-                    "output {} {} = {}",
-                    s.name(),
-                    s.width(),
-                    format_expr(d, s.driver().expect("validated design"))
-                );
-            }
-            _ => {}
-        }
+            SignalKind::Wire => "wire",
+            SignalKind::Output => "output",
+        };
+        let driver = s.driver().expect("validated design");
+        printer.driver_line(format_args!("{keyword} {name} {width}"), driver);
     }
     for (_, s) in d.signals() {
         if s.kind().is_register() {
-            let _ = writeln!(
-                out,
-                "next {} = {}",
-                s.name(),
-                format_expr(d, s.driver().expect("validated design"))
-            );
+            let driver = s.driver().expect("validated design");
+            printer.driver_line(format_args!("next {}", s.name()), driver);
         }
     }
-    out
+    printer.out
+}
+
+/// How often the DAG reachable from the design's drivers references each
+/// expression: once for every signal it drives and once for every reachable
+/// parent that reads it.  Zero marks an unreachable node.
+fn use_counts(d: &Design) -> Vec<u32> {
+    let mut uses = vec![0u32; d.num_exprs()];
+    for (_, s) in d.signals() {
+        if let Some(driver) = s.driver() {
+            uses[driver.index()] += 1;
+        }
+    }
+    // The builder only refers to existing nodes, so every child has a lower
+    // id than its parents: one descending sweep sees each node's parents
+    // before the node itself.
+    for index in (0..uses.len()).rev() {
+        if uses[index] > 0 {
+            for child in d.expr(ExprId(index as u32)).children() {
+                uses[child.index()] += 1;
+            }
+        }
+    }
+    uses
+}
+
+/// The state of one [`dump`].
+struct Printer<'a> {
+    d: &'a Design,
+    out: String,
+    uses: Vec<u32>,
+    /// The `%N` of every expression bound so far.
+    lets: Vec<Option<u32>>,
+    next_let: u32,
+    /// The `@N` of every table printed so far, keyed by its allocation:
+    /// [`Design::rom`] interns tables, so equal contents share one.
+    tables: HashMap<*const Vec<u128>, u32>,
+}
+
+impl Printer<'_> {
+    /// Prints `HEADER = EXPR` for a signal's driver, after the `table` and
+    /// `let` lines the expression needs.
+    fn driver_line(&mut self, header: fmt::Arguments<'_>, driver: ExprId) {
+        self.bind_shared(driver);
+        let _ = write!(self.out, "{header} = ");
+        self.write_ref(driver);
+        self.out.push('\n');
+    }
+
+    /// Prints, children first, the `table` lines and the `let` lines that
+    /// `root`'s expression needs and that are not printed yet.
+    fn bind_shared(&mut self, root: ExprId) {
+        let expr = self.d.expr(root);
+        if matches!(expr, Expr::Signal(_)) || self.lets[root.index()].is_some() {
+            return;
+        }
+        for child in expr.children() {
+            self.bind_shared(child);
+        }
+        if let Expr::Rom { table, .. } = expr {
+            let next = self.tables.len() as u32;
+            if let Entry::Vacant(slot) = self.tables.entry(Arc::as_ptr(table)) {
+                slot.insert(next);
+                let _ = write!(self.out, "table @{next} (");
+                for (i, v) in table.iter().enumerate() {
+                    let sep = if i == 0 { "" } else { " " };
+                    let _ = write!(self.out, "{sep}{v:#x}");
+                }
+                self.out.push_str(")\n");
+            }
+        }
+        if self.uses[root.index()] >= 2 {
+            let n = self.next_let;
+            self.next_let += 1;
+            let _ = write!(self.out, "let %{n} {} = ", self.d.expr_width(root));
+            self.write_node(root);
+            self.out.push('\n');
+            self.lets[root.index()] = Some(n);
+        }
+    }
+
+    /// Writes a reference to `e`: a signal name, a bound `%N`, or the node
+    /// itself.
+    fn write_ref(&mut self, e: ExprId) {
+        match (self.d.expr(e), self.lets[e.index()]) {
+            (Expr::Signal(s), _) => self.out.push_str(self.d.signal_name(*s)),
+            (_, Some(n)) => {
+                let _ = write!(self.out, "%{n}");
+            }
+            (_, None) => self.write_node(e),
+        }
+    }
+
+    /// Writes `e` as an s-expression whose operands are references.
+    fn write_node(&mut self, e: ExprId) {
+        let d = self.d;
+        match d.expr(e) {
+            Expr::Const { value, width } => {
+                let _ = write!(self.out, "(const {width} {value:#x})");
+            }
+            Expr::Signal(s) => self.out.push_str(d.signal_name(*s)),
+            Expr::Unary { op, a } => self.write_op(op.mnemonic(), &[*a]),
+            Expr::Binary { op, a, b } => self.write_op(op.mnemonic(), &[*a, *b]),
+            Expr::Mux {
+                cond,
+                then_e,
+                else_e,
+            } => self.write_op("mux", &[*cond, *then_e, *else_e]),
+            Expr::Slice { a, hi, lo } => {
+                self.out.push_str("(slice ");
+                self.write_ref(*a);
+                let _ = write!(self.out, " {hi} {lo})");
+            }
+            Expr::Concat { hi, lo } => self.write_op("concat", &[*hi, *lo]),
+            Expr::Rom {
+                table,
+                index,
+                width,
+            } => {
+                let t = self.tables[&Arc::as_ptr(table)];
+                let _ = write!(self.out, "(rom {width} @{t} ");
+                self.write_ref(*index);
+                self.out.push(')');
+            }
+        }
+    }
+
+    /// Writes `(OP A B …)`.
+    fn write_op(&mut self, op: &str, operands: &[ExprId]) {
+        self.out.push('(');
+        self.out.push_str(op);
+        for &operand in operands {
+            self.out.push(' ');
+            self.write_ref(operand);
+        }
+        self.out.push(')');
+    }
 }
 
 /// A content-addressed key for a design: the [`FxHash`](crate::fxhash) of
@@ -127,183 +277,62 @@ impl ValidatedDesign {
     }
 }
 
-/// Renders one expression as an s-expression (used by [`dump`] and by the
-/// counterexample pretty-printer in `htd-core`).
-#[must_use]
-pub fn format_expr(design: &Design, expr: ExprId) -> String {
-    match design.expr(expr) {
-        Expr::Const { value, width } => format!("(const {width} {value:#x})"),
-        Expr::Signal(s) => design.signal_name(*s).to_string(),
-        Expr::Unary { op, a } => {
-            format!("({} {})", op.mnemonic(), format_expr(design, *a))
-        }
-        Expr::Binary { op, a, b } => format!(
-            "({} {} {})",
-            op.mnemonic(),
-            format_expr(design, *a),
-            format_expr(design, *b)
-        ),
-        Expr::Mux {
-            cond,
-            then_e,
-            else_e,
-        } => format!(
-            "(mux {} {} {})",
-            format_expr(design, *cond),
-            format_expr(design, *then_e),
-            format_expr(design, *else_e)
-        ),
-        Expr::Slice { a, hi, lo } => {
-            format!("(slice {} {hi} {lo})", format_expr(design, *a))
-        }
-        Expr::Concat { hi, lo } => format!(
-            "(concat {} {})",
-            format_expr(design, *hi),
-            format_expr(design, *lo)
-        ),
-        Expr::Rom {
-            table,
-            index,
-            width,
-        } => {
-            let mut entries = String::new();
-            for (i, v) in table.iter().enumerate() {
-                if i > 0 {
-                    entries.push(' ');
-                }
-                let _ = write!(entries, "{v:#x}");
-            }
-            format!("(rom {width} ({entries}) {})", format_expr(design, *index))
-        }
-    }
-}
-
 /// Parses a textual netlist into a validated design.
 ///
 /// # Errors
 ///
 /// Returns [`DesignError::Parse`] (with a line number) for syntax errors,
-/// references to undeclared signals, or any builder error (width mismatches
-/// etc.), and the underlying validation error if the parsed design is
-/// incomplete.
+/// references to undeclared signals, `%N` bindings or `@N` tables, a
+/// duplicate `%N` or `@N`, or any builder error (width mismatches, ROM
+/// tables that do not fit, invalid names, etc.), and the underlying
+/// validation error if the parsed design is incomplete.
 pub fn parse(text: &str) -> Result<ValidatedDesign, DesignError> {
-    let mut design: Option<Design> = None;
-    for (line_no, raw_line) in text.lines().enumerate() {
-        let line_no = line_no + 1;
-        let line = raw_line.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
+    let mut parser: Option<Parser> = None;
+    for (index, raw_line) in text.lines().enumerate() {
+        let line = index + 1;
+        let statement = raw_line.split('#').next().unwrap_or("").trim();
+        if statement.is_empty() {
             continue;
         }
-        let mut parts = line.splitn(2, char::is_whitespace);
-        let keyword = parts.next().unwrap_or("");
-        let rest = parts.next().unwrap_or("").trim();
-        match keyword {
-            "design" => {
-                if rest.is_empty() {
-                    return Err(parse_err(line_no, "missing design name"));
-                }
-                design = Some(Design::new(rest));
-            }
-            "input" | "register" | "wire" | "output" | "next" => {
-                let d = design
-                    .as_mut()
-                    .ok_or_else(|| parse_err(line_no, "statement before `design` line"))?;
-                parse_statement(d, keyword, rest, line_no)?;
-            }
-            other => {
-                return Err(parse_err(line_no, &format!("unknown keyword `{other}`")));
-            }
-        }
+        let (keyword, rest) = statement
+            .split_once(char::is_whitespace)
+            .map_or((statement, ""), |(k, r)| (k, r.trim()));
+        let outcome = match (&mut parser, keyword) {
+            (None, "design") => crate::check_name("design", rest).map(|()| {
+                parser = Some(Parser {
+                    design: Design::new(rest),
+                    lets: HashMap::new(),
+                    tables: HashMap::new(),
+                });
+            }),
+            (Some(_), "design") => Err(syntax("second `design` line")),
+            (None, _) => Err(syntax("statement before `design` line")),
+            (Some(p), _) => p.statement(keyword, rest),
+        };
+        outcome.map_err(|e| at_line(e, line))?;
     }
-    let design = design.ok_or_else(|| parse_err(0, "empty netlist"))?;
-    design.validated()
+    let parser = parser.ok_or_else(|| syntax("empty netlist"))?;
+    parser.design.validated()
 }
 
-fn parse_err(line: usize, message: &str) -> DesignError {
+/// A syntax error; [`parse`] adds the line.
+fn syntax(message: impl Into<String>) -> DesignError {
     DesignError::Parse {
-        line,
-        message: message.to_string(),
+        line: 0,
+        message: message.into(),
     }
 }
 
-fn parse_statement(
-    d: &mut Design,
-    keyword: &str,
-    rest: &str,
-    line: usize,
-) -> Result<(), DesignError> {
-    match keyword {
-        "input" | "register" => {
-            let tokens: Vec<&str> = rest.split_whitespace().collect();
-            if keyword == "input" {
-                let [name, width] = tokens[..] else {
-                    return Err(parse_err(line, "expected `input <name> <width>`"));
-                };
-                let width = parse_number(width, line)? as u32;
-                d.add_input(name, width).map_err(|e| wrap(e, line))?;
-            } else {
-                let [name, width, reset] = tokens[..] else {
-                    return Err(parse_err(
-                        line,
-                        "expected `register <name> <width> <reset>`",
-                    ));
-                };
-                let width = parse_number(width, line)? as u32;
-                let reset = parse_number(reset, line)?;
-                d.add_register(name, width, reset)
-                    .map_err(|e| wrap(e, line))?;
-            }
-            Ok(())
-        }
-        "wire" | "output" => {
-            let (header, expr_text) = rest
-                .split_once('=')
-                .ok_or_else(|| parse_err(line, "expected `= <expr>`"))?;
-            let tokens: Vec<&str> = header.split_whitespace().collect();
-            let [name, width] = tokens[..] else {
-                return Err(parse_err(line, "expected `<name> <width> = <expr>`"));
-            };
-            let width = parse_number(width, line)? as u32;
-            let expr = parse_expr(d, expr_text.trim(), line)?;
-            let actual = d.expr_width(expr);
-            if actual != width {
-                return Err(parse_err(
-                    line,
-                    &format!("declared width {width} but expression is {actual} bits"),
-                ));
-            }
-            if keyword == "wire" {
-                d.add_wire(name, expr).map_err(|e| wrap(e, line))?;
-            } else {
-                d.add_output(name, expr).map_err(|e| wrap(e, line))?;
-            }
-            Ok(())
-        }
-        "next" => {
-            let (name, expr_text) = rest
-                .split_once('=')
-                .ok_or_else(|| parse_err(line, "expected `next <register> = <expr>`"))?;
-            let name = name.trim();
-            let reg = d.require(name).map_err(|e| wrap(e, line))?;
-            let expr = parse_expr(d, expr_text.trim(), line)?;
-            d.set_register_next(reg, expr).map_err(|e| wrap(e, line))
-        }
-        _ => unreachable!("caller filters keywords"),
-    }
+/// Attributes any error to `line`.
+fn at_line(err: DesignError, line: usize) -> DesignError {
+    let message = match err {
+        DesignError::Parse { message, .. } => message,
+        other => other.to_string(),
+    };
+    DesignError::Parse { line, message }
 }
 
-fn wrap(err: DesignError, line: usize) -> DesignError {
-    match err {
-        DesignError::Parse { message, .. } => DesignError::Parse { line, message },
-        other => DesignError::Parse {
-            line,
-            message: other.to_string(),
-        },
-    }
-}
-
-fn parse_number(token: &str, line: usize) -> Result<u128, DesignError> {
-    let token = token.trim();
+fn parse_number(token: &str) -> Result<u128, DesignError> {
     let parsed = if let Some(hex) = token
         .strip_prefix("0x")
         .or_else(|| token.strip_prefix("0X"))
@@ -312,203 +341,248 @@ fn parse_number(token: &str, line: usize) -> Result<u128, DesignError> {
     } else {
         token.parse()
     };
-    parsed.map_err(|_| parse_err(line, &format!("invalid number `{token}`")))
+    parsed.map_err(|_| syntax(format!("invalid number `{token}`")))
 }
 
-/// S-expression tokens.
-#[derive(Debug, PartialEq)]
-enum Token {
+fn parse_width(token: &str) -> Result<u32, DesignError> {
+    u32::try_from(parse_number(token)?).map_err(|_| syntax(format!("invalid width `{token}`")))
+}
+
+/// The `N` of a `%N` binding or an `@N` table.
+fn sigil_number(sigil: char, token: &str) -> Result<u32, DesignError> {
+    token
+        .strip_prefix(sigil)
+        .and_then(|n| n.parse().ok())
+        .ok_or_else(|| syntax(format!("expected `{sigil}N`, found `{token}`")))
+}
+
+/// The state of one [`parse`] after its `design` line.  Its maps keep the
+/// default hasher: their keys come from outside the program.
+struct Parser {
+    design: Design,
+    /// `let` bindings by number.
+    lets: HashMap<u32, ExprId>,
+    /// `table` contents by number; [`Design::rom`] interns every use.
+    tables: HashMap<u32, Vec<u128>>,
+}
+
+impl Parser {
+    fn statement(&mut self, keyword: &str, rest: &str) -> Result<(), DesignError> {
+        match keyword {
+            "input" => {
+                let [name, width] = words(rest, "input <name> <width>")?;
+                self.design.add_input(name, parse_width(width)?)?;
+            }
+            "register" => {
+                let [name, width, reset] = words(rest, "register <name> <width> <reset>")?;
+                let (width, reset) = (parse_width(width)?, parse_number(reset)?);
+                self.design.add_register(name, width, reset)?;
+            }
+            "wire" | "output" | "let" => {
+                let (header, expr_text) = rest
+                    .split_once('=')
+                    .ok_or_else(|| syntax("expected `= <expr>`"))?;
+                let [name, width] = words(header, "<name> <width> = <expr>")?;
+                let width = parse_width(width)?;
+                let expr = self.expr(expr_text)?;
+                let actual = self.design.expr_width(expr);
+                if actual != width {
+                    return Err(syntax(format!(
+                        "declared width {width} but expression is {actual} bits"
+                    )));
+                }
+                if keyword == "wire" {
+                    self.design.add_wire(name, expr)?;
+                } else if keyword == "output" {
+                    self.design.add_output(name, expr)?;
+                } else if self.lets.insert(sigil_number('%', name)?, expr).is_some() {
+                    return Err(syntax(format!("duplicate binding `{name}`")));
+                }
+            }
+            "next" => {
+                let (name, expr_text) = rest
+                    .split_once('=')
+                    .ok_or_else(|| syntax("expected `next <register> = <expr>`"))?;
+                let reg = self.design.require(name.trim())?;
+                let expr = self.expr(expr_text)?;
+                self.design.set_register_next(reg, expr)?;
+            }
+            "table" => {
+                let (name, body) = rest
+                    .split_once(char::is_whitespace)
+                    .ok_or_else(|| syntax("expected `table @N (<v0> <v1> …)`"))?;
+                let mut tokens = Tokens { rest: body };
+                if tokens.next() != Some(Token::Open) {
+                    return Err(syntax("expected `(` starting the table"));
+                }
+                let table = table_entries(&mut tokens)?;
+                if tokens.next().is_some() {
+                    return Err(syntax("trailing tokens after table"));
+                }
+                if self
+                    .tables
+                    .insert(sigil_number('@', name)?, table)
+                    .is_some()
+                {
+                    return Err(syntax(format!("duplicate table `{name}`")));
+                }
+            }
+            other => return Err(syntax(format!("unknown keyword `{other}`"))),
+        }
+        Ok(())
+    }
+
+    /// Parses one whole expression.
+    fn expr(&mut self, text: &str) -> Result<ExprId, DesignError> {
+        let mut tokens = Tokens { rest: text };
+        let expr = self.sexpr(&mut tokens)?;
+        if tokens.next().is_some() {
+            return Err(syntax("trailing tokens after expression"));
+        }
+        Ok(expr)
+    }
+
+    fn sexpr(&mut self, tokens: &mut Tokens<'_>) -> Result<ExprId, DesignError> {
+        match tokens.next() {
+            Some(Token::Atom(name)) if name.starts_with('%') => {
+                let n = sigil_number('%', name)?;
+                self.lets
+                    .get(&n)
+                    .copied()
+                    .ok_or_else(|| syntax(format!("unknown binding `{name}`")))
+            }
+            Some(Token::Atom(name)) => Ok(self.design.signal(self.design.require(name)?)),
+            Some(Token::Open) => {
+                let Some(Token::Atom(op)) = tokens.next() else {
+                    return Err(syntax("expected operator after `(`"));
+                };
+                let expr = self.operator(op, tokens)?;
+                match tokens.next() {
+                    Some(Token::Close) => Ok(expr),
+                    _ => Err(syntax(format!("missing `)` after `{op}`"))),
+                }
+            }
+            _ => Err(syntax("unexpected end of expression")),
+        }
+    }
+
+    fn operator<'a>(&mut self, op: &str, tokens: &mut Tokens<'a>) -> Result<ExprId, DesignError> {
+        let literal = |tokens: &mut Tokens<'a>| match tokens.next() {
+            Some(Token::Atom(a)) => Ok(a),
+            _ => Err(syntax(format!("expected literal argument for `{op}`"))),
+        };
+        match op {
+            "const" => {
+                let width = parse_width(literal(tokens)?)?;
+                let value = parse_number(literal(tokens)?)?;
+                self.design.constant(value, width)
+            }
+            "slice" => {
+                let a = self.sexpr(tokens)?;
+                let hi = parse_width(literal(tokens)?)?;
+                let lo = parse_width(literal(tokens)?)?;
+                self.design.slice(a, hi, lo)
+            }
+            "rom" => {
+                let width = parse_width(literal(tokens)?)?;
+                let table = match tokens.next() {
+                    Some(Token::Open) => table_entries(tokens)?,
+                    Some(Token::Atom(name)) => {
+                        let n = sigil_number('@', name)?;
+                        self.tables
+                            .get(&n)
+                            .cloned()
+                            .ok_or_else(|| syntax(format!("unknown table `{name}`")))?
+                    }
+                    _ => return Err(syntax("expected `@N` or `(` after the rom width")),
+                };
+                let index = self.sexpr(tokens)?;
+                self.design.rom(table, index, width)
+            }
+            "mux" => {
+                let c = self.sexpr(tokens)?;
+                let t = self.sexpr(tokens)?;
+                let e = self.sexpr(tokens)?;
+                self.design.mux(c, t, e)
+            }
+            "concat" => {
+                let hi = self.sexpr(tokens)?;
+                let lo = self.sexpr(tokens)?;
+                self.design.concat(hi, lo)
+            }
+            _ => {
+                if let Some(unary) = UnaryOp::ALL.into_iter().find(|u| u.mnemonic() == op) {
+                    let a = self.sexpr(tokens)?;
+                    return Ok(self.design.unary(unary, a));
+                }
+                let Some(binary) = BinaryOp::ALL.into_iter().find(|b| b.mnemonic() == op) else {
+                    return Err(syntax(format!("unknown operator `{op}`")));
+                };
+                let a = self.sexpr(tokens)?;
+                let b = self.sexpr(tokens)?;
+                self.design.binary(binary, a, b)
+            }
+        }
+    }
+}
+
+/// Splits a statement into exactly `N` whitespace-separated words.
+fn words<'a, const N: usize>(text: &'a str, expected: &str) -> Result<[&'a str; N], DesignError> {
+    let mut words = text.split_whitespace();
+    let out = std::array::from_fn(|_| words.next().unwrap_or(""));
+    if out.iter().any(|w| w.is_empty()) || words.next().is_some() {
+        return Err(syntax(format!("expected `{expected}`")));
+    }
+    Ok(out)
+}
+
+/// The entries of a table literal whose `(` is already consumed, up to and
+/// including its `)`.
+fn table_entries(tokens: &mut Tokens<'_>) -> Result<Vec<u128>, DesignError> {
+    let mut table = Vec::new();
+    loop {
+        match tokens.next() {
+            Some(Token::Atom(a)) => table.push(parse_number(a)?),
+            Some(Token::Close) => return Ok(table),
+            _ => return Err(syntax("expected `)` ending the rom table")),
+        }
+    }
+}
+
+/// One s-expression token, borrowed from its line.
+#[derive(PartialEq)]
+enum Token<'a> {
     Open,
     Close,
-    Atom(String),
+    Atom(&'a str),
 }
 
-fn tokenize(text: &str) -> Vec<Token> {
-    let mut tokens = Vec::new();
-    let mut atom = String::new();
-    for c in text.chars() {
-        match c {
-            '(' | ')' => {
-                if !atom.is_empty() {
-                    tokens.push(Token::Atom(std::mem::take(&mut atom)));
-                }
-                tokens.push(if c == '(' { Token::Open } else { Token::Close });
-            }
-            c if c.is_whitespace() => {
-                if !atom.is_empty() {
-                    tokens.push(Token::Atom(std::mem::take(&mut atom)));
-                }
-            }
-            c => atom.push(c),
-        }
-    }
-    if !atom.is_empty() {
-        tokens.push(Token::Atom(atom));
-    }
-    tokens
+/// The tokens of an expression, lexed on demand without allocating.
+struct Tokens<'a> {
+    rest: &'a str,
 }
 
-/// Parses an s-expression into a design expression.
-fn parse_expr(d: &mut Design, text: &str, line: usize) -> Result<ExprId, DesignError> {
-    let tokens = tokenize(text);
-    let mut pos = 0;
-    let expr = parse_sexpr(d, &tokens, &mut pos, line)?;
-    if pos != tokens.len() {
-        return Err(parse_err(line, "trailing tokens after expression"));
-    }
-    Ok(expr)
-}
+impl<'a> Iterator for Tokens<'a> {
+    type Item = Token<'a>;
 
-fn parse_sexpr(
-    d: &mut Design,
-    tokens: &[Token],
-    pos: &mut usize,
-    line: usize,
-) -> Result<ExprId, DesignError> {
-    match tokens.get(*pos) {
-        Some(Token::Atom(name)) => {
-            *pos += 1;
-            let sig = signal_ref(d, name, line)?;
-            Ok(d.signal(sig))
-        }
-        Some(Token::Open) => {
-            *pos += 1;
-            let Some(Token::Atom(op)) = tokens.get(*pos) else {
-                return Err(parse_err(line, "expected operator after `(`"));
-            };
-            let op = op.clone();
-            *pos += 1;
-            let expr = parse_operator(d, &op, tokens, pos, line)?;
-            match tokens.get(*pos) {
-                Some(Token::Close) => {
-                    *pos += 1;
-                    Ok(expr)
-                }
-                _ => Err(parse_err(line, &format!("missing `)` after `{op}`"))),
+    fn next(&mut self) -> Option<Token<'a>> {
+        self.rest = self.rest.trim_start();
+        let token = match self.rest.as_bytes().first()? {
+            b'(' => Token::Open,
+            b')' => Token::Close,
+            _ => {
+                let end = self
+                    .rest
+                    .find(|c: char| c.is_whitespace() || c == '(' || c == ')')
+                    .unwrap_or(self.rest.len());
+                let (atom, rest) = self.rest.split_at(end);
+                self.rest = rest;
+                return Some(Token::Atom(atom));
             }
-        }
-        _ => Err(parse_err(line, "unexpected end of expression")),
+        };
+        self.rest = &self.rest[1..];
+        Some(token)
     }
-}
-
-fn parse_operator(
-    d: &mut Design,
-    op: &str,
-    tokens: &[Token],
-    pos: &mut usize,
-    line: usize,
-) -> Result<ExprId, DesignError> {
-    let atom = |pos: &mut usize| -> Result<String, DesignError> {
-        match tokens.get(*pos) {
-            Some(Token::Atom(a)) => {
-                *pos += 1;
-                Ok(a.clone())
-            }
-            _ => Err(parse_err(
-                line,
-                &format!("expected literal argument for `{op}`"),
-            )),
-        }
-    };
-    match op {
-        "const" => {
-            let width = parse_number(&atom(pos)?, line)? as u32;
-            let value = parse_number(&atom(pos)?, line)?;
-            d.constant(value, width).map_err(|e| wrap(e, line))
-        }
-        "slice" => {
-            let a = parse_sexpr(d, tokens, pos, line)?;
-            let hi = parse_number(&atom(pos)?, line)? as u32;
-            let lo = parse_number(&atom(pos)?, line)? as u32;
-            d.slice(a, hi, lo).map_err(|e| wrap(e, line))
-        }
-        "rom" => {
-            let width = parse_number(&atom(pos)?, line)? as u32;
-            if tokens.get(*pos) != Some(&Token::Open) {
-                return Err(parse_err(line, "expected `(` starting the rom table"));
-            }
-            *pos += 1;
-            let mut table = Vec::new();
-            while let Some(Token::Atom(a)) = tokens.get(*pos) {
-                table.push(parse_number(a, line)?);
-                *pos += 1;
-            }
-            if tokens.get(*pos) != Some(&Token::Close) {
-                return Err(parse_err(line, "expected `)` ending the rom table"));
-            }
-            *pos += 1;
-            let index = parse_sexpr(d, tokens, pos, line)?;
-            d.rom(table, index, width).map_err(|e| wrap(e, line))
-        }
-        "mux" => {
-            let c = parse_sexpr(d, tokens, pos, line)?;
-            let t = parse_sexpr(d, tokens, pos, line)?;
-            let e = parse_sexpr(d, tokens, pos, line)?;
-            d.mux(c, t, e).map_err(|e| wrap(e, line))
-        }
-        "concat" => {
-            let hi = parse_sexpr(d, tokens, pos, line)?;
-            let lo = parse_sexpr(d, tokens, pos, line)?;
-            d.concat(hi, lo).map_err(|e| wrap(e, line))
-        }
-        "not" | "neg" | "redand" | "redor" | "redxor" => {
-            let a = parse_sexpr(d, tokens, pos, line)?;
-            let unary = match op {
-                "not" => UnaryOp::Not,
-                "neg" => UnaryOp::Neg,
-                "redand" => UnaryOp::RedAnd,
-                "redor" => UnaryOp::RedOr,
-                _ => UnaryOp::RedXor,
-            };
-            Ok(match unary {
-                UnaryOp::Not => d.not(a),
-                UnaryOp::Neg => d.neg(a),
-                UnaryOp::RedAnd => d.red_and(a),
-                UnaryOp::RedOr => d.red_or(a),
-                UnaryOp::RedXor => d.red_xor(a),
-            })
-        }
-        binop => {
-            let op_enum = match binop {
-                "and" => BinaryOp::And,
-                "or" => BinaryOp::Or,
-                "xor" => BinaryOp::Xor,
-                "add" => BinaryOp::Add,
-                "sub" => BinaryOp::Sub,
-                "mul" => BinaryOp::Mul,
-                "eq" => BinaryOp::Eq,
-                "ne" => BinaryOp::Ne,
-                "ult" => BinaryOp::Ult,
-                "ule" => BinaryOp::Ule,
-                "shl" => BinaryOp::Shl,
-                "shr" => BinaryOp::Shr,
-                other => {
-                    return Err(parse_err(line, &format!("unknown operator `{other}`")));
-                }
-            };
-            let a = parse_sexpr(d, tokens, pos, line)?;
-            let b = parse_sexpr(d, tokens, pos, line)?;
-            let built = match op_enum {
-                BinaryOp::And => d.and(a, b),
-                BinaryOp::Or => d.or(a, b),
-                BinaryOp::Xor => d.xor(a, b),
-                BinaryOp::Add => d.add(a, b),
-                BinaryOp::Sub => d.sub(a, b),
-                BinaryOp::Mul => d.mul(a, b),
-                BinaryOp::Eq => d.cmp_eq(a, b),
-                BinaryOp::Ne => d.cmp_ne(a, b),
-                BinaryOp::Ult => d.cmp_ult(a, b),
-                BinaryOp::Ule => d.cmp_ule(a, b),
-                BinaryOp::Shl => d.shl(a, b),
-                BinaryOp::Shr => d.shr(a, b),
-            };
-            built.map_err(|e| wrap(e, line))
-        }
-    }
-}
-
-fn signal_ref(d: &Design, name: &str, line: usize) -> Result<SignalId, DesignError> {
-    d.require(name).map_err(|e| wrap(e, line))
 }
 
 #[cfg(test)]
@@ -669,6 +743,144 @@ output o 1 = a
             sim.set_input_by_name("idx", i).unwrap();
             assert_eq!(sim.peek_by_name("o").unwrap(), 5 + i);
         }
+    }
+
+    /// The module-doc example: a ROM read by two drivers.
+    const LOOKUP: &str = "\
+design lookup
+input en 1
+input idx 2
+register acc 4 0x0
+table @0 (0x5 0x6 0x7 0x8)
+let %0 4 = (rom 4 @0 idx)
+wire mixed 4 = (xor %0 acc)
+output value 4 = (mux en %0 mixed)
+next acc = mixed
+";
+
+    #[test]
+    fn shared_subterms_and_tables_print_once() {
+        let mut d = Design::new("lookup");
+        let en = d.add_input("en", 1).unwrap();
+        let idx = d.add_input("idx", 2).unwrap();
+        let acc = d.add_register("acc", 4, 0).unwrap();
+        let rom = d.rom(vec![5, 6, 7, 8], d.signal(idx), 4).unwrap();
+        let mixed = d.xor(rom, d.signal(acc)).unwrap();
+        let mixed = d.add_wire("mixed", mixed).unwrap();
+        let value = d.mux(d.signal(en), rom, d.signal(mixed)).unwrap();
+        d.add_output("value", value).unwrap();
+        d.set_register_next(acc, d.signal(mixed)).unwrap();
+        let design = d.validated().unwrap();
+        assert_eq!(dump(&design), LOOKUP);
+
+        // Parsing rebuilds one node per printed subterm, and the text is a
+        // fixpoint of parse-then-dump.
+        let parsed = parse(LOOKUP).unwrap();
+        assert_eq!(parsed.design().num_exprs(), design.design().num_exprs());
+        assert_eq!(dump(&parsed), LOOKUP);
+    }
+
+    #[test]
+    fn equal_tables_are_stored_once() {
+        let mut d = Design::new("tables");
+        let a = d.add_input("a", 2).unwrap();
+        let b = d.add_input("b", 2).unwrap();
+        let ra = d.rom(vec![1, 2, 3, 0], d.signal(a), 2).unwrap();
+        let rb = d.rom(vec![1, 2, 3, 0], d.signal(b), 2).unwrap();
+        let other = d.rom(vec![0, 0, 0, 1], d.signal(b), 2).unwrap();
+        let (Expr::Rom { table: ta, .. }, Expr::Rom { table: tb, .. }) = (d.expr(ra), d.expr(rb))
+        else {
+            panic!("rom nodes");
+        };
+        assert!(std::sync::Arc::ptr_eq(ta, tb));
+        let x = d.xor(ra, rb).unwrap();
+        let x = d.xor(x, other).unwrap();
+        d.add_output("o", x).unwrap();
+        let text = dump(&d.validated().unwrap());
+        assert_eq!(text.matches("table @").count(), 2, "{text}");
+    }
+
+    #[test]
+    fn the_inline_rom_form_still_parses() {
+        let text = "design d\ninput idx 2\noutput o 8 = (rom 8 (5 6 7 0x8) idx)\n";
+        let parsed = parse(text).unwrap();
+        let mut sim = Simulator::new(&parsed);
+        sim.set_input_by_name("idx", 3).unwrap();
+        assert_eq!(sim.peek_by_name("o").unwrap(), 8);
+        assert!(dump(&parsed).contains("table @0 (0x5 0x6 0x7 0x8)"));
+        // The table still has to cover the index and fit the width.
+        for bad in [
+            "design d\ninput idx 2\noutput o 8 = (rom 8 (5 6 7) idx)\n",
+            "design d\ninput idx 2\ntable @0 (1 2 3 256)\noutput o 8 = (rom 8 @0 idx)\n",
+        ] {
+            assert!(
+                matches!(parse(bad), Err(DesignError::Parse { .. })),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn unknown_or_duplicate_bindings_and_tables_give_the_line() {
+        let cases = [
+            (
+                "design d\ninput a 4\noutput o 4 = %0\n",
+                3,
+                "unknown binding `%0`",
+            ),
+            (
+                "design d\ninput a 4\nlet %0 4 = (not a)\nlet %0 4 = (neg a)\n",
+                4,
+                "duplicate binding `%0`",
+            ),
+            (
+                "design d\ninput a 2\noutput o 2 = (rom 2 @1 a)\n",
+                3,
+                "unknown table `@1`",
+            ),
+            (
+                "design d\ntable @1 (0 1 2 3)\ntable @1 (0 1 2 3)\n",
+                3,
+                "duplicate table `@1`",
+            ),
+            ("design d\ninput a 4\nlet x 4 = a\n", 3, "expected `%N`"),
+            ("design d\ninput a 4\nlet %0 8 = a\n", 3, "declared width 8"),
+            ("design d\ndesign e\n", 2, "second `design` line"),
+        ];
+        for (text, want_line, want) in cases {
+            match parse(text) {
+                Err(DesignError::Parse { line, message }) => {
+                    assert_eq!(line, want_line, "{text}");
+                    assert!(message.contains(want), "{text}: {message}");
+                }
+                other => panic!("{text}: unexpected {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn names_the_text_cannot_carry_are_rejected() {
+        let mut d = Design::new("names");
+        for (name, bad) in [
+            ("s#1", "'#'"),
+            ("a(b", "'('"),
+            ("a)b", "')'"),
+            ("a=b", "'='"),
+            ("a b", "' '"),
+            ("%0", "leading '%'"),
+            ("@0", "leading '@'"),
+            ("", "empty"),
+        ] {
+            let err = d.add_input(name, 1).unwrap_err().to_string();
+            assert!(
+                err.contains(&format!("`{name}`")) && err.contains(bad),
+                "{name}: {err}"
+            );
+        }
+        // The sigils are only reserved as the first character.
+        assert!(d.add_input("a%b@c.d[0]$", 1).is_ok());
+        let err = parse("design a(b\n").unwrap_err().to_string();
+        assert!(err.contains("invalid design name `a(b`"), "{err}");
     }
 
     #[test]

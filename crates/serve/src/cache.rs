@@ -20,8 +20,10 @@
 //! Eviction is LRU under a byte budget measured by
 //! [`MiterSession::resident_bytes`] (the AIG footprint plus the backend's
 //! forkable snapshot bytes — a pristine master holds its whole footprint in
-//! the encoding, not the solver) plus the retained dump text.  A budget of
-//! zero disables caching (every submit rebuilds, nothing is retained).
+//! the encoding, not the solver) plus the cached design's
+//! [`heap_bytes`](htd_rtl::Design::heap_bytes) plus the retained dump text.
+//! A budget of zero disables caching (every submit rebuilds, nothing is
+//! retained).
 
 use htd_ipc::MiterSession;
 use htd_rtl::ValidatedDesign;
@@ -52,8 +54,8 @@ struct Entry {
 pub struct CacheStats {
     /// Entries currently resident.
     pub entries: usize,
-    /// Bytes currently resident (per entry: `resident_bytes` plus the
-    /// retained canonical dump).
+    /// Bytes currently resident (per entry: `resident_bytes`, the design's
+    /// heap bytes and the retained canonical dump).
     pub bytes: u64,
     /// The configured byte budget.
     pub capacity_bytes: u64,
@@ -134,7 +136,8 @@ impl SnapshotCache {
             return;
         }
         self.clock += 1;
-        let bytes = master.miter.resident_bytes() + dump.len() as u64;
+        let bytes =
+            master.miter.resident_bytes() + master.design.design().heap_bytes() + dump.len() as u64;
         self.entries.push(Entry {
             key,
             dump,
@@ -196,7 +199,7 @@ mod tests {
     }
 
     fn entry_bytes(dump: &str, frozen: &FrozenMaster) -> u64 {
-        frozen.miter.resident_bytes() + dump.len() as u64
+        frozen.miter.resident_bytes() + frozen.design.design().heap_bytes() + dump.len() as u64
     }
 
     #[test]

@@ -185,10 +185,14 @@ struct Elaborator<'a> {
     comb_values: HashMap<String, ExprId>,
     /// Names currently being elaborated (combinational-loop detection).
     in_progress: Vec<String>,
+    /// The registers the clocked block being elaborated assigns with `<=`:
+    /// every read of them sees the time-t value.
+    nonblocking: Vec<String>,
 }
 
 impl<'a> Elaborator<'a> {
     fn new(module: &'a Module, options: &'a ElaborateOptions) -> Result<Self, VerilogError> {
+        htd_rtl::check_name("design", &module.name)?;
         Ok(Elaborator {
             module,
             options,
@@ -205,6 +209,7 @@ impl<'a> Elaborator<'a> {
             registers: HashMap::new(),
             comb_values: HashMap::new(),
             in_progress: Vec::new(),
+            nonblocking: Vec::new(),
         })
     }
 
@@ -370,7 +375,7 @@ impl<'a> Elaborator<'a> {
         for (index, block) in self.module.always_blocks.iter().enumerate() {
             let clocked = matches!(block.sensitivity, Sensitivity::Edges(_));
             let mut targets = Vec::new();
-            collect_assigned_names(&block.body, &mut targets);
+            collect_assigned_names(&block.body, false, &mut targets);
             for name in targets {
                 if !self.declared.contains(&name) {
                     return Err(VerilogError::UndeclaredIdentifier {
@@ -645,7 +650,7 @@ impl<'a> Elaborator<'a> {
             // block starts out holding its time-t value.
             let mut env: HashMap<String, ExprId> = HashMap::new();
             let mut targets = Vec::new();
-            collect_assigned_names(&body, &mut targets);
+            collect_assigned_names(&body, false, &mut targets);
             for name in &targets {
                 if let Some(DriverKind::Register { block: b }) = self.drivers.get(name) {
                     if *b != index {
@@ -657,7 +662,9 @@ impl<'a> Elaborator<'a> {
                     return Err(VerilogError::MultipleDrivers { name: name.clone() });
                 }
             }
+            collect_assigned_names(&body, true, &mut self.nonblocking);
             self.execute_statement(&body, &mut env)?;
+            self.nonblocking.clear();
             for (name, next) in env {
                 let reg = self.registers[&name];
                 let shape = self.shape_of(&name, block.location)?;
@@ -991,7 +998,7 @@ impl<'a> Elaborator<'a> {
                 self.execute_statement(&block.body, &mut env)?;
                 // Cache every variable the block fully assigns.
                 let mut targets = Vec::new();
-                collect_assigned_names(&block.body, &mut targets);
+                collect_assigned_names(&block.body, false, &mut targets);
                 for target in &targets {
                     match env.get(target) {
                         Some(&value) => {
@@ -1212,8 +1219,13 @@ impl<'a> Elaborator<'a> {
         env: &HashMap<String, ExprId>,
         location: SourceLocation,
     ) -> Result<ExprId, VerilogError> {
-        if let Some(&value) = env.get(name) {
-            return Ok(value);
+        // A register this block assigns with `<=` reads as its time-t value
+        // (nonblocking assignments all update at the clock edge); any other
+        // name a statement assigned earlier reads as that value.
+        if !self.nonblocking.iter().any(|n| n == name) {
+            if let Some(&value) = env.get(name) {
+                return Ok(value);
+            }
         }
         // Inside clocked blocks, reads of registers assigned in *other*
         // blocks refer to their time-t value, which `resolve` provides.
@@ -1448,8 +1460,9 @@ fn bits_needed(value: u128) -> u32 {
     (128 - value.leading_zeros()).max(1)
 }
 
-/// Collects every identifier assigned anywhere in a statement.
-fn collect_assigned_names(stmt: &Statement, out: &mut Vec<String>) {
+/// Collects every identifier assigned anywhere in a statement (only the
+/// `<=` targets when `nonblocking_only`).
+fn collect_assigned_names(stmt: &Statement, nonblocking_only: bool, out: &mut Vec<String>) {
     fn lvalue_names(lv: &LValue, out: &mut Vec<String>) {
         match lv {
             LValue::Identifier { name, .. }
@@ -1469,23 +1482,31 @@ fn collect_assigned_names(stmt: &Statement, out: &mut Vec<String>) {
     match stmt {
         Statement::Block(stmts) => {
             for s in stmts {
-                collect_assigned_names(s, out);
+                collect_assigned_names(s, nonblocking_only, out);
             }
         }
-        Statement::Assign { target, .. } => lvalue_names(target, out),
+        Statement::Assign {
+            target,
+            nonblocking,
+            ..
+        } => {
+            if *nonblocking || !nonblocking_only {
+                lvalue_names(target, out);
+            }
+        }
         Statement::If {
             then_branch,
             else_branch,
             ..
         } => {
-            collect_assigned_names(then_branch, out);
+            collect_assigned_names(then_branch, nonblocking_only, out);
             if let Some(e) = else_branch {
-                collect_assigned_names(e, out);
+                collect_assigned_names(e, nonblocking_only, out);
             }
         }
         Statement::Case { arms, .. } => {
             for arm in arms {
-                collect_assigned_names(&arm.body, out);
+                collect_assigned_names(&arm.body, nonblocking_only, out);
             }
         }
         Statement::Empty => {}
@@ -1632,6 +1653,59 @@ mod tests {
         sim_step(&mut sim, &[("d", 5)]);
         sim_step(&mut sim, &[("d", 7)]);
         assert_eq!(sim.peek_by_name("total").unwrap(), 12);
+    }
+
+    /// Every `<=` in a clocked block reads time-t values, so a one-block
+    /// shift register has latency 2, like its two-block form; `=` reads the
+    /// value an earlier statement assigned.
+    #[test]
+    fn nonblocking_reads_see_time_t_values() {
+        let shift = |op: &str| {
+            compile(&format!(
+                "module shift(input clk, input [3:0] a, output [3:0] out);
+                   reg [3:0] r;
+                   reg [3:0] s;
+                   always @(posedge clk) begin
+                     r {op} a;
+                     s {op} r;
+                   end
+                   assign out = s;
+                 endmodule"
+            ))
+            .unwrap()
+        };
+        let nonblocking = shift("<=");
+        let text = htd_rtl::netlist::dump(&nonblocking);
+        assert!(text.contains("next s = r\n"), "{text}");
+        let mut sim = Simulator::new(&nonblocking);
+        sim_step(&mut sim, &[("a", 5)]);
+        assert_eq!(sim.peek_by_name("out").unwrap(), 0);
+        sim_step(&mut sim, &[("a", 0)]);
+        assert_eq!(sim.peek_by_name("out").unwrap(), 5);
+
+        let blocking = shift("=");
+        let text = htd_rtl::netlist::dump(&blocking);
+        assert!(text.contains("next s = a\n"), "{text}");
+    }
+
+    /// A name the netlist text could not carry back is rejected where it is
+    /// declared, for signals and for the design alike.
+    #[test]
+    fn names_the_netlist_cannot_carry_are_rejected() {
+        let err = compile(
+            "module m(input clk, input [3:0] d, output [3:0] q);
+               reg [3:0] \\s#1 ;
+               always @(posedge clk) \\s#1 <= d;
+               assign q = \\s#1 ;
+             endmodule",
+        )
+        .unwrap_err()
+        .to_string();
+        assert!(err.contains("invalid signal name `s#1`"), "{err}");
+        let err = compile("module \\a#b (input a, output o); assign o = a; endmodule")
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("invalid design name `a#b`"), "{err}");
     }
 
     #[test]

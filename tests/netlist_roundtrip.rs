@@ -5,51 +5,134 @@
 use golden_free_htd::detect::{DetectorConfig, SessionBuilder};
 use golden_free_htd::rtl::netlist;
 use golden_free_htd::rtl::sim::Simulator;
-use golden_free_htd::rtl::Design;
-use golden_free_htd::trusthub::registry::Benchmark;
+use golden_free_htd::rtl::{Design, ExprId, ValidatedDesign};
+use golden_free_htd::trusthub::registry::{BaseDesign, Benchmark};
 use golden_free_htd::trusthub::rsa::{modexp_ref, LATENCY};
 
-/// KNOWN LIMITATION: the textual netlist dump writes every signal's driver as
-/// a nested expression, so designs whose expression DAG is deep *and* heavily
-/// shared — the BasicRSA modexp datapath chains 32-bit multiply/reduce cones —
-/// expand exponentially and exhaust memory.  The RSA benchmarks therefore
-/// enter the toolkit through the builder API or the Verilog front-end, not
-/// through the netlist text format.  The test is kept (ignored) to document
-/// the gap; run it explicitly with `cargo test -- --ignored` after fixing the
-/// dump to emit shared subexpressions as named wires.
+/// The netlist text keeps the design's sharing (`let %N` bindings, `table
+/// @N` ROMs), so BasicRSA's deep, heavily shared modexp datapath exports at
+/// a few KB instead of expanding into a tree.  Every BasicRSA design
+/// simulates identically after the round trip, and the HT-free one still
+/// computes the reference modular exponentiation.
 #[test]
-#[ignore = "netlist::dump expands the RSA's shared arithmetic DAG exponentially (see comment)"]
 fn rsa_benchmark_roundtrips_through_the_netlist_format() {
-    let original = Benchmark::BasicRsaHtFree.build().unwrap();
-    let text = netlist::dump(&original);
-    let parsed = netlist::parse(&text).unwrap();
+    for benchmark in [
+        Benchmark::BasicRsaHtFree,
+        Benchmark::BasicRsaT200,
+        Benchmark::BasicRsaT300,
+        Benchmark::BasicRsaT400,
+    ] {
+        let original = benchmark.build().unwrap();
+        let text = netlist::dump(&original);
+        let parsed = netlist::parse(&text).unwrap();
 
-    // Same signals.
-    assert_eq!(
-        original.design().num_signals(),
-        parsed.design().num_signals()
-    );
+        // Same signals.
+        assert_eq!(
+            original.design().num_signals(),
+            parsed.design().num_signals()
+        );
 
-    // Same simulation behaviour.
-    let mut sim = Simulator::new(&parsed);
-    sim.set_input_by_name("indata", 0x321).unwrap();
-    sim.set_input_by_name("inexp", 0x11).unwrap();
-    sim.set_input_by_name("inmod", 0xfff1).unwrap();
-    sim.set_input_by_name("ds", 1).unwrap();
-    sim.step().unwrap();
-    sim.set_input_by_name("ds", 0).unwrap();
-    sim.run(LATENCY).unwrap();
-    assert_eq!(
-        sim.peek_by_name("cypher").unwrap(),
-        u128::from(modexp_ref(0x321, 0x11, 0xfff1))
-    );
+        // Same simulation behaviour.
+        let mut sims = [Simulator::new(&original), Simulator::new(&parsed)];
+        for sim in &mut sims {
+            sim.set_input_by_name("indata", 0x321).unwrap();
+            sim.set_input_by_name("inexp", 0x11).unwrap();
+            sim.set_input_by_name("inmod", 0xfff1).unwrap();
+            sim.set_input_by_name("ds", 1).unwrap();
+            sim.step().unwrap();
+            sim.set_input_by_name("ds", 0).unwrap();
+        }
+        for _ in 0..LATENCY {
+            for sim in &mut sims {
+                sim.step().unwrap();
+            }
+            assert_eq!(
+                sims[0].register_snapshot(),
+                sims[1].register_snapshot(),
+                "{}",
+                benchmark.name()
+            );
+        }
+        if benchmark == Benchmark::BasicRsaHtFree {
+            assert_eq!(
+                sims[1].peek_by_name("cypher").unwrap(),
+                u128::from(modexp_ref(0x321, 0x11, 0xfff1))
+            );
+        }
+    }
+}
+
+/// The number of expression nodes a DAG-exact text must rebuild: every
+/// signal's own node plus every node reachable from a driver.
+fn reachable_exprs(design: &ValidatedDesign) -> usize {
+    let d = design.design();
+    let mut seen = vec![false; d.num_exprs()];
+    let mut stack: Vec<ExprId> = d.signal_ids().map(|s| d.signal(s)).collect();
+    stack.extend(d.signals().filter_map(|(_, s)| s.driver()));
+    let mut count = 0;
+    while let Some(e) = stack.pop() {
+        if std::mem::replace(&mut seen[e.index()], true) {
+            continue;
+        }
+        count += 1;
+        stack.extend(d.expr(e).children());
+    }
+    count
+}
+
+fn normalized_report(benchmark: Benchmark, design: &ValidatedDesign) -> String {
+    let config = DetectorConfig {
+        benign_state: benchmark.benign_state(design),
+        ..DetectorConfig::default()
+    };
+    let report = SessionBuilder::new(design.clone())
+        .config(config)
+        .build()
+        .unwrap()
+        .run()
+        .unwrap();
+    report.normalized().to_string()
+}
+
+/// On every bundled design the canonical text is a fixpoint of
+/// parse-then-dump, the parsed design holds exactly the generated design's
+/// reachable nodes, the detection report survives byte for byte (waivers
+/// looked up by name), and the text stays small.
+#[test]
+fn every_benchmark_roundtrips_dag_exactly() {
+    for benchmark in Benchmark::all() {
+        let name = benchmark.name();
+        let original = benchmark.build().unwrap();
+        let text = netlist::dump(&original);
+        let parsed = netlist::parse(&text).unwrap();
+        assert_eq!(
+            netlist::dump(&parsed),
+            text,
+            "{name}: dump is not canonical"
+        );
+        assert_eq!(
+            parsed.design().num_exprs(),
+            reachable_exprs(&original),
+            "{name}: parsed node count"
+        );
+        assert_eq!(
+            normalized_report(benchmark, &parsed),
+            normalized_report(benchmark, &original),
+            "{name}: report changed through the text"
+        );
+        let limit = match benchmark.info().base {
+            BaseDesign::Aes => 64 * 1024,
+            BaseDesign::BasicRsa => 8 * 1024,
+            BaseDesign::Rs232 => usize::MAX,
+        };
+        assert!(text.len() <= limit, "{name}: {} bytes of text", text.len());
+    }
 }
 
 #[test]
 fn arithmetic_accumulator_roundtrips_through_the_netlist_format() {
-    // A multiply-accumulate design with moderate expression sharing: deep
-    // enough to exercise the arithmetic operators in the dump/parse path,
-    // shallow enough that the textual expansion stays linear.
+    // A multiply-accumulate design: exercises the arithmetic operators in
+    // the dump/parse path.
     let mut d = Design::new("mac");
     let a = d.add_input("a", 16).unwrap();
     let b = d.add_input("b", 16).unwrap();
@@ -130,11 +213,11 @@ fn clean_uart_keeps_its_secure_verdict_after_a_roundtrip() {
 
 #[test]
 fn aes_netlist_dump_is_parseable() {
-    // The AES dump is large (the S-box tables appear once per use); make sure
-    // it still parses and keeps the same interface.
+    // The S-box table is printed once and every lookup refers to it; make
+    // sure the dump parses and keeps the same interface.
     let original = Benchmark::AesHtFree.build().unwrap();
     let text = netlist::dump(&original);
-    assert!(text.len() > 10_000);
+    assert_eq!(text.matches("table @").count(), 1);
     let parsed = netlist::parse(&text).unwrap();
     assert_eq!(parsed.design().inputs().len(), 2);
     assert_eq!(parsed.design().registers().len(), 42);
