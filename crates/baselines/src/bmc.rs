@@ -29,7 +29,7 @@ use std::time::{Duration, Instant};
 
 use htd_ipc::aig::{Aig, AigLit};
 use htd_ipc::bitblast::{const_bits, equal, BitVec, BlastContext};
-use htd_ipc::cnf::{encode, sat_lit};
+use htd_ipc::cnf::encode;
 use htd_rtl::structural::structural_depth;
 use htd_rtl::{SignalId, SignalKind, ValidatedDesign};
 use htd_sat::SolveResult;
@@ -176,9 +176,9 @@ pub fn bounded_trojan_search(design: &ValidatedDesign, options: &BmcOptions) -> 
             duration: start.elapsed(),
         };
     }
-    let (mut solver, node_vars) = encode(&aig, &[miter]);
+    let (mut solver, encoder) = encode(&aig, &[miter]);
     if miter != AigLit::TRUE {
-        solver.add_clause([sat_lit(&node_vars, miter)]);
+        solver.add_clause([encoder.lit(miter)]);
     }
     let result = solver.solve();
     let outcome = match result {
@@ -187,12 +187,7 @@ pub fn bounded_trojan_search(design: &ValidatedDesign, options: &BmcOptions) -> 
         SolveResult::Sat => {
             // Evaluate the AIG under the model to recover the diverging
             // outputs of the earliest diverging frame.
-            let mut env: HashMap<u32, bool> = HashMap::new();
-            for (&node, &var) in &node_vars {
-                if aig.is_input(AigLit::positive(node)) {
-                    env.insert(node, solver.value(var).unwrap_or(false));
-                }
-            }
+            let env = encoder.input_model(&aig, |var| solver.value(var));
             let values = aig.eval_all(&env);
             let word = |bits: &BitVec| -> u128 {
                 bits.iter().enumerate().fold(0u128, |acc, (i, &b)| {

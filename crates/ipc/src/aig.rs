@@ -116,8 +116,11 @@ enum Node {
 #[derive(Clone, Debug, Default)]
 pub struct Aig {
     nodes: Vec<Node>,
+    /// Structural hash, grown with the graph: a pristine session's graph
+    /// (inputs only) holds no table at all, so forking it copies no buckets.
     strash: FxHashMap<u64, u32>,
-    num_inputs: usize,
+    /// Node ids of the primary inputs, in creation order.
+    inputs: Vec<u32>,
     /// Counts AND nodes that were requested but already present (a measure of
     /// how much sharing the structural hash achieved).
     strash_hits: u64,
@@ -129,8 +132,8 @@ impl Aig {
     pub fn new() -> Self {
         Aig {
             nodes: vec![Node::ConstFalse],
-            strash: FxHashMap::with_capacity_and_hasher(1 << 16, Default::default()),
-            num_inputs: 0,
+            strash: FxHashMap::default(),
+            inputs: Vec::new(),
             strash_hits: 0,
         }
     }
@@ -139,14 +142,20 @@ impl Aig {
     pub fn new_input(&mut self) -> AigLit {
         let idx = self.nodes.len() as u32;
         self.nodes.push(Node::Input);
-        self.num_inputs += 1;
+        self.inputs.push(idx);
         AigLit::new(idx, false)
     }
 
     /// Number of primary inputs created so far.
     #[must_use]
     pub fn num_inputs(&self) -> usize {
-        self.num_inputs
+        self.inputs.len()
+    }
+
+    /// Node ids of the primary inputs, in creation order.
+    #[must_use]
+    pub fn inputs(&self) -> &[u32] {
+        &self.inputs
     }
 
     /// Total number of nodes (constant + inputs + AND gates).
@@ -158,7 +167,7 @@ impl Aig {
     /// Number of AND gates.
     #[must_use]
     pub fn num_ands(&self) -> usize {
-        self.nodes.len() - 1 - self.num_inputs
+        self.nodes.len() - 1 - self.inputs.len()
     }
 
     /// Number of AND-gate requests answered from the structural hash table.
@@ -167,21 +176,19 @@ impl Aig {
         self.strash_hits
     }
 
-    /// Estimated resident size of the graph in bytes: the node table plus
-    /// the structural-hash entries.  Used as the eviction cost of encoding
-    /// caches — a session that has not solved anything yet holds its whole
-    /// footprint here, not in the solver.
+    /// Estimated resident size of the graph in bytes, priced by allocated
+    /// capacity rather than by entries: the node and input tables plus the
+    /// structural hash's buckets (one `(key, node)` slot and one control
+    /// byte each, at the table's 7/8 maximum load).  Used as the eviction
+    /// cost of encoding caches — a session that has not solved anything yet
+    /// holds its whole footprint here, not in the solver.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
-        let nodes = self.nodes.len() * std::mem::size_of::<Node>();
-        let strash = self.strash.len() * (std::mem::size_of::<u64>() + std::mem::size_of::<u32>());
-        (nodes + strash) as u64
-    }
-
-    /// `true` if the node behind `lit` is a primary input.
-    #[must_use]
-    pub fn is_input(&self, lit: AigLit) -> bool {
-        matches!(self.nodes[lit.node() as usize], Node::Input)
+        let nodes = self.nodes.capacity() * std::mem::size_of::<Node>();
+        let inputs = self.inputs.capacity() * std::mem::size_of::<u32>();
+        let buckets = self.strash.capacity() * 8 / 7;
+        let strash = buckets * (std::mem::size_of::<(u64, u32)>() + 1);
+        (nodes + inputs + strash) as u64
     }
 
     /// The conjunction of two literals, with constant folding, idempotence /
@@ -474,6 +481,29 @@ mod tests {
     }
 
     #[test]
+    fn resident_bytes_price_allocated_capacity() {
+        let mut aig = Aig::new();
+        let inputs: Vec<AigLit> = (0..256).map(|_| aig.new_input()).collect();
+        assert!(
+            aig.resident_bytes() < 64 * 1024,
+            "a pristine graph holds no structural-hash table"
+        );
+        let mut acc = AigLit::FALSE;
+        for pair in inputs.windows(2) {
+            let x = aig.xor(pair[0], pair[1]);
+            acc = aig.or(acc, x);
+        }
+        assert!(aig.num_ands() > 512);
+        let capacity = aig.nodes.capacity() * std::mem::size_of::<Node>()
+            + aig.strash.capacity() * std::mem::size_of::<(u64, u32)>();
+        assert!(
+            aig.resident_bytes() >= capacity as u64,
+            "{} bytes priced for {capacity} bytes of capacity",
+            aig.resident_bytes()
+        );
+    }
+
+    #[test]
     fn literal_accessors() {
         let mut aig = Aig::new();
         let a = aig.new_input();
@@ -483,7 +513,6 @@ mod tests {
         assert!(AigLit::TRUE.is_const());
         assert!(AigLit::FALSE.is_const());
         assert!(!a.is_const());
-        assert!(aig.is_input(a));
-        assert!(!aig.is_input(AigLit::FALSE));
+        assert_eq!(aig.inputs(), &[a.node()]);
     }
 }

@@ -25,7 +25,7 @@ use htd_sat::SolveResult;
 
 use crate::aig::{Aig, AigLit};
 use crate::bitblast::{equal, BitVec, BlastContext};
-use crate::cnf::{encode as encode_cnf, sat_lit};
+use crate::cnf::encode as encode_cnf;
 use crate::property::{
     CheckOutcome, CheckStats, Counterexample, IntervalProperty, PropertyReport, SignalValuePair,
 };
@@ -345,7 +345,7 @@ impl<'a> PropertyChecker<'a> {
         // Encode the cone of the assumptions and the miter.
         let mut roots: Vec<AigLit> = assumption_lits.to_vec();
         roots.push(miter);
-        let (mut solver, node_vars) = encode_cnf(aig, &roots);
+        let (mut solver, encoder) = encode_cnf(aig, &roots);
         let mut trivially_unsat = false;
         for &root in &roots {
             if root == AigLit::TRUE {
@@ -355,8 +355,7 @@ impl<'a> PropertyChecker<'a> {
                 trivially_unsat = true;
                 continue;
             }
-            let lit = sat_lit(&node_vars, root);
-            solver.add_clause([lit]);
+            solver.add_clause([encoder.lit(root)]);
         }
 
         let result = if trivially_unsat {
@@ -370,12 +369,7 @@ impl<'a> PropertyChecker<'a> {
             SolveResult::Interrupted => unreachable!("no interrupt check installed"),
             SolveResult::Sat => {
                 // Reconstruct concrete values from the model.
-                let mut env: FxHashMap<u32, bool> = FxHashMap::default();
-                for (&node, &var) in &node_vars {
-                    if aig.is_input(AigLit::positive(node)) {
-                        env.insert(node, solver.value(var).unwrap_or(false));
-                    }
-                }
+                let env = encoder.input_model(aig, |var| solver.value(var));
                 CheckOutcome::Fails(Box::new(reconstruct_counterexample(
                     d,
                     aig,

@@ -565,7 +565,7 @@ impl MiterSession {
     }
 
     /// Forks the whole session: an O(bytes) clone of the encoding state (AIG,
-    /// encoder maps, epoch contexts) plus a [`SatBackend::fork`] of the
+    /// encoder tables, epoch contexts) plus a [`SatBackend::fork`] of the
     /// master solver.
     ///
     /// The fork is a fully independent session over the same design: checks
@@ -774,11 +774,7 @@ impl MiterSession {
                     assumptions.push(Lit::pos(act));
                     Some(act)
                 };
-                let mut cone: Vec<Var> = self
-                    .encoder
-                    .cone_vars(&self.aig, &cone_roots)
-                    .into_iter()
-                    .collect();
+                let mut cone = self.encoder.cone_vars(&self.aig, &cone_roots);
                 cone.extend(act);
                 tasks.push(LevelTask {
                     sig,
@@ -1220,12 +1216,9 @@ impl MiterSession {
         prove_values: &[(SignalId, BitVec, BitVec)],
         regs: &[FxHashMap<SignalId, BitVec>; 2],
     ) -> Counterexample {
-        let mut env: FxHashMap<u32, bool> = FxHashMap::default();
-        for (&node, &var) in self.encoder.node_vars() {
-            if self.aig.is_input(AigLit::positive(node)) {
-                env.insert(node, model_source.model_value(var).unwrap_or(false));
-            }
-        }
+        let env = self
+            .encoder
+            .input_model(&self.aig, |var| model_source.model_value(var));
         crate::checker::reconstruct_counterexample(
             d,
             &self.aig,

@@ -327,6 +327,10 @@ pub struct Solver {
     gc_dead_fraction: f64,
     /// Minimum database size before garbage collection is considered at all.
     gc_min_clauses: usize,
+    /// Scratch buffer [`add_clause`](Self::add_clause) simplifies in, kept
+    /// empty between calls (so clones copy nothing) but never shrunk, so
+    /// adding a clause allocates only when an arena grows.
+    clause_buf: Vec<Lit>,
 }
 
 impl Solver {
@@ -544,8 +548,19 @@ impl Solver {
     where
         I: IntoIterator<Item = Lit>,
     {
-        let mut lits: Vec<Lit> = lits.into_iter().collect();
-        for l in &lits {
+        let mut buf = std::mem::take(&mut self.clause_buf);
+        buf.extend(lits);
+        let ok = self.add_clause_in(&mut buf);
+        buf.clear();
+        self.clause_buf = buf;
+        ok
+    }
+
+    /// [`add_clause`](Self::add_clause) on a buffer it may reorder and
+    /// shrink: the literals are sorted and deduplicated, then those false at
+    /// the top level are dropped in place.
+    fn add_clause_in(&mut self, lits: &mut Vec<Lit>) -> bool {
+        for l in lits.iter() {
             assert!(
                 (l.var().index() as usize) < self.num_vars(),
                 "literal {l:?} refers to an unallocated variable"
@@ -557,9 +572,11 @@ impl Solver {
         debug_assert_eq!(self.decision_level(), 0);
         lits.sort_unstable();
         lits.dedup();
-        // Tautology / top-level simplification.
-        let mut simplified = Vec::with_capacity(lits.len());
-        for (i, &l) in lits.iter().enumerate() {
+        // Tautology / top-level simplification.  Survivors slide down to
+        // `kept <= i`, so the look-ahead at `i + 1` still reads the input.
+        let mut kept = 0;
+        for i in 0..lits.len() {
+            let l = lits[i];
             if i + 1 < lits.len() && lits[i + 1] == !l {
                 // p and !p both present: tautology.
                 return true;
@@ -567,23 +584,27 @@ impl Solver {
             match self.lit_value(l) {
                 Some(true) => return true,
                 Some(false) => {}
-                None => simplified.push(l),
+                None => {
+                    lits[kept] = l;
+                    kept += 1;
+                }
             }
         }
-        match simplified.len() {
+        lits.truncate(kept);
+        match lits.len() {
             0 => {
                 self.ok = false;
                 false
             }
             1 => {
-                self.unchecked_enqueue(simplified[0], None);
+                self.unchecked_enqueue(lits[0], None);
                 if self.propagate().is_some() {
                     self.ok = false;
                 }
                 self.ok
             }
             _ => {
-                self.attach_clause(&simplified, false);
+                self.attach_clause(lits, false);
                 true
             }
         }
