@@ -491,7 +491,7 @@ fn strict_env(ctx: &FileContext<'_>, findings: &mut Vec<Finding>) {
     }
 }
 
-const STAT_TYPES: &[&str] = &["SolverStats", "SessionStats"];
+const STAT_TYPES: &[&str] = &["SolverStats", "SessionStats", "CheckStats"];
 
 fn stats_fn_name(name: &str) -> bool {
     name == "delta_since"

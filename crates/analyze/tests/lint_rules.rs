@@ -162,6 +162,19 @@ fn rest_pattern_in_stats_accumulate_fires() {
 }
 
 #[test]
+fn rest_pattern_in_check_stats_accumulate_fires() {
+    let found = findings(
+        "crates/ipc/src/widget.rs",
+        "impl CheckStats {\n    pub fn accumulate(&mut self, other: &CheckStats) {\n        \
+         let CheckStats { aig_nodes, .. } = *other;\n        self.aig_nodes += aig_nodes;\n    \
+         }\n}\n",
+    );
+    assert_eq!(found.len(), 1, "{found:?}");
+    assert_eq!(found[0].rule, Rule::ExhaustiveStats);
+    assert_eq!(found[0].line, 3);
+}
+
+#[test]
 fn exhaustive_destructuring_and_unrelated_rest_are_clean() {
     let found = findings(
         "crates/sat/src/widget.rs",

@@ -11,7 +11,9 @@
 
 use std::time::Instant;
 
-use htd_ipc::{CheckOutcome, CheckerOptions, Counterexample, IntervalProperty, PropertyChecker};
+use htd_ipc::{
+    CheckOutcome, CheckStats, CheckerOptions, Counterexample, IntervalProperty, PropertyChecker,
+};
 use htd_rtl::{SignalId, ValidatedDesign};
 use htd_sat::SolverStats;
 
@@ -199,7 +201,8 @@ impl<'a> TrojanDetector<'a> {
     /// Checks one level's property, resolving spurious counterexamples
     /// (Sec. V-B): each round re-checks the property with equality
     /// assumptions for the waived benign state.  Every round's solver work
-    /// is added to `solver_totals`.
+    /// is added to `solver_totals`, and the returned row carries the sum of
+    /// all its rounds' work.
     fn check_with_resolution(
         &self,
         property: IntervalProperty,
@@ -213,9 +216,12 @@ impl<'a> TrojanDetector<'a> {
             .collect();
         let mut current = property;
         let mut resolved = 0usize;
+        let mut row_stats = CheckStats::default();
         loop {
-            let report = PropertyChecker::with_options(design, config.checker).check(&current);
+            let mut report = PropertyChecker::with_options(design, config.checker).check(&current);
             solver_totals.accumulate(&report.stats.solver);
+            row_stats.accumulate(&report.stats);
+            report.stats = row_stats;
             let failed = match &report.outcome {
                 CheckOutcome::Holds => None,
                 CheckOutcome::Fails(cex) => {

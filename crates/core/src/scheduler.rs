@@ -56,7 +56,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use htd_ipc::{CheckOutcome, MiterSession, PreparedLevel, TaskOutcome};
+use htd_ipc::{CheckOutcome, CheckStats, MiterSession, PreparedLevel, TaskOutcome};
 use htd_rtl::{SignalId, ValidatedDesign};
 use htd_sat::SolverStats;
 
@@ -654,6 +654,8 @@ pub(crate) fn run_pipelined(
                 let proves = names(&current_property.prove_equal);
                 let mut current_job = Arc::clone(&level_jobs[level_idx]);
                 let mut resolved = 0usize;
+                // The property row's work: the sum over all of its rounds.
+                let mut row_stats = CheckStats::default();
 
                 let (trace, failed) = loop {
                     if inline {
@@ -758,7 +760,7 @@ pub(crate) fn run_pipelined(
                         return Err(DetectError::Cancelled);
                     }
                     let outcomes = current_job.take_outcomes();
-                    let check = miter.merge_level(design, &current_job.prepared, outcomes)?;
+                    let mut check = miter.merge_level(design, &current_job.prepared, outcomes)?;
                     // The generation is decided: free its snapshot clone
                     // (in-flight stragglers keep their own forks alive) and
                     // stop scanning it in the workers' overlap check.
@@ -768,7 +770,10 @@ pub(crate) fn run_pipelined(
                         .lock()
                         .expect("no poisoned locks")
                         .retain(|g| g.node != current_job.node);
-                    solver_totals.accumulate(&check.stats.solver);
+                    let round_solver = check.stats.solver;
+                    solver_totals.accumulate(&round_solver);
+                    row_stats.accumulate(&check.stats);
+                    check.stats = row_stats;
                     match &check.outcome {
                         CheckOutcome::Holds => {
                             emit(&FlowEvent::PropertyProved {
@@ -800,7 +805,7 @@ pub(crate) fn run_pipelined(
                                 property: check.property.clone(),
                                 diffs: cex.diff_names().iter().map(ToString::to_string).collect(),
                                 spurious,
-                                solver: check.stats.solver,
+                                solver: round_solver,
                                 node: current_job.node,
                             });
                             if !spurious {

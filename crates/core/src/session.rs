@@ -283,12 +283,14 @@ pub enum FlowEvent {
     PropertyProved {
         /// The property name.
         property: String,
-        /// Wall-clock time of the final (successful) check.
+        /// Wall-clock time of all the property's checks, resolution rounds
+        /// included.
         duration: Duration,
         /// Spurious counterexamples discharged on the way.
         spurious_resolved: usize,
-        /// Solver work of the final (successful) check: conflicts,
-        /// propagations, restarts, clause-GC and LBD counters.
+        /// Solver work of all the property's checks, resolution rounds
+        /// included (the property row's counters): conflicts, propagations,
+        /// restarts, clause-GC and LBD counters.
         solver: SolverStats,
         /// The flow-graph node the final (successful) check belongs to: the
         /// level node, or the last resolution-round node.
@@ -304,7 +306,8 @@ pub enum FlowEvent {
         /// by waived benign state) — a resolution round follows; `false`
         /// means the flow stops and reports a suspected Trojan.
         spurious: bool,
-        /// Solver work of the check that produced the counterexample.
+        /// Solver work of the check that produced the counterexample (this
+        /// round only).
         solver: SolverStats,
         /// The flow-graph node whose check produced the counterexample.
         node: usize,

@@ -198,6 +198,32 @@ pub struct CheckStats {
     pub duration: Duration,
 }
 
+impl CheckStats {
+    /// Adds another check's work field by field, so a property row that
+    /// took several spurious-counterexample resolution rounds reports the
+    /// work of all of them.
+    pub fn accumulate(&mut self, other: &CheckStats) {
+        // Exhaustive destructuring: a new field must be a compile error
+        // here, not a value the row silently drops.
+        let CheckStats {
+            aig_nodes,
+            aig_ands,
+            strash_hits,
+            cnf_vars,
+            cnf_clauses,
+            solver,
+            duration,
+        } = *other;
+        self.aig_nodes += aig_nodes;
+        self.aig_ands += aig_ands;
+        self.strash_hits += strash_hits;
+        self.cnf_vars += cnf_vars;
+        self.cnf_clauses += cnf_clauses;
+        self.solver.accumulate(&solver);
+        self.duration += duration;
+    }
+}
+
 /// The result of one property check: outcome plus statistics.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PropertyReport {

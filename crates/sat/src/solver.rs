@@ -20,6 +20,15 @@
 //!   reclaimed by the same compaction sweep that collects dead clauses.
 //! * Per-variable bookkeeping (assignments, phases, reasons, levels,
 //!   activities, …) and the trail are plain flat vectors.
+//! * The decision order is an **indexed binary max-heap** over variables,
+//!   keyed by `(activity, index)`: a flat `Vec<Var>` heap plus a flat
+//!   per-variable slot index, 8 bytes per variable in all.  A variable is in
+//!   the heap at most once.  A conflict bump sifts it up in place,
+//!   backtracking and [`set_decision_var`](Solver::set_decision_var)
+//!   insert only decision-eligible variables that are missing, an activity
+//!   rescale re-heapifies, and a decision pops past assigned or masked
+//!   variables.  Every unassigned eligible variable is always in the heap,
+//!   so the pop is the argmax of `(activity, index)` over them.
 //!
 //! Three consequences of the layout drive the incremental detection flow:
 //!
@@ -29,7 +38,7 @@
 //!   [`snapshot_bytes`](Solver::snapshot_bytes) reports the byte cost of one
 //!   clone in O(1) length arithmetic (clause arena + watcher arena +
 //!   per-variable bookkeeping + trail; the derived decision-order heap is
-//!   excluded), and `SatBackend::fork` records `fork_count` /
+//!   excluded, see there), and `SatBackend::fork` records `fork_count` /
 //!   `bytes_cloned` / `watcher_bytes_cloned` in the child's [`SolverStats`]
 //!   so the cost model is observable all the way up in
 //!   `DetectionReport::solver_totals`.
@@ -56,7 +65,6 @@ use crate::budget::BudgetTracker;
 use crate::literal::{Lit, Var};
 use crate::watch::{Watcher, WatcherArena};
 use std::cmp::Ordering;
-use std::collections::BinaryHeap;
 use std::sync::Arc;
 
 /// Result of a satisfiability query.
@@ -219,31 +227,121 @@ impl SolverStats {
     }
 }
 
-/// Max-heap entry ordering variables by activity.
-#[derive(Clone, Copy, Debug)]
-struct HeapEntry {
-    activity: f64,
-    var: Var,
+/// [`VarOrder::pos`] value of a variable that is not in the heap.
+const NOT_IN_HEAP: u32 = u32::MAX;
+
+/// The decision order: a binary max-heap of variables keyed by
+/// `(activity, index)` that holds each variable at most once.  Keys are read
+/// from the solver's activity column on every comparison, so the heap
+/// stores variables only; `pos` maps each variable to its heap slot, which
+/// lets a bump sift the variable in place instead of pushing a copy.
+#[derive(Clone, Debug, Default)]
+struct VarOrder {
+    heap: Vec<Var>,
+    /// Heap slot of every variable, or [`NOT_IN_HEAP`].
+    pos: Vec<u32>,
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.activity == other.activity && self.var == other.var
-    }
+/// `true` if `a` ranks above `b`: higher activity, ties to the higher index.
+/// Activities are finite and non-NaN by construction.
+fn ranks_above(activity: &[f64], a: Var, b: Var) -> bool {
+    let (x, y) = (activity[a.index() as usize], activity[b.index() as usize]);
+    x > y || (x == y && a > b)
 }
-impl Eq for HeapEntry {}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
+
+impl VarOrder {
+    fn add_var(&mut self) {
+        self.pos.push(NOT_IN_HEAP);
     }
-}
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Activities are finite, non-NaN by construction.
-        self.activity
-            .partial_cmp(&other.activity)
-            .unwrap_or(Ordering::Equal)
-            .then_with(|| self.var.cmp(&other.var))
+
+    /// Inserts `v` unless it is already in the heap.
+    fn insert(&mut self, v: Var, activity: &[f64]) {
+        if self.pos[v.index() as usize] != NOT_IN_HEAP {
+            return;
+        }
+        self.heap.push(v);
+        self.sift_up(self.heap.len() - 1, activity);
+    }
+
+    /// Restores the heap after `v`'s activity grew; a no-op if `v` is not in
+    /// the heap.
+    fn increased(&mut self, v: Var, activity: &[f64]) {
+        let slot = self.pos[v.index() as usize];
+        if slot != NOT_IN_HEAP {
+            self.sift_up(slot as usize, activity);
+        }
+    }
+
+    /// Removes and returns the top-ranked variable.
+    fn pop(&mut self, activity: &[f64]) -> Option<Var> {
+        if self.heap.is_empty() {
+            return None;
+        }
+        let top = self.heap.swap_remove(0);
+        self.pos[top.index() as usize] = NOT_IN_HEAP;
+        if !self.heap.is_empty() {
+            self.sift_down(0, activity);
+        }
+        Some(top)
+    }
+
+    fn clear(&mut self) {
+        for &v in &self.heap {
+            self.pos[v.index() as usize] = NOT_IN_HEAP;
+        }
+        self.heap.clear();
+    }
+
+    /// Re-establishes the heap property over the whole heap, after every
+    /// key changed at once (an activity rescale).
+    fn rebuild(&mut self, activity: &[f64]) {
+        for slot in (0..self.heap.len() / 2).rev() {
+            self.sift_down(slot, activity);
+        }
+    }
+
+    fn place(&mut self, slot: usize, v: Var) {
+        self.heap[slot] = v;
+        self.pos[v.index() as usize] = slot as u32;
+    }
+
+    fn sift_up(&mut self, mut slot: usize, activity: &[f64]) {
+        let v = self.heap[slot];
+        while slot > 0 {
+            let parent = (slot - 1) / 2;
+            let p = self.heap[parent];
+            if !ranks_above(activity, v, p) {
+                break;
+            }
+            self.place(slot, p);
+            slot = parent;
+        }
+        self.place(slot, v);
+    }
+
+    fn sift_down(&mut self, mut slot: usize, activity: &[f64]) {
+        let v = self.heap[slot];
+        loop {
+            let left = 2 * slot + 1;
+            if left >= self.heap.len() {
+                break;
+            }
+            let right = left + 1;
+            let child = if right < self.heap.len()
+                && ranks_above(activity, self.heap[right], self.heap[left])
+            {
+                right
+            } else {
+                left
+            };
+            let c = self.heap[child];
+            if !ranks_above(activity, c, v) {
+                break;
+            }
+            self.place(slot, c);
+            slot = child;
+        }
+        self.place(slot, v);
     }
 }
 
@@ -308,7 +406,7 @@ pub struct Solver {
     activity: Vec<f64>,
     var_inc: f64,
     cla_inc: f32,
-    order: BinaryHeap<HeapEntry>,
+    order: VarOrder,
     trail: Vec<Lit>,
     trail_lim: Vec<usize>,
     qhead: usize,
@@ -381,10 +479,8 @@ impl Solver {
         self.decision.push(true);
         self.watches.add_literal();
         self.watches.add_literal();
-        self.order.push(HeapEntry {
-            activity: 0.0,
-            var: v,
-        });
+        self.order.add_var();
+        self.order.insert(v, &self.activity);
         v
     }
 
@@ -415,7 +511,14 @@ impl Solver {
     /// ever walked).  Counts the clause arena, the watcher arena, the
     /// per-variable bookkeeping arrays and the trail (all length-derived, so
     /// two solvers that executed the same operations report identical
-    /// bytes); the derived decision-order heap is excluded.
+    /// bytes).
+    ///
+    /// The decision-order heap (at most 8 bytes per variable) is excluded.
+    /// It is derived state: the unassigned decision-eligible variables
+    /// ordered by activity, which the columns above determine.  Its length
+    /// at a fork also depends on which assigned or masked variables earlier
+    /// decisions happened to pop, so counting it would tie the cost model
+    /// to search history instead of to the formula.
     /// `SatBackend::fork` records this value in the child's
     /// [`SolverStats::bytes_cloned`].
     #[must_use]
@@ -517,13 +620,9 @@ impl Solver {
     /// not for arbitrary CNF.
     pub fn set_decision_var(&mut self, var: Var, eligible: bool) {
         let vi = var.index() as usize;
-        let was = self.decision[vi];
         self.decision[vi] = eligible;
-        if eligible && !was && self.assigns[vi].is_none() {
-            self.order.push(HeapEntry {
-                activity: self.activity[vi],
-                var,
-            });
+        if eligible && self.assigns[vi].is_none() {
+            self.order.insert(var, &self.activity);
         }
     }
 
@@ -728,10 +827,9 @@ impl Solver {
             let vi = v.index() as usize;
             self.assigns[vi] = None;
             self.reason[vi] = None;
-            self.order.push(HeapEntry {
-                activity: self.activity[vi],
-                var: v,
-            });
+            if self.decision[vi] {
+                self.order.insert(v, &self.activity);
+            }
         }
         self.trail_lim.truncate(level);
         self.qhead = self.trail.len();
@@ -851,12 +949,11 @@ impl Solver {
                 *a *= 1.0 / RESCALE_LIMIT;
             }
             self.var_inc *= 1.0 / RESCALE_LIMIT;
-        }
-        if self.var_value(v).is_none() {
-            self.order.push(HeapEntry {
-                activity: self.activity[vi],
-                var: v,
-            });
+            // Scaling can round distinct activities into ties, which the
+            // index then breaks differently: every key moved, so re-heapify.
+            self.order.rebuild(&self.activity);
+        } else {
+            self.order.increased(v, &self.activity);
         }
     }
 
@@ -978,17 +1075,16 @@ impl Solver {
         })
     }
 
+    /// The unassigned decision-eligible variable of highest
+    /// `(activity, index)`.  Every such variable is in the heap, so popping
+    /// past assigned and masked ones reaches it.
     fn pick_branch_var(&mut self) -> Option<Var> {
-        while let Some(entry) = self.order.pop() {
-            if self.var_value(entry.var).is_none() && self.decision[entry.var.index() as usize] {
-                return Some(entry.var);
+        while let Some(v) = self.order.pop(&self.activity) {
+            if self.var_value(v).is_none() && self.decision[v.index() as usize] {
+                return Some(v);
             }
         }
-        // Fallback scan guarantees completeness even if the lazy heap lost an
-        // entry (e.g. stale activities after rescaling).
-        (0..self.num_vars() as u32)
-            .map(Var::from_index)
-            .find(|&v| self.var_value(v).is_none() && self.decision[v.index() as usize])
+        None
     }
 
     /// Halves the learnt-clause database, keeping the clauses most likely to
@@ -1725,6 +1821,85 @@ mod tests {
         assert_eq!(collected, 2, "both unit-uncovering clauses leave the arena");
         assert!(s.is_known_unsat());
         assert_eq!(s.solve(), SolveResult::Unsat);
+    }
+
+    /// The decision-order contract: `pick_branch_var` returns the argmax of
+    /// `(activity, index)` over the unassigned decision-eligible variables,
+    /// whatever mix of bumps, assignments, backtracks, masks and activity
+    /// rescales preceded it.  Checked against a brute-force scan on random
+    /// operation sequences.
+    #[test]
+    fn pick_branch_var_is_the_argmax_of_activity_then_index() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn brute_force(s: &Solver) -> Option<Var> {
+            (0..s.num_vars() as u32)
+                .map(Var::from_index)
+                .filter(|v| s.var_value(*v).is_none() && s.is_decision_var(*v))
+                .max_by(|&a, &b| {
+                    let (x, y) = (
+                        s.activity[a.index() as usize],
+                        s.activity[b.index() as usize],
+                    );
+                    x.partial_cmp(&y).expect("finite").then(a.cmp(&b))
+                })
+        }
+
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut picks = 0u32;
+        let mut rescales = 0u32;
+        for _ in 0..40 {
+            let (mut s, v) = make_solver(rng.gen_range(1..48));
+            for _ in 0..400 {
+                let var = v[rng.gen_range(0..v.len())];
+                match rng.gen_range(0..12) {
+                    0..=2 => s.bump_var(var),
+                    3 => s.decay_activities(),
+                    // Activities this small round to tied zeros at the next
+                    // rescale, where the index decides instead.
+                    4 => s.var_inc = 1e-230,
+                    5 => {
+                        s.var_inc = 2.0 * RESCALE_LIMIT;
+                        s.bump_var(var);
+                        assert!(s.var_inc < RESCALE_LIMIT, "the bump rescales");
+                        rescales += 1;
+                    }
+                    6 => {
+                        // An implied literal at the current level.
+                        if s.decision_level() > 0 && s.var_value(var).is_none() {
+                            s.unchecked_enqueue(Lit::pos(var), None);
+                        }
+                    }
+                    7 => {
+                        let level = rng.gen_range(0..=s.decision_level());
+                        s.cancel_until(level);
+                    }
+                    8 => s.set_decision_var(var, rng.gen_range(0..2) == 0),
+                    9 => {
+                        s.mask_all_decisions();
+                        for &w in &v {
+                            if rng.gen_range(0..3) > 0 {
+                                s.set_decision_var(w, true);
+                            }
+                        }
+                    }
+                    _ => {
+                        let expected = brute_force(&s);
+                        assert_eq!(s.pick_branch_var(), expected);
+                        picks += 1;
+                        if let Some(p) = expected {
+                            s.new_decision_level();
+                            s.unchecked_enqueue(Lit::neg(p), None);
+                        }
+                    }
+                }
+            }
+            s.cancel_until(0);
+            assert_eq!(s.pick_branch_var(), brute_force(&s));
+        }
+        assert!(picks > 1000, "only {picks} picks checked");
+        assert!(rescales > 10, "only {rescales} rescales forced");
     }
 
     #[test]

@@ -1,10 +1,10 @@
 //! Pins the O(bytes) fork cost model at the allocator: cloning a [`Solver`]
 //! performs a fixed number of heap allocations — one `memcpy`-backed buffer
 //! clone per flat store (clause arena, watcher arena data + range table,
-//! per-variable columns, trail, heap) — regardless of how many variables or
-//! clauses the solver holds.  A per-literal or per-clause watcher
-//! representation would scale the allocation count with the formula and
-//! fail this test immediately.
+//! per-variable columns, trail, decision heap and its slot index) —
+//! regardless of how many variables or clauses the solver holds.  A
+//! per-literal or per-clause watcher representation would scale the
+//! allocation count with the formula and fail this test immediately.
 //!
 //! The whole file is a single `#[test]` on purpose: the counting allocator
 //! is process-global, and a sibling test running on another thread would

@@ -81,7 +81,7 @@
 //! |---|---|
 //! | `accepted` | job id, design name, queue depth at admission |
 //! | `level_started` | a fanout level began (signals, flow-graph node, deps) |
-//! | `property_proved` | per-property verdict with solver counters |
+//! | `property_proved` | per-property verdict with solver counters summed over its resolution rounds |
 //! | `counterexample` | a (possibly spurious) divergence with diff signals |
 //! | `resolution_round` | a spurious counterexample being discharged |
 //! | `coverage` | the final signal-coverage check |
