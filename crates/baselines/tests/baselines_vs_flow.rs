@@ -17,35 +17,21 @@ use htd_baselines::designs::{clean_pipeline, sequence_trojan, timer_trojan, valu
 use htd_baselines::fanci::{control_value_analysis, FanciOptions};
 use htd_baselines::testing::{random_equivalence_test, RandomTestOptions};
 use htd_baselines::uci::{unused_circuit_identification, UciOptions};
-use std::num::NonZeroUsize;
 
-use htd_core::{
-    DetectionOutcome, DetectionReport, EngineChoice, PropertyScheduler, SessionBuilder,
-};
+use htd_core::{DetectionOutcome, DetectionReport, SessionBuilder};
 use htd_rtl::ValidatedDesign;
 
-/// Runs the flow at 1, 2 and 4 workers (oversubscribed, so the multi-worker
-/// schedules run on any host), requires equal normalized reports and
-/// returns the one-worker report.
-fn run_at_every_schedule(design: &ValidatedDesign) -> DetectionReport {
-    let [one, rest @ ..] = [1, 2, 4].map(|jobs| {
-        let scheduler =
-            PropertyScheduler::new(NonZeroUsize::new(jobs).unwrap()).with_oversubscription(true);
-        SessionBuilder::new(design.clone())
-            .engine(EngineChoice::Scheduled(scheduler))
-            .build()
-            .unwrap()
-            .run()
-            .unwrap()
-    });
-    for (jobs, report) in [2, 4].into_iter().zip(rest) {
-        assert_eq!(report.normalized(), one.normalized(), "{jobs} workers vs 1");
-    }
-    one
+/// Runs the detection flow and returns the report.
+fn run_flow(design: &ValidatedDesign) -> DetectionReport {
+    SessionBuilder::new(design.clone())
+        .build()
+        .unwrap()
+        .run()
+        .unwrap()
 }
 
 fn ipc_detects(design: &ValidatedDesign) -> bool {
-    let report = run_at_every_schedule(design);
+    let report = run_flow(design);
     !matches!(report.outcome, DetectionOutcome::Secure)
 }
 
@@ -66,8 +52,8 @@ fn ipc_flow_detects_every_trojan_class_and_passes_the_clean_design() {
 fn ipc_detection_is_independent_of_the_trigger_length() {
     // The number of properties checked (and therefore the work) depends on
     // the structural depth only, not on how long the trigger sequence is.
-    let short = run_at_every_schedule(&sequence_trojan(2));
-    let long = run_at_every_schedule(&sequence_trojan(64));
+    let short = run_flow(&sequence_trojan(2));
+    let long = run_flow(&sequence_trojan(64));
     assert_eq!(short.properties_checked(), long.properties_checked());
     assert!(!short.outcome.is_secure());
     assert!(!long.outcome.is_secure());

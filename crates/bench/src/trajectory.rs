@@ -1,14 +1,11 @@
 //! The perf-trajectory harness behind `htd bench --json`.
 //!
-//! Runs the bundled benchmark set through the flow-graph executor twice —
-//! at the requested worker count and at one worker — and collects one
-//! [`TrajectoryRecord`] per design: both wall-clocks, verdict, the lowering
+//! Runs the bundled benchmark set through the detection flow and collects
+//! one [`TrajectoryRecord`] per design: wall-clock, verdict, the lowering
 //! volume (AIG nodes built, CNF variables created) and the solver work
 //! counters (conflicts, propagations, restarts, clause-GC and LBD totals).
-//! Reports are identical at every worker count, so the one-worker column
-//! isolates what extra workers buy.  [`to_json`] renders
-//! the records as a self-contained `BENCH_*.json` file so future changes
-//! have a baseline to diff against.
+//! [`to_json`] renders the records as a self-contained `BENCH_*.json` file
+//! so future changes have a baseline to diff against.
 //!
 //! Wall-clocks are the best of [`MEASURE_RUNS`] runs: the designs are small
 //! enough that scheduler noise would otherwise dominate single-digit
@@ -17,12 +14,11 @@
 use std::num::NonZeroUsize;
 use std::time::Instant;
 
-use htd_core::{BackendChoice, DetectorConfig, EngineChoice, PropertyScheduler, SessionBuilder};
+use htd_core::{BackendChoice, DetectorConfig, SessionBuilder};
 
 use htd_trusthub::registry::Benchmark;
 
-/// How many times each (design, worker count) pair is run; the fastest run
-/// is recorded.
+/// How many times each design is run; the fastest run is recorded.
 pub const MEASURE_RUNS: usize = 3;
 
 /// One benchmark's measurements for the perf-trajectory file.
@@ -36,12 +32,10 @@ pub struct TrajectoryRecord {
     pub properties_checked: usize,
     /// Spurious counterexamples resolved.
     pub spurious_resolved: usize,
-    /// Best wall-clock at the requested worker count, in seconds.
+    /// Best wall-clock of the flow run, in seconds.
     pub wall_secs: f64,
-    /// Best wall-clock of the same executor at one worker, in seconds.
-    pub sequential_secs: f64,
     /// AIG nodes built, summed over the report's properties (part of the
-    /// normalized report, so identical at every worker count).
+    /// normalized report, so identical on every run).
     pub aig_nodes: u64,
     /// CNF variables created, summed over the report's properties.
     pub cnf_vars: u64,
@@ -62,12 +56,12 @@ pub struct TrajectoryRecord {
     pub learnt_lbd_sum: u64,
     /// SAT queries consumed by the flow.
     pub queries: u64,
-    /// Per-signal solve tasks dispatched by the scheduler.
+    /// Per-signal solve tasks of the generations the flow solved.
     pub parallel_tasks: u64,
     /// Prove signals discharged structurally (no solver work).
     pub structurally_proved: u64,
-    /// Solver forks consumed by the flow (one per consumed solve task;
-    /// schedule-invariant, from `DetectionReport::solver_totals`).
+    /// Solver forks consumed by the flow (one per solved task, from
+    /// `DetectionReport::solver_totals`).
     pub fork_count: u64,
     /// Bytes those forks copied: the arena-backed snapshot cost —
     /// proportional to the live clause-database size, never to the clause
@@ -78,25 +72,14 @@ pub struct TrajectoryRecord {
     pub watcher_bytes_cloned: u64,
     /// Arena words reclaimed by clause-GC compaction sweeps.
     pub arena_words_reclaimed: u64,
-    /// Master-side snapshot clones taken by the scheduler for this run
-    /// (schedule-dependent: 0 on single-worker inline schedules).
+    /// Master-side snapshot clones taken for this run: one per level
+    /// prepared ahead of a resolution round, so 0 on designs without one.
     pub snapshot_forks: u64,
     /// Bytes those master-side snapshot clones copied.
     pub snapshot_bytes_cloned: u64,
 }
 
 impl TrajectoryRecord {
-    /// One-worker wall-clock divided by the wall-clock at the requested
-    /// worker count.
-    #[must_use]
-    pub fn speedup(&self) -> f64 {
-        if self.wall_secs > 0.0 {
-            self.sequential_secs / self.wall_secs
-        } else {
-            1.0
-        }
-    }
-
     /// AIG nodes built per CNF variable created: how much of the lowering
     /// the solver never sees.  Around 1 when the flow encodes what it
     /// lowers; infinite when it lowered nodes but encoded none.
@@ -128,7 +111,7 @@ pub fn smoke_set() -> Vec<Benchmark> {
 }
 
 /// What one flow run yields for the trajectory: the report plus the
-/// session/schedule counters the record columns need.
+/// session counters the record columns need.
 struct RunOutcome {
     secs: f64,
     report: htd_core::DetectionReport,
@@ -138,11 +121,7 @@ struct RunOutcome {
     snapshot_bytes_cloned: u64,
 }
 
-fn run_once(
-    benchmark: Benchmark,
-    scheduler: PropertyScheduler,
-    backend: &BackendChoice,
-) -> RunOutcome {
+fn run_once(benchmark: Benchmark, backend: &BackendChoice) -> RunOutcome {
     let design = benchmark.build().expect("bundled benchmarks build");
     let config = DetectorConfig {
         benign_state: benchmark.benign_state(&design),
@@ -150,7 +129,6 @@ fn run_once(
     };
     let mut session = SessionBuilder::new(design)
         .config(config)
-        .engine(EngineChoice::Scheduled(scheduler))
         .backend(backend.clone())
         .build()
         .expect("bundled benchmarks are accepted");
@@ -168,31 +146,15 @@ fn run_once(
     }
 }
 
-/// Measures one benchmark on the flow-graph executor at `jobs` workers and
-/// at one worker, with `pipeline` controlling level pipelining, solving on
-/// `backend`.
+/// Measures one benchmark's detection flow, solving on `backend`.
 #[must_use]
-pub fn measure(
-    benchmark: Benchmark,
-    jobs: NonZeroUsize,
-    pipeline: bool,
-    backend: &BackendChoice,
-) -> TrajectoryRecord {
-    let scheduled = PropertyScheduler::new(jobs).with_level_pipelining(pipeline);
-    let single = PropertyScheduler::new(NonZeroUsize::MIN).with_level_pipelining(pipeline);
+pub fn measure(benchmark: Benchmark, backend: &BackendChoice) -> TrajectoryRecord {
     let mut wall_secs = f64::INFINITY;
-    let mut sequential_secs = f64::INFINITY;
     let mut measured = None;
     for _ in 0..MEASURE_RUNS {
-        let outcome = run_once(benchmark, scheduled, backend);
-        if outcome.secs < wall_secs {
-            wall_secs = outcome.secs;
-        }
+        let outcome = run_once(benchmark, backend);
+        wall_secs = wall_secs.min(outcome.secs);
         measured = Some(outcome);
-        let one_worker = run_once(benchmark, single, backend);
-        if one_worker.secs < sequential_secs {
-            sequential_secs = one_worker.secs;
-        }
     }
     let outcome = measured.expect("at least one run");
     let report = outcome.report;
@@ -214,7 +176,6 @@ pub fn measure(
         properties_checked: report.properties_checked(),
         spurious_resolved: report.spurious_resolved,
         wall_secs,
-        sequential_secs,
         aig_nodes: volume(|s| s.aig_nodes),
         cnf_vars: volume(|s| s.cnf_vars),
         conflicts: totals.conflicts,
@@ -238,16 +199,8 @@ pub fn measure(
 
 /// Measures every given benchmark; see [`measure`].
 #[must_use]
-pub fn run_trajectory(
-    benchmarks: &[Benchmark],
-    jobs: NonZeroUsize,
-    pipeline: bool,
-    backend: &BackendChoice,
-) -> Vec<TrajectoryRecord> {
-    benchmarks
-        .iter()
-        .map(|&b| measure(b, jobs, pipeline, backend))
-        .collect()
+pub fn run_trajectory(benchmarks: &[Benchmark], backend: &BackendChoice) -> Vec<TrajectoryRecord> {
+    benchmarks.iter().map(|&b| measure(b, backend)).collect()
 }
 
 fn json_escape(text: &str) -> String {
@@ -269,50 +222,34 @@ fn json_escape(text: &str) -> String {
 /// The schema is flat on purpose — every field is a number or a string — so
 /// future PRs can diff two `BENCH_*.json` files with standard tooling.
 #[must_use]
-pub fn to_json(
-    records: &[TrajectoryRecord],
-    jobs: NonZeroUsize,
-    pipeline: bool,
-    backend: &BackendChoice,
-) -> String {
+pub fn to_json(records: &[TrajectoryRecord], backend: &BackendChoice) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    // Schema v8: per-design lowering volume, `aig_nodes` and `cnf_vars`
-    // summed over the report's properties.  (v7: `sequential_secs` times
+    // Schema v9: the flow runs on one thread, so each design is timed once
+    // and `jobs`, `level_pipeline`, `sequential_secs`, `speedup` and their
+    // totals are gone.  (v8: per-design lowering volume, `aig_nodes` and
+    // `cnf_vars` summed over the report's properties; v7: `sequential_secs` times
     // the same executor at one worker — it used to time a separate
     // single-miter engine — and the v6 portfolio-race columns are gone; v5
     // split the fork cost model with `watcher_bytes_cloned`; v4 tagged the
     // trajectory with the SAT backend it measured; v3 added the fork cost
     // model of the arena-backed clause store: per-flow fork counts,
     // snapshot bytes and compaction words.)
-    out.push_str("  \"schema\": \"htd-bench-trajectory-v8\",\n");
+    out.push_str("  \"schema\": \"htd-bench-trajectory-v9\",\n");
     out.push_str("  \"engine\": \"flowgraph\",\n");
     out.push_str(&format!(
         "  \"backend\": \"{}\",\n",
         json_escape(&backend.to_string())
     ));
-    out.push_str(&format!("  \"jobs\": {},\n", jobs.get()));
     // Host context: wall-clocks are only comparable between BENCH_*.json
     // files recorded on comparable machines, so the header says how many
-    // hardware threads the run had (the executor caps its worker count at
-    // this) and which scheduling mode was measured.
+    // hardware threads the recording machine had.
     out.push_str(&format!(
         "  \"host_parallelism\": {},\n",
-        PropertyScheduler::available_parallelism().get()
+        std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
     ));
-    out.push_str(&format!("  \"level_pipeline\": {pipeline},\n"));
     let total_wall: f64 = records.iter().map(|r| r.wall_secs).sum();
-    let total_seq: f64 = records.iter().map(|r| r.sequential_secs).sum();
     out.push_str(&format!("  \"total_wall_secs\": {total_wall:.6},\n"));
-    out.push_str(&format!("  \"total_sequential_secs\": {total_seq:.6},\n"));
-    out.push_str(&format!(
-        "  \"total_speedup\": {:.3},\n",
-        if total_wall > 0.0 {
-            total_seq / total_wall
-        } else {
-            1.0
-        }
-    ));
     out.push_str("  \"designs\": [\n");
     for (i, r) in records.iter().enumerate() {
         out.push_str("    {\n");
@@ -330,11 +267,6 @@ pub fn to_json(
             r.spurious_resolved
         ));
         out.push_str(&format!("      \"wall_secs\": {:.6},\n", r.wall_secs));
-        out.push_str(&format!(
-            "      \"sequential_secs\": {:.6},\n",
-            r.sequential_secs
-        ));
-        out.push_str(&format!("      \"speedup\": {:.3},\n", r.speedup()));
         out.push_str(&format!("      \"aig_nodes\": {},\n", r.aig_nodes));
         out.push_str(&format!("      \"cnf_vars\": {},\n", r.cnf_vars));
         out.push_str(&format!("      \"conflicts\": {},\n", r.conflicts));
@@ -393,21 +325,20 @@ mod tests {
 
     #[test]
     fn smoke_set_measures_and_serialises() {
-        let jobs = NonZeroUsize::new(2).unwrap();
         let backend = BackendChoice::Builtin;
-        let records = run_trajectory(&[Benchmark::Rs232T2400], jobs, true, &backend);
+        let records = run_trajectory(&[Benchmark::Rs232T2400], &backend);
         assert_eq!(records.len(), 1);
         assert_eq!(records[0].verdict, "fanout_property_1");
         assert!(records[0].wall_secs > 0.0);
-        let json = to_json(&records, jobs, true, &backend);
-        assert!(json.contains("\"schema\": \"htd-bench-trajectory-v8\""));
+        let json = to_json(&records, &backend);
+        assert!(json.contains("\"schema\": \"htd-bench-trajectory-v9\""));
         assert!(json.contains("\"backend\": \"builtin\""));
         assert!(json.contains("\"engine\": \"flowgraph\""));
         assert!(json.contains("\"host_parallelism\""));
-        assert!(json.contains("\"level_pipeline\": true"));
-        assert!(json.contains("\"jobs\": 2"));
         assert!(json.contains("RS232-T2400"));
-        assert!(json.contains("\"speedup\""));
+        for deleted in ["jobs", "level_pipeline", "sequential_secs", "speedup"] {
+            assert!(!json.contains(&format!("{deleted}\"")), "{deleted} is gone");
+        }
         assert!(json.contains(&format!("\"aig_nodes\": {}", records[0].aig_nodes)));
         assert!(json.contains(&format!("\"cnf_vars\": {}", records[0].cnf_vars)));
         assert!(records[0].aig_nodes > 0 && records[0].cnf_vars > 0);

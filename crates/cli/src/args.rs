@@ -68,12 +68,6 @@ pub struct DetectArgs {
     pub backend: BackendChoice,
     /// Stream per-property progress to stderr while the flow runs.
     pub progress: bool,
-    /// Worker shards per fanout level (`None` = the machine's available
-    /// parallelism).  Reports are identical for every value.
-    pub jobs: Option<usize>,
-    /// Disable cross-level pipelining (prepare each level only after the
-    /// previous one merged).  Reports are identical either way.
-    pub no_pipeline: bool,
     /// Print the [`normalized`](htd_core::DetectionReport::normalized)
     /// report (wall-clock durations zeroed): runs over the same design are
     /// then byte-identical, which `htd submit` and the CI smoke rely on.
@@ -90,8 +84,6 @@ impl Default for DetectArgs {
             benign: Vec::new(),
             backend: BackendChoice::Builtin,
             progress: false,
-            jobs: None,
-            no_pipeline: false,
             normalize: false,
         }
     }
@@ -99,7 +91,7 @@ impl Default for DetectArgs {
 
 /// Options of the `serve` subcommand.  Every `None` keeps the
 /// [`ServeOptions`](htd_serve::ServeOptions) default; `jobs` defaults to the
-/// machine's available parallelism.
+/// machine's available parallelism (and is raised to at least 2).
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ServeArgs {
     /// Listen address (`--addr`), e.g. `127.0.0.1:7171`.
@@ -108,7 +100,7 @@ pub struct ServeArgs {
     pub max_jobs: Option<usize>,
     /// Snapshot-cache byte budget (`--cache-bytes`; 0 disables caching).
     pub cache_bytes: Option<u64>,
-    /// Shared solve-pool workers (`--jobs`; default available parallelism).
+    /// Job runner threads (`--jobs`; default available parallelism).
     pub jobs: Option<usize>,
     /// Per-job wall-clock ceiling in milliseconds (`--budget-deadline-ms`).
     pub budget_deadline_ms: Option<u64>,
@@ -157,17 +149,13 @@ pub enum Command {
     /// Regenerate Table I of the paper on the bundled benchmarks.
     Table1,
     /// Run the perf-trajectory benchmark harness: the Table-I set (or a
-    /// smoke subset) timed at `jobs` workers and at one worker, printing a
-    /// comparison table and optionally writing a `BENCH_*.json` file.
+    /// smoke subset) timed per design, printing a table and optionally
+    /// writing a `BENCH_*.json` file.
     Bench {
         /// Write the JSON trajectory to this path.
         json: Option<PathBuf>,
-        /// Worker shards (`None` = available parallelism).
-        jobs: Option<usize>,
         /// Run only the cheap smoke subset (used by CI).
         smoke: bool,
-        /// Disable cross-level pipelining.
-        no_pipeline: bool,
         /// The SAT backend to measure (rows and the JSON header carry the
         /// tag, so trajectories of different backends never get compared
         /// silently).
@@ -252,17 +240,12 @@ impl Command {
                                 value.parse().map_err(ParseArgsError::InvalidBackend)?;
                         }
                         "--progress" => parsed.progress = true,
+                        // Validated, then ignored: the flow runs on one
+                        // thread.  `perfbench/run.py` still passes it; see
+                        // htd-core's `compat` module for when it goes.
                         "--jobs" => {
-                            let value = required(&mut iter, "--jobs")?;
-                            let jobs: usize = value
-                                .parse()
-                                .map_err(|_| ParseArgsError::InvalidNumber(value.clone()))?;
-                            if jobs == 0 {
-                                return Err(ParseArgsError::InvalidNumber(value));
-                            }
-                            parsed.jobs = Some(jobs);
+                            positive_number(&required(&mut iter, "--jobs")?)?;
                         }
-                        "--no-pipeline" => parsed.no_pipeline = true,
                         "--normalize" => parsed.normalize = true,
                         flag if flag.starts_with("--") => {
                             return Err(ParseArgsError::UnknownFlag(flag.to_string()))
@@ -416,26 +399,13 @@ impl Command {
             "table1" => Ok(Command::Table1),
             "bench" => {
                 let mut json = None;
-                let mut jobs = None;
                 let mut smoke = false;
-                let mut no_pipeline = false;
                 let mut backend = BackendChoice::Builtin;
                 let mut iter = rest.into_iter();
                 while let Some(arg) = iter.next() {
                     match arg.as_str() {
                         "--json" => json = Some(PathBuf::from(required(&mut iter, "--json")?)),
-                        "--jobs" => {
-                            let value = required(&mut iter, "--jobs")?;
-                            let parsed: usize = value
-                                .parse()
-                                .map_err(|_| ParseArgsError::InvalidNumber(value.clone()))?;
-                            if parsed == 0 {
-                                return Err(ParseArgsError::InvalidNumber(value));
-                            }
-                            jobs = Some(parsed);
-                        }
                         "--smoke" => smoke = true,
-                        "--no-pipeline" => no_pipeline = true,
                         "--backend" => {
                             let value = required(&mut iter, "--backend")?;
                             backend = value.parse().map_err(ParseArgsError::InvalidBackend)?;
@@ -445,9 +415,7 @@ impl Command {
                 }
                 Ok(Command::Bench {
                     json,
-                    jobs,
                     smoke,
-                    no_pipeline,
                     backend,
                 })
             }
@@ -527,7 +495,7 @@ pub fn usage() -> &'static str {
 USAGE:
     htd detect <file> [--top NAME] [--benign REG]... [--dot FILE] [--vcd PREFIX]
                       [--backend builtin|dimacs:CMD|ipasir:LIB]
-                      [--progress] [--jobs N] [--no-pipeline] [--normalize]
+                      [--progress] [--jobs N] [--normalize]
     htd serve [--addr HOST:PORT] [--max-jobs N] [--cache-bytes N] [--jobs N]
               [--budget-deadline-ms N] [--budget-conflicts N]
               [--drain-deadline-ms N]
@@ -538,8 +506,7 @@ USAGE:
     htd stats <file> [--top NAME]
     htd baselines <file> [--top NAME] [--bound N]
     htd table1
-    htd bench [--json FILE] [--jobs N] [--smoke] [--no-pipeline]
-              [--backend builtin|dimacs:CMD|ipasir:LIB]
+    htd bench [--json FILE] [--smoke] [--backend builtin|dimacs:CMD|ipasir:LIB]
     htd sat <file.cnf>
     htd lint [ROOT] [--json]
     htd help
@@ -557,7 +524,7 @@ SUBCOMMANDS:
     stats       design statistics and the structural fanout levels
     baselines   bounded model checking, random testing, UCI and FANCI
     table1      regenerate Table I of the paper on the bundled benchmarks
-    bench       perf-trajectory harness (timings at --jobs N and at one worker)
+    bench       perf-trajectory harness (wall-clock and solver work per design)
     sat         solve a DIMACS CNF file (SAT-competition output format)
     lint        check the workspace sources against the repo invariants
                 (unsafe-audit, determinism, strict-env, exhaustive-stats,
@@ -577,10 +544,10 @@ DETECT FLAGS:
                              bundled reference library is built by
                              `cargo build -p ipasir-shim` (libipasir_htd.so)
     --progress               stream per-property progress to stderr while running
-    --jobs N                 worker shards per fanout level (default: available
-                             parallelism; reports are identical for every N)
-    --no-pipeline            solve one level at a time instead of pipelining
-                             levels (reports are identical either way)
+    --jobs N                 accepted and ignored (N must be a positive
+                             integer): the flow runs on one thread, because
+                             a second worker made every measured workload
+                             slower or left it unchanged
     --normalize              print the report with wall-clock durations zeroed;
                              runs over the same design are then byte-identical
                              (submit streams exactly this rendering)
@@ -590,7 +557,8 @@ SERVE FLAGS (the daemon's only settings; none come from the environment):
     --max-jobs N             admission bound on queued+running jobs (default 8)
     --cache-bytes N          frozen-master snapshot-cache budget, 0 disables
                              (default 256 MiB)
-    --jobs N                 shared solve-pool workers (default: available
+    --jobs N                 job runner threads, at least 2; each runner
+                             solves one job at a time (default: available
                              parallelism)
     --budget-deadline-ms N   per-job wall-clock ceiling; exhausted jobs stream a
                              budget_exhausted frame (default: unlimited)
@@ -615,10 +583,7 @@ SUBMIT FLAGS:
 
 BENCH FLAGS:
     --json FILE              write the BENCH_*.json perf-trajectory file
-    --jobs N                 worker shards of the timed run (every design is also
-                             timed at one worker: the jobs=1 column)
     --smoke                  run only the cheap CI smoke subset
-    --no-pipeline            disable cross-level pipelining
     --backend ...            measure an alternative SAT backend (rows and the
                              JSON header carry the backend tag)
 
@@ -749,39 +714,25 @@ mod tests {
 
     #[test]
     fn parses_jobs_and_bench() {
-        match Command::parse(["detect", "design.v", "--jobs", "8", "--no-pipeline"]).unwrap() {
-            Command::Detect(args) => {
-                assert_eq!(args.jobs, Some(8));
-                assert!(args.no_pipeline);
-            }
-            other => panic!("expected detect, got {other:?}"),
-        }
+        // `detect --jobs N` is validated and ignored.
         assert_eq!(
-            Command::parse(["detect", "design.v", "--jobs", "0"]).unwrap_err(),
-            ParseArgsError::InvalidNumber("0".into())
+            Command::parse(["detect", "design.v", "--jobs", "8"]).unwrap(),
+            Command::parse(["detect", "design.v"]).unwrap()
         );
-        match Command::parse([
-            "bench",
-            "--json",
-            "BENCH.json",
-            "--jobs",
-            "4",
-            "--smoke",
-            "--no-pipeline",
-        ])
-        .unwrap()
-        {
+        for bad in ["0", "two"] {
+            assert_eq!(
+                Command::parse(["detect", "design.v", "--jobs", bad]).unwrap_err(),
+                ParseArgsError::InvalidNumber(bad.into())
+            );
+        }
+        match Command::parse(["bench", "--json", "BENCH.json", "--smoke"]).unwrap() {
             Command::Bench {
                 json,
-                jobs,
                 smoke,
-                no_pipeline,
                 backend,
             } => {
                 assert_eq!(json, Some(PathBuf::from("BENCH.json")));
-                assert_eq!(jobs, Some(4));
                 assert!(smoke);
-                assert!(no_pipeline);
                 assert_eq!(backend, BackendChoice::Builtin);
             }
             other => panic!("expected bench, got {other:?}"),
@@ -789,23 +740,27 @@ mod tests {
         match Command::parse(["bench"]).unwrap() {
             Command::Bench {
                 json,
-                jobs,
                 smoke,
-                no_pipeline,
                 backend,
             } => {
                 assert_eq!(json, None);
-                assert_eq!(jobs, None);
                 assert!(!smoke);
-                assert!(!no_pipeline);
                 assert_eq!(backend, BackendChoice::Builtin);
             }
             other => panic!("expected bench, got {other:?}"),
         }
-        assert!(matches!(
-            Command::parse(["bench", "--wrong"]).unwrap_err(),
-            ParseArgsError::UnknownFlag(_)
-        ));
+        // The schedule flags are gone.
+        for args in [
+            &["detect", "design.v", "--no-pipeline"][..],
+            &["bench", "--jobs", "2"],
+            &["bench", "--no-pipeline"],
+            &["bench", "--wrong"],
+        ] {
+            assert!(matches!(
+                Command::parse(args.iter().copied()).unwrap_err(),
+                ParseArgsError::UnknownFlag(_)
+            ));
+        }
         assert!(usage().contains("htd bench"));
     }
 

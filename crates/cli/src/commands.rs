@@ -13,8 +13,7 @@ use htd_baselines::uci::{unused_circuit_identification, UciOptions};
 use htd_bench::trajectory;
 use htd_core::replay::replay_counterexample;
 use htd_core::{
-    DetectError, DetectionOutcome, DetectionReport, DetectorConfig, EngineChoice, FlowEvent,
-    PropertyScheduler, SessionBuilder,
+    DetectError, DetectionOutcome, DetectionReport, DetectorConfig, FlowEvent, SessionBuilder,
 };
 use htd_rtl::export::fanout_dot;
 use htd_rtl::netlist;
@@ -139,11 +138,9 @@ pub fn run(command: &Command) -> Result<String, CliError> {
         Command::Table1 => Ok(table1_text()),
         Command::Bench {
             json,
-            jobs,
             smoke,
-            no_pipeline,
             backend,
-        } => bench(json.as_deref(), *jobs, *smoke, !*no_pipeline, backend),
+        } => bench(json.as_deref(), *smoke, backend),
         Command::Sat { input } => sat(input),
         Command::Serve(args) => serve(args),
         Command::Submit(args) => submit(args),
@@ -221,15 +218,16 @@ fn serve(args: &ServeArgs) -> Result<String, CliError> {
         options.drain_deadline = Duration::from_millis(ms);
     }
     let addr = options.addr.clone();
-    let (workers, max_jobs, cache_bytes) = (options.workers, options.max_jobs, options.cache_bytes);
+    let (max_jobs, cache_bytes) = (options.max_jobs, options.cache_bytes);
     let server = Server::start(options).map_err(|e| CliError::Io {
         path: PathBuf::from(addr),
         message: e.to_string(),
     })?;
     eprintln!(
-        "htd serve listening on {} ({workers} workers, {max_jobs} job slots, \
+        "htd serve listening on {} ({} runner threads, {max_jobs} job slots, \
          {cache_bytes} cache bytes)",
-        server.addr()
+        server.addr(),
+        server.runner_threads()
     );
     signal::install_sigterm_handler();
     let drain = server.drain_handle();
@@ -390,15 +388,9 @@ fn detect(args: &DetectArgs) -> Result<String, CliError> {
         benign_state: benign,
         ..DetectorConfig::default()
     };
-    let jobs = args
-        .jobs
-        .and_then(NonZeroUsize::new)
-        .unwrap_or_else(PropertyScheduler::available_parallelism);
-    let scheduler = PropertyScheduler::new(jobs).with_level_pipelining(!args.no_pipeline);
     let mut session = SessionBuilder::new(design.clone())
         .config(config)
         .backend(args.backend.clone())
-        .engine(EngineChoice::Scheduled(scheduler))
         .build()?;
     let report: DetectionReport = if args.progress {
         eprintln!(
@@ -465,19 +457,13 @@ fn detect(args: &DetectArgs) -> Result<String, CliError> {
     Ok(out)
 }
 
-/// `htd bench`: the perf-trajectory harness — time the benchmark set at
-/// `jobs` workers and at one worker, print a comparison table, and write the
-/// `BENCH_*.json` file when requested.
+/// `htd bench`: the perf-trajectory harness — time the benchmark set,
+/// print a table, and write the `BENCH_*.json` file when requested.
 fn bench(
     json: Option<&Path>,
-    jobs: Option<usize>,
     smoke: bool,
-    pipeline: bool,
     backend: &htd_core::BackendChoice,
 ) -> Result<String, CliError> {
-    let jobs = jobs
-        .and_then(NonZeroUsize::new)
-        .unwrap_or_else(PropertyScheduler::available_parallelism);
     // Reject an unusable backend (e.g. an `ipasir:` typo) with a clean
     // error before the harness starts measuring.
     backend.validate().map_err(CliError::Flow)?;
@@ -486,18 +472,16 @@ fn bench(
     } else {
         Benchmark::all()
     };
-    let records = trajectory::run_trajectory(&benchmarks, jobs, pipeline, backend);
+    let records = trajectory::run_trajectory(&benchmarks, backend);
 
     let mut out = String::new();
     let _ = writeln!(out, "backend: {backend}");
     let _ = writeln!(
         out,
-        "{:<18} {:<20} {:>10} {:>12} {:>8}  {:>9} {:>8} {:>9} {:>6} {:>9} {:>6} {:>11}",
+        "{:<18} {:<20} {:>10}  {:>9} {:>8} {:>9} {:>6} {:>9} {:>6} {:>11}",
         "Benchmark",
         "Verdict",
         "wall (s)",
-        "jobs=1 (s)",
-        "speedup",
         "AIG nodes",
         "AIG/var",
         "conflicts",
@@ -506,16 +490,14 @@ fn bench(
         "forks",
         "fork bytes"
     );
-    let _ = writeln!(out, "{}", "-".repeat(137));
+    let _ = writeln!(out, "{}", "-".repeat(115));
     for r in &records {
         let _ = writeln!(
             out,
-            "{:<18} {:<20} {:>10.4} {:>12.4} {:>7.2}x  {:>9} {:>8.2} {:>9} {:>6} {:>9} {:>6} {:>11}",
+            "{:<18} {:<20} {:>10.4}  {:>9} {:>8.2} {:>9} {:>6} {:>9} {:>6} {:>11}",
             r.name,
             r.verdict,
             r.wall_secs,
-            r.sequential_secs,
-            r.speedup(),
             r.aig_nodes,
             r.aig_per_cnf_var(),
             r.conflicts,
@@ -526,24 +508,12 @@ fn bench(
         );
     }
     let total_wall: f64 = records.iter().map(|r| r.wall_secs).sum();
-    let total_seq: f64 = records.iter().map(|r| r.sequential_secs).sum();
-    let _ = writeln!(
-        out,
-        "total: {total_wall:.3}s at {} jobs vs {total_seq:.3}s at 1 job ({:.2}x)",
-        jobs.get(),
-        if total_wall > 0.0 {
-            total_seq / total_wall
-        } else {
-            1.0
-        }
-    );
+    let _ = writeln!(out, "total: {total_wall:.3}s");
     if let Some(path) = json {
-        std::fs::write(path, trajectory::to_json(&records, jobs, pipeline, backend)).map_err(
-            |e| CliError::Io {
-                path: path.to_path_buf(),
-                message: e.to_string(),
-            },
-        )?;
+        std::fs::write(path, trajectory::to_json(&records, backend)).map_err(|e| CliError::Io {
+            path: path.to_path_buf(),
+            message: e.to_string(),
+        })?;
         let _ = writeln!(out, "trajectory written to {}", path.display());
     }
     Ok(out)
@@ -788,7 +758,6 @@ endmodule
             let info = benchmark.info();
             let output = run(&Command::Detect(DetectArgs {
                 input: PathBuf::from(format!("trusthub:{}", info.name)),
-                jobs: Some(2),
                 ..DetectArgs::default()
             }))
             .unwrap();
@@ -817,7 +786,6 @@ endmodule
             run(&Command::Detect(DetectArgs {
                 input: PathBuf::from("trusthub:RS232-T2400"),
                 normalize: true,
-                jobs: Some(1),
                 benign,
                 ..DetectArgs::default()
             }))

@@ -37,7 +37,9 @@
 //!   init/fanout/coverage sequence performs **one** bit-blast, expresses each
 //!   property's antecedent through solver assumptions and starting-state
 //!   variable sharing, and keeps the backend's learnt clauses alive across
-//!   properties and re-verification rounds.
+//!   properties and re-verification rounds.  The flow runs on the calling
+//!   thread: each sub-property solves on its own fork of the master, one
+//!   after another.
 //! * [`FlowEvent`] — the streaming observer API: per-level, per-property and
 //!   per-counterexample progress while the flow runs (ordering contract
 //!   documented on the type); consumed by the CLI for live output and by the
@@ -94,6 +96,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+mod compat;
 pub mod diagnosis;
 mod error;
 mod flow;
@@ -107,10 +110,10 @@ pub use error::DetectError;
 pub use flow::DetectorConfig;
 // Re-exported so budget consumers (the serve tier, CLI flags) need no
 // direct `htd-sat` dependency to configure a run.
+pub use compat::{EngineChoice, PipelineStats, PropertyScheduler, SharedSolvePool};
 #[allow(deprecated)]
 pub use flow::TrojanDetector;
 pub use flowgraph::{FlowGraph, FlowNode, FlowNodeKind};
 pub use htd_sat::{BudgetTracker, SolveBudget};
 pub use report::{DetectedBy, DetectionOutcome, DetectionReport, PropertyTrace};
-pub use scheduler::{PipelineStats, PropertyScheduler, SharedSolvePool};
-pub use session::{BackendChoice, DetectionSession, EngineChoice, FlowEvent, SessionBuilder};
+pub use session::{BackendChoice, DetectionSession, FlowEvent, SessionBuilder};

@@ -12,23 +12,20 @@
 //!
 //! # The flow-graph model
 //!
-//! Algorithm 1 is *presented* as a sequential loop, but the flow is executed
+//! Algorithm 1 is *presented* as a sequential loop; the flow is planned
 //! here as a **dependency graph** ([`FlowGraph`](crate::FlowGraph)): one
 //! node per fanout level (carrying the level's interval property and an
 //! edge to the level it structurally depends on), dynamically appended
 //! resolution-round nodes, and a final coverage node.  Planning the graph
-//! is purely structural.  A session walks it with the **pipelined
-//! executor** (see [`PropertyScheduler`]): each level node splits into
-//! per-signal sub-properties, each level freezes behind a forked solver
-//! snapshot, and one worker pool solves sub-properties of *different* levels
-//! concurrently while the master encodes ahead.  With a single worker the
-//! executor solves each level inline, on forks of the unmutated master.
-//! Results merge in node order, so reports are byte-identical for every
-//! worker count and with pipelining on or off
-//! ([`DetectionReport::normalized`]).  The deprecated
-//! [`TrojanDetector`](crate::TrojanDetector) visits the same nodes in id
-//! order with a fresh encoding per property: the reference the equivalence
-//! suite compares sessions against.
+//! is purely structural.  A session walks it node by node on the calling
+//! thread: each level splits into per-signal sub-properties, encoded once
+//! on the master and solved in id order, each on its own fork of the
+//! master, and the first counterexample decides the level.  Reports are
+//! therefore a pure function of the design, the configuration and the
+//! backend ([`DetectionReport::normalized`] zeroes the wall-clock fields).
+//! The deprecated [`TrojanDetector`](crate::TrojanDetector) visits the same
+//! nodes in id order with a fresh encoding per property: the reference the
+//! equivalence suite compares sessions against.
 //!
 //! [`DetectionReport::normalized`]: crate::DetectionReport::normalized
 //!
@@ -60,14 +57,10 @@
 //! 2. If every property holds, one [`FlowEvent::Coverage`] event with the
 //!    uncovered-signal verdict.
 //!
-//! The stream is emitted at the deterministic merge frontier, so the
-//! contract holds *unchanged* under the pipelined executor: levels may
-//! solve out of order internally, but observers always see them in flow
-//! order.  Observers are `FnMut` callbacks; they must not assume any events
+//! Observers are `FnMut` callbacks; they must not assume any events
 //! beyond this contract (future versions may add variants — match with a
 //! wildcard arm).
 
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
 use std::str::FromStr;
 use std::sync::atomic::AtomicBool;
@@ -80,10 +73,11 @@ use htd_sat::{
     BudgetTracker, DimacsProcessBackend, IpasirBackend, SatBackend, Solver, SolverStats,
 };
 
+use crate::compat::PipelineStats;
 use crate::error::DetectError;
 use crate::flow::DetectorConfig;
 use crate::report::DetectionReport;
-use crate::scheduler::{run_pipelined, PipelineStats, PropertyScheduler, SharedSolvePool};
+use crate::scheduler::run_flow;
 
 /// Which SAT backend a session solves with.
 #[derive(Clone, Debug, PartialEq, Eq, Default)]
@@ -237,25 +231,6 @@ impl std::fmt::Display for BackendChoice {
     }
 }
 
-/// How a session schedules the flow.  There is one engine, the pipelined
-/// flow-graph executor, so this only wraps its [`PropertyScheduler`];
-/// [`SessionBuilder::jobs`] is the shorthand for the common case.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum EngineChoice {
-    /// The pipelined flow-graph executor: each level node is split
-    /// into per-signal sub-properties solved on forked solver shards, with
-    /// sub-properties of *different* levels solving concurrently and a
-    /// deterministic node-order merge.  Reports are identical for any worker
-    /// count and with pipelining on or off (see [`PropertyScheduler`]).
-    Scheduled(PropertyScheduler),
-}
-
-impl Default for EngineChoice {
-    fn default() -> Self {
-        EngineChoice::Scheduled(PropertyScheduler::default())
-    }
-}
-
 /// A boxed observer registered with [`DetectionSession::on_event`].
 type EventObserver = Box<dyn FnMut(&FlowEvent)>;
 
@@ -395,20 +370,18 @@ pub struct SessionBuilder {
     design: ValidatedDesign,
     config: DetectorConfig,
     backend: BackendChoice,
-    engine: EngineChoice,
 }
 
 impl SessionBuilder {
-    /// Starts a builder for the given design with the default configuration,
-    /// the builtin backend and the pipelined scheduler at one worker.  The
-    /// defaults are constants: nothing here reads the environment.
+    /// Starts a builder for the given design with the default configuration
+    /// and the builtin backend.  The defaults are constants: nothing here
+    /// reads the environment.
     #[must_use]
     pub fn new(design: ValidatedDesign) -> Self {
         SessionBuilder {
             design,
             config: DetectorConfig::default(),
             backend: BackendChoice::Builtin,
-            engine: EngineChoice::default(),
         }
     }
 
@@ -424,21 +397,6 @@ impl SessionBuilder {
     pub fn backend(mut self, backend: BackendChoice) -> Self {
         self.backend = backend;
         self
-    }
-
-    /// Selects the executor's schedule.
-    #[must_use]
-    pub fn engine(mut self, engine: EngineChoice) -> Self {
-        self.engine = engine;
-        self
-    }
-
-    /// Shorthand: the sharded scheduler with up to `jobs` worker shards per
-    /// fanout level.  The resulting reports are identical for every `jobs`
-    /// value (see [`PropertyScheduler`]).
-    #[must_use]
-    pub fn jobs(self, jobs: NonZeroUsize) -> Self {
-        self.engine(EngineChoice::Scheduled(PropertyScheduler::new(jobs)))
     }
 
     /// Builds the session: validates the design and the configuration and
@@ -497,11 +455,9 @@ impl SessionBuilder {
             design: self.design,
             config: self.config,
             backend: self.backend,
-            engine: self.engine,
             miter,
             observers: Vec::new(),
             pipeline_stats: PipelineStats::default(),
-            pool: None,
             cancel: None,
         }
     }
@@ -520,11 +476,9 @@ pub struct DetectionSession {
     design: ValidatedDesign,
     config: DetectorConfig,
     backend: BackendChoice,
-    engine: EngineChoice,
     miter: MiterSession,
     observers: Vec<EventObserver>,
-    pipeline_stats: PipelineStats,
-    pool: Option<SharedSolvePool>,
+    pub(crate) pipeline_stats: PipelineStats,
     cancel: Option<Arc<AtomicBool>>,
 }
 
@@ -533,7 +487,6 @@ impl std::fmt::Debug for DetectionSession {
         f.debug_struct("DetectionSession")
             .field("design", &self.design.design().name())
             .field("backend", &self.backend)
-            .field("engine", &self.engine)
             .field("config", &self.config)
             .field("observers", &self.observers.len())
             .finish_non_exhaustive()
@@ -559,12 +512,6 @@ impl DetectionSession {
         &self.backend
     }
 
-    /// The chosen schedule.
-    #[must_use]
-    pub fn engine(&self) -> &EngineChoice {
-        &self.engine
-    }
-
     /// Counters of the underlying miter session (bit-blasts performed,
     /// properties checked, nodes encoded, queries issued, and the
     /// master-side snapshot-fork cost: `snapshot_forks` /
@@ -577,24 +524,12 @@ impl DetectionSession {
 
     /// The master backend's cumulative counters (variables, clauses, queries
     /// and solver work including clause-GC and arena-compaction words
-    /// reclaimed).  Unlike the per-run [`DetectionReport`], these may depend
-    /// on how far the executor speculated.
+    /// reclaimed).  They accumulate over every run of the session and
+    /// include master-side work no report shows, such as the end-of-flow
+    /// clause-GC.
     #[must_use]
     pub fn backend_stats(&self) -> htd_sat::BackendStats {
         self.miter.backend_stats()
-    }
-
-    /// Schedule counters of the most recent [`run`](Self::run) under the
-    /// pipelined executor: generations prepared, tasks dispatched, the
-    /// cross-level evidence — tasks that solved while a task of a different
-    /// level was in flight — and the per-generation snapshot cost
-    /// (`snapshot_forks` / `snapshot_bytes_cloned`: what freezing each
-    /// generation's clause database actually copied).  All zero before the
-    /// first run.  Unlike the report, these describe the schedule actually
-    /// taken and may vary between runs.
-    #[must_use]
-    pub fn pipeline_stats(&self) -> PipelineStats {
-        self.pipeline_stats
     }
 
     /// Registers a streaming observer receiving every [`FlowEvent`] of
@@ -603,21 +538,14 @@ impl DetectionSession {
         self.observers.push(Box::new(observer));
     }
 
-    /// Runs subsequent [`run`](Self::run) calls on the given shared worker
-    /// pool instead of flow-owned threads: the session registers its ready
-    /// queue with the pool for the duration of each run, and the pool's
-    /// workers serve all registered sessions round-robin (see
-    /// [`SharedSolvePool`]).  Reports are unaffected — the executor is
-    /// schedule-invariant.
-    pub fn attach_pool(&mut self, pool: SharedSolvePool) {
-        self.pool = Some(pool);
-    }
-
     /// Installs an external cancellation flag for the **next**
     /// [`run`](Self::run): setting it to `true` from any thread interrupts
-    /// in-flight solver tasks mid-search and makes the run return
-    /// [`DetectError::Cancelled`].  The flag is one-shot — the run's
-    /// wind-down sets it, so install a fresh flag per run.
+    /// the solve in flight mid-search and makes the run return
+    /// [`DetectError::Cancelled`].  The flag is one-shot: when the run
+    /// returns, with a report or an error, it has set the flag, so install
+    /// a fresh flag per run.  The daemon relies on this: a job whose flag
+    /// reads `true` is finished, and an identical new submission leads a
+    /// run of its own instead of attaching to it.
     pub fn set_cancel_flag(&mut self, cancel: Arc<AtomicBool>) {
         self.cancel = Some(cancel);
     }
@@ -652,11 +580,9 @@ impl DetectionSession {
         let DetectionSession {
             design,
             config,
-            engine: engine_choice,
             miter,
             observers,
             pipeline_stats,
-            pool,
             cancel,
             ..
         } = self;
@@ -669,7 +595,7 @@ impl DetectionSession {
         // Arm the run's solve budget, if any: the tracker rides this
         // session's miter (a run fork, never a cached pristine master — the
         // serve tier installs budgets per run) and is inherited by every
-        // per-task shard forked during the run.  The tracker trips the
+        // per-task fork taken during the run.  The tracker trips the
         // cancel flag on exhaustion, so a flag is materialized even when the
         // caller installed none.
         let tracker = if config.budget.is_unlimited() {
@@ -680,30 +606,21 @@ impl DetectionSession {
             miter.set_budget(Some(Arc::clone(&tracker)));
             Some(tracker)
         };
-        let EngineChoice::Scheduled(scheduler) = engine_choice;
-        let result = run_pipelined(
-            design,
-            config,
-            miter,
-            scheduler,
-            pool.as_ref(),
-            cancel.as_ref(),
-            &mut emit,
-        )
-        .map(|(report, stats)| {
-            *pipeline_stats = stats;
-            report
-        });
+        let result =
+            run_flow(design, config, miter, cancel.as_ref(), &mut emit).map(|(report, stats)| {
+                *pipeline_stats = stats;
+                report
+            });
         let Some(tracker) = tracker else {
             return result;
         };
         miter.set_budget(None);
         match tracker.exhausted() {
-            // Exhaustion surfaces schedule-dependently (the kill switch
-            // makes the executor report `Cancelled`, a task interrupted
-            // mid-solve can surface as `Backend`); fold every
-            // post-exhaustion failure into the one structured cause.  A run
-            // that reached its verdict before the trip keeps it.
+            // Exhaustion trips the kill switch, so the executor reports
+            // `Cancelled` (an external backend may fail outright instead);
+            // fold every post-exhaustion failure into the one structured
+            // cause.  A run that reached its verdict before the trip keeps
+            // it.
             Some(reason) if result.is_err() => Err(DetectError::BudgetExhausted {
                 reason: reason.to_owned(),
                 conflicts: tracker.conflicts(),
@@ -815,27 +732,6 @@ mod tests {
     }
 
     #[test]
-    fn builder_selects_the_worker_count_and_reports_are_invariant() {
-        let jobs = NonZeroUsize::new(3).unwrap();
-        let mut sharded = SessionBuilder::new(infected_design())
-            .jobs(jobs)
-            .build()
-            .unwrap();
-        assert_eq!(
-            *sharded.engine(),
-            EngineChoice::Scheduled(PropertyScheduler::new(jobs))
-        );
-        let mut single = SessionBuilder::new(infected_design())
-            .jobs(NonZeroUsize::MIN)
-            .build()
-            .unwrap();
-        assert_eq!(
-            sharded.run().unwrap().normalized(),
-            single.run().unwrap().normalized()
-        );
-    }
-
-    #[test]
     fn proved_events_carry_solver_work_counters() {
         let mut session = SessionBuilder::new(clean_pipeline()).build().unwrap();
         let mut saw_proved = false;
@@ -871,38 +767,6 @@ mod tests {
         // there exercises the coordinator's between-task checks.
         let result = session.run_with_observer(&mut |_| flag.store(true, Ordering::SeqCst));
         assert_eq!(result.unwrap_err(), DetectError::Cancelled);
-    }
-
-    #[test]
-    fn pooled_sessions_match_their_solo_reports() {
-        let mut want_clean = SessionBuilder::new(clean_pipeline()).build().unwrap();
-        let want_clean = want_clean.run().unwrap().normalized();
-        let mut want_infected = SessionBuilder::new(infected_design()).build().unwrap();
-        let want_infected = want_infected.run().unwrap().normalized();
-
-        // Two tenants over one pool, concurrently; a cancelled third job must
-        // not perturb either.
-        let pool = SharedSolvePool::new(NonZeroUsize::new(2).unwrap());
-        std::thread::scope(|scope| {
-            scope.spawn(|| {
-                let mut session = SessionBuilder::new(clean_pipeline()).build().unwrap();
-                session.attach_pool(pool.clone());
-                assert_eq!(session.run().unwrap().normalized(), want_clean);
-            });
-            scope.spawn(|| {
-                let mut session = SessionBuilder::new(infected_design()).build().unwrap();
-                session.attach_pool(pool.clone());
-                assert_eq!(session.run().unwrap().normalized(), want_infected);
-            });
-            scope.spawn(|| {
-                let mut session = SessionBuilder::new(clean_pipeline()).build().unwrap();
-                session.attach_pool(pool.clone());
-                session.set_cancel_flag(Arc::new(AtomicBool::new(true)));
-                assert_eq!(session.run().unwrap_err(), DetectError::Cancelled);
-            });
-        });
-        pool.shutdown();
-        pool.shutdown(); // idempotent
     }
 
     #[test]
@@ -1068,26 +932,36 @@ mod tests {
     }
 
     /// Every solve task runs on a fork, so a backend that cannot fork fails
-    /// the run with a backend error — on the inline single-worker schedule
-    /// (the task's fork off the master) and on the frozen-snapshot schedule
-    /// (the generation's snapshot fork) alike, without hanging the pool.
+    /// the run with a backend error.
     #[test]
-    fn a_failing_fork_is_a_backend_error_at_any_worker_count() {
-        for jobs in [1, 2] {
-            let design = infected_design();
-            let miter = MiterSession::new(&design, Box::new(UnforkableSolver(Solver::new())));
-            let scheduler = PropertyScheduler::new(NonZeroUsize::new(jobs).unwrap())
-                .with_oversubscription(true);
-            let mut session = SessionBuilder::new(design)
-                .engine(EngineChoice::Scheduled(scheduler))
-                .build_with_miter(miter)
-                .unwrap();
-            match session.run() {
-                Err(DetectError::Backend { message }) => {
-                    assert!(message.contains("no second solver handle"), "{message}");
-                }
-                other => panic!("jobs {jobs}: expected a backend error, got {other:?}"),
+    fn a_failing_fork_is_a_backend_error() {
+        let design = infected_design();
+        let miter = MiterSession::new(&design, Box::new(UnforkableSolver(Solver::new())));
+        let mut session = SessionBuilder::new(design).build_with_miter(miter).unwrap();
+        match session.run() {
+            Err(DetectError::Backend { message }) => {
+                assert!(message.contains("no second solver handle"), "{message}");
             }
+            other => panic!("expected a backend error, got {other:?}"),
         }
+    }
+
+    /// A run consumes its cancel flag whether it returns a report or an
+    /// error: the daemon reads a set flag as a finished job.
+    #[test]
+    fn a_finished_run_sets_its_cancel_flag() {
+        let flag = Arc::new(AtomicBool::new(false));
+        let mut session = SessionBuilder::new(clean_pipeline()).build().unwrap();
+        session.set_cancel_flag(Arc::clone(&flag));
+        assert!(session.run().is_ok());
+        assert!(flag.load(Ordering::SeqCst), "after Ok");
+
+        let design = infected_design();
+        let miter = MiterSession::new(&design, Box::new(UnforkableSolver(Solver::new())));
+        let mut session = SessionBuilder::new(design).build_with_miter(miter).unwrap();
+        let flag = Arc::new(AtomicBool::new(false));
+        session.set_cancel_flag(Arc::clone(&flag));
+        assert!(matches!(session.run(), Err(DetectError::Backend { .. })));
+        assert!(flag.load(Ordering::SeqCst), "after Err");
     }
 }

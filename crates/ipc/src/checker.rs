@@ -47,8 +47,8 @@ pub struct CheckerOptions {
     /// Percentage of the backend's clause database that must be dead before
     /// opportunistic garbage collection compacts it (default: 25).  The
     /// session runs the check on the master encoding before every fork
-    /// snapshot, so lowering this shrinks the clause database every worker
-    /// shard clones.
+    /// snapshot, so lowering this shrinks the clause database every solve
+    /// task's fork clones.
     pub gc_dead_pct: u32,
     /// Minimum clause-database size before garbage collection is considered
     /// at all (default: 128).

@@ -32,8 +32,8 @@
 //! `ablation_hashing` benchmark applies unchanged to the incremental path.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Instant;
 
 use htd_rtl::{SignalId, SignalKind, ValidatedDesign};
@@ -70,17 +70,18 @@ pub struct SessionStats {
     /// level nodes common to several properties are bit-blasted once per
     /// epoch instead of once per property.
     pub epoch_rebinds: u64,
-    /// Per-signal solve tasks whose generation was merged into a verdict
-    /// (speculatively prepared generations that are discarded after an
-    /// earlier failure do not count).
+    /// Per-signal solve tasks whose generation was solved into a verdict
+    /// (levels prepared ahead of a resolution round that the flow never
+    /// reached do not count).
     pub parallel_tasks: u64,
     /// Tasks skipped because an earlier (lower-id) task had already produced
     /// the level's counterexample.
     pub tasks_skipped: u64,
     /// Frozen generation snapshots forked off the master by
     /// [`MiterSession::prepare_level`].  Unlike the per-task fork counters in
-    /// flow reports, this counts the *master-side* clones, which depend on
-    /// the schedule (inline schedules skip them entirely).
+    /// flow reports, this counts the *master-side* clones: the detection
+    /// flow takes one only for a level it prepares ahead of a resolution
+    /// round.
     pub snapshot_forks: u64,
     /// Bytes copied by those master-side snapshot forks — the arena-backed
     /// cost model: each clone is proportional to the master's live database
@@ -141,8 +142,8 @@ pub struct MiterSession {
     /// Activation literals of the most recently prepared generation, retired
     /// (as permanent unit clauses) when the *next* generation is prepared.
     /// Deferring the retirement keeps the master mutation stream a pure
-    /// function of the prepare order, so pipelined and non-pipelined flows
-    /// see byte-identical master states at every snapshot.
+    /// function of the prepare order, and leaves a generation's miter
+    /// clauses live until its tasks have forked.
     pending_acts: Vec<Var>,
     stats: SessionStats,
 }
@@ -162,117 +163,28 @@ struct LevelTask {
     cone: Vec<Var>,
 }
 
-/// A generation's frozen fork source.
-enum Snapshot {
-    /// No snapshot: taskless generation, or an inline schedule that forks
-    /// the unmutated master at solve time.
-    None,
-    /// Single-task generations: the sole task takes the snapshot and solves
-    /// on it directly (no second clone).
-    Exclusive(Mutex<Option<Box<dyn SatBackend>>>),
-    /// Multi-task generations: workers clone an `Arc` handle under a brief
-    /// lock and fork outside it, so snapshot clones do not serialise; the
-    /// coordinator releases the handle once the generation merges, freeing
-    /// the clause database as soon as the last in-flight task drops its
-    /// reference.
-    Shared(Mutex<Option<Arc<dyn SatBackend>>>),
-}
-
-impl Snapshot {
-    fn is_some(&self) -> bool {
-        match self {
-            Snapshot::None => false,
-            Snapshot::Exclusive(slot) => slot.lock().expect("no poisoned locks").is_some(),
-            Snapshot::Shared(slot) => slot.lock().expect("no poisoned locks").is_some(),
-        }
-    }
-
-    fn release(&self) {
-        match self {
-            Snapshot::None => {}
-            Snapshot::Exclusive(slot) => drop(slot.lock().expect("no poisoned locks").take()),
-            Snapshot::Shared(slot) => drop(slot.lock().expect("no poisoned locks").take()),
-        }
-    }
-}
-
-/// What one solve task produced, recorded by whichever worker ran it.
-enum TaskResult {
-    /// The sub-property holds; per-task solver work and query count.
-    Unsat(SolverStats, u64),
-    /// A counterexample was found on a forked shard (the shard is kept alive
-    /// so its model can be read during reconstruction).
-    Sat(SolverStats, u64, Box<dyn SatBackend>),
-    /// Cancelled: a lower-id task had already failed, or the whole flow was
-    /// cancelled behind an earlier generation's verdict.
-    Skipped,
-    /// The backend infrastructure failed.
-    Error(BackendError),
-}
-
-/// The opaque outcome of one sub-property solve: produced by
-/// [`PreparedLevel::solve_task`] (or [`MiterSession::solve_task_inline`])
-/// and consumed by [`MiterSession::merge_level`].
-pub struct TaskOutcome(TaskResult);
-
-impl TaskOutcome {
-    fn skipped() -> Self {
-        TaskOutcome(TaskResult::Skipped)
-    }
-
-    /// An infrastructure-failure outcome carrying `message`.  Exposed so
-    /// executors outside this crate (the parallel scheduler's panic
-    /// isolation) can settle a task slot whose solve never returned — the
-    /// merge then surfaces the message as a [`BackendError`] instead of
-    /// deadlocking on a forever-missing result.
-    #[must_use]
-    pub fn internal_error(message: impl Into<String>) -> Self {
-        TaskOutcome(TaskResult::Error(BackendError {
-            message: message.into(),
-        }))
-    }
-}
-
-impl std::fmt::Debug for TaskOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(match &self.0 {
-            TaskResult::Unsat(..) => "TaskOutcome::Unsat",
-            TaskResult::Sat(..) => "TaskOutcome::Sat",
-            TaskResult::Skipped => "TaskOutcome::Skipped",
-            TaskResult::Error(..) => "TaskOutcome::Error",
-        })
-    }
-}
-
-/// One prepared (lowered, Tseitin-encoded and snapshot-frozen) generation of
-/// the flow graph: a fanout level's property — or one of its resolution
-/// rounds — split into per-signal sub-property tasks.
+/// One prepared (lowered and Tseitin-encoded) generation of the flow graph:
+/// a fanout level's property — or one of its resolution rounds — split into
+/// per-signal sub-property tasks.
 ///
 /// A `PreparedLevel` is created on the master session by
-/// [`MiterSession::prepare_level`], after which the master is free to encode
-/// *later* generations: every task solves against the generation's own
-/// frozen snapshot, so levels encode and solve pipelined.  Results are
-/// position-keyed and merged deterministically by
-/// [`MiterSession::merge_level`].
+/// [`MiterSession::prepare_level`] and solved by
+/// [`MiterSession::solve_level`].  A generation prepared with `freeze`
+/// carries a snapshot of the master, so the master may encode later
+/// generations before this one solves.
 pub struct PreparedLevel {
     property_name: String,
     tasks: Vec<LevelTask>,
-    /// The frozen master snapshot tasks fork from (`None` when the
-    /// generation has no tasks or was prepared for an inline schedule).
-    /// Single-task generations hold it exclusively and solve on it directly
-    /// instead of paying for a second clone; multi-task generations share
-    /// it so workers fork *outside* any lock.
-    snapshot: Snapshot,
+    /// The frozen master snapshot the tasks fork from: `None` when the
+    /// generation has no tasks or was prepared without `freeze`, in which
+    /// case the tasks fork straight off the master.
+    snapshot: Option<Box<dyn SatBackend>>,
     /// This generation's epoch starting-state words, kept for counterexample
-    /// reconstruction at merge time (the session's live epoch may already
+    /// reconstruction at solve time (the session's live epoch may already
     /// belong to a later generation).
     regs: [FxHashMap<SignalId, BitVec>; 2],
     start: Instant,
     structurally_proved: u64,
-    /// Bytes the generation's frozen snapshot clone copied off the master
-    /// (0 when no snapshot was taken: taskless generations and inline
-    /// schedules).
-    snapshot_bytes: u64,
     /// Master-side work bracketed over this generation's prepare: AIG and
     /// CNF growth plus any clause-GC the master ran before the snapshot.
     aig_nodes: usize,
@@ -304,143 +216,6 @@ impl PreparedLevel {
     #[must_use]
     pub fn num_tasks(&self) -> usize {
         self.tasks.len()
-    }
-
-    /// `true` if the generation carries a frozen snapshot, i.e. its tasks can
-    /// be solved concurrently (and concurrently with other generations).
-    #[must_use]
-    pub fn has_snapshot(&self) -> bool {
-        self.snapshot.is_some()
-    }
-
-    /// Bytes the generation's frozen snapshot clone copied off the master —
-    /// the O(bytes) cost of freezing this generation (0 when no snapshot was
-    /// taken).  Schedulers aggregate this into their pipeline counters.
-    #[must_use]
-    pub fn snapshot_bytes(&self) -> u64 {
-        self.snapshot_bytes
-    }
-
-    /// Releases the generation's snapshot once its results are merged: the
-    /// clause-database clone is freed as soon as no in-flight task still
-    /// references it.  Idempotent.
-    pub fn release_snapshot(&self) {
-        self.snapshot.release();
-    }
-
-    /// Solves sub-property `index` on a fork of the generation's snapshot.
-    ///
-    /// `doomed` is the generation's shared lowest-failed-task id (initialise
-    /// to `usize::MAX`): a task behind a lower-id failure is skipped, or
-    /// cancelled mid-solve, because the deterministic merge can never consume
-    /// its result.  `cancelled` aborts speculative work when an *earlier
-    /// generation's* verdict has already ended the flow.
-    ///
-    /// Any worker thread may call this for any index; results are
-    /// deterministic because every task solves from the same frozen snapshot.
-    #[must_use]
-    pub fn solve_task(
-        &self,
-        index: usize,
-        doomed: &Arc<AtomicUsize>,
-        cancelled: &Arc<AtomicBool>,
-    ) -> TaskOutcome {
-        if doomed.load(Ordering::SeqCst) < index || cancelled.load(Ordering::SeqCst) {
-            return TaskOutcome::skipped();
-        }
-        let unavailable = || BackendError {
-            message: "generation snapshot unavailable (prepared for an inline schedule, or \
-                      already released)"
-                .to_string(),
-        };
-        let shard = match &self.snapshot {
-            Snapshot::None => Err(unavailable()),
-            // Sole task of the generation: solve on the snapshot itself
-            // instead of paying for a second clone.
-            Snapshot::Exclusive(slot) => slot
-                .lock()
-                .expect("no poisoned locks")
-                .take()
-                .ok_or_else(unavailable),
-            Snapshot::Shared(slot) => {
-                // Clone the handle under the lock, fork outside it: clause
-                // database clones never serialise the workers.
-                let handle = slot.lock().expect("no poisoned locks").clone();
-                handle
-                    .ok_or_else(unavailable)
-                    .and_then(|master| master.fork())
-            }
-        };
-        self.solve_on(shard, index, doomed, cancelled)
-    }
-
-    /// The shared solving core: masks, focuses and solves one task on a
-    /// freshly forked shard.  A failed fork fails the task (and dooms the
-    /// tasks behind it) with the backend's error.
-    fn solve_on(
-        &self,
-        shard: Result<Box<dyn SatBackend>, BackendError>,
-        index: usize,
-        doomed: &Arc<AtomicUsize>,
-        cancelled: &Arc<AtomicBool>,
-    ) -> TaskOutcome {
-        let task = &self.tasks[index];
-        let mut shard = match shard {
-            Ok(shard) => shard,
-            Err(e) => {
-                doomed.fetch_min(index, Ordering::SeqCst);
-                return TaskOutcome(TaskResult::Error(e));
-            }
-        };
-        // The byte cost of the fork that produced this shard.  It is folded
-        // into the consumed task's work delta below — and it is schedule-
-        // invariant: whether the shard forked off the frozen snapshot or
-        // (on an inline schedule) straight off the unmutated master, the
-        // cloned content is byte-identical, so reports stay identical across
-        // the whole jobs x pipelining matrix.
-        let fork_bytes = shard.snapshot_bytes();
-        let fork_watcher_bytes = shard.watcher_bytes();
-        shard.mask_all_decisions();
-        for &v in &task.cone {
-            shard.set_decision_var(v, true);
-        }
-        // Cancel mid-solve once a lower-id task has failed (or the flow
-        // moved on): this task's result can no longer be consumed by the
-        // deterministic merge.
-        let doomed_check = Arc::clone(doomed);
-        let cancelled_check = Arc::clone(cancelled);
-        shard.set_interrupt(Arc::new(move || {
-            doomed_check.load(Ordering::SeqCst) < index || cancelled_check.load(Ordering::SeqCst)
-        }));
-        let before = shard.stats();
-        match shard.solve_under(&task.assumptions) {
-            Err(e) => {
-                doomed.fetch_min(index, Ordering::SeqCst);
-                TaskOutcome(TaskResult::Error(e))
-            }
-            Ok(SolveResult::Interrupted) => TaskOutcome::skipped(),
-            Ok(SolveResult::Unsat) => {
-                let after = shard.stats();
-                let mut delta = after.solver.delta_since(&before.solver);
-                delta.fork_count += 1;
-                delta.bytes_cloned += fork_bytes;
-                delta.watcher_bytes_cloned += fork_watcher_bytes;
-                TaskOutcome(TaskResult::Unsat(delta, after.queries - before.queries))
-            }
-            Ok(SolveResult::Sat) => {
-                doomed.fetch_min(index, Ordering::SeqCst);
-                let after = shard.stats();
-                let mut delta = after.solver.delta_since(&before.solver);
-                delta.fork_count += 1;
-                delta.bytes_cloned += fork_bytes;
-                delta.watcher_bytes_cloned += fork_watcher_bytes;
-                TaskOutcome(TaskResult::Sat(
-                    delta,
-                    after.queries - before.queries,
-                    shard,
-                ))
-            }
-        }
     }
 }
 
@@ -616,12 +391,11 @@ impl MiterSession {
         }
     }
 
-    /// Checks a single-cycle interval property against the live miter: the
-    /// flow executor's single-worker schedule as one call —
-    /// [`prepare_level`](Self::prepare_level) without a snapshot, each
-    /// sub-property solved on a fork of the master, then the deterministic
-    /// [`merge_level`](Self::merge_level) (the lowest-id counterexample
-    /// wins).
+    /// Checks a single-cycle interval property against the live miter, as
+    /// the detection flow checks a level: [`prepare_level`](Self::prepare_level)
+    /// without a snapshot, then [`solve_level`](Self::solve_level) (each
+    /// sub-property solved on a fork of the master, the lowest-id
+    /// counterexample wins).
     ///
     /// Must be called with the same design the session was built from.
     ///
@@ -639,40 +413,33 @@ impl MiterSession {
         property: &IntervalProperty,
     ) -> Result<PropertyReport, BackendError> {
         let prepared = self.prepare_level(design, property, false)?;
-        let doomed = Arc::new(AtomicUsize::new(usize::MAX));
-        let cancelled = Arc::new(AtomicBool::new(false));
-        let outcomes = (0..prepared.num_tasks())
-            .map(|i| Some(self.solve_task_inline(&prepared, i, &doomed, &cancelled)))
-            .collect();
-        self.merge_level(design, &prepared, outcomes)
+        self.solve_level(design, prepared, &Arc::default())
     }
 
     /// Lowers and encodes one generation of the flow graph — a fanout level's
-    /// property (or a resolution round of one) — on the master backend and
-    /// freezes it behind a forked snapshot.
+    /// property (or a resolution round of one) — on the master backend.
     ///
-    /// This is the master half of the pipelined level check: the prove
-    /// consequent is partitioned into per-signal sub-properties ("one pending
-    /// property per prove signal"), each guarded by its own activation
-    /// literal, and the whole generation's cones are mirrored into the master
-    /// once (sharing the binding epoch).  The returned [`PreparedLevel`] is
-    /// self-contained: its tasks solve against the generation's frozen
-    /// snapshot on any thread while the master moves on to encode *later*
-    /// generations (epoch-scoped incremental re-lowering).
+    /// This is the master half of a level check: the prove consequent is
+    /// partitioned into per-signal sub-properties ("one pending property per
+    /// prove signal"), each guarded by its own activation literal, and the
+    /// whole generation's cones are mirrored into the master once (sharing
+    /// the binding epoch).  [`solve_level`](Self::solve_level) solves the
+    /// returned [`PreparedLevel`].
     ///
     /// Master hygiene runs at the prepare boundary, in a fixed order that is
     /// a pure function of the prepare sequence: first the previous
     /// generation's activation literals are retired (their miter clauses are
     /// permanently disabled), then the clause database is opportunistically
-    /// compacted *before* the snapshot is taken, so worker shards clone an
+    /// compacted *before* any snapshot is taken, so the tasks' forks copy an
     /// already-GC'd database (see [`CheckerOptions::gc_dead_pct`]).
     ///
-    /// `freeze: false` skips the snapshot clone: the caller promises to
-    /// solve this generation's tasks (via
-    /// [`solve_task_inline`](Self::solve_task_inline)) before the master
-    /// mutates again, which makes a master fork at solve time byte-identical
-    /// to a fork of the omitted snapshot.  Single-worker schedules use this
-    /// to avoid paying for a clone nobody shares.
+    /// `freeze: true` freezes the generation behind a snapshot of the
+    /// master, so the master may encode later generations before this one
+    /// solves; the detection flow freezes the levels it prepares ahead of a
+    /// resolution round.  `freeze: false` skips the clone: the caller
+    /// promises to solve the generation before the master mutates again,
+    /// which makes a fork of the master at solve time byte-identical to a
+    /// fork of the omitted snapshot.
     ///
     /// # Errors
     ///
@@ -796,30 +563,19 @@ impl MiterSession {
         self.pending_acts.extend(tasks.iter().filter_map(|t| t.act));
         let regs = epoch.regs.clone();
         self.epoch = Some(epoch);
+        // A taskless generation has nothing to fork; an unfrozen one forks
+        // its tasks straight off the master at solve time.
         let snapshot = if tasks.is_empty() || !freeze {
-            // Taskless generation, or the caller promises to solve inline
-            // before the master mutates again (tasks then fork straight off
-            // the master via `solve_task_inline`, saving the snapshot clone).
-            Snapshot::None
-        } else if tasks.len() == 1 {
-            Snapshot::Exclusive(Mutex::new(Some(self.backend.fork()?)))
+            None
         } else {
-            Snapshot::Shared(Mutex::new(Some(Arc::from(self.backend.fork()?))))
-        };
-        // Master-side fork accounting: with the arena-backed clause store a
-        // snapshot clone costs O(bytes of live database), and these counters
-        // make that visible per generation.  They stay out of the flow
-        // report (which counts the schedule-invariant per-task forks
-        // instead) because inline schedules legitimately skip the clone.
-        // The byte computation itself only runs when a snapshot was taken —
-        // for the external backends it scans the clause log.
-        let snapshot_bytes = if snapshot.is_some() {
-            let bytes = self.backend.snapshot_bytes();
+            // Master-side fork accounting: a snapshot clone costs O(bytes of
+            // live database).  It stays out of the flow report, which counts
+            // the per-task forks instead.  The byte computation scans the
+            // clause log on the external backends, so it only runs here.
+            let snapshot = self.backend.fork()?;
             self.stats.snapshot_forks += 1;
-            self.stats.snapshot_bytes_cloned += bytes;
-            bytes
-        } else {
-            0
+            self.stats.snapshot_bytes_cloned += self.backend.snapshot_bytes();
+            Some(snapshot)
         };
 
         let backend_after = self.backend.stats();
@@ -830,7 +586,6 @@ impl MiterSession {
             regs,
             start,
             structurally_proved,
-            snapshot_bytes,
             aig_nodes: self.aig.num_nodes() - aig_nodes_before,
             aig_ands: self.aig.num_ands() - aig_ands_before,
             strash_hits: self.aig.strash_hits() - strash_before,
@@ -840,97 +595,88 @@ impl MiterSession {
         })
     }
 
-    /// Solves sub-property `index` of a generation prepared with
-    /// `freeze: false` on a fork taken straight off the master.  Sound only
-    /// while the master has not mutated since that generation's
-    /// [`prepare_level`](Self::prepare_level) — the fork then has exactly the
-    /// content its frozen snapshot would have had, so results (and reports)
-    /// are byte-identical to the frozen path.
-    #[must_use]
-    pub fn solve_task_inline(
-        &self,
-        prepared: &PreparedLevel,
-        index: usize,
-        doomed: &Arc<AtomicUsize>,
-        cancelled: &Arc<AtomicBool>,
-    ) -> TaskOutcome {
-        if doomed.load(Ordering::SeqCst) < index || cancelled.load(Ordering::SeqCst) {
-            return TaskOutcome::skipped();
-        }
-        prepared.solve_on(self.backend.fork(), index, doomed, cancelled)
-    }
-
-    /// Deterministically merges the outcomes of one prepared generation into
-    /// its [`PropertyReport`]: scan in sub-property id order, first
-    /// counterexample wins, and only the consumed prefix contributes
-    /// statistics — the invariant that keeps flow reports identical for any
-    /// worker count, pipelined or not.
+    /// Solves a prepared generation and merges it into its
+    /// [`PropertyReport`].  The sub-properties solve in id order, each on
+    /// its own fork (of the generation's snapshot when it was frozen, of the
+    /// master otherwise), and the first counterexample decides the
+    /// generation: the tasks behind it are skipped, and only the solved
+    /// tasks contribute statistics.
+    ///
+    /// A generation prepared without `freeze` must be solved before the
+    /// master mutates again: a fork of the master then has exactly the
+    /// content the omitted snapshot would have had.
+    ///
+    /// `interrupt` is the kill switch: it is checked before every task and
+    /// polled by the solve in flight.
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError`] if a consumed task reported an infrastructure
-    /// failure (or produced no result at all).
+    /// Returns [`BackendError`] if a fork or a solve fails, or if
+    /// `interrupt` cut the generation short; the session's counters then
+    /// stay as they were.
     ///
     /// # Panics
     ///
     /// Panics if `design` is not the session's design.
-    pub fn merge_level(
+    pub fn solve_level(
         &mut self,
         design: &ValidatedDesign,
-        prepared: &PreparedLevel,
-        outcomes: Vec<Option<TaskOutcome>>,
+        prepared: PreparedLevel,
+        interrupt: &Arc<AtomicBool>,
     ) -> Result<PropertyReport, BackendError> {
         let d = design.design();
         assert_eq!(d.name(), self.design_name, "session is bound to one design");
+        let mut solved = SolverStats::default();
+        let mut queries = 0u64;
+        let mut winner: Option<(usize, Box<dyn SatBackend>)> = None;
+        for (index, task) in prepared.tasks.iter().enumerate() {
+            let interrupted = || BackendError {
+                message: format!(
+                    "sub-property {index} of {} interrupted",
+                    prepared.property_name
+                ),
+            };
+            if interrupt.load(Ordering::SeqCst) {
+                return Err(interrupted());
+            }
+            let mut shard = prepared.snapshot.as_ref().unwrap_or(&self.backend).fork()?;
+            // The fork's byte cost is part of the task's work: a fork of a
+            // frozen snapshot and a fork of the unmutated master copy the
+            // same bytes.
+            let fork_bytes = shard.snapshot_bytes();
+            let fork_watcher_bytes = shard.watcher_bytes();
+            shard.mask_all_decisions();
+            for &v in &task.cone {
+                shard.set_decision_var(v, true);
+            }
+            let flag = Arc::clone(interrupt);
+            shard.set_interrupt(Arc::new(move || flag.load(Ordering::SeqCst)));
+            let before = shard.stats();
+            let result = shard.solve_under(&task.assumptions)?;
+            if result == SolveResult::Interrupted {
+                return Err(interrupted());
+            }
+            let after = shard.stats();
+            let mut delta = after.solver.delta_since(&before.solver);
+            delta.fork_count += 1;
+            delta.bytes_cloned += fork_bytes;
+            delta.watcher_bytes_cloned += fork_watcher_bytes;
+            solved.accumulate(&delta);
+            queries += after.queries - before.queries;
+            if result == SolveResult::Sat {
+                // The shard stays alive: reconstruction reads its model.
+                winner = Some((index, shard));
+                break;
+            }
+        }
         self.stats.properties_checked += 1;
         self.stats.structurally_proved += prepared.structurally_proved;
         self.stats.parallel_tasks += prepared.tasks.len() as u64;
-        if prepared.tasks.is_empty() {
-            return Ok(self.prepared_report(prepared, CheckOutcome::Holds, SolverStats::default()));
-        }
-
-        let mut level_delta = SolverStats::default();
-        let mut fork_queries = 0u64;
-        let mut winner: Option<(usize, Box<dyn SatBackend>)> = None;
-        let mut first_error: Option<BackendError> = None;
-        let mut skipped = 0u64;
-        for (i, outcome) in outcomes.into_iter().enumerate() {
-            if winner.is_some() || first_error.is_some() {
-                skipped += 1;
-                continue;
-            }
-            match outcome.map(|o| o.0) {
-                Some(TaskResult::Unsat(delta, queries)) => {
-                    level_delta.accumulate(&delta);
-                    fork_queries += queries;
-                }
-                Some(TaskResult::Sat(delta, queries, shard)) => {
-                    level_delta.accumulate(&delta);
-                    fork_queries += queries;
-                    winner = Some((i, shard));
-                }
-                Some(TaskResult::Error(e)) => first_error = Some(e),
-                Some(TaskResult::Skipped) | None => {
-                    // A skipped task before any failure cannot happen (tasks
-                    // are only skipped behind a lower-id failure); treat a
-                    // lost result as an infrastructure error.
-                    first_error = Some(BackendError {
-                        message: format!("level sub-property {i} produced no result"),
-                    });
-                }
-            }
-        }
-        self.stats.tasks_skipped += skipped;
-        self.stats.queries += fork_queries;
-        if let Some(e) = first_error {
-            return Err(e);
-        }
-
-        // Reconstruct the counterexample (if any) from the model of the
-        // winning task's solver.
+        self.stats.queries += queries;
         let outcome = match &winner {
             None => CheckOutcome::Holds,
             Some((i, shard)) => {
+                self.stats.tasks_skipped += (prepared.tasks.len() - i - 1) as u64;
                 let task = &prepared.tasks[*i];
                 let prove_values = vec![(task.sig, task.b1.clone(), task.b2.clone())];
                 CheckOutcome::Fails(Box::new(self.reconstruct_with(
@@ -942,7 +688,7 @@ impl MiterSession {
                 )))
             }
         };
-        Ok(self.prepared_report(prepared, outcome, level_delta))
+        Ok(self.prepared_report(&prepared, outcome, solved))
     }
 
     /// Assembles the [`PropertyReport`] of one generation from its prepare
@@ -992,8 +738,8 @@ impl MiterSession {
     }
 
     /// Attaches (or detaches, with `None`) a shared resource budget on the
-    /// master backend.  Forks taken afterwards — the per-task shards of the
-    /// pipelined executor — inherit the tracker, so the whole job charges
+    /// master backend.  Forks taken afterwards — the per-task forks of
+    /// [`solve_level`](Self::solve_level) — inherit the tracker, so the whole job charges
     /// one budget.  Install it on a run fork, never on a cached pristine
     /// master.
     pub fn set_budget(&mut self, budget: Option<std::sync::Arc<htd_sat::BudgetTracker>>) {
@@ -1004,8 +750,8 @@ impl MiterSession {
     /// and lets the backend compact the clauses that just died, so a reused
     /// session starts its next run with a clean database.  The clause-GC
     /// work shows only in [`backend_stats`](Self::backend_stats), never in a
-    /// flow report: which literals are still pending depends on how far
-    /// ahead the executor speculated, and reports are schedule-invariant.
+    /// flow report: it is master hygiene after the verdict, not work of any
+    /// property.
     pub fn finish_level_flow(&mut self) {
         if self.flush_retired() {
             let _ = self.backend.collect_garbage();

@@ -88,10 +88,9 @@ pub struct BackendStats {
 /// Implementations must keep added clauses across queries and treat
 /// `assumptions` as per-query unit constraints that do not persist.
 ///
-/// Backends are `Send + Sync` so one master backend can be shared read-only
-/// across worker threads that [`fork`](Self::fork) per-query solvers off it —
-/// the sharding model of the parallel property scheduler.
-pub trait SatBackend: Send + Sync {
+/// Backends are `Send` so a session, and the frozen master a daemon caches,
+/// can move to whichever thread runs the job.
+pub trait SatBackend: Send {
     /// A short, stable name for reports (`"builtin-cdcl"`, `"dimacs:..."`).
     fn name(&self) -> String;
 
@@ -180,8 +179,8 @@ pub trait SatBackend: Send + Sync {
     fn set_gc_thresholds(&mut self, _dead_fraction: f64, _min_clauses: usize) {}
 
     /// Installs a predicate polled during solving; when it returns `true`
-    /// the query is abandoned with [`SolveResult::Interrupted`].  Parallel
-    /// schedulers cancel speculative queries this way.  Backends that cannot
+    /// the query is abandoned with [`SolveResult::Interrupted`].  The
+    /// detection flow cancels a job's solve in flight this way.  Backends that cannot
     /// interrupt ignore it, which only costs wasted work, never wrong
     /// answers.
     fn set_interrupt(&mut self, _check: Arc<dyn Fn() -> bool + Send + Sync>) {}
@@ -893,8 +892,8 @@ mod tests {
     }
 
     /// The process backend forks by cloning the accumulated clause list
-    /// (each query writes a fresh CNF), so external solvers shard levels
-    /// under `--jobs N` like the bundled one.  Work counters carry over and
+    /// (each query writes a fresh CNF), so external solvers run every solve
+    /// task on its own fork like the bundled one.  Work counters carry over and
     /// the fork records its clone cost, exactly like the bundled solver's
     /// fork contract.
     #[test]

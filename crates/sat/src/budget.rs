@@ -9,8 +9,7 @@
 //! 1024 decisions, external process backends poll it while waiting on the
 //! child, and IPASIR backends fold it into the terminate predicate.  On
 //! exhaustion the tracker latches the cause and trips the job-level cancel
-//! flag, so pipelined flows wind down promptly even on tasks that never
-//! touch the solver again.
+//! flag, so the flow winds down promptly even between solver queries.
 //!
 //! Conflict ceilings are charged where the backend exposes a conflict
 //! stream — the builtin [`Solver`](crate::Solver) (and therefore any IPASIR
@@ -87,8 +86,8 @@ pub struct BudgetTracker {
 impl BudgetTracker {
     /// Arms a tracker for `budget`, starting the deadline clock now.  The
     /// `cancel` flag is tripped on exhaustion so cooperative cancellation
-    /// points (the flow's per-node checks, the pipelined executor's kill
-    /// switch) stop the job even between solver queries.
+    /// points (the flow's per-node checks, the solve interrupt) stop the job
+    /// even between solver queries.
     #[must_use]
     pub fn start(budget: SolveBudget, cancel: Arc<AtomicBool>) -> Self {
         BudgetTracker {

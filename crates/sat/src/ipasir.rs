@@ -26,8 +26,8 @@
 //! * **Interrupts map to `ipasir_set_terminate`.**  The predicate installed
 //!   with [`set_interrupt`](SatBackend::set_interrupt) is polled by the
 //!   library during search; a firing check surfaces as
-//!   [`SolveResult::Interrupted`] (IPASIR return value 0), so the parallel
-//!   scheduler can cancel doomed speculative queries mid-solve.
+//!   [`SolveResult::Interrupted`] (IPASIR return value 0), so a cancelled
+//!   detection job stops mid-solve.
 //! * **Fork clones in O(bytes) when the library can, replays when it
 //!   can't.**  The standard IPASIR ABI has no clone operation.  When the
 //!   library exports the optional `ipasir_htd_clone` extension (the bundled
@@ -354,7 +354,7 @@ pub struct IpasirBackend {
     /// ingredients live in `user_interrupt` and `budget` below so either
     /// can be replaced without losing the other.
     interrupt: Option<Box<InterruptState>>,
-    /// The caller-supplied interrupt predicate (scheduler cancellation).
+    /// The caller-supplied interrupt predicate (the job's cancel flag).
     user_interrupt: Option<InterruptState>,
     /// Shared resource budget, folded into the terminate predicate and
     /// checked at query entry.  The external solver's conflicts are not
@@ -365,13 +365,9 @@ pub struct IpasirBackend {
 
 // SAFETY: the handle is driven only through `&mut self` (and `fork`, which
 // creates a *new* handle); IPASIR requires libraries to support multiple
-// concurrently live instances, so moving an instance between threads and
-// sharing `&self` (which never calls into the library except `fork`) is
+// concurrently live instances, so moving an instance between threads is
 // sound.
 unsafe impl Send for IpasirBackend {}
-// SAFETY: same argument as `Send` above — `&self` never calls into the
-// library, so shared references cannot race the solver handle.
-unsafe impl Sync for IpasirBackend {}
 
 impl std::fmt::Debug for IpasirBackend {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {

@@ -574,9 +574,8 @@ impl Solver {
     /// abandoned with [`SolveResult::Interrupted`]; the formula and all
     /// learnt clauses remain valid and the solver can be queried again.
     ///
-    /// Parallel schedulers use this to cancel speculative queries whose
-    /// results can no longer be consumed (e.g. sub-properties after a
-    /// counterexample with a lower merge id).
+    /// The detection flow installs its cancel flag here, so a cancelled job
+    /// stops mid-search.
     pub fn set_interrupt(&mut self, check: Arc<dyn Fn() -> bool + Send + Sync>) {
         self.interrupt = InterruptCheck(Some(check));
     }

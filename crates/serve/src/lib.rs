@@ -3,8 +3,8 @@
 //! A multi-tenant detection service for the golden-free Trojan-detection
 //! flow: a long-lived daemon that accepts netlists over HTTP/1.1, runs each
 //! through the full Algorithm-1 flow, and streams progress back as
-//! newline-delimited JSON.  Many concurrent jobs multiplex over **one**
-//! shared [`SharedSolvePool`](htd_core::SharedSolvePool), and returning
+//! newline-delimited JSON.  Concurrent jobs share a fixed set of runner
+//! threads, each flow solving on the runner that picked it up, and returning
 //! designs skip the bit-blast entirely through a content-hash-keyed cache of
 //! frozen master encodings, collision-checked against the canonical netlist
 //! dump so one tenant can never be served another's design (see [`cache`]).
@@ -99,13 +99,13 @@
 //! [`DetectionReport::normalized`](htd_core::DetectionReport::normalized)
 //! [`Display`](std::fmt::Display) rendering plus a trailing newline —
 //! **byte-identical** to `htd detect --normalize` run locally on the same
-//! netlist.  Reports are deterministic up to wall-clock time for any worker
-//! count and any interleaving of concurrent jobs, so the diff holds whether
+//! netlist.  Reports are deterministic up to wall-clock time for any
+//! interleaving of concurrent jobs, so the diff holds whether
 //! the job hit the snapshot cache, missed it, or ran with caching disabled.
 //!
 //! Disconnecting the submitting client cancels its job: the server watches
-//! the connection and flips the job's cancel flag, which the flow honours
-//! between solve tasks ([`DetectError::Cancelled`](htd_core::DetectError)).
+//! the connection and flips the job's cancel flag, which interrupts the
+//! flow's solve in flight ([`DetectError::Cancelled`](htd_core::DetectError)).
 //!
 //! ## `DELETE /jobs/<id>` — cancel a job
 //!
@@ -124,7 +124,8 @@
 //!
 //! ## `GET /stats` — service observability
 //!
-//! One JSON document: the admission bound and pool width, current queue
+//! One JSON document: the admission bound and `workers` (the runner-thread
+//! setting), current queue
 //! depth and running count, whether the daemon is `draining`,
 //! completed/cancelled/failed/`budget_exhausted`/`coalesced` totals,
 //! snapshot cache counters (`entries`, `bytes`, `capacity_bytes`, `hits`,

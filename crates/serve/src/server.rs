@@ -1,5 +1,5 @@
-//! The detection daemon: a fair-share job queue in front of a shared
-//! [`SharedSolvePool`], a netlist-keyed [`SnapshotCache`] of frozen master
+//! The detection daemon: a fair-share job queue in front of a fixed set of
+//! runner threads, a netlist-keyed [`SnapshotCache`] of frozen master
 //! encodings, and one NDJSON event stream per subscribed client.
 //!
 //! See the [crate docs](crate) for the wire protocol.  Concurrency layout:
@@ -15,8 +15,9 @@
 //!   deficit-round-robin queue ([`FairQueue`]).  Each runner resolves the
 //!   snapshot cache, builds a
 //!   [`DetectionSession`](htd_core::DetectionSession) on a fork of the
-//!   frozen master under the job's [`SolveBudget`], and fans the flow's
-//!   events out to every subscriber.  Job execution is wrapped in
+//!   frozen master under the job's [`SolveBudget`], runs the flow on its own
+//!   thread, and fans the flow's events out to every subscriber.  Job
+//!   execution is wrapped in
 //!   [`catch_unwind`](std::panic::catch_unwind): a panicking flow fails
 //!   *that job* with an `internal` error frame and the runner keeps
 //!   serving.
@@ -43,8 +44,8 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use htd_core::{
-    BackendChoice, DetectError, DetectionReport, DetectorConfig, EngineChoice, FlowEvent,
-    PropertyScheduler, SessionBuilder, SharedSolvePool, SolveBudget,
+    BackendChoice, DetectError, DetectionReport, DetectorConfig, FlowEvent, SessionBuilder,
+    SolveBudget,
 };
 use htd_ipc::{MiterSession, SessionStats};
 use htd_rtl::{netlist, ValidatedDesign};
@@ -111,8 +112,8 @@ pub struct ServeOptions {
     pub max_jobs: NonZeroUsize,
     /// Snapshot-cache byte budget; 0 disables caching.
     pub cache_bytes: u64,
-    /// Worker threads of the shared solve pool (and, capped below at 2, the
-    /// number of job runner threads).
+    /// Job runner threads; the daemon starts at least 2.  Each runner
+    /// solves one job's flow at a time, on its own thread.
     pub workers: NonZeroUsize,
     /// The detection configuration applied to every served job.
     pub config: DetectorConfig,
@@ -139,7 +140,7 @@ impl Default for ServeOptions {
             // htd-lint: allow(serve-panic-hygiene): evaluates a positive compile-time constant, before any request exists
             max_jobs: NonZeroUsize::new(crate::DEFAULT_MAX_JOBS).expect("positive default"),
             cache_bytes: crate::DEFAULT_CACHE_BYTES,
-            workers: PropertyScheduler::available_parallelism(),
+            workers: std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN),
             config: DetectorConfig::default(),
             backend: BackendChoice::Builtin,
             budget: SolveBudget::default(),
@@ -253,7 +254,6 @@ struct Totals {
 struct ServerState {
     options: ServeOptions,
     addr: SocketAddr,
-    pool: SharedSolvePool,
     cache: Mutex<SnapshotCache>,
     queue: Mutex<FairQueue<QueuedJob>>,
     queue_cv: Condvar,
@@ -269,9 +269,9 @@ struct ServerState {
     fault_armed: AtomicBool,
 }
 
-/// A running daemon: an accept thread, the runner threads and the shared
-/// solve pool.  Dropping (or [`stop`](Self::stop)-ping) it shuts all of
-/// them down; [`join`](Self::join) blocks for the daemon's lifetime.
+/// A running daemon: an accept thread and the runner threads.  Dropping (or
+/// [`stop`](Self::stop)-ping) it shuts all of them down;
+/// [`join`](Self::join) blocks for the daemon's lifetime.
 pub struct Server {
     addr: SocketAddr,
     state: Arc<ServerState>,
@@ -309,13 +309,11 @@ impl Server {
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
         let listener = TcpListener::bind(&*options.addr)?;
         let addr = listener.local_addr()?;
-        let pool = SharedSolvePool::new(options.workers);
         let runner_count = options.workers.get().max(2);
         let cache_bytes = options.cache_bytes;
         let state = Arc::new(ServerState {
             options,
             addr,
-            pool,
             cache: Mutex::new(SnapshotCache::new(cache_bytes)),
             queue: Mutex::new(FairQueue::new(FAIR_QUANTUM)),
             queue_cv: Condvar::new(),
@@ -359,6 +357,13 @@ impl Server {
         self.addr
     }
 
+    /// The number of job runner threads: [`ServeOptions::workers`], at
+    /// least 2.
+    #[must_use]
+    pub fn runner_threads(&self) -> usize {
+        self.runners.len()
+    }
+
     /// A handle that can start a graceful drain from another thread (e.g.
     /// a signal monitor).
     #[must_use]
@@ -368,8 +373,8 @@ impl Server {
         }
     }
 
-    /// Stops the daemon: cancels active jobs, wakes and joins every thread,
-    /// and shuts the shared pool down.
+    /// Stops the daemon: cancels active jobs, then wakes and joins every
+    /// thread.
     pub fn stop(mut self) {
         self.halt();
     }
@@ -410,7 +415,6 @@ impl Server {
         for runner in self.runners.drain(..) {
             let _ = runner.join();
         }
-        self.state.pool.shutdown();
     }
 }
 
@@ -604,9 +608,11 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
     let mut inflight = lock_unpoisoned(&state.inflight);
     let attachable = inflight
         .get(&key)
-        // A run all of whose subscribers already detached is winding down;
-        // don't attach to it — lead a fresh run instead (the stale entry is
-        // replaced below and retired by its runner leader-checked).
+        // A run all of whose subscribers already detached is winding down,
+        // and a finished run has set its flag too (a run consumes its cancel
+        // flag when it returns); don't attach to either — lead a fresh run
+        // instead (the stale entry is replaced below and retired by its
+        // runner leader-checked).
         .filter(|entry| entry.dump == dump && !entry.subs.cancel.load(Ordering::SeqCst))
         .map(|entry| {
             (
@@ -1106,10 +1112,8 @@ fn serve_detection(
         }
     };
 
-    let scheduler = PropertyScheduler::new(state.options.workers);
     let mut session = match SessionBuilder::new(design)
         .config(config)
-        .engine(EngineChoice::Scheduled(scheduler))
         .build_with_miter(run_miter)
     {
         Ok(session) => session,
@@ -1121,7 +1125,6 @@ fn serve_detection(
             );
         }
     };
-    session.attach_pool(state.pool.clone());
     session.set_cancel_flag(Arc::clone(&subs.cancel));
 
     let result = session.run_with_observer(&mut |event| {

@@ -8,7 +8,7 @@ use std::net::TcpStream;
 use std::num::NonZeroUsize;
 use std::time::Duration;
 
-use htd_core::{DetectorConfig, EngineChoice, PropertyScheduler, SessionBuilder};
+use htd_core::{DetectorConfig, SessionBuilder};
 use htd_rtl::{netlist, Design};
 use htd_serve::client::{self, SubmitOptions};
 use htd_serve::json::Json;
@@ -45,11 +45,8 @@ fn accelerator(infected: bool) -> String {
 /// report's `Display` rendering plus the CLI's trailing newline.
 fn solo_normalized_report(netlist_text: &str) -> String {
     let design = netlist::parse(netlist_text).unwrap();
-    let scheduler =
-        PropertyScheduler::new(NonZeroUsize::new(2).unwrap()).with_level_pipelining(true);
     let mut session = SessionBuilder::new(design)
         .config(DetectorConfig::default())
-        .engine(EngineChoice::Scheduled(scheduler))
         .build()
         .unwrap();
     let report = session.run().unwrap().normalized();
@@ -151,9 +148,11 @@ fn a_cache_disabled_daemon_builds_every_job_and_retains_nothing() {
     let want = solo_normalized_report(&infected);
     let server = Server::start(ServeOptions {
         cache_bytes: 0,
+        workers: NonZeroUsize::MIN,
         ..test_options()
     })
     .expect("loopback server starts");
+    assert_eq!(server.runner_threads(), 2, "the daemon runs at least two");
     let addr = server.addr().to_string();
 
     // Sequential submissions, so the second cannot coalesce into the first.

@@ -5,32 +5,17 @@
 //! the RTL of a (possibly infected) accelerator, no golden model and no
 //! functional specification.
 
-use std::num::NonZeroUsize;
-
-use htd_core::{
-    DetectedBy, DetectionOutcome, DetectionReport, EngineChoice, PropertyScheduler, SessionBuilder,
-};
+use htd_core::{DetectedBy, DetectionOutcome, DetectionReport, SessionBuilder};
 use htd_rtl::ValidatedDesign;
 use htd_verilog::compile;
 
-/// Runs the flow at 1, 2 and 4 workers (oversubscribed, so the multi-worker
-/// schedules run on any host), requires equal normalized reports and
-/// returns the one-worker report.
-fn run_at_every_schedule(design: &ValidatedDesign) -> DetectionReport {
-    let [one, rest @ ..] = [1, 2, 4].map(|jobs| {
-        let scheduler =
-            PropertyScheduler::new(NonZeroUsize::new(jobs).unwrap()).with_oversubscription(true);
-        SessionBuilder::new(design.clone())
-            .engine(EngineChoice::Scheduled(scheduler))
-            .build()
-            .unwrap()
-            .run()
-            .unwrap()
-    });
-    for (jobs, report) in [2, 4].into_iter().zip(rest) {
-        assert_eq!(report.normalized(), one.normalized(), "{jobs} workers vs 1");
-    }
-    one
+/// Runs the detection flow and returns the report.
+fn run_flow(design: &ValidatedDesign) -> DetectionReport {
+    SessionBuilder::new(design.clone())
+        .build()
+        .unwrap()
+        .run()
+        .unwrap()
 }
 
 /// A toy streaming cipher: the "key add" stage xors the latched data word
@@ -131,7 +116,7 @@ endmodule
 #[test]
 fn clean_verilog_cipher_verifies_secure() {
     let design = compile(CLEAN_CIPHER).expect("clean cipher compiles");
-    let report = run_at_every_schedule(&design);
+    let report = run_flow(&design);
     assert!(report.outcome.is_secure(), "{report}");
     assert_eq!(report.spurious_resolved, 0);
 }
@@ -139,7 +124,7 @@ fn clean_verilog_cipher_verifies_secure() {
 #[test]
 fn plaintext_triggered_trojan_in_verilog_is_detected() {
     let design = compile(INFECTED_CIPHER).expect("infected cipher compiles");
-    let report = run_at_every_schedule(&design);
+    let report = run_flow(&design);
     match &report.outcome {
         DetectionOutcome::PropertyFailed {
             detected_by,
@@ -168,7 +153,7 @@ fn plaintext_triggered_trojan_in_verilog_is_detected() {
 #[test]
 fn counter_triggered_side_channel_trojan_is_caught_by_coverage_check() {
     let design = compile(COUNTER_TROJAN).expect("counter trojan compiles");
-    let report = run_at_every_schedule(&design);
+    let report = run_flow(&design);
     match &report.outcome {
         DetectionOutcome::UncoveredSignals { signals } => {
             assert!(signals.iter().any(|s| s.contains("heartbeat")));
@@ -184,8 +169,8 @@ fn infected_and_clean_designs_differ_only_in_the_verdict() {
     // no reference design was needed to tell them apart.
     let clean = compile(CLEAN_CIPHER).unwrap();
     let infected = compile(INFECTED_CIPHER).unwrap();
-    let clean_report = run_at_every_schedule(&clean);
-    let infected_report = run_at_every_schedule(&infected);
+    let clean_report = run_flow(&clean);
+    let infected_report = run_flow(&infected);
     assert!(clean_report.outcome.is_secure());
     assert!(!infected_report.outcome.is_secure());
 }
@@ -244,6 +229,6 @@ endmodule
     // The design is interfering (the FSM state persists across frames), so
     // the plain flow may or may not raise spurious counterexamples — what
     // matters here is that the whole pipeline runs and produces a report.
-    let report = run_at_every_schedule(&design);
+    let report = run_flow(&design);
     assert!(report.properties_checked() >= 1);
 }

@@ -25,7 +25,7 @@
 //!   checking, random testing, UCI, FANCI) the paper's related work argues
 //!   against ([`htd_baselines`]).
 //! * [`serve`] — the multi-tenant detection service behind `htd serve`: a
-//!   job queue, a shared solve pool, a netlist-keyed snapshot cache and
+//!   job queue, a fixed set of runner threads, a netlist-keyed snapshot cache and
 //!   NDJSON event streaming ([`htd_serve`]).
 //! * [`analyze`] — the workspace invariant checker behind `htd lint`: a
 //!   dependency-free Rust token scanner enforcing the repo's determinism,

@@ -21,38 +21,22 @@
 
 mod common;
 
-use std::num::NonZeroUsize;
-
 use common::{build_design, design_recipe, layered_recipe};
 use golden_free_htd::detect::aggregate::check_trojan_property;
-use golden_free_htd::detect::{
-    DetectionOutcome, DetectionReport, DetectorConfig, EngineChoice, PropertyScheduler,
-    SessionBuilder,
-};
+use golden_free_htd::detect::{DetectionOutcome, DetectionReport, DetectorConfig, SessionBuilder};
 use golden_free_htd::rtl::structural::{data_driven_violations, is_data_driven};
 use golden_free_htd::rtl::ValidatedDesign;
 use golden_free_htd::trusthub::registry::Benchmark;
 use proptest::prelude::*;
 
-/// Runs the flow at 1, 2 and 4 workers (oversubscribed, so the multi-worker
-/// schedules run on any host), requires equal normalized reports and
-/// returns the one-worker report.
-fn run_at_every_schedule(design: &ValidatedDesign, config: &DetectorConfig) -> DetectionReport {
-    let [one, rest @ ..] = [1, 2, 4].map(|jobs| {
-        let scheduler =
-            PropertyScheduler::new(NonZeroUsize::new(jobs).unwrap()).with_oversubscription(true);
-        SessionBuilder::new(design.clone())
-            .config(config.clone())
-            .engine(EngineChoice::Scheduled(scheduler))
-            .build()
-            .expect("random designs have inputs and state")
-            .run()
-            .expect("flow completes")
-    });
-    for (jobs, report) in [2, 4].into_iter().zip(rest) {
-        assert_eq!(report.normalized(), one.normalized(), "{jobs} workers vs 1");
-    }
-    one
+/// Runs the detection flow and returns the report.
+fn run_flow(design: &ValidatedDesign, config: &DetectorConfig) -> DetectionReport {
+    SessionBuilder::new(design.clone())
+        .config(config.clone())
+        .build()
+        .expect("random designs have inputs and state")
+        .run()
+        .expect("flow completes")
 }
 
 /// Runs the decomposed flow in its plain Algorithm-1 form (no extra
@@ -62,7 +46,7 @@ fn decomposed_fails(design: &ValidatedDesign) -> bool {
         assume_previously_proven: false,
         ..DetectorConfig::default()
     };
-    let report = run_at_every_schedule(design, &config);
+    let report = run_flow(design, &config);
     matches!(report.outcome, DetectionOutcome::PropertyFailed { .. })
 }
 
@@ -108,7 +92,7 @@ proptest! {
             "layered recipes satisfy the cumulative side condition"
         );
         let aggregate_fails = !check_trojan_property(&design).holds();
-        let report = run_at_every_schedule(&design, &DetectorConfig::default());
+        let report = run_flow(&design, &DetectorConfig::default());
         let decomposed = matches!(report.outcome, DetectionOutcome::PropertyFailed { .. });
         prop_assert_eq!(decomposed, aggregate_fails);
         prop_assert!(!aggregate_fails, "a layered design has no state to hide a trigger in");

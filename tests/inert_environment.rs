@@ -11,7 +11,7 @@ use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use golden_free_htd::detect::{PropertyScheduler, SessionBuilder};
+use golden_free_htd::detect::SessionBuilder;
 use golden_free_htd::ipc::CheckerOptions;
 use golden_free_htd::rtl::netlist;
 use golden_free_htd::serve::{client, ServeOptions, Server};
@@ -73,10 +73,6 @@ fn with_deleted_variables<R>(body: impl FnOnce() -> R) -> R {
 fn library_defaults_ignore_the_deleted_variables() {
     let _guard = env_lock();
     with_deleted_variables(|| {
-        let scheduler = PropertyScheduler::default();
-        assert_eq!(scheduler.jobs(), NonZeroUsize::MIN);
-        assert!(scheduler.pipelines_levels());
-        assert!(PropertyScheduler::new(NonZeroUsize::new(2).unwrap()).pipelines_levels());
         let options = CheckerOptions::default();
         assert_eq!((options.gc_dead_pct, options.gc_min_clauses), (25, 128));
 
@@ -102,7 +98,6 @@ fn daemon_ignores_the_deleted_variables() {
     let design = Benchmark::Rs232T2400.build().expect("benchmark builds");
     let netlist_text = netlist::dump(&design);
     let report = SessionBuilder::new(design)
-        .jobs(NonZeroUsize::new(2).unwrap())
         .build()
         .expect("session builds")
         .run()

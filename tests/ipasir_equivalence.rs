@@ -1,9 +1,8 @@
 //! Equivalence suite for the IPASIR dynamic-library backend: the bundled
 //! CDCL solver exported through the IPASIR C ABI (`crates/ipasir-shim`,
 //! built as `libipasir_htd.so`) must drive the detection flow to reports
-//! **byte-identical** to the builtin backend on every bundled benchmark,
-//! across the whole `--jobs` × level-pipelining schedule matrix — and it
-//! must do so *incrementally*: clauses cross the ABI exactly once per
+//! **byte-identical** to the builtin backend on every bundled benchmark —
+//! and it must do so *incrementally*: clauses cross the ABI exactly once per
 //! backend instance, no matter how many queries run.
 //!
 //! Byte-identical here means everything the flow derives from solver
@@ -21,12 +20,9 @@
 //! IPASIR library without the extensions would still produce equivalent
 //! verdicts, just not bit-equal counterexamples.
 
-use std::num::NonZeroUsize;
 use std::path::PathBuf;
 
-use golden_free_htd::detect::{
-    BackendChoice, DetectionReport, DetectorConfig, EngineChoice, PropertyScheduler, SessionBuilder,
-};
+use golden_free_htd::detect::{BackendChoice, DetectionReport, DetectorConfig, SessionBuilder};
 use golden_free_htd::sat::{
     BudgetTracker, IpasirBackend, Lit, SatBackend, SolveBudget, SolveResult, SolverStats,
 };
@@ -58,24 +54,15 @@ fn shim_library() -> PathBuf {
     );
 }
 
-fn run_with(
-    benchmark: Benchmark,
-    backend: BackendChoice,
-    jobs: usize,
-    pipeline: bool,
-) -> DetectionReport {
+fn run_with(benchmark: Benchmark, backend: BackendChoice) -> DetectionReport {
     let design = benchmark.build().expect("benchmark builds");
     let config = DetectorConfig {
         benign_state: benchmark.benign_state(&design),
         ..DetectorConfig::default()
     };
-    let scheduler = PropertyScheduler::new(NonZeroUsize::new(jobs).expect("positive jobs"))
-        .with_level_pipelining(pipeline)
-        .with_oversubscription(true);
     SessionBuilder::new(design)
         .config(config)
         .backend(backend)
-        .engine(EngineChoice::Scheduled(scheduler))
         .build()
         .expect("session builder accepts the design")
         .run()
@@ -102,41 +89,26 @@ fn scrubbed(report: &DetectionReport) -> DetectionReport {
 }
 
 /// Every bundled benchmark must report identically on the builtin backend
-/// and on the shim loaded through the IPASIR ABI, for every schedule in
-/// the `--jobs {1,2,4}` × pipelining matrix.
+/// and on the shim loaded through the IPASIR ABI.
 #[test]
 fn all_benchmarks_report_identically_on_the_ipasir_shim() {
     let library = shim_library();
     for benchmark in Benchmark::all() {
-        let baseline = scrubbed(&run_with(benchmark, BackendChoice::Builtin, 1, true));
-        for (jobs, pipeline) in [
-            (1, true),
-            (1, false),
-            (2, true),
-            (2, false),
-            (4, true),
-            (4, false),
-        ] {
-            let ipasir = scrubbed(&run_with(
-                benchmark,
-                BackendChoice::ipasir(&library),
-                jobs,
-                pipeline,
-            ));
-            assert_eq!(
-                baseline,
-                ipasir,
-                "{}: builtin and ipasir reports differ at --jobs {jobs} (pipeline: {pipeline})",
-                benchmark.name()
-            );
-            // Belt and braces: the rendered form covers every field.
-            assert_eq!(
-                format!("{baseline:?}"),
-                format!("{ipasir:?}"),
-                "{}: rendered reports differ at --jobs {jobs} (pipeline: {pipeline})",
-                benchmark.name()
-            );
-        }
+        let builtin = scrubbed(&run_with(benchmark, BackendChoice::Builtin));
+        let ipasir = scrubbed(&run_with(benchmark, BackendChoice::ipasir(&library)));
+        assert_eq!(
+            builtin,
+            ipasir,
+            "{}: builtin and ipasir reports differ",
+            benchmark.name()
+        );
+        // Belt and braces: the rendered form covers every field.
+        assert_eq!(
+            format!("{builtin:?}"),
+            format!("{ipasir:?}"),
+            "{}: rendered reports differ",
+            benchmark.name()
+        );
     }
 }
 
@@ -374,8 +346,8 @@ fn detection_session_runs_on_the_ipasir_backend_by_choice_string() {
     let spec = format!("ipasir:{}", library.display());
     let choice: BackendChoice = spec.parse().expect("CLI syntax parses");
     assert_eq!(choice, BackendChoice::ipasir(&library));
-    let report = run_with(Benchmark::AesT100, choice, 2, true);
-    let builtin = run_with(Benchmark::AesT100, BackendChoice::Builtin, 2, true);
+    let report = run_with(Benchmark::AesT100, choice);
+    let builtin = run_with(Benchmark::AesT100, BackendChoice::Builtin);
     assert_eq!(scrubbed(&report), scrubbed(&builtin));
     // The external library cannot report internal search counters, but the
     // visible cost accounting is real: queries ran and forks were paid for.

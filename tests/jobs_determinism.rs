@@ -1,31 +1,24 @@
-//! Determinism suite for the flow-graph executor: a flow run must produce
-//! the same `DetectionReport` — verdicts, counterexamples, coverage *and*
-//! work counters — for every worker count and with level pipelining on or
-//! off.
+//! Determinism suite for the detection flow: every way a session is set up
+//! must produce the same `DetectionReport` — verdicts, counterexamples,
+//! coverage *and* work counters.  There are two: a fresh session, which
+//! bit-blasts its own miter (`htd detect`), and a session built with
+//! [`SessionBuilder::build_with_miter`] on a fork of a pristine master,
+//! which is how the daemon serves a design from its snapshot cache.  The
+//! suite forks one master twice, as a cache miss and a later hit do.
 //!
-//! The guarantee comes from the execution model: every per-signal
-//! sub-property is solved on a fork of its generation's frozen snapshot, the
-//! master mutation stream is a pure function of the (ascending) prepare
-//! order, results merge in node order (first counterexample wins), and only
-//! the consumed prefix of tasks contributes statistics.  Wall-clock
-//! durations are the only nondeterministic fields, so reports are compared
-//! after [`DetectionReport::normalized`] zeroes them.
+//! Wall-clock durations are the only nondeterministic fields, so reports
+//! are compared after [`DetectionReport::normalized`] zeroes them, and
+//! again in `Debug` form, which covers every field.
 //!
-//! The matrix runs with oversubscription enabled so multi-worker schedules
-//! are exercised even on single-core hosts.
-//!
-//! The one-worker baseline is also checked for two accounting facts: the
+//! The fresh report is also checked for two accounting facts: the
 //! property rows' solver counters add up to the report's `solver_totals`
 //! (a row sums all its resolution rounds), and the search itself —
 //! decisions, propagations, conflicts, restarts — matches a committed
 //! per-design table, so a change to the solver's heuristics shows up here
 //! as a table edit.
 
-use std::num::NonZeroUsize;
-
-use golden_free_htd::detect::{
-    DetectionReport, DetectorConfig, EngineChoice, PropertyScheduler, SessionBuilder,
-};
+use golden_free_htd::detect::{BackendChoice, DetectionReport, DetectorConfig, SessionBuilder};
+use golden_free_htd::ipc::MiterSession;
 use golden_free_htd::sat::SolverStats;
 use golden_free_htd::trusthub::registry::Benchmark;
 
@@ -66,22 +59,42 @@ const SEARCH: &[(&str, [u64; 4])] = &[
     ("RS232 (HT-free)", [86, 371, 0, 0]),
 ];
 
-fn run_with(benchmark: Benchmark, jobs: usize, pipeline: bool) -> DetectionReport {
+fn builder(benchmark: Benchmark) -> SessionBuilder {
     let design = benchmark.build().expect("benchmark builds");
     let config = DetectorConfig {
         benign_state: benchmark.benign_state(&design),
         ..DetectorConfig::default()
     };
-    let scheduler = PropertyScheduler::new(NonZeroUsize::new(jobs).expect("positive jobs"))
-        .with_level_pipelining(pipeline)
-        .with_oversubscription(true);
-    SessionBuilder::new(design)
-        .config(config)
-        .engine(EngineChoice::Scheduled(scheduler))
+    SessionBuilder::new(design).config(config)
+}
+
+/// A fresh session's report.
+fn fresh(benchmark: Benchmark) -> DetectionReport {
+    builder(benchmark)
         .build()
         .expect("session builder accepts the design")
         .run()
         .expect("flow completes")
+}
+
+/// The reports of `runs` sessions, each on its own fork of one pristine
+/// master.
+fn forked(benchmark: Benchmark, runs: usize) -> Vec<DetectionReport> {
+    let design = benchmark.build().expect("benchmark builds");
+    let backend = BackendChoice::Builtin
+        .instantiate()
+        .expect("the builtin backend comes up");
+    let master = MiterSession::with_options(&design, DetectorConfig::default().checker, backend);
+    (0..runs)
+        .map(|_| {
+            let fork = master.fork().expect("the builtin backend forks");
+            builder(benchmark)
+                .build_with_miter(fork)
+                .expect("session builder accepts the design")
+                .run()
+                .expect("flow completes")
+        })
+        .collect()
 }
 
 /// The rows account for all the solver work, and the search matches
@@ -113,43 +126,36 @@ fn assert_search_accounted(benchmark: Benchmark, report: &DetectionReport) {
     );
 }
 
-fn assert_schedule_invariant(benchmark: Benchmark) {
-    let baseline = run_with(benchmark, 1, true).normalized();
-    assert_search_accounted(benchmark, &baseline);
-    for (jobs, pipeline) in [(1, false), (2, true), (2, false), (4, true), (4, false)] {
-        let variant = run_with(benchmark, jobs, pipeline).normalized();
-        assert_eq!(
-            baseline,
-            variant,
-            "{}: --jobs 1 and --jobs {jobs} (pipeline: {pipeline}) reports differ",
-            benchmark.name()
-        );
-        // Belt and braces: the rendered reports must be byte-identical too
-        // (the Debug form covers every field, including counterexamples).
-        assert_eq!(
-            format!("{baseline:?}"),
-            format!("{variant:?}"),
-            "{}: rendered reports differ at --jobs {jobs} (pipeline: {pipeline})",
-            benchmark.name()
-        );
-    }
-}
-
 /// Every bundled benchmark — the 28 infected Table-I rows, the HT-free
-/// references and the UART case study — must report identically across the
-/// whole schedule matrix: 1, 2 and 4 worker shards, level pipelining on and
-/// off.
+/// references and the UART case study — must report identically from a
+/// fresh session and from sessions on forks of a pristine master.
 #[test]
 fn all_bundled_benchmarks_report_identically_for_any_schedule() {
     let all = Benchmark::all();
     assert_eq!(all.len(), SEARCH.len(), "SEARCH covers every design");
     for benchmark in all {
-        assert_schedule_invariant(benchmark);
+        let want = fresh(benchmark).normalized();
+        assert_search_accounted(benchmark, &want);
+        for (run, report) in forked(benchmark, 2).into_iter().enumerate() {
+            let got = report.normalized();
+            assert_eq!(
+                want,
+                got,
+                "{}: fresh and forked-master (run {run}) reports differ",
+                benchmark.name()
+            );
+            assert_eq!(
+                format!("{want:?}"),
+                format!("{got:?}"),
+                "{}: rendered reports differ on forked-master run {run}",
+                benchmark.name()
+            );
+        }
     }
 }
 
-/// Repeated runs with the same schedule are also bit-stable (no hidden
-/// dependence on thread scheduling or hash-map iteration order).
+/// Repeated runs are also bit-stable (no hidden dependence on hash-map
+/// iteration order or allocation addresses).
 #[test]
 fn repeated_runs_are_bit_stable() {
     for benchmark in [
@@ -157,8 +163,8 @@ fn repeated_runs_are_bit_stable() {
         Benchmark::BasicRsaT200,
         Benchmark::Rs232HtFree,
     ] {
-        let first = run_with(benchmark, 4, true).normalized();
-        let second = run_with(benchmark, 4, true).normalized();
+        let first = fresh(benchmark).normalized();
+        let second = fresh(benchmark).normalized();
         assert_eq!(first, second, "{}: unstable report", benchmark.name());
     }
 }

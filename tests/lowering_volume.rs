@@ -7,16 +7,11 @@
 //! property; this suite pins the cone-exact volumes with committed bounds.
 //!
 //! The counts come from each property's `stats.aig_nodes`, which is part of
-//! the normalized report and therefore independent of the schedule, so the
-//! bounds hold at any worker count.  A property row sums all of its
+//! the normalized report.  A property row sums all of its
 //! spurious-counterexample resolution rounds, so the bounds see every
 //! round's lowering.
 
-use std::num::NonZeroUsize;
-
-use golden_free_htd::detect::{
-    DetectionReport, DetectorConfig, EngineChoice, PropertyScheduler, SessionBuilder,
-};
+use golden_free_htd::detect::{DetectionReport, DetectorConfig, SessionBuilder};
 use golden_free_htd::trusthub::registry::Benchmark;
 
 /// No bundled design may build more AIG nodes than this over its whole flow.
@@ -39,9 +34,6 @@ fn run(benchmark: Benchmark) -> DetectionReport {
     };
     SessionBuilder::new(design)
         .config(config)
-        .engine(EngineChoice::Scheduled(PropertyScheduler::new(
-            NonZeroUsize::MIN,
-        )))
         .build()
         .expect("session builder accepts the design")
         .run()

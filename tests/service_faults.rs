@@ -17,8 +17,7 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use golden_free_htd::detect::{
-    BackendChoice, DetectError, DetectorConfig, EngineChoice, PropertyScheduler, SessionBuilder,
-    SolveBudget,
+    BackendChoice, DetectError, DetectorConfig, SessionBuilder, SolveBudget,
 };
 use golden_free_htd::rtl::{netlist, Design};
 use golden_free_htd::serve::client::{self, SubmitOptions};
@@ -66,12 +65,9 @@ fn run_budgeted(
         budget,
         ..DetectorConfig::default()
     };
-    let scheduler =
-        PropertyScheduler::new(NonZeroUsize::new(2).unwrap()).with_level_pipelining(true);
     let mut session = SessionBuilder::new(design)
         .config(config)
         .backend(backend)
-        .engine(EngineChoice::Scheduled(scheduler))
         .build()?;
     session.run()
 }

@@ -1,13 +1,16 @@
 //! Backend-equivalence suite for the session redesign: the incremental
 //! `DetectionSession` path must reach the same verdicts as the legacy
 //! per-property re-encode path (`TrojanDetector`) on every bundled
-//! benchmark, while performing exactly one bit-blast per flow run.
+//! benchmark, while performing exactly one bit-blast per flow run.  The
+//! session's cost accounting is checked here too: the fork cost model and
+//! the clause-GC thresholds.
 
 #![allow(deprecated)] // the legacy TrojanDetector is the reference path here
 
 use golden_free_htd::detect::{
     DetectionOutcome, DetectionReport, DetectorConfig, SessionBuilder, TrojanDetector,
 };
+use golden_free_htd::ipc::CheckerOptions;
 use golden_free_htd::trusthub::registry::Benchmark;
 
 fn legacy_run(benchmark: Benchmark) -> DetectionReport {
@@ -157,4 +160,75 @@ fn session_path_reuses_its_encoding_across_properties() {
         "a repeated run must not grow the encoding"
     );
     assert!(stats_second.properties_checked > stats_first.properties_checked);
+}
+
+/// The arena fork cost model surfaces at every level of the stack: the
+/// report counts one fork per solved task, with its byte cost, and the
+/// session and pipeline stats count the master-side snapshot clones.
+/// RS232-T2400 resolves a spurious counterexample on its init property, so
+/// the levels prepared ahead of that round freeze behind snapshots.
+#[test]
+fn fork_cost_model_reaches_reports_and_pipeline_stats() {
+    let benchmark = Benchmark::Rs232T2400;
+    let design = benchmark.build().expect("benchmark builds");
+    let config = DetectorConfig {
+        benign_state: benchmark.benign_state(&design),
+        ..DetectorConfig::default()
+    };
+    let mut session = SessionBuilder::new(design)
+        .config(config)
+        .build()
+        .expect("session builds");
+    let report = session.run().expect("flow completes");
+    assert_eq!(report.spurious_resolved, 1);
+    let totals = report.solver_totals;
+    let stats = session.session_stats();
+    // Every task of a solved generation forks, except the ones behind its
+    // counterexample, and every fork copies real bytes.
+    assert_eq!(
+        totals.fork_count,
+        stats.parallel_tasks - stats.tasks_skipped
+    );
+    assert!(totals.fork_count > 0);
+    assert!(totals.bytes_cloned > 0);
+    assert_eq!(
+        (stats.snapshot_forks, stats.snapshot_bytes_cloned),
+        (2, 380_340)
+    );
+    let pipeline = session.pipeline_stats();
+    assert_eq!(
+        (pipeline.snapshot_forks, pipeline.snapshot_bytes_cloned),
+        (stats.snapshot_forks, stats.snapshot_bytes_cloned)
+    );
+    assert_eq!(pipeline.cross_level_solves, 0);
+}
+
+/// Clause-GC thresholds are configurable: with the thresholds floored, the
+/// master compacts before it forks, and the GC counters reach the backend
+/// stats.  AES-T1600 is an infected AES flow: its init property fails, and
+/// the end-of-flow hygiene retires the failing generation's activation
+/// literals, leaving dead miter clauses for the compactor.
+#[test]
+fn lowered_gc_thresholds_fire_on_an_infected_aes_flow() {
+    let design = Benchmark::AesT1600.build().expect("benchmark builds");
+    let config = DetectorConfig {
+        benign_state: Benchmark::AesT1600.benign_state(&design),
+        checker: CheckerOptions {
+            gc_dead_pct: 0,
+            gc_min_clauses: 1,
+            ..CheckerOptions::default()
+        },
+        ..DetectorConfig::default()
+    };
+    let mut session = SessionBuilder::new(design)
+        .config(config)
+        .build()
+        .expect("session builds");
+    session.run().expect("flow completes");
+    let backend = session.backend_stats();
+    assert!(
+        backend.solver.gc_runs > 0,
+        "GC never fired with floored thresholds: {:?}",
+        backend.solver
+    );
 }
