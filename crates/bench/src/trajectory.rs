@@ -56,27 +56,12 @@ pub struct TrajectoryRecord {
     pub learnt_lbd_sum: u64,
     /// SAT queries consumed by the flow.
     pub queries: u64,
-    /// Per-signal solve tasks of the generations the flow solved.
+    /// Per-signal sub-properties the flow handed to the solver.
     pub parallel_tasks: u64,
     /// Prove signals discharged structurally (no solver work).
     pub structurally_proved: u64,
-    /// Solver forks consumed by the flow (one per solved task, from
-    /// `DetectionReport::solver_totals`).
-    pub fork_count: u64,
-    /// Bytes those forks copied: the arena-backed snapshot cost —
-    /// proportional to the live clause-database size, never to the clause
-    /// count.
-    pub bytes_cloned: u64,
-    /// Slice of `bytes_cloned` spent copying the flat watcher arena (zero
-    /// for backends without an observable watcher store).
-    pub watcher_bytes_cloned: u64,
     /// Arena words reclaimed by clause-GC compaction sweeps.
     pub arena_words_reclaimed: u64,
-    /// Master-side snapshot clones taken for this run: one per level
-    /// prepared ahead of a resolution round, so 0 on designs without one.
-    pub snapshot_forks: u64,
-    /// Bytes those master-side snapshot clones copied.
-    pub snapshot_bytes_cloned: u64,
 }
 
 impl TrajectoryRecord {
@@ -117,8 +102,6 @@ struct RunOutcome {
     report: htd_core::DetectionReport,
     parallel_tasks: u64,
     structurally_proved: u64,
-    snapshot_forks: u64,
-    snapshot_bytes_cloned: u64,
 }
 
 fn run_once(benchmark: Benchmark, backend: &BackendChoice) -> RunOutcome {
@@ -141,8 +124,6 @@ fn run_once(benchmark: Benchmark, backend: &BackendChoice) -> RunOutcome {
         report,
         parallel_tasks: stats.parallel_tasks,
         structurally_proved: stats.structurally_proved,
-        snapshot_forks: stats.snapshot_forks,
-        snapshot_bytes_cloned: stats.snapshot_bytes_cloned,
     }
 }
 
@@ -188,12 +169,7 @@ pub fn measure(benchmark: Benchmark, backend: &BackendChoice) -> TrajectoryRecor
         queries: totals.solves,
         parallel_tasks: outcome.parallel_tasks,
         structurally_proved: outcome.structurally_proved,
-        fork_count: totals.fork_count,
-        bytes_cloned: totals.bytes_cloned,
-        watcher_bytes_cloned: totals.watcher_bytes_cloned,
         arena_words_reclaimed: totals.arena_words_reclaimed,
-        snapshot_forks: outcome.snapshot_forks,
-        snapshot_bytes_cloned: outcome.snapshot_bytes_cloned,
     }
 }
 
@@ -225,9 +201,12 @@ fn json_escape(text: &str) -> String {
 pub fn to_json(records: &[TrajectoryRecord], backend: &BackendChoice) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    // Schema v9: the flow runs on one thread, so each design is timed once
-    // and `jobs`, `level_pipeline`, `sequential_secs`, `speedup` and their
-    // totals are gone.  (v8: per-design lowering volume, `aig_nodes` and
+    // Schema v10: every query solves on the master, so the fork columns
+    // (`fork_count`, `bytes_cloned`, `watcher_bytes_cloned`,
+    // `snapshot_forks`, `snapshot_bytes_cloned`) are gone.  (v9: the flow
+    // runs on one thread, so each design is timed once and `jobs`,
+    // `level_pipeline`, `sequential_secs`, `speedup` and their totals are
+    // gone; v8: per-design lowering volume, `aig_nodes` and
     // `cnf_vars` summed over the report's properties; v7: `sequential_secs` times
     // the same executor at one worker — it used to time a separate
     // single-miter engine — and the v6 portfolio-race columns are gone; v5
@@ -235,7 +214,7 @@ pub fn to_json(records: &[TrajectoryRecord], backend: &BackendChoice) -> String 
     // trajectory with the SAT backend it measured; v3 added the fork cost
     // model of the arena-backed clause store: per-flow fork counts,
     // snapshot bytes and compaction words.)
-    out.push_str("  \"schema\": \"htd-bench-trajectory-v9\",\n");
+    out.push_str("  \"schema\": \"htd-bench-trajectory-v10\",\n");
     out.push_str("  \"engine\": \"flowgraph\",\n");
     out.push_str(&format!(
         "  \"backend\": \"{}\",\n",
@@ -291,23 +270,9 @@ pub fn to_json(records: &[TrajectoryRecord], backend: &BackendChoice) -> String 
             "      \"structurally_proved\": {},\n",
             r.structurally_proved
         ));
-        out.push_str(&format!("      \"fork_count\": {},\n", r.fork_count));
-        out.push_str(&format!("      \"bytes_cloned\": {},\n", r.bytes_cloned));
         out.push_str(&format!(
-            "      \"watcher_bytes_cloned\": {},\n",
-            r.watcher_bytes_cloned
-        ));
-        out.push_str(&format!(
-            "      \"arena_words_reclaimed\": {},\n",
+            "      \"arena_words_reclaimed\": {}\n",
             r.arena_words_reclaimed
-        ));
-        out.push_str(&format!(
-            "      \"snapshot_forks\": {},\n",
-            r.snapshot_forks
-        ));
-        out.push_str(&format!(
-            "      \"snapshot_bytes_cloned\": {}\n",
-            r.snapshot_bytes_cloned
         ));
         out.push_str(if i + 1 < records.len() {
             "    },\n"
@@ -331,22 +296,26 @@ mod tests {
         assert_eq!(records[0].verdict, "fanout_property_1");
         assert!(records[0].wall_secs > 0.0);
         let json = to_json(&records, &backend);
-        assert!(json.contains("\"schema\": \"htd-bench-trajectory-v9\""));
+        assert!(json.contains("\"schema\": \"htd-bench-trajectory-v10\""));
         assert!(json.contains("\"backend\": \"builtin\""));
         assert!(json.contains("\"engine\": \"flowgraph\""));
         assert!(json.contains("\"host_parallelism\""));
         assert!(json.contains("RS232-T2400"));
-        for deleted in ["jobs", "level_pipeline", "sequential_secs", "speedup"] {
+        for deleted in [
+            "jobs",
+            "level_pipeline",
+            "sequential_secs",
+            "speedup",
+            "fork_count",
+            "bytes_cloned",
+            "snapshot_forks",
+        ] {
             assert!(!json.contains(&format!("{deleted}\"")), "{deleted} is gone");
         }
         assert!(json.contains(&format!("\"aig_nodes\": {}", records[0].aig_nodes)));
         assert!(json.contains(&format!("\"cnf_vars\": {}", records[0].cnf_vars)));
         assert!(records[0].aig_nodes > 0 && records[0].cnf_vars > 0);
-        assert!(json.contains("\"fork_count\""));
-        assert!(json.contains("\"bytes_cloned\""));
-        assert!(json.contains("\"watcher_bytes_cloned\""));
         assert!(json.contains("\"arena_words_reclaimed\""));
-        assert!(json.contains("\"snapshot_forks\""));
     }
 
     #[test]

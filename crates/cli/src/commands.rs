@@ -478,23 +478,14 @@ fn bench(
     let _ = writeln!(out, "backend: {backend}");
     let _ = writeln!(
         out,
-        "{:<18} {:<20} {:>10}  {:>9} {:>8} {:>9} {:>6} {:>9} {:>6} {:>11}",
-        "Benchmark",
-        "Verdict",
-        "wall (s)",
-        "AIG nodes",
-        "AIG/var",
-        "conflicts",
-        "GC",
-        "collected",
-        "forks",
-        "fork bytes"
+        "{:<18} {:<20} {:>10}  {:>9} {:>8} {:>9} {:>6} {:>9}",
+        "Benchmark", "Verdict", "wall (s)", "AIG nodes", "AIG/var", "conflicts", "GC", "collected"
     );
-    let _ = writeln!(out, "{}", "-".repeat(115));
+    let _ = writeln!(out, "{}", "-".repeat(97));
     for r in &records {
         let _ = writeln!(
             out,
-            "{:<18} {:<20} {:>10.4}  {:>9} {:>8.2} {:>9} {:>6} {:>9} {:>6} {:>11}",
+            "{:<18} {:<20} {:>10.4}  {:>9} {:>8.2} {:>9} {:>6} {:>9}",
             r.name,
             r.verdict,
             r.wall_secs,
@@ -502,9 +493,7 @@ fn bench(
             r.aig_per_cnf_var(),
             r.conflicts,
             r.gc_runs,
-            r.clauses_collected,
-            r.fork_count,
-            r.bytes_cloned
+            r.clauses_collected
         );
     }
     let total_wall: f64 = records.iter().map(|r| r.wall_secs).sum();

@@ -3,8 +3,8 @@
 //! The flow runs on one thread, so nothing here selects anything: the
 //! worker count and the pipelining switch are ignored, [`SharedSolvePool`]
 //! spawns no thread, and a session ignores an attached pool.
-//! [`PipelineStats`] still counts what the executor did, except
-//! `cross_level_solves`, which is always 0.
+//! [`PipelineStats`] still counts the checks and sub-properties the executor
+//! ran; its other fields are always 0.
 //!
 //! These names stay only because the benchmark's in-process harness
 //! (`perfbench/trace`) compiles against them, and files under `perfbench/`
@@ -69,8 +69,8 @@ impl DetectionSession {
     /// Inert: ignores `pool` ([module docs](self)).
     pub fn attach_pool(&mut self, _pool: SharedSolvePool) {}
 
-    /// What the most recent [`run`](Self::run) prepared; all zero before
-    /// the first run.
+    /// What the most recent [`run`](Self::run) checked; all zero before the
+    /// first run.
     #[must_use]
     pub fn pipeline_stats(&self) -> PipelineStats {
         self.pipeline_stats
@@ -81,17 +81,14 @@ impl DetectionSession {
 /// [`DetectionSession::pipeline_stats`] ([module docs](self)).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
-    /// Generations (levels and resolution rounds) prepared on the master,
-    /// counting levels a resolution round prepared ahead that the flow then
-    /// never reached.
+    /// Checks run on the master: levels and resolution rounds.
     pub generations_prepared: u64,
-    /// Sub-property tasks of those generations.
+    /// Sub-properties those checks handed to the solver.
     pub tasks_dispatched: u64,
     /// Always 0: no two tasks ever solve at once.
     pub cross_level_solves: u64,
-    /// Generations frozen behind a snapshot: the levels a resolution round
-    /// prepared ahead (the same count as `SessionStats::snapshot_forks`).
+    /// Always 0: no check freezes a snapshot of the master.
     pub snapshot_forks: u64,
-    /// Bytes those snapshots copied.
+    /// Always 0, like `snapshot_forks`.
     pub snapshot_bytes_cloned: u64,
 }

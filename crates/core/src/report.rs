@@ -102,14 +102,9 @@ pub struct DetectionReport {
     pub spurious_resolved: usize,
     /// Aggregate solver work across every check of the run, including
     /// resolution rounds: conflicts, propagations, restarts, clause-GC runs,
-    /// clauses collected, learnt-LBD totals, and the fork cost model of the
-    /// arena-backed solver stores — `fork_count` / `bytes_cloned` count one
-    /// fork per consumed solve task (schedule-invariant: the cloned content
-    /// is byte-identical whether a task forked off a frozen snapshot or
-    /// straight off the unmutated master), `watcher_bytes_cloned` is the
-    /// slice of those bytes spent on the flat watcher arena (zero for
-    /// backends without an observable watcher store), and
-    /// `arena_words_reclaimed` totals the compaction sweeps.
+    /// clauses collected, learnt-LBD totals and the arena words the
+    /// compaction sweeps reclaimed.  Every query solves on the master, so
+    /// the fork counters read 0.
     pub solver_totals: SolverStats,
     /// Wall-clock duration of the whole flow.
     pub total_duration: Duration,
@@ -135,8 +130,8 @@ impl DetectionReport {
     /// the flow total and each property's check time.
     ///
     /// Two detection runs over the same design are *deterministic* up to
-    /// wall-clock time: the sharded scheduler guarantees identical verdicts,
-    /// counterexamples and work counters for any worker count, so
+    /// wall-clock time: verdicts, counterexamples and work counters are a
+    /// pure function of the design, the configuration and the backend, so
     /// `a.normalized() == b.normalized()` compares entire reports
     /// byte-for-byte.  The determinism suite relies on this.
     #[must_use]
@@ -195,9 +190,7 @@ impl fmt::Display for DetectionReport {
         )?;
         writeln!(
             f,
-            "  snapshots: {} forks copying {} bytes ({} arena words reclaimed by GC)",
-            self.solver_totals.fork_count,
-            self.solver_totals.bytes_cloned,
+            "  snapshots: {} arena words reclaimed by GC",
             self.solver_totals.arena_words_reclaimed
         )?;
         for trace in &self.properties {

@@ -1,27 +1,20 @@
 //! The flow-graph executor: walks the [`FlowGraph`] one node at a time.
 //!
 //! Each fanout level, and each spurious-counterexample resolution round of
-//! one, is a *generation*.  The executor lowers and Tseitin-encodes a
-//! generation's per-signal sub-properties on the master
-//! ([`MiterSession::prepare_level`]), solves them in id order, each on its
-//! own fork, and merges the result ([`MiterSession::solve_level`]) before
-//! it moves to the next node.  Everything runs on the calling thread.
+//! one, is one [`MiterSession::check`] on the master: its per-signal
+//! sub-properties are lowered, encoded and solved in place one at a time,
+//! in id order, and the first counterexample decides the node before the
+//! executor moves to the next one.  Nothing is lowered ahead of the node
+//! being checked, and everything runs on the calling thread.
 //!
 //! # Determinism
 //!
 //! A report is a pure function of the design, the configuration and the
-//! backend:
-//!
-//! * every task solves on an isolated fork (of the unmutated master, or of
-//!   its generation's frozen snapshot), so no task's search sees another
-//!   task's learnt clauses;
-//! * the master mutation stream (retire the previous generation's
-//!   activation literals → encode → clause-GC → snapshot) follows the
-//!   ascending prepare order;
-//! * before a resolution round encodes, the executor prepares every
-//!   remaining level, each frozen behind a snapshot, so the round's
-//!   variables are numbered after all of them.  A planning error met while
-//!   preparing ahead surfaces only when the main loop reaches that level.
+//! backend: the master's mutation stream (retire the previous check's
+//! activation literals → clause-GC → lower, encode and solve each
+//! sub-property in turn) follows the order in which the flow reaches its
+//! nodes, which the design and the configuration fix.  Every query sees the
+//! learnt clauses of the queries before it, and only those.
 //!
 //! # Why one thread
 //!
@@ -31,16 +24,12 @@
 //! speculative prepares measured slower than this loop, or no faster, on
 //! every workload, and was deleted.  The names it left behind are inert
 //! (see `compat.rs`).
-//!
-//! [`MiterSession::prepare_level`]: htd_ipc::MiterSession::prepare_level
-//! [`MiterSession::solve_level`]: htd_ipc::MiterSession::solve_level
 
-use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
-use htd_ipc::{CheckOutcome, CheckStats, IntervalProperty, MiterSession, PreparedLevel};
+use htd_ipc::{CheckOutcome, CheckStats, MiterSession};
 use htd_rtl::{SignalId, ValidatedDesign};
 use htd_sat::SolverStats;
 
@@ -55,9 +44,10 @@ use crate::session::FlowEvent;
 /// Runs the full flow: init property, fanout properties until the
 /// structural fixpoint, then the coverage check.
 ///
-/// `cancel` is the caller's kill switch: every solve polls it, and a run
-/// that sees it set returns [`DetectError::Cancelled`].  The run sets it
-/// when it returns, whatever the result, so a flag serves one run.
+/// `cancel` is the caller's kill switch: the run installs it on the master
+/// once, every solve polls it, and a run that sees it set returns
+/// [`DetectError::Cancelled`].  The run sets it when it returns, whatever
+/// the result, so a flag serves one run.
 pub(crate) fn run_flow(
     design: &ValidatedDesign,
     config: &DetectorConfig,
@@ -66,31 +56,22 @@ pub(crate) fn run_flow(
     emit: &mut dyn FnMut(&FlowEvent),
 ) -> Result<(DetectionReport, PipelineStats), DetectError> {
     let interrupt = cancel.cloned().unwrap_or_default();
-    let snapshots_before = miter.stats();
+    if let Some(flag) = cancel {
+        miter.set_cancel_flag(Arc::clone(flag));
+    }
+    let before = miter.stats();
     let result = walk(design, config, miter, &interrupt, emit);
     // Consume the flag: the daemon's coalescing treats a run whose flag is
     // set as finished, so it never attaches a new submission to it.
     interrupt.store(true, Ordering::SeqCst);
-    let (report, mut stats) = result?;
-    let snapshots = miter.stats();
-    stats.snapshot_forks = snapshots.snapshot_forks - snapshots_before.snapshot_forks;
-    stats.snapshot_bytes_cloned =
-        snapshots.snapshot_bytes_cloned - snapshots_before.snapshot_bytes_cloned;
+    let report = result?;
+    let after = miter.stats();
+    let stats = PipelineStats {
+        generations_prepared: after.properties_checked - before.properties_checked,
+        tasks_dispatched: after.parallel_tasks - before.parallel_tasks,
+        ..PipelineStats::default()
+    };
     Ok((report, stats))
-}
-
-/// Prepares one generation on the master and counts it.
-fn prepare(
-    design: &ValidatedDesign,
-    miter: &mut MiterSession,
-    property: &IntervalProperty,
-    freeze: bool,
-    stats: &mut PipelineStats,
-) -> Result<PreparedLevel, DetectError> {
-    let prepared = miter.prepare_level(design, property, freeze)?;
-    stats.generations_prepared += 1;
-    stats.tasks_dispatched += prepared.num_tasks() as u64;
-    Ok(prepared)
 }
 
 fn walk(
@@ -99,7 +80,7 @@ fn walk(
     miter: &mut MiterSession,
     interrupt: &Arc<AtomicBool>,
     emit: &mut dyn FnMut(&FlowEvent),
-) -> Result<(DetectionReport, PipelineStats), DetectError> {
+) -> Result<DetectionReport, DetectError> {
     let mut graph = FlowGraph::plan(design, config)?;
     // htd-lint: allow(determinism): feeds DetectionReport.total_duration only, which render_normalized() zeroes
     let start = Instant::now();
@@ -109,7 +90,6 @@ fn walk(
     };
     let cancelled = || interrupt.load(Ordering::SeqCst);
 
-    let mut stats = PipelineStats::default();
     let mut fanout_levels: Vec<Vec<String>> = Vec::new();
     let mut properties: Vec<PropertyTrace> = Vec::new();
     let mut spurious_total = 0usize;
@@ -128,14 +108,6 @@ fn walk(
         total_duration: start.elapsed(),
     };
 
-    // Levels a resolution round prepared ahead of the frontier, in level
-    // order, each frozen behind its snapshot.
-    let mut ahead: VecDeque<PreparedLevel> = VecDeque::new();
-    // Levels prepared so far: the ones behind the frontier plus `ahead`.
-    let mut levels_prepared = 0usize;
-    // Set when preparing ahead hit a planning error: the main loop
-    // surfaces the same error when it reaches that level.
-    let mut planning_blocked = false;
     let mut level_idx = 0usize;
     while graph.ensure_level(design, level_idx)? {
         if cancelled() {
@@ -143,13 +115,6 @@ fn walk(
         }
         let node = graph.level_node(level_idx).clone();
         let mut current_property = node.property.clone().expect("level nodes carry properties");
-        let mut current = match ahead.pop_front() {
-            Some(prepared) => prepared,
-            None => {
-                levels_prepared += 1;
-                prepare(design, miter, &current_property, false, &mut stats)?
-            }
-        };
         let mut current_node = node.id;
 
         fanout_levels.push(names(&node.signals));
@@ -170,7 +135,7 @@ fn walk(
             if cancelled() {
                 return Err(DetectError::Cancelled);
             }
-            let checked = miter.solve_level(design, current, interrupt);
+            let checked = miter.check(design, &current_property);
             // A solve cut short by the kill switch reports an error; the
             // cancellation is the cause.
             if cancelled() {
@@ -246,27 +211,6 @@ fn walk(
                         &config.benign_state,
                     );
                     current_property = current_property.with_extra_assumptions(&waived);
-                    // Prepare every remaining level first, frozen: the
-                    // round then encodes after all of them, which fixes
-                    // the variable numbering its search depends on (the
-                    // `SEARCH` table of `tests/jobs_determinism.rs`).
-                    while !planning_blocked {
-                        match graph.ensure_level(design, levels_prepared) {
-                            Ok(true) => {
-                                let property = graph
-                                    .level_node(levels_prepared)
-                                    .property
-                                    .clone()
-                                    .expect("level nodes carry properties");
-                                levels_prepared += 1;
-                                ahead.push_back(prepare(
-                                    design, miter, &property, true, &mut stats,
-                                )?);
-                            }
-                            Ok(false) => break,
-                            Err(_) => planning_blocked = true,
-                        }
-                    }
                     current_node =
                         graph.add_resolution(node.id, resolved, current_property.clone());
                     emit(&FlowEvent::ResolutionRound {
@@ -275,7 +219,6 @@ fn walk(
                         waived: names(&waived),
                         node: current_node,
                     });
-                    current = prepare(design, miter, &current_property, false, &mut stats)?;
                 }
             }
         };
@@ -292,18 +235,15 @@ fn walk(
             } else {
                 DetectedBy::FanoutProperty(level_idx)
             };
-            return Ok((
-                report(
-                    DetectionOutcome::PropertyFailed {
-                        detected_by,
-                        counterexample: Box::new(cex),
-                    },
-                    fanout_levels,
-                    properties,
-                    spurious_total,
-                    solver_totals,
-                ),
-                stats,
+            return Ok(report(
+                DetectionOutcome::PropertyFailed {
+                    detected_by,
+                    counterexample: Box::new(cex),
+                },
+                fanout_levels,
+                properties,
+                spurious_total,
+                solver_totals,
             ));
         }
         level_idx += 1;
@@ -324,14 +264,11 @@ fn walk(
     } else {
         DetectionOutcome::UncoveredSignals { signals: uncovered }
     };
-    Ok((
-        report(
-            outcome,
-            fanout_levels,
-            properties,
-            spurious_total,
-            solver_totals,
-        ),
-        stats,
+    Ok(report(
+        outcome,
+        fanout_levels,
+        properties,
+        spurious_total,
+        solver_totals,
     ))
 }

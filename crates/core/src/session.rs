@@ -18,11 +18,11 @@
 //! edge to the level it structurally depends on), dynamically appended
 //! resolution-round nodes, and a final coverage node.  Planning the graph
 //! is purely structural.  A session walks it node by node on the calling
-//! thread: each level splits into per-signal sub-properties, encoded once
-//! on the master and solved in id order, each on its own fork of the
-//! master, and the first counterexample decides the level.  Reports are
-//! therefore a pure function of the design, the configuration and the
-//! backend ([`DetectionReport::normalized`] zeroes the wall-clock fields).
+//! thread: each level splits into per-signal sub-properties, lowered,
+//! encoded and solved in place on the master one at a time, in id order,
+//! and the first counterexample decides the level.  Reports are therefore a
+//! pure function of the design, the configuration and the backend
+//! ([`DetectionReport::normalized`] zeroes the wall-clock fields).
 //! The deprecated [`TrojanDetector`](crate::TrojanDetector) visits the same
 //! nodes in id order with a fresh encoding per property: the reference the
 //! equivalence suite compares sessions against.
@@ -513,10 +513,8 @@ impl DetectionSession {
     }
 
     /// Counters of the underlying miter session (bit-blasts performed,
-    /// properties checked, nodes encoded, queries issued, and the
-    /// master-side snapshot-fork cost: `snapshot_forks` /
-    /// `snapshot_bytes_cloned` measure the per-generation clones of the
-    /// arena-backed clause store).
+    /// properties checked, nodes encoded, queries issued, signals proved
+    /// structurally).
     #[must_use]
     pub fn session_stats(&self) -> SessionStats {
         self.miter.stats()
@@ -564,8 +562,8 @@ impl DetectionSession {
     ///
     /// [`DetectError::IterationLimit`] / [`DetectError::ResolutionLimit`]
     /// when the configured safety bounds are exceeded, and
-    /// [`DetectError::Backend`] if the solver backend fails (an external
-    /// solver, or a fork of a solve-task snapshot).
+    /// [`DetectError::Backend`] if the solver backend fails (e.g. an
+    /// external solver).
     pub fn run(&mut self) -> Result<DetectionReport, DetectError> {
         self.run_with_observer(&mut |_| {})
     }
@@ -594,10 +592,9 @@ impl DetectionSession {
         };
         // Arm the run's solve budget, if any: the tracker rides this
         // session's miter (a run fork, never a cached pristine master — the
-        // serve tier installs budgets per run) and is inherited by every
-        // per-task fork taken during the run.  The tracker trips the
+        // serve tier installs budgets per run).  The tracker trips the
         // cancel flag on exhaustion, so a flag is materialized even when the
-        // caller installed none.
+        // caller installed none; the run installs it on the miter.
         let tracker = if config.budget.is_unlimited() {
             None
         } else {
@@ -920,6 +917,14 @@ mod tests {
             SatBackend::stats(&self.0)
         }
 
+        fn set_decision_var(&mut self, var: Var, eligible: bool) {
+            SatBackend::set_decision_var(&mut self.0, var, eligible);
+        }
+
+        fn mask_all_decisions(&mut self) {
+            SatBackend::mask_all_decisions(&mut self.0);
+        }
+
         fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError> {
             Err(BackendError {
                 message: "no second solver handle".to_owned(),
@@ -931,18 +936,23 @@ mod tests {
         }
     }
 
-    /// Every solve task runs on a fork, so a backend that cannot fork fails
-    /// the run with a backend error.
+    /// Every query solves on the master, so a backend that cannot fork runs
+    /// the whole flow, to the same report as the builtin solver.
     #[test]
-    fn a_failing_fork_is_a_backend_error() {
-        let design = infected_design();
-        let miter = MiterSession::new(&design, Box::new(UnforkableSolver(Solver::new())));
-        let mut session = SessionBuilder::new(design).build_with_miter(miter).unwrap();
-        match session.run() {
-            Err(DetectError::Backend { message }) => {
-                assert!(message.contains("no second solver handle"), "{message}");
-            }
-            other => panic!("expected a backend error, got {other:?}"),
+    fn an_unforkable_backend_completes_the_flow() {
+        for design in [infected_design(), clean_pipeline()] {
+            let want = SessionBuilder::new(design.clone())
+                .build()
+                .unwrap()
+                .run()
+                .unwrap();
+            let miter = MiterSession::new(&design, Box::new(UnforkableSolver(Solver::new())));
+            let got = SessionBuilder::new(design)
+                .build_with_miter(miter)
+                .unwrap()
+                .run()
+                .unwrap();
+            assert_eq!(got.normalized(), want.normalized());
         }
     }
 
@@ -956,9 +966,11 @@ mod tests {
         assert!(session.run().is_ok());
         assert!(flag.load(Ordering::SeqCst), "after Ok");
 
-        let design = infected_design();
-        let miter = MiterSession::new(&design, Box::new(UnforkableSolver(Solver::new())));
-        let mut session = SessionBuilder::new(design).build_with_miter(miter).unwrap();
+        // The first query fails: the solver binary does not exist.
+        let mut session = SessionBuilder::new(infected_design())
+            .backend(BackendChoice::dimacs("/nonexistent/solver"))
+            .build()
+            .unwrap();
         let flag = Arc::new(AtomicBool::new(false));
         session.set_cancel_flag(Arc::clone(&flag));
         assert!(matches!(session.run(), Err(DetectError::Backend { .. })));

@@ -46,9 +46,9 @@ pub struct CheckerOptions {
     pub share_assumed_equal: bool,
     /// Percentage of the backend's clause database that must be dead before
     /// opportunistic garbage collection compacts it (default: 25).  The
-    /// session runs the check on the master encoding before every fork
-    /// snapshot, so lowering this shrinks the clause database every solve
-    /// task's fork clones.
+    /// session runs the check on the master encoding whenever a property
+    /// check retires the previous check's activation literals, and once
+    /// more at the end of a flow.
     pub gc_dead_pct: u32,
     /// Minimum clause-database size before garbage collection is considered
     /// at all (default: 128).

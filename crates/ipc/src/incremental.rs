@@ -17,11 +17,13 @@
 //! * **Antecedents as assumptions.**  Equality assumptions on combinational
 //!   signals become solver *assumptions* instead of baked-in unit clauses, so
 //!   the same encoding serves every antecedent the flow tries.
-//! * **Per-signal miters behind activation literals.**  Each prove signal's
-//!   "differs in the two instances" clause is guarded by a fresh activation
-//!   literal and solved on a fork of the master; once the next property is
-//!   prepared the literals are retired with unit clauses, permanently
-//!   simplifying the clauses away.
+//! * **One sub-property at a time, in place.**  A property splits into one
+//!   sub-property per prove signal.  In prove-list order, each is lowered,
+//!   encoded, guarded by a fresh activation literal and solved on the master
+//!   backend itself, with decisions confined to its cone; the first
+//!   counterexample decides the property, and the prove signals behind it
+//!   are never lowered.  The next check retires the literals with unit
+//!   clauses, permanently simplifying their miter clauses away.
 //!
 //! Register starting-state variables follow the same sharing discipline as
 //! the legacy checker (see
@@ -37,7 +39,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use htd_rtl::{SignalId, SignalKind, ValidatedDesign};
-use htd_sat::{BackendError, Lit, SatBackend, SolveResult, SolverStats, Var};
+use htd_sat::{BackendError, Lit, SatBackend, SolveResult, Var};
 
 use crate::aig::{Aig, AigLit};
 use crate::bitblast::{equal, BitVec, BlastContext};
@@ -58,7 +60,8 @@ pub struct SessionStats {
     /// AIG nodes mirrored into the backend so far (cumulative over all
     /// properties; nodes shared between properties are counted once).
     pub nodes_encoded: u64,
-    /// SAT queries issued (trivially decided properties issue none).
+    /// SAT queries issued: one [`SatBackend::solve_under`] call each
+    /// (trivially decided properties issue none).
     pub queries: u64,
     /// Prove signals discharged by the structural fast path: their cone
     /// reduced to shared variables, so equality held by construction with no
@@ -70,23 +73,10 @@ pub struct SessionStats {
     /// level nodes common to several properties are bit-blasted once per
     /// epoch instead of once per property.
     pub epoch_rebinds: u64,
-    /// Per-signal solve tasks whose generation was solved into a verdict
-    /// (levels prepared ahead of a resolution round that the flow never
-    /// reached do not count).
+    /// Per-signal sub-properties handed to the solver.  The prove signals
+    /// behind a property's first counterexample are never lowered, so they
+    /// do not count.
     pub parallel_tasks: u64,
-    /// Tasks skipped because an earlier (lower-id) task had already produced
-    /// the level's counterexample.
-    pub tasks_skipped: u64,
-    /// Frozen generation snapshots forked off the master by
-    /// [`MiterSession::prepare_level`].  Unlike the per-task fork counters in
-    /// flow reports, this counts the *master-side* clones: the detection
-    /// flow takes one only for a level it prepares ahead of a resolution
-    /// round.
-    pub snapshot_forks: u64,
-    /// Bytes copied by those master-side snapshot forks — the arena-backed
-    /// cost model: each clone is proportional to the master's live database
-    /// size at the prepare boundary, not to its clause count.
-    pub snapshot_bytes_cloned: u64,
 }
 
 /// An incremental property-checking session over one design's 2-safety miter.
@@ -139,84 +129,12 @@ pub struct MiterSession {
     /// antecedent merges the same registers reuse these contexts, so shared
     /// word-level cones are lowered once per epoch, not once per property.
     epoch: Option<EpochCtx>,
-    /// Activation literals of the most recently prepared generation, retired
-    /// (as permanent unit clauses) when the *next* generation is prepared.
-    /// Deferring the retirement keeps the master mutation stream a pure
-    /// function of the prepare order, and leaves a generation's miter
-    /// clauses live until its tasks have forked.
+    /// Activation literals of the most recent check, retired (as permanent
+    /// unit clauses) when the next check starts.
     pending_acts: Vec<Var>,
+    /// The cancel flag installed with [`set_cancel_flag`](Self::set_cancel_flag).
+    cancel: Option<Arc<AtomicBool>>,
     stats: SessionStats,
-}
-
-/// One per-signal sub-property of a level check: prove that `sig`'s
-/// next-cycle value is equal in both instances under the level's antecedent.
-struct LevelTask {
-    sig: SignalId,
-    b1: BitVec,
-    b2: BitVec,
-    /// Activation literal guarding this sub-property's miter clause (`None`
-    /// when the miter is structurally true and no guard clause exists).
-    act: Option<Var>,
-    /// Base antecedent assumptions plus this task's activation literal.
-    assumptions: Vec<Lit>,
-    /// Decision-eligible variables: the cone of the antecedent and the miter.
-    cone: Vec<Var>,
-}
-
-/// One prepared (lowered and Tseitin-encoded) generation of the flow graph:
-/// a fanout level's property — or one of its resolution rounds — split into
-/// per-signal sub-property tasks.
-///
-/// A `PreparedLevel` is created on the master session by
-/// [`MiterSession::prepare_level`] and solved by
-/// [`MiterSession::solve_level`].  A generation prepared with `freeze`
-/// carries a snapshot of the master, so the master may encode later
-/// generations before this one solves.
-pub struct PreparedLevel {
-    property_name: String,
-    tasks: Vec<LevelTask>,
-    /// The frozen master snapshot the tasks fork from: `None` when the
-    /// generation has no tasks or was prepared without `freeze`, in which
-    /// case the tasks fork straight off the master.
-    snapshot: Option<Box<dyn SatBackend>>,
-    /// This generation's epoch starting-state words, kept for counterexample
-    /// reconstruction at solve time (the session's live epoch may already
-    /// belong to a later generation).
-    regs: [FxHashMap<SignalId, BitVec>; 2],
-    start: Instant,
-    structurally_proved: u64,
-    /// Master-side work bracketed over this generation's prepare: AIG and
-    /// CNF growth plus any clause-GC the master ran before the snapshot.
-    aig_nodes: usize,
-    aig_ands: usize,
-    strash_hits: u64,
-    cnf_vars: usize,
-    cnf_clauses: usize,
-    master_solver: SolverStats,
-}
-
-impl std::fmt::Debug for PreparedLevel {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PreparedLevel")
-            .field("property", &self.property_name)
-            .field("tasks", &self.tasks.len())
-            .finish_non_exhaustive()
-    }
-}
-
-impl PreparedLevel {
-    /// The name of the property this generation checks.
-    #[must_use]
-    pub fn property_name(&self) -> &str {
-        &self.property_name
-    }
-
-    /// Number of per-signal solve tasks (0 when the level discharged
-    /// structurally or vacuously).
-    #[must_use]
-    pub fn num_tasks(&self) -> usize {
-        self.tasks.len()
-    }
 }
 
 /// The lowering contexts of one binding epoch (one merged-register set).
@@ -294,6 +212,7 @@ impl MiterSession {
             support_cache: FxHashMap::default(),
             epoch: None,
             pending_acts: Vec::new(),
+            cancel: None,
             stats: SessionStats {
                 bit_blasts: 1,
                 ..SessionStats::default()
@@ -319,21 +238,13 @@ impl MiterSession {
         &self.design_name
     }
 
-    /// Bytes a fork of the session's master backend would copy — the
-    /// O(bytes) cost model of the arena-backed clause store, used both for
-    /// the per-generation snapshot accounting and as the eviction cost of a
-    /// design-keyed session cache.
-    #[must_use]
-    pub fn snapshot_bytes(&self) -> u64 {
-        self.backend.snapshot_bytes()
-    }
-
     /// Estimated resident size of the whole session: the AIG footprint plus
     /// the backend's forkable snapshot bytes.  This is the honest eviction
     /// cost of a design-keyed **frozen master** cache: a pristine master has
-    /// issued no queries, so [`snapshot_bytes`](Self::snapshot_bytes) alone
-    /// reads near zero while the bit-blast product (the AIG and its
-    /// structural hash) dominates its footprint.
+    /// issued no queries, so the backend's
+    /// [`snapshot_bytes`](SatBackend::snapshot_bytes) alone read near zero
+    /// while the bit-blast product (the AIG and its structural hash)
+    /// dominates its footprint.
     #[must_use]
     pub fn resident_bytes(&self) -> u64 {
         self.aig.resident_bytes() + self.backend.snapshot_bytes()
@@ -370,6 +281,7 @@ impl MiterSession {
             support_cache: self.support_cache.clone(),
             epoch: self.epoch.clone(),
             pending_acts: self.pending_acts.clone(),
+            cancel: self.cancel.clone(),
             stats: self.stats,
         })
     }
@@ -383,26 +295,43 @@ impl MiterSession {
     /// Session-level counters.
     #[must_use]
     pub fn stats(&self) -> SessionStats {
-        SessionStats {
-            // Queries solved on the master backend plus queries solved on
-            // forked per-task solvers (accumulated in `self.stats.queries`).
-            queries: self.backend.stats().queries + self.stats.queries,
-            ..self.stats
-        }
+        self.stats
     }
 
-    /// Checks a single-cycle interval property against the live miter, as
-    /// the detection flow checks a level: [`prepare_level`](Self::prepare_level)
-    /// without a snapshot, then [`solve_level`](Self::solve_level) (each
-    /// sub-property solved on a fork of the master, the lowest-id
-    /// counterexample wins).
+    /// Installs a cancel flag on the master backend: setting it interrupts
+    /// the solve in flight, and a [`check`](Self::check) that finds it set
+    /// before a sub-property returns an error instead of solving.  The flag
+    /// stays installed (forks inherit it) until another one replaces it.
+    pub fn set_cancel_flag(&mut self, cancel: Arc<AtomicBool>) {
+        let flag = Arc::clone(&cancel);
+        self.backend
+            .set_interrupt(Arc::new(move || flag.load(Ordering::SeqCst)));
+        self.cancel = Some(cancel);
+    }
+
+    /// Checks a single-cycle interval property against the live miter.
+    ///
+    /// The prove consequent splits into one sub-property per prove signal,
+    /// taken in prove-list order.  Each one takes the structural fast path
+    /// or has its cone lowered; only the AIG nodes not yet in the backend
+    /// are encoded; its miter is guarded by a fresh activation literal; and
+    /// it is solved in place on the master with decisions confined to its
+    /// cone.  The first counterexample decides the property, rebuilt from
+    /// the master's model: the prove signals behind it are never lowered,
+    /// encoded or solved.
+    ///
+    /// Master hygiene runs when the check starts: the previous check's
+    /// activation literals are retired (unit clauses permanently disable
+    /// their miter clauses) and the backend may compact the clauses that
+    /// died (see [`CheckerOptions::gc_dead_pct`]).
     ///
     /// Must be called with the same design the session was built from.
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError`] if the backend infrastructure fails (a
-    /// process backend, a failed fork, or an interrupted query).
+    /// Returns [`BackendError`] if the backend fails a query, or if the
+    /// cancel flag ([`set_cancel_flag`](Self::set_cancel_flag)) cut the
+    /// check short.
     ///
     /// # Panics
     ///
@@ -412,49 +341,6 @@ impl MiterSession {
         design: &ValidatedDesign,
         property: &IntervalProperty,
     ) -> Result<PropertyReport, BackendError> {
-        let prepared = self.prepare_level(design, property, false)?;
-        self.solve_level(design, prepared, &Arc::default())
-    }
-
-    /// Lowers and encodes one generation of the flow graph — a fanout level's
-    /// property (or a resolution round of one) — on the master backend.
-    ///
-    /// This is the master half of a level check: the prove consequent is
-    /// partitioned into per-signal sub-properties ("one pending property per
-    /// prove signal"), each guarded by its own activation literal, and the
-    /// whole generation's cones are mirrored into the master once (sharing
-    /// the binding epoch).  [`solve_level`](Self::solve_level) solves the
-    /// returned [`PreparedLevel`].
-    ///
-    /// Master hygiene runs at the prepare boundary, in a fixed order that is
-    /// a pure function of the prepare sequence: first the previous
-    /// generation's activation literals are retired (their miter clauses are
-    /// permanently disabled), then the clause database is opportunistically
-    /// compacted *before* any snapshot is taken, so the tasks' forks copy an
-    /// already-GC'd database (see [`CheckerOptions::gc_dead_pct`]).
-    ///
-    /// `freeze: true` freezes the generation behind a snapshot of the
-    /// master, so the master may encode later generations before this one
-    /// solves; the detection flow freezes the levels it prepares ahead of a
-    /// resolution round.  `freeze: false` skips the clone: the caller
-    /// promises to solve the generation before the master mutates again,
-    /// which makes a fork of the master at solve time byte-identical to a
-    /// fork of the omitted snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError`] if freezing the snapshot fails (the
-    /// backend's [`fork`](SatBackend::fork)).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `design` is not the session's design.
-    pub fn prepare_level(
-        &mut self,
-        design: &ValidatedDesign,
-        property: &IntervalProperty,
-        freeze: bool,
-    ) -> Result<PreparedLevel, BackendError> {
         // htd-lint: allow(determinism): feeds PropertyReport.duration only, zeroed by the normalized rendering
         let start = Instant::now();
         let d = design.design();
@@ -464,12 +350,9 @@ impl MiterSession {
         let strash_before = self.aig.strash_hits();
         let backend_before = self.backend.stats();
 
-        // Retire the previous generation's activation literals: deferred to
-        // this point so the master mutation stream is deterministic whether
-        // or not earlier generations have finished solving.
-        let retired = self.flush_retired();
-
-        let share = self.options.share_assumed_equal;
+        if self.flush_retired() {
+            let _ = self.backend.collect_garbage();
+        }
         let assume_regs: FxHashSet<SignalId> = property
             .assume_equal
             .iter()
@@ -477,18 +360,69 @@ impl MiterSession {
             .filter(|s| d.signal_info(*s).kind().is_register())
             .collect();
         let mut epoch = self.take_epoch(design, &assume_regs);
-        let assumption_aig = self.lower_assumptions(design, property, &assume_regs, &mut epoch);
+        let solved = self.solve_sub_properties(design, property, &assume_regs, &mut epoch);
+        // The epoch's lowering cache outlives a failed query too.
+        self.epoch = Some(epoch);
+        let (outcome, cnf_vars, cnf_clauses) = solved?;
+        self.stats.properties_checked += 1;
 
-        // Per-signal proof obligations in prove-list order — the sub-property
-        // id order of the deterministic merge.
-        let mut structurally_proved = 0u64;
-        let mut specs: Vec<(SignalId, BitVec, BitVec, AigLit)> = Vec::new();
-        for &sig in &property.prove_equal {
-            if share && self.structurally_equal_next(design, sig, &assume_regs) {
-                structurally_proved += 1;
+        let backend_after = self.backend.stats();
+        Ok(PropertyReport {
+            property: property.name.clone(),
+            outcome,
+            stats: CheckStats {
+                aig_nodes: self.aig.num_nodes() - aig_nodes_before,
+                aig_ands: self.aig.num_ands() - aig_ands_before,
+                strash_hits: self.aig.strash_hits() - strash_before,
+                cnf_vars,
+                cnf_clauses,
+                solver: backend_after.solver.delta_since(&backend_before.solver),
+                duration: start.elapsed(),
+            },
+        })
+    }
+
+    /// The sub-property loop of [`check`](Self::check), under the binding
+    /// epoch of the property's antecedent.  Returns the outcome and the CNF
+    /// variables and clauses the encoding added.
+    fn solve_sub_properties(
+        &mut self,
+        design: &ValidatedDesign,
+        property: &IntervalProperty,
+        assume_regs: &FxHashSet<SignalId>,
+        epoch: &mut EpochCtx,
+    ) -> Result<(CheckOutcome, usize, usize), BackendError> {
+        let d = design.design();
+        let share = self.options.share_assumed_equal;
+        let antecedent = self.lower_assumptions(design, property, assume_regs, epoch);
+        // A structurally unsatisfiable antecedent makes the property hold
+        // vacuously: nothing is lowered past the structural fast path.
+        let vacuous = antecedent.contains(&AigLit::FALSE);
+        let antecedent_roots: Vec<AigLit> = antecedent
+            .iter()
+            .copied()
+            .filter(|a| !a.is_const())
+            .collect();
+        // The antecedent's solver literals, encoded together with the first
+        // sub-property that reaches the solver.
+        let mut base_assumptions: Option<Vec<Lit>> = None;
+        let (mut cnf_vars, mut cnf_clauses) = (0, 0);
+        for (index, &sig) in property.prove_equal.iter().enumerate() {
+            if self
+                .cancel
+                .as_ref()
+                .is_some_and(|c| c.load(Ordering::SeqCst))
+            {
+                return Err(interrupted(property, index));
+            }
+            if share && self.structurally_equal_next(design, sig, assume_regs) {
+                self.stats.structurally_proved += 1;
                 continue;
             }
-            let Some((b1, b2)) = self.lower_prove_signal(design, &mut epoch, sig) else {
+            if vacuous {
+                continue;
+            }
+            let Some((b1, b2)) = self.lower_prove_signal(design, epoch, sig) else {
                 continue;
             };
             let diff = equal(&mut self.aig, &b1, &b2).invert();
@@ -496,232 +430,68 @@ impl MiterSession {
                 // Equal by construction under this epoch's sharing.
                 continue;
             }
-            specs.push((sig, b1, b2, diff));
-        }
 
-        // A structurally unsatisfiable antecedent makes the whole level hold
-        // vacuously; no signal to check makes it hold trivially.  Either way
-        // the generation carries no tasks.
-        let mut tasks: Vec<LevelTask> = Vec::new();
-        if !assumption_aig.contains(&AigLit::FALSE) && !specs.is_empty() {
-            // Mirror every cone this generation needs into the master, then
-            // guard each sub-property's miter behind its own activation
-            // literal.
-            let mut roots: Vec<AigLit> = assumption_aig.clone();
-            roots.extend(specs.iter().map(|s| s.3));
+            let grown_from = self.backend.stats();
+            let mut roots = if base_assumptions.is_none() {
+                antecedent_roots.clone()
+            } else {
+                Vec::new()
+            };
+            roots.push(diff);
             let fresh = self
                 .encoder
                 .encode(self.backend.as_mut(), &self.aig, &roots);
             self.stats.nodes_encoded += fresh as u64;
-
-            let base_assumptions: Vec<Lit> = assumption_aig
-                .iter()
-                .filter(|&&a| a != AigLit::TRUE)
-                .map(|&a| self.encoder.lit(a))
-                .collect();
-            let assumption_roots: Vec<AigLit> = assumption_aig
-                .iter()
-                .copied()
-                .filter(|a| !a.is_const())
-                .collect();
-
-            tasks.reserve(specs.len());
-            for (sig, b1, b2, diff) in specs {
-                let mut assumptions = base_assumptions.clone();
-                let mut cone_roots = assumption_roots.clone();
-                let act = if diff == AigLit::TRUE {
-                    // The miter holds structurally for every assignment; the
-                    // query only needs a model of the antecedent.
-                    None
-                } else {
-                    cone_roots.push(diff);
-                    let act = self.backend.new_var();
-                    let miter_lit = self.encoder.lit(diff);
-                    self.backend.add_clause(&[Lit::neg(act), miter_lit]);
-                    assumptions.push(Lit::pos(act));
-                    Some(act)
-                };
-                let mut cone = self.encoder.cone_vars(&self.aig, &cone_roots);
-                cone.extend(act);
-                tasks.push(LevelTask {
-                    sig,
-                    b1,
-                    b2,
-                    act,
-                    assumptions,
-                    cone,
-                });
-            }
-        }
-
-        if retired {
-            // Something died since the last compaction: compact the master
-            // before any freeze, so shards clone an already-GC'd clause
-            // database.
-            let _ = self.backend.collect_garbage();
-        }
-        self.pending_acts.extend(tasks.iter().filter_map(|t| t.act));
-        let regs = epoch.regs.clone();
-        self.epoch = Some(epoch);
-        // A taskless generation has nothing to fork; an unfrozen one forks
-        // its tasks straight off the master at solve time.
-        let snapshot = if tasks.is_empty() || !freeze {
-            None
-        } else {
-            // Master-side fork accounting: a snapshot clone costs O(bytes of
-            // live database).  It stays out of the flow report, which counts
-            // the per-task forks instead.  The byte computation scans the
-            // clause log on the external backends, so it only runs here.
-            let snapshot = self.backend.fork()?;
-            self.stats.snapshot_forks += 1;
-            self.stats.snapshot_bytes_cloned += self.backend.snapshot_bytes();
-            Some(snapshot)
-        };
-
-        let backend_after = self.backend.stats();
-        Ok(PreparedLevel {
-            property_name: property.name.clone(),
-            tasks,
-            snapshot,
-            regs,
-            start,
-            structurally_proved,
-            aig_nodes: self.aig.num_nodes() - aig_nodes_before,
-            aig_ands: self.aig.num_ands() - aig_ands_before,
-            strash_hits: self.aig.strash_hits() - strash_before,
-            cnf_vars: backend_after.vars - backend_before.vars,
-            cnf_clauses: backend_after.clauses.saturating_sub(backend_before.clauses),
-            master_solver: backend_after.solver.delta_since(&backend_before.solver),
-        })
-    }
-
-    /// Solves a prepared generation and merges it into its
-    /// [`PropertyReport`].  The sub-properties solve in id order, each on
-    /// its own fork (of the generation's snapshot when it was frozen, of the
-    /// master otherwise), and the first counterexample decides the
-    /// generation: the tasks behind it are skipped, and only the solved
-    /// tasks contribute statistics.
-    ///
-    /// A generation prepared without `freeze` must be solved before the
-    /// master mutates again: a fork of the master then has exactly the
-    /// content the omitted snapshot would have had.
-    ///
-    /// `interrupt` is the kill switch: it is checked before every task and
-    /// polled by the solve in flight.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`BackendError`] if a fork or a solve fails, or if
-    /// `interrupt` cut the generation short; the session's counters then
-    /// stay as they were.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `design` is not the session's design.
-    pub fn solve_level(
-        &mut self,
-        design: &ValidatedDesign,
-        prepared: PreparedLevel,
-        interrupt: &Arc<AtomicBool>,
-    ) -> Result<PropertyReport, BackendError> {
-        let d = design.design();
-        assert_eq!(d.name(), self.design_name, "session is bound to one design");
-        let mut solved = SolverStats::default();
-        let mut queries = 0u64;
-        let mut winner: Option<(usize, Box<dyn SatBackend>)> = None;
-        for (index, task) in prepared.tasks.iter().enumerate() {
-            let interrupted = || BackendError {
-                message: format!(
-                    "sub-property {index} of {} interrupted",
-                    prepared.property_name
-                ),
+            let mut assumptions = base_assumptions
+                .get_or_insert_with(|| {
+                    antecedent_roots
+                        .iter()
+                        .map(|&a| self.encoder.lit(a))
+                        .collect()
+                })
+                .clone();
+            let mut cone_roots = antecedent_roots.clone();
+            let act = if diff == AigLit::TRUE {
+                // The miter holds structurally for every assignment; the
+                // query only needs a model of the antecedent.
+                None
+            } else {
+                cone_roots.push(diff);
+                let act = self.backend.new_var();
+                let miter_lit = self.encoder.lit(diff);
+                self.backend.add_clause(&[Lit::neg(act), miter_lit]);
+                assumptions.push(Lit::pos(act));
+                self.pending_acts.push(act);
+                Some(act)
             };
-            if interrupt.load(Ordering::SeqCst) {
-                return Err(interrupted());
+            let grown_to = self.backend.stats();
+            cnf_vars += grown_to.vars - grown_from.vars;
+            cnf_clauses += grown_to.clauses.saturating_sub(grown_from.clauses);
+
+            self.backend.mask_all_decisions();
+            let cone = self.encoder.cone_vars(&self.aig, &cone_roots);
+            for v in cone.into_iter().chain(act) {
+                self.backend.set_decision_var(v, true);
             }
-            let mut shard = prepared.snapshot.as_ref().unwrap_or(&self.backend).fork()?;
-            // The fork's byte cost is part of the task's work: a fork of a
-            // frozen snapshot and a fork of the unmutated master copy the
-            // same bytes.
-            let fork_bytes = shard.snapshot_bytes();
-            let fork_watcher_bytes = shard.watcher_bytes();
-            shard.mask_all_decisions();
-            for &v in &task.cone {
-                shard.set_decision_var(v, true);
-            }
-            let flag = Arc::clone(interrupt);
-            shard.set_interrupt(Arc::new(move || flag.load(Ordering::SeqCst)));
-            let before = shard.stats();
-            let result = shard.solve_under(&task.assumptions)?;
-            if result == SolveResult::Interrupted {
-                return Err(interrupted());
-            }
-            let after = shard.stats();
-            let mut delta = after.solver.delta_since(&before.solver);
-            delta.fork_count += 1;
-            delta.bytes_cloned += fork_bytes;
-            delta.watcher_bytes_cloned += fork_watcher_bytes;
-            solved.accumulate(&delta);
-            queries += after.queries - before.queries;
-            if result == SolveResult::Sat {
-                // The shard stays alive: reconstruction reads its model.
-                winner = Some((index, shard));
-                break;
+            self.stats.parallel_tasks += 1;
+            self.stats.queries += 1;
+            match self.backend.solve_under(&assumptions)? {
+                SolveResult::Unsat => {}
+                SolveResult::Sat => {
+                    let cex = self.reconstruct(d, &property.name, (sig, b1, b2), &epoch.regs);
+                    return Ok((CheckOutcome::Fails(Box::new(cex)), cnf_vars, cnf_clauses));
+                }
+                SolveResult::Interrupted => return Err(interrupted(property, index)),
             }
         }
-        self.stats.properties_checked += 1;
-        self.stats.structurally_proved += prepared.structurally_proved;
-        self.stats.parallel_tasks += prepared.tasks.len() as u64;
-        self.stats.queries += queries;
-        let outcome = match &winner {
-            None => CheckOutcome::Holds,
-            Some((i, shard)) => {
-                self.stats.tasks_skipped += (prepared.tasks.len() - i - 1) as u64;
-                let task = &prepared.tasks[*i];
-                let prove_values = vec![(task.sig, task.b1.clone(), task.b2.clone())];
-                CheckOutcome::Fails(Box::new(self.reconstruct_with(
-                    shard.as_ref(),
-                    d,
-                    &prepared.property_name,
-                    &prove_values,
-                    &prepared.regs,
-                )))
-            }
-        };
-        Ok(self.prepared_report(&prepared, outcome, solved))
+        Ok((CheckOutcome::Holds, cnf_vars, cnf_clauses))
     }
 
-    /// Assembles the [`PropertyReport`] of one generation from its prepare
-    /// bracket plus the accumulated per-task solver work.
-    fn prepared_report(
-        &self,
-        prepared: &PreparedLevel,
-        outcome: CheckOutcome,
-        task_delta: SolverStats,
-    ) -> PropertyReport {
-        let mut solver = prepared.master_solver;
-        solver.accumulate(&task_delta);
-        PropertyReport {
-            property: prepared.property_name.clone(),
-            outcome,
-            stats: CheckStats {
-                aig_nodes: prepared.aig_nodes,
-                aig_ands: prepared.aig_ands,
-                strash_hits: prepared.strash_hits,
-                cnf_vars: prepared.cnf_vars,
-                cnf_clauses: prepared.cnf_clauses,
-                solver,
-                duration: prepared.start.elapsed(),
-            },
-        }
-    }
-
-    /// Retires the pending activation literals of the previously prepared
-    /// generation: permanent unit clauses disable their miter clauses, which
-    /// the next [`collect_garbage`](SatBackend::collect_garbage) can then
-    /// physically drop.
-    /// Returns `true` if any literal was retired (i.e. clauses may have
-    /// died since the last garbage collection).
+    /// Retires the pending activation literals of the previous check:
+    /// permanent unit clauses disable their miter clauses, which the next
+    /// [`collect_garbage`](SatBackend::collect_garbage) can then physically
+    /// drop.  Returns `true` if any literal was retired (i.e. clauses may
+    /// have died since the last garbage collection).
     fn flush_retired(&mut self) -> bool {
         let retired = !self.pending_acts.is_empty();
         for act in std::mem::take(&mut self.pending_acts) {
@@ -738,16 +508,14 @@ impl MiterSession {
     }
 
     /// Attaches (or detaches, with `None`) a shared resource budget on the
-    /// master backend.  Forks taken afterwards — the per-task forks of
-    /// [`solve_level`](Self::solve_level) — inherit the tracker, so the whole job charges
-    /// one budget.  Install it on a run fork, never on a cached pristine
-    /// master.
+    /// master backend, so the whole job charges one budget.  Install it on
+    /// a run fork, never on a cached pristine master.
     pub fn set_budget(&mut self, budget: Option<std::sync::Arc<htd_sat::BudgetTracker>>) {
         self.backend.set_budget(budget);
     }
 
-    /// Ends a level-flow: retires the final generation's activation literals
-    /// and lets the backend compact the clauses that just died, so a reused
+    /// Ends a level-flow: retires the final check's activation literals and
+    /// lets the backend compact the clauses that just died, so a reused
     /// session starts its next run with a clean database.  The clause-GC
     /// work shows only in [`backend_stats`](Self::backend_stats), never in a
     /// flow report: it is master hygiene after the verdict, not work of any
@@ -950,30 +718,35 @@ impl MiterSession {
         }
     }
 
-    /// Rebuilds a concrete counterexample from the given backend's model via
-    /// the reconstruction shared with the one-shot checker.  The model source
-    /// is a parameter because a parallel level check reads it from the forked
-    /// per-task solver that found the counterexample.
-    fn reconstruct_with(
+    /// Rebuilds the counterexample of a failing sub-property from the
+    /// master's model via the reconstruction shared with the one-shot
+    /// checker.
+    fn reconstruct(
         &self,
-        model_source: &dyn SatBackend,
         d: &htd_rtl::Design,
         name: &str,
-        prove_values: &[(SignalId, BitVec, BitVec)],
+        prove_value: (SignalId, BitVec, BitVec),
         regs: &[FxHashMap<SignalId, BitVec>; 2],
     ) -> Counterexample {
         let env = self
             .encoder
-            .input_model(&self.aig, |var| model_source.model_value(var));
+            .input_model(&self.aig, |var| self.backend.model_value(var));
         crate::checker::reconstruct_counterexample(
             d,
             &self.aig,
             &env,
             name,
-            &[prove_values.to_vec()],
+            &[vec![prove_value]],
             &self.inputs,
             regs,
         )
+    }
+}
+
+/// The error of a sub-property whose query the cancel flag cut short.
+fn interrupted(property: &IntervalProperty, index: usize) -> BackendError {
+    BackendError {
+        message: format!("sub-property {index} of {} interrupted", property.name),
     }
 }
 
@@ -1149,6 +922,80 @@ mod tests {
         let alone = nodes(&accumulator(false));
         assert!(alone > 0);
         assert_eq!(nodes(&accumulator(true)), alone);
+    }
+
+    /// The builtin solver, counting its `solve_under` calls.
+    struct CountingSolver(Solver, Arc<std::sync::atomic::AtomicU64>);
+
+    impl SatBackend for CountingSolver {
+        fn name(&self) -> String {
+            "counting".to_owned()
+        }
+
+        fn new_var(&mut self) -> Var {
+            SatBackend::new_var(&mut self.0)
+        }
+
+        fn add_clause(&mut self, lits: &[Lit]) -> bool {
+            SatBackend::add_clause(&mut self.0, lits)
+        }
+
+        fn solve_under(&mut self, assumptions: &[Lit]) -> Result<SolveResult, BackendError> {
+            self.1.fetch_add(1, Ordering::SeqCst);
+            self.0.solve_under(assumptions)
+        }
+
+        fn model_value(&self, var: Var) -> Option<bool> {
+            self.0.model_value(var)
+        }
+
+        fn stats(&self) -> htd_sat::BackendStats {
+            SatBackend::stats(&self.0)
+        }
+
+        fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError> {
+            Ok(Box::new(CountingSolver(
+                self.0.clone(),
+                Arc::clone(&self.1),
+            )))
+        }
+
+        fn snapshot_bytes(&self) -> u64 {
+            self.0.snapshot_bytes()
+        }
+    }
+
+    /// `queries` counts every `solve_under` call exactly once: here a check
+    /// whose first sub-property holds under its antecedent (one query) and
+    /// whose second fails (another), then a check of the same antecedent.
+    #[test]
+    fn queries_count_each_solve_once() {
+        let mut d = Design::new("relay");
+        let input = d.add_input("in", 8).unwrap();
+        let r = d.add_register("r", 8, 0).unwrap();
+        let next = d.xor(d.signal(r), d.signal(input)).unwrap();
+        d.set_register_next(r, next).unwrap();
+        let masked = d.and(d.signal(r), d.signal(input)).unwrap();
+        let w = d.add_wire("w", masked).unwrap();
+        let q = d.add_register("q", 8, 0).unwrap();
+        d.set_register_next(q, d.signal(w)).unwrap();
+        d.add_output("out", d.signal(q)).unwrap();
+        let design = d.validated().unwrap();
+
+        let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
+        let backend = CountingSolver(Solver::new(), Arc::clone(&calls));
+        let mut session = MiterSession::new(&design, Box::new(backend));
+        let relayed = IntervalProperty::new("relayed", vec![w], vec![q, r]);
+        let report = session.check(&design, &relayed).unwrap();
+        assert_eq!(
+            report.outcome.counterexample().unwrap().diff_names(),
+            vec!["r"]
+        );
+        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        let relayed_only = IntervalProperty::new("relayed_only", vec![w], vec![q]);
+        assert!(session.check(&design, &relayed_only).unwrap().holds());
+        assert_eq!(calls.load(Ordering::SeqCst), 3);
+        assert_eq!(session.stats().queries, 3);
     }
 
     #[test]

@@ -70,7 +70,7 @@ mod incremental;
 mod property;
 
 pub use checker::{CheckerOptions, PropertyChecker};
-pub use incremental::{MiterSession, PreparedLevel, SessionStats};
+pub use incremental::{MiterSession, SessionStats};
 pub use property::{
     CheckOutcome, CheckStats, Counterexample, IntervalProperty, PropertyReport, SignalValuePair,
 };

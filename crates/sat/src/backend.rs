@@ -127,15 +127,17 @@ pub trait SatBackend: Send {
     fn set_decision_var(&mut self, _var: Var, _eligible: bool) {}
 
     /// Marks *every* variable ineligible for branching (the bulk counterpart
-    /// of [`set_decision_var`](Self::set_decision_var)); forked per-query
-    /// solvers call this and then re-enable exactly the query's cone.
+    /// of [`set_decision_var`](Self::set_decision_var)); an incremental
+    /// client calls this before each query and then re-enables exactly the
+    /// query's cone.
     /// Backends without decision-variable support ignore it.
     fn mask_all_decisions(&mut self) {}
 
     /// Creates an independent snapshot of this backend: same variables, same
     /// clause database, no shared mutable state, ready to solve a different
-    /// query concurrently.  Every solve task of the detection flow runs on a
-    /// fork, so this is a required capability.  Work counters carry over —
+    /// query concurrently.  The daemon runs every job on a fork of a cached
+    /// pristine master, so this is a required capability.  Work counters
+    /// carry over —
     /// plus one recorded fork of [`snapshot_bytes`](Self::snapshot_bytes)
     /// bytes on the child, so the O(bytes) cost model is observable; callers
     /// attribute per-fork work by differencing against the snapshot's
@@ -892,8 +894,8 @@ mod tests {
     }
 
     /// The process backend forks by cloning the accumulated clause list
-    /// (each query writes a fresh CNF), so external solvers run every solve
-    /// task on its own fork like the bundled one.  Work counters carry over and
+    /// (each query writes a fresh CNF), so a daemon can cache an external
+    /// solver's master like the bundled one's.  Work counters carry over and
     /// the fork records its clone cost, exactly like the bundled solver's
     /// fork contract.
     #[test]

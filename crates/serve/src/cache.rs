@@ -267,6 +267,74 @@ mod tests {
         assert_eq!(cache.stats().entries, 0);
     }
 
+    /// The builtin solver behind a `fork` that always fails, like an IPASIR
+    /// library that cannot open another solver handle.
+    struct UnforkableSolver(Solver);
+
+    impl htd_sat::SatBackend for UnforkableSolver {
+        fn name(&self) -> String {
+            "unforkable".to_owned()
+        }
+
+        fn new_var(&mut self) -> htd_sat::Var {
+            htd_sat::SatBackend::new_var(&mut self.0)
+        }
+
+        fn add_clause(&mut self, lits: &[htd_sat::Lit]) -> bool {
+            htd_sat::SatBackend::add_clause(&mut self.0, lits)
+        }
+
+        fn solve_under(
+            &mut self,
+            assumptions: &[htd_sat::Lit],
+        ) -> Result<htd_sat::SolveResult, htd_sat::BackendError> {
+            self.0.solve_under(assumptions)
+        }
+
+        fn model_value(&self, var: htd_sat::Var) -> Option<bool> {
+            self.0.model_value(var)
+        }
+
+        fn stats(&self) -> htd_sat::BackendStats {
+            htd_sat::SatBackend::stats(&self.0)
+        }
+
+        fn fork(&self) -> Result<Box<dyn htd_sat::SatBackend>, htd_sat::BackendError> {
+            Err(htd_sat::BackendError {
+                message: "no second solver handle".to_owned(),
+            })
+        }
+
+        fn snapshot_bytes(&self) -> u64 {
+            0
+        }
+    }
+
+    /// Every served job runs on a fork of a pristine master, the one fork
+    /// left in the flow.  A resident master that cannot fork is a miss, and
+    /// the failing fork of the rebuilt master becomes the job's backend
+    /// error, the conversion the daemon's miss path applies.
+    #[test]
+    fn a_master_that_cannot_fork_misses_and_fails_as_a_backend_error() {
+        let (key, dump, frozen) = master("a", 4);
+        let design = frozen.design;
+        let unforkable = || MiterSession::new(&design, Box::new(UnforkableSolver(Solver::new())));
+        let mut cache = SnapshotCache::new(u64::MAX);
+        let resident = FrozenMaster {
+            design: design.clone(),
+            miter: unforkable(),
+        };
+        cache.insert(key, dump.clone(), resident);
+        assert!(cache.fetch(key, &dump).is_none());
+        assert_eq!((cache.stats().hits, cache.stats().misses), (0, 1));
+        match unforkable().fork().map_err(htd_core::DetectError::from) {
+            Err(htd_core::DetectError::Backend { message }) => {
+                assert!(message.contains("no second solver handle"), "{message}");
+            }
+            other => panic!("expected a backend error, got {other:?}"),
+        }
+    }
+
     #[test]
     fn recently_used_entries_outlive_older_inserts() {
         let (key_a, dump_a, frozen_a) = master("a", 4);

@@ -1305,8 +1305,6 @@ fn solver_json(stats: &SolverStats) -> Json {
         ("gc_runs", Json::UInt(stats.gc_runs)),
         ("clauses_collected", Json::UInt(stats.clauses_collected)),
         ("learnt_lbd_sum", Json::UInt(stats.learnt_lbd_sum)),
-        ("fork_count", Json::UInt(stats.fork_count)),
-        ("bytes_cloned", Json::UInt(stats.bytes_cloned)),
         (
             "arena_words_reclaimed",
             Json::UInt(stats.arena_words_reclaimed),
@@ -1324,12 +1322,6 @@ fn session_json(stats: &SessionStats) -> Json {
         ("structurally_proved", Json::UInt(stats.structurally_proved)),
         ("epoch_rebinds", Json::UInt(stats.epoch_rebinds)),
         ("parallel_tasks", Json::UInt(stats.parallel_tasks)),
-        ("tasks_skipped", Json::UInt(stats.tasks_skipped)),
-        ("snapshot_forks", Json::UInt(stats.snapshot_forks)),
-        (
-            "snapshot_bytes_cloned",
-            Json::UInt(stats.snapshot_bytes_cloned),
-        ),
     ])
 }
 
@@ -1397,9 +1389,6 @@ fn accumulate_session(into: &mut SessionStats, add: &SessionStats) {
         structurally_proved,
         epoch_rebinds,
         parallel_tasks,
-        tasks_skipped,
-        snapshot_forks,
-        snapshot_bytes_cloned,
     } = *add;
     into.bit_blasts += bit_blasts;
     into.properties_checked += properties_checked;
@@ -1408,9 +1397,6 @@ fn accumulate_session(into: &mut SessionStats, add: &SessionStats) {
     into.structurally_proved += structurally_proved;
     into.epoch_rebinds += epoch_rebinds;
     into.parallel_tasks += parallel_tasks;
-    into.tasks_skipped += tasks_skipped;
-    into.snapshot_forks += snapshot_forks;
-    into.snapshot_bytes_cloned += snapshot_bytes_cloned;
 }
 
 fn stats_json(state: &Arc<ServerState>) -> Json {

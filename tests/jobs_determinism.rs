@@ -25,15 +25,15 @@ use golden_free_htd::trusthub::registry::Benchmark;
 /// `solver_totals` of every bundled design's flow as
 /// `[decisions, propagations, conflicts, restarts]`.
 const SEARCH: &[(&str, [u64; 4])] = &[
-    ("AES-T100", [511, 583, 0, 0]),
-    ("AES-T1000", [511, 583, 0, 0]),
-    ("AES-T1100", [11, 806, 2, 0]),
-    ("AES-T1200", [805, 2681, 5, 0]),
-    ("AES-T1300", [511, 583, 0, 0]),
-    ("AES-T1400", [11, 808, 2, 0]),
-    ("AES-T1500", [830, 2896, 5, 0]),
-    ("AES-T1600", [511, 554, 0, 0]),
-    ("AES-T1700", [800, 2626, 5, 0]),
+    ("AES-T100", [511, 550, 0, 0]),
+    ("AES-T1000", [511, 550, 0, 0]),
+    ("AES-T1100", [11, 757, 2, 0]),
+    ("AES-T1200", [805, 2631, 5, 0]),
+    ("AES-T1300", [511, 550, 0, 0]),
+    ("AES-T1400", [11, 759, 2, 0]),
+    ("AES-T1500", [830, 2846, 5, 0]),
+    ("AES-T1600", [511, 550, 0, 0]),
+    ("AES-T1700", [800, 2588, 5, 0]),
     ("AES-T1800", [8, 444, 3, 0]),
     ("AES-T1900", [0, 0, 0, 0]),
     ("AES-T2000", [511, 550, 0, 0]),
@@ -42,21 +42,21 @@ const SEARCH: &[(&str, [u64; 4])] = &[
     ("AES-T2600", [40, 266, 1, 0]),
     ("AES-T2700", [24, 514, 1, 0]),
     ("AES-T2800", [42, 270, 1, 0]),
-    ("AES-T200", [11, 808, 2, 0]),
-    ("AES-T300", [8, 490, 3, 0]),
-    ("AES-T400", [8, 450, 3, 0]),
+    ("AES-T200", [11, 759, 2, 0]),
+    ("AES-T300", [8, 441, 3, 0]),
+    ("AES-T400", [8, 444, 3, 0]),
     ("AES-T500", [511, 550, 0, 0]),
     ("AES-T600", [8, 444, 3, 0]),
-    ("AES-T700", [511, 583, 0, 0]),
-    ("AES-T800", [11, 808, 2, 0]),
-    ("AES-T900", [795, 2595, 5, 0]),
-    ("BasicRSA-T200", [8, 130, 3, 0]),
-    ("BasicRSA-T300", [113, 536, 5, 0]),
-    ("BasicRSA-T400", [118, 546, 5, 0]),
-    ("RS232-T2400", [80, 768, 1, 0]),
+    ("AES-T700", [511, 550, 0, 0]),
+    ("AES-T800", [11, 759, 2, 0]),
+    ("AES-T900", [795, 2545, 5, 0]),
+    ("BasicRSA-T200", [8, 108, 3, 0]),
+    ("BasicRSA-T300", [113, 443, 5, 0]),
+    ("BasicRSA-T400", [118, 486, 5, 0]),
+    ("RS232-T2400", [80, 706, 1, 0]),
     ("AES (HT-free)", [0, 0, 0, 0]),
-    ("BasicRSA (HT-free)", [4771, 446478, 684, 5]),
-    ("RS232 (HT-free)", [86, 371, 0, 0]),
+    ("BasicRSA (HT-free)", [4771, 382655, 684, 5]),
+    ("RS232 (HT-free)", [86, 310, 0, 0]),
 ];
 
 fn builder(benchmark: Benchmark) -> SessionBuilder {
