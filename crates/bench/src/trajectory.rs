@@ -54,10 +54,9 @@ pub struct TrajectoryRecord {
     /// Sum of learnt-clause LBD values (divide by `conflicts` for the
     /// average glue).
     pub learnt_lbd_sum: u64,
-    /// SAT queries consumed by the flow.
+    /// SAT queries consumed by the flow: one per sub-property handed to the
+    /// solver.
     pub queries: u64,
-    /// Per-signal sub-properties the flow handed to the solver.
-    pub parallel_tasks: u64,
     /// Prove signals discharged structurally (no solver work).
     pub structurally_proved: u64,
     /// Arena words reclaimed by clause-GC compaction sweeps.
@@ -100,7 +99,6 @@ pub fn smoke_set() -> Vec<Benchmark> {
 struct RunOutcome {
     secs: f64,
     report: htd_core::DetectionReport,
-    parallel_tasks: u64,
     structurally_proved: u64,
 }
 
@@ -118,12 +116,10 @@ fn run_once(benchmark: Benchmark, backend: &BackendChoice) -> RunOutcome {
     let start = Instant::now();
     let report = session.run().expect("detection flow completes");
     let secs = start.elapsed().as_secs_f64();
-    let stats = session.session_stats();
     RunOutcome {
         secs,
         report,
-        parallel_tasks: stats.parallel_tasks,
-        structurally_proved: stats.structurally_proved,
+        structurally_proved: session.session_stats().structurally_proved,
     }
 }
 
@@ -167,7 +163,6 @@ pub fn measure(benchmark: Benchmark, backend: &BackendChoice) -> TrajectoryRecor
         clauses_collected: totals.clauses_collected,
         learnt_lbd_sum: totals.learnt_lbd_sum,
         queries: totals.solves,
-        parallel_tasks: outcome.parallel_tasks,
         structurally_proved: outcome.structurally_proved,
         arena_words_reclaimed: totals.arena_words_reclaimed,
     }
@@ -201,9 +196,11 @@ fn json_escape(text: &str) -> String {
 pub fn to_json(records: &[TrajectoryRecord], backend: &BackendChoice) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    // Schema v10: every query solves on the master, so the fork columns
-    // (`fork_count`, `bytes_cloned`, `watcher_bytes_cloned`,
-    // `snapshot_forks`, `snapshot_bytes_cloned`) are gone.  (v9: the flow
+    // Schema v11: `parallel_tasks` is gone; it equalled `queries`, one SAT
+    // query per sub-property handed to the solver.  (v10: every query
+    // solves on the master, so the fork columns (`fork_count`,
+    // `bytes_cloned`, `watcher_bytes_cloned`, `snapshot_forks`,
+    // `snapshot_bytes_cloned`) are gone; v9: the flow
     // runs on one thread, so each design is timed once and `jobs`,
     // `level_pipeline`, `sequential_secs`, `speedup` and their totals are
     // gone; v8: per-design lowering volume, `aig_nodes` and
@@ -214,7 +211,7 @@ pub fn to_json(records: &[TrajectoryRecord], backend: &BackendChoice) -> String 
     // trajectory with the SAT backend it measured; v3 added the fork cost
     // model of the arena-backed clause store: per-flow fork counts,
     // snapshot bytes and compaction words.)
-    out.push_str("  \"schema\": \"htd-bench-trajectory-v10\",\n");
+    out.push_str("  \"schema\": \"htd-bench-trajectory-v11\",\n");
     out.push_str("  \"engine\": \"flowgraph\",\n");
     out.push_str(&format!(
         "  \"backend\": \"{}\",\n",
@@ -263,10 +260,6 @@ pub fn to_json(records: &[TrajectoryRecord], backend: &BackendChoice) -> String 
         ));
         out.push_str(&format!("      \"queries\": {},\n", r.queries));
         out.push_str(&format!(
-            "      \"parallel_tasks\": {},\n",
-            r.parallel_tasks
-        ));
-        out.push_str(&format!(
             "      \"structurally_proved\": {},\n",
             r.structurally_proved
         ));
@@ -296,7 +289,7 @@ mod tests {
         assert_eq!(records[0].verdict, "fanout_property_1");
         assert!(records[0].wall_secs > 0.0);
         let json = to_json(&records, &backend);
-        assert!(json.contains("\"schema\": \"htd-bench-trajectory-v10\""));
+        assert!(json.contains("\"schema\": \"htd-bench-trajectory-v11\""));
         assert!(json.contains("\"backend\": \"builtin\""));
         assert!(json.contains("\"engine\": \"flowgraph\""));
         assert!(json.contains("\"host_parallelism\""));
@@ -309,6 +302,7 @@ mod tests {
             "fork_count",
             "bytes_cloned",
             "snapshot_forks",
+            "parallel_tasks",
         ] {
             assert!(!json.contains(&format!("{deleted}\"")), "{deleted} is gone");
         }

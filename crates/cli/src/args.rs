@@ -98,8 +98,6 @@ pub struct ServeArgs {
     pub addr: Option<String>,
     /// Admission bound on queued plus running jobs (`--max-jobs`).
     pub max_jobs: Option<usize>,
-    /// Snapshot-cache byte budget (`--cache-bytes`; 0 disables caching).
-    pub cache_bytes: Option<u64>,
     /// Job runner threads (`--jobs`; default available parallelism).
     pub jobs: Option<usize>,
     /// Per-job wall-clock ceiling in milliseconds (`--budget-deadline-ms`).
@@ -185,7 +183,8 @@ pub enum Command {
     /// Submit an RTL file to a running daemon and stream its job.
     Submit(SubmitArgs),
     /// Print the canonical netlist text of an RTL input (the exact bytes
-    /// `submit` sends, and the content the snapshot cache is keyed on).
+    /// `submit` sends, and the content the daemon coalesces identical jobs
+    /// on).
     Export {
         /// The RTL input file (Verilog, netlist, or `trusthub:NAME`).
         input: PathBuf,
@@ -265,14 +264,6 @@ impl Command {
                         "--max-jobs" => {
                             parsed.max_jobs =
                                 Some(positive_number(&required(&mut iter, "--max-jobs")?)?);
-                        }
-                        "--cache-bytes" => {
-                            let value = required(&mut iter, "--cache-bytes")?;
-                            parsed.cache_bytes = Some(
-                                value
-                                    .parse()
-                                    .map_err(|_| ParseArgsError::InvalidNumber(value))?,
-                            );
                         }
                         "--jobs" => {
                             parsed.jobs = Some(positive_number(&required(&mut iter, "--jobs")?)?);
@@ -496,7 +487,7 @@ USAGE:
     htd detect <file> [--top NAME] [--benign REG]... [--dot FILE] [--vcd PREFIX]
                       [--backend builtin|dimacs:CMD|ipasir:LIB]
                       [--progress] [--jobs N] [--normalize]
-    htd serve [--addr HOST:PORT] [--max-jobs N] [--cache-bytes N] [--jobs N]
+    htd serve [--addr HOST:PORT] [--max-jobs N] [--jobs N]
               [--budget-deadline-ms N] [--budget-conflicts N]
               [--drain-deadline-ms N]
     htd submit <file> [--top NAME] [--addr HOST:PORT] [--ndjson] [--tenant NAME]
@@ -555,8 +546,6 @@ DETECT FLAGS:
 SERVE FLAGS (the daemon's only settings; none come from the environment):
     --addr HOST:PORT         listen address (default 127.0.0.1:7171)
     --max-jobs N             admission bound on queued+running jobs (default 8)
-    --cache-bytes N          frozen-master snapshot-cache budget, 0 disables
-                             (default 256 MiB)
     --jobs N                 job runner threads, at least 2; each runner
                              solves one job at a time (default: available
                              parallelism)
@@ -772,8 +761,6 @@ mod tests {
             "127.0.0.1:0",
             "--max-jobs",
             "3",
-            "--cache-bytes",
-            "0",
             "--jobs",
             "2",
             "--budget-deadline-ms",
@@ -788,7 +775,6 @@ mod tests {
             Command::Serve(args) => {
                 assert_eq!(args.addr.as_deref(), Some("127.0.0.1:0"));
                 assert_eq!(args.max_jobs, Some(3));
-                assert_eq!(args.cache_bytes, Some(0));
                 assert_eq!(args.jobs, Some(2));
                 assert_eq!(args.budget_deadline_ms, Some(5000));
                 assert_eq!(args.budget_conflicts, Some(100_000));
@@ -807,6 +793,11 @@ mod tests {
         assert_eq!(
             Command::parse(["serve", "--budget-deadline-ms", "0"]).unwrap_err(),
             ParseArgsError::InvalidNumber("0".into())
+        );
+        // The daemon caches nothing, so the cache budget flag is gone.
+        assert_eq!(
+            Command::parse(["serve", "--cache-bytes", "0"]).unwrap_err(),
+            ParseArgsError::UnknownFlag("--cache-bytes".into())
         );
 
         match Command::parse([

@@ -202,9 +202,6 @@ fn serve(args: &ServeArgs) -> Result<String, CliError> {
     if let Some(max_jobs) = args.max_jobs.and_then(NonZeroUsize::new) {
         options.max_jobs = max_jobs;
     }
-    if let Some(cache_bytes) = args.cache_bytes {
-        options.cache_bytes = cache_bytes;
-    }
     if let Some(workers) = args.jobs.and_then(NonZeroUsize::new) {
         options.workers = workers;
     }
@@ -218,14 +215,13 @@ fn serve(args: &ServeArgs) -> Result<String, CliError> {
         options.drain_deadline = Duration::from_millis(ms);
     }
     let addr = options.addr.clone();
-    let (max_jobs, cache_bytes) = (options.max_jobs, options.cache_bytes);
+    let max_jobs = options.max_jobs;
     let server = Server::start(options).map_err(|e| CliError::Io {
         path: PathBuf::from(addr),
         message: e.to_string(),
     })?;
     eprintln!(
-        "htd serve listening on {} ({} runner threads, {max_jobs} job slots, \
-         {cache_bytes} cache bytes)",
+        "htd serve listening on {} ({} runner threads, {max_jobs} job slots)",
         server.addr(),
         server.runner_threads()
     );
@@ -281,7 +277,8 @@ fn submit(args: &SubmitArgs) -> Result<String, CliError> {
 }
 
 /// `htd export`: print the canonical netlist text of an RTL input — the
-/// exact bytes `submit` sends and the content the snapshot cache is keyed on.
+/// exact bytes `submit` sends and the content the daemon coalesces identical
+/// jobs on.
 fn export(input: &Path, top: Option<&str>, output: Option<&Path>) -> Result<String, CliError> {
     let design = load_design(input, top)?;
     let text = netlist::dump(&design);

@@ -37,8 +37,7 @@ pub enum DetectError {
         reason: String,
     },
     /// The SAT backend failed: an external solver binary is missing or
-    /// speaks a different output format, or a backend could not fork the
-    /// cached master a served job runs on.
+    /// speaks a different output format, or a backend could not fork.
     Backend {
         /// The underlying backend error.
         message: String,

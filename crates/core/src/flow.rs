@@ -2,7 +2,7 @@
 //!
 //! The primary entry point is the incremental
 //! [`DetectionSession`](crate::DetectionSession), which runs Algorithm 1 of
-//! the paper on the pipelined flow-graph executor.  The deprecated
+//! the paper on the sequential flow-graph executor.  The deprecated
 //! [`TrojanDetector`] is kept here for backward compatibility and as the
 //! *fresh-solve reference path*: it walks the same flow graph in node order
 //! and rebuilds the AIG, the CNF and the SAT solver for every property,

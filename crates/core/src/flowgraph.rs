@@ -21,16 +21,15 @@
 //!
 //! Level nodes are planned **incrementally** ([`FlowGraph::ensure_level`]):
 //! the structural walks behind a level (fanout computation, provenance
-//! supports) only run when an executor actually reaches — or speculatively
-//! prepares — that level, so a flow that dies on the init property pays for
-//! one level of planning, exactly like the sequential loop it replaces.
+//! supports) only run when an executor actually reaches that level, so a
+//! flow that dies on the init property pays for one level of planning,
+//! exactly like the sequential loop it replaces.
 //!
-//! Executors walk the graph instead of re-deriving the loop: the fresh-encode
-//! reference [`TrojanDetector`](crate::TrojanDetector) visits nodes in id
-//! order, while the pipelined executor (`htd-core`'s scheduler) prepares and
-//! solves independent sub-properties of *different* level nodes
-//! concurrently, merging results in node order so reports stay
-//! deterministic.  Node ids are stable across executors and are
+//! Executors walk the graph instead of re-deriving the loop, both in node
+//! order on the calling thread: the session's executor (`htd-core`'s
+//! scheduler) checks each node on one live miter encoding, and the
+//! fresh-encode reference [`TrojanDetector`](crate::TrojanDetector) rebuilds
+//! the encoding per property.  Node ids are stable across executors and are
 //! surfaced in every [`FlowEvent`](crate::FlowEvent).
 
 use std::collections::BTreeSet;

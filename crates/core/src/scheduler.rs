@@ -68,7 +68,7 @@ pub(crate) fn run_flow(
     let after = miter.stats();
     let stats = PipelineStats {
         generations_prepared: after.properties_checked - before.properties_checked,
-        tasks_dispatched: after.parallel_tasks - before.parallel_tasks,
+        tasks_dispatched: after.queries - before.queries,
         ..PipelineStats::default()
     };
     Ok((report, stats))

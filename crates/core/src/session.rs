@@ -150,10 +150,9 @@ impl BackendChoice {
     }
 
     /// Brings up one backend instance of this choice: the bundled solver or
-    /// an external process/library wrapper.  Callers that manage their own miter
-    /// encodings (e.g. the serve tier's frozen-master snapshot cache) use
-    /// this to solve on the configured backend instead of hardcoding the
-    /// builtin solver.
+    /// an external process/library wrapper.  [`SessionBuilder::build`] calls
+    /// it once per session, and the daemon once at start-up to refuse a
+    /// backend that cannot come up.
     ///
     /// # Errors
     ///
@@ -399,8 +398,10 @@ impl SessionBuilder {
         self
     }
 
-    /// Builds the session: validates the design and the configuration and
-    /// performs the session's single bit-blast.
+    /// Builds the session: validates the design and the configuration,
+    /// brings up the backend and allocates the miter's input and register
+    /// variables on it.  The run lowers each property's cones as the flow
+    /// reaches them.
     ///
     /// # Errors
     ///
@@ -422,12 +423,11 @@ impl SessionBuilder {
     }
 
     /// Builds the session around an **existing** miter encoding instead of
-    /// bit-blasting a fresh one — the zero-encode path for callers holding a
-    /// cached frozen master: fork it ([`MiterSession::try_fork`], an O(bytes)
-    /// arena copy) and wrap the fork in a session.  The fork must be pristine
-    /// (never run) for the resulting reports to be byte-identical to a
-    /// fresh session's; `backend` is recorded for bookkeeping only — the
-    /// miter keeps whatever backend it was built with.
+    /// a fresh one.  No detection entry point does this; tests use it to
+    /// run a session on a fork ([`MiterSession::fork`]) of a never-run
+    /// master, which must report exactly what a fresh session does.
+    /// `backend` is recorded for bookkeeping only — the miter keeps whatever
+    /// backend it was built with.
     ///
     /// # Errors
     ///
@@ -590,19 +590,18 @@ impl DetectionSession {
             }
             observer(event);
         };
-        // Arm the run's solve budget, if any: the tracker rides this
-        // session's miter (a run fork, never a cached pristine master — the
-        // serve tier installs budgets per run).  The tracker trips the
-        // cancel flag on exhaustion, so a flag is materialized even when the
-        // caller installed none; the run installs it on the miter.
-        let tracker = if config.budget.is_unlimited() {
-            None
-        } else {
-            let flag = cancel.get_or_insert_with(|| Arc::new(AtomicBool::new(false)));
+        // Arm the run's solve budget, if any.  The tracker trips the cancel
+        // flag on exhaustion, so a budgeted run needs a flag even when the
+        // caller installed none.  That flag is made for this run and never
+        // stored: the run sets it when it returns, and a stored one would
+        // cancel the session's next run before it started.
+        let mut cancel = cancel.clone();
+        let tracker = (!config.budget.is_unlimited()).then(|| {
+            let flag = cancel.get_or_insert_with(Arc::default);
             let tracker = Arc::new(BudgetTracker::start(config.budget, Arc::clone(flag)));
             miter.set_budget(Some(Arc::clone(&tracker)));
-            Some(tracker)
-        };
+            tracker
+        });
         let result =
             run_flow(design, config, miter, cancel.as_ref(), &mut emit).map(|(report, stats)| {
                 *pipeline_stats = stats;
@@ -632,7 +631,7 @@ mod tests {
     use super::*;
     use crate::report::{DetectedBy, DetectionOutcome};
     use htd_rtl::Design;
-    use htd_sat::{BackendError, BackendStats, Lit, SolveResult, Var};
+    use htd_sat::{BackendError, BackendStats, Lit, SolveBudget, SolveResult, Var};
     use std::sync::atomic::Ordering;
 
     fn infected_design() -> ValidatedDesign {
@@ -953,6 +952,35 @@ mod tests {
                 .run()
                 .unwrap();
             assert_eq!(got.normalized(), want.normalized());
+        }
+    }
+
+    /// A budget's own cancel flag serves one run only: a budgeted session
+    /// with no caller flag runs again, to the reports an unbudgeted session
+    /// gives on its first and second runs.
+    #[test]
+    fn a_budgeted_session_runs_twice() {
+        let budget = SolveBudget {
+            deadline: Some(Duration::from_secs(3600)),
+            conflict_ceiling: Some(u64::MAX),
+        };
+        for design in [clean_pipeline(), infected_design()] {
+            let config = DetectorConfig {
+                budget,
+                ..DetectorConfig::default()
+            };
+            let mut budgeted = SessionBuilder::new(design.clone())
+                .config(config)
+                .build()
+                .unwrap();
+            let mut plain = SessionBuilder::new(design).build().unwrap();
+            for _ in 0..2 {
+                assert_eq!(
+                    budgeted.run().unwrap().normalized(),
+                    plain.run().unwrap().normalized()
+                );
+            }
+            assert!(budgeted.cancel_flag().is_none());
         }
     }
 

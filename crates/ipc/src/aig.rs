@@ -176,21 +176,6 @@ impl Aig {
         self.strash_hits
     }
 
-    /// Estimated resident size of the graph in bytes, priced by allocated
-    /// capacity rather than by entries: the node and input tables plus the
-    /// structural hash's buckets (one `(key, node)` slot and one control
-    /// byte each, at the table's 7/8 maximum load).  Used as the eviction
-    /// cost of encoding caches — a session that has not solved anything yet
-    /// holds its whole footprint here, not in the solver.
-    #[must_use]
-    pub fn resident_bytes(&self) -> u64 {
-        let nodes = self.nodes.capacity() * std::mem::size_of::<Node>();
-        let inputs = self.inputs.capacity() * std::mem::size_of::<u32>();
-        let buckets = self.strash.capacity() * 8 / 7;
-        let strash = buckets * (std::mem::size_of::<(u64, u32)>() + 1);
-        (nodes + inputs + strash) as u64
-    }
-
     /// The conjunction of two literals, with constant folding, idempotence /
     /// complement rules and structural hashing applied.
     pub fn and(&mut self, a: AigLit, b: AigLit) -> AigLit {
@@ -478,29 +463,6 @@ mod tests {
         let c = aig.new_input();
         let a = aig.new_input();
         assert_eq!(aig.mux(c, a, a), a);
-    }
-
-    #[test]
-    fn resident_bytes_price_allocated_capacity() {
-        let mut aig = Aig::new();
-        let inputs: Vec<AigLit> = (0..256).map(|_| aig.new_input()).collect();
-        assert!(
-            aig.resident_bytes() < 64 * 1024,
-            "a pristine graph holds no structural-hash table"
-        );
-        let mut acc = AigLit::FALSE;
-        for pair in inputs.windows(2) {
-            let x = aig.xor(pair[0], pair[1]);
-            acc = aig.or(acc, x);
-        }
-        assert!(aig.num_ands() > 512);
-        let capacity = aig.nodes.capacity() * std::mem::size_of::<Node>()
-            + aig.strash.capacity() * std::mem::size_of::<(u64, u32)>();
-        assert!(
-            aig.resident_bytes() >= capacity as u64,
-            "{} bytes priced for {capacity} bytes of capacity",
-            aig.resident_bytes()
-        );
     }
 
     #[test]

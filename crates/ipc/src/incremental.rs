@@ -60,8 +60,10 @@ pub struct SessionStats {
     /// AIG nodes mirrored into the backend so far (cumulative over all
     /// properties; nodes shared between properties are counted once).
     pub nodes_encoded: u64,
-    /// SAT queries issued: one [`SatBackend::solve_under`] call each
-    /// (trivially decided properties issue none).
+    /// SAT queries issued: one [`SatBackend::solve_under`] call per
+    /// sub-property handed to the solver.  Structurally proved signals issue
+    /// none, and the prove signals behind a property's first counterexample
+    /// are never lowered, so they issue none either.
     pub queries: u64,
     /// Prove signals discharged by the structural fast path: their cone
     /// reduced to shared variables, so equality held by construction with no
@@ -73,10 +75,6 @@ pub struct SessionStats {
     /// level nodes common to several properties are bit-blasted once per
     /// epoch instead of once per property.
     pub epoch_rebinds: u64,
-    /// Per-signal sub-properties handed to the solver.  The prove signals
-    /// behind a property's first counterexample are never lowered, so they
-    /// do not count.
-    pub parallel_tasks: u64,
 }
 
 /// An incremental property-checking session over one design's 2-safety miter.
@@ -171,8 +169,9 @@ impl MiterSession {
 
     /// Creates a session with explicit checker options.
     ///
-    /// This is the session's single bit-blast: the shared input words and the
-    /// per-instance starting-state words are allocated here, once.
+    /// Construction lowers nothing: it allocates the shared input words and
+    /// the per-instance starting-state words, once.  Each
+    /// [`check`](Self::check) lowers and encodes the cones it needs.
     #[must_use]
     pub fn with_options(
         design: &ValidatedDesign,
@@ -238,31 +237,17 @@ impl MiterSession {
         &self.design_name
     }
 
-    /// Estimated resident size of the whole session: the AIG footprint plus
-    /// the backend's forkable snapshot bytes.  This is the honest eviction
-    /// cost of a design-keyed **frozen master** cache: a pristine master has
-    /// issued no queries, so the backend's
-    /// [`snapshot_bytes`](SatBackend::snapshot_bytes) alone read near zero
-    /// while the bit-blast product (the AIG and its structural hash)
-    /// dominates its footprint.
-    #[must_use]
-    pub fn resident_bytes(&self) -> u64 {
-        self.aig.resident_bytes() + self.backend.snapshot_bytes()
-    }
-
     /// Forks the whole session: an O(bytes) clone of the encoding state (AIG,
     /// encoder tables, epoch contexts) plus a [`SatBackend::fork`] of the
     /// master solver.
     ///
     /// The fork is a fully independent session over the same design: checks
-    /// run on it never touch the parent.  The intended use is a **frozen
-    /// master** cache — build a session (one bit-blast), never run it, and
-    /// fork it once per request — so a returning design costs one arena copy
-    /// instead of a re-encode.  Forking a session that has already run
-    /// properties is also sound, but its learnt clauses and retired
-    /// activation literals carry over, so reports from such a fork are not
-    /// byte-identical to a fresh session's; fork pristine masters when
-    /// report-identity matters.
+    /// run on it never touch the parent.  A fork of a never-run session
+    /// reports exactly what a fresh session does.  Forking a session that
+    /// has already run properties is also sound, but its learnt clauses and
+    /// retired activation literals carry over, so reports from such a fork
+    /// are not byte-identical to a fresh session's.  No detection entry
+    /// point forks; tests and the benchmark harness do.
     ///
     /// # Errors
     ///
@@ -286,7 +271,8 @@ impl MiterSession {
         })
     }
 
-    /// [`fork`](Self::fork), discarding the backend's error message.
+    /// [`fork`](Self::fork), discarding the backend's error message.  Kept
+    /// for the benchmark harness (`perfbench/trace`), which calls it.
     #[must_use]
     pub fn try_fork(&self) -> Option<MiterSession> {
         self.fork().ok()
@@ -473,7 +459,6 @@ impl MiterSession {
             for v in cone.into_iter().chain(act) {
                 self.backend.set_decision_var(v, true);
             }
-            self.stats.parallel_tasks += 1;
             self.stats.queries += 1;
             match self.backend.solve_under(&assumptions)? {
                 SolveResult::Unsat => {}

@@ -325,22 +325,6 @@ impl Design {
         self.exprs.len()
     }
 
-    /// Heap bytes the design holds: its signal, expression and width
-    /// vectors, the signal names (stored twice: in the signal and in the
-    /// name index) and every distinct ROM table once.
-    #[must_use]
-    pub fn heap_bytes(&self) -> u64 {
-        use std::mem::size_of;
-        let names: usize = self.signals.iter().map(|s| s.name.len()).sum();
-        let tables: usize = self.tables.iter().map(|t| t.len()).sum();
-        (self.signals.len() * size_of::<Signal>()
-            + self.exprs.len() * size_of::<Expr>()
-            + self.expr_widths.len() * size_of::<u32>()
-            + self.names.len() * size_of::<(String, SignalId)>()
-            + 2 * names
-            + tables * size_of::<u128>()) as u64
-    }
-
     /// Iterates over all signal ids in creation order.
     pub fn signal_ids(&self) -> impl Iterator<Item = SignalId> + '_ {
         (0..self.signals.len() as u32).map(SignalId)

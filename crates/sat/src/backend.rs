@@ -88,8 +88,7 @@ pub struct BackendStats {
 /// Implementations must keep added clauses across queries and treat
 /// `assumptions` as per-query unit constraints that do not persist.
 ///
-/// Backends are `Send` so a session, and the frozen master a daemon caches,
-/// can move to whichever thread runs the job.
+/// Backends are `Send` so a session can move to whichever thread runs it.
 pub trait SatBackend: Send {
     /// A short, stable name for reports (`"builtin-cdcl"`, `"dimacs:..."`).
     fn name(&self) -> String;
@@ -135,9 +134,8 @@ pub trait SatBackend: Send {
 
     /// Creates an independent snapshot of this backend: same variables, same
     /// clause database, no shared mutable state, ready to solve a different
-    /// query concurrently.  The daemon runs every job on a fork of a cached
-    /// pristine master, so this is a required capability.  Work counters
-    /// carry over —
+    /// query concurrently.  No detection entry point forks; tests and the
+    /// benchmark harness fork never-run masters.  Work counters carry over —
     /// plus one recorded fork of [`snapshot_bytes`](Self::snapshot_bytes)
     /// bytes on the child, so the O(bytes) cost model is observable; callers
     /// attribute per-fork work by differencing against the snapshot's
@@ -894,8 +892,7 @@ mod tests {
     }
 
     /// The process backend forks by cloning the accumulated clause list
-    /// (each query writes a fresh CNF), so a daemon can cache an external
-    /// solver's master like the bundled one's.  Work counters carry over and
+    /// (each query writes a fresh CNF).  Work counters carry over and
     /// the fork records its clone cost, exactly like the bundled solver's
     /// fork contract.
     #[test]

@@ -109,8 +109,8 @@ pub struct Submission {
     pub report_text: String,
     /// The one-line summary (`<design>: SECURE`, ...).
     pub summary: String,
-    /// The `stats` frame, when the server sent one (cache disposition,
-    /// wall-clock, solver/session counters).
+    /// The `stats` frame, when the server sent one (wall-clock, queue
+    /// depth, solver/session counters).
     pub stats: Option<Json>,
 }
 

@@ -4,10 +4,8 @@
 //! flow: a long-lived daemon that accepts netlists over HTTP/1.1, runs each
 //! through the full Algorithm-1 flow, and streams progress back as
 //! newline-delimited JSON.  Concurrent jobs share a fixed set of runner
-//! threads, each flow solving on the runner that picked it up, and returning
-//! designs skip the bit-blast entirely through a content-hash-keyed cache of
-//! frozen master encodings, collision-checked against the canonical netlist
-//! dump so one tenant can never be served another's design (see [`cache`]).
+//! threads; each job builds its own detection session, exactly as
+//! `htd detect` does, and solves its flow on the runner that picked it up.
 //!
 //! Everything is dependency-free: the HTTP layer is hand-rolled over
 //! [`std::net::TcpListener`] ([`http`]), the JSON layer over a small value
@@ -67,8 +65,8 @@
 //! again: the `accepted` frame carries `coalesced_into` naming the leader
 //! job, all subsequent frames are fanned out to every attached subscriber
 //! (tagged with the leader's job id), and each subscriber receives the
-//! byte-identical terminal report.  Identity uses the same content-hash +
-//! byte-verified-dump discipline as the snapshot cache, so a hash collision
+//! byte-identical terminal report.  Identity is the netlist's content hash,
+//! verified byte for byte against the canonical dump, so a hash collision
 //! can never attach one tenant to another tenant's design.  Detaching
 //! (disconnect or `DELETE`) affects only that subscriber; the underlying
 //! run is cancelled once no subscribers remain.
@@ -85,7 +83,7 @@
 //! | `counterexample` | a (possibly spurious) divergence with diff signals |
 //! | `resolution_round` | a spurious counterexample being discharged |
 //! | `coverage` | the final signal-coverage check |
-//! | `stats` | terminal: cache disposition (`"hit"`/`"miss"`/`"off"`), wall seconds, aggregate solver/session counters |
+//! | `stats` | terminal: wall seconds, queue depth, aggregate solver/session counters |
 //! | `report` | terminal: one-line `summary` plus the full report `text` |
 //! | `error` | terminal: the job failed or was cancelled (`code`, `message`) |
 //! | `budget_exhausted` | terminal: the job's solve budget ran out (`reason` is `"deadline"` or `"conflicts"`, plus `conflicts` charged); the event log streamed so far is valid partial progress |
@@ -99,9 +97,10 @@
 //! [`DetectionReport::normalized`](htd_core::DetectionReport::normalized)
 //! [`Display`](std::fmt::Display) rendering plus a trailing newline —
 //! **byte-identical** to `htd detect --normalize` run locally on the same
-//! netlist.  Reports are deterministic up to wall-clock time for any
-//! interleaving of concurrent jobs, so the diff holds whether
-//! the job hit the snapshot cache, missed it, or ran with caching disabled.
+//! netlist.  Every job runs on a session of its own, built the way
+//! `htd detect` builds one, and reports are deterministic up to wall-clock
+//! time for any interleaving of concurrent jobs, so the diff holds whether
+//! the job ran alone, beside other tenants or as a coalesced follower.
 //!
 //! Disconnecting the submitting client cancels its job: the server watches
 //! the connection and flips the job's cancel flag, which interrupts the
@@ -128,13 +127,13 @@
 //! setting), current queue
 //! depth and running count, whether the daemon is `draining`,
 //! completed/cancelled/failed/`budget_exhausted`/`coalesced` totals,
-//! snapshot cache counters (`entries`, `bytes`, `capacity_bytes`, `hits`,
-//! `misses`, `evicted_entries`, `evicted_bytes`), aggregate
-//! `solver_totals` / `session_totals` under their schema-v4 benchmark
-//! field names, and a bounded ring of recent per-job records (id, design,
-//! state, wall seconds, cache disposition — `"coalesced"` for attached
-//! subscribers).  Job states: `queued`, `running`, `completed`,
-//! `cancelled`, `failed`, `budget_exhausted`.
+//! aggregate `solver_totals` / `session_totals` under their schema-v4
+//! benchmark field names, and a bounded ring of recent per-job records (id,
+//! design, state, wall seconds).  Job states: `queued`, `running`,
+//! `completed`, `cancelled`, `failed`, `budget_exhausted`.  A `cache`
+//! object whose `hits`, `misses` and `bytes` read 0 stays for the
+//! benchmark, which reads those keys; the daemon caches nothing (see
+//! [`SnapshotCache`]).
 //!
 //! # Configuration
 //!
@@ -147,8 +146,8 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod client;
+mod compat;
 pub mod fault;
 pub mod http;
 pub mod json;
@@ -157,8 +156,8 @@ pub mod server;
 
 use std::time::Duration;
 
-pub use cache::{CacheStats, FrozenMaster, SnapshotCache};
 pub use client::{ClientError, RetryPolicy, Submission, SubmitOptions};
+pub use compat::{FrozenMaster, SnapshotCache, DEFAULT_CACHE_BYTES};
 pub use fault::FaultSpec;
 pub use json::Json;
 pub use queue::FairQueue;
@@ -169,9 +168,6 @@ pub const DEFAULT_ADDR: &str = "127.0.0.1:7171";
 
 /// The default admission bound ([`ServeOptions::max_jobs`]).
 pub const DEFAULT_MAX_JOBS: usize = 8;
-
-/// The default snapshot-cache budget, 256 MiB ([`ServeOptions::cache_bytes`]).
-pub const DEFAULT_CACHE_BYTES: u64 = 256 * 1024 * 1024;
 
 /// The default drain deadline ([`ServeOptions::drain_deadline`]).
 pub const DEFAULT_DRAIN_DEADLINE: Duration = Duration::from_secs(30);

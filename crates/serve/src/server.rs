@@ -1,6 +1,5 @@
 //! The detection daemon: a fair-share job queue in front of a fixed set of
-//! runner threads, a netlist-keyed [`SnapshotCache`] of frozen master
-//! encodings, and one NDJSON event stream per subscribed client.
+//! runner threads, and one NDJSON event stream per subscribed client.
 //!
 //! See the [crate docs](crate) for the wire protocol.  Concurrency layout:
 //!
@@ -12,26 +11,23 @@
 //!   watcher** — a client hangup or `DELETE` detaches that subscriber, and
 //!   the underlying run is cancelled once no subscribers remain;
 //! * `max(2, workers)` **runner** threads drain a per-tenant
-//!   deficit-round-robin queue ([`FairQueue`]).  Each runner resolves the
-//!   snapshot cache, builds a
-//!   [`DetectionSession`](htd_core::DetectionSession) on a fork of the
-//!   frozen master under the job's [`SolveBudget`], runs the flow on its own
-//!   thread, and fans the flow's events out to every subscriber.  Job
+//!   deficit-round-robin queue ([`FairQueue`]).  Each runner builds the
+//!   job's [`DetectionSession`](htd_core::DetectionSession) under its
+//!   [`SolveBudget`], exactly as `htd detect` builds one, runs the flow on
+//!   its own thread, and fans the flow's events out to every subscriber.  Job
 //!   execution is wrapped in
 //!   [`catch_unwind`](std::panic::catch_unwind): a panicking flow fails
 //!   *that job* with an `internal` error frame and the runner keeps
 //!   serving.
 //!
 //! **Coalescing.**  Submissions are keyed by the netlist content hash
-//! (byte-verified against the canonical dump, exactly like the snapshot
-//! cache): a submission identical to an in-flight job attaches to it as a
-//! follower instead of running the flow again, and every subscriber
-//! receives the byte-identical frame stream.
+//! (byte-verified against the canonical dump): a submission identical to an
+//! in-flight job attaches to it as a follower instead of running the flow
+//! again, and every subscriber receives the byte-identical frame stream.
 //!
-//! Every job runs on an O(bytes) fork of a *pristine* master — never the
-//! master itself — so a cache hit, a cache miss and a cache-disabled run all
-//! execute byte-identical solver work and produce byte-identical
-//! [`DetectionReport::normalized`] renderings.
+//! Every run starts from a fresh session, so its
+//! [`DetectionReport::normalized`] rendering is byte-identical to
+//! `htd detect --normalize` on the same netlist.
 
 use std::collections::HashMap;
 use std::io::{self, BufReader, Write};
@@ -47,11 +43,11 @@ use htd_core::{
     BackendChoice, DetectError, DetectionReport, DetectorConfig, FlowEvent, SessionBuilder,
     SolveBudget,
 };
-use htd_ipc::{MiterSession, SessionStats};
+use htd_ipc::SessionStats;
 use htd_rtl::{netlist, ValidatedDesign};
 use htd_sat::SolverStats;
 
-use crate::cache::{FrozenMaster, SnapshotCache};
+use crate::compat::cache_stats_json;
 use crate::fault::FaultSpec;
 use crate::http::{self, Request, RequestError};
 use crate::json::Json;
@@ -110,16 +106,13 @@ pub struct ServeOptions {
     pub addr: String,
     /// Admission bound: queued plus running jobs may not exceed this.
     pub max_jobs: NonZeroUsize,
-    /// Snapshot-cache byte budget; 0 disables caching.
-    pub cache_bytes: u64,
     /// Job runner threads; the daemon starts at least 2.  Each runner
     /// solves one job's flow at a time, on its own thread.
     pub workers: NonZeroUsize,
     /// The detection configuration applied to every served job.
     pub config: DetectorConfig,
-    /// The SAT backend every frozen master (and so every served job) solves
-    /// on.  Defaults to the builtin solver; [`Server::start`] refuses a
-    /// choice that cannot be brought up.
+    /// The SAT backend every served job solves on.  Defaults to the builtin
+    /// solver; [`Server::start`] refuses a choice that cannot be brought up.
     pub backend: BackendChoice,
     /// Server-wide cap on per-job solve budgets: a request's own budget is
     /// clamped to the tighter of the two.  Unlimited by default.
@@ -139,7 +132,6 @@ impl Default for ServeOptions {
             addr: crate::DEFAULT_ADDR.to_owned(),
             // htd-lint: allow(serve-panic-hygiene): evaluates a positive compile-time constant, before any request exists
             max_jobs: NonZeroUsize::new(crate::DEFAULT_MAX_JOBS).expect("positive default"),
-            cache_bytes: crate::DEFAULT_CACHE_BYTES,
             workers: std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN),
             config: DetectorConfig::default(),
             backend: BackendChoice::Builtin,
@@ -189,7 +181,6 @@ struct JobRecord {
     /// subscriber has detached.
     cancel: Arc<AtomicBool>,
     wall_secs: Option<f64>,
-    cache: Option<&'static str>,
 }
 
 #[derive(Debug, Default)]
@@ -204,8 +195,6 @@ struct Sink {
     job: u64,
     stream: TcpStream,
     detach: Arc<AtomicBool>,
-    /// Whether this subscriber attached to an already-submitted run.
-    coalesced: bool,
 }
 
 /// The fan-out state shared by a job's runner, its subscriber watchers and
@@ -233,7 +222,6 @@ struct InflightEntry {
 struct QueuedJob {
     leader: u64,
     design: ValidatedDesign,
-    dump: String,
     key: u64,
     budget: SolveBudget,
     subs: Arc<Subscribers>,
@@ -254,7 +242,6 @@ struct Totals {
 struct ServerState {
     options: ServeOptions,
     addr: SocketAddr,
-    cache: Mutex<SnapshotCache>,
     queue: Mutex<FairQueue<QueuedJob>>,
     queue_cv: Condvar,
     jobs: Mutex<JobTable>,
@@ -310,11 +297,9 @@ impl Server {
         let listener = TcpListener::bind(&*options.addr)?;
         let addr = listener.local_addr()?;
         let runner_count = options.workers.get().max(2);
-        let cache_bytes = options.cache_bytes;
         let state = Arc::new(ServerState {
             options,
             addr,
-            cache: Mutex::new(SnapshotCache::new(cache_bytes)),
             queue: Mutex::new(FairQueue::new(FAIR_QUANTUM)),
             queue_cv: Condvar::new(),
             jobs: Mutex::new(JobTable::default()),
@@ -588,8 +573,8 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
     };
     // A request may only tighten the operator's cap, never exceed it.
     let budget = request_budget.min(state.options.budget);
-    // One dump walk yields both the coalescing/cache key and the canonical
-    // text verified against on a hash hit.
+    // One dump walk yields both the coalescing key and the canonical text
+    // verified against on a hash hit.
     let dump = netlist::dump(&design);
     let key = netlist::hash_of_dump(&dump);
     let tenant = request.tenant.clone().unwrap_or_else(|| {
@@ -644,7 +629,6 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
                 },
                 cancel: Arc::clone(&detach),
                 wall_secs: None,
-                cache: None,
             });
             (id, detach)
         };
@@ -659,14 +643,14 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
             || stream.flush().is_err()
         {
             drop(inflight);
-            settle_subscriber(state, id, JobState::Cancelled, None, None);
+            settle_subscriber(state, id, JobState::Cancelled, None);
             return;
         }
         let sink_stream = match stream.try_clone() {
             Ok(clone) => clone,
             Err(_) => {
                 drop(inflight);
-                settle_subscriber(state, id, JobState::Cancelled, None, None);
+                settle_subscriber(state, id, JobState::Cancelled, None);
                 return;
             }
         };
@@ -674,7 +658,6 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
             job: id,
             stream: sink_stream,
             detach: Arc::clone(&detach),
-            coalesced: true,
         });
         lock_unpoisoned(&state.totals).coalesced += 1;
         drop(inflight);
@@ -710,7 +693,6 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
             state: JobState::Queued,
             cancel: Arc::clone(&detach),
             wall_secs: None,
-            cache: None,
         });
         let depth = lock_unpoisoned(&state.queue).len();
         (id, detach, depth)
@@ -727,14 +709,14 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
         || stream.flush().is_err()
     {
         drop(inflight);
-        settle_subscriber(state, id, JobState::Cancelled, None, None);
+        settle_subscriber(state, id, JobState::Cancelled, None);
         return;
     }
     let runner_stream = match stream.try_clone() {
         Ok(clone) => clone,
         Err(_) => {
             drop(inflight);
-            settle_subscriber(state, id, JobState::Cancelled, None, None);
+            settle_subscriber(state, id, JobState::Cancelled, None);
             return;
         }
     };
@@ -745,27 +727,25 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
             job: id,
             stream: runner_stream,
             detach: Arc::clone(&detach),
-            coalesced: false,
         }]),
         frames: AtomicU64::new(0),
     });
+    let cost = dump.len() as u64;
     inflight.insert(
         key,
         InflightEntry {
-            dump: dump.clone(),
+            dump,
             leader: id,
             subs: Arc::clone(&subs),
             done: Arc::clone(&done),
         },
     );
-    let cost = dump.len() as u64;
     lock_unpoisoned(&state.queue).push(
         &tenant,
         cost,
         QueuedJob {
             leader: id,
             design,
-            dump,
             key,
             budget,
             subs: Arc::clone(&subs),
@@ -835,7 +815,7 @@ fn detach_subscriber(state: &Arc<ServerState>, id: u64, subs: &Subscribers) {
     if abandoned {
         subs.cancel.store(true, Ordering::SeqCst);
     }
-    settle_subscriber(state, id, JobState::Cancelled, None, None);
+    settle_subscriber(state, id, JobState::Cancelled, None);
 }
 
 fn parse_submission(body: &str) -> Result<(ValidatedDesign, SolveBudget), String> {
@@ -898,7 +878,6 @@ fn run_job(state: &Arc<ServerState>, job: QueuedJob) {
     let QueuedJob {
         leader,
         design,
-        dump,
         key,
         budget,
         subs,
@@ -926,7 +905,6 @@ fn run_job(state: &Arc<ServerState>, job: QueuedJob) {
         if subs.cancel.load(Ordering::SeqCst) {
             (
                 JobState::Cancelled,
-                None,
                 vec![error_frame(
                     leader,
                     "cancelled",
@@ -934,13 +912,12 @@ fn run_job(state: &Arc<ServerState>, job: QueuedJob) {
                 )],
             )
         } else {
-            serve_detection(state, leader, &design, &dump, key, budget, &subs)
+            serve_detection(state, leader, design, budget, &subs)
         }
     }));
-    let (final_state, cache_tag, terminal) = outcome.unwrap_or_else(|payload| {
+    let (final_state, terminal) = outcome.unwrap_or_else(|payload| {
         (
             JobState::Failed,
-            None,
             vec![error_frame(
                 leader,
                 "internal",
@@ -970,12 +947,7 @@ fn run_job(state: &Arc<ServerState>, job: QueuedJob) {
                 }
             }
         }
-        let tag = if sink.coalesced {
-            Some("coalesced")
-        } else {
-            cache_tag
-        };
-        settle_subscriber(state, sink.job, final_state, Some(wall), tag);
+        settle_subscriber(state, sink.job, final_state, Some(wall));
         let _ = sink.stream.flush();
         // Half-close so the client sees EOF immediately; the watcher's
         // clone shares the socket and exits on the done flag.
@@ -1039,88 +1011,38 @@ fn fan_out(state: &Arc<ServerState>, subs: &Subscribers, frame: &Json) {
     let abandoned = sinks.is_empty();
     drop(sinks);
     for id in dead {
-        settle_subscriber(state, id, JobState::Cancelled, None, None);
+        settle_subscriber(state, id, JobState::Cancelled, None);
     }
     if abandoned {
         subs.cancel.store(true, Ordering::SeqCst);
     }
 }
 
-/// Resolves the cache, runs the detection flow on a fork of the frozen
-/// master under the job's budget, and fans the event frames out to every
-/// subscriber.  Returns the job's final state, its cache disposition, and
-/// the terminal frames for [`run_job`] to deliver after the inflight entry
-/// is retired.
+/// Builds the job's session the way `htd detect` does, runs the flow under
+/// the job's budget, and fans the event frames out to every subscriber.
+/// Returns the job's final state and the terminal frames for [`run_job`] to
+/// deliver after the inflight entry is retired.
 fn serve_detection(
     state: &Arc<ServerState>,
     id: u64,
-    design: &ValidatedDesign,
-    dump: &str,
-    key: u64,
+    design: ValidatedDesign,
     budget: SolveBudget,
     subs: &Subscribers,
-) -> (JobState, Option<&'static str>, Vec<Json>) {
+) -> (JobState, Vec<Json>) {
     let mut config = state.options.config.clone();
     config.budget = budget;
-    // Frozen masters solve on the configured backend.  Bring-up was
-    // validated at Server::start, so a failure here (e.g. a solver library
-    // deleted at runtime, or one that cannot open another solver handle for
-    // the run's fork) fails only this job, with a clean frame.
-    let build_master = || -> Result<MiterSession, DetectError> {
-        Ok(MiterSession::with_options(
-            design,
-            config.checker,
-            state.options.backend.instantiate()?,
-        ))
-    };
-    // The lookup goes through the cache even when caching is disabled, so
-    // the miss counter reflects every lookup, as CacheStats documents.
-    let cached = lock_unpoisoned(&state.cache).fetch(key, dump);
-    let (design, run_miter, cache_tag) = match cached {
-        Some((design, fork)) => (design, fork, "hit"),
-        None => {
-            // Build outside the cache lock: an expensive bit-blast must not
-            // stall unrelated jobs' cache lookups.  With caching disabled the
-            // job still runs on a fork of a pristine master, so every cache
-            // disposition executes the identical solver work.
-            let caching = state.options.cache_bytes > 0;
-            let cache_tag = if caching { "miss" } else { "off" };
-            let built = build_master().and_then(|master| Ok((master.fork()?, master)));
-            let (fork, master) = match built {
-                Ok(built) => built,
-                Err(e) => {
-                    return (
-                        JobState::Failed,
-                        Some(cache_tag),
-                        vec![error_frame(id, "rejected", &e.to_string())],
-                    );
-                }
-            };
-            if caching {
-                // A concurrent same-key build loses the insert race and is
-                // simply dropped.
-                lock_unpoisoned(&state.cache).insert(
-                    key,
-                    dump.to_owned(),
-                    FrozenMaster {
-                        design: design.clone(),
-                        miter: master,
-                    },
-                );
-            }
-            (design.clone(), fork, cache_tag)
-        }
-    };
-
+    // Backend bring-up was validated at Server::start, so a failure here
+    // (e.g. a solver library deleted at runtime) fails only this job, with a
+    // clean frame.
     let mut session = match SessionBuilder::new(design)
         .config(config)
-        .build_with_miter(run_miter)
+        .backend(state.options.backend.clone())
+        .build()
     {
         Ok(session) => session,
         Err(e) => {
             return (
                 JobState::Failed,
-                Some(cache_tag),
                 vec![error_frame(id, "rejected", &e.to_string())],
             );
         }
@@ -1136,25 +1058,25 @@ fn serve_detection(
             let session_stats = session.session_stats();
             {
                 let mut totals = lock_unpoisoned(&state.totals);
-                accumulate_solver(&mut totals.solver, &report.solver_totals);
+                // Exhaustive by construction: `SolverStats::accumulate`
+                // destructures every counter.
+                totals.solver.accumulate(&report.solver_totals);
                 accumulate_session(&mut totals.session, &session_stats);
             }
             let depth = lock_unpoisoned(&state.queue).len();
             let stats = Json::obj([
                 ("event", Json::str("stats")),
                 ("job", Json::UInt(id)),
-                ("cache", Json::str(cache_tag)),
                 ("wall_secs", Json::Num(report.total_duration.as_secs_f64())),
                 ("queue_depth", Json::UInt(depth as u64)),
                 ("solver", solver_json(&report.solver_totals)),
                 ("session", session_json(&session_stats)),
             ]);
             let report = report_frame(id, &report);
-            (JobState::Completed, Some(cache_tag), vec![stats, report])
+            (JobState::Completed, vec![stats, report])
         }
         Err(DetectError::Cancelled) => (
             JobState::Cancelled,
-            Some(cache_tag),
             vec![error_frame(id, "cancelled", "detection run cancelled")],
         ),
         Err(DetectError::BudgetExhausted { reason, conflicts }) => {
@@ -1171,11 +1093,10 @@ fn serve_detection(
                     )),
                 ),
             ]);
-            (JobState::Exhausted, Some(cache_tag), vec![frame])
+            (JobState::Exhausted, vec![frame])
         }
         Err(e) => (
             JobState::Failed,
-            Some(cache_tag),
             vec![error_frame(id, "flow_error", &e.to_string())],
         ),
     }
@@ -1321,15 +1242,7 @@ fn session_json(stats: &SessionStats) -> Json {
         ("queries", Json::UInt(stats.queries)),
         ("structurally_proved", Json::UInt(stats.structurally_proved)),
         ("epoch_rebinds", Json::UInt(stats.epoch_rebinds)),
-        ("parallel_tasks", Json::UInt(stats.parallel_tasks)),
     ])
-}
-
-fn accumulate_solver(into: &mut SolverStats, add: &SolverStats) {
-    // Exhaustive by construction: `SolverStats::accumulate` destructures
-    // every counter, so new solver counters can never silently go missing
-    // from the daemon totals.
-    into.accumulate(add);
 }
 
 /// Settles subscriber `id`'s record exactly once: a record that already
@@ -1341,7 +1254,6 @@ fn settle_subscriber(
     id: u64,
     final_state: JobState,
     wall_secs: Option<f64>,
-    cache: Option<&'static str>,
 ) {
     {
         let mut jobs = lock_unpoisoned(&state.jobs);
@@ -1353,7 +1265,6 @@ fn settle_subscriber(
         }
         record.state = final_state;
         record.wall_secs = wall_secs;
-        record.cache = cache;
         // Bound the finished ring: drop the oldest finished records first.
         let finished = jobs.records.iter().filter(|r| !r.state.is_active()).count();
         if finished > FINISHED_RING {
@@ -1388,7 +1299,6 @@ fn accumulate_session(into: &mut SessionStats, add: &SessionStats) {
         queries,
         structurally_proved,
         epoch_rebinds,
-        parallel_tasks,
     } = *add;
     into.bit_blasts += bit_blasts;
     into.properties_checked += properties_checked;
@@ -1396,7 +1306,6 @@ fn accumulate_session(into: &mut SessionStats, add: &SessionStats) {
     into.queries += queries;
     into.structurally_proved += structurally_proved;
     into.epoch_rebinds += epoch_rebinds;
-    into.parallel_tasks += parallel_tasks;
 }
 
 fn stats_json(state: &Arc<ServerState>) -> Json {
@@ -1416,12 +1325,10 @@ fn stats_json(state: &Arc<ServerState>) -> Json {
                 ("design", Json::str(r.design.clone())),
                 ("state", Json::str(r.state.as_str())),
                 ("wall_secs", r.wall_secs.map_or(Json::Null, Json::Num)),
-                ("cache", r.cache.map_or(Json::Null, Json::str)),
             ])
         })
         .collect();
     drop(jobs);
-    let cache = lock_unpoisoned(&state.cache).stats();
     let totals = lock_unpoisoned(&state.totals);
     Json::obj([
         ("max_jobs", Json::UInt(state.options.max_jobs.get() as u64)),
@@ -1437,18 +1344,7 @@ fn stats_json(state: &Arc<ServerState>) -> Json {
         ("failed", Json::UInt(totals.failed)),
         ("budget_exhausted", Json::UInt(totals.budget_exhausted)),
         ("coalesced", Json::UInt(totals.coalesced)),
-        (
-            "cache",
-            Json::obj([
-                ("entries", Json::UInt(cache.entries as u64)),
-                ("bytes", Json::UInt(cache.bytes)),
-                ("capacity_bytes", Json::UInt(cache.capacity_bytes)),
-                ("hits", Json::UInt(cache.hits)),
-                ("misses", Json::UInt(cache.misses)),
-                ("evicted_entries", Json::UInt(cache.evicted_entries)),
-                ("evicted_bytes", Json::UInt(cache.evicted_bytes)),
-            ]),
-        ),
+        ("cache", cache_stats_json()),
         ("solver_totals", solver_json(&totals.solver)),
         ("session_totals", session_json(&totals.session)),
         ("jobs", Json::Arr(job_records)),

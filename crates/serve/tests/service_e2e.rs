@@ -1,6 +1,7 @@
 //! End-to-end service tests over a loopback daemon: concurrent multi-tenant
-//! determinism, snapshot-cache hits, cancellation isolation and the error
-//! schema.
+//! determinism, resubmission, coalescing, cancellation isolation and the
+//! error schema.  Every served report must be byte-identical to a solo
+//! session's.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read as _, Write};
@@ -9,6 +10,7 @@ use std::num::NonZeroUsize;
 use std::time::Duration;
 
 use htd_core::{DetectorConfig, SessionBuilder};
+use htd_ipc::SessionStats;
 use htd_rtl::{netlist, Design};
 use htd_serve::client::{self, SubmitOptions};
 use htd_serve::json::Json;
@@ -41,9 +43,10 @@ fn accelerator(infected: bool) -> String {
     netlist::dump(&d.validated().unwrap())
 }
 
-/// What `htd detect --normalize` prints for this netlist: the normalized
-/// report's `Display` rendering plus the CLI's trailing newline.
-fn solo_normalized_report(netlist_text: &str) -> String {
+/// A solo session over this netlist, run to completion: what
+/// `htd detect --normalize` prints (the normalized report's `Display`
+/// rendering plus the CLI's trailing newline) and the session's counters.
+fn solo_run(netlist_text: &str) -> (String, SessionStats) {
     let design = netlist::parse(netlist_text).unwrap();
     let mut session = SessionBuilder::new(design)
         .config(DetectorConfig::default())
@@ -52,14 +55,18 @@ fn solo_normalized_report(netlist_text: &str) -> String {
     let report = session.run().unwrap().normalized();
     let mut text = String::new();
     let _ = writeln!(text, "{report}");
-    text
+    (text, session.session_stats())
+}
+
+/// What `htd detect --normalize` prints for this netlist.
+fn solo_normalized_report(netlist_text: &str) -> String {
+    solo_run(netlist_text).0
 }
 
 fn test_options() -> ServeOptions {
     ServeOptions {
         addr: "127.0.0.1:0".to_owned(),
         max_jobs: NonZeroUsize::new(4).unwrap(),
-        cache_bytes: 64 * 1024 * 1024,
         workers: NonZeroUsize::new(2).unwrap(),
         config: DetectorConfig::default(),
         ..ServeOptions::default()
@@ -71,7 +78,7 @@ fn test_server() -> Server {
 }
 
 #[test]
-fn concurrent_tenants_match_solo_runs_and_resubmits_hit_the_cache() {
+fn concurrent_tenants_and_a_resubmission_match_solo_runs() {
     let clean = accelerator(false);
     let infected = accelerator(true);
     let want_clean = solo_normalized_report(&clean);
@@ -83,71 +90,8 @@ fn concurrent_tenants_match_solo_runs_and_resubmits_hit_the_cache() {
     );
     assert!(want_clean.contains("SECURE"), "{want_clean}");
 
-    let server = test_server();
-    let addr = server.addr().to_string();
-
-    // Two tenants in flight at once, multiplexed over one shared pool.
-    let (got_clean, got_infected) = std::thread::scope(|scope| {
-        let clean_job = scope.spawn(|| client::submit(&addr, &clean, &mut |_| {}).unwrap());
-        let infected_job = scope.spawn(|| client::submit(&addr, &infected, &mut |_| {}).unwrap());
-        (clean_job.join().unwrap(), infected_job.join().unwrap())
-    });
-    assert_eq!(got_clean.report_text, want_clean);
-    assert_eq!(got_infected.report_text, want_infected);
-    let first_cache = |s: &client::Submission| {
-        s.stats
-            .as_ref()
-            .and_then(|f| f.get("cache"))
-            .and_then(Json::as_str)
-            .map(str::to_owned)
-    };
-    assert_eq!(first_cache(&got_clean).as_deref(), Some("miss"));
-    assert_eq!(first_cache(&got_infected).as_deref(), Some("miss"));
-
-    // Resubmitting the same netlist forks the frozen master: a cache hit,
-    // still one bit-blast, and a byte-identical report.
-    let mut frames = Vec::new();
-    let again = client::submit(&addr, &infected, &mut |line| frames.push(line.to_owned()))
-        .expect("resubmission succeeds");
-    assert_eq!(again.report_text, want_infected);
-    let stats = again.stats.expect("a stats frame is streamed");
-    assert_eq!(
-        stats.get("cache").and_then(Json::as_str),
-        Some("hit"),
-        "frames: {frames:?}"
-    );
-    assert_eq!(
-        stats
-            .get("session")
-            .and_then(|s| s.get("bit_blasts"))
-            .and_then(Json::as_u64),
-        Some(1),
-        "a cache hit must not re-bit-blast"
-    );
-    assert!(
-        frames.iter().any(|f| f.contains("\"event\":\"accepted\"")),
-        "frames: {frames:?}"
-    );
-
-    // Served aggregate stats see the three completions and the cache hit.
-    let served = client::stats(&addr).expect("stats endpoint answers");
-    assert_eq!(served.get("completed").and_then(Json::as_u64), Some(3));
-    let cache = served.get("cache").expect("cache counters present");
-    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(1));
-    assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(2));
-    assert_eq!(cache.get("entries").and_then(Json::as_u64), Some(2));
-    let solver = served.get("solver_totals").expect("solver totals present");
-    assert!(solver.get("propagations").and_then(Json::as_u64).unwrap() > 0);
-
-    server.stop();
-}
-
-#[test]
-fn a_cache_disabled_daemon_builds_every_job_and_retains_nothing() {
-    let infected = accelerator(true);
-    let want = solo_normalized_report(&infected);
+    // One worker asked for, two runner threads started.
     let server = Server::start(ServeOptions {
-        cache_bytes: 0,
         workers: NonZeroUsize::MIN,
         ..test_options()
     })
@@ -155,29 +99,39 @@ fn a_cache_disabled_daemon_builds_every_job_and_retains_nothing() {
     assert_eq!(server.runner_threads(), 2, "the daemon runs at least two");
     let addr = server.addr().to_string();
 
-    // Sequential submissions, so the second cannot coalesce into the first.
-    for _ in 0..2 {
-        let got = client::submit(&addr, &infected, &mut |_| {}).expect("job completes");
-        assert_eq!(got.report_text, want);
-        let stats = got.stats.expect("a stats frame is streamed");
-        assert_eq!(stats.get("cache").and_then(Json::as_str), Some("off"));
-        assert_eq!(
-            stats
-                .get("session")
-                .and_then(|s| s.get("bit_blasts"))
-                .and_then(Json::as_u64),
-            Some(1),
-            "every job bit-blasts its own master once"
-        );
-    }
+    // Two tenants in flight at once, one runner thread each.
+    let (got_clean, got_infected) = std::thread::scope(|scope| {
+        let clean_job = scope.spawn(|| client::submit(&addr, &clean, &mut |_| {}).unwrap());
+        let infected_job = scope.spawn(|| client::submit(&addr, &infected, &mut |_| {}).unwrap());
+        (clean_job.join().unwrap(), infected_job.join().unwrap())
+    });
+    assert_eq!(got_clean.report_text, want_clean);
+    assert_eq!(got_infected.report_text, want_infected);
 
+    // Resubmitting the same netlist runs the flow again on a fresh session:
+    // a stats frame and a byte-identical report.
+    let mut frames = Vec::new();
+    let again = client::submit(&addr, &infected, &mut |line| frames.push(line.to_owned()))
+        .expect("resubmission succeeds");
+    assert_eq!(again.report_text, want_infected);
+    let stats = again.stats.expect("a stats frame is streamed");
+    assert!(stats.get("session").is_some(), "frames: {frames:?}");
+    assert_eq!(stats.get("cache"), None, "no job carries a cache tag");
+    assert!(
+        frames.iter().any(|f| f.contains("\"event\":\"accepted\"")),
+        "frames: {frames:?}"
+    );
+
+    // Served aggregate stats see the three completions; the `cache` object
+    // the benchmark reads stays, all zero.
     let served = client::stats(&addr).expect("stats endpoint answers");
-    let cache = served.get("cache").expect("cache counters present");
-    let counter = |name| cache.get(name).and_then(Json::as_u64);
-    assert_eq!(counter("entries"), Some(0));
-    assert_eq!(counter("hits"), Some(0));
-    assert_eq!(counter("misses"), Some(2));
-    assert_eq!(counter("evicted_entries"), Some(0));
+    assert_eq!(served.get("completed").and_then(Json::as_u64), Some(3));
+    let cache = served.get("cache").expect("cache object present");
+    for key in ["hits", "misses", "bytes"] {
+        assert_eq!(cache.get(key).and_then(Json::as_u64), Some(0), "{key}");
+    }
+    let solver = served.get("solver_totals").expect("solver totals present");
+    assert!(solver.get("propagations").and_then(Json::as_u64).unwrap() > 0);
 
     server.stop();
 }
@@ -416,7 +370,7 @@ fn an_exhausted_budget_streams_a_structured_frame_and_frees_the_runner() {
 #[test]
 fn identical_concurrent_submissions_coalesce_into_one_run() {
     let infected = accelerator(true);
-    let want = solo_normalized_report(&infected);
+    let (want, solo_stats) = solo_run(&infected);
 
     // Stall the runner before the flow starts so the second submission
     // reliably arrives while the first is still in flight.
@@ -450,19 +404,20 @@ fn identical_concurrent_submissions_coalesce_into_one_run() {
         Some(1),
         "a coalesced pair must bit-blast exactly once"
     );
-    assert_eq!(
-        stats_of(&leader).get("cache").and_then(Json::as_str),
-        Some("miss"),
-        "one miss, no second lookup: the follower never reached the cache"
-    );
 
-    // Aggregates: two completions, one coalesced attach, a single run.
+    // Aggregates: two completions, one coalesced attach, and the flow ran
+    // once: the session totals checked what one solo run checks.
     let served = client::stats(&addr).expect("stats endpoint answers");
     assert_eq!(served.get("completed").and_then(Json::as_u64), Some(2));
     assert_eq!(served.get("coalesced").and_then(Json::as_u64), Some(1));
-    let cache = served.get("cache").expect("cache counters present");
-    assert_eq!(cache.get("hits").and_then(Json::as_u64), Some(0));
-    assert_eq!(cache.get("misses").and_then(Json::as_u64), Some(1));
+    assert_eq!(
+        served
+            .get("session_totals")
+            .and_then(|s| s.get("properties_checked"))
+            .and_then(Json::as_u64),
+        Some(solo_stats.properties_checked),
+        "a coalesced pair must run the flow once"
+    );
 
     server.stop();
 }

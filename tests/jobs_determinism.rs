@@ -1,10 +1,10 @@
 //! Determinism suite for the detection flow: every way a session is set up
 //! must produce the same `DetectionReport` — verdicts, counterexamples,
-//! coverage *and* work counters.  There are two: a fresh session, which
-//! bit-blasts its own miter (`htd detect`), and a session built with
-//! [`SessionBuilder::build_with_miter`] on a fork of a pristine master,
-//! which is how the daemon serves a design from its snapshot cache.  The
-//! suite forks one master twice, as a cache miss and a later hit do.
+//! coverage *and* work counters.  There are two: a fresh session, the one
+//! `htd detect` and the daemon both build, and a session built with
+//! [`SessionBuilder::build_with_miter`] on a fork of a never-run master.
+//! The suite forks one master twice, so the first fork's run cannot leak
+//! into the second's.
 //!
 //! Wall-clock durations are the only nondeterministic fields, so reports
 //! are compared after [`DetectionReport::normalized`] zeroes them, and

@@ -52,9 +52,8 @@ fn test_options() -> ServeOptions {
 }
 
 /// Runs the flow on `netlist_text` session-level with an explicit backend
-/// and budget — the path `htd serve` takes minus the HTTP framing, which is
-/// how the non-builtin backends are exercised (the daemon's snapshot cache
-/// is builtin-only by design).
+/// and budget: exactly the session the daemon builds for a job, minus the
+/// HTTP framing, which is how the non-builtin backends are exercised.
 fn run_budgeted(
     netlist_text: &str,
     backend: BackendChoice,

@@ -201,7 +201,7 @@ fn a_flow_report_records_no_forks() {
         (0, 0, 0)
     );
     assert_eq!(pipeline.generations_prepared, stats.properties_checked);
-    assert_eq!(pipeline.tasks_dispatched, stats.parallel_tasks);
+    assert_eq!(pipeline.tasks_dispatched, stats.queries);
 }
 
 /// Clause-GC thresholds are configurable: with the thresholds floored, the
