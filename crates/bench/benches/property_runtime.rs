@@ -11,7 +11,7 @@
 //!   streaming `FlowEvent` API, so the flow is not instrumented or re-run.
 //! * `flow_encode_ablation`: the whole flow through the legacy re-encode
 //!   path (one fresh AIG + CNF + solver per property) against the
-//!   incremental `DetectionSession` path (one bit-blast, one live solver) —
+//!   incremental `DetectionSession` path (one AIG, one live solver) —
 //!   the headline speedup of the session API.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};

@@ -57,7 +57,7 @@ pub fn run_detection(design: &ValidatedDesign, config: &DetectorConfig) -> Detec
 }
 
 /// Runs the full detection flow through an incremental [`DetectionSession`]
-/// (one bit-blast, one live solver for the whole flow).
+/// (one AIG, one live solver for the whole flow).
 ///
 /// [`DetectionSession`]: htd_core::DetectionSession
 ///

@@ -199,7 +199,7 @@ pub fn to_json(records: &[TrajectoryRecord], backend: &BackendChoice) -> String 
     // Schema v11: `parallel_tasks` is gone; it equalled `queries`, one SAT
     // query per sub-property handed to the solver.  (v10: every query
     // solves on the master, so the fork columns (`fork_count`,
-    // `bytes_cloned`, `watcher_bytes_cloned`, `snapshot_forks`,
+    // `bytes_cloned`, its watcher-arena slice, `snapshot_forks`,
     // `snapshot_bytes_cloned`) are gone; v9: the flow
     // runs on one thread, so each design is timed once and `jobs`,
     // `level_pipeline`, `sequential_secs`, `speedup` and their totals are
@@ -207,7 +207,7 @@ pub fn to_json(records: &[TrajectoryRecord], backend: &BackendChoice) -> String 
     // `cnf_vars` summed over the report's properties; v7: `sequential_secs` times
     // the same executor at one worker — it used to time a separate
     // single-miter engine — and the v6 portfolio-race columns are gone; v5
-    // split the fork cost model with `watcher_bytes_cloned`; v4 tagged the
+    // split the watcher-arena bytes out of the fork cost model; v4 tagged the
     // trajectory with the SAT backend it measured; v3 added the fork cost
     // model of the arena-backed clause store: per-flow fork counts,
     // snapshot bytes and compaction words.)

@@ -413,13 +413,9 @@ fn detect(args: &DetectArgs) -> Result<String, CliError> {
         let stats = session.session_stats();
         let _ = writeln!(
             out,
-            "session: {} bit-blast(s), {} properties, {} AIG nodes encoded, {} SAT queries, \
+            "session: {} properties, {} AIG nodes encoded, {} SAT queries, \
              {} signals proved structurally",
-            stats.bit_blasts,
-            stats.properties_checked,
-            stats.nodes_encoded,
-            stats.queries,
-            stats.structurally_proved
+            stats.properties_checked, stats.nodes_encoded, stats.queries, stats.structurally_proved
         );
     }
 
@@ -713,7 +709,12 @@ endmodule
             ..DetectArgs::default()
         });
         let output = run(&command).unwrap();
-        assert!(output.contains("session: 1 bit-blast(s)"), "{output}");
+        assert!(
+            output
+                .lines()
+                .any(|line| line.starts_with("session: ") && line.contains(" SAT queries, ")),
+            "{output}"
+        );
         std::fs::remove_file(input).ok();
     }
 

@@ -37,7 +37,7 @@ pub enum DetectError {
         reason: String,
     },
     /// The SAT backend failed: an external solver binary is missing or
-    /// speaks a different output format, or a backend could not fork.
+    /// speaks a different output format.
     Backend {
         /// The underlying backend error.
         message: String,
@@ -55,8 +55,9 @@ pub enum DetectError {
     BudgetExhausted {
         /// Which limit tripped: `"deadline"` or `"conflicts"`.
         reason: String,
-        /// Conflicts charged to the budget before exhaustion (across every
-        /// parallel shard of the job).
+        /// Conflicts charged to the budget before exhaustion, across every
+        /// query of the job (zero on an external backend, which charges
+        /// none).
         conflicts: u64,
     },
 }

@@ -75,14 +75,15 @@ impl Default for DetectorConfig {
 ///
 /// Deprecated: [`SessionBuilder`](crate::SessionBuilder) /
 /// [`DetectionSession`](crate::DetectionSession) run the same flow against
-/// one live incremental miter encoding (one bit-blast per run instead of one
-/// per property), own their design, support pluggable SAT backends and
+/// one live incremental miter encoding (each property's cones lowered into
+/// one AIG on one backend instead of a fresh encoding per property), own
+/// their design, support pluggable SAT backends and
 /// stream [`FlowEvent`](crate::FlowEvent)s.  This type remains as the
 /// fresh-solve reference path for equivalence tests and benchmarks.
 #[deprecated(
     since = "0.2.0",
-    note = "use `SessionBuilder`/`DetectionSession`; the session path bit-blasts once per run \
-            instead of once per property"
+    note = "use `SessionBuilder`/`DetectionSession`; the session path lowers every property \
+            into one AIG on one backend instead of re-encoding the miter per property"
 )]
 #[derive(Debug)]
 pub struct TrojanDetector<'a> {

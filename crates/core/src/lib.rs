@@ -34,7 +34,8 @@
 //!   external DIMACS-speaking binary, or an IPASIR solver shared library).
 //! * [`DetectionSession`] — owns one live, incremental miter encoding
 //!   ([`htd_ipc::MiterSession`]) and runs Algorithm 1 against it: the whole
-//!   init/fanout/coverage sequence performs **one** bit-blast, expresses each
+//!   init/fanout/coverage sequence lowers each property's cones into **one**
+//!   AIG on one backend, expresses each
 //!   property's antecedent through solver assumptions and starting-state
 //!   variable sharing, and keeps the backend's learnt clauses alive across
 //!   properties and re-verification rounds.  The flow runs on the calling
@@ -86,8 +87,6 @@
 //!     }
 //!     ref other => panic!("expected a detection, got {other:?}"),
 //! }
-//! // One bit-blast served the whole flow.
-//! assert_eq!(session.session_stats().bit_blasts, 1);
 //! # Ok(())
 //! # }
 //! ```

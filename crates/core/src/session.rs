@@ -2,10 +2,10 @@
 //!
 //! A [`DetectionSession`] owns the design, the configuration and one live
 //! incremental miter encoding ([`MiterSession`]) and runs Algorithm 1 against
-//! it: the whole init/fanout/coverage sequence performs **one** bit-blast and
-//! reuses one SAT backend across every property and every spurious-
-//! counterexample re-verification round.  Sessions are built with
-//! [`SessionBuilder`], which also selects the SAT backend
+//! it: the whole init/fanout/coverage sequence lowers each property's cones
+//! into **one** AIG and reuses one SAT backend across every property and
+//! every spurious-counterexample re-verification round.  Sessions are built
+//! with [`SessionBuilder`], which also selects the SAT backend
 //! ([`BackendChoice`]): the bundled CDCL solver, any external
 //! DIMACS-speaking solver binary, or any solver shared library exporting
 //! the IPASIR incremental C ABI.
@@ -469,8 +469,9 @@ impl SessionBuilder {
 /// [`TrojanDetector`](crate::TrojanDetector) remains as a deprecated shim).
 /// It keeps one live miter encoding across the whole flow: each property's
 /// antecedent is expressed through solver assumptions and starting-state
-/// variable sharing instead of re-encoding, so an N-property flow performs
-/// one bit-blast instead of N.  See [`SessionBuilder`] for construction and
+/// variable sharing instead of re-encoding, so an N-property flow lowers
+/// each property's cones into one AIG on one backend instead of building N
+/// encodings.  See [`SessionBuilder`] for construction and
 /// the [module docs](self) for the [`FlowEvent`] contract.
 pub struct DetectionSession {
     design: ValidatedDesign,
@@ -512,9 +513,9 @@ impl DetectionSession {
         &self.backend
     }
 
-    /// Counters of the underlying miter session (bit-blasts performed,
-    /// properties checked, nodes encoded, queries issued, signals proved
-    /// structurally).
+    /// Counters of the underlying miter session (properties checked, nodes
+    /// encoded, queries issued, signals proved structurally, binding epochs
+    /// built).
     #[must_use]
     pub fn session_stats(&self) -> SessionStats {
         self.miter.stats()
@@ -631,7 +632,7 @@ mod tests {
     use super::*;
     use crate::report::{DetectedBy, DetectionOutcome};
     use htd_rtl::Design;
-    use htd_sat::{BackendError, BackendStats, Lit, SolveBudget, SolveResult, Var};
+    use htd_sat::SolveBudget;
     use std::sync::atomic::Ordering;
 
     fn infected_design() -> ValidatedDesign {
@@ -661,7 +662,7 @@ mod tests {
     }
 
     #[test]
-    fn session_detects_the_trojan_with_one_bit_blast() {
+    fn session_detects_the_trojan() {
         let mut session = SessionBuilder::new(infected_design()).build().unwrap();
         let report = session.run().unwrap();
         match &report.outcome {
@@ -670,7 +671,6 @@ mod tests {
             }
             other => panic!("expected detection, got {other:?}"),
         }
-        assert_eq!(session.session_stats().bit_blasts, 1);
     }
 
     #[test]
@@ -679,9 +679,7 @@ mod tests {
         let report = session.run().unwrap();
         assert!(report.outcome.is_secure(), "{report}");
         assert_eq!(report.properties_checked(), 3);
-        let stats = session.session_stats();
-        assert_eq!(stats.bit_blasts, 1);
-        assert_eq!(stats.properties_checked, 3);
+        assert_eq!(session.session_stats().properties_checked, 3);
     }
 
     #[test]
@@ -884,75 +882,6 @@ mod tests {
             BackendChoice::DimacsProcess("htd".into(), vec!["sat".into()]).to_string(),
             "dimacs:htd sat"
         );
-    }
-
-    /// The builtin solver behind a `fork` that always fails — what an
-    /// IPASIR library that cannot open another solver handle looks like to
-    /// the flow.
-    struct UnforkableSolver(Solver);
-
-    impl SatBackend for UnforkableSolver {
-        fn name(&self) -> String {
-            "unforkable".to_owned()
-        }
-
-        fn new_var(&mut self) -> Var {
-            SatBackend::new_var(&mut self.0)
-        }
-
-        fn add_clause(&mut self, lits: &[Lit]) -> bool {
-            SatBackend::add_clause(&mut self.0, lits)
-        }
-
-        fn solve_under(&mut self, assumptions: &[Lit]) -> Result<SolveResult, BackendError> {
-            self.0.solve_under(assumptions)
-        }
-
-        fn model_value(&self, var: Var) -> Option<bool> {
-            self.0.model_value(var)
-        }
-
-        fn stats(&self) -> BackendStats {
-            SatBackend::stats(&self.0)
-        }
-
-        fn set_decision_var(&mut self, var: Var, eligible: bool) {
-            SatBackend::set_decision_var(&mut self.0, var, eligible);
-        }
-
-        fn mask_all_decisions(&mut self) {
-            SatBackend::mask_all_decisions(&mut self.0);
-        }
-
-        fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError> {
-            Err(BackendError {
-                message: "no second solver handle".to_owned(),
-            })
-        }
-
-        fn snapshot_bytes(&self) -> u64 {
-            0
-        }
-    }
-
-    /// Every query solves on the master, so a backend that cannot fork runs
-    /// the whole flow, to the same report as the builtin solver.
-    #[test]
-    fn an_unforkable_backend_completes_the_flow() {
-        for design in [infected_design(), clean_pipeline()] {
-            let want = SessionBuilder::new(design.clone())
-                .build()
-                .unwrap()
-                .run()
-                .unwrap();
-            let miter = MiterSession::new(&design, Box::new(UnforkableSolver(Solver::new())));
-            let got = SessionBuilder::new(design)
-                .build_with_miter(miter)
-                .unwrap()
-                .run()
-                .unwrap();
-            assert_eq!(got.normalized(), want.normalized());
-        }
     }
 
     /// A budget's own cancel flag serves one run only: a budgeted session

@@ -34,25 +34,18 @@
 //!
 //! # The `ipasir_htd_*` extensions
 //!
-//! Three optional extra symbols expose the solver's decision-variable
-//! masking and its O(bytes) clone so the `IpasirBackend` in `htd-sat` can
-//! focus the search on a query's cone and fork exactly like the builtin
-//! backend does (standard IPASIR clients never look these up and are
-//! unaffected):
+//! Two optional extra symbols expose the solver's decision-variable
+//! masking so the `IpasirBackend` in `htd-sat` can focus the search on a
+//! query's cone exactly like the builtin backend does (standard IPASIR
+//! clients never look these up and are unaffected):
 //!
 //! * `ipasir_htd_mask_all_decisions(S)` — mark every variable ineligible
 //!   for branching ([`Solver::mask_all_decisions`]).
 //! * `ipasir_htd_set_decision(S, var, eligible)` — per-variable eligibility
 //!   ([`Solver::set_decision_var`]), `var` 1-based as everywhere in IPASIR.
-//! * `ipasir_htd_clone(S) -> S'` — snapshot the handle in O(bytes): the
-//!   solver's arena-backed clause and watcher stores make `Solver::clone` a
-//!   fixed number of flat-buffer memcpys, and the returned handle is fully
-//!   independent (released through `ipasir_release` like any other).  The
-//!   `IpasirBackend` fork uses this instead of replaying the clause log
-//!   over the ABI clause by clause.
 //!
 //! With the extensions in play a solver handle receives the *same*
-//! operation sequence as a builtin solver shard, which makes detection
+//! operation sequence as the builtin solver, which makes detection
 //! reports byte-identical across `--backend builtin` and the shim (checked
 //! by `tests/ipasir_equivalence.rs` on every bundled benchmark).
 //!
@@ -340,37 +333,6 @@ pub unsafe extern "C" fn ipasir_htd_set_decision(solver: *mut c_void, var: c_int
         .set_decision_var(Var::from_index(index), eligible != 0);
 }
 
-/// Extension: returns an independent snapshot of the handle — same formula,
-/// learnt clauses and heuristic state — in O(bytes) (`Solver::clone` over
-/// the flat arena stores).  The new handle is owned by the caller and
-/// released through [`ipasir_release`]; per-query state (the clause being
-/// streamed, pending assumptions, the `ipasir_failed` set) does **not**
-/// carry over, and neither does the parent's terminate callback — its
-/// `data` pointer is only guaranteed valid for the handle it was installed
-/// on, so the clone starts without one and the client re-installs as
-/// needed.
-///
-/// # Safety
-///
-/// `solver` must be a live [`ipasir_init`] handle.
-#[no_mangle]
-pub unsafe extern "C" fn ipasir_htd_clone(solver: *mut c_void) -> *mut c_void {
-    // SAFETY: this entry point's contract — `solver` is a live handle.
-    let shim = unsafe { shim(solver) };
-    let mut solver = shim.solver.clone();
-    // The cloned interrupt closure would poll the parent's TerminateHook
-    // `data` pointer — a dangling pointer once the parent replaces or
-    // removes its callback.  Never inherit it.
-    solver.clear_interrupt();
-    Box::into_raw(Box::new(ShimSolver {
-        solver,
-        clause: Vec::new(),
-        assumptions: Vec::new(),
-        failed: Vec::new(),
-    }))
-    .cast()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,48 +402,6 @@ mod tests {
         // SAFETY: `ipasir_signature` returns a 'static nul-terminated string.
         let sig = unsafe { CStr::from_ptr(ipasir_signature()) };
         assert!(sig.to_str().unwrap().contains("htd-cdcl"));
-    }
-
-    /// `ipasir_htd_clone` returns an independent handle with the parent's
-    /// formula but none of its per-query state or terminate callback.
-    #[test]
-    fn htd_clone_snapshots_the_formula_without_query_state() {
-        // SAFETY: ignores its `data` pointer entirely.
-        unsafe extern "C" fn always(_data: *mut c_void) -> c_int {
-            1
-        }
-        let parent = ipasir_init();
-        // SAFETY: `parent` and the cloned `child` are distinct live handles,
-        // each released exactly once.
-        unsafe {
-            // (1 | 2) & (-1 | 2), plus a *pending* assumption and a
-            // terminate callback on the parent only.
-            for lit in [1, 2, 0, -1, 2, 0] {
-                ipasir_add(parent, lit);
-            }
-            ipasir_assume(parent, -2);
-            ipasir_set_terminate(parent, std::ptr::null_mut(), Some(always));
-
-            let child = ipasir_htd_clone(parent);
-            // The clone solves immediately: no inherited terminate
-            // callback, no inherited assumptions.
-            assert_eq!(ipasir_solve(child), IPASIR_SAT);
-            assert_eq!(ipasir_val(child, 2), 2, "the cloned formula forces 2");
-
-            // Divergence after the clone stays private to each handle.
-            ipasir_add(child, -2);
-            ipasir_add(child, 0);
-            assert_eq!(ipasir_solve(child), IPASIR_UNSAT);
-            ipasir_set_terminate(parent, std::ptr::null_mut(), None);
-            // The parent still owns its pre-clone pending assumption (-2),
-            // which the clone did not steal: the next query consumes it...
-            assert_eq!(ipasir_solve(parent), IPASIR_UNSAT);
-            // ...and the parent's formula itself is untouched by the child.
-            assert_eq!(ipasir_solve(parent), IPASIR_SAT, "parent unaffected");
-
-            ipasir_release(child);
-            ipasir_release(parent);
-        }
     }
 
     #[test]

@@ -65,7 +65,7 @@ const UNENCODED: u32 = u32::MAX;
 /// Each [`encode`](Self::encode) call extends the backend with clauses for
 /// exactly the cone nodes that have not been encoded by an earlier call, so
 /// the total encoding work over a whole detection flow is proportional to the
-/// final AIG size — one bit-blast, not one per property.
+/// final AIG size — one encoding, not one per property.
 ///
 /// The node-to-variable map is a dense table indexed by AIG node id, and
 /// cone walks mark visited nodes in one reused stamp table, so neither

@@ -1,4 +1,5 @@
-//! The incremental miter session: one bit-blast, many property queries.
+//! The incremental miter session: one AIG on one backend, many property
+//! queries.
 //!
 //! The legacy [`PropertyChecker`](crate::PropertyChecker) rebuilds the AIG,
 //! the CNF and the SAT solver for every single property.  The detection flow,
@@ -50,11 +51,6 @@ use crate::property::{CheckOutcome, CheckStats, Counterexample, IntervalProperty
 /// Counters describing a whole [`MiterSession`].
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SessionStats {
-    /// Number of miter encodings built from scratch.  A session builds its
-    /// encoding exactly once, at construction — this counter existing (and
-    /// staying at 1) is the point of the session API, and the equivalence
-    /// tests assert it.
-    pub bit_blasts: u64,
     /// Properties checked so far.
     pub properties_checked: u64,
     /// AIG nodes mirrored into the backend so far (cumulative over all
@@ -101,7 +97,6 @@ pub struct SessionStats {
 /// let mut session = MiterSession::new(&design, Box::new(Solver::new()));
 /// let init = IntervalProperty::new("init_property", vec![], vec![r]);
 /// assert!(session.check(&design, &init)?.holds());
-/// assert_eq!(session.stats().bit_blasts, 1);
 /// # Ok(())
 /// # }
 /// ```
@@ -212,10 +207,7 @@ impl MiterSession {
             epoch: None,
             pending_acts: Vec::new(),
             cancel: None,
-            stats: SessionStats {
-                bit_blasts: 1,
-                ..SessionStats::default()
-            },
+            stats: SessionStats::default(),
         }
     }
 
@@ -247,12 +239,13 @@ impl MiterSession {
     /// has already run properties is also sound, but its learnt clauses and
     /// retired activation literals carry over, so reports from such a fork
     /// are not byte-identical to a fresh session's.  No detection entry
-    /// point forks; tests and the benchmark harness do.
+    /// point forks; tests and the benchmark harness do, on the builtin
+    /// solver.
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError`] when the backend fails to fork (e.g. an
-    /// IPASIR library that cannot open another solver handle).
+    /// Returns [`BackendError`] naming the backend unless the session runs
+    /// on the builtin solver, the only backend that forks.
     pub fn fork(&self) -> Result<MiterSession, BackendError> {
         Ok(MiterSession {
             backend: self.backend.fork()?,
@@ -493,8 +486,7 @@ impl MiterSession {
     }
 
     /// Attaches (or detaches, with `None`) a shared resource budget on the
-    /// master backend, so the whole job charges one budget.  Install it on
-    /// a run fork, never on a cached pristine master.
+    /// master backend, so the whole job charges one budget.
     pub fn set_budget(&mut self, budget: Option<std::sync::Arc<htd_sat::BudgetTracker>>) {
         self.backend.set_budget(budget);
     }
@@ -789,7 +781,7 @@ mod tests {
     }
 
     #[test]
-    fn session_checks_a_whole_flow_with_one_bit_blast() {
+    fn session_checks_a_whole_flow() {
         let design = pipeline();
         let d = design.design();
         let s1 = d.require("s1").unwrap();
@@ -806,9 +798,7 @@ mod tests {
             let report = session.check(&design, property).unwrap();
             assert!(report.holds(), "{} should hold", property.name);
         }
-        let stats = session.stats();
-        assert_eq!(stats.bit_blasts, 1);
-        assert_eq!(stats.properties_checked, 3);
+        assert_eq!(session.stats().properties_checked, 3);
     }
 
     #[test]
@@ -840,8 +830,8 @@ mod tests {
     }
 
     /// A fork of a pristine (never-run) master behaves exactly like a fresh
-    /// session — same verdicts, same solver-work deltas, one inherited
-    /// bit-blast — and runs independently of its parent.
+    /// session — same verdicts, same solver-work deltas — and runs
+    /// independently of its parent.
     #[test]
     fn a_pristine_fork_checks_like_a_fresh_session() {
         let design = trojan_design();
@@ -859,9 +849,7 @@ mod tests {
         from_fresh.stats.duration = std::time::Duration::ZERO;
         assert_eq!(from_fork, from_fresh);
 
-        // The fork inherits the master's single bit-blast and never triggers
-        // another; the master itself stayed pristine.
-        assert_eq!(forked.stats().bit_blasts, 1);
+        // The master itself stayed pristine.
         assert_eq!(master.stats().properties_checked, 0);
 
         // A second, later fork of the same untouched master is unaffected by
@@ -870,6 +858,22 @@ mod tests {
         let mut again = second.check(&design, &property).unwrap();
         again.stats.duration = std::time::Duration::ZERO;
         assert_eq!(again, from_fresh);
+    }
+
+    /// A session forks only over the builtin solver: over a process
+    /// backend, `fork` answers `Err` naming the backend.
+    #[test]
+    fn a_session_over_a_process_backend_does_not_fork() {
+        let design = trojan_design();
+        let backend = htd_sat::DimacsProcessBackend::new("/nonexistent/htd-test-solver");
+        let session = MiterSession::new(&design, Box::new(backend));
+        let Err(err) = session.fork() else {
+            panic!("a session over a process backend forked");
+        };
+        assert_eq!(
+            err.message,
+            "`dimacs:/nonexistent/htd-test-solver` does not fork"
+        );
     }
 
     /// An accumulator `acc` (next = acc ^ in) drives the output; with
@@ -936,17 +940,6 @@ mod tests {
 
         fn stats(&self) -> htd_sat::BackendStats {
             SatBackend::stats(&self.0)
-        }
-
-        fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError> {
-            Ok(Box::new(CountingSolver(
-                self.0.clone(),
-                Arc::clone(&self.1),
-            )))
-        }
-
-        fn snapshot_bytes(&self) -> u64 {
-            self.0.snapshot_bytes()
         }
     }
 

@@ -1,7 +1,7 @@
 //! Clone-throughput microbenchmark for the fork path: how fast a warm
-//! solver snapshots at the two scales the detection flow actually forks at
-//! — the AES benchmarks (tens-of-KiB arenas) and BasicRSA (a ~3.7 MB
-//! arena, the largest bundled design).  A fork is a handful of flat-buffer
+//! solver snapshots at the arena sizes of the bundled designs — the AES
+//! benchmarks (tens-of-KiB arenas) and BasicRSA (a ~3.7 MB arena, the
+//! largest).  A fork is a handful of flat-buffer
 //! memcpys, so the numbers here should track memory bandwidth, not clause
 //! count; a per-clause or per-literal rebuild shows up immediately as a
 //! collapse at the BasicRSA scale.
@@ -36,7 +36,6 @@ fn fork_bench(c: &mut Criterion) {
     for (label, target) in [("aes-64KiB", 64 << 10), ("basicrsa-3.7MB", 3_700_000)] {
         let solver = warm_solver(target);
         let bytes = solver.snapshot_bytes();
-        let watcher = solver.watcher_bytes();
         group.bench_with_input(
             BenchmarkId::new("clone", format!("{label}/{bytes}B")),
             &solver,
@@ -47,8 +46,6 @@ fn fork_bench(c: &mut Criterion) {
             &solver,
             |b, s| b.iter(|| black_box(SatBackend::fork(s).expect("bundled solver forks"))),
         );
-        // Printed so a run records the arena split alongside the timings.
-        println!("{label}: snapshot {bytes} B of which watcher arena {watcher} B");
     }
     group.finish();
 }

@@ -76,10 +76,7 @@ pub struct BackendStats {
     pub queries: u64,
     /// Detailed work counters.  External backends cannot observe a foreign
     /// solver's internals (decisions, conflicts, …stay zero), but they do
-    /// report what the interface makes visible: `solves` mirrors `queries`,
-    /// and `fork_count` / `bytes_cloned` record the snapshot cost of every
-    /// [`fork`](SatBackend::fork) — so flow reports and bench trajectories
-    /// keep honest cost accounting under any backend.
+    /// report what the interface makes visible: `solves` mirrors `queries`.
     pub solver: SolverStats,
 }
 
@@ -133,34 +130,23 @@ pub trait SatBackend: Send {
     fn mask_all_decisions(&mut self) {}
 
     /// Creates an independent snapshot of this backend: same variables, same
-    /// clause database, no shared mutable state, ready to solve a different
-    /// query concurrently.  No detection entry point forks; tests and the
-    /// benchmark harness fork never-run masters.  Work counters carry over —
-    /// plus one recorded fork of [`snapshot_bytes`](Self::snapshot_bytes)
-    /// bytes on the child, so the O(bytes) cost model is observable; callers
-    /// attribute per-fork work by differencing against the snapshot's
+    /// clause database, no shared mutable state.  No detection entry point
+    /// forks; tests and the benchmark harness fork never-run masters, always
+    /// on the bundled [`Solver`], the one backend that overrides this.  Its
+    /// work counters carry over, plus one recorded fork of
+    /// [`Solver::snapshot_bytes`] bytes on the child, so callers attribute
+    /// per-fork work by differencing against the snapshot's
     /// [`stats`](Self::stats).
     ///
     /// # Errors
     ///
-    /// Returns [`BackendError`] if the snapshot cannot be brought up (e.g.
-    /// an IPASIR library whose `ipasir_init` returns no handle).
-    fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError>;
-
-    /// The byte cost of one [`fork`](Self::fork): how much a snapshot clone
-    /// copies.  For the bundled solver this is the arena-backed cost model
-    /// ([`Solver::snapshot_bytes`]) — proportional to the live database
-    /// size, never to the clause count; the external backends price the
-    /// clause log they copy or replay.
-    fn snapshot_bytes(&self) -> u64;
-
-    /// The slice of [`snapshot_bytes`](Self::snapshot_bytes) spent copying
-    /// the watcher store.  Only meaningful for backends whose watcher lists
-    /// are observable — the bundled solver's flat watcher arena
-    /// ([`Solver::watcher_bytes`]); external libraries and subprocess
-    /// backends return 0.
-    fn watcher_bytes(&self) -> u64 {
-        0
+    /// Returns [`BackendError`] naming the backend for every backend but the
+    /// bundled solver: the external backends do not fork.
+    fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError> {
+        Err(BackendError::new(format!(
+            "`{}` does not fork",
+            self.name()
+        )))
     }
 
     /// Opportunistically compacts the clause database, dropping clauses that
@@ -174,8 +160,7 @@ pub trait SatBackend: Send {
     /// Configures the garbage-collection thresholds consulted by
     /// [`collect_garbage`](Self::collect_garbage): compaction runs once at
     /// least `dead_fraction` of a database of at least `min_clauses` clauses
-    /// is dead.  Forked snapshots inherit the thresholds.  Backends without
-    /// garbage collection ignore the hint.
+    /// is dead.  Backends without garbage collection ignore the hint.
     fn set_gc_thresholds(&mut self, _dead_fraction: f64, _min_clauses: usize) {}
 
     /// Installs a predicate polled during solving; when it returns `true`
@@ -189,9 +174,8 @@ pub trait SatBackend: Send {
     /// ([`BudgetTracker`]).  Budgeted backends abandon queries with
     /// [`SolveResult::Interrupted`] once the tracker reports exhaustion and,
     /// where their interface exposes a conflict stream, charge conflicts to
-    /// it.  [`fork`](Self::fork) snapshots share the parent's tracker.
-    /// Backends without budget support ignore it (the flow-level deadline is
-    /// then only enforced between solver queries).
+    /// it.  Backends without budget support ignore it (the flow-level
+    /// deadline is then only enforced between solver queries).
     fn set_budget(&mut self, _budget: Option<Arc<BudgetTracker>>) {}
 }
 
@@ -239,18 +223,9 @@ impl SatBackend for Solver {
         // variable count; the child records the fork so the cost is
         // visible in its counters.
         let bytes = self.snapshot_bytes();
-        let watcher_bytes = self.watcher_bytes();
         let mut child = self.clone();
-        child.record_fork(bytes, watcher_bytes);
+        child.record_fork(bytes);
         Ok(Box::new(child))
-    }
-
-    fn snapshot_bytes(&self) -> u64 {
-        Solver::snapshot_bytes(self)
-    }
-
-    fn watcher_bytes(&self) -> u64 {
-        Solver::watcher_bytes(self)
     }
 
     fn collect_garbage(&mut self) -> u64 {
@@ -311,11 +286,6 @@ pub struct DimacsProcessBackend {
     clauses: Vec<Vec<Lit>>,
     model: Vec<Option<bool>>,
     queries: u64,
-    /// The visible fork cost (`fork_count` / `bytes_cloned`); `solves` is
-    /// synthesized from `queries` in [`stats`](SatBackend::stats).
-    /// Counters carry over to forks, exactly like the bundled solver's, so
-    /// delta-based per-task accounting works unchanged.
-    stats: SolverStats,
     known_unsat: bool,
     /// The incremental CNF file, created lazily on the first query and
     /// removed when the backend drops.
@@ -323,15 +293,14 @@ pub struct DimacsProcessBackend {
     /// Interrupt predicate polled while the child process runs.
     interrupt: ProcessInterrupt,
     /// Shared resource budget, polled alongside the interrupt predicate.
-    /// The external solver's conflicts are invisible from outside, so only
-    /// the deadline is enforced mid-solve; the ceiling is still honoured at
-    /// query boundaries (other shards of the same job charge it).
+    /// The external solver's conflicts are invisible from outside and no one
+    /// charges conflicts to this tracker, so only its deadline applies.
     budget: Option<Arc<BudgetTracker>>,
 }
 
 /// Debug-opaque holder for the process backend's interrupt predicate
 /// (mirrors the solver's private `InterruptCheck`).
-#[derive(Clone, Default)]
+#[derive(Default)]
 struct ProcessInterrupt(Option<Arc<dyn Fn() -> bool + Send + Sync>>);
 
 impl fmt::Debug for ProcessInterrupt {
@@ -386,18 +355,6 @@ fn render_clause(lits: &[Lit]) -> String {
 /// Monotonic id source for [`DimacsProcessBackend::instance`].
 static NEXT_BACKEND_INSTANCE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(0);
 
-/// The byte cost of cloning an in-memory clause log — the
-/// [`snapshot_bytes`](SatBackend::snapshot_bytes) model shared by the
-/// external backends ([`DimacsProcessBackend`],
-/// [`IpasirBackend`](crate::IpasirBackend)), whose forks copy or replay one
-/// `Vec<Lit>` per clause.
-pub(crate) fn clause_log_bytes(clauses: &[Vec<Lit>]) -> u64 {
-    clauses
-        .iter()
-        .map(|c| (c.len() * std::mem::size_of::<Lit>()) as u64)
-        .sum()
-}
-
 impl DimacsProcessBackend {
     /// Creates a backend running the given solver binary.
     #[must_use]
@@ -411,7 +368,6 @@ impl DimacsProcessBackend {
             clauses: Vec::new(),
             model: Vec::new(),
             queries: 0,
-            stats: SolverStats::default(),
             known_unsat: false,
             cache: None,
             interrupt: ProcessInterrupt::default(),
@@ -671,8 +627,8 @@ impl SatBackend for DimacsProcessBackend {
         if self.known_unsat {
             return Ok(SolveResult::Unsat);
         }
-        // Checked before spawning: a budget exhausted by a sibling shard (or
-        // an already-tripped cancel) must not launch another process.
+        // Checked before spawning: a passed deadline (or an already-tripped
+        // cancel) must not launch another process.
         if self.should_abandon() {
             return Ok(SolveResult::Interrupted);
         }
@@ -697,44 +653,9 @@ impl SatBackend for DimacsProcessBackend {
             // it can never drift from `queries`.
             solver: SolverStats {
                 solves: self.queries,
-                ..self.stats
+                ..SolverStats::default()
             },
         }
-    }
-
-    fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError> {
-        // Work counters carry over — plus one recorded fork of
-        // `snapshot_bytes` on the child, mirroring the bundled solver's
-        // fork contract, so delta-based task accounting sees the clone
-        // cost of process-backend shards too.
-        let mut stats = self.stats;
-        stats.fork_count += 1;
-        stats.bytes_cloned += self.snapshot_bytes();
-        Ok(Box::new(DimacsProcessBackend {
-            solver_path: self.solver_path.clone(),
-            extra_args: self.extra_args.clone(),
-            // htd-lint: allow(determinism): unique temp-file tag; only uniqueness matters, not order
-            instance: NEXT_BACKEND_INSTANCE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            num_vars: self.num_vars,
-            clauses: self.clauses.clone(),
-            model: Vec::new(),
-            queries: self.queries,
-            stats,
-            known_unsat: self.known_unsat,
-            // The fork serializes its own CNF file from scratch on its first
-            // query (the parent's file keeps accumulating independently).
-            cache: None,
-            interrupt: self.interrupt.clone(),
-            // Budgets are per job, not per shard: the fork charges the same
-            // tracker as its parent.
-            budget: self.budget.clone(),
-        }))
-    }
-
-    fn snapshot_bytes(&self) -> u64 {
-        // The fork copies the in-memory clause lists (this backend is not
-        // arena-backed — external solvers re-read the whole CNF anyway).
-        clause_log_bytes(&self.clauses)
     }
 
     fn set_interrupt(&mut self, check: Arc<dyn Fn() -> bool + Send + Sync>) {
@@ -891,46 +812,20 @@ mod tests {
         backend.truncate_assumptions();
     }
 
-    /// The process backend forks by cloning the accumulated clause list
-    /// (each query writes a fresh CNF).  Work counters carry over and
-    /// the fork records its clone cost, exactly like the bundled solver's
-    /// fork contract.
+    /// Only the bundled solver forks: the process backend answers `Err`,
+    /// naming itself.
     #[test]
-    fn process_backend_forks_an_independent_snapshot() {
+    fn the_process_backend_does_not_fork() {
         let mut backend = DimacsProcessBackend::new("/nonexistent/htd-test-solver");
         let a = backend.new_var();
-        let b = backend.new_var();
-        backend.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-        // One (failing — the binary does not exist) query on the master, so
-        // carry-over is observable.
-        let _ = backend.solve_under(&[]);
-        assert_eq!(backend.stats().queries, 1);
-        assert_eq!(backend.stats().solver.solves, 1);
-
-        let mut fork = backend.fork().expect("process backend forks");
-        let forked = fork.stats();
-        assert_eq!(forked.queries, 1, "work counters carry over to the fork");
-        assert_eq!(forked.solver.solves, 1);
-        assert_eq!(forked.solver.fork_count, 1, "the fork records itself");
-        assert!(backend.snapshot_bytes() > 0);
+        backend.add_clause(&[Lit::pos(a)]);
+        let Err(err) = backend.fork() else {
+            panic!("the process backend forked");
+        };
         assert_eq!(
-            forked.solver.bytes_cloned,
-            backend.snapshot_bytes(),
-            "the fork records the clone cost of the clause list"
+            err.message,
+            "`dimacs:/nonexistent/htd-test-solver` does not fork"
         );
-        assert_eq!(
-            backend.stats().solver.fork_count,
-            0,
-            "the cost lands on the child, not the master"
-        );
-        assert_eq!(forked.vars, 2);
-        assert_eq!(forked.clauses, 1);
-        // Clauses added to the fork do not leak back into the master.
-        let c = fork.new_var();
-        fork.add_clause(&[Lit::pos(c)]);
-        assert_eq!(fork.stats().clauses, 2);
-        assert_eq!(backend.stats().clauses, 1);
-        assert_eq!(backend.stats().vars, 2);
     }
 
     /// `new_var` between queries grows the variable count; the in-place
@@ -968,32 +863,6 @@ mod tests {
         assert_eq!(solver.value(a), Some(true));
         assert_eq!(solver.value(c), Some(true), "-2 3 & 2 forces 3");
         backend.truncate_assumptions();
-    }
-
-    #[cfg(unix)]
-    #[test]
-    fn forked_process_backends_answer_like_the_master() {
-        use std::os::unix::fs::PermissionsExt;
-
-        let dir = std::env::temp_dir();
-        let script = dir.join(format!("htd-fake-fork-solver-{}.sh", std::process::id()));
-        std::fs::write(
-            &script,
-            "#!/bin/sh\necho 's SATISFIABLE'\necho 'v 1 0'\nexit 10\n",
-        )
-        .unwrap();
-        let mut perms = std::fs::metadata(&script).unwrap().permissions();
-        perms.set_mode(0o755);
-        std::fs::set_permissions(&script, perms).unwrap();
-
-        let mut master = DimacsProcessBackend::new(&script);
-        let a = master.new_var();
-        master.add_clause(&[Lit::pos(a)]);
-        let mut fork = master.fork().expect("forkable");
-        assert_eq!(master.solve_under(&[]).unwrap(), SolveResult::Sat);
-        assert_eq!(fork.solve_under(&[]).unwrap(), SolveResult::Sat);
-        assert_eq!(fork.model_value(a), master.model_value(a));
-        std::fs::remove_file(&script).ok();
     }
 
     #[cfg(unix)]

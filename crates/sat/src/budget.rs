@@ -1,8 +1,8 @@
 //! Per-job solve budgets, enforced inside the solving loop.
 //!
 //! A [`SolveBudget`] is the declarative limit (wall-clock deadline and/or a
-//! conflict ceiling); a [`BudgetTracker`] is its runtime counterpart, shared
-//! by every fork of a budgeted backend via `Arc`.  The tracker rides the
+//! conflict ceiling); a [`BudgetTracker`] is its runtime counterpart, which
+//! the job's one backend holds through an `Arc`.  The tracker rides the
 //! same seam as the interrupt hooks ([`Solver::set_interrupt`] and the
 //! IPASIR `set_terminate` callback): the builtin solver polls
 //! [`BudgetTracker::check`] at search entry, after every conflict and every
@@ -11,12 +11,10 @@
 //! exhaustion the tracker latches the cause and trips the job-level cancel
 //! flag, so the flow winds down promptly even between solver queries.
 //!
-//! Conflict ceilings are charged where the backend exposes a conflict
-//! stream — the builtin [`Solver`](crate::Solver) (and therefore any IPASIR
-//! shim built on it, through its own internal accounting); external DIMACS
-//! processes cannot report conflicts incrementally, so for them only the
-//! deadline is enforced mid-solve and the ceiling is checked between
-//! queries.
+//! Only the builtin [`Solver`](crate::Solver) charges conflicts to the
+//! tracker.  An external backend (a DIMACS process or an IPASIR library)
+//! cannot report its conflicts, and no one else charges them, so only the
+//! deadline applies to it.
 //!
 //! [`Solver::set_interrupt`]: crate::Solver::set_interrupt
 
@@ -31,8 +29,8 @@ pub struct SolveBudget {
     /// Wall-clock allowance for the whole job, measured from
     /// [`BudgetTracker::start`].
     pub deadline: Option<Duration>,
-    /// Maximum number of solver conflicts charged across every query and
-    /// fork of the job.
+    /// Maximum number of solver conflicts charged across every query of the
+    /// job.  Only the builtin solver charges conflicts.
     pub conflict_ceiling: Option<u64>,
 }
 
@@ -68,10 +66,10 @@ const STATE_CONFLICTS: u8 = 2;
 
 /// The shared runtime state of one budgeted job.
 ///
-/// Cloning a budgeted backend (forking for a parallel shard) clones the
-/// `Arc`, so all forks charge the same conflict counter and observe the
-/// same latch.  Exhaustion is one-way: once tripped, [`check`] is a cheap
-/// latched load and the associated cancel flag stays set.
+/// The job's backend holds it through an `Arc`, and a clone of the builtin
+/// solver charges the same conflict counter and observes the same latch.
+/// Exhaustion is one-way: once tripped, [`check`] is a cheap latched load
+/// and the associated cancel flag stays set.
 ///
 /// [`check`]: BudgetTracker::check
 #[derive(Debug)]
@@ -147,7 +145,7 @@ impl BudgetTracker {
         }
     }
 
-    /// Total conflicts charged so far, across every fork.
+    /// Total conflicts charged so far.
     #[must_use]
     pub fn conflicts(&self) -> u64 {
         self.conflicts.load(Ordering::Relaxed)

@@ -17,8 +17,8 @@
 //!
 //! * **Clauses are transmitted exactly once per backend instance.**  Every
 //!   [`add_clause`](SatBackend::add_clause) streams the clause into the live
-//!   handle immediately and appends it to an in-memory clause log; no query
-//!   ever re-sends the formula.  The [`clauses_transmitted`]
+//!   handle immediately and keeps no copy; no query ever re-sends the
+//!   formula.  The [`clauses_transmitted`]
 //!   (IpasirBackend::clauses_transmitted) counter makes this testable.
 //! * **Assumptions are per-query.**  [`solve_under`](SatBackend::solve_under)
 //!   calls `ipasir_assume` for each assumption and then `ipasir_solve`;
@@ -28,18 +28,9 @@
 //!   library during search; a firing check surfaces as
 //!   [`SolveResult::Interrupted`] (IPASIR return value 0), so a cancelled
 //!   detection job stops mid-solve.
-//! * **Fork clones in O(bytes) when the library can, replays when it
-//!   can't.**  The standard IPASIR ABI has no clone operation.  When the
-//!   library exports the optional `ipasir_htd_clone` extension (the bundled
-//!   shim does), [`fork`](SatBackend::fork) clones the underlying solver
-//!   behind the ABI — the builtin solver's fixed-memcpy arena clone — and
-//!   **zero** clauses cross the ABI: `clauses_transmitted` carries over
-//!   flat.  Without the extension, fork opens a fresh handle and replays
-//!   the clause log into it — O(clauses) per fork.  Both paths record one
-//!   fork of [`snapshot_bytes`](SatBackend::snapshot_bytes) (the clause-log
-//!   cost model, kept identical across paths so reports do not depend on
-//!   which library is loaded), and work counters carry over exactly like
-//!   the builtin backend's fork.
+//! * **No fork.**  Every detection flow solves in place on one handle, so
+//!   [`fork`](SatBackend::fork) keeps the trait's default and answers
+//!   `Err`; only the builtin solver forks.
 //!
 //! # The `ipasir_htd_*` extension subset
 //!
@@ -47,23 +38,16 @@
 //! library ignores the scheduler's cone-focusing hints (sound, but the
 //! search may wander and models of satisfiable queries may differ from the
 //! builtin backend's).  The bundled shim library (`crates/ipasir-shim`,
-//! built as `libipasir_htd.so`) additionally exports three optional symbols
+//! built as `libipasir_htd.so`) additionally exports two optional symbols
 //! that [`IpasirBackend`] resolves and uses when present:
 //!
 //! | symbol | mirrors |
 //! |---|---|
 //! | `ipasir_htd_mask_all_decisions(S)` | [`SatBackend::mask_all_decisions`] |
 //! | `ipasir_htd_set_decision(S, var, eligible)` | [`SatBackend::set_decision_var`] |
-//! | `ipasir_htd_clone(S) -> S'` | [`SatBackend::fork`] (O(bytes) snapshot; see above) |
 //!
-//! `ipasir_htd_clone` returns an independent handle holding the same
-//! formula, learnt clauses and heuristic state as `S`; the caller owns it
-//! and releases it through `ipasir_release` like any other handle.  It is
-//! resolved separately from the decision-masking pair — a library may
-//! export either subset without the other.
-//!
-//! With the extensions resolved, a forked shim handle receives exactly the
-//! operation sequence a builtin solver shard receives, which is what makes
+//! With the extensions resolved, a shim handle receives exactly the
+//! operation sequence the builtin solver receives, which is what makes
 //! detection reports byte-identical between `--backend builtin` and
 //! `--backend ipasir:libipasir_htd.so` (the equivalence suite in
 //! `tests/ipasir_equivalence.rs` checks this on every bundled benchmark).
@@ -118,11 +102,10 @@ type TerminateCallback = unsafe extern "C" fn(*mut c_void) -> c_int;
 type IpasirSetTerminate = unsafe extern "C" fn(*mut c_void, *mut c_void, Option<TerminateCallback>);
 type HtdMaskAll = unsafe extern "C" fn(*mut c_void);
 type HtdSetDecision = unsafe extern "C" fn(*mut c_void, c_int, c_int);
-type HtdClone = unsafe extern "C" fn(*mut c_void) -> *mut c_void;
 
 /// A loaded IPASIR shared library: the `dlopen` handle plus every resolved
-/// entry point.  Shared (via `Arc`) between a backend and all its forks so
-/// the library is `dlclose`d exactly once, after the last handle released.
+/// entry point.  Owned by the one [`IpasirBackend`] that loaded it, which
+/// releases its solver handle before the library is `dlclose`d.
 ///
 /// # Safety invariants
 ///
@@ -146,16 +129,7 @@ struct IpasirLibrary {
     set_terminate: Option<IpasirSetTerminate>,
     htd_mask_all: Option<HtdMaskAll>,
     htd_set_decision: Option<HtdSetDecision>,
-    htd_clone: Option<HtdClone>,
 }
-
-// SAFETY: the dlopen handle and the resolved code pointers are immutable
-// after construction and the library is required (by the IPASIR spec) to
-// support multiple concurrently live solver instances.
-unsafe impl Send for IpasirLibrary {}
-// SAFETY: same argument as `Send` above — the handle and code pointers are
-// read-only after construction.
-unsafe impl Sync for IpasirLibrary {}
 
 impl Drop for IpasirLibrary {
     fn drop(&mut self) {
@@ -193,7 +167,7 @@ fn last_dl_error() -> String {
 
 impl IpasirLibrary {
     #[cfg(unix)]
-    fn open(path: &Path) -> Result<Arc<IpasirLibrary>, BackendError> {
+    fn open(path: &Path) -> Result<IpasirLibrary, BackendError> {
         let c_path = CString::new(path.as_os_str().as_encoded_bytes()).map_err(|_| {
             BackendError::new(format!(
                 "library path `{}` contains an interior NUL byte",
@@ -219,7 +193,7 @@ impl IpasirLibrary {
             // owns it on this path.
             unsafe { dlclose(handle) };
         }
-        library.map(Arc::new)
+        library
     }
 
     /// Resolves every IPASIR entry point from a live `dlopen` handle; on
@@ -275,15 +249,13 @@ impl IpasirLibrary {
                     .map(|p| std::mem::transmute::<*mut c_void, HtdMaskAll>(p)),
                 htd_set_decision: optional("ipasir_htd_set_decision")
                     .map(|p| std::mem::transmute::<*mut c_void, HtdSetDecision>(p)),
-                htd_clone: optional("ipasir_htd_clone")
-                    .map(|p| std::mem::transmute::<*mut c_void, HtdClone>(p)),
             }
         };
         Ok(library)
     }
 
     #[cfg(not(unix))]
-    fn open(path: &Path) -> Result<Arc<IpasirLibrary>, BackendError> {
+    fn open(path: &Path) -> Result<IpasirLibrary, BackendError> {
         Err(BackendError::new(format!(
             "the IPASIR dynamic-library backend needs a Unix dynamic linker \
              (cannot load `{}` on this platform)",
@@ -316,25 +288,17 @@ const IPASIR_INTERRUPTED: c_int = 0;
 
 /// A [`SatBackend`] driving a solver handle of a `dlopen`ed IPASIR library.
 ///
-/// See the [module docs](self) for the incrementality contract, the
-/// fork-by-replay semantics and the optional `ipasir_htd_*` extension
-/// subset.  Create one with [`IpasirBackend::load`]; the CLI syntax is
-/// `--backend ipasir:LIB.so`.
+/// See the [module docs](self) for the incrementality contract and the
+/// optional `ipasir_htd_*` extension subset.  Create one with
+/// [`IpasirBackend::load`]; the CLI syntax is `--backend ipasir:LIB.so`.
 pub struct IpasirBackend {
-    library: Arc<IpasirLibrary>,
+    library: IpasirLibrary,
     /// The live solver handle of this instance (owned: released on drop).
     solver: *mut c_void,
     num_vars: u32,
-    /// Every clause ever added, in order — the replay source for
-    /// [`fork`](SatBackend::fork) and the byte basis of
-    /// [`snapshot_bytes`](SatBackend::snapshot_bytes).  Shared
-    /// copy-on-write (`Arc` + [`Arc::make_mut`]) so a fork clones a
-    /// pointer, not the log: the replay over the ABI is the only
-    /// per-clause fork cost, exactly what `bytes_cloned` records.
-    clauses: Arc<Vec<Vec<Lit>>>,
-    /// Clauses streamed into `solver` so far.  Stays equal to
-    /// `clauses.len()` — the whole point of the backend — and is asserted
-    /// on by the incrementality test in `tests/ipasir_equivalence.rs`.
+    /// Clauses streamed into `solver` so far: each added clause crosses the
+    /// ABI exactly once, which the incrementality test in
+    /// `tests/ipasir_equivalence.rs` asserts.
     clauses_transmitted: u64,
     /// Exclusive upper bound on the variables this handle has actually
     /// seen (in a transmitted clause or an assumption).  `ipasir_val` is
@@ -346,7 +310,6 @@ pub struct IpasirBackend {
     /// Model of the most recent SAT answer, indexed by variable.
     model: Vec<Option<bool>>,
     queries: u64,
-    stats: SolverStats,
     known_unsat: bool,
     /// Keeps the predicate behind `ipasir_set_terminate`'s data pointer
     /// alive (and at a stable address) for as long as it is installed.
@@ -358,15 +321,16 @@ pub struct IpasirBackend {
     user_interrupt: Option<InterruptState>,
     /// Shared resource budget, folded into the terminate predicate and
     /// checked at query entry.  The external solver's conflicts are not
-    /// observable, so the ceiling is charged by sibling builtin shards and
-    /// enforced here at poll granularity.
+    /// observable and no one charges conflicts to this tracker, so only its
+    /// deadline applies.
     budget: Option<Arc<BudgetTracker>>,
 }
 
-// SAFETY: the handle is driven only through `&mut self` (and `fork`, which
-// creates a *new* handle); IPASIR requires libraries to support multiple
-// concurrently live instances, so moving an instance between threads is
-// sound.
+// SAFETY: the solver handle is driven only through `&mut self`, and IPASIR
+// requires libraries to support multiple concurrently live instances, so
+// moving an instance between threads is sound.  The library's `dlopen`
+// handle and code pointers are immutable after load; every other field is
+// plain data or `Send + Sync` (the interrupt predicates, the budget).
 unsafe impl Send for IpasirBackend {}
 
 impl std::fmt::Debug for IpasirBackend {
@@ -374,7 +338,7 @@ impl std::fmt::Debug for IpasirBackend {
         f.debug_struct("IpasirBackend")
             .field("library", &self.library)
             .field("num_vars", &self.num_vars)
-            .field("clauses", &self.clauses.len())
+            .field("clauses", &self.clauses_transmitted)
             .field("queries", &self.queries)
             .field("known_unsat", &self.known_unsat)
             .field("interrupt", &self.interrupt.is_some())
@@ -412,12 +376,10 @@ impl IpasirBackend {
             library,
             solver,
             num_vars: 0,
-            clauses: Arc::new(Vec::new()),
             clauses_transmitted: 0,
             transmitted_vars: 0,
             model: Vec::new(),
             queries: 0,
-            stats: SolverStats::default(),
             known_unsat: false,
             interrupt: None,
             user_interrupt: None,
@@ -437,66 +399,6 @@ impl IpasirBackend {
     #[must_use]
     pub fn has_htd_extensions(&self) -> bool {
         self.library.htd_set_decision.is_some() && self.library.htd_mask_all.is_some()
-    }
-
-    /// `true` if the library exports the optional `ipasir_htd_clone`
-    /// extension, letting [`fork`](SatBackend::fork) snapshot the handle in
-    /// O(bytes) instead of replaying the clause log (see the
-    /// [module docs](self)).
-    #[must_use]
-    pub fn has_clone_extension(&self) -> bool {
-        self.library.htd_clone.is_some()
-    }
-
-    /// Forks this backend through the `ipasir_htd_clone` extension: the
-    /// library snapshots the underlying solver in O(bytes) and **no clause
-    /// re-crosses the ABI** — `clauses_transmitted` carries over flat.
-    /// Returns `None` when the library does not export the extension (or
-    /// its clone failed); [`fork`](SatBackend::fork) then falls back to
-    /// opening a fresh handle and replaying the clause log.  Public so the
-    /// equivalence suite can exercise the fast path explicitly.
-    #[must_use]
-    pub fn fork_native(&self) -> Option<IpasirBackend> {
-        let clone = self.library.htd_clone?;
-        // SAFETY: live handle; the extension contract returns an
-        // independent handle owned by the caller (released through this
-        // library's `ipasir_release`, like any handle), or null on failure.
-        let solver = unsafe { clone(self.solver) };
-        if solver.is_null() {
-            return None;
-        }
-        let mut child = IpasirBackend {
-            library: Arc::clone(&self.library),
-            solver,
-            num_vars: self.num_vars,
-            // O(1): the log is copy-on-write shared.
-            clauses: Arc::clone(&self.clauses),
-            // The cloned handle already holds every clause — zero
-            // re-transmissions; the counter carries over so the
-            // one-transmission-per-clause invariant stays observable.
-            clauses_transmitted: self.clauses_transmitted,
-            transmitted_vars: self.transmitted_vars,
-            model: Vec::new(),
-            queries: self.queries,
-            stats: self.stats,
-            known_unsat: self.known_unsat,
-            // The cloned library-side handle must not poll the parent's
-            // *boxed* closure (it captures the parent's terminate-hook
-            // pointer): the child re-installs its own below — but the
-            // user-level predicate and the budget both carry over, so a
-            // child forked after `set_interrupt` honours the inherited
-            // cancel/ceiling hooks without a fresh `set_interrupt`.
-            interrupt: None,
-            user_interrupt: self.user_interrupt.clone(),
-            // Budgets are per job: the fork charges the parent's tracker.
-            budget: self.budget.clone(),
-        };
-        child.install_terminate();
-        child.stats.fork_count += 1;
-        // Same snapshot cost model as the replay path, so reports do not
-        // depend on which fork path the loaded library supports.
-        child.stats.bytes_cloned += self.snapshot_bytes();
-        Some(child)
     }
 
     /// How many clauses this instance has streamed into its library handle.
@@ -588,7 +490,6 @@ impl SatBackend for IpasirBackend {
             self.known_unsat = true;
             return false;
         }
-        Arc::make_mut(&mut self.clauses).push(lits.to_vec());
         self.transmit(lits);
         true
     }
@@ -659,13 +560,13 @@ impl SatBackend for IpasirBackend {
     fn stats(&self) -> BackendStats {
         BackendStats {
             vars: self.num_vars as usize,
-            clauses: self.clauses.len(),
+            clauses: self.clauses_transmitted as usize,
             queries: self.queries,
             // `solves` is derived from `queries` (see the dimacs backend):
             // one hand-maintained counter, no drift.
             solver: SolverStats {
                 solves: self.queries,
-                ..self.stats
+                ..SolverStats::default()
             },
         }
     }
@@ -682,66 +583,6 @@ impl SatBackend for IpasirBackend {
             // SAFETY: live handle; optional extension resolved at load time.
             unsafe { mask_all(self.solver) };
         }
-    }
-
-    fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError> {
-        // Fast path: the `ipasir_htd_clone` extension snapshots the solver
-        // behind the ABI in O(bytes) with zero clause re-transmissions.
-        if let Some(child) = self.fork_native() {
-            return Ok(Box::new(child));
-        }
-        // Portable fallback: the standard IPASIR ABI cannot clone a handle,
-        // so a fork opens a fresh one and replays the clause log — each
-        // clause still crosses the ABI exactly once *per instance*.  Work
-        // counters carry over like the builtin backend's fork, plus one
-        // recorded fork of `snapshot_bytes` so the (heavier) replay cost
-        // model is visible.
-        // SAFETY: `init` resolved from the live shared library.
-        let solver = unsafe { (self.library.init)() };
-        if solver.is_null() {
-            return Err(BackendError::new(format!(
-                "`{}`: ipasir_init returned a null solver handle for a fork",
-                self.library.path.display()
-            )));
-        }
-        let mut child = IpasirBackend {
-            library: Arc::clone(&self.library),
-            solver,
-            num_vars: self.num_vars,
-            // O(1): the log is copy-on-write shared; only the ABI replay
-            // below is per-clause work.
-            clauses: Arc::clone(&self.clauses),
-            clauses_transmitted: 0,
-            // Rebuilt by the replay below (assumption-only variables of the
-            // parent are per-query state and need not carry over).
-            transmitted_vars: 0,
-            model: Vec::new(),
-            queries: self.queries,
-            stats: self.stats,
-            known_unsat: self.known_unsat,
-            // As in `fork_native`: drop the boxed closure, carry the
-            // user-level predicate and the budget, re-arm below.
-            interrupt: None,
-            user_interrupt: self.user_interrupt.clone(),
-            // Budgets are per job: the fork charges the parent's tracker.
-            budget: self.budget.clone(),
-        };
-        for clause in self.clauses.iter() {
-            child.transmit(clause);
-        }
-        child.install_terminate();
-        child.stats.fork_count += 1;
-        child.stats.bytes_cloned += self.snapshot_bytes();
-        Ok(Box::new(child))
-    }
-
-    fn snapshot_bytes(&self) -> u64 {
-        // The in-memory clause log — the same snapshot cost model as the
-        // DIMACS backend's clause-list clone, and deliberately identical
-        // for the `ipasir_htd_clone` fast path and the replay fallback:
-        // the external library's internal buffers are not observable, and
-        // reports must not change with the loaded library's capabilities.
-        crate::backend::clause_log_bytes(&self.clauses)
     }
 
     fn set_interrupt(&mut self, check: Arc<dyn Fn() -> bool + Send + Sync>) {

@@ -17,10 +17,11 @@
 //!   assumptions and per-property activation literals of the incremental
 //!   detection session in `htd-core`),
 //! * an arena-backed clause store: all clauses live in one flat `u32`
-//!   buffer addressed by [`ClauseRef`] offsets, so cloning the solver — the
-//!   fork primitive of the parallel detection flow — costs O(bytes), not
-//!   one allocation per clause, and garbage collection is a single in-place
-//!   compaction sweep (see the [`Solver`] module docs).
+//!   buffer addressed by [`ClauseRef`] offsets, so cloning the solver — what
+//!   [`SatBackend::fork`] does, and the builtin solver is the only backend
+//!   that forks — costs O(bytes), not one allocation per clause, and
+//!   garbage collection is a single in-place compaction sweep (see the
+//!   [`Solver`] module docs).
 //!
 //! The crate also defines the [`SatBackend`] trait — the minimal incremental
 //! interface the detection flow drives (allocate variables, add clauses,

@@ -39,9 +39,8 @@
 //!   clone in O(1) length arithmetic (clause arena + watcher arena +
 //!   per-variable bookkeeping + trail; the derived decision-order heap is
 //!   excluded, see there), and `SatBackend::fork` records `fork_count` /
-//!   `bytes_cloned` / `watcher_bytes_cloned` in the child's [`SolverStats`]
-//!   so the cost model is observable all the way up in
-//!   `DetectionReport::solver_totals`.
+//!   `bytes_cloned` in the child's [`SolverStats`] so the cost model is
+//!   observable all the way up in `DetectionReport::solver_totals`.
 //! * **`ClauseRef`s are stable until compaction.**  Allocation appends,
 //!   deletion flips a header bit, and only
 //!   [`collect_garbage`](Solver::collect_garbage) moves clauses: one
@@ -135,20 +134,15 @@ pub struct SolverStats {
     /// store — proportional to the live database size, never to the clause
     /// count.
     pub bytes_cloned: u64,
-    /// The slice of [`bytes_cloned`](Self::bytes_cloned) spent copying the
-    /// flat watcher arena (see [`Solver::watcher_bytes`]).  Zero for
-    /// backends without an observable watcher store (external IPASIR
-    /// libraries, subprocess backends).
-    pub watcher_bytes_cloned: u64,
     /// Arena words freed by garbage-collection compaction sweeps.
     pub arena_words_reclaimed: u64,
 }
 
 impl SolverStats {
-    /// Adds another stats record counter-by-counter (used to aggregate the
-    /// work of several solver instances, e.g. the per-shard solvers of a
-    /// parallel property check).  `learnt_clauses` is a gauge, not a counter;
-    /// summed values are only meaningful for per-query deltas.
+    /// Adds another stats record counter-by-counter (used to sum per-query
+    /// work into property rows, flow totals and the daemon's totals).
+    /// `learnt_clauses` is a gauge, not a counter; summed values are only
+    /// meaningful for per-query deltas.
     pub fn accumulate(&mut self, other: &SolverStats) {
         // Exhaustive destructuring on purpose: adding a field to
         // `SolverStats` without deciding how it aggregates must be a compile
@@ -167,7 +161,6 @@ impl SolverStats {
             learnt_lbd_sum,
             fork_count,
             bytes_cloned,
-            watcher_bytes_cloned,
             arena_words_reclaimed,
         } = *other;
         self.decisions += decisions;
@@ -182,7 +175,6 @@ impl SolverStats {
         self.learnt_lbd_sum += learnt_lbd_sum;
         self.fork_count += fork_count;
         self.bytes_cloned += bytes_cloned;
-        self.watcher_bytes_cloned += watcher_bytes_cloned;
         self.arena_words_reclaimed += arena_words_reclaimed;
     }
 
@@ -205,7 +197,6 @@ impl SolverStats {
             learnt_lbd_sum,
             fork_count,
             bytes_cloned,
-            watcher_bytes_cloned,
             arena_words_reclaimed,
         } = *earlier;
         SolverStats {
@@ -221,7 +212,6 @@ impl SolverStats {
             learnt_lbd_sum: self.learnt_lbd_sum - learnt_lbd_sum,
             fork_count: self.fork_count - fork_count,
             bytes_cloned: self.bytes_cloned - bytes_cloned,
-            watcher_bytes_cloned: self.watcher_bytes_cloned - watcher_bytes_cloned,
             arena_words_reclaimed: self.arena_words_reclaimed - arena_words_reclaimed,
         }
     }
@@ -382,8 +372,8 @@ pub const DEFAULT_GC_MIN_CLAUSES: usize = 128;
 /// A conflict-driven clause-learning SAT solver.
 ///
 /// The solver is `Clone`: a clone is an independent snapshot sharing no
-/// state, which incremental clients use to fork per-query solvers off one
-/// master clause database (see `SatBackend::fork` in this crate).  Because
+/// state, and the only backend `SatBackend::fork` (in this crate) copies;
+/// tests and the benchmark harness fork never-run masters.  Because
 /// the clause database is a flat arena, the clone cost is proportional to
 /// its byte size — [`snapshot_bytes`](Self::snapshot_bytes) — not to the
 /// clause count; see the [module docs](self) for the memory architecture.
@@ -417,8 +407,8 @@ pub struct Solver {
     stats: SolverStats,
     max_learnt: f64,
     interrupt: InterruptCheck,
-    /// Shared resource budget: clones (parallel shards forked off one
-    /// master) charge the same tracker through the `Arc`.
+    /// Shared resource budget: the job's one solver charges its conflicts
+    /// here, and a clone charges the same tracker through the `Arc`.
     budget: Option<Arc<BudgetTracker>>,
     /// Fraction of the clause database that must be dead before
     /// [`collect_garbage_if`](Self::collect_garbage_if) compacts.
@@ -534,30 +524,17 @@ impl Solver {
         (arena + per_var + trail) as u64 + self.watches.bytes()
     }
 
-    /// The watcher-arena slice of [`snapshot_bytes`](Self::snapshot_bytes):
-    /// the flat watcher buffer (live entries, doubling slack and holes
-    /// pending compaction) plus the per-literal range table.  O(1), and a
-    /// pure function of the operation sequence.  `SatBackend::fork` records
-    /// this in the child's [`SolverStats::watcher_bytes_cloned`].
-    #[must_use]
-    pub fn watcher_bytes(&self) -> u64 {
-        self.watches.bytes()
-    }
-
     /// Solver work counters accumulated since construction.
     #[must_use]
     pub fn stats(&self) -> SolverStats {
         self.stats
     }
 
-    /// Records one fork of `bytes` bytes (of which `watcher_bytes` copied
-    /// the watcher arena) in the stats (called by `SatBackend::fork` on the
-    /// freshly cloned child, and mirrored by incremental sessions into
-    /// per-task work deltas).
-    pub(crate) fn record_fork(&mut self, bytes: u64, watcher_bytes: u64) {
+    /// Records one fork of `bytes` bytes in the stats (called by
+    /// `SatBackend::fork` on the freshly cloned child).
+    pub(crate) fn record_fork(&mut self, bytes: u64) {
         self.stats.fork_count += 1;
         self.stats.bytes_cloned += bytes;
-        self.stats.watcher_bytes_cloned += watcher_bytes;
     }
 
     /// Sets the learnt-clause count above which the solver halves its learnt
@@ -1653,12 +1630,12 @@ mod tests {
     fn snapshot_bytes_track_the_arena() {
         let (mut s, v) = make_solver(4);
         let before = s.snapshot_bytes();
-        let watchers_before = s.watcher_bytes();
+        let watchers_before = s.watches.bytes();
         s.add_clause([lit(&v, 1), lit(&v, 2), lit(&v, 3)]);
         let after = s.snapshot_bytes();
         // One clause: 2 header words + 3 literal words, plus two fresh
         // watcher blocks of the minimum capacity (4 slots each).
-        let watcher_delta = s.watcher_bytes() - watchers_before;
+        let watcher_delta = s.watches.bytes() - watchers_before;
         assert_eq!(
             watcher_delta,
             (2 * 4 * std::mem::size_of::<Watcher>()) as u64
@@ -1667,7 +1644,7 @@ mod tests {
         assert_eq!(s.arena_words(), 5);
         let clone = s.clone();
         assert_eq!(clone.snapshot_bytes(), after);
-        assert_eq!(clone.watcher_bytes(), s.watcher_bytes());
+        assert_eq!(clone.watches.bytes(), s.watches.bytes());
     }
 
     /// `snapshot_bytes` is pure length arithmetic: two solvers that executed
@@ -1686,10 +1663,10 @@ mod tests {
         };
         let (a, b) = (build(), build());
         assert_eq!(a.snapshot_bytes(), b.snapshot_bytes());
-        assert_eq!(a.watcher_bytes(), b.watcher_bytes());
-        assert!(a.watcher_bytes() > 0);
+        assert_eq!(a.watches.bytes(), b.watches.bytes());
+        assert!(a.watches.bytes() > 0);
         // The watcher arena is part of — never exceeds — the clone cost.
-        assert!(a.watcher_bytes() < a.snapshot_bytes());
+        assert!(a.watches.bytes() < a.snapshot_bytes());
     }
 
     /// Retiring a literal that guard clauses *watch* flags them dead on the
@@ -1916,15 +1893,13 @@ mod tests {
             learnt_lbd_sum: 10,
             fork_count: 11,
             bytes_cloned: 12,
-            watcher_bytes_cloned: 13,
-            arena_words_reclaimed: 14,
+            arena_words_reclaimed: 13,
         };
         let b = a;
         a.accumulate(&b);
         assert_eq!(a.fork_count, 22);
         assert_eq!(a.bytes_cloned, 24);
-        assert_eq!(a.watcher_bytes_cloned, 26);
-        assert_eq!(a.arena_words_reclaimed, 28);
+        assert_eq!(a.arena_words_reclaimed, 26);
         let delta = a.delta_since(&b);
         assert_eq!(delta, b);
     }

@@ -1,9 +1,9 @@
 //! Flat arena storage for the two-watched-literal occurrence lists.
 //!
 //! The solver used to keep one heap-allocated `Vec<Watcher>` per literal
-//! (`watches: Vec<Vec<Watcher>>`), which made `Solver::clone` — the fork
-//! primitive of the parallel detection flow — pay one allocation *per
-//! literal*.  [`WatcherArena`] is the same flattening move [`crate::arena`]
+//! (`watches: Vec<Vec<Watcher>>`), which made `Solver::clone` — what
+//! [`SatBackend::fork`](crate::SatBackend::fork) copies — pay one
+//! allocation *per literal*.  [`WatcherArena`] is the same flattening move [`crate::arena`]
 //! made for clauses: every watcher lives in one `Vec<Watcher>` data buffer,
 //! and each literal owns a contiguous `(start, len, cap)` block of it.
 //! Cloning the arena is two flat memcpys, and its byte cost is O(1) length

@@ -132,10 +132,9 @@ proptest! {
     /// clause detaching (swap-remove, forced by a tiny learnt limit) —
     /// under arbitrary scripts.  At every step the freshly forked child
     /// answers exactly as the parent does, and the fork counters pin the
-    /// cost model: each fork records exactly `snapshot_bytes()` bytes, of
-    /// which exactly `watcher_bytes()` were spent on the watcher arena.
+    /// cost model: each fork records exactly `snapshot_bytes()` bytes.
     #[test]
-    fn fork_gc_detach_interleaving_preserves_answers_and_watcher_costs(
+    fn fork_gc_detach_interleaving_preserves_answers_and_fork_costs(
         (num_vars, clauses, script) in script_strategy()
     ) {
         let (mut parent, vars) = build(num_vars, &clauses);
@@ -151,19 +150,12 @@ proptest! {
             }
             let forks_before = parent.stats().fork_count;
             let snapshot = parent.snapshot_bytes();
-            let watcher = parent.watcher_bytes();
             let mut child = SatBackend::fork(&parent).expect("the bundled solver forks");
             prop_assert_eq!(child.stats().solver.fork_count, forks_before + 1);
             prop_assert_eq!(
                 child.stats().solver.bytes_cloned - parent.stats().bytes_cloned,
                 snapshot
             );
-            prop_assert_eq!(
-                child.stats().solver.watcher_bytes_cloned
-                    - parent.stats().watcher_bytes_cloned,
-                watcher
-            );
-            prop_assert!(watcher <= snapshot, "watcher bytes are a slice of the snapshot");
 
             let assumptions = lits(&vars, assumptions);
             let expected = parent.solve_with_assumptions(&assumptions);

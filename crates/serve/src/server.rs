@@ -1236,7 +1236,6 @@ fn solver_json(stats: &SolverStats) -> Json {
 /// Session counters under their schema-v4 benchmark field names.
 fn session_json(stats: &SessionStats) -> Json {
     Json::obj([
-        ("bit_blasts", Json::UInt(stats.bit_blasts)),
         ("properties_checked", Json::UInt(stats.properties_checked)),
         ("nodes_encoded", Json::UInt(stats.nodes_encoded)),
         ("queries", Json::UInt(stats.queries)),
@@ -1293,14 +1292,12 @@ fn accumulate_session(into: &mut SessionStats, add: &SessionStats) {
     // that is not accumulated here must be a compile error, not a totals
     // row that silently stays zero.
     let SessionStats {
-        bit_blasts,
         properties_checked,
         nodes_encoded,
         queries,
         structurally_proved,
         epoch_rebinds,
     } = *add;
-    into.bit_blasts += bit_blasts;
     into.properties_checked += properties_checked;
     into.nodes_encoded += nodes_encoded;
     into.queries += queries;

@@ -75,8 +75,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     })?;
     let stats = session.session_stats();
     println!(
-        "  ({} bit-blast, {} SAT queries for the whole flow)",
-        stats.bit_blasts, stats.queries
+        "  ({} properties, {} SAT queries for the whole flow)",
+        stats.properties_checked, stats.queries
     );
     println!("\n{report}");
     match report.outcome {

@@ -10,19 +10,20 @@
 //! resolution counts, encoder statistics.  The solver-internal work
 //! counters (`SolverStats`) are scrubbed before comparison — the builtin
 //! backend reports decisions/conflicts/propagations while an external
-//! library is a black box that can only report queries and fork costs, so
-//! those counters are backend-*dependent* by design.
+//! library is a black box that can only report its queries, so those
+//! counters are backend-*dependent* by design.
 //!
 //! Identical models (not just identical verdicts) are possible because the
 //! shim exports the optional `ipasir_htd_*` decision-masking extensions:
-//! with them, a forked shim handle receives exactly the operation sequence
-//! of a builtin solver shard (see `crates/sat/src/ipasir.rs`).  A foreign
-//! IPASIR library without the extensions would still produce equivalent
-//! verdicts, just not bit-equal counterexamples.
+//! with them, a shim handle receives exactly the operation sequence of the
+//! builtin solver (see `crates/sat/src/ipasir.rs`).  A foreign IPASIR
+//! library without the extensions would still produce equivalent verdicts,
+//! just not bit-equal counterexamples.
 
 use std::path::PathBuf;
 
 use golden_free_htd::detect::{BackendChoice, DetectionReport, DetectorConfig, SessionBuilder};
+use golden_free_htd::ipc::MiterSession;
 use golden_free_htd::sat::{
     BudgetTracker, IpasirBackend, Lit, SatBackend, SolveBudget, SolveResult, SolverStats,
 };
@@ -113,8 +114,8 @@ fn all_benchmarks_report_identically_on_the_ipasir_shim() {
 }
 
 /// The backend is genuinely incremental: clauses cross the ABI exactly
-/// once per backend instance, regardless of how many queries run, and a
-/// fork's replay re-transmits into the *fresh* instance only.
+/// once per backend instance, regardless of how many queries run, and the
+/// backend's clause count is the count it transmitted.
 #[test]
 fn clauses_are_transmitted_exactly_once_per_backend_instance() {
     let mut backend = IpasirBackend::load(shim_library()).expect("shim loads");
@@ -134,6 +135,7 @@ fn clauses_are_transmitted_exactly_once_per_backend_instance() {
     }
     let clause_count = vars.len() as u64 - 1;
     assert_eq!(backend.clauses_transmitted(), clause_count);
+    assert_eq!(backend.stats().clauses as u64, clause_count);
 
     // Many queries, zero re-transmissions.
     assert_eq!(backend.solve_under(&[]).unwrap(), SolveResult::Sat);
@@ -161,83 +163,27 @@ fn clauses_are_transmitted_exactly_once_per_backend_instance() {
         SolveResult::Unsat
     );
     assert_eq!(backend.clauses_transmitted(), clause_count + 1);
-
-    // A fork replays the log into a fresh handle (once per *new* instance),
-    // leaves the parent's counter untouched, and records its clone cost.
-    let parent_transmitted = backend.clauses_transmitted();
-    let parent_stats = backend.stats().solver;
-    let mut fork = backend.fork().expect("ipasir backends fork");
-    assert_eq!(backend.clauses_transmitted(), parent_transmitted);
-    let fork_stats = fork.stats().solver;
-    assert_eq!(fork_stats.fork_count, parent_stats.fork_count + 1);
-    assert_eq!(
-        fork_stats.bytes_cloned,
-        parent_stats.bytes_cloned + backend.snapshot_bytes()
-    );
-    assert!(backend.snapshot_bytes() > 0);
-    // The fork answers like the parent and stays independent.
-    assert_eq!(
-        fork.solve_under(&[Lit::pos(vars[0])]).unwrap(),
-        SolveResult::Unsat
-    );
-    let extra = fork.new_var();
-    fork.add_clause(&[Lit::pos(extra)]);
-    assert_eq!(fork.stats().clauses as u64, parent_transmitted + 1);
-    assert_eq!(backend.stats().clauses as u64, parent_transmitted);
+    assert_eq!(backend.stats().clauses as u64, clause_count + 1);
 }
 
-/// The `ipasir_htd_clone` extension: `fork_native` snapshots the library
-/// solver in O(bytes), the child inherits the parent's transmission ledger
-/// (no clause crosses the ABI again), and the recorded clone cost is the
-/// same `snapshot_bytes()` the replay path charges — so reports cannot
-/// depend on which fork path a library supports.  The full-matrix test
-/// above exercises this path end to end on every benchmark, because
-/// `IpasirBackend::fork` prefers the native clone when the export exists.
+/// Only the builtin solver forks: the IPASIR backend, and a session built
+/// over it, answer `Err` naming the backend.
 #[test]
-fn the_clone_extension_forks_without_retransmitting_clauses() {
-    let mut backend = IpasirBackend::load(shim_library()).expect("shim loads");
-    assert!(
-        backend.has_clone_extension(),
-        "the shim exports ipasir_htd_clone"
-    );
+fn an_ipasir_backend_does_not_fork() {
+    let library = shim_library();
+    let want = format!("`ipasir:{}` does not fork", library.display());
+    let backend = IpasirBackend::load(&library).expect("shim loads");
+    let Err(err) = backend.fork() else {
+        panic!("the ipasir backend forked");
+    };
+    assert_eq!(err.message, want);
 
-    let vars: Vec<_> = (0..6).map(|_| backend.new_var()).collect();
-    for window in vars.windows(2) {
-        backend.add_clause(&[Lit::neg(window[0]), Lit::pos(window[1])]);
-    }
-    assert_eq!(backend.solve_under(&[]).unwrap(), SolveResult::Sat);
-
-    let transmitted = backend.clauses_transmitted();
-    let parent_stats = backend.stats().solver;
-    let mut child = backend.fork_native().expect("clone extension is present");
-
-    // A native clone moves bytes, not clauses: both handles keep the
-    // parent's transmission count, with zero additional transmissions.
-    assert_eq!(child.clauses_transmitted(), transmitted);
-    assert_eq!(backend.clauses_transmitted(), transmitted);
-    let child_stats = child.stats().solver;
-    assert_eq!(child_stats.fork_count, parent_stats.fork_count + 1);
-    assert_eq!(
-        child_stats.bytes_cloned,
-        parent_stats.bytes_cloned + backend.snapshot_bytes()
-    );
-
-    // Identical answers, independent futures.
-    assert_eq!(
-        child
-            .solve_under(&[Lit::pos(vars[0]), Lit::neg(vars[5])])
-            .unwrap(),
-        SolveResult::Unsat,
-        "the cloned chain still forces v5 from v0"
-    );
-    child.add_clause(&[Lit::neg(vars[0])]);
-    assert_eq!(child.clauses_transmitted(), transmitted + 1);
-    assert_eq!(backend.clauses_transmitted(), transmitted);
-    assert_eq!(
-        backend.solve_under(&[Lit::pos(vars[0])]).unwrap(),
-        SolveResult::Sat,
-        "the parent never sees the child's clause"
-    );
+    let design = Benchmark::Rs232T2400.build().expect("benchmark builds");
+    let session = MiterSession::new(&design, Box::new(backend));
+    let Err(err) = session.fork() else {
+        panic!("a session over the ipasir backend forked");
+    };
+    assert_eq!(err.message, want);
 }
 
 /// The interrupt predicate reaches the library through
@@ -254,13 +200,12 @@ fn interrupts_reach_the_library_through_set_terminate() {
     assert_eq!(backend.solve_under(&[]).unwrap(), SolveResult::Sat);
 }
 
-/// Regression for the fork/interrupt seam every per-task shard is cancelled
-/// through: a child forked *after* the parent armed a conflict ceiling must
-/// honour it without a fresh `set_budget` — `fork_native` used to drop the
-/// inherited terminate state on the floor, so a forked shard would grind on
-/// after its budget was spent.
+/// A spent budget armed on the backend itself answers `Interrupted` without
+/// entering the library: no one charges an external backend's conflicts, so
+/// the test charges the tracker directly.  Detaching the budget restores
+/// normal solving.
 #[test]
-fn a_forked_child_honours_a_pre_armed_conflict_ceiling() {
+fn a_spent_conflict_ceiling_interrupts_before_the_library_solves() {
     use std::sync::atomic::AtomicBool;
     use std::sync::Arc;
 
@@ -270,10 +215,6 @@ fn a_forked_child_honours_a_pre_armed_conflict_ceiling() {
         backend.add_clause(&[Lit::neg(window[0]), Lit::pos(window[1])]);
     }
 
-    // Arm a conflict ceiling on the *parent* and spend it (the external
-    // solver's conflicts are charged by sibling shards, so charge the
-    // tracker directly — this is exactly the shared-tracker state a racing
-    // fork inherits).
     let tracker = Arc::new(BudgetTracker::start(
         SolveBudget {
             deadline: None,
@@ -286,56 +227,10 @@ fn a_forked_child_honours_a_pre_armed_conflict_ceiling() {
         tracker.charge_conflict();
     }
     assert!(tracker.check(), "the ceiling is spent");
+    assert_eq!(backend.solve_under(&[]).unwrap(), SolveResult::Interrupted);
 
-    // Both fork paths must carry the armed budget across.
-    let mut native = backend.fork_native().expect("clone extension is present");
-    assert_eq!(
-        native.solve_under(&[]).unwrap(),
-        SolveResult::Interrupted,
-        "a native clone honours the pre-armed ceiling without set_budget"
-    );
-    let mut replayed = backend.fork().expect("ipasir backends fork");
-    assert_eq!(
-        replayed.solve_under(&[]).unwrap(),
-        SolveResult::Interrupted,
-        "a replay fork honours the pre-armed ceiling without set_budget"
-    );
-
-    // Releasing the ceiling on the child restores normal solving — the
-    // inherited state is a starting point, not a permanent verdict.
-    native.set_budget(None);
-    assert_eq!(native.solve_under(&[]).unwrap(), SolveResult::Sat);
-}
-
-/// The user-level interrupt predicate also survives a fork: a cancel flag
-/// armed before forking stops the child the moment it trips, with no
-/// fresh `set_interrupt` on the child handle.
-#[test]
-fn a_forked_child_inherits_the_parent_interrupt_predicate() {
-    use std::sync::atomic::{AtomicBool, Ordering};
-    use std::sync::Arc;
-
-    let mut backend = IpasirBackend::load(shim_library()).expect("shim loads");
-    let a = backend.new_var();
-    let b = backend.new_var();
-    backend.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-
-    let cancel = Arc::new(AtomicBool::new(false));
-    let flag = Arc::clone(&cancel);
-    backend.set_interrupt(Arc::new(move || flag.load(Ordering::Relaxed)));
-
-    let mut child = backend.fork_native().expect("clone extension is present");
-    assert_eq!(
-        child.solve_under(&[]).unwrap(),
-        SolveResult::Sat,
-        "an untripped flag does not block the child"
-    );
-    cancel.store(true, Ordering::Relaxed);
-    assert_eq!(
-        child.solve_under(&[]).unwrap(),
-        SolveResult::Interrupted,
-        "the inherited predicate cancels the forked child"
-    );
+    backend.set_budget(None);
+    assert_eq!(backend.solve_under(&[]).unwrap(), SolveResult::Sat);
 }
 
 /// `detect --backend ipasir:` wiring end to end: dimacs-style detection

@@ -1,9 +1,9 @@
 //! Backend-equivalence suite for the session redesign: the incremental
 //! `DetectionSession` path must reach the same verdicts as the legacy
 //! per-property re-encode path (`TrojanDetector`) on every bundled
-//! benchmark, while performing exactly one bit-blast per flow run.  The
-//! session's cost accounting is checked here too: a flow forks nothing, and
-//! the clause-GC thresholds reach the master.
+//! benchmark, while lowering every property into one AIG on one backend.
+//! The session's cost accounting is checked here too: a flow forks nothing,
+//! and the clause-GC thresholds reach the master.
 
 #![allow(deprecated)] // the legacy TrojanDetector is the reference path here
 
@@ -25,18 +25,18 @@ fn legacy_run(benchmark: Benchmark) -> DetectionReport {
         .expect("legacy flow completes")
 }
 
-fn session_run(benchmark: Benchmark) -> (DetectionReport, u64) {
+fn session_run(benchmark: Benchmark) -> DetectionReport {
     let design = benchmark.build().expect("benchmark builds");
     let config = DetectorConfig {
         benign_state: benchmark.benign_state(&design),
         ..DetectorConfig::default()
     };
-    let mut session = SessionBuilder::new(design)
+    SessionBuilder::new(design)
         .config(config)
         .build()
-        .expect("session builder accepts the design");
-    let report = session.run().expect("session flow completes");
-    (report, session.session_stats().bit_blasts)
+        .expect("session builder accepts the design")
+        .run()
+        .expect("session flow completes")
 }
 
 fn diff_set(outcome: &DetectionOutcome) -> Option<Vec<String>> {
@@ -56,13 +56,9 @@ fn diff_set(outcome: &DetectionOutcome) -> Option<Vec<String>> {
 
 fn assert_equivalent(benchmark: Benchmark) {
     let legacy = legacy_run(benchmark);
-    let (session, bit_blasts) = session_run(benchmark);
+    let session = session_run(benchmark);
     let name = benchmark.name();
 
-    assert_eq!(
-        bit_blasts, 1,
-        "{name}: the session must bit-blast exactly once"
-    );
     assert_eq!(
         legacy.outcome.is_secure(),
         session.outcome.is_secure(),
@@ -153,8 +149,6 @@ fn session_path_reuses_its_encoding_across_properties() {
     let stats_first = session.session_stats();
     session.run().expect("second run completes");
     let stats_second = session.session_stats();
-    assert_eq!(stats_first.bit_blasts, 1);
-    assert_eq!(stats_second.bit_blasts, 1);
     assert_eq!(
         stats_first.nodes_encoded, stats_second.nodes_encoded,
         "a repeated run must not grow the encoding"
@@ -181,14 +175,7 @@ fn a_flow_report_records_no_forks() {
     let report = session.run().expect("flow completes");
     assert_eq!(report.spurious_resolved, 1);
     let totals = report.solver_totals;
-    assert_eq!(
-        (
-            totals.fork_count,
-            totals.bytes_cloned,
-            totals.watcher_bytes_cloned
-        ),
-        (0, 0, 0)
-    );
+    assert_eq!((totals.fork_count, totals.bytes_cloned), (0, 0));
     let stats = session.session_stats();
     assert_eq!(stats.queries, totals.solves);
     let pipeline = session.pipeline_stats();
