@@ -297,20 +297,9 @@ fn export(input: &Path, top: Option<&str>, output: Option<&Path>) -> Result<Stri
 /// Renders one [`FlowEvent`] as a human-readable progress line.
 fn render_event(event: &FlowEvent) -> Option<String> {
     match event {
-        FlowEvent::LevelStarted {
-            level,
-            signals,
-            dep_signals,
-            ..
-        } => Some(if dep_signals.is_empty() {
-            format!("level {level}: {} signals to prove", signals.len())
-        } else {
-            format!(
-                "level {level}: {} signals to prove (fed by {} signal(s) of the previous level)",
-                signals.len(),
-                dep_signals.len()
-            )
-        }),
+        FlowEvent::LevelStarted { level, signals } => {
+            Some(format!("level {level}: {} signals to prove", signals.len()))
+        }
         FlowEvent::PropertyProved {
             property,
             duration,

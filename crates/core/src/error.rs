@@ -3,7 +3,9 @@
 use std::error::Error;
 use std::fmt;
 
-/// Errors reported by [`crate::TrojanDetector`].
+/// Errors of the detection flow, reported by a
+/// [`DetectionSession`](crate::DetectionSession) and by the reference
+/// [`TrojanDetector`](crate::TrojanDetector).
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum DetectError {
@@ -20,18 +22,9 @@ pub enum DetectError {
         /// The configured limit.
         limit: usize,
     },
-    /// Spurious-counterexample resolution exceeded its iteration budget for a
-    /// property.
-    ResolutionLimit {
-        /// The property that could not be resolved.
-        property: String,
-        /// The configured limit.
-        limit: usize,
-    },
     /// The detector configuration is self-contradictory (e.g. a zero
     /// iteration budget, which would make every run die with
-    /// [`IterationLimit`](Self::IterationLimit) or
-    /// [`ResolutionLimit`](Self::ResolutionLimit)).
+    /// [`IterationLimit`](Self::IterationLimit)).
     InvalidConfig {
         /// What is wrong with the configuration.
         reason: String,
@@ -44,8 +37,8 @@ pub enum DetectError {
     },
     /// The run was cancelled through the session's external cancellation
     /// flag ([`crate::DetectionSession::cancel_flag`]) before reaching a
-    /// verdict: in-flight solver tasks were interrupted mid-search and their
-    /// partial results discarded.  The service tier raises this when a client
+    /// verdict: the solve in flight was interrupted mid-search and its
+    /// partial result discarded.  The service tier raises this when a client
     /// disconnects or deletes its job.
     Cancelled,
     /// The run's [`SolveBudget`](crate::SolveBudget) was exhausted before a
@@ -72,10 +65,6 @@ impl fmt::Display for DetectError {
             DetectError::IterationLimit { limit } => {
                 write!(f, "fanout iteration limit of {limit} exceeded")
             }
-            DetectError::ResolutionLimit { property, limit } => write!(
-                f,
-                "spurious-counterexample resolution limit of {limit} exceeded for {property}"
-            ),
             DetectError::InvalidConfig { reason } => {
                 write!(f, "invalid detector configuration: {reason}")
             }
@@ -109,12 +98,6 @@ mod tests {
         assert!(DetectError::IterationLimit { limit: 3 }
             .to_string()
             .contains('3'));
-        assert!(DetectError::ResolutionLimit {
-            property: "fanout_property_2".into(),
-            limit: 5
-        }
-        .to_string()
-        .contains("fanout_property_2"));
         let exhausted = DetectError::BudgetExhausted {
             reason: "deadline".into(),
             conflicts: 42,

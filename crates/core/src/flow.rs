@@ -2,25 +2,21 @@
 //!
 //! The primary entry point is the incremental
 //! [`DetectionSession`](crate::DetectionSession), which runs Algorithm 1 of
-//! the paper on the sequential flow-graph executor.  The deprecated
-//! [`TrojanDetector`] is kept here for backward compatibility and as the
-//! *fresh-solve reference path*: it walks the same flow graph in node order
-//! and rebuilds the AIG, the CNF and the SAT solver for every property,
-//! which the equivalence tests and the `property_runtime` benchmark compare
-//! the session path against.
+//! the paper on one live miter encoding.  The deprecated [`TrojanDetector`]
+//! is kept here for backward compatibility and as the *fresh-solve
+//! reference path*: it runs the same loop with a check that rebuilds the
+//! AIG, the CNF and the SAT solver for every property, which the
+//! equivalence tests and the `property_runtime` benchmark compare the
+//! session path against.
 
-use std::time::Instant;
+use std::sync::atomic::AtomicBool;
 
-use htd_ipc::{
-    CheckOutcome, CheckStats, CheckerOptions, Counterexample, IntervalProperty, PropertyChecker,
-};
+use htd_ipc::{CheckerOptions, PropertyChecker};
 use htd_rtl::{SignalId, ValidatedDesign};
-use htd_sat::SolverStats;
 
-use crate::diagnosis::{benign_fanin_of, diagnose};
 use crate::error::DetectError;
-use crate::flowgraph::FlowGraph;
-use crate::report::{DetectedBy, DetectionOutcome, DetectionReport, PropertyTrace};
+use crate::report::DetectionReport;
+use crate::scheduler::walk;
 use crate::session::{validate_config, validate_design};
 
 /// Configuration of the detection flow.
@@ -42,9 +38,6 @@ pub struct DetectorConfig {
     /// fully explained by waived registers, the flow adds equality
     /// assumptions for them and re-verifies instead of reporting a Trojan.
     pub benign_state: Vec<SignalId>,
-    /// Maximum number of spurious-counterexample resolution rounds per
-    /// property.  Must be at least 1.
-    pub max_resolution_iterations: usize,
     /// Safety bound on the number of fanout iterations (the loop is bounded
     /// by the structural depth of the design; this limit only guards against
     /// configuration errors).  Must be at least 1.
@@ -63,7 +56,6 @@ impl Default for DetectorConfig {
             checker: CheckerOptions::default(),
             assume_previously_proven: true,
             benign_state: Vec::new(),
-            max_resolution_iterations: 16,
             max_flow_iterations: 4096,
             budget: htd_sat::SolveBudget::default(),
         }
@@ -108,7 +100,7 @@ impl<'a> TrojanDetector<'a> {
     /// # Errors
     ///
     /// Same conditions as [`new`](Self::new), plus
-    /// [`DetectError::InvalidConfig`] for zero iteration budgets.
+    /// [`DetectError::InvalidConfig`] for a zero iteration budget.
     pub fn with_config(
         design: &'a ValidatedDesign,
         config: DetectorConfig,
@@ -125,9 +117,9 @@ impl<'a> TrojanDetector<'a> {
     }
 
     /// Runs the full detection flow: init property, fanout properties until
-    /// the structural fixpoint, then the signal-coverage check.  The levels
-    /// and their properties come from the planned [`FlowGraph`]; each one is
-    /// checked on a fresh [`PropertyChecker`] encoding.
+    /// the structural fixpoint, then the signal-coverage check.  It is the
+    /// session's loop, checking each property on a fresh
+    /// [`PropertyChecker`] encoding.
     ///
     /// The flow stops at the first property that fails after
     /// spurious-counterexample resolution, exactly as a verification engineer
@@ -136,132 +128,18 @@ impl<'a> TrojanDetector<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`DetectError::IterationLimit`] or
-    /// [`DetectError::ResolutionLimit`] when the configured safety bounds are
-    /// exceeded (which indicates a configuration problem, not a Trojan).
+    /// Returns [`DetectError::IterationLimit`] when the configured safety
+    /// bound is exceeded (which indicates a configuration problem, not a
+    /// Trojan).
     pub fn run(&self) -> Result<DetectionReport, DetectError> {
-        let design = self.design;
-        let mut graph = FlowGraph::plan(design, &self.config)?;
-        // htd-lint: allow(determinism): feeds DetectionReport.total_duration only, which render_normalized() zeroes
-        let start = Instant::now();
-        let d = design.design();
-        let names = |sigs: &[SignalId]| -> Vec<String> {
-            sigs.iter().map(|&s| d.signal_name(s).to_string()).collect()
-        };
-
-        let mut fanout_levels: Vec<Vec<String>> = Vec::new();
-        let mut properties: Vec<PropertyTrace> = Vec::new();
-        let mut solver_totals = SolverStats::default();
-        let mut failure = None;
-        let mut level_idx = 0usize;
-        while graph.ensure_level(design, level_idx)? {
-            let node = graph.level_node(level_idx);
-            fanout_levels.push(names(&node.signals));
-            let property = node.property.clone().expect("level nodes carry properties");
-            let (trace, failed) = self.check_with_resolution(property, &mut solver_totals)?;
-            properties.push(trace);
-            if let Some(cex) = failed {
-                let detected_by = if level_idx == 0 {
-                    DetectedBy::InitProperty
-                } else {
-                    DetectedBy::FanoutProperty(level_idx)
-                };
-                failure = Some(DetectionOutcome::PropertyFailed {
-                    detected_by,
-                    counterexample: Box::new(cex),
-                });
-                break;
-            }
-            level_idx += 1;
-        }
-        let outcome = match failure {
-            Some(failure) => failure,
-            None => {
-                // The coverage node (case 2 of Sec. IV-D).
-                let (_, _, uncovered) = graph.finish_coverage(design)?;
-                if uncovered.is_empty() {
-                    DetectionOutcome::Secure
-                } else {
-                    DetectionOutcome::UncoveredSignals {
-                        signals: names(&uncovered),
-                    }
-                }
-            }
-        };
-        Ok(DetectionReport {
-            design: d.name().to_string(),
-            outcome,
-            fanout_levels,
-            spurious_resolved: properties.iter().map(|p| p.spurious_resolved).sum(),
-            properties,
-            solver_totals,
-            total_duration: start.elapsed(),
-        })
-    }
-
-    /// Checks one level's property, resolving spurious counterexamples
-    /// (Sec. V-B): each round re-checks the property with equality
-    /// assumptions for the waived benign state.  Every round's solver work
-    /// is added to `solver_totals`, and the returned row carries the sum of
-    /// all its rounds' work.
-    fn check_with_resolution(
-        &self,
-        property: IntervalProperty,
-        solver_totals: &mut SolverStats,
-    ) -> Result<(PropertyTrace, Option<Counterexample>), DetectError> {
-        let (design, config) = (self.design, &self.config);
-        let proves: Vec<String> = property
-            .prove_equal
-            .iter()
-            .map(|&s| design.design().signal_name(s).to_string())
-            .collect();
-        let mut current = property;
-        let mut resolved = 0usize;
-        let mut row_stats = CheckStats::default();
-        loop {
-            let mut report = PropertyChecker::with_options(design, config.checker).check(&current);
-            solver_totals.accumulate(&report.stats.solver);
-            row_stats.accumulate(&report.stats);
-            report.stats = row_stats;
-            let failed = match &report.outcome {
-                CheckOutcome::Holds => None,
-                CheckOutcome::Fails(cex) => {
-                    if diagnose(design, cex, &current.assume_equal, &config.benign_state)
-                        .is_spurious()
-                    {
-                        if resolved >= config.max_resolution_iterations {
-                            return Err(DetectError::ResolutionLimit {
-                                property: current.name.clone(),
-                                limit: config.max_resolution_iterations,
-                            });
-                        }
-                        resolved += 1;
-                        // Assume the benign fanin of the whole level equal,
-                        // not only the registers this model happened to
-                        // flip: the engineer has disqualified all of it, and
-                        // waiving it register-by-register would just replay
-                        // the same divergence with a different benign cause
-                        // next round.
-                        let waived = benign_fanin_of(
-                            design,
-                            &current.prove_equal,
-                            &current.assume_equal,
-                            &config.benign_state,
-                        );
-                        current = current.with_extra_assumptions(&waived);
-                        continue;
-                    }
-                    Some((**cex).clone())
-                }
-            };
-            let trace = PropertyTrace {
-                name: current.name.clone(),
-                proves,
-                report,
-                spurious_resolved: resolved,
-            };
-            return Ok((trace, failed));
-        }
+        let (design, checker) = (self.design, self.config.checker);
+        walk(
+            design,
+            &self.config,
+            &mut |property| Ok(PropertyChecker::with_options(design, checker).check(property)),
+            &AtomicBool::new(false),
+            &mut |_| {},
+        )
     }
 }
 
@@ -472,18 +350,15 @@ mod tests {
     #[test]
     fn detector_rejects_zero_iteration_budgets() {
         let design = clean_pipeline();
-        for (resolution, flow) in [(0usize, 4096usize), (16, 0)] {
-            let config = DetectorConfig {
-                max_resolution_iterations: resolution,
-                max_flow_iterations: flow,
-                ..DetectorConfig::default()
-            };
-            let err = TrojanDetector::with_config(&design, config).unwrap_err();
-            assert!(
-                matches!(err, DetectError::InvalidConfig { .. }),
-                "expected InvalidConfig, got {err:?}"
-            );
-        }
+        let config = DetectorConfig {
+            max_flow_iterations: 0,
+            ..DetectorConfig::default()
+        };
+        let err = TrojanDetector::with_config(&design, config).unwrap_err();
+        assert!(
+            matches!(err, DetectError::InvalidConfig { .. }),
+            "expected InvalidConfig, got {err:?}"
+        );
     }
 
     #[test]

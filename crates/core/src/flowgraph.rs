@@ -1,116 +1,38 @@
-//! The dependency-driven flow graph: Algorithm 1 as task nodes and edges.
+//! The level planner: the fanout levels of Algorithm 1, planned lazily.
 //!
-//! The paper presents the detection flow as a strictly sequential loop —
-//! prove level *k*, resolve its spurious counterexamples, then move to level
-//! *k + 1*.  Structurally, however, everything about that loop except the
-//! verdicts is known without any solving: the fanout levels, their
-//! properties, the antecedent each level assumes and the signals of the
-//! previous level that actually feed each level's cone are all functions of
-//! the netlist alone.  [`FlowGraph`] computes that structure and models the
-//! flow as explicit nodes:
+//! Everything about the detection loop except its verdicts is structural:
+//! the fanout levels, their interval properties and the antecedent each
+//! level assumes are functions of the netlist alone.  [`FlowGraph`] plans
+//! them one level at a time, holding one [`IntervalProperty`] per planned
+//! level (level 1 is the init property, level `k + 1` is
+//! `fanout_property_k`).
 //!
-//! * one [`FlowNodeKind::Level`] node per fanout level (the init property is
-//!   level 1), carrying the level's [`IntervalProperty`] and a dependency
-//!   edge to the previous level node, annotated with the *provenance* subset
-//!   — the previous level's prove signals that occur in this level's
-//!   antecedent cone;
-//! * [`FlowNodeKind::Resolution`] nodes, appended dynamically when a level's
-//!   counterexample is diagnosed as spurious: a resolution round is a
-//!   re-enqueued node depending on the round before it, not an inner loop;
-//! * one final [`FlowNodeKind::Coverage`] node depending on every level.
-//!
-//! Level nodes are planned **incrementally** ([`FlowGraph::ensure_level`]):
-//! the structural walks behind a level (fanout computation, provenance
-//! supports) only run when an executor actually reaches that level, so a
-//! flow that dies on the init property pays for one level of planning,
-//! exactly like the sequential loop it replaces.
-//!
-//! Executors walk the graph instead of re-deriving the loop, both in node
-//! order on the calling thread: the session's executor (`htd-core`'s
-//! scheduler) checks each node on one live miter encoding, and the
-//! fresh-encode reference [`TrojanDetector`](crate::TrojanDetector) rebuilds
-//! the encoding per property.  Node ids are stable across executors and are
-//! surfaced in every [`FlowEvent`](crate::FlowEvent).
+//! Levels are planned **on demand** ([`FlowGraph::ensure_level`]): the
+//! fanout walk behind a level only runs when the flow reaches that level, so
+//! a flow that dies on the init property pays for one level of planning.
+//! The flow's one loop (`walk` in the scheduler) asks for each level as it
+//! reaches it, whether it checks on the session's live encoding or on the
+//! fresh-encode reference [`TrojanDetector`](crate::TrojanDetector).
 
 use std::collections::BTreeSet;
 
 use htd_ipc::IntervalProperty;
-use htd_rtl::structural::{drivers_support, get_fanout, uncovered_signals};
+use htd_rtl::structural::{get_fanout, uncovered_signals};
 use htd_rtl::{SignalId, ValidatedDesign};
 
 use crate::error::DetectError;
 use crate::flow::DetectorConfig;
 
-/// What a [`FlowNode`] contributes to the flow.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum FlowNodeKind {
-    /// A fanout level's unique-cause property (level 1 is the init property).
-    Level {
-        /// The 1-based level index (`fanouts_CCk`).
-        level: usize,
-    },
-    /// A spurious-counterexample resolution round of a level: the level's
-    /// property re-enqueued with equality assumptions for the waived benign
-    /// state.
-    Resolution {
-        /// The 1-based level the round re-verifies.
-        level: usize,
-        /// The 1-based resolution round.
-        round: usize,
-    },
-    /// The final signal-coverage check (case 2 of Sec. IV-D).
-    Coverage,
-}
-
-/// One node of the flow graph.
-#[derive(Clone, Debug)]
-pub struct FlowNode {
-    /// Stable node id.  Level nodes are numbered `0..` in flow order;
-    /// resolution and coverage nodes take the next free id when appended.
-    pub id: usize,
-    /// The node's role in the flow.
-    pub kind: FlowNodeKind,
-    /// The property the node checks (`None` for the coverage node).
-    pub property: Option<IntervalProperty>,
-    /// Ids of the nodes this node depends on.  A level depends on the level
-    /// before it, a resolution round on the node it re-verifies, coverage on
-    /// every level.
-    pub deps: Vec<usize>,
-    /// Dependency provenance: the subset of the *previous* level's prove
-    /// signals that actually feed this node's antecedent cone.  A level-`k+1`
-    /// sub-property is independent of every level-`k` sub-property outside
-    /// this set — the structural fact that makes cross-level pipelining
-    /// sound.
-    pub dep_signals: Vec<SignalId>,
-    /// The signals the node proves equal (the level's prove set; empty for
-    /// coverage).
-    pub signals: Vec<SignalId>,
-}
-
-/// Planner state for the not-yet-planned suffix of levels.
-#[derive(Clone, Debug)]
-struct Frontier {
-    /// Every signal covered by the levels planned so far.
-    fanouts_all: BTreeSet<SignalId>,
-    /// The newest planned level's prove set.
-    fanouts_cck: Vec<SignalId>,
-    /// The fanout-property index the next extension would create.
-    k: usize,
-}
-
-/// The decomposition of one detection run: level nodes planned incrementally
-/// in flow order, dynamically appended resolution nodes, and a coverage node
-/// once the structural fixpoint is reached.
+/// The fanout levels of one detection run, planned lazily in flow order.
 #[derive(Clone, Debug)]
 pub struct FlowGraph {
-    nodes: Vec<FlowNode>,
-    /// Node ids of the level nodes in flow order.  Ids are assigned in
-    /// *creation* order, and resolution nodes may be created between two
-    /// lazily planned levels, so level `k`'s id is not necessarily `k`.
-    level_ids: Vec<usize>,
-    /// `Some` while further levels may exist; `None` once the structural
-    /// fixpoint was reached.
-    frontier: Option<Frontier>,
+    /// One property per planned level, in flow order.
+    levels: Vec<IntervalProperty>,
+    /// Every signal proved by a planned level before the newest one.
+    proved_before: BTreeSet<SignalId>,
+    /// `true` once the structural fixpoint is reached: no level follows the
+    /// newest planned one.
+    complete: bool,
     max_flow_iterations: usize,
     assume_previously_proven: bool,
 }
@@ -123,29 +45,15 @@ impl FlowGraph {
         design: &ValidatedDesign,
         config: &DetectorConfig,
     ) -> Result<FlowGraph, DetectError> {
-        let d = design.design();
-        let inputs = d.inputs();
-        let fanouts_cc1 = get_fanout(design, &inputs);
-        let nodes = vec![FlowNode {
-            id: 0,
-            kind: FlowNodeKind::Level { level: 1 },
-            property: Some(IntervalProperty::new(
+        let fanouts_cc1 = get_fanout(design, &design.design().inputs());
+        Ok(FlowGraph {
+            levels: vec![IntervalProperty::new(
                 "init_property",
                 Vec::new(),
-                fanouts_cc1.clone(),
-            )),
-            deps: Vec::new(),
-            dep_signals: Vec::new(),
-            signals: fanouts_cc1.clone(),
-        }];
-        Ok(FlowGraph {
-            nodes,
-            level_ids: vec![0],
-            frontier: Some(Frontier {
-                fanouts_all: BTreeSet::new(),
-                fanouts_cck: fanouts_cc1,
-                k: 1,
-            }),
+                fanouts_cc1,
+            )],
+            proved_before: BTreeSet::new(),
+            complete: false,
             max_flow_iterations: config.max_flow_iterations,
             assume_previously_proven: config.assume_previously_proven,
         })
@@ -160,181 +68,88 @@ impl FlowGraph {
     /// # Errors
     ///
     /// [`DetectError::IterationLimit`] when planning level `idx` would
-    /// exceed `max_flow_iterations` — surfaced exactly when an executor
-    /// reaches that level, matching the sequential loop it replaces.
+    /// exceed `max_flow_iterations` — surfaced exactly when the flow
+    /// reaches that level.
     pub fn ensure_level(
         &mut self,
         design: &ValidatedDesign,
         idx: usize,
     ) -> Result<bool, DetectError> {
-        while idx >= self.level_ids.len() {
-            let Some(frontier) = &mut self.frontier else {
+        while idx >= self.levels.len() {
+            if self.complete {
                 return Ok(false);
-            };
-            if frontier.k > self.max_flow_iterations {
+            }
+            let k = self.levels.len();
+            if k > self.max_flow_iterations {
                 return Err(DetectError::IterationLimit {
                     limit: self.max_flow_iterations,
                 });
             }
-            frontier
-                .fanouts_all
-                .extend(frontier.fanouts_cck.iter().copied());
-            let fanouts_next = get_fanout(design, &frontier.fanouts_cck);
-            let adds_new = fanouts_next
-                .iter()
-                .any(|s| !frontier.fanouts_all.contains(s));
-            if !adds_new {
-                self.frontier = None;
+            let newest = &self.levels[k - 1].prove_equal;
+            self.proved_before.extend(newest.iter().copied());
+            let fanouts_next = get_fanout(design, newest);
+            if fanouts_next.iter().all(|s| self.proved_before.contains(s)) {
+                self.complete = true;
                 return Ok(false);
             }
-            let mut assume = frontier.fanouts_cck.clone();
+            let mut assume = newest.clone();
             if self.assume_previously_proven {
-                for &s in &frontier.fanouts_all {
+                for &s in &self.proved_before {
                     if !assume.contains(&s) {
                         assume.push(s);
                     }
                 }
             }
-            let k = frontier.k;
-            let prev_id = *self.level_ids.last().expect("level 1 exists");
-            let prev_set: BTreeSet<SignalId> = frontier.fanouts_cck.iter().copied().collect();
-            let dep_signals = feeding_signals(design, &fanouts_next, &prev_set);
-            frontier.fanouts_cck = fanouts_next.clone();
-            frontier.k += 1;
-            let id = self.nodes.len();
-            self.level_ids.push(id);
-            self.nodes.push(FlowNode {
-                id,
-                kind: FlowNodeKind::Level { level: k + 1 },
-                property: Some(IntervalProperty::new(
-                    format!("fanout_property_{k}"),
-                    assume,
-                    fanouts_next.clone(),
-                )),
-                deps: vec![prev_id],
-                dep_signals,
-                signals: fanouts_next,
-            });
+            self.levels.push(IntervalProperty::new(
+                format!("fanout_property_{k}"),
+                assume,
+                fanouts_next,
+            ));
         }
         Ok(true)
     }
 
-    /// Finishes planning (reaches the structural fixpoint if executors have
-    /// not already) and appends the coverage node.  Returns
-    /// `(coverage node id, covered signal count, uncovered signals)`.
+    /// Plans the remaining levels up to the structural fixpoint and runs the
+    /// coverage check (case 2 of Sec. IV-D).  Returns the number of signals
+    /// some level proves and the state/output signals no level reaches.
     ///
     /// # Errors
     ///
     /// [`DetectError::IterationLimit`] if the fixpoint lies beyond
     /// `max_flow_iterations`.
-    pub fn finish_coverage(
+    pub fn coverage(
         &mut self,
         design: &ValidatedDesign,
-    ) -> Result<(usize, usize, Vec<SignalId>), DetectError> {
-        // Drive planning to the fixpoint (no-op when executors already did).
+    ) -> Result<(usize, Vec<SignalId>), DetectError> {
+        // Drive planning to the fixpoint (no-op when the flow already did).
         let _ = self.ensure_level(design, usize::MAX - 1)?;
-        let mut covered: BTreeSet<SignalId> = BTreeSet::new();
-        for &level_id in &self.level_ids {
-            covered.extend(self.nodes[level_id].signals.iter().copied());
-        }
+        let covered: BTreeSet<SignalId> = self
+            .levels
+            .iter()
+            .flat_map(|level| level.prove_equal.iter().copied())
+            .collect();
         let covered: Vec<SignalId> = covered.into_iter().collect();
         let uncovered = uncovered_signals(design, &covered);
-        let id = self.nodes.len();
-        self.nodes.push(FlowNode {
-            id,
-            kind: FlowNodeKind::Coverage,
-            property: None,
-            deps: self.level_ids.clone(),
-            dep_signals: Vec::new(),
-            signals: Vec::new(),
-        });
-        Ok((id, covered.len(), uncovered))
+        Ok((covered.len(), uncovered))
     }
 
-    /// Number of level nodes planned so far (more may appear via
+    /// Number of levels planned so far (more may appear via
     /// [`ensure_level`](Self::ensure_level)).
     #[must_use]
     pub fn level_count(&self) -> usize {
-        self.level_ids.len()
+        self.levels.len()
     }
 
-    /// The node of the 0-based level index (planned by a prior
-    /// [`ensure_level`](Self::ensure_level) call).  Level index and node id
-    /// differ once resolution nodes interleave with lazy planning — always
-    /// address levels through this accessor.
+    /// The property of the 0-based level index, planned by a prior
+    /// [`ensure_level`](Self::ensure_level) call.
     ///
     /// # Panics
     ///
     /// Panics if the level has not been planned.
     #[must_use]
-    pub fn level_node(&self, idx: usize) -> &FlowNode {
-        &self.nodes[self.level_ids[idx]]
+    pub fn level(&self, idx: usize) -> &IntervalProperty {
+        &self.levels[idx]
     }
-
-    /// `true` once the structural fixpoint is reached: no level beyond
-    /// `level_count() - 1` exists.
-    #[must_use]
-    pub fn levels_complete(&self) -> bool {
-        self.frontier.is_none()
-    }
-
-    /// The node with the given id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    #[must_use]
-    pub fn node(&self, id: usize) -> &FlowNode {
-        &self.nodes[id]
-    }
-
-    /// All nodes planned so far.
-    #[must_use]
-    pub fn nodes(&self) -> &[FlowNode] {
-        &self.nodes
-    }
-
-    /// Appends a resolution-round node depending on `prev_node` — the level
-    /// node for round 1, the previous round's node afterwards: the level's
-    /// property re-enqueued with the round's extra equality assumptions.
-    /// Returns the new node's id (deterministic: rounds are discovered in
-    /// merge order).
-    pub fn add_resolution(
-        &mut self,
-        prev_node: usize,
-        round: usize,
-        property: IntervalProperty,
-    ) -> usize {
-        let level = match self.nodes[prev_node].kind {
-            FlowNodeKind::Level { level } | FlowNodeKind::Resolution { level, .. } => level,
-            FlowNodeKind::Coverage => unreachable!("coverage has no resolution rounds"),
-        };
-        let id = self.nodes.len();
-        let signals = self.nodes[prev_node].signals.clone();
-        self.nodes.push(FlowNode {
-            id,
-            kind: FlowNodeKind::Resolution { level, round },
-            property: Some(property),
-            deps: vec![prev_node],
-            dep_signals: Vec::new(),
-            signals,
-        });
-        id
-    }
-}
-
-/// The subset of `prev` (the previous level's prove set) lying in the
-/// combinational support of any signal in `next` — the dependency provenance
-/// of a level edge.
-fn feeding_signals(
-    design: &ValidatedDesign,
-    next: &[SignalId],
-    prev: &BTreeSet<SignalId>,
-) -> Vec<SignalId> {
-    drivers_support(design, next)
-        .into_iter()
-        .filter(|s| prev.contains(s))
-        .collect()
 }
 
 #[cfg(test)]
@@ -354,62 +169,21 @@ mod tests {
     }
 
     #[test]
-    fn plans_levels_lazily_then_appends_coverage() {
+    fn plans_levels_lazily_then_checks_coverage() {
         let design = pipeline();
         let mut graph = FlowGraph::plan(&design, &DetectorConfig::default()).unwrap();
         // Planning starts with only the init level.
         assert_eq!(graph.level_count(), 1);
-        assert!(!graph.levels_complete());
-        assert_eq!(graph.node(0).kind, FlowNodeKind::Level { level: 1 });
-        assert_eq!(
-            graph.node(0).property.as_ref().unwrap().name,
-            "init_property"
-        );
+        assert_eq!(graph.level(0).name, "init_property");
         // Demanding level 1 plans it; the design has 3 levels in total.
         assert!(graph.ensure_level(&design, 1).unwrap());
-        assert_eq!(
-            graph.node(1).property.as_ref().unwrap().name,
-            "fanout_property_1"
-        );
+        assert_eq!(graph.level(1).name, "fanout_property_1");
         assert!(graph.ensure_level(&design, 2).unwrap());
         assert!(!graph.ensure_level(&design, 3).unwrap());
-        assert!(graph.levels_complete());
         assert_eq!(graph.level_count(), 3);
-        let (coverage, covered, uncovered) = graph.finish_coverage(&design).unwrap();
-        assert_eq!(graph.node(coverage).kind, FlowNodeKind::Coverage);
+        let (covered, uncovered) = graph.coverage(&design).unwrap();
         assert_eq!(covered, 3);
         assert!(uncovered.is_empty());
-    }
-
-    #[test]
-    fn level_edges_carry_signal_provenance() {
-        let design = pipeline();
-        let d = design.design();
-        let mut graph = FlowGraph::plan(&design, &DetectorConfig::default()).unwrap();
-        assert!(graph.ensure_level(&design, 1).unwrap());
-        // Level 2 proves s2, whose driver reads s1 — the provenance edge
-        // names exactly s1 out of level 1's prove set.
-        let s1 = d.require("s1").unwrap();
-        assert_eq!(graph.node(1).deps, vec![0]);
-        assert_eq!(graph.node(1).dep_signals, vec![s1]);
-        // Coverage depends on every level.
-        let (coverage, _, _) = graph.finish_coverage(&design).unwrap();
-        assert_eq!(graph.node(coverage).deps, vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn resolution_rounds_are_appended_nodes() {
-        let design = pipeline();
-        let mut graph = FlowGraph::plan(&design, &DetectorConfig::default()).unwrap();
-        assert!(graph.ensure_level(&design, 1).unwrap());
-        let property = graph.node(1).property.clone().unwrap();
-        let id = graph.add_resolution(1, 1, property);
-        assert_eq!(id, 2);
-        assert_eq!(
-            graph.node(id).kind,
-            FlowNodeKind::Resolution { level: 2, round: 1 }
-        );
-        assert_eq!(graph.node(id).deps, vec![1]);
     }
 
     #[test]

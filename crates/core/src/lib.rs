@@ -47,8 +47,8 @@
 //!   benchmark harness for per-property timing.
 //!
 //! The deprecated [`TrojanDetector`] remains as the borrow-tied, re-encode-
-//! per-property reference path; it walks the same planned flow graph, so the
-//! equivalence suite can compare the two.
+//! per-property reference path; it runs the session's loop with a fresh
+//! encoding per property, so the equivalence suite can compare the two.
 //!
 //! # Quickstart
 //!
@@ -112,7 +112,7 @@ pub use flow::DetectorConfig;
 pub use compat::{EngineChoice, PipelineStats, PropertyScheduler, SharedSolvePool};
 #[allow(deprecated)]
 pub use flow::TrojanDetector;
-pub use flowgraph::{FlowGraph, FlowNode, FlowNodeKind};
+pub use flowgraph::FlowGraph;
 pub use htd_sat::{BudgetTracker, SolveBudget};
 pub use report::{DetectedBy, DetectionOutcome, DetectionReport, PropertyTrace};
 pub use session::{BackendChoice, DetectionSession, FlowEvent, SessionBuilder};

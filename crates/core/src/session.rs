@@ -10,22 +10,19 @@
 //! DIMACS-speaking solver binary, or any solver shared library exporting
 //! the IPASIR incremental C ABI.
 //!
-//! # The flow-graph model
+//! # The flow
 //!
-//! Algorithm 1 is *presented* as a sequential loop; the flow is planned
-//! here as a **dependency graph** ([`FlowGraph`](crate::FlowGraph)): one
-//! node per fanout level (carrying the level's interval property and an
-//! edge to the level it structurally depends on), dynamically appended
-//! resolution-round nodes, and a final coverage node.  Planning the graph
-//! is purely structural.  A session walks it node by node on the calling
-//! thread: each level splits into per-signal sub-properties, lowered,
-//! encoded and solved in place on the master one at a time, in id order,
-//! and the first counterexample decides the level.  Reports are therefore a
-//! pure function of the design, the configuration and the backend
-//! ([`DetectionReport::normalized`] zeroes the wall-clock fields).
-//! The deprecated [`TrojanDetector`](crate::TrojanDetector) visits the same
-//! nodes in id order with a fresh encoding per property: the reference the
-//! equivalence suite compares sessions against.
+//! Algorithm 1 is a sequential loop, and it runs as one: the fanout levels
+//! are planned lazily by a structural level planner
+//! ([`FlowGraph`](crate::FlowGraph)), and the flow proves them in order on
+//! the calling thread.  Each level splits into per-signal sub-properties,
+//! lowered, encoded and solved in place on the master one at a time, in id
+//! order, and the first counterexample decides the level.  Reports are
+//! therefore a pure function of the design, the configuration and the
+//! backend ([`DetectionReport::normalized`] zeroes the wall-clock fields).
+//! The deprecated [`TrojanDetector`](crate::TrojanDetector) runs the same
+//! loop with a fresh encoding per property: the reference the equivalence
+//! suite compares sessions against.
 //!
 //! [`DetectionReport::normalized`]: crate::DetectionReport::normalized
 //!
@@ -34,10 +31,8 @@
 //! [`DetectionSession::on_event`] (or pass one to
 //! [`DetectionSession::run_with_observer`]) and receive one event per fanout
 //! level, proved property, counterexample, resolution round and coverage
-//! verdict.  Every event names its flow-graph node (and a level's events
-//! carry its dependency provenance), so observers can reconstruct the graph
-//! the run walked.  The CLI renders these live; the benchmark harness uses
-//! them for per-property timing without instrumenting the flow.
+//! verdict.  The CLI renders these live; the benchmark harness uses them for
+//! per-property timing without instrumenting the flow.
 //!
 //! # Event contract
 //!
@@ -46,11 +41,10 @@
 //! 1. [`FlowEvent::LevelStarted`] for level `k` (1-based; level 1 is
 //!    `fanouts_CC1`, proved by the init property), followed by the events of
 //!    the property that proves the level:
-//!    * zero or more [`FlowEvent::CounterexampleFound`] with
-//!      `spurious: true`, each followed by a [`FlowEvent::ResolutionRound`]
-//!      — unless the resolution budget is exhausted, in which case the run
-//!      aborts with [`DetectError::ResolutionLimit`] right after the
-//!      counterexample event,
+//!    * at most one [`FlowEvent::CounterexampleFound`] with
+//!      `spurious: true`, followed by its [`FlowEvent::ResolutionRound`]
+//!      (the round assumes every waived register in the level's fanin
+//!      equal, so no later counterexample of the level is spurious),
 //!    * then exactly one of [`FlowEvent::PropertyProved`] or a final
 //!      [`FlowEvent::CounterexampleFound`] with `spurious: false` (which ends
 //!      the run).
@@ -245,13 +239,6 @@ pub enum FlowEvent {
         level: usize,
         /// Names of the signals in the level.
         signals: Vec<String>,
-        /// The level's [`FlowGraph`](crate::FlowGraph) node id.
-        node: usize,
-        /// Node ids this level depends on (the previous level, if any).
-        deps: Vec<usize>,
-        /// Dependency provenance: names of the previous level's prove
-        /// signals that feed this level's antecedent cone.
-        dep_signals: Vec<String>,
     },
     /// A property was proved (after `spurious_resolved` resolution rounds).
     PropertyProved {
@@ -266,9 +253,6 @@ pub enum FlowEvent {
         /// included (the property row's counters): conflicts, propagations,
         /// restarts, clause-GC and LBD counters.
         solver: SolverStats,
-        /// The flow-graph node the final (successful) check belongs to: the
-        /// level node, or the last resolution-round node.
-        node: usize,
     },
     /// The checker found a counterexample to a property.
     CounterexampleFound {
@@ -283,12 +267,9 @@ pub enum FlowEvent {
         /// Solver work of the check that produced the counterexample (this
         /// round only).
         solver: SolverStats,
-        /// The flow-graph node whose check produced the counterexample.
-        node: usize,
     },
     /// A spurious counterexample is being discharged by assuming the waived
-    /// registers equal and re-verifying: the round is a re-enqueued
-    /// flow-graph node, not an inner loop.
+    /// registers equal and re-verifying the level's property.
     ResolutionRound {
         /// The property name.
         property: String,
@@ -296,8 +277,6 @@ pub enum FlowEvent {
         round: usize,
         /// Names of the newly assumed (waived) registers.
         waived: Vec<String>,
-        /// The freshly appended resolution node's id.
-        node: usize,
     },
     /// The final signal-coverage check ran (only reached when every property
     /// holds).
@@ -307,20 +286,11 @@ pub enum FlowEvent {
         /// Names of the uncovered signals (empty means the design is
         /// verified secure).
         uncovered: Vec<String>,
-        /// The coverage node's id.
-        node: usize,
     },
 }
 
 /// Validates a detector configuration.
 pub(crate) fn validate_config(config: &DetectorConfig) -> Result<(), DetectError> {
-    if config.max_resolution_iterations == 0 {
-        return Err(DetectError::InvalidConfig {
-            reason: "max_resolution_iterations must be at least 1 (a zero budget makes every \
-                     spurious counterexample fatal)"
-                .to_string(),
-        });
-    }
     if config.max_flow_iterations == 0 {
         return Err(DetectError::InvalidConfig {
             reason: "max_flow_iterations must be at least 1 (a zero budget aborts the flow \
@@ -407,7 +377,7 @@ impl SessionBuilder {
     ///
     /// [`DetectError::NoInputs`] / [`DetectError::NoStateOrOutputs`] if the
     /// flow's decomposition does not apply to the design,
-    /// [`DetectError::InvalidConfig`] for zero iteration budgets, and
+    /// [`DetectError::InvalidConfig`] for a zero iteration budget, and
     /// [`DetectError::Backend`] if the chosen backend cannot be brought up
     /// (e.g. an `ipasir:` library that does not load or misses required
     /// symbols).
@@ -561,8 +531,8 @@ impl DetectionSession {
     ///
     /// # Errors
     ///
-    /// [`DetectError::IterationLimit`] / [`DetectError::ResolutionLimit`]
-    /// when the configured safety bounds are exceeded, and
+    /// [`DetectError::IterationLimit`] when the configured safety bound is
+    /// exceeded, and
     /// [`DetectError::Backend`] if the solver backend fails (e.g. an
     /// external solver).
     pub fn run(&mut self) -> Result<DetectionReport, DetectError> {
@@ -775,21 +745,18 @@ mod tests {
 
     #[test]
     fn builder_rejects_zero_iteration_budgets() {
-        for (resolution, flow) in [(0usize, 4096usize), (16, 0)] {
-            let config = DetectorConfig {
-                max_resolution_iterations: resolution,
-                max_flow_iterations: flow,
-                ..DetectorConfig::default()
-            };
-            let err = SessionBuilder::new(clean_pipeline())
-                .config(config)
-                .build()
-                .unwrap_err();
-            assert!(
-                matches!(err, DetectError::InvalidConfig { .. }),
-                "expected InvalidConfig, got {err:?}"
-            );
-        }
+        let config = DetectorConfig {
+            max_flow_iterations: 0,
+            ..DetectorConfig::default()
+        };
+        let err = SessionBuilder::new(clean_pipeline())
+            .config(config)
+            .build()
+            .unwrap_err();
+        assert!(
+            matches!(err, DetectError::InvalidConfig { .. }),
+            "expected InvalidConfig, got {err:?}"
+        );
     }
 
     #[test]

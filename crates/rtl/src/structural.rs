@@ -28,23 +28,6 @@ pub fn combinational_support(design: &ValidatedDesign, expr: ExprId) -> BTreeSet
     expr_support(d, expr, &mut cache)
 }
 
-/// The union of the combinational supports of many signals' drivers, with one
-/// wire-support memo shared across the whole batch — the cones of one fanout
-/// level overlap heavily, so this costs one design walk per call instead of
-/// one per signal (signals without a driver contribute nothing).
-#[must_use]
-pub fn drivers_support(design: &ValidatedDesign, signals: &[SignalId]) -> BTreeSet<SignalId> {
-    let d = design.design();
-    let mut cache: HashMap<SignalId, BTreeSet<SignalId>> = HashMap::new();
-    let mut out = BTreeSet::new();
-    for &sig in signals {
-        if let Some(driver) = d.signal_info(sig).driver() {
-            out.extend(expr_support(d, driver, &mut cache));
-        }
-    }
-    out
-}
-
 fn expr_support(
     d: &Design,
     expr: ExprId,

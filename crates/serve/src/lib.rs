@@ -78,7 +78,7 @@
 //! | frame | meaning |
 //! |---|---|
 //! | `accepted` | job id, design name, queue depth at admission |
-//! | `level_started` | a fanout level began (signals, flow-graph node, deps) |
+//! | `level_started` | a fanout level began (`level`, `signals`) |
 //! | `property_proved` | per-property verdict with solver counters summed over its resolution rounds |
 //! | `counterexample` | a (possibly spurious) divergence with diff signals |
 //! | `resolution_round` | a spurious counterexample being discharged |

@@ -1130,23 +1130,11 @@ fn error_frame(id: u64, code: &str, message: &str) -> Json {
 
 fn event_json(id: u64, event: &FlowEvent) -> Json {
     let (kind, mut fields) = match event {
-        FlowEvent::LevelStarted {
-            level,
-            signals,
-            node,
-            deps,
-            dep_signals,
-        } => (
+        FlowEvent::LevelStarted { level, signals } => (
             "level_started",
             vec![
                 ("level", Json::UInt(*level as u64)),
-                ("node", Json::UInt(*node as u64)),
-                (
-                    "deps",
-                    Json::Arr(deps.iter().map(|&d| Json::UInt(d as u64)).collect()),
-                ),
                 ("signals", Json::strings(signals.iter().cloned())),
-                ("dep_signals", Json::strings(dep_signals.iter().cloned())),
             ],
         ),
         FlowEvent::PropertyProved {
@@ -1154,12 +1142,10 @@ fn event_json(id: u64, event: &FlowEvent) -> Json {
             duration,
             spurious_resolved,
             solver,
-            node,
         } => (
             "property_proved",
             vec![
                 ("property", Json::str(property.clone())),
-                ("node", Json::UInt(*node as u64)),
                 ("secs", Json::Num(duration.as_secs_f64())),
                 ("spurious_resolved", Json::UInt(*spurious_resolved as u64)),
                 ("solver", solver_json(solver)),
@@ -1170,12 +1156,10 @@ fn event_json(id: u64, event: &FlowEvent) -> Json {
             diffs,
             spurious,
             solver,
-            node,
         } => (
             "counterexample",
             vec![
                 ("property", Json::str(property.clone())),
-                ("node", Json::UInt(*node as u64)),
                 ("spurious", Json::Bool(*spurious)),
                 ("diffs", Json::strings(diffs.iter().cloned())),
                 ("solver", solver_json(solver)),
@@ -1185,24 +1169,17 @@ fn event_json(id: u64, event: &FlowEvent) -> Json {
             property,
             round,
             waived,
-            node,
         } => (
             "resolution_round",
             vec![
                 ("property", Json::str(property.clone())),
-                ("node", Json::UInt(*node as u64)),
                 ("round", Json::UInt(*round as u64)),
                 ("waived", Json::strings(waived.iter().cloned())),
             ],
         ),
-        FlowEvent::Coverage {
-            covered,
-            uncovered,
-            node,
-        } => (
+        FlowEvent::Coverage { covered, uncovered } => (
             "coverage",
             vec![
-                ("node", Json::UInt(*node as u64)),
                 ("covered", Json::UInt(*covered as u64)),
                 ("uncovered", Json::strings(uncovered.iter().cloned())),
             ],

@@ -121,6 +121,20 @@ fn concurrent_tenants_and_a_resubmission_match_solo_runs() {
         frames.iter().any(|f| f.contains("\"event\":\"accepted\"")),
         "frames: {frames:?}"
     );
+    // A level frame carries the level and its signals, nothing else.
+    let level_frames: Vec<Json> = frames
+        .iter()
+        .filter_map(|line| Json::parse(line).ok())
+        .filter(|frame| frame.get("event").and_then(Json::as_str) == Some("level_started"))
+        .collect();
+    assert!(!level_frames.is_empty(), "frames: {frames:?}");
+    for frame in &level_frames {
+        let Json::Obj(fields) = frame else {
+            panic!("a frame is an object: {frame:?}");
+        };
+        let keys: Vec<&str> = fields.iter().map(|(key, _)| key.as_str()).collect();
+        assert_eq!(keys, ["event", "job", "level", "signals"]);
+    }
 
     // Served aggregate stats see the three completions; the `cache` object
     // the benchmark reads stays, all zero.
