@@ -17,7 +17,7 @@
 //!
 //! | rule | invariant |
 //! |------|-----------|
-//! | `unsafe-audit` | `unsafe` appears only in `crates/sat/src/ipasir.rs`, `crates/ipasir-shim/`, `crates/cli/src/signal.rs` and the counting-allocator tests `crates/sat/tests/clone_allocations.rs` and `crates/ipc/tests/encode_allocations.rs`; every audited use carries an adjacent `// SAFETY:` comment (or `# Safety` doc section); every crate root carries `#![forbid(unsafe_code)]` or `#![deny(unsafe_code)]`. |
+//! | `unsafe-audit` | `unsafe` appears only in `crates/sat/src/ipasir.rs`, `crates/ipasir-shim/`, `crates/cli/src/signal.rs` and the counting-allocator tests `crates/sat/tests/clone_allocations.rs`, `crates/ipc/tests/encode_allocations.rs` and `tests/plan_allocations.rs`; every audited use carries an adjacent `// SAFETY:` comment (or `# Safety` doc section); every crate root carries `#![forbid(unsafe_code)]` or `#![deny(unsafe_code)]`. |
 //! | `determinism` | `Instant::now`, `SystemTime::now`, `thread::sleep` and `Ordering::Relaxed` appear only in the timing allowlist (`crates/sat/src/budget.rs`, `crates/serve/`, `crates/bench/`, the criterion shim and `examples/`) — time never influences the merge path.  Test code is exempt. |
 //! | `strict-env` | `env::var`/`env::var_os` of an `"HTD_…"` literal, or of any non-literal name (a `const`, a parameter), is a finding in every module: the product reads no `HTD_*` variable, and its only settings are flags and config structs.  Reads of other literal names (`"PATH"`) are not this rule's business.  A test helper that saves such a variable to restore it carries a waiver. |
 //! | `exhaustive-stats` | inside `accumulate*`/`delta_since`/`normalized`, a `SolverStats`/`SessionStats`/`CheckStats` struct pattern or literal must not use `..` — a new counter must be a compile error, never a silently dropped value (a bug class once fixed by hand). |
@@ -169,11 +169,12 @@ impl Default for LintConfig {
                 "crates/sat/src/ipasir.rs",
                 "crates/ipasir-shim/",
                 "crates/cli/src/signal.rs",
-                // The clone- and encode-cost regression tests install a
-                // counting `GlobalAlloc` — inherently unsafe, and audited
+                // The clone-, encode- and plan-cost regression tests install
+                // a counting `GlobalAlloc` — inherently unsafe, and audited
                 // like the FFI seams.
                 "crates/sat/tests/clone_allocations.rs",
                 "crates/ipc/tests/encode_allocations.rs",
+                "tests/plan_allocations.rs",
             ]),
             unsafe_attr_exempt: owned(&["crates/ipasir-shim/"]),
             determinism_allowlist: owned(&[

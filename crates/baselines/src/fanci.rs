@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 
 use htd_ipc::aig::{Aig, AigLit};
 use htd_ipc::bitblast::{BitVec, BlastContext};
-use htd_rtl::structural::combinational_support;
+use htd_rtl::structural::driver_support;
 use htd_rtl::{SignalId, ValidatedDesign};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -111,7 +111,7 @@ pub fn control_value_analysis(design: &ValidatedDesign, options: &FanciOptions) 
 
     for &target in &targets {
         let driver = d.signal_info(target).driver().expect("validated design");
-        let support: Vec<SignalId> = combinational_support(design, driver).into_iter().collect();
+        let support = driver_support(design, target);
         if support.is_empty() {
             continue;
         }
@@ -120,7 +120,7 @@ pub fn control_value_analysis(design: &ValidatedDesign, options: &FanciOptions) 
         let mut aig = Aig::new();
         let mut ctx = BlastContext::new();
         let mut support_bits: Vec<(SignalId, u32, AigLit)> = Vec::new();
-        for &s in &support {
+        for &s in support {
             let width = d.signal_width(s);
             let bits: BitVec = (0..width).map(|_| aig.new_input()).collect();
             for (i, &bit) in bits.iter().enumerate() {

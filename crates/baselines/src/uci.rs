@@ -21,7 +21,7 @@ use std::collections::BTreeMap;
 use std::time::{Duration, Instant};
 
 use htd_rtl::sim::Simulator;
-use htd_rtl::structural::combinational_support;
+use htd_rtl::structural::driver_support;
 use htd_rtl::{DesignError, SignalId, ValidatedDesign};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,8 +110,7 @@ pub fn unused_circuit_identification(
     // signal in its driver's combinational support.
     let mut pairs: Vec<(SignalId, SignalId)> = Vec::new();
     for target in d.state_and_output_signals() {
-        let driver = d.signal_info(target).driver().expect("validated design");
-        for source in combinational_support(design, driver) {
+        for &source in driver_support(design, target) {
             if d.signal_width(source) == d.signal_width(target) && source != target {
                 pairs.push((target, source));
             }

@@ -13,9 +13,10 @@ use std::time::Duration;
 
 #[allow(deprecated)] // the legacy detector is kept as the re-encode reference path
 use htd_core::TrojanDetector;
-use htd_core::{BackendChoice, DetectionReport, DetectorConfig, FlowEvent, SessionBuilder};
+use htd_core::{
+    BackendChoice, DetectionReport, DetectorConfig, FlowEvent, FlowGraph, SessionBuilder,
+};
 use htd_ipc::{CheckerOptions, IntervalProperty, PropertyChecker, PropertyReport};
-use htd_rtl::structural::{fanout_levels, get_fanout};
 use htd_rtl::{Design, DesignError, ValidatedDesign};
 use htd_trusthub::registry::Benchmark;
 
@@ -120,37 +121,24 @@ pub fn session_property_timings(
     timings
 }
 
-/// The decomposed properties of a design in flow order: the init property
-/// followed by one fanout property per level.
+/// The decomposed properties of a design in flow order, exactly as the
+/// detection flow plans them ([`FlowGraph`] with the default
+/// configuration): the init property followed by one fanout property per
+/// level, each assuming every earlier level equal.
+///
+/// # Panics
+///
+/// Panics if the design's structural fixpoint lies beyond the default
+/// `max_flow_iterations`.
 #[must_use]
 pub fn flow_properties(design: &ValidatedDesign) -> Vec<IntervalProperty> {
-    let d = design.design();
-    let levels = fanout_levels(design);
-    let mut properties = Vec::with_capacity(levels.len());
-    let inputs = d.inputs();
-    let first = levels
-        .first()
-        .cloned()
-        .unwrap_or_else(|| get_fanout(design, &inputs));
-    properties.push(IntervalProperty::new("init_property", Vec::new(), first));
-    // The antecedent accumulates the earlier levels, matching the detection
-    // flow's default (`DetectorConfig::assume_previously_proven`): a level-k+1
-    // output observed combinationally from a deeper register would otherwise
-    // fail spuriously (Sec. V-B scenario 1 of the paper).
-    let mut assumed: Vec<htd_rtl::SignalId> = Vec::new();
-    for (k, window) in levels.windows(2).enumerate() {
-        for &signal in &window[0] {
-            if !assumed.contains(&signal) {
-                assumed.push(signal);
-            }
-        }
-        properties.push(IntervalProperty::new(
-            format!("fanout_property_{}", k + 1),
-            assumed.clone(),
-            window[1].clone(),
-        ));
-    }
-    properties
+    let mut planner = FlowGraph::plan(design, &DetectorConfig::default()).expect("planning starts");
+    planner
+        .coverage(design)
+        .expect("the fixpoint lies within the iteration limit");
+    (0..planner.level_count())
+        .map(|idx| planner.level(idx).clone())
+        .collect()
 }
 
 /// Checks a single property with the given sharing option.

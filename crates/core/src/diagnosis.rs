@@ -20,7 +20,7 @@
 use std::collections::BTreeSet;
 
 use htd_ipc::Counterexample;
-use htd_rtl::structural::combinational_support;
+use htd_rtl::structural::driver_support;
 use htd_rtl::{SignalId, SignalKind, ValidatedDesign};
 
 /// Signals suspected of causing a property failure, split by how they can be
@@ -66,28 +66,34 @@ pub fn benign_fanin_of(
     let d = design.design();
     let assumed: BTreeSet<SignalId> = assumed_equal.iter().copied().collect();
     let waiver_set: BTreeSet<SignalId> = waivers.iter().copied().collect();
-    let mut fanin: BTreeSet<SignalId> = BTreeSet::new();
-    for &signal in signals {
-        let info = d.signal_info(signal);
-        let Some(driver) = info.driver() else {
-            continue;
-        };
-        for sig in combinational_support(design, driver) {
-            fanin.insert(sig);
-            if info.kind() == SignalKind::Output {
-                // One more sequential level for outputs proven at t+1.
-                if let Some(inner) = d.signal_info(sig).driver() {
-                    fanin.extend(combinational_support(design, inner));
-                }
-            }
-        }
-    }
+    let fanin = fanin_of(design, signals.iter().copied());
     fanin
         .into_iter()
         .filter(|s| {
             waiver_set.contains(s) && !assumed.contains(s) && d.signal_info(*s).kind().is_register()
         })
         .collect()
+}
+
+/// The fanin cone of `signals`: their driver supports, plus, for an output
+/// (proven at `t+1`, after the registers it reads update), the supports of
+/// those registers' next-state functions.
+fn fanin_of(
+    design: &ValidatedDesign,
+    signals: impl IntoIterator<Item = SignalId>,
+) -> BTreeSet<SignalId> {
+    let d = design.design();
+    let mut fanin: BTreeSet<SignalId> = BTreeSet::new();
+    for signal in signals {
+        let output = d.signal_info(signal).kind() == SignalKind::Output;
+        for &sig in driver_support(design, signal) {
+            fanin.insert(sig);
+            if output {
+                fanin.extend(driver_support(design, sig).iter().copied());
+            }
+        }
+    }
+    fanin
 }
 
 /// Analyses a counterexample: which differing starting-state registers can
@@ -103,33 +109,13 @@ pub fn diagnose(
     assumed_equal: &[SignalId],
     waivers: &[SignalId],
 ) -> Diagnosis {
-    let d = design.design();
     let assumed: BTreeSet<SignalId> = assumed_equal.iter().copied().collect();
     let waiver_set: BTreeSet<SignalId> = waivers.iter().copied().collect();
 
     // Registers whose starting state differs between the instances.
     let differing: BTreeSet<SignalId> = cex.differing_state().iter().map(|p| p.signal).collect();
 
-    // Fanin cone (up to two sequential levels, to also cover outputs proven
-    // at t+1 whose value depends on registers updated at t+1) of the
-    // diverging signals.
-    let mut fanin: BTreeSet<SignalId> = BTreeSet::new();
-    for diff in &cex.diffs {
-        let info = d.signal_info(diff.signal);
-        let Some(driver) = info.driver() else {
-            continue;
-        };
-        let direct = combinational_support(design, driver);
-        for &sig in &direct {
-            fanin.insert(sig);
-            if info.kind() == SignalKind::Output {
-                // One more sequential level for outputs.
-                if let Some(inner) = d.signal_info(sig).driver() {
-                    fanin.extend(combinational_support(design, inner));
-                }
-            }
-        }
-    }
+    let fanin = fanin_of(design, cex.diffs.iter().map(|diff| diff.signal));
 
     let candidates: Vec<SignalId> = differing
         .iter()

@@ -8,8 +8,10 @@
 //! `fanout_property_k`).
 //!
 //! Levels are planned **on demand** ([`FlowGraph::ensure_level`]): the
-//! fanout walk behind a level only runs when the flow reaches that level, so
+//! `Get_Fanout` behind a level only runs when the flow reaches that level, so
 //! a flow that dies on the init property pays for one level of planning.
+//! `Get_Fanout` walks no expression: it filters the driver-support table
+//! that validation built ([`htd_rtl::structural::driver_support`]).
 //! The flow's one loop (`walk` in the scheduler) asks for each level as it
 //! reaches it, whether it checks on the session's live encoding or on the
 //! fresh-encode reference [`TrojanDetector`](crate::TrojanDetector).
@@ -39,7 +41,7 @@ pub struct FlowGraph {
 
 impl FlowGraph {
     /// Starts planning the flow for a design: computes `fanouts_CC1` and the
-    /// init property (one structural walk).  Further levels are planned on
+    /// init property (one `Get_Fanout`).  Further levels are planned on
     /// demand by [`ensure_level`](Self::ensure_level).
     pub fn plan(
         design: &ValidatedDesign,

@@ -39,6 +39,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
+use htd_rtl::structural::driver_support;
 use htd_rtl::{SignalId, SignalKind, ValidatedDesign};
 use htd_sat::{BackendError, Lit, SatBackend, SolveResult, Var};
 
@@ -114,9 +115,6 @@ pub struct MiterSession {
     /// Canonical shared starting-state words (used by both instances while a
     /// register *is* assumed equal), allocated lazily.
     shared_regs: FxHashMap<SignalId, BitVec>,
-    /// Register-only combinational support of each signal's driver, computed
-    /// lazily and kept for the whole session (the structure never changes).
-    support_cache: FxHashMap<SignalId, Vec<SignalId>>,
     /// The cross-property lowering cache: the bound contexts of the current
     /// binding epoch (keyed by the merged-register set).  Checks whose
     /// antecedent merges the same registers reuse these contexts, so shared
@@ -203,7 +201,6 @@ impl MiterSession {
             inputs,
             split_regs,
             shared_regs: FxHashMap::default(),
-            support_cache: FxHashMap::default(),
             epoch: None,
             pending_acts: Vec::new(),
             cancel: None,
@@ -256,7 +253,6 @@ impl MiterSession {
             inputs: self.inputs.clone(),
             split_regs: self.split_regs.clone(),
             shared_regs: self.shared_regs.clone(),
-            support_cache: self.support_cache.clone(),
             epoch: self.epoch.clone(),
             pending_acts: self.pending_acts.clone(),
             cancel: self.cancel.clone(),
@@ -394,7 +390,7 @@ impl MiterSession {
             {
                 return Err(interrupted(property, index));
             }
-            if share && self.structurally_equal_next(design, sig, assume_regs) {
+            if share && structurally_equal_next(design, sig, assume_regs) {
                 self.stats.structurally_proved += 1;
                 continue;
             }
@@ -503,60 +499,6 @@ impl MiterSession {
         }
     }
 
-    /// The registers in the combinational support of `sig`'s driver
-    /// (transitively through wires), cached for the session's lifetime.
-    fn driver_reg_support(&mut self, design: &ValidatedDesign, sig: SignalId) -> Vec<SignalId> {
-        if let Some(cached) = self.support_cache.get(&sig) {
-            return cached.clone();
-        }
-        let d = design.design();
-        let driver = d.signal_info(sig).driver().expect("validated design");
-        let regs: Vec<SignalId> = htd_rtl::structural::combinational_support(design, driver)
-            .into_iter()
-            .filter(|s| d.signal_info(*s).kind().is_register())
-            .collect();
-        self.support_cache.insert(sig, regs.clone());
-        regs
-    }
-
-    /// `true` if the *next* value of register (or the *current* value of
-    /// wire/output) `sig` is the same function of shared variables in both
-    /// instances: every register its driver reads is bound to a shared word.
-    fn driver_is_merged(
-        &mut self,
-        design: &ValidatedDesign,
-        sig: SignalId,
-        assume_regs: &FxHashSet<SignalId>,
-    ) -> bool {
-        self.driver_reg_support(design, sig)
-            .iter()
-            .all(|r| assume_regs.contains(r))
-    }
-
-    /// `true` if `sig`'s value one cycle after `t` is provably identical in
-    /// both instances *by construction* under the current sharing: the whole
-    /// cone reduces to shared variables, so no lowering and no SAT query is
-    /// needed — the incremental flow's structural fast path.
-    fn structurally_equal_next(
-        &mut self,
-        design: &ValidatedDesign,
-        sig: SignalId,
-        assume_regs: &FxHashSet<SignalId>,
-    ) -> bool {
-        let d = design.design();
-        match d.signal_info(sig).kind() {
-            SignalKind::Register { .. } => self.driver_is_merged(design, sig, assume_regs),
-            SignalKind::Output | SignalKind::Wire => {
-                // Value at t+1 = comb function of inputs@t+1 (shared) and the
-                // next-state of the registers the driver reads.
-                self.driver_reg_support(design, sig)
-                    .iter()
-                    .all(|&r| self.driver_is_merged(design, r, assume_regs))
-            }
-            SignalKind::Input => true,
-        }
-    }
-
     /// Returns the lowering contexts for the given merged-register set,
     /// reusing the cached epoch when the key matches (the cross-property
     /// lowering cache) and rebinding otherwise.
@@ -639,7 +581,7 @@ impl MiterSession {
             }
             // A wire/output whose cone reduces to shared variables is equal
             // by construction; lowering it would only produce a constant.
-            if share && self.driver_is_merged(design, sig, assume_regs) {
+            if share && driver_is_merged(design, sig, assume_regs) {
                 continue;
             }
             let b1 = epoch.ctx_t[0].signal(d, &mut self.aig, sig);
@@ -677,9 +619,8 @@ impl MiterSession {
                 Some((b1, b2))
             }
             SignalKind::Output | SignalKind::Wire => {
-                let support = self.driver_reg_support(design, sig);
                 for inst in 0..2 {
-                    for &r in &support {
+                    for r in driver_regs(design, sig) {
                         if epoch.ctx_t1[inst].binding(r).is_none() {
                             let next = d.signal_info(r).driver().expect("validated design");
                             let bits = epoch.ctx_t[inst].expr(d, &mut self.aig, next);
@@ -724,6 +665,46 @@ impl MiterSession {
 fn interrupted(property: &IntervalProperty, index: usize) -> BackendError {
     BackendError {
         message: format!("sub-property {index} of {} interrupted", property.name),
+    }
+}
+
+/// The registers `sig`'s driver reads, through wires and outputs.
+fn driver_regs(design: &ValidatedDesign, sig: SignalId) -> impl Iterator<Item = SignalId> + '_ {
+    let d = design.design();
+    driver_support(design, sig)
+        .iter()
+        .copied()
+        .filter(move |s| d.signal_info(*s).kind().is_register())
+}
+
+/// `true` if the *next* value of register (or the *current* value of
+/// wire/output) `sig` is the same function of shared variables in both
+/// instances: every register its driver reads is bound to a shared word.
+fn driver_is_merged(
+    design: &ValidatedDesign,
+    sig: SignalId,
+    assume_regs: &FxHashSet<SignalId>,
+) -> bool {
+    driver_regs(design, sig).all(|r| assume_regs.contains(&r))
+}
+
+/// `true` if `sig`'s value one cycle after `t` is provably identical in
+/// both instances *by construction* under the current sharing: the whole
+/// cone reduces to shared variables, so no lowering and no SAT query is
+/// needed — the incremental flow's structural fast path.
+fn structurally_equal_next(
+    design: &ValidatedDesign,
+    sig: SignalId,
+    assume_regs: &FxHashSet<SignalId>,
+) -> bool {
+    match design.design().signal_info(sig).kind() {
+        SignalKind::Register { .. } => driver_is_merged(design, sig, assume_regs),
+        SignalKind::Output | SignalKind::Wire => {
+            // Value at t+1 = comb function of inputs@t+1 (shared) and the
+            // next-state of the registers the driver reads.
+            driver_regs(design, sig).all(|r| driver_is_merged(design, r, assume_regs))
+        }
+        SignalKind::Input => true,
     }
 }
 

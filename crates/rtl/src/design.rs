@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use crate::error::DesignError;
 use crate::expr::{BinaryOp, Expr, ExprId, UnaryOp};
+use crate::structural::SupportTable;
 use crate::MAX_WIDTH;
 
 /// Handle to a signal (input, output, wire or register) of a [`Design`].
@@ -748,6 +749,49 @@ impl Design {
         index: ExprId,
         width: u32,
     ) -> Result<ExprId, DesignError> {
+        self.check_rom(&table, index, width)?;
+        let table = self.intern_table(table);
+        Ok(self.intern(
+            Expr::Rom {
+                table,
+                index,
+                width,
+            },
+            width,
+        ))
+    }
+
+    /// [`rom`](Self::rom) over a table [`intern_table`](Self::intern_table)
+    /// returned, so a table read many times is hashed once.
+    pub(crate) fn rom_interned(
+        &mut self,
+        table: Arc<Vec<u128>>,
+        index: ExprId,
+        width: u32,
+    ) -> Result<ExprId, DesignError> {
+        self.check_rom(&table, index, width)?;
+        Ok(self.intern(
+            Expr::Rom {
+                table,
+                index,
+                width,
+            },
+            width,
+        ))
+    }
+
+    /// The resident copy of `table`: the one stored earlier if its contents
+    /// are equal, else `table`, now stored.
+    pub(crate) fn intern_table(&mut self, table: Vec<u128>) -> Arc<Vec<u128>> {
+        if let Some(resident) = self.tables.get(&table) {
+            return Arc::clone(resident);
+        }
+        let table = Arc::new(table);
+        self.tables.insert(Arc::clone(&table));
+        table
+    }
+
+    fn check_rom(&self, table: &[u128], index: ExprId, width: u32) -> Result<(), DesignError> {
         if width == 0 || width > MAX_WIDTH {
             return Err(DesignError::InvalidWidth { width });
         }
@@ -770,21 +814,7 @@ impl Design {
                 });
             }
         }
-        let table = if let Some(resident) = self.tables.get(&table) {
-            Arc::clone(resident)
-        } else {
-            let table = Arc::new(table);
-            self.tables.insert(Arc::clone(&table));
-            table
-        };
-        Ok(self.intern(
-            Expr::Rom {
-                table,
-                index,
-                width,
-            },
-            width,
-        ))
+        Ok(())
     }
 
     // ------------------------------------------------------------------
@@ -798,6 +828,27 @@ impl Design {
     /// Returns the first problem found: a register without a next-state
     /// expression, a driver width mismatch, or a combinational loop.
     pub fn validate(&self) -> Result<(), DesignError> {
+        self.check_drivers()?;
+        SupportTable::build(self).map(drop)
+    }
+
+    /// Validates the design and wraps it in a [`ValidatedDesign`], together
+    /// with every signal's driver support.
+    ///
+    /// # Errors
+    ///
+    /// Same as [`validate`](Self::validate).
+    pub fn validated(self) -> Result<ValidatedDesign, DesignError> {
+        self.check_drivers()?;
+        let supports = SupportTable::build(&self)?;
+        Ok(ValidatedDesign {
+            design: self,
+            supports,
+        })
+    }
+
+    /// Every non-input signal has a driver of its own width.
+    fn check_drivers(&self) -> Result<(), DesignError> {
         for (_, s) in self.signals() {
             match s.kind {
                 SignalKind::Input => {}
@@ -818,17 +869,7 @@ impl Design {
                 }
             }
         }
-        self.check_combinational_loops()
-    }
-
-    /// Validates the design and wraps it in a [`ValidatedDesign`].
-    ///
-    /// # Errors
-    ///
-    /// Same as [`validate`](Self::validate).
-    pub fn validated(self) -> Result<ValidatedDesign, DesignError> {
-        self.validate()?;
-        Ok(ValidatedDesign { design: self })
+        Ok(())
     }
 
     /// Signals referenced (combinationally) by an expression, i.e. the leaves
@@ -836,80 +877,37 @@ impl Design {
     #[must_use]
     pub fn expr_signals(&self, root: ExprId) -> Vec<SignalId> {
         let mut out = Vec::new();
-        let mut seen = vec![false; self.exprs.len()];
-        let mut stack = vec![root];
-        while let Some(e) = stack.pop() {
-            if seen[e.index()] {
-                continue;
-            }
-            seen[e.index()] = true;
-            if let Some(s) = self.expr(e).as_signal() {
-                out.push(s);
-            }
-            stack.extend(self.expr(e).children());
-        }
+        let mut seen = vec![0; self.exprs.len()];
+        self.push_expr_signals(root, &mut seen, 1, &mut Vec::new(), &mut out);
         out.sort_unstable();
         out.dedup();
         out
     }
 
-    fn check_combinational_loops(&self) -> Result<(), DesignError> {
-        // Combinational dependency edges run from a wire/output signal to the
-        // signals its driver reads. Registers and inputs are sources (their
-        // current value does not combinationally depend on anything).
-        #[derive(Clone, Copy, PartialEq)]
-        enum Mark {
-            White,
-            Grey,
-            Black,
-        }
-        let mut marks = vec![Mark::White; self.signals.len()];
-        for start in self.signal_ids() {
-            if marks[start.index()] != Mark::White {
+    /// Pushes onto `out`, unsorted, every signal the DAG under `root`
+    /// references, each once.  A node counts as visited when its entry in
+    /// `seen` equals `stamp`, so a caller walking many roots bumps the stamp
+    /// instead of clearing the table; `stack` is scratch space.
+    pub(crate) fn push_expr_signals(
+        &self,
+        root: ExprId,
+        seen: &mut [u32],
+        stamp: u32,
+        stack: &mut Vec<ExprId>,
+        out: &mut Vec<SignalId>,
+    ) {
+        stack.push(root);
+        while let Some(e) = stack.pop() {
+            if seen[e.index()] == stamp {
                 continue;
             }
-            // Iterative DFS with an explicit stack of (signal, next child idx).
-            let mut stack: Vec<(SignalId, Vec<SignalId>, usize)> = Vec::new();
-            let push_node = |sig: SignalId,
-                             marks: &mut Vec<Mark>|
-             -> Option<(SignalId, Vec<SignalId>, usize)> {
-                let s = &self.signals[sig.index()];
-                let combinational = matches!(s.kind, SignalKind::Wire | SignalKind::Output);
-                marks[sig.index()] = Mark::Grey;
-                let children = if combinational {
-                    s.driver.map(|d| self.expr_signals(d)).unwrap_or_default()
-                } else {
-                    Vec::new()
-                };
-                Some((sig, children, 0))
-            };
-            if let Some(node) = push_node(start, &mut marks) {
-                stack.push(node);
+            seen[e.index()] = stamp;
+            let expr = self.expr(e);
+            if let Some(s) = expr.as_signal() {
+                out.push(s);
             }
-            while let Some((sig, children, idx)) = stack.last_mut() {
-                if *idx >= children.len() {
-                    marks[sig.index()] = Mark::Black;
-                    stack.pop();
-                    continue;
-                }
-                let child = children[*idx];
-                *idx += 1;
-                match marks[child.index()] {
-                    Mark::Black => {}
-                    Mark::Grey => {
-                        return Err(DesignError::CombinationalLoop {
-                            signal: self.signal_name(child).to_string(),
-                        });
-                    }
-                    Mark::White => {
-                        if let Some(node) = push_node(child, &mut marks) {
-                            stack.push(node);
-                        }
-                    }
-                }
-            }
+            stack.extend(expr.children());
         }
-        Ok(())
     }
 }
 
@@ -958,9 +956,16 @@ fn reg_check(design: &Design, reg: SignalId) -> Result<SignalId, DesignError> {
 /// The simulator, the structural analysis and the property checker only accept
 /// validated designs, which guarantees that every register has a next-state
 /// function, all widths are consistent and there are no combinational loops.
+///
+/// Validation also computes every signal's driver support once (see
+/// [`driver_support`](crate::structural::driver_support)): the structural
+/// analysis, the flow's level planner and the property checker read it
+/// instead of walking the expression DAG again.  The table is a function of
+/// the design alone, so equal designs hold equal tables.
 #[derive(Clone, Debug, PartialEq)]
 pub struct ValidatedDesign {
     design: Design,
+    supports: SupportTable,
 }
 
 impl ValidatedDesign {
@@ -975,6 +980,11 @@ impl ValidatedDesign {
     #[must_use]
     pub fn into_inner(self) -> Design {
         self.design
+    }
+
+    /// The driver-support table built by [`Design::validated`].
+    pub(crate) fn supports(&self) -> &SupportTable {
+        &self.supports
     }
 }
 

@@ -10,9 +10,9 @@
 
 use std::fmt::Write as _;
 
-use crate::design::{SignalId, SignalKind, ValidatedDesign};
+use crate::design::{SignalId, ValidatedDesign};
 use crate::sim::Simulator;
-use crate::structural::{fanout_levels, get_fanout, input_unreachable_signals};
+use crate::structural::{driver_support, fanout_levels, uncovered_signals};
 
 /// Records the values of a fixed set of signals over a simulation run and
 /// renders them as a Value Change Dump (VCD).
@@ -196,7 +196,7 @@ impl<'a> TraceRecorder<'a> {
 pub fn fanout_dot(design: &ValidatedDesign) -> String {
     let d = design.design();
     let levels = fanout_levels(design);
-    let uncovered = input_unreachable_signals(design);
+    let uncovered = uncovered_signals(design, &levels.concat());
     let mut out = String::new();
     let _ = writeln!(out, "digraph fanout_levels {{");
     let _ = writeln!(out, "  rankdir=LR;");
@@ -221,23 +221,27 @@ pub fn fanout_dot(design: &ValidatedDesign) -> String {
         let _ = writeln!(out, "  }}");
     }
 
-    // Edges: inputs -> CC1, and each signal -> its single-cycle fanout.
-    let inputs = d.inputs();
-    for &sig in &get_fanout(design, &inputs) {
+    // Edges: inputs -> CC1, and each register -> its single-cycle fanout,
+    // sorted by source and then by sink.
+    for &sig in levels.first().map_or(&[][..], Vec::as_slice) {
         let _ = writeln!(out, "  inputs -> {};", node_name(d.signal_name(sig)));
     }
-    for source in d.state_and_output_signals() {
-        if matches!(d.signal_info(source).kind(), SignalKind::Output) {
-            continue;
+    let mut edges: Vec<(SignalId, SignalId)> = Vec::new();
+    for sink in d.state_and_output_signals() {
+        for &source in driver_support(design, sink) {
+            if d.signal_info(source).kind().is_register() {
+                edges.push((source, sink));
+            }
         }
-        for &sink in &get_fanout(design, &[source]) {
-            let _ = writeln!(
-                out,
-                "  {} -> {};",
-                node_name(d.signal_name(source)),
-                node_name(d.signal_name(sink))
-            );
-        }
+    }
+    edges.sort_unstable();
+    for (source, sink) in edges {
+        let _ = writeln!(
+            out,
+            "  {} -> {};",
+            node_name(d.signal_name(source)),
+            node_name(d.signal_name(sink))
+        );
     }
     let _ = writeln!(out, "}}");
     out

@@ -230,21 +230,23 @@ impl Expr {
         }
     }
 
-    /// Child expressions of this node, in a fixed order.
-    #[must_use]
-    pub fn children(&self) -> Vec<ExprId> {
-        match self {
-            Expr::Const { .. } | Expr::Signal(_) => Vec::new(),
-            Expr::Unary { a, .. } | Expr::Slice { a, .. } => vec![*a],
-            Expr::Binary { a, b, .. } => vec![*a, *b],
-            Expr::Concat { hi, lo } => vec![*hi, *lo],
+    /// Child expressions of this node, in a fixed order.  The iterator
+    /// holds at most three ids and allocates nothing.
+    pub fn children(&self) -> impl Iterator<Item = ExprId> {
+        let (ids, len) = match *self {
+            Expr::Const { .. } | Expr::Signal(_) => ([ExprId(0); 3], 0),
+            Expr::Unary { a, .. } | Expr::Slice { a, .. } | Expr::Rom { index: a, .. } => {
+                ([a, a, a], 1)
+            }
+            Expr::Binary { a, b, .. } => ([a, b, b], 2),
+            Expr::Concat { hi, lo } => ([hi, lo, lo], 2),
             Expr::Mux {
                 cond,
                 then_e,
                 else_e,
-            } => vec![*cond, *then_e, *else_e],
-            Expr::Rom { index, .. } => vec![*index],
-        }
+            } => ([cond, then_e, else_e], 3),
+        };
+        ids.into_iter().take(len)
     }
 }
 
@@ -254,8 +256,8 @@ mod tests {
 
     #[test]
     fn children_of_leaves_are_empty() {
-        assert!(Expr::Const { value: 3, width: 2 }.children().is_empty());
-        assert!(Expr::Signal(SignalId(0)).children().is_empty());
+        assert_eq!(Expr::Const { value: 3, width: 2 }.children().count(), 0);
+        assert_eq!(Expr::Signal(SignalId(0)).children().count(), 0);
     }
 
     #[test]
@@ -265,13 +267,15 @@ mod tests {
             then_e: ExprId(2),
             else_e: ExprId(3),
         };
-        assert_eq!(m.children(), vec![ExprId(1), ExprId(2), ExprId(3)]);
+        let children: Vec<ExprId> = m.children().collect();
+        assert_eq!(children, vec![ExprId(1), ExprId(2), ExprId(3)]);
         let b = Expr::Binary {
             op: BinaryOp::Add,
             a: ExprId(4),
             b: ExprId(5),
         };
-        assert_eq!(b.children(), vec![ExprId(4), ExprId(5)]);
+        let children: Vec<ExprId> = b.children().collect();
+        assert_eq!(children, vec![ExprId(4), ExprId(5)]);
     }
 
     #[test]

@@ -362,8 +362,9 @@ struct Parser {
     design: Design,
     /// `let` bindings by number.
     lets: HashMap<u32, ExprId>,
-    /// `table` contents by number; [`Design::rom`] interns every use.
-    tables: HashMap<u32, Vec<u128>>,
+    /// The resident copy of each `table`, by number: interned once, at its
+    /// line, and shared by every `rom` that reads it.
+    tables: HashMap<u32, Arc<Vec<u128>>>,
 }
 
 impl Parser {
@@ -419,13 +420,10 @@ impl Parser {
                 if tokens.next().is_some() {
                     return Err(syntax("trailing tokens after table"));
                 }
-                if self
-                    .tables
-                    .insert(sigil_number('@', name)?, table)
-                    .is_some()
-                {
+                let Entry::Vacant(slot) = self.tables.entry(sigil_number('@', name)?) else {
                     return Err(syntax(format!("duplicate table `{name}`")));
-                }
+                };
+                slot.insert(self.design.intern_table(table));
             }
             other => return Err(syntax(format!("unknown keyword `{other}`"))),
         }
@@ -485,19 +483,24 @@ impl Parser {
             }
             "rom" => {
                 let width = parse_width(literal(tokens)?)?;
-                let table = match tokens.next() {
-                    Some(Token::Open) => table_entries(tokens)?,
+                match tokens.next() {
+                    Some(Token::Open) => {
+                        let table = table_entries(tokens)?;
+                        let index = self.sexpr(tokens)?;
+                        self.design.rom(table, index, width)
+                    }
                     Some(Token::Atom(name)) => {
                         let n = sigil_number('@', name)?;
-                        self.tables
+                        let table = self
+                            .tables
                             .get(&n)
                             .cloned()
-                            .ok_or_else(|| syntax(format!("unknown table `{name}`")))?
+                            .ok_or_else(|| syntax(format!("unknown table `{name}`")))?;
+                        let index = self.sexpr(tokens)?;
+                        self.design.rom_interned(table, index, width)
                     }
-                    _ => return Err(syntax("expected `@N` or `(` after the rom width")),
-                };
-                let index = self.sexpr(tokens)?;
-                self.design.rom(table, index, width)
+                    _ => Err(syntax("expected `@N` or `(` after the rom width")),
+                }
             }
             "mux" => {
                 let c = self.sexpr(tokens)?;

@@ -6,33 +6,158 @@
 //! Wires are transparent (they are combinational), registers and outputs are
 //! the observation points.
 //!
+//! Everything here reads one table: every signal's *driver support*, the
+//! inputs and registers its driver reads with wires and outputs expanded
+//! ([`driver_support`]).  It depends on the netlist alone, so
+//! [`Design::validated`] computes it once, in one walk of each driver's
+//! expression DAG, and [`ValidatedDesign`] holds it.  `Get_Fanout` is then a
+//! filter over the table, and planning every fanout level walks no
+//! expression at all.
+//!
 //! It also provides the signal-coverage check of Sec. IV-D (case 2): state or
 //! output signals that are *never* reached from the primary inputs may host an
 //! input-independent Trojan (e.g. a timer started at reset) and must be
 //! reported to the verification engineer.
 
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashSet};
 
 use crate::design::{Design, SignalId, SignalKind, ValidatedDesign};
+use crate::error::DesignError;
 use crate::expr::ExprId;
+
+/// Every signal's driver support in one flat table: `ranges[i]` is the
+/// `start..end` of signal `i`'s support in `signals`, sorted by id.
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub(crate) struct SupportTable {
+    ranges: Vec<(usize, usize)>,
+    signals: Vec<SignalId>,
+}
+
+impl SupportTable {
+    /// Walks each driver's DAG once and expands the wires and outputs it
+    /// reads, so it also finds combinational loops: a wire or output whose
+    /// expansion reaches itself.
+    pub(crate) fn build(d: &Design) -> Result<SupportTable, DesignError> {
+        let n = d.num_signals();
+        // The signals each driver reads directly, walked with one stamp
+        // table for the whole design.
+        let mut leaf_offsets = Vec::with_capacity(n + 1);
+        let mut leaves: Vec<SignalId> = Vec::new();
+        let mut seen = vec![0; d.num_exprs()];
+        let mut stack = Vec::new();
+        leaf_offsets.push(0);
+        for (id, s) in d.signals() {
+            if let Some(driver) = s.driver() {
+                let stamp = id.index() as u32 + 1;
+                d.push_expr_signals(driver, &mut seen, stamp, &mut stack, &mut leaves);
+            }
+            leaf_offsets.push(leaves.len());
+        }
+        let leaves_of = |s: SignalId| &leaves[leaf_offsets[s.index()]..leaf_offsets[s.index() + 1]];
+        let combinational = |s: SignalId| {
+            matches!(
+                d.signal_info(s).kind(),
+                SignalKind::Wire | SignalKind::Output
+            )
+        };
+
+        // Supports in depth-first post-order over the wires and outputs read,
+        // so a wire's support is ready before any reader expands it.
+        #[derive(Clone, Copy, PartialEq)]
+        enum Mark {
+            White,
+            Grey,
+            Black,
+        }
+        let mut marks = vec![Mark::White; n];
+        let mut ranges = vec![(0, 0); n];
+        let mut signals: Vec<SignalId> = Vec::new();
+        let mut added = vec![0u32; n];
+        let mut dfs: Vec<(SignalId, usize)> = Vec::new();
+        for root in d.signal_ids() {
+            if marks[root.index()] != Mark::White {
+                continue;
+            }
+            marks[root.index()] = Mark::Grey;
+            dfs.push((root, 0));
+            while let Some((sig, next)) = dfs.last_mut() {
+                let sig = *sig;
+                if let Some(&leaf) = leaves_of(sig).get(*next) {
+                    *next += 1;
+                    if combinational(leaf) {
+                        match marks[leaf.index()] {
+                            Mark::Black => {}
+                            Mark::Grey => {
+                                return Err(DesignError::CombinationalLoop {
+                                    signal: d.signal_name(leaf).to_string(),
+                                });
+                            }
+                            Mark::White => {
+                                marks[leaf.index()] = Mark::Grey;
+                                dfs.push((leaf, 0));
+                            }
+                        }
+                    }
+                    continue;
+                }
+                dfs.pop();
+                marks[sig.index()] = Mark::Black;
+                let stamp = sig.index() as u32 + 1;
+                let start = signals.len();
+                for &leaf in leaves_of(sig) {
+                    if !combinational(leaf) {
+                        push_once(&mut signals, &mut added, stamp, leaf);
+                        continue;
+                    }
+                    let (from, to) = ranges[leaf.index()];
+                    for i in from..to {
+                        let s = signals[i];
+                        push_once(&mut signals, &mut added, stamp, s);
+                    }
+                }
+                signals[start..].sort_unstable();
+                ranges[sig.index()] = (start, signals.len());
+            }
+        }
+        Ok(SupportTable { ranges, signals })
+    }
+
+    fn get(&self, sig: SignalId) -> &[SignalId] {
+        let (start, end) = self.ranges[sig.index()];
+        &self.signals[start..end]
+    }
+}
+
+/// Pushes `sig` onto the support under construction at the end of
+/// `signals`, unless `added` already marks it with that support's `stamp`.
+fn push_once(signals: &mut Vec<SignalId>, added: &mut [u32], stamp: u32, sig: SignalId) {
+    if added[sig.index()] != stamp {
+        added[sig.index()] = stamp;
+        signals.push(sig);
+    }
+}
+
+/// The driver support of `sig`: the inputs and registers its driver reads,
+/// with named wires and outputs expanded transitively, sorted by id.  Empty
+/// for an input, which has no driver.  For a register this is the support
+/// of its next-state function.
+///
+/// [`Design::validated`] computes every signal's support once; this is a
+/// lookup.
+#[must_use]
+pub fn driver_support(design: &ValidatedDesign, sig: SignalId) -> &[SignalId] {
+    design.supports().get(sig)
+}
 
 /// The combinational support of an expression: the set of *non-wire* signals
 /// (inputs and registers) it reads, with named wires expanded transitively.
 ///
 /// Output signals never appear in the support because outputs cannot be read
-/// back inside a design.
+/// back inside a design.  For a signal's own driver, [`driver_support`]
+/// returns the same set without walking the expression.
 #[must_use]
 pub fn combinational_support(design: &ValidatedDesign, expr: ExprId) -> BTreeSet<SignalId> {
     let d = design.design();
-    let mut cache: HashMap<SignalId, BTreeSet<SignalId>> = HashMap::new();
-    expr_support(d, expr, &mut cache)
-}
-
-fn expr_support(
-    d: &Design,
-    expr: ExprId,
-    cache: &mut HashMap<SignalId, BTreeSet<SignalId>>,
-) -> BTreeSet<SignalId> {
     let mut out = BTreeSet::new();
     for sig in d.expr_signals(expr) {
         match d.signal_info(sig).kind() {
@@ -40,14 +165,7 @@ fn expr_support(
                 out.insert(sig);
             }
             SignalKind::Wire | SignalKind::Output => {
-                if let Some(cached) = cache.get(&sig) {
-                    out.extend(cached.iter().copied());
-                } else {
-                    let driver = d.signal_info(sig).driver().expect("validated design");
-                    let support = expr_support(d, driver, cache);
-                    out.extend(support.iter().copied());
-                    cache.insert(sig, support);
-                }
+                out.extend(driver_support(design, sig).iter().copied());
             }
         }
     }
@@ -86,17 +204,19 @@ fn expr_support(
 #[must_use]
 pub fn get_fanout(design: &ValidatedDesign, sources: &[SignalId]) -> Vec<SignalId> {
     let d = design.design();
-    let source_set: HashSet<SignalId> = sources.iter().copied().collect();
-    let mut cache: HashMap<SignalId, BTreeSet<SignalId>> = HashMap::new();
-    let mut out = Vec::new();
-    for sig in d.state_and_output_signals() {
-        let driver = d.signal_info(sig).driver().expect("validated design");
-        let support = expr_support(d, driver, &mut cache);
-        if support.iter().any(|s| source_set.contains(s)) {
-            out.push(sig);
-        }
+    let mut is_source = vec![false; d.num_signals()];
+    for &s in sources {
+        is_source[s.index()] = true;
     }
-    out
+    d.signals()
+        .filter(|(_, s)| s.kind().is_state_or_output())
+        .map(|(sig, _)| sig)
+        .filter(|&sig| {
+            driver_support(design, sig)
+                .iter()
+                .any(|s| is_source[s.index()])
+        })
+        .collect()
 }
 
 /// The per-cycle fanout levels starting from the primary inputs, iterated to a
@@ -110,22 +230,16 @@ pub fn get_fanout(design: &ValidatedDesign, sources: &[SignalId]) -> Vec<SignalI
 /// by its sequential depth (Sec. V of the paper).
 #[must_use]
 pub fn fanout_levels(design: &ValidatedDesign) -> Vec<Vec<SignalId>> {
-    let inputs = design.design().inputs();
+    let d = design.design();
     let mut levels: Vec<Vec<SignalId>> = Vec::new();
-    let mut all: HashSet<SignalId> = HashSet::new();
-    let mut frontier = get_fanout(design, &inputs);
-    loop {
-        let new_signals: Vec<SignalId> = frontier
-            .iter()
-            .copied()
-            .filter(|s| !all.contains(s))
-            .collect();
-        if new_signals.is_empty() {
-            break;
+    let mut covered = vec![false; d.num_signals()];
+    let mut frontier = get_fanout(design, &d.inputs());
+    while frontier.iter().any(|s| !covered[s.index()]) {
+        for s in &frontier {
+            covered[s.index()] = true;
         }
-        all.extend(frontier.iter().copied());
-        levels.push(frontier.clone());
-        frontier = get_fanout(design, &frontier);
+        let next = get_fanout(design, &frontier);
+        levels.push(std::mem::replace(&mut frontier, next));
     }
     levels
 }
@@ -159,8 +273,7 @@ pub fn uncovered_signals(design: &ValidatedDesign, covered: &[SignalId]) -> Vec<
 /// primary inputs at any depth (i.e. the coverage gap of the whole flow).
 #[must_use]
 pub fn input_unreachable_signals(design: &ValidatedDesign) -> Vec<SignalId> {
-    let covered: Vec<SignalId> = fanout_levels(design).into_iter().flatten().collect();
-    uncovered_signals(design, &covered)
+    uncovered_signals(design, &fanout_levels(design).concat())
 }
 
 /// One place where the *data-driven* side condition of the decomposition is
@@ -218,23 +331,18 @@ pub fn data_driven_violations(
     cumulative: bool,
 ) -> Vec<DataDrivenViolation> {
     let d = design.design();
-    let inputs: HashSet<SignalId> = d.inputs().into_iter().collect();
     let levels = fanout_levels(design);
-    let mut cache: HashMap<SignalId, BTreeSet<SignalId>> = HashMap::new();
     let mut violations = Vec::new();
 
     // The registers whose one-step value is fully determined by `allowed`
     // (given that primary inputs are always shared between the instances).
-    let check_register = |d: &Design,
-                          cache: &mut HashMap<SignalId, BTreeSet<SignalId>>,
-                          property_index: usize,
+    let check_register = |property_index: usize,
                           proven_signal: SignalId,
                           reg: SignalId,
                           allowed: &HashSet<SignalId>,
                           violations: &mut Vec<DataDrivenViolation>| {
-        let driver = d.signal_info(reg).driver().expect("validated design");
-        for dep in expr_support(d, driver, cache) {
-            if !inputs.contains(&dep) && !allowed.contains(&dep) {
+        for &dep in driver_support(design, reg) {
+            if d.signal_info(dep).kind() != SignalKind::Input && !allowed.contains(&dep) {
                 violations.push(DataDrivenViolation {
                     property_index,
                     proven_signal,
@@ -251,13 +359,12 @@ pub fn data_driven_violations(
         for &z in level {
             match d.signal_info(z).kind() {
                 SignalKind::Register { .. } => {
-                    check_register(d, &mut cache, k, z, z, &assumed, &mut violations);
+                    check_register(k, z, z, &assumed, &mut violations);
                 }
                 SignalKind::Output | SignalKind::Wire => {
-                    let driver = d.signal_info(z).driver().expect("validated design");
-                    for reg in expr_support(d, driver, &mut cache) {
+                    for &reg in driver_support(design, z) {
                         if d.signal_info(reg).kind().is_register() {
-                            check_register(d, &mut cache, k, z, reg, &assumed, &mut violations);
+                            check_register(k, z, reg, &assumed, &mut violations);
                         }
                     }
                 }

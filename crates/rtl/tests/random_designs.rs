@@ -1,10 +1,13 @@
 //! Property-based tests on the RTL substrate: netlist round-trips preserve
-//! simulation behaviour, structural analysis invariants hold, and the
-//! simulator agrees with a direct word-level interpretation of the design.
+//! simulation behaviour, structural analysis invariants hold, the support
+//! table equals a brute-force walk, and the simulator agrees with a direct
+//! word-level interpretation of the design.
+
+use std::collections::BTreeSet;
 
 use htd_rtl::sim::Simulator;
-use htd_rtl::structural::{fanout_levels, get_fanout, input_unreachable_signals};
-use htd_rtl::{netlist, Design, ExprId, SignalId, ValidatedDesign};
+use htd_rtl::structural::{driver_support, fanout_levels, get_fanout, input_unreachable_signals};
+use htd_rtl::{netlist, Design, Expr, ExprId, SignalId, SignalKind, ValidatedDesign};
 use proptest::prelude::*;
 
 /// A small recipe for random two-register designs (kept simple on purpose:
@@ -75,8 +78,113 @@ fn build(recipe: &Recipe) -> ValidatedDesign {
     d.validated().unwrap()
 }
 
+/// A random design with chains of named wires and outputs: `inputs` inputs
+/// and `registers` registers, then one wire or output per `driven` entry,
+/// then each register's next state.  All signals are 4 bits wide; every
+/// driver combines two signals declared before it (operand picks index the
+/// declared signals modulo their count), outputs included.
+#[derive(Clone, Debug)]
+struct Dag {
+    inputs: u8,
+    registers: u8,
+    /// `(is an output, operator, operand, operand)` per driven signal.
+    driven: Vec<(bool, u8, u16, u16)>,
+    /// `(operator, operand, operand)`, cycled over the registers.
+    nexts: Vec<(u8, u16, u16)>,
+}
+
+fn dag() -> impl Strategy<Value = Dag> {
+    (
+        1u8..4,
+        1u8..4,
+        prop::collection::vec((any::<bool>(), 0u8..5, any::<u16>(), any::<u16>()), 0..12),
+        prop::collection::vec((0u8..5, any::<u16>(), any::<u16>()), 1..4),
+    )
+        .prop_map(|(inputs, registers, driven, nexts)| Dag {
+            inputs,
+            registers,
+            driven,
+            nexts,
+        })
+}
+
+/// Operator `op` over signals `a` and `b`; operator 4 reads neither.
+fn combine(d: &mut Design, op: u8, a: SignalId, b: SignalId) -> ExprId {
+    let (ea, eb) = (d.signal(a), d.signal(b));
+    match op {
+        0 => d.xor(ea, eb).unwrap(),
+        1 => d.add(ea, eb).unwrap(),
+        2 => {
+            let cond = d.red_or(ea);
+            d.mux(cond, eb, ea).unwrap()
+        }
+        3 => d.not(ea),
+        _ => d.constant(5, 4).unwrap(),
+    }
+}
+
+fn build_dag(dag: &Dag) -> ValidatedDesign {
+    let mut d = Design::new("dag");
+    let mut declared: Vec<SignalId> = (0..dag.inputs)
+        .map(|i| d.add_input(format!("i{i}"), 4).unwrap())
+        .collect();
+    let registers: Vec<SignalId> = (0..dag.registers)
+        .map(|r| d.add_register(format!("r{r}"), 4, 0).unwrap())
+        .collect();
+    declared.extend(&registers);
+    for (k, &(output, op, a, b)) in dag.driven.iter().enumerate() {
+        let pick = |n: u16| declared[usize::from(n) % declared.len()];
+        let expr = combine(&mut d, op, pick(a), pick(b));
+        let sig = if output {
+            d.add_output(format!("o{k}"), expr).unwrap()
+        } else {
+            d.add_wire(format!("w{k}"), expr).unwrap()
+        };
+        declared.push(sig);
+    }
+    for (&reg, &(op, a, b)) in registers.iter().zip(dag.nexts.iter().cycle()) {
+        let pick = |n: u16| declared[usize::from(n) % declared.len()];
+        let expr = combine(&mut d, op, pick(a), pick(b));
+        d.set_register_next(reg, expr).unwrap();
+    }
+    d.validated().unwrap()
+}
+
+/// The inputs and registers `e` reads, found by walking every path of its
+/// tree and every wire's or output's driver in turn.
+fn brute_support(d: &Design, e: ExprId, out: &mut BTreeSet<SignalId>) {
+    let Expr::Signal(s) = *d.expr(e) else {
+        for child in d.expr(e).children() {
+            brute_support(d, child, out);
+        }
+        return;
+    };
+    match d.signal_info(s).kind() {
+        SignalKind::Input | SignalKind::Register { .. } => {
+            out.insert(s);
+        }
+        SignalKind::Wire | SignalKind::Output => {
+            brute_support(d, d.signal_info(s).driver().unwrap(), out);
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn support_table_equals_a_brute_force_walk(dag in dag()) {
+        let design = build_dag(&dag);
+        let d = design.design();
+        for sig in d.signal_ids() {
+            let mut expected = BTreeSet::new();
+            if let Some(driver) = d.signal_info(sig).driver() {
+                brute_support(d, driver, &mut expected);
+            }
+            let expected: Vec<SignalId> = expected.into_iter().collect();
+            prop_assert_eq!(driver_support(&design, sig), expected.as_slice());
+        }
+    }
 
     #[test]
     fn netlist_roundtrip_preserves_simulation(recipe in recipe(), stimulus in prop::collection::vec((any::<u64>(), any::<u64>()), 1..12)) {
