@@ -17,7 +17,8 @@ use std::num::NonZeroUsize;
 
 use crate::session::{DetectionSession, SessionBuilder};
 
-/// Inert: the executor runs on one thread ([module docs](self)).
+/// Inert: the executor runs on one thread.  Kept only because the
+/// benchmark harness (`perfbench/trace`) compiles against it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PropertyScheduler;
 
@@ -35,14 +36,16 @@ impl PropertyScheduler {
     }
 }
 
-/// Inert: there is one schedule ([module docs](self)).
+/// Inert: there is one schedule.  Kept only because the benchmark harness
+/// (`perfbench/trace`) compiles against it.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum EngineChoice {
     /// Inert.
     Scheduled(PropertyScheduler),
 }
 
-/// Inert: spawns no thread ([module docs](self)).
+/// Inert: spawns no thread.  Kept only because the benchmark harness
+/// (`perfbench/trace`) compiles against it.
 #[derive(Clone, Debug)]
 pub struct SharedSolvePool;
 
@@ -58,7 +61,8 @@ impl SharedSolvePool {
 }
 
 impl SessionBuilder {
-    /// Inert: ignores `engine` ([module docs](self)).
+    /// Inert: ignores `engine`.  Kept only because the benchmark harness
+    /// (`perfbench/trace`) calls it.
     #[must_use]
     pub fn engine(self, _engine: EngineChoice) -> Self {
         self
@@ -66,7 +70,8 @@ impl SessionBuilder {
 }
 
 impl DetectionSession {
-    /// Inert: ignores `pool` ([module docs](self)).
+    /// Inert: ignores `pool`.  Kept only because the benchmark harness
+    /// (`perfbench/trace`) calls it.
     pub fn attach_pool(&mut self, _pool: SharedSolvePool) {}
 
     /// What the most recent [`run`](Self::run) checked; all zero before the
@@ -78,7 +83,9 @@ impl DetectionSession {
 }
 
 /// Counters of one flow run, read through
-/// [`DetectionSession::pipeline_stats`] ([module docs](self)).
+/// [`DetectionSession::pipeline_stats`].  Only the first two count
+/// anything; the type stays because the benchmark harness
+/// (`perfbench/trace`) reads it.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct PipelineStats {
     /// Checks run on the master: levels and resolution rounds.

@@ -34,26 +34,7 @@
 //! verdict.  The CLI renders these live; the benchmark harness uses them for
 //! per-property timing without instrumenting the flow.
 //!
-//! # Event contract
-//!
-//! For one [`run`](DetectionSession::run) the observer sees, in order:
-//!
-//! 1. [`FlowEvent::LevelStarted`] for level `k` (1-based; level 1 is
-//!    `fanouts_CC1`, proved by the init property), followed by the events of
-//!    the property that proves the level:
-//!    * at most one [`FlowEvent::CounterexampleFound`] with
-//!      `spurious: true`, followed by its [`FlowEvent::ResolutionRound`]
-//!      (the round assumes every waived register in the level's fanin
-//!      equal, so no later counterexample of the level is spurious),
-//!    * then exactly one of [`FlowEvent::PropertyProved`] or a final
-//!      [`FlowEvent::CounterexampleFound`] with `spurious: false` (which ends
-//!      the run).
-//! 2. If every property holds, one [`FlowEvent::Coverage`] event with the
-//!    uncovered-signal verdict.
-//!
-//! Observers are `FnMut` callbacks; they must not assume any events
-//! beyond this contract (future versions may add variants — match with a
-//! wildcard arm).
+//! [`FlowEvent`] documents the order in which the events arrive.
 
 use std::path::PathBuf;
 use std::str::FromStr;
@@ -229,7 +210,26 @@ type EventObserver = Box<dyn FnMut(&FlowEvent)>;
 
 /// A progress event streamed while the detection flow runs.
 ///
-/// See the [module docs](self) for the ordering contract.
+/// # Ordering contract
+///
+/// For one [`run`](DetectionSession::run) the observer sees, in order:
+///
+/// 1. [`FlowEvent::LevelStarted`] for level `k` (1-based; level 1 is
+///    `fanouts_CC1`, proved by the init property), followed by the events of
+///    the property that proves the level:
+///    * at most one [`FlowEvent::CounterexampleFound`] with
+///      `spurious: true`, followed by its [`FlowEvent::ResolutionRound`]
+///      (the round assumes every waived register in the level's fanin
+///      equal, so no later counterexample of the level is spurious),
+///    * then exactly one of [`FlowEvent::PropertyProved`] or a final
+///      [`FlowEvent::CounterexampleFound`] with `spurious: false` (which ends
+///      the run).
+/// 2. If every property holds, one [`FlowEvent::Coverage`] event with the
+///    uncovered-signal verdict.
+///
+/// Observers are `FnMut` callbacks; they must not assume any events
+/// beyond this contract (future versions may add variants — match with a
+/// wildcard arm).
 #[derive(Clone, Debug, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum FlowEvent {
@@ -442,7 +442,7 @@ impl SessionBuilder {
 /// variable sharing instead of re-encoding, so an N-property flow lowers
 /// each property's cones into one AIG on one backend instead of building N
 /// encodings.  See [`SessionBuilder`] for construction and
-/// the [module docs](self) for the [`FlowEvent`] contract.
+/// [`FlowEvent`] for the event contract.
 pub struct DetectionSession {
     design: ValidatedDesign,
     config: DetectorConfig,

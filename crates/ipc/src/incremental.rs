@@ -78,7 +78,9 @@ pub struct SessionStats {
 ///
 /// Construct it with a design, checker options and a boxed [`SatBackend`];
 /// then call [`check`](Self::check) for every property of the flow.  All
-/// queries share one encoding; see the [module docs](self) for how.
+/// queries share one encoding: each property's cones are lowered into the
+/// same structurally hashed AIG, only new nodes reach the backend, and
+/// antecedents are solver assumptions rather than unit clauses.
 ///
 /// # Example
 ///

@@ -260,7 +260,9 @@ pub fn content_hash(design: &ValidatedDesign) -> u64 {
 /// The [`content_hash`] of an already-serialised canonical netlist:
 /// `hash_of_dump(&dump(d)) == content_hash(d)` for every design.  Callers
 /// that need both the key and the dump text — e.g. a cache that must compare
-/// dumps on a hash hit — pay for one [`dump`] walk instead of two.
+/// dumps on a hash hit — pay for one [`dump`] walk instead of two.  On any
+/// other netlist text it hashes that text as given, which is how the daemon
+/// keys request coalescing on the submitted text without dumping.
 #[must_use]
 pub fn hash_of_dump(dump: &str) -> u64 {
     use std::hash::Hasher as _;

@@ -52,13 +52,14 @@ const DELETED_BIT: u32 = 1 << 31;
 /// [`ClauseArena::compact`].
 pub(crate) const RELOC_DEAD: u32 = u32::MAX;
 
-/// A reference to a clause in a [`ClauseArena`]: the word offset of its
-/// header.
+/// A reference to a clause in the solver's flat clause arena: the word
+/// offset of its header.
 ///
 /// References are plain offsets, so they are `Copy`, 4 bytes wide, and
-/// meaningful only for the arena that issued them.  See the [module
-/// docs](self) for the stability rules — in short, a `ClauseRef` survives
-/// everything except compaction.
+/// meaningful only for the arena that issued them.  A `ClauseRef` survives
+/// everything except compaction: allocation only appends and deletion only
+/// flips a header bit, while the compaction sweep of garbage collection
+/// slides the surviving clauses down and invalidates every old reference.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ClauseRef(pub(crate) u32);
 

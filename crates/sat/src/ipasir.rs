@@ -288,8 +288,12 @@ const IPASIR_INTERRUPTED: c_int = 0;
 
 /// A [`SatBackend`] driving a solver handle of a `dlopen`ed IPASIR library.
 ///
-/// See the [module docs](self) for the incrementality contract and the
-/// optional `ipasir_htd_*` extension subset.  Create one with
+/// Every clause streams into the live handle once and is never re-sent,
+/// assumptions hold for one query, and interrupts reach the library through
+/// `ipasir_set_terminate`.  A library that also exports the optional
+/// `ipasir_htd_*` decision-masking symbols (see
+/// [`has_htd_extensions`](Self::has_htd_extensions)) receives exactly the
+/// operation sequence the builtin solver does.  Create one with
 /// [`IpasirBackend::load`]; the CLI syntax is `--backend ipasir:LIB.so`.
 pub struct IpasirBackend {
     library: IpasirLibrary,
@@ -361,7 +365,7 @@ impl IpasirBackend {
     /// `ipasir_set_terminate` and the `ipasir_htd_*` extensions are
     /// optional: without the former, interrupts are ignored (wasted work,
     /// never wrong answers); without the latter, decision-masking hints are
-    /// ignored (see the [module docs](self)).
+    /// ignored (see [`has_htd_extensions`](Self::has_htd_extensions)).
     pub fn load(path: impl AsRef<Path>) -> Result<Self, BackendError> {
         let library = IpasirLibrary::open(path.as_ref())?;
         // SAFETY: `init` was resolved from the live library.
@@ -395,7 +399,12 @@ impl IpasirBackend {
     }
 
     /// `true` if the library exports the `ipasir_htd_*` decision-masking
-    /// extension subset (see the [module docs](self)).
+    /// extension subset: `ipasir_htd_mask_all_decisions` and
+    /// `ipasir_htd_set_decision`, which mirror
+    /// [`SatBackend::mask_all_decisions`] and [`SatBackend::set_decision_var`].
+    /// The bundled shim exports both; a standard IPASIR library exports
+    /// neither, and its verdicts stay equivalent because masking is a search
+    /// hint, never a soundness requirement.
     #[must_use]
     pub fn has_htd_extensions(&self) -> bool {
         self.library.htd_set_decision.is_some() && self.library.htd_mask_all.is_some()

@@ -376,7 +376,8 @@ pub const DEFAULT_GC_MIN_CLAUSES: usize = 128;
 /// tests and the benchmark harness fork never-run masters.  Because
 /// the clause database is a flat arena, the clone cost is proportional to
 /// its byte size — [`snapshot_bytes`](Self::snapshot_bytes) — not to the
-/// clause count; see the [module docs](self) for the memory architecture.
+/// clause count: every clause lives inline in one flat word arena, and the
+/// watcher lists in another.
 ///
 /// See the [crate-level documentation](crate) for an overview and an example.
 #[derive(Clone, Debug, Default)]
@@ -566,7 +567,8 @@ impl Solver {
     /// Attaches (or detaches, with `None`) a shared resource budget.  The
     /// solver charges one unit per conflict and abandons the query with
     /// [`SolveResult::Interrupted`] once the tracker reports exhaustion; the
-    /// formula stays valid, exactly as with [`set_interrupt`].
+    /// formula stays valid, exactly as with
+    /// [`set_interrupt`](Self::set_interrupt).
     pub fn set_budget(&mut self, budget: Option<Arc<BudgetTracker>>) {
         self.budget = budget;
     }
@@ -1134,7 +1136,7 @@ impl Solver {
     /// stripped from the surviving clauses.
     ///
     /// The sweep is a single in-place compaction pass over the arena
-    /// ([`ClauseArena::compact`]): survivors slide down, and the returned
+    /// (the arena's `compact`): survivors slide down, and the returned
     /// relocation map patches the watcher lists in place — watched positions
     /// are provably stable at decision level 0, so no watch re-selection or
     /// re-propagation happens.  Must be called at decision level 0 (between

@@ -8,7 +8,7 @@
 //! wrap the plain JSON endpoints.
 
 use std::fmt;
-use std::io::{BufRead, BufReader, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -349,17 +349,27 @@ fn request(
     tenant: Option<&str>,
 ) -> Result<TcpStream, ClientError> {
     let mut stream = TcpStream::connect(addr).map_err(|e| ClientError::Io(e.to_string()))?;
-    let body = body.unwrap_or("");
+    write_request(&mut stream, method, path, body.unwrap_or(""), tenant)
+        .map_err(|e| ClientError::Io(e.to_string()))?;
+    Ok(stream)
+}
+
+/// Writes one request, head and body built whole and sent in one write.
+fn write_request(
+    writer: &mut impl Write,
+    method: &str,
+    path: &str,
+    body: &str,
+    tenant: Option<&str>,
+) -> io::Result<()> {
     let tenant_header = tenant.map_or(String::new(), |t| format!("X-HTD-Tenant: {t}\r\n"));
-    write!(
-        stream,
+    let request = format!(
         "{method} {path} HTTP/1.1\r\nHost: htd\r\nContent-Type: application/json\r\n\
          {tenant_header}Content-Length: {}\r\nConnection: close\r\n\r\n{body}",
         body.len()
-    )
-    .map_err(|e| ClientError::Io(e.to_string()))?;
-    stream.flush().map_err(|e| ClientError::Io(e.to_string()))?;
-    Ok(stream)
+    );
+    writer.write_all(request.as_bytes())?;
+    writer.flush()
 }
 
 /// Reads the status line and headers; returns the status code and reason.
@@ -468,6 +478,27 @@ mod tests {
             seed: 1,
         };
         assert!(policy.schedule().is_empty());
+    }
+
+    #[test]
+    fn a_request_goes_out_in_one_write() {
+        let body = Json::obj([("netlist", Json::str("design d\ninput a 1\n"))]).to_string();
+        let mut out = crate::http::CountingWriter::default();
+        write_request(&mut out, "POST", "/jobs", &body, Some("alice")).unwrap();
+        assert_eq!(out.writes, 1);
+        let text = String::from_utf8(out.bytes).unwrap();
+        assert_eq!(
+            text,
+            format!(
+                "POST /jobs HTTP/1.1\r\nHost: htd\r\nContent-Type: application/json\r\n\
+                 X-HTD-Tenant: alice\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{body}",
+                body.len()
+            )
+        );
+        // The server's own reader takes it back apart.
+        let parsed = crate::http::read_request(&mut text.as_bytes(), 1 << 20).unwrap();
+        assert_eq!(parsed.tenant.as_deref(), Some("alice"));
+        assert_eq!(parsed.body, body);
     }
 
     #[test]

@@ -19,7 +19,8 @@ use htd_rtl::ValidatedDesign;
 
 use crate::json::Json;
 
-/// Inert: the byte budget of the deleted cache ([module docs](self)).
+/// Inert: the byte budget of the deleted cache, which configures nothing.
+/// Kept only because the benchmark harness (`perfbench/trace`) reads it.
 pub const DEFAULT_CACHE_BYTES: u64 = 256 * 1024 * 1024;
 
 /// A design and a never-run miter session over it, the entry the deleted
@@ -32,7 +33,9 @@ pub struct FrozenMaster {
     pub miter: MiterSession,
 }
 
-/// Inert: holds nothing ([module docs](self)).
+/// Inert: holds nothing, so every [`fetch`](Self::fetch) misses.  The
+/// daemon caches nothing; the type stays only because the benchmark
+/// harness (`perfbench/trace`) compiles against it.
 #[derive(Debug, Default)]
 pub struct SnapshotCache;
 

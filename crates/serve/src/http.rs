@@ -1,6 +1,7 @@
 //! Just enough HTTP/1.1 to carry the service protocol over a raw
 //! [`std::net::TcpStream`]: request-line + header parsing with a bounded
-//! body, and plain / streaming response writers.
+//! body, and plain / streaming response writers that each send their
+//! response in one write.
 //!
 //! Every response closes the connection (`Connection: close`), which is what
 //! makes the NDJSON stream EOF-terminated — no chunked transfer encoding,
@@ -9,7 +10,7 @@
 //! that sends `Expect: 100-continue` gets its interim `100 Continue` before
 //! the body is read.
 
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, BufWriter, Write};
 
 use crate::json::Json;
 
@@ -192,7 +193,8 @@ fn read_line(reader: &mut impl BufRead) -> Result<String, RequestError> {
         .map_err(|_| RequestError::Malformed("header line is not valid UTF-8".to_owned()))
 }
 
-/// Writes a complete JSON response with `Content-Length` framing.
+/// Writes a complete JSON response with `Content-Length` framing, built
+/// whole and sent in one write.
 ///
 /// # Errors
 ///
@@ -203,14 +205,13 @@ pub fn write_json(
     reason: &str,
     body: &Json,
 ) -> io::Result<()> {
-    let mut payload = body.to_string();
-    payload.push('\n');
-    write!(
-        writer,
+    let payload = body.to_string();
+    let response = format!(
         "HTTP/1.1 {status} {reason}\r\nContent-Type: application/json\r\n\
-         Content-Length: {}\r\nConnection: close\r\n\r\n{payload}",
-        payload.len()
-    )?;
+         Content-Length: {}\r\nConnection: close\r\n\r\n{payload}\n",
+        payload.len() + 1
+    );
+    writer.write_all(response.as_bytes())?;
     writer.flush()
 }
 
@@ -233,18 +234,42 @@ pub fn write_error(
     write_json(writer, status, reason, &body)
 }
 
-/// Starts an EOF-terminated NDJSON stream: status line and headers only; the
-/// caller then writes one JSON document per line and closes the socket.
+/// Starts an EOF-terminated NDJSON stream: the status line, the headers and
+/// the stream's `first` frame, sent in one write.  The caller then writes
+/// one JSON document per line and closes the socket.
 ///
 /// # Errors
 ///
 /// Propagates socket write failures.
-pub fn write_stream_header(writer: &mut impl Write) -> io::Result<()> {
-    write!(
-        writer,
-        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n"
+pub fn write_stream_head(writer: &mut impl Write, first: &Json) -> io::Result<()> {
+    let mut out = BufWriter::new(writer);
+    writeln!(
+        out,
+        "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\nConnection: close\r\n\r\n{first}"
     )?;
-    writer.flush()
+    out.flush()
+}
+
+/// A writer that records its bytes and counts the `write` calls that
+/// reach it, for the tests that pin how many pieces a response goes out in.
+#[cfg(test)]
+#[derive(Default)]
+pub(crate) struct CountingWriter {
+    pub(crate) writes: usize,
+    pub(crate) bytes: Vec<u8>,
+}
+
+#[cfg(test)]
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+        self.writes += 1;
+        self.bytes.extend_from_slice(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -357,6 +382,26 @@ mod tests {
             parse("GET / HTTP/1.1\r\nbadheader\r\n\r\n"),
             Err(RequestError::Malformed(_))
         ));
+    }
+
+    #[test]
+    fn a_json_response_goes_out_in_one_write() {
+        let body = Json::obj([
+            ("job", Json::UInt(3)),
+            ("state", Json::str("running \"AES-T100\"\n")),
+        ]);
+        let mut out = CountingWriter::default();
+        write_json(&mut out, 200, "OK", &body).unwrap();
+        assert_eq!(out.writes, 1);
+        let payload = format!("{body}\n");
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: {}\r\n\
+                 Connection: close\r\n\r\n{payload}",
+                payload.len()
+            )
+        );
     }
 
     #[test]

@@ -143,19 +143,34 @@ impl fmt::Display for Json {
     }
 }
 
+/// Writes `s` as a quoted JSON string.  Every maximal run of characters that
+/// need no escape goes out as one piece, so a formatter over an unbuffered
+/// writer sees a handful of writes per string, not one per character.
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
     f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    // The start of the pending run.  Every byte that needs an escape is
+    // ASCII, so run boundaries always fall between characters.
+    let mut run = 0;
+    for (at, byte) in s.bytes().enumerate() {
+        let escape = match byte {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        if run < at {
+            f.write_str(&s[run..at])?;
         }
+        match escape {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{byte:04x}")?,
+        }
+        run = at + 1;
     }
+    f.write_str(&s[run..])?;
     f.write_str("\"")
 }
 
@@ -406,6 +421,42 @@ mod tests {
         let text = value.to_string();
         assert!(!text.contains('\n'), "newline must be escaped: {text}");
         assert_eq!(Json::parse(&text).unwrap(), value);
+    }
+
+    #[test]
+    fn escapes_exactly_the_characters_json_requires() {
+        let value =
+            Json::str("é→😀 \"q\" \\ a\nb\rc\td\u{0}\u{1}\u{8}\u{c}\u{1b}\u{1f} \u{7f}/end");
+        let text = value.to_string();
+        assert_eq!(
+            text,
+            "\"é→😀 \\\"q\\\" \\\\ a\\nb\\rc\\td\\u0000\\u0001\\u0008\\u000c\\u001b\\u001f \u{7f}/end\""
+        );
+        assert_eq!(Json::parse(&text).unwrap(), value);
+        // Escapes at both ends, back to back, and a string with none.
+        for s in ["\"", "\n\n", "\\x\\", "", "plain"] {
+            assert_eq!(
+                Json::parse(&Json::str(s).to_string()).unwrap(),
+                Json::str(s)
+            );
+        }
+    }
+
+    #[test]
+    fn a_string_renders_in_runs_not_per_character() {
+        /// Counts the pieces a `Display` impl hands to its writer.
+        struct Pieces(usize);
+        impl fmt::Write for Pieces {
+            fn write_str(&mut self, _: &str) -> fmt::Result {
+                self.0 += 1;
+                Ok(())
+            }
+        }
+        let long = format!("{}\n{}", "é".repeat(500), "x".repeat(500));
+        let mut pieces = Pieces(0);
+        fmt::Write::write_fmt(&mut pieces, format_args!("{}", Json::str(long))).unwrap();
+        // Quote, run, escape, run, quote.
+        assert_eq!(pieces.0, 5);
     }
 
     #[test]

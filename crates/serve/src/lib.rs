@@ -65,15 +65,21 @@
 //! again: the `accepted` frame carries `coalesced_into` naming the leader
 //! job, all subsequent frames are fanned out to every attached subscriber
 //! (tagged with the leader's job id), and each subscriber receives the
-//! byte-identical terminal report.  Identity is the netlist's content hash,
-//! verified byte for byte against the canonical dump, so a hash collision
-//! can never attach one tenant to another tenant's design.  Detaching
+//! byte-identical terminal report.  Identity is the submitted netlist text:
+//! its hash keys the lookup, and a hash hit is verified byte for byte
+//! against the leader's text, so a hash collision can never attach one
+//! tenant to another tenant's design.  Equal text is an equal design, so a
+//! follower's report is the one its own run would produce; two spellings of
+//! one design (say, one with an extra comment line) run as two jobs.
+//! `htd submit` sends the canonical text of `htd export`.  Detaching
 //! (disconnect or `DELETE`) affects only that subscriber; the underlying
 //! run is cancelled once no subscribers remain.
 //!
 //! Accepted submissions answer `200` with `Content-Type:
 //! application/x-ndjson` and an EOF-terminated stream of one JSON frame per
-//! line, every frame tagged with `"event"` and `"job"`:
+//! line, every frame tagged with `"event"` and `"job"`.  Frames are written
+//! whole: the response head goes out together with the `accepted` frame,
+//! and a job's terminal frames go out together.
 //!
 //! | frame | meaning |
 //! |---|---|

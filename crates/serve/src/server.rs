@@ -16,21 +16,27 @@
 //!   [`SolveBudget`], exactly as `htd detect` builds one, runs the flow on
 //!   its own thread, and fans the flow's events out to every subscriber.  Job
 //!   execution is wrapped in
-//!   [`catch_unwind`](std::panic::catch_unwind): a panicking flow fails
+//!   [`std::panic::catch_unwind`]: a panicking flow fails
 //!   *that job* with an `internal` error frame and the runner keeps
 //!   serving.
 //!
-//! **Coalescing.**  Submissions are keyed by the netlist content hash
-//! (byte-verified against the canonical dump): a submission identical to an
-//! in-flight job attaches to it as a follower instead of running the flow
-//! again, and every subscriber receives the byte-identical frame stream.
+//! **Coalescing.**  Submissions are keyed by the hash of the submitted
+//! netlist text, verified byte for byte against that text: a submission
+//! identical to an in-flight job attaches to it as a follower instead of
+//! running the flow again, and every subscriber receives the byte-identical
+//! frame stream.  The text is the one the client sent; the daemon never
+//! re-dumps a parsed design.
+//!
+//! **Whole frames.**  Every response leaves in whole writes: the status
+//! line, headers and `accepted` frame in one write, each flow frame in one,
+//! and a job's terminal frames in one per subscriber.
 //!
 //! Every run starts from a fresh session, so its
 //! [`DetectionReport::normalized`] rendering is byte-identical to
 //! `htd detect --normalize` on the same netlist.
 
 use std::collections::HashMap;
-use std::io::{self, BufReader, Write};
+use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -72,9 +78,9 @@ const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 /// are dropped first).
 const FINISHED_RING: usize = 64;
 
-/// Deficit granted per tenant per round of the fair queue, in netlist-dump
-/// bytes: small designs interleave tightly, a huge design waits a few
-/// rounds.
+/// Deficit granted per tenant per round of the fair queue, in bytes of
+/// submitted netlist text: small designs interleave tightly, a huge design
+/// waits a few rounds.
 const FAIR_QUANTUM: u64 = 64 * 1024;
 
 /// How often the drain supervisor re-checks for active jobs.
@@ -208,12 +214,12 @@ struct Subscribers {
     frames: AtomicU64,
 }
 
-/// An in-flight (queued or running) job, keyed by netlist content hash so
-/// identical submissions coalesce onto it.
+/// An in-flight (queued or running) job, keyed by the hash of its submitted
+/// netlist text so identical submissions coalesce onto it.
 struct InflightEntry {
-    /// The canonical dump the key was hashed from; compared on a hash hit
+    /// The submitted text the key was hashed from; compared on a hash hit
     /// so a collision can never attach one tenant to another's design.
-    dump: String,
+    text: String,
     leader: u64,
     subs: Arc<Subscribers>,
     done: Arc<AtomicBool>,
@@ -515,7 +521,7 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
     };
     let _ = stream.set_read_timeout(None);
     match (request.method.as_str(), request.path.as_str()) {
-        ("POST", "/jobs") => handle_submit(state, stream, &request),
+        ("POST", "/jobs") => handle_submit(state, stream, request),
         ("POST", "/admin/drain") => {
             let active = count_active(state);
             begin_drain(state);
@@ -553,7 +559,7 @@ fn handle_connection(state: &Arc<ServerState>, mut stream: TcpStream) {
     }
 }
 
-fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Request) {
+fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: Request) {
     if state.draining.load(Ordering::SeqCst) {
         let _ = http::write_error(
             &mut stream,
@@ -564,7 +570,8 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
         );
         return;
     }
-    let (design, request_budget) = match parse_submission(&request.body) {
+    let Request { tenant, body, .. } = request;
+    let (design, text, request_budget) = match parse_submission(body) {
         Ok(parsed) => parsed,
         Err(message) => {
             let _ = http::write_error(&mut stream, 400, "Bad Request", "bad_request", &message);
@@ -573,11 +580,11 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
     };
     // A request may only tighten the operator's cap, never exceed it.
     let budget = request_budget.min(state.options.budget);
-    // One dump walk yields both the coalescing key and the canonical text
-    // verified against on a hash hit.
-    let dump = netlist::dump(&design);
-    let key = netlist::hash_of_dump(&dump);
-    let tenant = request.tenant.clone().unwrap_or_else(|| {
+    // The submitted text is the job's identity: its hash keys coalescing
+    // and the text itself is verified on a hash hit.  Equal text parses to
+    // an equal design, so a follower gets the report its own run would.
+    let key = netlist::hash_of_dump(&text);
+    let tenant = tenant.unwrap_or_else(|| {
         stream
             .peer_addr()
             .map_or_else(|_| "unknown".to_owned(), |peer| peer.ip().to_string())
@@ -598,7 +605,7 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
         // flag when it returns); don't attach to either — lead a fresh run
         // instead (the stale entry is replaced below and retired by its
         // runner leader-checked).
-        .filter(|entry| entry.dump == dump && !entry.subs.cancel.load(Ordering::SeqCst))
+        .filter(|entry| entry.text == text && !entry.subs.cancel.load(Ordering::SeqCst))
         .map(|entry| {
             (
                 entry.leader,
@@ -632,16 +639,12 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
             });
             (id, detach)
         };
-        let accepted = Json::obj([
-            ("event", Json::str("accepted")),
-            ("job", Json::UInt(id)),
-            ("design", Json::str(design.design().name())),
+        let accepted = accepted_frame(
+            id,
+            design.design().name(),
             ("coalesced_into", Json::UInt(leader)),
-        ]);
-        if http::write_stream_header(&mut stream).is_err()
-            || writeln!(stream, "{accepted}").is_err()
-            || stream.flush().is_err()
-        {
+        );
+        if http::write_stream_head(&mut stream, &accepted).is_err() {
             drop(inflight);
             settle_subscriber(state, id, JobState::Cancelled, None);
             return;
@@ -698,16 +701,12 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
         (id, detach, depth)
     };
 
-    let accepted = Json::obj([
-        ("event", Json::str("accepted")),
-        ("job", Json::UInt(id)),
-        ("design", Json::str(design.design().name())),
+    let accepted = accepted_frame(
+        id,
+        design.design().name(),
         ("queue_depth", Json::UInt(queue_depth as u64)),
-    ]);
-    if http::write_stream_header(&mut stream).is_err()
-        || writeln!(stream, "{accepted}").is_err()
-        || stream.flush().is_err()
-    {
+    );
+    if http::write_stream_head(&mut stream, &accepted).is_err() {
         drop(inflight);
         settle_subscriber(state, id, JobState::Cancelled, None);
         return;
@@ -730,11 +729,11 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: &Requ
         }]),
         frames: AtomicU64::new(0),
     });
-    let cost = dump.len() as u64;
+    let cost = text.len() as u64;
     inflight.insert(
         key,
         InflightEntry {
-            dump,
+            text,
             leader: id,
             subs: Arc::clone(&subs),
             done: Arc::clone(&done),
@@ -818,18 +817,42 @@ fn detach_subscriber(state: &Arc<ServerState>, id: u64, subs: &Subscribers) {
     settle_subscriber(state, id, JobState::Cancelled, None);
 }
 
-fn parse_submission(body: &str) -> Result<(ValidatedDesign, SolveBudget), String> {
-    let document = Json::parse(body).map_err(|e| format!("request body is not valid JSON: {e}"))?;
-    let netlist = document
-        .get("netlist")
-        .and_then(Json::as_str)
-        .ok_or_else(|| "request body must be an object with a string `netlist` field".to_owned())?;
-    let design = netlist::parse(netlist).map_err(|e| format!("netlist rejected: {e}"))?;
+/// The `accepted` frame: the subscriber's job id, the design name and one
+/// path-specific field (`queue_depth` for a leader, `coalesced_into` for a
+/// follower).
+fn accepted_frame(id: u64, design: &str, tail: (&'static str, Json)) -> Json {
+    Json::obj([
+        ("event", Json::str("accepted")),
+        ("job", Json::UInt(id)),
+        ("design", Json::str(design)),
+        tail,
+    ])
+}
+
+/// Decodes a `POST /jobs` body into the parsed design, the submitted
+/// netlist text and the request's budget.  The body is dropped once decoded,
+/// and the text is moved out of the document, not copied.
+fn parse_submission(body: String) -> Result<(ValidatedDesign, String, SolveBudget), String> {
+    let mut document =
+        Json::parse(&body).map_err(|e| format!("request body is not valid JSON: {e}"))?;
+    drop(body);
+    let text = match &mut document {
+        Json::Obj(fields) => fields
+            .iter_mut()
+            .find(|(key, _)| key == "netlist")
+            .and_then(|(_, value)| match value {
+                Json::Str(text) => Some(std::mem::take(text)),
+                _ => None,
+            }),
+        _ => None,
+    }
+    .ok_or_else(|| "request body must be an object with a string `netlist` field".to_owned())?;
+    let design = netlist::parse(&text).map_err(|e| format!("netlist rejected: {e}"))?;
     let budget = match document.get("budget") {
         None => SolveBudget::default(),
         Some(spec) => parse_budget(spec)?,
     };
-    Ok((design, budget))
+    Ok((design, text, budget))
 }
 
 fn parse_budget(spec: &Json) -> Result<SolveBudget, String> {
@@ -941,19 +964,25 @@ fn run_job(state: &Arc<ServerState>, job: QueuedJob) {
     let sinks: Vec<Sink> = std::mem::take(&mut *lock_unpoisoned(&subs.sinks));
     for mut sink in sinks {
         if !sink.detach.load(Ordering::SeqCst) {
-            for frame in &terminal {
-                if writeln!(sink.stream, "{frame}").is_err() {
-                    break;
-                }
-            }
+            let _ = write_frames(&mut sink.stream, &terminal);
         }
         settle_subscriber(state, sink.job, final_state, Some(wall));
-        let _ = sink.stream.flush();
         // Half-close so the client sees EOF immediately; the watcher's
         // clone shares the socket and exits on the done flag.
         let _ = sink.stream.shutdown(Shutdown::Write);
     }
     done.store(true, Ordering::SeqCst);
+}
+
+/// Writes `frames` one per line through one [`BufWriter`], so they reach
+/// `writer` in one write while they fit its 8 KiB buffer (a job's `stats`
+/// and `report` frames take about 2.4 KB on `AES (HT-free)`).
+fn write_frames(writer: &mut impl Write, frames: &[Json]) -> io::Result<()> {
+    let mut out = BufWriter::new(writer);
+    for frame in frames {
+        writeln!(out, "{frame}")?;
+    }
+    out.flush()
 }
 
 fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
@@ -1064,14 +1093,7 @@ fn serve_detection(
                 accumulate_session(&mut totals.session, &session_stats);
             }
             let depth = lock_unpoisoned(&state.queue).len();
-            let stats = Json::obj([
-                ("event", Json::str("stats")),
-                ("job", Json::UInt(id)),
-                ("wall_secs", Json::Num(report.total_duration.as_secs_f64())),
-                ("queue_depth", Json::UInt(depth as u64)),
-                ("solver", solver_json(&report.solver_totals)),
-                ("session", session_json(&session_stats)),
-            ]);
+            let stats = stats_frame(id, &report, &session_stats, depth);
             let report = report_frame(id, &report);
             (JobState::Completed, vec![stats, report])
         }
@@ -1100,6 +1122,24 @@ fn serve_detection(
             vec![error_frame(id, "flow_error", &e.to_string())],
         ),
     }
+}
+
+/// The first terminal frame of a completed job: wall clock, queue depth and
+/// the run's solver and session counters.
+fn stats_frame(
+    id: u64,
+    report: &DetectionReport,
+    session: &SessionStats,
+    queue_depth: usize,
+) -> Json {
+    Json::obj([
+        ("event", Json::str("stats")),
+        ("job", Json::UInt(id)),
+        ("wall_secs", Json::Num(report.total_duration.as_secs_f64())),
+        ("queue_depth", Json::UInt(queue_depth as u64)),
+        ("solver", solver_json(&report.solver_totals)),
+        ("session", session_json(session)),
+    ])
 }
 
 /// The terminal frame: the normalized report rendered exactly like
@@ -1359,4 +1399,70 @@ fn handle_cancel(state: &Arc<ServerState>, stream: &mut TcpStream, raw_id: &str)
     ]);
     drop(jobs);
     let _ = http::write_json(stream, 200, "OK", &body);
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::http::CountingWriter;
+    use htd_trusthub::registry::Benchmark;
+
+    #[test]
+    fn both_accepted_heads_go_out_in_one_write() {
+        for tail in [
+            ("queue_depth", Json::UInt(0)),
+            ("coalesced_into", Json::UInt(1)),
+        ] {
+            let accepted = accepted_frame(2, "AES (HT-free)", tail);
+            let mut out = CountingWriter::default();
+            http::write_stream_head(&mut out, &accepted).unwrap();
+            assert_eq!(out.writes, 1, "{accepted}");
+            assert_eq!(
+                String::from_utf8(out.bytes).unwrap(),
+                format!(
+                    "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                     Connection: close\r\n\r\n{accepted}\n"
+                )
+            );
+        }
+    }
+
+    #[test]
+    fn terminal_frames_go_out_in_one_write() {
+        // The deepest bundled plan: its report lists all 22 fanout levels.
+        let design = Benchmark::AesHtFree.build().unwrap();
+        let mut session = SessionBuilder::new(design).build().unwrap();
+        let report = session.run().unwrap();
+        let frames = [
+            stats_frame(7, &report, &session.session_stats(), 0),
+            report_frame(7, &report),
+        ];
+        let mut out = CountingWriter::default();
+        write_frames(&mut out, &frames).unwrap();
+        assert_eq!(out.writes, 1);
+        let want = format!("{}\n{}\n", frames[0], frames[1]);
+        assert!(want.len() > 2_000, "{} bytes", want.len());
+        assert_eq!(String::from_utf8(out.bytes).unwrap(), want);
+    }
+
+    #[test]
+    fn a_submission_keeps_its_text_as_submitted() {
+        let design = Benchmark::AesHtFree.build().unwrap();
+        let text = format!("{}# resubmitted\n", netlist::dump(&design));
+        let body = Json::obj([("netlist", Json::str(text.clone()))]).to_string();
+        let (parsed, kept, budget) = parse_submission(body).unwrap();
+        assert_eq!(
+            kept, text,
+            "the text is the coalescing identity, not a re-dump"
+        );
+        assert_eq!(netlist::dump(&parsed), netlist::dump(&design));
+        assert_eq!(budget, SolveBudget::default());
+        for body in ["{\"netlist\":7}", "[\"netlist\"]", "{\"budget\":{}}"] {
+            let message = parse_submission(body.to_owned()).unwrap_err();
+            assert!(
+                message.contains("string `netlist` field"),
+                "{body}: {message}"
+            );
+        }
+    }
 }

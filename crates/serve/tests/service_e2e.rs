@@ -429,6 +429,64 @@ fn identical_concurrent_submissions_coalesce_into_one_run() {
 }
 
 #[test]
+fn submissions_of_one_design_in_two_spellings_run_as_two_jobs() {
+    let infected = accelerator(true);
+    assert!(infected.ends_with('\n'));
+    // The same design, spelled with one more comment line.
+    let commented = format!("{infected}# the same design, resubmitted\n");
+    let (want, solo_stats) = solo_run(&infected);
+    assert_eq!(solo_normalized_report(&commented), want);
+
+    // Hold the first run as the coalescing test does, so the second
+    // submission arrives while the first is in flight.
+    let server = Server::start(ServeOptions {
+        fault: Some(FaultSpec::SolveStall(Duration::from_millis(1500))),
+        ..test_options()
+    })
+    .expect("loopback server starts");
+    let addr = server.addr().to_string();
+
+    let submit = |text: &str| {
+        let mut frames = Vec::new();
+        let submission = client::submit(&addr, text, &mut |line| frames.push(line.to_owned()))
+            .expect("submission succeeds");
+        (submission, frames)
+    };
+    let (first, second) = std::thread::scope(|scope| {
+        let first = scope.spawn(|| submit(&infected));
+        std::thread::sleep(Duration::from_millis(300));
+        let second = scope.spawn(|| submit(&commented));
+        (first.join().unwrap(), second.join().unwrap())
+    });
+
+    // Coalescing keys on the submitted text, so the two spellings lead a
+    // run each, and both reports are still the solo run's.
+    for (submission, frames) in [&first, &second] {
+        assert_eq!(submission.report_text, want);
+        let accepted = frames
+            .iter()
+            .filter_map(|line| Json::parse(line).ok())
+            .find(|frame| frame.get("event").and_then(Json::as_str) == Some("accepted"))
+            .expect("an accepted frame is streamed");
+        assert_eq!(accepted.get("coalesced_into"), None, "{accepted}");
+    }
+    assert_ne!(first.0.job, second.0.job);
+    let served = client::stats(&addr).expect("stats endpoint answers");
+    assert_eq!(served.get("completed").and_then(Json::as_u64), Some(2));
+    assert_eq!(served.get("coalesced").and_then(Json::as_u64), Some(0));
+    assert_eq!(
+        served
+            .get("session_totals")
+            .and_then(|s| s.get("properties_checked"))
+            .and_then(Json::as_u64),
+        Some(2 * solo_stats.properties_checked),
+        "two spellings must run the flow twice"
+    );
+
+    server.stop();
+}
+
+#[test]
 fn drain_stops_admission_and_lets_running_jobs_finish() {
     let infected = accelerator(true);
     let want = solo_normalized_report(&infected);
