@@ -18,7 +18,7 @@
 //! | rule | invariant |
 //! |------|-----------|
 //! | `unsafe-audit` | `unsafe` appears only in `crates/sat/src/ipasir.rs`, `crates/ipasir-shim/`, `crates/cli/src/signal.rs` and the counting-allocator tests `crates/sat/tests/clone_allocations.rs`, `crates/ipc/tests/encode_allocations.rs` and `tests/plan_allocations.rs`; every audited use carries an adjacent `// SAFETY:` comment (or `# Safety` doc section); every crate root carries `#![forbid(unsafe_code)]` or `#![deny(unsafe_code)]`. |
-//! | `determinism` | `Instant::now`, `SystemTime::now`, `thread::sleep` and `Ordering::Relaxed` appear only in the timing allowlist (`crates/sat/src/budget.rs`, `crates/serve/`, `crates/bench/`, the criterion shim and `examples/`) — time never influences the merge path.  Test code is exempt. |
+//! | `determinism` | `Instant::now`, `SystemTime::now`, `thread::sleep` and `Ordering::Relaxed` appear only in the timing allowlist (`crates/core/src/budget.rs`, `crates/serve/`, `crates/bench/`, the criterion shim and `examples/`) — time never influences the merge path.  Test code is exempt. |
 //! | `strict-env` | `env::var`/`env::var_os` of an `"HTD_…"` literal, or of any non-literal name (a `const`, a parameter), is a finding in every module: the product reads no `HTD_*` variable, and its only settings are flags and config structs.  Reads of other literal names (`"PATH"`) are not this rule's business.  A test helper that saves such a variable to restore it carries a waiver. |
 //! | `exhaustive-stats` | inside `accumulate*`/`delta_since`/`normalized`, a `SolverStats`/`SessionStats`/`CheckStats` struct pattern or literal must not use `..` — a new counter must be a compile error, never a silently dropped value (a bug class once fixed by hand). |
 //! | `serve-panic-hygiene` | `unwrap()`/`expect()` are forbidden in the request-handling modules of `htd-serve` (`server.rs`, `http.rs`, `json.rs`, `queue.rs`, `cache.rs`); a tenant request settles with a structured error, never a panic.  Test code is exempt. |
@@ -178,7 +178,7 @@ impl Default for LintConfig {
             ]),
             unsafe_attr_exempt: owned(&["crates/ipasir-shim/"]),
             determinism_allowlist: owned(&[
-                "crates/sat/src/budget.rs",
+                "crates/core/src/budget.rs",
                 "crates/serve/",
                 "crates/bench/",
                 // The vendored criterion shim is a wall-clock measurement

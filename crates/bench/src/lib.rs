@@ -123,19 +123,15 @@ pub fn session_property_timings(
 
 /// The decomposed properties of a design in flow order, exactly as the
 /// detection flow plans them ([`FlowGraph`] with the default
-/// configuration): the init property followed by one fanout property per
-/// level, each assuming every earlier level equal.
-///
-/// # Panics
-///
-/// Panics if the design's structural fixpoint lies beyond the default
-/// `max_flow_iterations`.
+/// configuration, planned to its structural fixpoint): the init property
+/// followed by one fanout property per level, each assuming every earlier
+/// level equal.
 #[must_use]
 pub fn flow_properties(design: &ValidatedDesign) -> Vec<IntervalProperty> {
     let mut planner = FlowGraph::plan(design, &DetectorConfig::default()).expect("planning starts");
     planner
         .coverage(design)
-        .expect("the fixpoint lies within the iteration limit");
+        .expect("planning reaches its fixpoint");
     (0..planner.level_count())
         .map(|idx| planner.level(idx).clone())
         .collect()

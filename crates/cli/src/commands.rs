@@ -13,7 +13,8 @@ use htd_baselines::uci::{unused_circuit_identification, UciOptions};
 use htd_bench::trajectory;
 use htd_core::replay::replay_counterexample;
 use htd_core::{
-    DetectError, DetectionOutcome, DetectionReport, DetectorConfig, FlowEvent, SessionBuilder,
+    DetectError, DetectedBy, DetectionOutcome, DetectionReport, DetectorConfig, FlowEvent,
+    SessionBuilder,
 };
 use htd_rtl::export::fanout_dot;
 use htd_rtl::netlist;
@@ -23,7 +24,7 @@ use htd_rtl::ValidatedDesign;
 use htd_sat::{parse_dimacs, SolveResult, Var};
 use htd_serve::server::{ServeOptions, Server};
 use htd_serve::{client as serve_client, ClientError};
-use htd_trusthub::registry::Benchmark;
+use htd_trusthub::registry::{Benchmark, BenchmarkInfo, ExpectedDetection};
 
 use crate::args::{usage, Command, DetectArgs, ServeArgs, SubmitArgs};
 use crate::input::{load_design, trusthub_benchmark};
@@ -613,24 +614,45 @@ fn table1_text() -> String {
             .expect("bundled benchmarks are accepted")
             .run()
             .expect("flow completes");
-        let ours = match &report.outcome {
-            DetectionOutcome::PropertyFailed { detected_by, .. } => detected_by.to_string(),
-            DetectionOutcome::UncoveredSignals { .. } => "coverage check".to_string(),
-            DetectionOutcome::Secure => "NOT DETECTED".to_string(),
-        };
-        let matches = !report.outcome.is_secure();
-        let _ = writeln!(
-            out,
-            "{:<16} {:<10} {:<16} {:<22} {:<22} {}",
-            info.name,
-            info.payload_label,
-            info.trigger_label,
-            info.paper_detected_by,
-            ours,
-            if matches { "yes" } else { "NO" }
-        );
+        out.push_str(&table1_row(&info, &report.outcome));
     }
     out
+}
+
+/// One row of `htd table1`.  The Match column reads `yes` only when the
+/// flow detected the Trojan by the mechanism the benchmark expects.
+fn table1_row(info: &BenchmarkInfo, outcome: &DetectionOutcome) -> String {
+    let ours = match outcome {
+        DetectionOutcome::PropertyFailed { detected_by, .. } => detected_by.to_string(),
+        DetectionOutcome::UncoveredSignals { .. } => "coverage check".to_string(),
+        DetectionOutcome::Secure => "NOT DETECTED".to_string(),
+    };
+    format!(
+        "{:<16} {:<10} {:<16} {:<22} {:<22} {}\n",
+        info.name,
+        info.payload_label,
+        info.trigger_label,
+        info.paper_detected_by,
+        ours,
+        if detected_as_expected(info.expected, outcome.detected_by()) {
+            "yes"
+        } else {
+            "NO"
+        }
+    )
+}
+
+/// `true` when `detected` is the detection `expected` asks for.
+fn detected_as_expected(expected: ExpectedDetection, detected: Option<DetectedBy>) -> bool {
+    match expected {
+        ExpectedDetection::Secure => detected.is_none(),
+        ExpectedDetection::InitProperty => detected == Some(DetectedBy::InitProperty),
+        ExpectedDetection::FanoutProperty(k) => detected == Some(DetectedBy::FanoutProperty(k)),
+        ExpectedDetection::AnyFanoutProperty => {
+            matches!(detected, Some(DetectedBy::FanoutProperty(_)))
+        }
+        ExpectedDetection::CoverageCheck => detected == Some(DetectedBy::CoverageCheck),
+    }
 }
 
 #[cfg(test)]
@@ -842,5 +864,37 @@ endmodule
         let output = run(&Command::Help).unwrap();
         assert!(output.contains("USAGE"));
         assert!(output.contains("--backend"));
+    }
+
+    /// The Match column names the mechanism, not just a detection: an
+    /// init-property row caught by the coverage check prints `NO`, as does
+    /// a missed detection, and the coverage row it belongs to prints `yes`.
+    #[test]
+    fn table1_rows_match_only_the_expected_mechanism() {
+        let uncovered = DetectionOutcome::UncoveredSignals {
+            signals: vec!["osc".to_owned()],
+        };
+        let match_column = |benchmark: Benchmark, outcome: &DetectionOutcome| {
+            let row = table1_row(&benchmark.info(), outcome);
+            row.trim_end().rsplit(' ').next().unwrap().to_owned()
+        };
+        assert_eq!(
+            Benchmark::AesT1400.info().expected,
+            ExpectedDetection::InitProperty
+        );
+        assert_eq!(match_column(Benchmark::AesT1400, &uncovered), "NO");
+        assert_eq!(
+            match_column(Benchmark::AesT1400, &DetectionOutcome::Secure),
+            "NO"
+        );
+        assert_eq!(match_column(Benchmark::AesT1900, &uncovered), "yes");
+        assert!(!detected_as_expected(
+            ExpectedDetection::FanoutProperty(7),
+            Some(DetectedBy::FanoutProperty(11))
+        ));
+        assert!(detected_as_expected(
+            ExpectedDetection::AnyFanoutProperty,
+            Some(DetectedBy::FanoutProperty(11))
+        ));
     }
 }

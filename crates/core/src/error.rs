@@ -15,20 +15,6 @@ pub enum DetectError {
     /// The design has no state or output signals, so there is nothing a
     /// Trojan payload could manifest in (and nothing to verify).
     NoStateOrOutputs,
-    /// The iterative flow exceeded the configured iteration budget; this
-    /// indicates a configuration error, since the number of iterations is
-    /// bounded by the structural depth of the design.
-    IterationLimit {
-        /// The configured limit.
-        limit: usize,
-    },
-    /// The detector configuration is self-contradictory (e.g. a zero
-    /// iteration budget, which would make every run die with
-    /// [`IterationLimit`](Self::IterationLimit)).
-    InvalidConfig {
-        /// What is wrong with the configuration.
-        reason: String,
-    },
     /// The SAT backend failed: an external solver binary is missing or
     /// speaks a different output format.
     Backend {
@@ -48,9 +34,9 @@ pub enum DetectError {
     BudgetExhausted {
         /// Which limit tripped: `"deadline"` or `"conflicts"`.
         reason: String,
-        /// Conflicts charged to the budget before exhaustion, across every
-        /// query of the job (zero on an external backend, which charges
-        /// none).
+        /// Conflicts the backend counted in this run before the stop, across
+        /// every query (zero on an external backend, which cannot count
+        /// its conflicts).
         conflicts: u64,
     },
 }
@@ -61,12 +47,6 @@ impl fmt::Display for DetectError {
             DetectError::NoInputs => write!(f, "design has no primary inputs"),
             DetectError::NoStateOrOutputs => {
                 write!(f, "design has no state or output signals to verify")
-            }
-            DetectError::IterationLimit { limit } => {
-                write!(f, "fanout iteration limit of {limit} exceeded")
-            }
-            DetectError::InvalidConfig { reason } => {
-                write!(f, "invalid detector configuration: {reason}")
             }
             DetectError::Backend { message } => write!(f, "SAT backend failed: {message}"),
             DetectError::Cancelled => write!(f, "detection run cancelled"),
@@ -95,9 +75,6 @@ mod tests {
     #[test]
     fn messages_are_informative() {
         assert!(DetectError::NoInputs.to_string().contains("inputs"));
-        assert!(DetectError::IterationLimit { limit: 3 }
-            .to_string()
-            .contains('3'));
         let exhausted = DetectError::BudgetExhausted {
             reason: "deadline".into(),
             conflicts: 42,

@@ -14,10 +14,11 @@ use std::sync::atomic::AtomicBool;
 use htd_ipc::{CheckerOptions, PropertyChecker};
 use htd_rtl::{SignalId, ValidatedDesign};
 
+use crate::budget::SolveBudget;
 use crate::error::DetectError;
 use crate::report::DetectionReport;
 use crate::scheduler::walk;
-use crate::session::{validate_config, validate_design};
+use crate::session::validate_design;
 
 /// Configuration of the detection flow.
 #[derive(Clone, Debug, PartialEq)]
@@ -38,16 +39,12 @@ pub struct DetectorConfig {
     /// fully explained by waived registers, the flow adds equality
     /// assumptions for them and re-verifies instead of reporting a Trojan.
     pub benign_state: Vec<SignalId>,
-    /// Safety bound on the number of fanout iterations (the loop is bounded
-    /// by the structural depth of the design; this limit only guards against
-    /// configuration errors).  Must be at least 1.
-    pub max_flow_iterations: usize,
     /// Per-run resource budget (wall-clock deadline, solver-conflict
-    /// ceiling), enforced *inside* the solver via the interrupt seam.  The
-    /// default is unlimited — budgets are strictly opt-in, so existing flows
-    /// and their reports are unchanged.  An exhausted budget surfaces as
-    /// [`DetectError::BudgetExhausted`].
-    pub budget: htd_sat::SolveBudget,
+    /// ceiling), enforced *inside* the solver through the run's stop
+    /// predicate.  The default is unlimited — budgets are strictly opt-in,
+    /// so existing flows and their reports are unchanged.  An exhausted
+    /// budget surfaces as [`DetectError::BudgetExhausted`].
+    pub budget: SolveBudget,
 }
 
 impl Default for DetectorConfig {
@@ -56,8 +53,7 @@ impl Default for DetectorConfig {
             checker: CheckerOptions::default(),
             assume_previously_proven: true,
             benign_state: Vec::new(),
-            max_flow_iterations: 4096,
-            budget: htd_sat::SolveBudget::default(),
+            budget: SolveBudget::default(),
         }
     }
 }
@@ -99,14 +95,12 @@ impl<'a> TrojanDetector<'a> {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`new`](Self::new), plus
-    /// [`DetectError::InvalidConfig`] for a zero iteration budget.
+    /// Same conditions as [`new`](Self::new).
     pub fn with_config(
         design: &'a ValidatedDesign,
         config: DetectorConfig,
     ) -> Result<Self, DetectError> {
         validate_design(design)?;
-        validate_config(&config)?;
         Ok(TrojanDetector { design, config })
     }
 
@@ -128,9 +122,10 @@ impl<'a> TrojanDetector<'a> {
     ///
     /// # Errors
     ///
-    /// Returns [`DetectError::IterationLimit`] when the configured safety
-    /// bound is exceeded (which indicates a configuration problem, not a
-    /// Trojan).
+    /// None: the fresh-encode check is total and nothing cancels this run.
+    /// The `Result` matches [`DetectionSession::run`]'s.
+    ///
+    /// [`DetectionSession::run`]: crate::DetectionSession::run
     pub fn run(&self) -> Result<DetectionReport, DetectError> {
         let (design, checker) = (self.design, self.config.checker);
         walk(
@@ -344,20 +339,6 @@ mod tests {
         assert_eq!(
             TrojanDetector::new(&design).unwrap_err(),
             DetectError::NoStateOrOutputs
-        );
-    }
-
-    #[test]
-    fn detector_rejects_zero_iteration_budgets() {
-        let design = clean_pipeline();
-        let config = DetectorConfig {
-            max_flow_iterations: 0,
-            ..DetectorConfig::default()
-        };
-        let err = TrojanDetector::with_config(&design, config).unwrap_err();
-        assert!(
-            matches!(err, DetectError::InvalidConfig { .. }),
-            "expected InvalidConfig, got {err:?}"
         );
     }
 

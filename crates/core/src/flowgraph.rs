@@ -35,7 +35,6 @@ pub struct FlowGraph {
     /// `true` once the structural fixpoint is reached: no level follows the
     /// newest planned one.
     complete: bool,
-    max_flow_iterations: usize,
     assume_previously_proven: bool,
 }
 
@@ -43,6 +42,12 @@ impl FlowGraph {
     /// Starts planning the flow for a design: computes `fanouts_CC1` and the
     /// init property (one `Get_Fanout`).  Further levels are planned on
     /// demand by [`ensure_level`](Self::ensure_level).
+    ///
+    /// # Errors
+    ///
+    /// None: planning is structural and total.  The planner's methods keep
+    /// returning `Result`, so callers that pass planning errors on with `?`
+    /// or `map_err` need no change.
     pub fn plan(
         design: &ValidatedDesign,
         config: &DetectorConfig,
@@ -56,7 +61,6 @@ impl FlowGraph {
             )],
             proved_before: BTreeSet::new(),
             complete: false,
-            max_flow_iterations: config.max_flow_iterations,
             assume_previously_proven: config.assume_previously_proven,
         })
     }
@@ -65,13 +69,13 @@ impl FlowGraph {
     /// structural fixpoint is reached, and returns whether it exists.
     /// Each extension replays one iteration of Algorithm 1's loop: extend
     /// the covered set, compute the next fanout level, stop when it adds no
-    /// new signal (Alg. 1, line 16).
+    /// new signal (Alg. 1, line 16).  Planning stops there on its own: each
+    /// level but the last adds a signal, so a design plans at most one
+    /// level per state or output signal.
     ///
     /// # Errors
     ///
-    /// [`DetectError::IterationLimit`] when planning level `idx` would
-    /// exceed `max_flow_iterations` — surfaced exactly when the flow
-    /// reaches that level.
+    /// None (see [`plan`](Self::plan)).
     pub fn ensure_level(
         &mut self,
         design: &ValidatedDesign,
@@ -82,11 +86,6 @@ impl FlowGraph {
                 return Ok(false);
             }
             let k = self.levels.len();
-            if k > self.max_flow_iterations {
-                return Err(DetectError::IterationLimit {
-                    limit: self.max_flow_iterations,
-                });
-            }
             let newest = &self.levels[k - 1].prove_equal;
             self.proved_before.extend(newest.iter().copied());
             let fanouts_next = get_fanout(design, newest);
@@ -94,13 +93,20 @@ impl FlowGraph {
                 self.complete = true;
                 return Ok(false);
             }
+            // The antecedent: the newest level, then every earlier signal
+            // in id order, each once (a membership mark, not a scan).
             let mut assume = newest.clone();
             if self.assume_previously_proven {
-                for &s in &self.proved_before {
-                    if !assume.contains(&s) {
-                        assume.push(s);
-                    }
+                let mut in_newest = vec![false; design.design().num_signals()];
+                for s in newest {
+                    in_newest[s.index()] = true;
                 }
+                assume.extend(
+                    self.proved_before
+                        .iter()
+                        .filter(|s| !in_newest[s.index()])
+                        .copied(),
+                );
             }
             self.levels.push(IntervalProperty::new(
                 format!("fanout_property_{k}"),
@@ -117,8 +123,7 @@ impl FlowGraph {
     ///
     /// # Errors
     ///
-    /// [`DetectError::IterationLimit`] if the fixpoint lies beyond
-    /// `max_flow_iterations`.
+    /// None (see [`plan`](Self::plan)).
     pub fn coverage(
         &mut self,
         design: &ValidatedDesign,
@@ -188,17 +193,34 @@ mod tests {
         assert!(uncovered.is_empty());
     }
 
+    /// A pipeline deeper than any bundled design plans to its fixpoint:
+    /// one level per stage, each assuming every earlier stage equal.
     #[test]
-    fn planning_respects_the_iteration_limit() {
-        let design = pipeline();
-        let config = DetectorConfig {
-            max_flow_iterations: 1,
-            ..DetectorConfig::default()
-        };
-        let mut graph = FlowGraph::plan(&design, &config).unwrap();
-        // Level 1 (fanout_property_1) fits the budget; level 2 exceeds it.
-        assert!(graph.ensure_level(&design, 1).unwrap());
-        let err = graph.ensure_level(&design, 2).unwrap_err();
-        assert_eq!(err, DetectError::IterationLimit { limit: 1 });
+    fn a_deep_pipeline_plans_to_its_fixpoint() {
+        const STAGES: usize = 4_200;
+        let mut d = Design::new("deep");
+        let input = d.add_input("in", 1).unwrap();
+        let mut prev = input;
+        for i in 0..STAGES {
+            let stage = d.add_register(format!("s{i}"), 1, 0).unwrap();
+            d.set_register_next(stage, d.signal(prev)).unwrap();
+            prev = stage;
+        }
+        d.add_output("out", d.signal(prev)).unwrap();
+        let design = d.validated().unwrap();
+        let mut graph = FlowGraph::plan(&design, &DetectorConfig::default()).unwrap();
+        let (covered, uncovered) = graph.coverage(&design).unwrap();
+        assert_eq!(graph.level_count(), STAGES + 1);
+        assert_eq!(covered, STAGES + 1);
+        assert!(uncovered.is_empty());
+        // The last level proves `out`, assuming the newest stage first and
+        // then every earlier stage in id order.
+        let last = graph.level(STAGES);
+        assert_eq!(last.name, format!("fanout_property_{STAGES}"));
+        let stage = |idx: usize| graph.level(idx).prove_equal[0];
+        let want: Vec<SignalId> = std::iter::once(stage(STAGES - 1))
+            .chain((0..STAGES - 1).map(stage))
+            .collect();
+        assert_eq!(last.assume_equal, want);
     }
 }

@@ -73,13 +73,12 @@
 //! d.add_output("data_out", d.signal(result))?;
 //!
 //! let mut session = SessionBuilder::new(d.validated()?).build()?;
-//! // Optional: watch the flow as it runs.
-//! session.on_event(|event| {
+//! // `run()` alone gives the report; an observer also watches the flow.
+//! let report = session.run_with_observer(&mut |event| {
 //!     if let FlowEvent::CounterexampleFound { property, .. } = event {
 //!         eprintln!("divergence found by {property}");
 //!     }
-//! });
-//! let report = session.run()?;
+//! })?;
 //! match report.outcome {
 //!     DetectionOutcome::PropertyFailed { ref detected_by, .. } => {
 //!         // The divergence shows up one cycle after the inputs: init property.
@@ -95,6 +94,7 @@
 #![warn(missing_docs)]
 
 pub mod aggregate;
+mod budget;
 mod compat;
 pub mod diagnosis;
 mod error;
@@ -105,14 +105,12 @@ mod report;
 mod scheduler;
 mod session;
 
+pub use budget::SolveBudget;
+pub use compat::{EngineChoice, PipelineStats, PropertyScheduler, SharedSolvePool};
 pub use error::DetectError;
 pub use flow::DetectorConfig;
-// Re-exported so budget consumers (the serve tier, CLI flags) need no
-// direct `htd-sat` dependency to configure a run.
-pub use compat::{EngineChoice, PipelineStats, PropertyScheduler, SharedSolvePool};
 #[allow(deprecated)]
 pub use flow::TrojanDetector;
 pub use flowgraph::FlowGraph;
-pub use htd_sat::{BudgetTracker, SolveBudget};
 pub use report::{DetectedBy, DetectionOutcome, DetectionReport, PropertyTrace};
 pub use session::{BackendChoice, DetectionSession, FlowEvent, SessionBuilder};

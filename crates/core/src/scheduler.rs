@@ -50,8 +50,9 @@ use crate::session::FlowEvent;
 /// Runs the session's flow on its master: [`walk`] with
 /// [`MiterSession::check`] as the per-property check.
 ///
-/// `cancel` is the caller's kill switch: the run installs it on the master
-/// once, every solve polls it, and a run that sees it set returns
+/// `cancel` is the caller's kill switch.  The session folds it into the
+/// master's stop predicate, which every solve and every sub-property polls;
+/// [`walk`] checks it between checks, and a run that sees it set returns
 /// [`DetectError::Cancelled`].  The run sets it when it returns, whatever
 /// the result, so a flag serves one run.
 pub(crate) fn run_flow(
@@ -62,9 +63,6 @@ pub(crate) fn run_flow(
     emit: &mut dyn FnMut(&FlowEvent),
 ) -> Result<(DetectionReport, PipelineStats), DetectError> {
     let interrupt = cancel.cloned().unwrap_or_default();
-    if let Some(flag) = cancel {
-        miter.set_cancel_flag(Arc::clone(flag));
-    }
     let before = miter.stats();
     let result = walk(
         design,

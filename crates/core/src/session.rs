@@ -27,9 +27,8 @@
 //! [`DetectionReport::normalized`]: crate::DetectionReport::normalized
 //!
 //! Progress is observable while the flow runs through the streaming
-//! [`FlowEvent`] API: register an observer with
-//! [`DetectionSession::on_event`] (or pass one to
-//! [`DetectionSession::run_with_observer`]) and receive one event per fanout
+//! [`FlowEvent`] API: pass an observer to
+//! [`DetectionSession::run_with_observer`] and receive one event per fanout
 //! level, proved property, counterexample, resolution round and coverage
 //! verdict.  The CLI renders these live; the benchmark harness uses them for
 //! per-property timing without instrumenting the flow.
@@ -38,16 +37,15 @@
 
 use std::path::PathBuf;
 use std::str::FromStr;
-use std::sync::atomic::AtomicBool;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
 use htd_ipc::{MiterSession, SessionStats};
 use htd_rtl::ValidatedDesign;
-use htd_sat::{
-    BudgetTracker, DimacsProcessBackend, IpasirBackend, SatBackend, Solver, SolverStats,
-};
+use htd_sat::{DimacsProcessBackend, IpasirBackend, SatBackend, Solver, SolverStats};
 
+use crate::budget::BudgetTracker;
 use crate::compat::PipelineStats;
 use crate::error::DetectError;
 use crate::flow::DetectorConfig;
@@ -205,9 +203,6 @@ impl std::fmt::Display for BackendChoice {
     }
 }
 
-/// A boxed observer registered with [`DetectionSession::on_event`].
-type EventObserver = Box<dyn FnMut(&FlowEvent)>;
-
 /// A progress event streamed while the detection flow runs.
 ///
 /// # Ordering contract
@@ -289,18 +284,6 @@ pub enum FlowEvent {
     },
 }
 
-/// Validates a detector configuration.
-pub(crate) fn validate_config(config: &DetectorConfig) -> Result<(), DetectError> {
-    if config.max_flow_iterations == 0 {
-        return Err(DetectError::InvalidConfig {
-            reason: "max_flow_iterations must be at least 1 (a zero budget aborts the flow \
-                     before the first fanout property)"
-                .to_string(),
-        });
-    }
-    Ok(())
-}
-
 /// Validates that the flow's decomposition applies to the design.
 pub(crate) fn validate_design(design: &ValidatedDesign) -> Result<(), DetectError> {
     let d = design.design();
@@ -368,22 +351,19 @@ impl SessionBuilder {
         self
     }
 
-    /// Builds the session: validates the design and the configuration,
-    /// brings up the backend and allocates the miter's input and register
-    /// variables on it.  The run lowers each property's cones as the flow
-    /// reaches them.
+    /// Builds the session: validates the design, brings up the backend and
+    /// allocates the miter's input and register variables on it.  The run
+    /// lowers each property's cones as the flow reaches them.
     ///
     /// # Errors
     ///
     /// [`DetectError::NoInputs`] / [`DetectError::NoStateOrOutputs`] if the
-    /// flow's decomposition does not apply to the design,
-    /// [`DetectError::InvalidConfig`] for a zero iteration budget, and
+    /// flow's decomposition does not apply to the design, and
     /// [`DetectError::Backend`] if the chosen backend cannot be brought up
     /// (e.g. an `ipasir:` library that does not load or misses required
     /// symbols).
     pub fn build(self) -> Result<DetectionSession, DetectError> {
         validate_design(&self.design)?;
-        validate_config(&self.config)?;
         let miter = MiterSession::with_options(
             &self.design,
             self.config.checker,
@@ -411,7 +391,6 @@ impl SessionBuilder {
     /// netlist).
     pub fn build_with_miter(self, miter: MiterSession) -> Result<DetectionSession, DetectError> {
         validate_design(&self.design)?;
-        validate_config(&self.config)?;
         assert_eq!(
             miter.design_name(),
             self.design.design().name(),
@@ -426,7 +405,6 @@ impl SessionBuilder {
             config: self.config,
             backend: self.backend,
             miter,
-            observers: Vec::new(),
             pipeline_stats: PipelineStats::default(),
             cancel: None,
         }
@@ -448,7 +426,6 @@ pub struct DetectionSession {
     config: DetectorConfig,
     backend: BackendChoice,
     miter: MiterSession,
-    observers: Vec<EventObserver>,
     pub(crate) pipeline_stats: PipelineStats,
     cancel: Option<Arc<AtomicBool>>,
 }
@@ -459,7 +436,6 @@ impl std::fmt::Debug for DetectionSession {
             .field("design", &self.design.design().name())
             .field("backend", &self.backend)
             .field("config", &self.config)
-            .field("observers", &self.observers.len())
             .finish_non_exhaustive()
     }
 }
@@ -501,12 +477,6 @@ impl DetectionSession {
         self.miter.backend_stats()
     }
 
-    /// Registers a streaming observer receiving every [`FlowEvent`] of
-    /// subsequent [`run`](Self::run) calls.
-    pub fn on_event(&mut self, observer: impl FnMut(&FlowEvent) + 'static) {
-        self.observers.push(Box::new(observer));
-    }
-
     /// Installs an external cancellation flag for the **next**
     /// [`run`](Self::run): setting it to `true` from any thread interrupts
     /// the solve in flight mid-search and makes the run return
@@ -531,17 +501,20 @@ impl DetectionSession {
     ///
     /// # Errors
     ///
-    /// [`DetectError::IterationLimit`] when the configured safety bound is
-    /// exceeded, and
     /// [`DetectError::Backend`] if the solver backend fails (e.g. an
-    /// external solver).
+    /// external solver), [`DetectError::Cancelled`] if the cancel flag
+    /// stopped the run, and [`DetectError::BudgetExhausted`] if the
+    /// configured [`SolveBudget`](crate::SolveBudget) did.
     pub fn run(&mut self) -> Result<DetectionReport, DetectError> {
         self.run_with_observer(&mut |_| {})
     }
 
-    /// Like [`run`](Self::run), but additionally streams events to the given
-    /// borrowed observer (handy when the observer captures short-lived
-    /// state, which [`on_event`](Self::on_event)'s `'static` bound forbids).
+    /// Like [`run`](Self::run), but additionally streams every
+    /// [`FlowEvent`] of the run to `observer`.
+    ///
+    /// # Errors
+    ///
+    /// As for [`run`](Self::run).
     pub fn run_with_observer(
         &mut self,
         observer: &mut dyn FnMut(&FlowEvent),
@@ -550,47 +523,41 @@ impl DetectionSession {
             design,
             config,
             miter,
-            observers,
             pipeline_stats,
             cancel,
             ..
         } = self;
-        let mut emit = |event: &FlowEvent| {
-            for registered in observers.iter_mut() {
-                registered(event);
-            }
-            observer(event);
-        };
-        // Arm the run's solve budget, if any.  The tracker trips the cancel
-        // flag on exhaustion, so a budgeted run needs a flag even when the
-        // caller installed none.  That flag is made for this run and never
-        // stored: the run sets it when it returns, and a stored one would
-        // cancel the session's next run before it started.
-        let mut cancel = cancel.clone();
+        // The run's one stop predicate: the cancel flag, and the solve
+        // budget armed against the backend's conflict count now.  A run
+        // with neither installs nothing.
         let tracker = (!config.budget.is_unlimited()).then(|| {
-            let flag = cancel.get_or_insert_with(Arc::default);
-            let tracker = Arc::new(BudgetTracker::start(config.budget, Arc::clone(flag)));
-            miter.set_budget(Some(Arc::clone(&tracker)));
-            tracker
+            let conflicts = miter.backend_stats().solver.conflicts;
+            Arc::new(BudgetTracker::start(config.budget, conflicts))
         });
+        if cancel.is_some() || tracker.is_some() {
+            let (flag, budget) = (cancel.clone(), tracker.clone());
+            miter.set_interrupt(Arc::new(move |conflicts| {
+                budget.as_ref().is_some_and(|b| b.check(conflicts))
+                    || flag.as_ref().is_some_and(|f| f.load(Ordering::SeqCst))
+            }));
+        }
         let result =
-            run_flow(design, config, miter, cancel.as_ref(), &mut emit).map(|(report, stats)| {
+            run_flow(design, config, miter, cancel.as_ref(), observer).map(|(report, stats)| {
                 *pipeline_stats = stats;
                 report
             });
         let Some(tracker) = tracker else {
             return result;
         };
-        miter.set_budget(None);
         match tracker.exhausted() {
-            // Exhaustion trips the kill switch, so the executor reports
-            // `Cancelled` (an external backend may fail outright instead);
-            // fold every post-exhaustion failure into the one structured
-            // cause.  A run that reached its verdict before the trip keeps
-            // it.
+            // The stop interrupts the query in flight, or the check before
+            // the next sub-property, and the flow returns that error (an
+            // external backend may fail outright instead); fold every
+            // failure after exhaustion into the one structured cause.  A
+            // run that reached its verdict before the trip keeps it.
             Some(reason) if result.is_err() => Err(DetectError::BudgetExhausted {
                 reason: reason.to_owned(),
-                conflicts: tracker.conflicts(),
+                conflicts: tracker.spent(miter.backend_stats().solver.conflicts),
             }),
             _ => result,
         }
@@ -601,9 +568,8 @@ impl DetectionSession {
 mod tests {
     use super::*;
     use crate::report::{DetectedBy, DetectionOutcome};
+    use crate::SolveBudget;
     use htd_rtl::Design;
-    use htd_sat::SolveBudget;
-    use std::sync::atomic::Ordering;
 
     fn infected_design() -> ValidatedDesign {
         let mut d = Design::new("infected");
@@ -680,22 +646,6 @@ mod tests {
     }
 
     #[test]
-    fn registered_observers_see_every_run() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        let counter = Rc::new(RefCell::new(0usize));
-        let seen = Rc::clone(&counter);
-        let mut session = SessionBuilder::new(clean_pipeline()).build().unwrap();
-        session.on_event(move |_| *seen.borrow_mut() += 1);
-        session.run().unwrap();
-        let after_first = *counter.borrow();
-        assert!(after_first > 0);
-        session.run().unwrap();
-        assert!(*counter.borrow() > after_first);
-    }
-
-    #[test]
     fn proved_events_carry_solver_work_counters() {
         let mut session = SessionBuilder::new(clean_pipeline()).build().unwrap();
         let mut saw_proved = false;
@@ -740,22 +690,6 @@ mod tests {
         assert_eq!(
             first.run().unwrap().normalized(),
             second.run().unwrap().normalized()
-        );
-    }
-
-    #[test]
-    fn builder_rejects_zero_iteration_budgets() {
-        let config = DetectorConfig {
-            max_flow_iterations: 0,
-            ..DetectorConfig::default()
-        };
-        let err = SessionBuilder::new(clean_pipeline())
-            .config(config)
-            .build()
-            .unwrap_err();
-        assert!(
-            matches!(err, DetectError::InvalidConfig { .. }),
-            "expected InvalidConfig, got {err:?}"
         );
     }
 
@@ -878,6 +812,35 @@ mod tests {
             }
             assert!(budgeted.cancel_flag().is_none());
         }
+    }
+
+    /// A zero deadline stops a flow that never queries the solver: the
+    /// clean pipeline proves every level structurally, and the session
+    /// polls the run's stop predicate before each sub-property.
+    #[test]
+    fn a_zero_deadline_stops_a_flow_without_solver_queries() {
+        let mut plain = SessionBuilder::new(clean_pipeline()).build().unwrap();
+        assert!(plain.run().unwrap().outcome.is_secure());
+        assert_eq!(plain.session_stats().queries, 0);
+
+        let config = DetectorConfig {
+            budget: SolveBudget {
+                deadline: Some(Duration::ZERO),
+                conflict_ceiling: None,
+            },
+            ..DetectorConfig::default()
+        };
+        let mut session = SessionBuilder::new(clean_pipeline())
+            .config(config)
+            .build()
+            .unwrap();
+        assert_eq!(
+            session.run().unwrap_err(),
+            DetectError::BudgetExhausted {
+                reason: "deadline".to_owned(),
+                conflicts: 0,
+            }
+        );
     }
 
     /// A run consumes its cancel flag whether it returns a report or an

@@ -280,7 +280,7 @@ pub unsafe extern "C" fn ipasir_set_terminate(
         None => shim.solver.clear_interrupt(),
         Some(callback) => {
             let hook = TerminateHook { callback, data };
-            shim.solver.set_interrupt(Arc::new(move || hook.fire()));
+            shim.solver.set_interrupt(Arc::new(move |_| hook.fire()));
         }
     }
 }

@@ -35,7 +35,6 @@
 //! `ablation_hashing` benchmark applies unchanged to the incremental path.
 
 use crate::fxhash::{FxHashMap, FxHashSet};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -125,8 +124,8 @@ pub struct MiterSession {
     /// Activation literals of the most recent check, retired (as permanent
     /// unit clauses) when the next check starts.
     pending_acts: Vec<Var>,
-    /// The cancel flag installed with [`set_cancel_flag`](Self::set_cancel_flag).
-    cancel: Option<Arc<AtomicBool>>,
+    /// The stop predicate installed with [`set_interrupt`](Self::set_interrupt).
+    interrupt: Option<Arc<dyn Fn(u64) -> bool + Send + Sync>>,
     stats: SessionStats,
 }
 
@@ -205,7 +204,7 @@ impl MiterSession {
             shared_regs: FxHashMap::default(),
             epoch: None,
             pending_acts: Vec::new(),
-            cancel: None,
+            interrupt: None,
             stats: SessionStats::default(),
         }
     }
@@ -257,7 +256,7 @@ impl MiterSession {
             shared_regs: self.shared_regs.clone(),
             epoch: self.epoch.clone(),
             pending_acts: self.pending_acts.clone(),
-            cancel: self.cancel.clone(),
+            interrupt: self.interrupt.clone(),
             stats: self.stats,
         })
     }
@@ -275,15 +274,15 @@ impl MiterSession {
         self.stats
     }
 
-    /// Installs a cancel flag on the master backend: setting it interrupts
-    /// the solve in flight, and a [`check`](Self::check) that finds it set
-    /// before a sub-property returns an error instead of solving.  The flag
-    /// stays installed (forks inherit it) until another one replaces it.
-    pub fn set_cancel_flag(&mut self, cancel: Arc<AtomicBool>) {
-        let flag = Arc::clone(&cancel);
-        self.backend
-            .set_interrupt(Arc::new(move || flag.load(Ordering::SeqCst)));
-        self.cancel = Some(cancel);
+    /// Installs the stop predicate on the master backend
+    /// ([`SatBackend::set_interrupt`]): when it fires, the solve in flight
+    /// is interrupted, and a [`check`](Self::check) that finds it firing
+    /// before a sub-property returns an error instead of solving.  Both
+    /// polls pass the backend's conflict count.  The predicate stays
+    /// installed (forks inherit it) until another one replaces it.
+    pub fn set_interrupt(&mut self, check: Arc<dyn Fn(u64) -> bool + Send + Sync>) {
+        self.backend.set_interrupt(Arc::clone(&check));
+        self.interrupt = Some(check);
     }
 
     /// Checks a single-cycle interval property against the live miter.
@@ -307,7 +306,7 @@ impl MiterSession {
     /// # Errors
     ///
     /// Returns [`BackendError`] if the backend fails a query, or if the
-    /// cancel flag ([`set_cancel_flag`](Self::set_cancel_flag)) cut the
+    /// stop predicate ([`set_interrupt`](Self::set_interrupt)) cut the
     /// check short.
     ///
     /// # Panics
@@ -386,9 +385,9 @@ impl MiterSession {
         let (mut cnf_vars, mut cnf_clauses) = (0, 0);
         for (index, &sig) in property.prove_equal.iter().enumerate() {
             if self
-                .cancel
+                .interrupt
                 .as_ref()
-                .is_some_and(|c| c.load(Ordering::SeqCst))
+                .is_some_and(|check| check(self.backend.stats().solver.conflicts))
             {
                 return Err(interrupted(property, index));
             }
@@ -481,12 +480,6 @@ impl MiterSession {
     #[must_use]
     pub fn backend_stats(&self) -> htd_sat::BackendStats {
         self.backend.stats()
-    }
-
-    /// Attaches (or detaches, with `None`) a shared resource budget on the
-    /// master backend, so the whole job charges one budget.
-    pub fn set_budget(&mut self, budget: Option<std::sync::Arc<htd_sat::BudgetTracker>>) {
-        self.backend.set_budget(budget);
     }
 
     /// Ends a level-flow: retires the final check's activation literals and
@@ -663,7 +656,7 @@ impl MiterSession {
     }
 }
 
-/// The error of a sub-property whose query the cancel flag cut short.
+/// The error of a sub-property whose query the stop predicate cut short.
 fn interrupted(property: &IntervalProperty, index: usize) -> BackendError {
     BackendError {
         message: format!("sub-property {index} of {} interrupted", property.name),
@@ -721,6 +714,7 @@ mod tests {
     use crate::PropertyChecker;
     use htd_rtl::Design;
     use htd_sat::Solver;
+    use std::sync::atomic::Ordering;
 
     fn trojan_design() -> ValidatedDesign {
         let mut d = Design::new("tiny_trojan");

@@ -36,7 +36,6 @@ use std::process::{Command, Stdio};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::budget::BudgetTracker;
 use crate::literal::{Lit, Var};
 use crate::solver::{SolveResult, Solver, SolverStats};
 
@@ -163,20 +162,35 @@ pub trait SatBackend: Send {
     /// is dead.  Backends without garbage collection ignore the hint.
     fn set_gc_thresholds(&mut self, _dead_fraction: f64, _min_clauses: usize) {}
 
-    /// Installs a predicate polled during solving; when it returns `true`
+    /// Installs the stop predicate, replacing any earlier one.  It is
+    /// polled during solving and passed the backend's own conflict count:
+    /// [`SolverStats::conflicts`] for the bundled solver, 0 for an external
+    /// backend, which cannot count its conflicts.  When it returns `true`
     /// the query is abandoned with [`SolveResult::Interrupted`].  The
-    /// detection flow cancels a job's solve in flight this way.  Backends that cannot
-    /// interrupt ignore it, which only costs wasted work, never wrong
+    /// detection flow stops a job's solve in flight this way, whether the
+    /// job was cancelled or ran out of time or conflicts.  Backends that
+    /// cannot interrupt ignore it, which only costs wasted work, never wrong
     /// answers.
-    fn set_interrupt(&mut self, _check: Arc<dyn Fn() -> bool + Send + Sync>) {}
+    fn set_interrupt(&mut self, _check: Arc<dyn Fn(u64) -> bool + Send + Sync>) {}
+}
 
-    /// Attaches (or detaches, with `None`) a shared resource budget
-    /// ([`BudgetTracker`]).  Budgeted backends abandon queries with
-    /// [`SolveResult::Interrupted`] once the tracker reports exhaustion and,
-    /// where their interface exposes a conflict stream, charge conflicts to
-    /// it.  Backends without budget support ignore it (the flow-level
-    /// deadline is then only enforced between solver queries).
-    fn set_budget(&mut self, _budget: Option<Arc<BudgetTracker>>) {}
+/// A backend's stop predicate (see [`SatBackend::set_interrupt`]),
+/// opaque to `Debug`.  Clones share the predicate.
+#[derive(Clone)]
+pub(crate) struct Interrupt(pub(crate) Arc<dyn Fn(u64) -> bool + Send + Sync>);
+
+impl Interrupt {
+    /// `true` when the query should be abandoned after `conflicts`
+    /// conflicts.
+    pub(crate) fn fires(&self, conflicts: u64) -> bool {
+        (self.0)(conflicts)
+    }
+}
+
+impl fmt::Debug for Interrupt {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str("Interrupt")
+    }
 }
 
 impl SatBackend for Solver {
@@ -237,12 +251,8 @@ impl SatBackend for Solver {
         Solver::set_gc_thresholds(self, dead_fraction, min_clauses);
     }
 
-    fn set_interrupt(&mut self, check: Arc<dyn Fn() -> bool + Send + Sync>) {
+    fn set_interrupt(&mut self, check: Arc<dyn Fn(u64) -> bool + Send + Sync>) {
         Solver::set_interrupt(self, check);
-    }
-
-    fn set_budget(&mut self, budget: Option<Arc<BudgetTracker>>) {
-        Solver::set_budget(self, budget);
     }
 }
 
@@ -290,32 +300,14 @@ pub struct DimacsProcessBackend {
     /// The incremental CNF file, created lazily on the first query and
     /// removed when the backend drops.
     cache: Option<CnfCache>,
-    /// Interrupt predicate polled while the child process runs.
-    interrupt: ProcessInterrupt,
-    /// Shared resource budget, polled alongside the interrupt predicate.
-    /// The external solver's conflicts are invisible from outside and no one
-    /// charges conflicts to this tracker, so only its deadline applies.
-    budget: Option<Arc<BudgetTracker>>,
+    /// Stop predicate polled while the child process runs.  The external
+    /// solver's conflicts are invisible from outside, so it is passed 0.
+    interrupt: Option<Interrupt>,
 }
 
-/// Debug-opaque holder for the process backend's interrupt predicate
-/// (mirrors the solver's private `InterruptCheck`).
-#[derive(Default)]
-struct ProcessInterrupt(Option<Arc<dyn Fn() -> bool + Send + Sync>>);
-
-impl fmt::Debug for ProcessInterrupt {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "ProcessInterrupt(set)"
-        } else {
-            "ProcessInterrupt(unset)"
-        })
-    }
-}
-
-/// How often the process backend polls the child (and the interrupt/budget
-/// seam) while a query runs.  Coarse enough to stay invisible next to a SAT
-/// query, fine enough that budget deadlines land within ~a hundredth of a
+/// How often the process backend polls the child (and the stop predicate)
+/// while a query runs.  Coarse enough to stay invisible next to a SAT
+/// query, fine enough that a deadline lands within ~a hundredth of a
 /// second.
 const PROCESS_POLL_INTERVAL: Duration = Duration::from_millis(10);
 
@@ -370,19 +362,17 @@ impl DimacsProcessBackend {
             queries: 0,
             known_unsat: false,
             cache: None,
-            interrupt: ProcessInterrupt::default(),
-            budget: None,
+            interrupt: None,
         }
     }
 
-    /// `true` when the budget or the installed interrupt predicate says the
-    /// current query should be abandoned.
+    /// `true` when the installed stop predicate says the current query
+    /// should be abandoned.
     fn should_abandon(&self) -> bool {
-        self.budget.as_ref().is_some_and(|budget| budget.check())
-            || self.interrupt.0.as_ref().is_some_and(|check| check())
+        self.interrupt.as_ref().is_some_and(|check| check.fires(0))
     }
 
-    /// Runs the external solver on `path`, polling the interrupt/budget seam
+    /// Runs the external solver on `path`, polling the stop predicate
     /// while the child executes; a tripped check kills the child and answers
     /// [`SolveResult::Interrupted`].  Stdout goes to a sibling file rather
     /// than a pipe so a large `v`-line model can never deadlock against a
@@ -627,8 +617,8 @@ impl SatBackend for DimacsProcessBackend {
         if self.known_unsat {
             return Ok(SolveResult::Unsat);
         }
-        // Checked before spawning: a passed deadline (or an already-tripped
-        // cancel) must not launch another process.
+        // Checked before spawning: a stop that already fired (a passed
+        // deadline, a cancel) must not launch another process.
         if self.should_abandon() {
             return Ok(SolveResult::Interrupted);
         }
@@ -658,12 +648,8 @@ impl SatBackend for DimacsProcessBackend {
         }
     }
 
-    fn set_interrupt(&mut self, check: Arc<dyn Fn() -> bool + Send + Sync>) {
-        self.interrupt = ProcessInterrupt(Some(check));
-    }
-
-    fn set_budget(&mut self, budget: Option<Arc<BudgetTracker>>) {
-        self.budget = budget;
+    fn set_interrupt(&mut self, check: Arc<dyn Fn(u64) -> bool + Send + Sync>) {
+        self.interrupt = Some(Interrupt(check));
     }
 }
 
@@ -726,19 +712,24 @@ mod tests {
         assert_eq!(backend.solve_under(&[]).unwrap(), SolveResult::Unsat);
     }
 
+    /// Writes a fake solver script to the temp dir.  Tests run it through
+    /// `/bin/sh` rather than executing it: a sibling test thread's fork may
+    /// still hold the script's write descriptor, and Linux refuses to
+    /// execute a file open for writing (`ETXTBSY`), but reading it is fine.
+    #[cfg(unix)]
+    fn fake_solver(name: &str, body: &str) -> PathBuf {
+        let script =
+            std::env::temp_dir().join(format!("htd-fake-{name}-{}.sh", std::process::id()));
+        std::fs::write(&script, body).unwrap();
+        script
+    }
+
     #[cfg(unix)]
     #[test]
     fn sat_without_model_lines_is_rejected() {
-        use std::os::unix::fs::PermissionsExt;
-
-        let dir = std::env::temp_dir();
-        let script = dir.join(format!("htd-fake-modelless-{}.sh", std::process::id()));
-        std::fs::write(&script, "#!/bin/sh\necho 's SATISFIABLE'\nexit 10\n").unwrap();
-        let mut perms = std::fs::metadata(&script).unwrap().permissions();
-        perms.set_mode(0o755);
-        std::fs::set_permissions(&script, perms).unwrap();
-
-        let mut backend = DimacsProcessBackend::new(&script);
+        let script = fake_solver("modelless", "echo 's SATISFIABLE'\nexit 10\n");
+        let mut backend =
+            DimacsProcessBackend::new("/bin/sh").with_args([script.to_str().unwrap()]);
         let a = backend.new_var();
         backend.add_clause(&[Lit::pos(a)]);
         let err = backend.solve_under(&[]).unwrap_err();
@@ -868,20 +859,12 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn process_backend_parses_competition_output() {
-        use std::os::unix::fs::PermissionsExt;
-
-        let dir = std::env::temp_dir();
-        let script = dir.join(format!("htd-fake-solver-{}.sh", std::process::id()));
-        std::fs::write(
-            &script,
-            "#!/bin/sh\necho 'c fake solver'\necho 's SATISFIABLE'\necho 'v 1 -2 0'\nexit 10\n",
-        )
-        .unwrap();
-        let mut perms = std::fs::metadata(&script).unwrap().permissions();
-        perms.set_mode(0o755);
-        std::fs::set_permissions(&script, perms).unwrap();
-
-        let mut backend = DimacsProcessBackend::new(&script);
+        let script = fake_solver(
+            "solver",
+            "echo 'c fake solver'\necho 's SATISFIABLE'\necho 'v 1 -2 0'\nexit 10\n",
+        );
+        let mut backend =
+            DimacsProcessBackend::new("/bin/sh").with_args([script.to_str().unwrap()]);
         let a = backend.new_var();
         let b = backend.new_var();
         backend.add_clause(&[Lit::pos(a), Lit::pos(b)]);

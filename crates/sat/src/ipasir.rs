@@ -70,8 +70,7 @@ use std::os::raw::{c_char, c_int, c_void};
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
-use crate::backend::{BackendError, BackendStats, SatBackend};
-use crate::budget::BudgetTracker;
+use crate::backend::{BackendError, BackendStats, Interrupt, SatBackend};
 use crate::literal::{Lit, Var};
 use crate::solver::{SolveResult, SolverStats};
 
@@ -264,21 +263,18 @@ impl IpasirLibrary {
     }
 }
 
-/// The boxed interrupt predicate handed to `ipasir_set_terminate` as its
-/// `data` pointer; boxed so its address is stable for the library's polls.
-type InterruptState = Arc<dyn Fn() -> bool + Send + Sync>;
-
 /// The C-side trampoline the library polls: forwards to the installed Rust
-/// predicate.  IPASIR: non-zero means "terminate the search".
+/// predicate, passing 0 conflicts (the library's own are invisible here).
+/// IPASIR: non-zero means "terminate the search".
 // SAFETY: callers (the IPASIR library) must pass the `data` pointer that was
 // registered alongside this trampoline; `set_interrupt` guarantees it is a
-// live `Box<InterruptState>`.
+// live `Box<Interrupt>`.
 unsafe extern "C" fn terminate_trampoline(data: *mut c_void) -> c_int {
-    // SAFETY: `data` is the address of the live `Box<InterruptState>` owned
-    // by the backend that installed this callback; the box outlives every
-    // solve call (it is only replaced between queries).
-    let check = unsafe { &*(data as *const InterruptState) };
-    c_int::from(check())
+    // SAFETY: `data` is the address of the live `Box<Interrupt>` owned by
+    // the backend that installed this callback; the box outlives every solve
+    // call (it is only replaced between queries).
+    let check = unsafe { &*(data as *const Interrupt) };
+    c_int::from(check.fires(0))
 }
 
 /// IPASIR return values of `ipasir_solve`.
@@ -315,26 +311,18 @@ pub struct IpasirBackend {
     model: Vec<Option<bool>>,
     queries: u64,
     known_unsat: bool,
-    /// Keeps the predicate behind `ipasir_set_terminate`'s data pointer
-    /// alive (and at a stable address) for as long as it is installed.
-    /// This is the *combined* predicate (budget ∨ user interrupt); the two
-    /// ingredients live in `user_interrupt` and `budget` below so either
-    /// can be replaced without losing the other.
-    interrupt: Option<Box<InterruptState>>,
-    /// The caller-supplied interrupt predicate (the job's cancel flag).
-    user_interrupt: Option<InterruptState>,
-    /// Shared resource budget, folded into the terminate predicate and
-    /// checked at query entry.  The external solver's conflicts are not
-    /// observable and no one charges conflicts to this tracker, so only its
-    /// deadline applies.
-    budget: Option<Arc<BudgetTracker>>,
+    /// The stop predicate, polled at query entry and behind
+    /// `ipasir_set_terminate`'s data pointer, which the box keeps alive (and
+    /// at a stable address) for as long as it is installed.  It is passed 0
+    /// conflicts: the library's own are invisible here.
+    interrupt: Option<Box<Interrupt>>,
 }
 
 // SAFETY: the solver handle is driven only through `&mut self`, and IPASIR
 // requires libraries to support multiple concurrently live instances, so
 // moving an instance between threads is sound.  The library's `dlopen`
 // handle and code pointers are immutable after load; every other field is
-// plain data or `Send + Sync` (the interrupt predicates, the budget).
+// plain data or `Send + Sync` (the stop predicate).
 unsafe impl Send for IpasirBackend {}
 
 impl std::fmt::Debug for IpasirBackend {
@@ -386,8 +374,6 @@ impl IpasirBackend {
             queries: 0,
             known_unsat: false,
             interrupt: None,
-            user_interrupt: None,
-            budget: None,
         })
     }
 
@@ -433,42 +419,10 @@ impl IpasirBackend {
         self.clauses_transmitted += 1;
     }
 
-    /// (Re-)installs the terminate callback from the current budget and
-    /// user interrupt, or detaches it when neither is set.  Libraries
-    /// without `ipasir_set_terminate` skip the mid-solve polls; budget
-    /// exhaustion is still honoured at query entry.
-    fn install_terminate(&mut self) {
-        let Some(set_terminate) = self.library.set_terminate else {
-            return;
-        };
-        if self.budget.is_none() && self.user_interrupt.is_none() {
-            if self.interrupt.take().is_some() {
-                // SAFETY: live handle; detaching with a null callback is the
-                // documented way to uninstall.
-                unsafe { set_terminate(self.solver, std::ptr::null_mut(), None) };
-            }
-            return;
-        }
-        let budget = self.budget.clone();
-        let user = self.user_interrupt.clone();
-        let combined: InterruptState = Arc::new(move || {
-            budget.as_ref().is_some_and(|budget| budget.check())
-                || user.as_ref().is_some_and(|check| check())
-        });
-        let state: Box<InterruptState> = Box::new(combined);
-        let data = std::ptr::addr_of!(*state) as *mut c_void;
-        // SAFETY: live handle; `data` points at the boxed predicate, which
-        // `self.interrupt` keeps alive (and address-stable) until the
-        // callback is replaced or the backend drops.
-        unsafe { set_terminate(self.solver, data, Some(terminate_trampoline)) };
-        self.interrupt = Some(state);
-    }
-
-    /// `true` when the budget or the user interrupt says the next query
-    /// should not start at all.
+    /// `true` when the stop predicate says the next query should not start
+    /// at all.
     fn should_abandon(&self) -> bool {
-        self.budget.as_ref().is_some_and(|budget| budget.check())
-            || self.user_interrupt.as_ref().is_some_and(|check| check())
+        self.interrupt.as_ref().is_some_and(|check| check.fires(0))
     }
 }
 
@@ -508,9 +462,9 @@ impl SatBackend for IpasirBackend {
         if self.known_unsat {
             return Ok(SolveResult::Unsat);
         }
-        // An already-exhausted budget (or tripped cancel) must not enter the
-        // library at all — terminate callbacks are polled at the library's
-        // leisure, and some libraries do not support them.
+        // A stop that already fired (a passed deadline, a cancel) must not
+        // enter the library at all — terminate callbacks are polled at the
+        // library's leisure, and some libraries do not support them.
         if self.should_abandon() {
             self.model.clear();
             return Ok(SolveResult::Interrupted);
@@ -594,14 +548,18 @@ impl SatBackend for IpasirBackend {
         }
     }
 
-    fn set_interrupt(&mut self, check: Arc<dyn Fn() -> bool + Send + Sync>) {
-        self.user_interrupt = Some(check);
-        self.install_terminate();
-    }
-
-    fn set_budget(&mut self, budget: Option<Arc<BudgetTracker>>) {
-        self.budget = budget;
-        self.install_terminate();
+    /// Installs the predicate it is given, checked at query entry and, when
+    /// the library exports `ipasir_set_terminate`, polled mid-solve.
+    fn set_interrupt(&mut self, check: Arc<dyn Fn(u64) -> bool + Send + Sync>) {
+        let interrupt = Box::new(Interrupt(check));
+        if let Some(set_terminate) = self.library.set_terminate {
+            let data = std::ptr::addr_of!(*interrupt) as *mut c_void;
+            // SAFETY: live handle; `data` points at the boxed predicate,
+            // which `self.interrupt` keeps alive (and address-stable) until
+            // the callback is replaced or the backend drops.
+            unsafe { set_terminate(self.solver, data, Some(terminate_trampoline)) };
+        }
+        self.interrupt = Some(interrupt);
     }
 }
 

@@ -56,7 +56,6 @@
 
 mod arena;
 mod backend;
-mod budget;
 mod dimacs;
 mod ipasir;
 mod literal;
@@ -64,7 +63,6 @@ mod solver;
 mod watch;
 
 pub use backend::{BackendError, BackendStats, DimacsProcessBackend, SatBackend};
-pub use budget::{BudgetTracker, SolveBudget};
 pub use dimacs::{parse_dimacs, to_dimacs, ParseDimacsError};
 pub use ipasir::IpasirBackend;
 pub use literal::{Lit, Var};

@@ -60,7 +60,7 @@
 
 pub use crate::arena::ClauseRef;
 use crate::arena::{ClauseArena, CompactOutcome, RELOC_DEAD};
-use crate::budget::BudgetTracker;
+use crate::backend::Interrupt;
 use crate::literal::{Lit, Var};
 use crate::watch::{Watcher, WatcherArena};
 use std::cmp::Ordering;
@@ -346,21 +346,6 @@ const RESTART_BASE: u64 = 100;
 /// reduction regardless of activity ("glue clauses").
 const GLUE_LBD: u32 = 2;
 
-/// A shared predicate polled during search; `true` means "abandon the
-/// query".  Clones of a solver share the same check through the `Arc`.
-#[derive(Clone, Default)]
-struct InterruptCheck(Option<Arc<dyn Fn() -> bool + Send + Sync>>);
-
-impl std::fmt::Debug for InterruptCheck {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(if self.0.is_some() {
-            "InterruptCheck(set)"
-        } else {
-            "InterruptCheck(unset)"
-        })
-    }
-}
-
 /// Default [`Solver::set_gc_thresholds`] dead fraction: compact once a
 /// quarter of the database is dead; below that the propagation savings do
 /// not pay for the compaction sweep.
@@ -407,10 +392,8 @@ pub struct Solver {
     ok: bool,
     stats: SolverStats,
     max_learnt: f64,
-    interrupt: InterruptCheck,
-    /// Shared resource budget: the job's one solver charges its conflicts
-    /// here, and a clone charges the same tracker through the `Arc`.
-    budget: Option<Arc<BudgetTracker>>,
+    /// The stop predicate polled during search; clones share it.
+    interrupt: Option<Interrupt>,
     /// Fraction of the clause database that must be dead before
     /// [`collect_garbage_if`](Self::collect_garbage_if) compacts.
     gc_dead_fraction: f64,
@@ -548,36 +531,30 @@ impl Solver {
 
     /// Installs an interrupt check polled during search (at search entry,
     /// after every conflict, every 1024 decisions, and at every restart
-    /// boundary).  When it returns `true` the current query is
-    /// abandoned with [`SolveResult::Interrupted`]; the formula and all
-    /// learnt clauses remain valid and the solver can be queried again.
+    /// boundary) and passed the solver's conflict count so far
+    /// ([`SolverStats::conflicts`]).  When it returns `true` the current
+    /// query is abandoned with [`SolveResult::Interrupted`]; the formula and
+    /// all learnt clauses remain valid and the solver can be queried again.
     ///
-    /// The detection flow installs its cancel flag here, so a cancelled job
-    /// stops mid-search.
-    pub fn set_interrupt(&mut self, check: Arc<dyn Fn() -> bool + Send + Sync>) {
-        self.interrupt = InterruptCheck(Some(check));
+    /// The detection flow installs its one stop predicate here, so a
+    /// cancelled job stops mid-search, and a conflict ceiling needs nothing
+    /// but the count the predicate is passed.
+    pub fn set_interrupt(&mut self, check: Arc<dyn Fn(u64) -> bool + Send + Sync>) {
+        self.interrupt = Some(Interrupt(check));
     }
 
     /// Removes the interrupt check installed by
     /// [`set_interrupt`](Self::set_interrupt).
     pub fn clear_interrupt(&mut self) {
-        self.interrupt = InterruptCheck(None);
+        self.interrupt = None;
     }
 
-    /// Attaches (or detaches, with `None`) a shared resource budget.  The
-    /// solver charges one unit per conflict and abandons the query with
-    /// [`SolveResult::Interrupted`] once the tracker reports exhaustion; the
-    /// formula stays valid, exactly as with
-    /// [`set_interrupt`](Self::set_interrupt).
-    pub fn set_budget(&mut self, budget: Option<Arc<BudgetTracker>>) {
-        self.budget = budget;
-    }
-
-    /// `true` if the budget is exhausted or the installed interrupt check
-    /// (if any) fires.
+    /// `true` if the installed interrupt check (if any) fires at the
+    /// current conflict count.
     fn interrupted(&self) -> bool {
-        self.budget.as_ref().is_some_and(|budget| budget.check())
-            || self.interrupt.0.as_ref().is_some_and(|check| check())
+        self.interrupt
+            .as_ref()
+            .is_some_and(|check| check.fires(self.stats.conflicts))
     }
 
     /// Marks a variable as eligible (`true`, the default) or ineligible
@@ -1260,9 +1237,6 @@ impl Solver {
             if let Some(confl) = self.propagate() {
                 self.stats.conflicts += 1;
                 conflicts_since_restart += 1;
-                if let Some(budget) = &self.budget {
-                    budget.charge_conflict();
-                }
                 if self.interrupted() {
                     self.cancel_until(0);
                     return SolveResult::Interrupted;
@@ -1452,11 +1426,9 @@ mod tests {
         assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
-    #[test]
-    fn the_interrupt_check_is_polled_at_restart_boundaries() {
-        use std::sync::atomic::{AtomicU64, Ordering};
-        // PHP(7,6): pigeon i (0..7) sits in hole j (0..6) — unsatisfiable,
-        // and hard enough to force several Luby restarts.
+    /// PHP(7,6): pigeon i (0..7) sits in hole j (0..6) — unsatisfiable,
+    /// and hard enough to force several Luby restarts.
+    fn php_7_6() -> Solver {
         let (mut s, v) = make_solver(42);
         let p = |i: usize, j: usize| lit(&v, (i * 6 + j + 1) as i32);
         for i in 0..7 {
@@ -1469,9 +1441,16 @@ mod tests {
                 }
             }
         }
+        s
+    }
+
+    #[test]
+    fn the_interrupt_check_is_polled_at_restart_boundaries() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+        let mut s = php_7_6();
         let polls = Arc::new(AtomicU64::new(0));
         let counter = Arc::clone(&polls);
-        s.set_interrupt(Arc::new(move || {
+        s.set_interrupt(Arc::new(move |_| {
             counter.fetch_add(1, Ordering::Relaxed);
             false
         }));
@@ -1483,6 +1462,32 @@ mod tests {
         // restart-boundary poll makes this undercount by exactly `restarts`.
         let expected = 1 + stats.conflicts + stats.decisions / 1024 + stats.restarts;
         assert_eq!(polls.load(Ordering::Relaxed), expected);
+    }
+
+    /// The interrupt check is passed the solver's conflict count, so a
+    /// conflict ceiling needs no charging: the search stops at the first
+    /// poll that fires, right after the conflict that reached the count,
+    /// and a later query starts from the count the solver already holds.
+    #[test]
+    fn the_interrupt_check_is_passed_the_conflict_count() {
+        use std::sync::Mutex;
+        let mut s = php_7_6();
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        let record = Arc::clone(&seen);
+        s.set_interrupt(Arc::new(move |conflicts| {
+            record.lock().unwrap().push(conflicts);
+            conflicts >= 3
+        }));
+        assert_eq!(s.solve(), SolveResult::Interrupted);
+        assert_eq!(s.stats().conflicts, 3);
+        // Polled at search entry (0) and after each conflict.
+        assert_eq!(*seen.lock().unwrap(), [0, 1, 2, 3]);
+        // The count is the solver's own: a fresh query polls from 3 on and
+        // stops at its entry.
+        assert_eq!(s.solve(), SolveResult::Interrupted);
+        assert_eq!(s.stats().conflicts, 3);
+        s.clear_interrupt();
+        assert_eq!(s.solve(), SolveResult::Unsat);
     }
 
     #[test]

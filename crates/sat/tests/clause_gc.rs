@@ -351,7 +351,7 @@ fn interrupts_abandon_queries_cleanly() {
         solver.add_clause([Lit::pos(w[0]), Lit::pos(w[1])]);
         solver.add_clause([Lit::neg(w[0]), Lit::neg(w[1])]);
     }
-    solver.set_interrupt(std::sync::Arc::new(|| true));
+    solver.set_interrupt(std::sync::Arc::new(|_| true));
     assert_eq!(solver.solve(), SolveResult::Interrupted);
     solver.clear_interrupt();
     assert_eq!(solver.solve(), SolveResult::Sat);

@@ -92,7 +92,7 @@
 //! | `stats` | terminal: wall seconds, queue depth, aggregate solver/session counters |
 //! | `report` | terminal: one-line `summary` plus the full report `text` |
 //! | `error` | terminal: the job failed or was cancelled (`code`, `message`) |
-//! | `budget_exhausted` | terminal: the job's solve budget ran out (`reason` is `"deadline"` or `"conflicts"`, plus `conflicts` charged); the event log streamed so far is valid partial progress |
+//! | `budget_exhausted` | terminal: the job's solve budget ran out (`reason` is `"deadline"` or `"conflicts"`, plus the `conflicts` the backend counted in the job, 0 on an external backend); the event log streamed so far is valid partial progress |
 //!
 //! The `error` frame's `code` is `cancelled` for client-driven
 //! cancellation, `rejected`/`flow_error` for flow failures, and `internal`

@@ -24,9 +24,7 @@ use std::path::PathBuf;
 
 use golden_free_htd::detect::{BackendChoice, DetectionReport, DetectorConfig, SessionBuilder};
 use golden_free_htd::ipc::MiterSession;
-use golden_free_htd::sat::{
-    BudgetTracker, IpasirBackend, Lit, SatBackend, SolveBudget, SolveResult, SolverStats,
-};
+use golden_free_htd::sat::{IpasirBackend, Lit, SatBackend, SolveResult, SolverStats};
 use golden_free_htd::trusthub::registry::Benchmark;
 
 /// Locates the shim cdylib built by cargo (`HTD_IPASIR_LIB` overrides, for
@@ -186,50 +184,18 @@ fn an_ipasir_backend_does_not_fork() {
     assert_eq!(err.message, want);
 }
 
-/// The interrupt predicate reaches the library through
-/// `ipasir_set_terminate` and surfaces as `SolveResult::Interrupted`.
+/// The stop predicate reaches the library through `ipasir_set_terminate`
+/// and surfaces as `SolveResult::Interrupted`; a later predicate replaces
+/// it.
 #[test]
 fn interrupts_reach_the_library_through_set_terminate() {
     let mut backend = IpasirBackend::load(shim_library()).expect("shim loads");
     let a = backend.new_var();
     let b = backend.new_var();
     backend.add_clause(&[Lit::pos(a), Lit::pos(b)]);
-    backend.set_interrupt(std::sync::Arc::new(|| true));
+    backend.set_interrupt(std::sync::Arc::new(|_| true));
     assert_eq!(backend.solve_under(&[]).unwrap(), SolveResult::Interrupted);
-    backend.set_interrupt(std::sync::Arc::new(|| false));
-    assert_eq!(backend.solve_under(&[]).unwrap(), SolveResult::Sat);
-}
-
-/// A spent budget armed on the backend itself answers `Interrupted` without
-/// entering the library: no one charges an external backend's conflicts, so
-/// the test charges the tracker directly.  Detaching the budget restores
-/// normal solving.
-#[test]
-fn a_spent_conflict_ceiling_interrupts_before_the_library_solves() {
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
-
-    let mut backend = IpasirBackend::load(shim_library()).expect("shim loads");
-    let vars: Vec<_> = (0..6).map(|_| backend.new_var()).collect();
-    for window in vars.windows(2) {
-        backend.add_clause(&[Lit::neg(window[0]), Lit::pos(window[1])]);
-    }
-
-    let tracker = Arc::new(BudgetTracker::start(
-        SolveBudget {
-            deadline: None,
-            conflict_ceiling: Some(2),
-        },
-        Arc::new(AtomicBool::new(false)),
-    ));
-    backend.set_budget(Some(Arc::clone(&tracker)));
-    for _ in 0..3 {
-        tracker.charge_conflict();
-    }
-    assert!(tracker.check(), "the ceiling is spent");
-    assert_eq!(backend.solve_under(&[]).unwrap(), SolveResult::Interrupted);
-
-    backend.set_budget(None);
+    backend.set_interrupt(std::sync::Arc::new(|_| false));
     assert_eq!(backend.solve_under(&[]).unwrap(), SolveResult::Sat);
 }
 

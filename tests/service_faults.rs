@@ -171,21 +171,19 @@ fn builtin_backend_budget_exhaustion_settles_through_the_daemon() {
 #[test]
 #[cfg(unix)]
 fn dimacs_backend_kills_a_stalled_child_at_the_deadline() {
-    use std::os::unix::fs::PermissionsExt;
-
     // A "solver" that sleeps far past the deadline: the process backend's
     // poll loop must kill it and answer Interrupted, which the session maps
-    // to BudgetExhausted.
+    // to BudgetExhausted.  The shell reads the script rather than the test
+    // executing it (a sibling thread's fork may still hold it open for
+    // writing, and exec would fail with ETXTBSY), and `exec` hands the
+    // child's pid to `sleep`, so the deadline's kill reaches the sleeper.
     let script = std::env::temp_dir().join("htd_faults_sleeping_solver.sh");
-    std::fs::write(&script, "#!/bin/sh\nsleep 30\necho 's UNSATISFIABLE'\n").unwrap();
-    let mut perms = std::fs::metadata(&script).unwrap().permissions();
-    perms.set_mode(0o755);
-    std::fs::set_permissions(&script, perms).unwrap();
+    std::fs::write(&script, "exec sleep 30\n").unwrap();
 
     let started = std::time::Instant::now();
     let err = run_budgeted(
         &infected_accelerator(),
-        BackendChoice::dimacs(script.to_str().unwrap()),
+        BackendChoice::DimacsProcess("/bin/sh".into(), vec![script.display().to_string()]),
         SolveBudget {
             deadline: Some(Duration::from_millis(150)),
             conflict_ceiling: None,
