@@ -21,7 +21,7 @@
 //! | `determinism` | `Instant::now`, `SystemTime::now`, `thread::sleep` and `Ordering::Relaxed` appear only in the timing allowlist (`crates/core/src/budget.rs`, `crates/serve/`, `crates/bench/`, the criterion shim and `examples/`) — time never influences the merge path.  Test code is exempt. |
 //! | `strict-env` | `env::var`/`env::var_os` of an `"HTD_…"` literal, or of any non-literal name (a `const`, a parameter), is a finding in every module: the product reads no `HTD_*` variable, and its only settings are flags and config structs.  Reads of other literal names (`"PATH"`) are not this rule's business.  A test helper that saves such a variable to restore it carries a waiver. |
 //! | `exhaustive-stats` | inside `accumulate*`/`delta_since`/`normalized`, a `SolverStats`/`SessionStats`/`CheckStats` struct pattern or literal must not use `..` — a new counter must be a compile error, never a silently dropped value (a bug class once fixed by hand). |
-//! | `serve-panic-hygiene` | `unwrap()`/`expect()` are forbidden in the request-handling modules of `htd-serve` (`server.rs`, `http.rs`, `json.rs`, `queue.rs`, `cache.rs`); a tenant request settles with a structured error, never a panic.  Test code is exempt. |
+//! | `serve-panic-hygiene` | `unwrap()`/`expect()` are forbidden in the request-handling modules of `htd-serve` (`server.rs`, `http.rs`, `json.rs`, `queue.rs`); a tenant request settles with a structured error, never a panic.  Test code is exempt. |
 //! | `waiver-hygiene` | waiver pragmas themselves: a waiver without a justification, naming an unknown rule, or matching no finding is a finding.  Not waivable. |
 //!
 //! ## Waiver pragma grammar
@@ -192,7 +192,6 @@ impl Default for LintConfig {
                 "crates/serve/src/http.rs",
                 "crates/serve/src/json.rs",
                 "crates/serve/src/queue.rs",
-                "crates/serve/src/cache.rs",
             ]),
         }
     }

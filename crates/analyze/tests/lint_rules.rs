@@ -306,6 +306,33 @@ fn workspace_is_lint_clean() {
     );
 }
 
+/// A configured path that names no file scopes a rule to nothing: every
+/// path the committed policy lists must exist in the tree.
+#[test]
+fn every_configured_path_exists() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .join("../..")
+        .canonicalize()
+        .expect("workspace root exists");
+    let LintConfig {
+        unsafe_allowlist,
+        unsafe_attr_exempt,
+        determinism_allowlist,
+        serve_request_paths,
+    } = LintConfig::default();
+    let missing: Vec<String> = [
+        unsafe_allowlist,
+        unsafe_attr_exempt,
+        determinism_allowlist,
+        serve_request_paths,
+    ]
+    .concat()
+    .into_iter()
+    .filter(|path| !root.join(path).exists())
+    .collect();
+    assert!(missing.is_empty(), "configured paths missing: {missing:?}");
+}
+
 #[test]
 fn json_report_is_stable_and_parseable_shaped() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))

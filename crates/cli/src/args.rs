@@ -183,8 +183,7 @@ pub enum Command {
     /// Submit an RTL file to a running daemon and stream its job.
     Submit(SubmitArgs),
     /// Print the canonical netlist text of an RTL input (the exact bytes
-    /// `submit` sends, and the content the daemon coalesces identical jobs
-    /// on).
+    /// `submit` sends).
     Export {
         /// The RTL input file (Verilog, netlist, or `trusthub:NAME`).
         input: PathBuf,

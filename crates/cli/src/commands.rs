@@ -278,8 +278,7 @@ fn submit(args: &SubmitArgs) -> Result<String, CliError> {
 }
 
 /// `htd export`: print the canonical netlist text of an RTL input — the
-/// exact bytes `submit` sends and the content the daemon coalesces identical
-/// jobs on.
+/// exact bytes `submit` sends.
 fn export(input: &Path, top: Option<&str>, output: Option<&Path>) -> Result<String, CliError> {
     let design = load_design(input, top)?;
     let text = netlist::dump(&design);

@@ -22,7 +22,7 @@ pub enum DetectError {
         message: String,
     },
     /// The run was cancelled through the session's external cancellation
-    /// flag ([`crate::DetectionSession::cancel_flag`]) before reaching a
+    /// flag ([`crate::DetectionSession::set_cancel_flag`]) before reaching a
     /// verdict: the solve in flight was interrupted mid-search and its
     /// partial result discarded.  The service tier raises this when a client
     /// disconnects or deletes its job.

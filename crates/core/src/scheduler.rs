@@ -32,7 +32,6 @@
 //! (see `compat.rs`).
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
 use std::time::Instant;
 
 use htd_ipc::{CheckOutcome, CheckStats, IntervalProperty, MiterSession, PropertyReport};
@@ -53,22 +52,21 @@ use crate::session::FlowEvent;
 /// `cancel` is the caller's kill switch.  The session folds it into the
 /// master's stop predicate, which every solve and every sub-property polls;
 /// [`walk`] checks it between checks, and a run that sees it set returns
-/// [`DetectError::Cancelled`].  The run sets it when it returns, whatever
-/// the result, so a flag serves one run.
+/// [`DetectError::Cancelled`].  The run only reads it.
 pub(crate) fn run_flow(
     design: &ValidatedDesign,
     config: &DetectorConfig,
     miter: &mut MiterSession,
-    cancel: Option<&Arc<AtomicBool>>,
+    cancel: Option<&AtomicBool>,
     emit: &mut dyn FnMut(&FlowEvent),
 ) -> Result<(DetectionReport, PipelineStats), DetectError> {
-    let interrupt = cancel.cloned().unwrap_or_default();
+    let never = AtomicBool::new(false);
     let before = miter.stats();
     let result = walk(
         design,
         config,
         &mut |property| Ok(miter.check(design, property)?),
-        &interrupt,
+        cancel.unwrap_or(&never),
         emit,
     );
     if result.is_ok() {
@@ -76,9 +74,6 @@ pub(crate) fn run_flow(
         // and the master compacts, so a reused session starts clean.
         miter.finish_level_flow();
     }
-    // Consume the flag: the daemon's coalescing treats a run whose flag is
-    // set as finished, so it never attaches a new submission to it.
-    interrupt.store(true, Ordering::SeqCst);
     let report = result?;
     let after = miter.stats();
     let stats = PipelineStats {

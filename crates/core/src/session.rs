@@ -477,23 +477,14 @@ impl DetectionSession {
         self.miter.backend_stats()
     }
 
-    /// Installs an external cancellation flag for the **next**
+    /// Installs an external cancellation flag for every later
     /// [`run`](Self::run): setting it to `true` from any thread interrupts
     /// the solve in flight mid-search and makes the run return
-    /// [`DetectError::Cancelled`].  The flag is one-shot: when the run
-    /// returns, with a report or an error, it has set the flag, so install
-    /// a fresh flag per run.  The daemon relies on this: a job whose flag
-    /// reads `true` is finished, and an identical new submission leads a
-    /// run of its own instead of attaching to it.
+    /// [`DetectError::Cancelled`].  Runs only read the flag, so one flag
+    /// serves all of the session's runs, and a flag left set cancels each
+    /// of them.
     pub fn set_cancel_flag(&mut self, cancel: Arc<AtomicBool>) {
         self.cancel = Some(cancel);
-    }
-
-    /// The external cancellation flag installed with
-    /// [`set_cancel_flag`](Self::set_cancel_flag), if any.
-    #[must_use]
-    pub fn cancel_flag(&self) -> Option<&Arc<AtomicBool>> {
-        self.cancel.as_ref()
     }
 
     /// Runs the full detection flow: init property, fanout properties until
@@ -542,7 +533,7 @@ impl DetectionSession {
             }));
         }
         let result =
-            run_flow(design, config, miter, cancel.as_ref(), observer).map(|(report, stats)| {
+            run_flow(design, config, miter, cancel.as_deref(), observer).map(|(report, stats)| {
                 *pipeline_stats = stats;
                 report
             });
@@ -674,9 +665,6 @@ mod tests {
         let flag = Arc::new(AtomicBool::new(false));
         let mut session = SessionBuilder::new(clean_pipeline()).build().unwrap();
         session.set_cancel_flag(Arc::clone(&flag));
-        assert!(session
-            .cancel_flag()
-            .is_some_and(|installed| Arc::ptr_eq(installed, &flag)));
         // The first event fires before the first solve, so flipping the flag
         // there exercises the coordinator's between-task checks.
         let result = session.run_with_observer(&mut |_| flag.store(true, Ordering::SeqCst));
@@ -785,9 +773,9 @@ mod tests {
         );
     }
 
-    /// A budget's own cancel flag serves one run only: a budgeted session
-    /// with no caller flag runs again, to the reports an unbudgeted session
-    /// gives on its first and second runs.
+    /// A budget is armed per run: a budgeted session with no caller flag
+    /// runs again, to the reports an unbudgeted session gives on its first
+    /// and second runs.
     #[test]
     fn a_budgeted_session_runs_twice() {
         let budget = SolveBudget {
@@ -810,7 +798,6 @@ mod tests {
                     plain.run().unwrap().normalized()
                 );
             }
-            assert!(budgeted.cancel_flag().is_none());
         }
     }
 
@@ -843,24 +830,26 @@ mod tests {
         );
     }
 
-    /// A run consumes its cancel flag whether it returns a report or an
-    /// error: the daemon reads a set flag as a finished job.
+    /// Runs only read the caller's cancel flag: one flag serves every run
+    /// of a session, and a run leaves it unset whether it returns a report
+    /// or an error.
     #[test]
-    fn a_finished_run_sets_its_cancel_flag() {
+    fn a_run_leaves_its_cancel_flag_unset() {
         let flag = Arc::new(AtomicBool::new(false));
         let mut session = SessionBuilder::new(clean_pipeline()).build().unwrap();
         session.set_cancel_flag(Arc::clone(&flag));
         assert!(session.run().is_ok());
-        assert!(flag.load(Ordering::SeqCst), "after Ok");
+        assert!(!flag.load(Ordering::SeqCst), "after Ok");
+        assert!(session.run().is_ok(), "the flag serves the next run too");
+        assert!(!flag.load(Ordering::SeqCst), "after the second Ok");
 
         // The first query fails: the solver binary does not exist.
         let mut session = SessionBuilder::new(infected_design())
             .backend(BackendChoice::dimacs("/nonexistent/solver"))
             .build()
             .unwrap();
-        let flag = Arc::new(AtomicBool::new(false));
         session.set_cancel_flag(Arc::clone(&flag));
         assert!(matches!(session.run(), Err(DetectError::Backend { .. })));
-        assert!(flag.load(Ordering::SeqCst), "after Err");
+        assert!(!flag.load(Ordering::SeqCst), "after Err");
     }
 }

@@ -8,8 +8,8 @@
 //! is the right trade-off.
 //!
 //! The implementation lives in [`htd_rtl::fxhash`] (the bottom of the crate
-//! stack) so the design content hash
-//! ([`htd_rtl::netlist::content_hash`]) and this crate's hash maps share one
-//! definition; this module re-exports it under the historical path.
+//! stack) so the netlist-text hash ([`htd_rtl::netlist::hash_of_dump`]) and
+//! this crate's hash maps share one definition; this module re-exports it
+//! under the historical path.
 
 pub use htd_rtl::fxhash::{FxHashMap, FxHashSet, FxHasher};

@@ -6,8 +6,8 @@
 //! right trade-off against the standard library's DoS-resistant SipHash.
 //! Implemented by hand because the workspace is dependency-free.  The hasher
 //! lives in `htd-rtl` (the bottom of the crate stack) so both the
-//! bit-blasting hot path in `htd-ipc` and the content-addressed design keys
-//! of [`content_hash`](crate::netlist::content_hash) use one definition.
+//! bit-blasting hot path in `htd-ipc` and the netlist-text hash
+//! [`hash_of_dump`](crate::netlist::hash_of_dump) use one definition.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -238,45 +238,18 @@ impl Printer<'_> {
     }
 }
 
-/// A content-addressed key for a design: the [`FxHash`](crate::fxhash) of
-/// its canonical netlist form ([`dump`]).
-///
-/// Two designs hash equal exactly when their canonical dumps are
-/// byte-identical — same signals in the same creation order with the same
-/// drivers — which is the invariant a design-keyed cache needs: everything
-/// the detection flow computes (bit-blast, CNF, reports) is a deterministic
-/// function of that canonical form.  Textual differences that `parse`
-/// normalises away (whitespace, comments, decimal vs hex constants) do not
-/// affect the hash of the *parsed* design; any structural change — one gate,
-/// one constant bit, one renamed signal — changes it.
-///
-/// Not a cryptographic hash: collisions are possible in principle, so
-/// security-sensitive callers must compare the dumps on a hash hit.
-#[must_use]
-pub fn content_hash(design: &ValidatedDesign) -> u64 {
-    hash_of_dump(&dump(design))
-}
-
-/// The [`content_hash`] of an already-serialised canonical netlist:
-/// `hash_of_dump(&dump(d)) == content_hash(d)` for every design.  Callers
-/// that need both the key and the dump text — e.g. a cache that must compare
-/// dumps on a hash hit — pay for one [`dump`] walk instead of two.  On any
-/// other netlist text it hashes that text as given, which is how the daemon
-/// keys request coalescing on the submitted text without dumping.
+/// The [`FxHash`](crate::fxhash) of a netlist text, taken over its bytes as
+/// given.  Over [`dump`] output it keys a design by its canonical form:
+/// equal dumps hash equal, and text that [`parse`] normalises away
+/// (whitespace, comments, decimal vs hex constants) leaves the dump of the
+/// parsed design unchanged.  Not a cryptographic hash: a caller that keys
+/// anything on it must compare the texts on a hash hit.
 #[must_use]
 pub fn hash_of_dump(dump: &str) -> u64 {
     use std::hash::Hasher as _;
     let mut hasher = crate::fxhash::FxHasher::default();
     hasher.write(dump.as_bytes());
     hasher.finish()
-}
-
-impl ValidatedDesign {
-    /// The design's content hash: see [`content_hash`].
-    #[must_use]
-    pub fn content_hash(&self) -> u64 {
-        content_hash(self)
-    }
 }
 
 /// Parses a textual netlist into a validated design.
@@ -622,19 +595,22 @@ mod tests {
         assert!(text.contains("next count ="));
     }
 
-    /// Structurally identical designs hash equal (however they were built or
-    /// textually formatted), and a one-gate mutation changes the hash.
+    /// Structurally identical designs dump equal (however they were built or
+    /// textually formatted), a one-gate mutation changes the dump, and equal
+    /// dumps hash equal.
     #[test]
     fn content_hash_keys_on_structure() {
         let a = counter();
         let b = counter();
-        assert_eq!(a.content_hash(), b.content_hash());
+        assert_eq!(dump(&a), dump(&b));
+        assert_eq!(hash_of_dump(&dump(&a)), hash_of_dump(&dump(&b)));
 
         // Textual noise the parser normalises away — comments, blank lines,
-        // decimal instead of hex constants — does not perturb the hash of
-        // the parsed design.
+        // decimal instead of hex constants — parses back to the same
+        // canonical dump.
         let noisy = format!("# a comment\n\n{}", dump(&a).replace("0x0", "0"));
-        assert_eq!(parse(&noisy).unwrap().content_hash(), a.content_hash());
+        assert_ne!(noisy, dump(&a));
+        assert_eq!(dump(&parse(&noisy).unwrap()), dump(&a));
 
         // One mutated gate: increment by 2 instead of 1.
         let mut d = Design::new("counter");
@@ -649,11 +625,8 @@ mod tests {
         d.set_register_next(count, next).unwrap();
         d.add_output("value", d.signal(count)).unwrap();
         let mutated = d.validated().unwrap();
-        assert_ne!(mutated.content_hash(), a.content_hash());
-
-        // The free function, the method and the dump-text form agree.
-        assert_eq!(content_hash(&a), a.content_hash());
-        assert_eq!(hash_of_dump(&dump(&a)), a.content_hash());
+        assert_ne!(dump(&mutated), dump(&a));
+        assert_ne!(hash_of_dump(&dump(&mutated)), hash_of_dump(&dump(&a)));
     }
 
     #[test]

@@ -48,8 +48,8 @@ impl std::error::Error for ClientError {}
 ///
 /// Retries apply only to *pre-acceptance* failures — a refused connection,
 /// `503 overloaded`, `503 draining` — never to a job that was already
-/// accepted (re-submitting a running job would start a second run once it
-/// no longer coalesces).  The jitter is seeded, not sampled from a global
+/// accepted (re-submitting it would start a second run of the same
+/// netlist).  The jitter is seeded, not sampled from a global
 /// RNG, so a given policy always produces the same schedule: tests assert
 /// on it, and two clients desynchronise simply by seeding differently.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

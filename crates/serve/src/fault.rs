@@ -20,11 +20,11 @@ pub enum FaultSpec {
     /// jobs run normally, so a test can prove the pool survives the panic.
     RunnerPanic,
     /// Every job stalls for the given duration before solving, honouring
-    /// cancellation while stalled.  Gives tests a window to coalesce onto,
+    /// cancellation while stalled.  Gives tests a window to submit beside,
     /// cancel, or drain an in-flight job.
     SolveStall(Duration),
-    /// The server force-closes the first subscriber's socket after the
-    /// job's `n`-th streamed frame.  One-shot.
+    /// The server force-closes the client's socket after the job's `n`-th
+    /// streamed frame.  One-shot.
     StreamDisconnect(u64),
     /// Every frame write is preceded by the given sleep, simulating a
     /// slow-reading client.

@@ -60,20 +60,11 @@
 //! runners pick them deficit-round-robin weighted by netlist size
 //! ([`queue`]), so one flooding tenant cannot starve the others.
 //!
-//! **Coalescing.**  A submission whose netlist is byte-identical to one
-//! already queued or running *attaches* to that job instead of running it
-//! again: the `accepted` frame carries `coalesced_into` naming the leader
-//! job, all subsequent frames are fanned out to every attached subscriber
-//! (tagged with the leader's job id), and each subscriber receives the
-//! byte-identical terminal report.  Identity is the submitted netlist text:
-//! its hash keys the lookup, and a hash hit is verified byte for byte
-//! against the leader's text, so a hash collision can never attach one
-//! tenant to another tenant's design.  Equal text is an equal design, so a
-//! follower's report is the one its own run would produce; two spellings of
-//! one design (say, one with an extra comment line) run as two jobs.
-//! `htd submit` sends the canonical text of `htd export`.  Detaching
-//! (disconnect or `DELETE`) affects only that subscriber; the underlying
-//! run is cancelled once no subscribers remain.
+//! **One run per submission.**  Every accepted submission is one job with
+//! one run, even when another job of the same netlist is queued or running:
+//! a run takes a few milliseconds on the bundled designs, and its report
+//! depends only on the design.  Cancelling a job (disconnect or `DELETE`)
+//! affects that job only.
 //!
 //! Accepted submissions answer `200` with `Content-Type:
 //! application/x-ndjson` and an EOF-terminated stream of one JSON frame per
@@ -91,13 +82,12 @@
 //! | `coverage` | the final signal-coverage check |
 //! | `stats` | terminal: wall seconds, queue depth, aggregate solver/session counters |
 //! | `report` | terminal: one-line `summary` plus the full report `text` |
-//! | `error` | terminal: the job failed or was cancelled (`code`, `message`) |
+//! | `error` | terminal: the job failed (`code`, `message`) |
 //! | `budget_exhausted` | terminal: the job's solve budget ran out (`reason` is `"deadline"` or `"conflicts"`, plus the `conflicts` the backend counted in the job, 0 on an external backend); the event log streamed so far is valid partial progress |
 //!
-//! The `error` frame's `code` is `cancelled` for client-driven
-//! cancellation, `rejected`/`flow_error` for flow failures, and `internal`
-//! when the flow panicked — panic isolation fails *that job* and the
-//! runner pool keeps serving.
+//! The `error` frame's `code` is `rejected`/`flow_error` for flow
+//! failures, and `internal` when the flow panicked — panic isolation fails
+//! *that job* and the runner pool keeps serving.
 //!
 //! The `report.text` field is the
 //! [`DetectionReport::normalized`](htd_core::DetectionReport::normalized)
@@ -106,18 +96,19 @@
 //! netlist.  Every job runs on a session of its own, built the way
 //! `htd detect` builds one, and reports are deterministic up to wall-clock
 //! time for any interleaving of concurrent jobs, so the diff holds whether
-//! the job ran alone, beside other tenants or as a coalesced follower.
+//! the job ran alone or beside other tenants.
 //!
 //! Disconnecting the submitting client cancels its job: the server watches
 //! the connection and flips the job's cancel flag, which interrupts the
 //! flow's solve in flight ([`DetectError::Cancelled`](htd_core::DetectError)).
+//! A cancelled job's stream ends without a terminal frame.
 //!
 //! ## `DELETE /jobs/<id>` — cancel a job
 //!
 //! Answers `{"job":<id>,"state":"<state>","cancelled":<bool>}`; `cancelled`
 //! is `true` when the job was still queued or running.  Unknown ids answer
-//! `404 not_found`.  For a coalesced job the id names one subscriber:
-//! cancelling it detaches that subscriber only.
+//! `404 not_found`.  A cancelled job's own stream ends at once, without a
+//! terminal frame, and its record settles `cancelled`.
 //!
 //! ## `POST /admin/drain` — graceful shutdown
 //!
@@ -132,7 +123,7 @@
 //! One JSON document: the admission bound and `workers` (the runner-thread
 //! setting), current queue
 //! depth and running count, whether the daemon is `draining`,
-//! completed/cancelled/failed/`budget_exhausted`/`coalesced` totals,
+//! completed/cancelled/failed/`budget_exhausted` totals,
 //! aggregate `solver_totals` / `session_totals` under their schema-v4
 //! benchmark field names, and a bounded ring of recent per-job records (id,
 //! design, state, wall seconds).  Job states: `queued`, `running`,

@@ -1,5 +1,5 @@
 //! The detection daemon: a fair-share job queue in front of a fixed set of
-//! runner threads, and one NDJSON event stream per subscribed client.
+//! runner threads, and one NDJSON event stream per job.
 //!
 //! See the [crate docs](crate) for the wire protocol.  Concurrency layout:
 //!
@@ -7,40 +7,38 @@
 //!   connection thread;
 //! * a connection thread parses the request under a header read timeout (the
 //!   slow-loris guard); for `POST /jobs` it performs admission control,
-//!   writes the `accepted` frame and then lingers as a **subscriber
-//!   watcher** — a client hangup or `DELETE` detaches that subscriber, and
-//!   the underlying run is cancelled once no subscribers remain;
+//!   writes the `accepted` frame and then lingers as the job's **watcher**
+//!   — a client hangup cancels the job, and a job cancelled from elsewhere
+//!   (`DELETE`, a failed frame write, the drain deadline or shutdown) has
+//!   its client's stream ended at once;
 //! * `max(2, workers)` **runner** threads drain a per-tenant
 //!   deficit-round-robin queue ([`FairQueue`]).  Each runner builds the
 //!   job's [`DetectionSession`](htd_core::DetectionSession) under its
 //!   [`SolveBudget`], exactly as `htd detect` builds one, runs the flow on
-//!   its own thread, and fans the flow's events out to every subscriber.  Job
+//!   its own thread, and streams the flow's events to the job's client.  Job
 //!   execution is wrapped in
 //!   [`std::panic::catch_unwind`]: a panicking flow fails
 //!   *that job* with an `internal` error frame and the runner keeps
 //!   serving.
 //!
-//! **Coalescing.**  Submissions are keyed by the hash of the submitted
-//! netlist text, verified byte for byte against that text: a submission
-//! identical to an in-flight job attaches to it as a follower instead of
-//! running the flow again, and every subscriber receives the byte-identical
-//! frame stream.  The text is the one the client sent; the daemon never
-//! re-dumps a parsed design.
+//! **One run per submission.**  Every `POST /jobs` is one job with one run
+//! and one cancel flag, shared by the job's record, its queued run, its
+//! session and its watcher.  The run only reads the flag; the watcher learns
+//! that the run finished from the job's `done` flag.
 //!
 //! **Whole frames.**  Every response leaves in whole writes: the status
 //! line, headers and `accepted` frame in one write, each flow frame in one,
-//! and a job's terminal frames in one per subscriber.
+//! and a job's terminal frames in one.
 //!
 //! Every run starts from a fresh session, so its
 //! [`DetectionReport::normalized`] rendering is byte-identical to
 //! `htd detect --normalize` on the same netlist.
 
-use std::collections::HashMap;
 use std::io::{self, BufReader, BufWriter, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -62,16 +60,16 @@ use crate::queue::FairQueue;
 /// Upper bound on a submitted request body (the JSON-wrapped netlist).
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
 
-/// How often a subscriber watcher wakes to poll its job's completion flag.
+/// How often a job's watcher wakes to poll its job's flags.
 const WATCH_INTERVAL: Duration = Duration::from_millis(200);
 
 /// Upper bound on any single blocking write of a response frame.  A client
 /// that stays connected but stops reading fills the TCP send buffer; without
-/// a timeout the runner would block in a frame write forever (the subscriber
-/// watcher never fires — the peer is still there — and the cancel flag
-/// cannot interrupt a blocked write), wedging the runner pool.  A timed-out
-/// write is treated exactly like a hangup: detach the subscriber, stop
-/// streaming to it.
+/// a timeout the runner would block in a frame write forever (the watcher
+/// never fires — the peer is still there — and the cancel flag cannot
+/// interrupt a blocked write), wedging the runner pool.  A timed-out write
+/// is treated like a hangup: it cancels the job, and nothing more is
+/// streamed to the client.
 const WRITE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Finished jobs retained for `GET /stats` (a bounded ring; older records
@@ -115,8 +113,6 @@ pub struct ServeOptions {
     /// Job runner threads; the daemon starts at least 2.  Each runner
     /// solves one job's flow at a time, on its own thread.
     pub workers: NonZeroUsize,
-    /// The detection configuration applied to every served job.
-    pub config: DetectorConfig,
     /// The SAT backend every served job solves on.  Defaults to the builtin
     /// solver; [`Server::start`] refuses a choice that cannot be brought up.
     pub backend: BackendChoice,
@@ -139,7 +135,6 @@ impl Default for ServeOptions {
             // htd-lint: allow(serve-panic-hygiene): evaluates a positive compile-time constant, before any request exists
             max_jobs: NonZeroUsize::new(crate::DEFAULT_MAX_JOBS).expect("positive default"),
             workers: std::thread::available_parallelism().unwrap_or(NonZeroUsize::MIN),
-            config: DetectorConfig::default(),
             backend: BackendChoice::Builtin,
             budget: SolveBudget::default(),
             drain_deadline: crate::DEFAULT_DRAIN_DEADLINE,
@@ -181,10 +176,9 @@ struct JobRecord {
     id: u64,
     design: String,
     state: JobState,
-    /// For an active record this is the subscriber's *detach* flag: set by
-    /// `DELETE /jobs/<id>`, a client hangup, or shutdown.  The underlying
-    /// run's cancel flag lives on [`Subscribers`] and flips once every
-    /// subscriber has detached.
+    /// The job's cancel flag, shared with its queued run, its session and
+    /// its watcher: set by `DELETE /jobs/<id>`, a client hangup, a failed
+    /// frame write, the drain deadline or shutdown.
     cancel: Arc<AtomicBool>,
     wall_secs: Option<f64>,
 }
@@ -195,42 +189,15 @@ struct JobTable {
     records: Vec<JobRecord>,
 }
 
-/// One client attached to a job's frame stream.
-struct Sink {
-    /// The subscriber's own job id (a follower's differs from the leader's).
-    job: u64,
-    stream: TcpStream,
-    detach: Arc<AtomicBool>,
-}
-
-/// The fan-out state shared by a job's runner, its subscriber watchers and
-/// late-attaching followers.
-struct Subscribers {
-    /// Cancels the underlying detection run; latched once no subscribers
-    /// remain (or on drain-deadline / shutdown).
-    cancel: Arc<AtomicBool>,
-    sinks: Mutex<Vec<Sink>>,
-    /// Streamed frame counter, for the [`FaultSpec::StreamDisconnect`] fault.
-    frames: AtomicU64,
-}
-
-/// An in-flight (queued or running) job, keyed by the hash of its submitted
-/// netlist text so identical submissions coalesce onto it.
-struct InflightEntry {
-    /// The submitted text the key was hashed from; compared on a hash hit
-    /// so a collision can never attach one tenant to another's design.
-    text: String,
-    leader: u64,
-    subs: Arc<Subscribers>,
-    done: Arc<AtomicBool>,
-}
-
+/// An admitted job waiting for a runner.
 struct QueuedJob {
-    leader: u64,
+    id: u64,
     design: ValidatedDesign,
-    key: u64,
     budget: SolveBudget,
-    subs: Arc<Subscribers>,
+    /// The runner's clone of the client's stream.
+    stream: TcpStream,
+    cancel: Arc<AtomicBool>,
+    /// Set once the runner has settled the job, so its watcher stops.
     done: Arc<AtomicBool>,
 }
 
@@ -240,7 +207,6 @@ struct Totals {
     cancelled: u64,
     failed: u64,
     budget_exhausted: u64,
-    coalesced: u64,
     solver: SolverStats,
     session: SessionStats,
 }
@@ -251,9 +217,6 @@ struct ServerState {
     queue: Mutex<FairQueue<QueuedJob>>,
     queue_cv: Condvar,
     jobs: Mutex<JobTable>,
-    /// Lock-order note: `inflight` is always taken *before* `jobs`,
-    /// `queue` or a job's sink list, never after.
-    inflight: Mutex<HashMap<u64, InflightEntry>>,
     totals: Mutex<Totals>,
     draining: AtomicBool,
     shutdown: AtomicBool,
@@ -309,7 +272,6 @@ impl Server {
             queue: Mutex::new(FairQueue::new(FAIR_QUANTUM)),
             queue_cv: Condvar::new(),
             jobs: Mutex::new(JobTable::default()),
-            inflight: Mutex::new(HashMap::new()),
             totals: Mutex::new(Totals::default()),
             draining: AtomicBool::new(false),
             shutdown: AtomicBool::new(false),
@@ -330,7 +292,7 @@ impl Server {
                 let Ok(stream) = stream else { continue };
                 let state = Arc::clone(&accept_state);
                 // Detached: a connection thread either answers and exits or
-                // lingers as a subscriber watcher until its job finishes.
+                // lingers as its job's watcher until the job finishes.
                 std::thread::spawn(move || handle_connection(&state, stream));
             }
         });
@@ -381,22 +343,7 @@ impl Server {
 
     fn halt(&mut self) {
         self.state.shutdown.store(true, Ordering::SeqCst);
-        {
-            let jobs = lock_unpoisoned(&self.state.jobs);
-            for record in &jobs.records {
-                if record.state.is_active() {
-                    record.cancel.store(true, Ordering::SeqCst);
-                }
-            }
-        }
-        {
-            // Cancel the runs directly too: the watchers that would relay a
-            // detach flag may already be gone.
-            let inflight = lock_unpoisoned(&self.state.inflight);
-            for entry in inflight.values() {
-                entry.subs.cancel.store(true, Ordering::SeqCst);
-            }
-        }
+        cancel_active(&self.state);
         // Wake the accept loop with a throwaway connection.
         let _ = TcpStream::connect(self.addr);
         self.state.queue_cv.notify_all();
@@ -432,17 +379,7 @@ fn begin_drain(state: &Arc<ServerState>) {
             }
             if !cancelled && Instant::now() >= deadline {
                 cancelled = true;
-                let jobs = lock_unpoisoned(&state.jobs);
-                for record in &jobs.records {
-                    if record.state.is_active() {
-                        record.cancel.store(true, Ordering::SeqCst);
-                    }
-                }
-                drop(jobs);
-                let inflight = lock_unpoisoned(&state.inflight);
-                for entry in inflight.values() {
-                    entry.subs.cancel.store(true, Ordering::SeqCst);
-                }
+                cancel_active(&state);
             }
             if cancelled && Instant::now() >= deadline + DRAIN_HARD_GRACE {
                 break;
@@ -454,6 +391,16 @@ fn begin_drain(state: &Arc<ServerState>) {
         // Wake the accept loop so `Server::join` returns.
         let _ = TcpStream::connect(state.addr);
     });
+}
+
+/// Cancels every queued or running job.  A record's flag is its run's flag,
+/// so this stops the runs, and each job's watcher ends its client's stream.
+fn cancel_active(state: &ServerState) {
+    for record in &lock_unpoisoned(&state.jobs).records {
+        if record.state.is_active() {
+            record.cancel.store(true, Ordering::SeqCst);
+        }
+    }
 }
 
 fn count_active(state: &Arc<ServerState>) -> usize {
@@ -571,7 +518,7 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: Reque
         return;
     }
     let Request { tenant, body, .. } = request;
-    let (design, text, request_budget) = match parse_submission(body) {
+    let (design, cost, request_budget) = match parse_submission(body) {
         Ok(parsed) => parsed,
         Err(message) => {
             let _ = http::write_error(&mut stream, 400, "Bad Request", "bad_request", &message);
@@ -580,10 +527,6 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: Reque
     };
     // A request may only tighten the operator's cap, never exceed it.
     let budget = request_budget.min(state.options.budget);
-    // The submitted text is the job's identity: its hash keys coalescing
-    // and the text itself is verified on a hash hit.  Equal text parses to
-    // an equal design, so a follower gets the report its own run would.
-    let key = netlist::hash_of_dump(&text);
     let tenant = tenant.unwrap_or_else(|| {
         stream
             .peer_addr()
@@ -593,88 +536,12 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: Reque
     // wedge anything once the TCP send buffer fills (see WRITE_TIMEOUT).
     let _ = stream.set_write_timeout(Some(WRITE_TIMEOUT));
 
-    // Coalesce-or-lead under the inflight lock, so two identical
-    // submissions racing cannot both become leaders for one key.  The lock
-    // is held across the accepted-frame write, which is bounded by
-    // WRITE_TIMEOUT.
-    let mut inflight = lock_unpoisoned(&state.inflight);
-    let attachable = inflight
-        .get(&key)
-        // A run all of whose subscribers already detached is winding down,
-        // and a finished run has set its flag too (a run consumes its cancel
-        // flag when it returns); don't attach to either — lead a fresh run
-        // instead (the stale entry is replaced below and retired by its
-        // runner leader-checked).
-        .filter(|entry| entry.text == text && !entry.subs.cancel.load(Ordering::SeqCst))
-        .map(|entry| {
-            (
-                entry.leader,
-                Arc::clone(&entry.subs),
-                Arc::clone(&entry.done),
-            )
-        });
-
-    if let Some((leader, subs, done)) = attachable {
-        let (id, detach) = {
-            let mut jobs = lock_unpoisoned(&state.jobs);
-            jobs.next_id += 1;
-            let id = jobs.next_id;
-            let detach = Arc::new(AtomicBool::new(false));
-            // Mirror the leader's live state so /stats shows this record
-            // running when the underlying flow already started.
-            let running = jobs
-                .records
-                .iter()
-                .any(|r| r.id == leader && r.state == JobState::Running);
-            jobs.records.push(JobRecord {
-                id,
-                design: design.design().name().to_string(),
-                state: if running {
-                    JobState::Running
-                } else {
-                    JobState::Queued
-                },
-                cancel: Arc::clone(&detach),
-                wall_secs: None,
-            });
-            (id, detach)
-        };
-        let accepted = accepted_frame(
-            id,
-            design.design().name(),
-            ("coalesced_into", Json::UInt(leader)),
-        );
-        if http::write_stream_head(&mut stream, &accepted).is_err() {
-            drop(inflight);
-            settle_subscriber(state, id, JobState::Cancelled, None);
-            return;
-        }
-        let sink_stream = match stream.try_clone() {
-            Ok(clone) => clone,
-            Err(_) => {
-                drop(inflight);
-                settle_subscriber(state, id, JobState::Cancelled, None);
-                return;
-            }
-        };
-        lock_unpoisoned(&subs.sinks).push(Sink {
-            job: id,
-            stream: sink_stream,
-            detach: Arc::clone(&detach),
-        });
-        lock_unpoisoned(&state.totals).coalesced += 1;
-        drop(inflight);
-        watch_subscriber(state, &stream, id, &subs, &detach, &done);
-        return;
-    }
-
-    // Leader path: admission control, then queue a fresh run.
-    let (id, detach, queue_depth) = {
+    // Admission control, then queue the job's run.
+    let (id, cancel, queue_depth) = {
         let mut jobs = lock_unpoisoned(&state.jobs);
         let active = jobs.records.iter().filter(|r| r.state.is_active()).count();
         if active >= state.options.max_jobs.get() {
             drop(jobs);
-            drop(inflight);
             let _ = http::write_error(
                 &mut stream,
                 503,
@@ -689,104 +556,69 @@ fn handle_submit(state: &Arc<ServerState>, mut stream: TcpStream, request: Reque
         }
         jobs.next_id += 1;
         let id = jobs.next_id;
-        let detach = Arc::new(AtomicBool::new(false));
+        let cancel = Arc::new(AtomicBool::new(false));
         jobs.records.push(JobRecord {
             id,
             design: design.design().name().to_string(),
             state: JobState::Queued,
-            cancel: Arc::clone(&detach),
+            cancel: Arc::clone(&cancel),
             wall_secs: None,
         });
         let depth = lock_unpoisoned(&state.queue).len();
-        (id, detach, depth)
+        (id, cancel, depth)
     };
 
-    let accepted = accepted_frame(
-        id,
-        design.design().name(),
-        ("queue_depth", Json::UInt(queue_depth as u64)),
-    );
-    if http::write_stream_head(&mut stream, &accepted).is_err() {
-        drop(inflight);
-        settle_subscriber(state, id, JobState::Cancelled, None);
+    let accepted = accepted_frame(id, design.design().name(), queue_depth);
+    let runner_stream =
+        http::write_stream_head(&mut stream, &accepted).and_then(|()| stream.try_clone());
+    let Ok(runner_stream) = runner_stream else {
+        settle_job(state, id, JobState::Cancelled, None);
         return;
-    }
-    let runner_stream = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => {
-            drop(inflight);
-            settle_subscriber(state, id, JobState::Cancelled, None);
-            return;
-        }
     };
     let done = Arc::new(AtomicBool::new(false));
-    let subs = Arc::new(Subscribers {
-        cancel: Arc::new(AtomicBool::new(false)),
-        sinks: Mutex::new(vec![Sink {
-            job: id,
-            stream: runner_stream,
-            detach: Arc::clone(&detach),
-        }]),
-        frames: AtomicU64::new(0),
-    });
-    let cost = text.len() as u64;
-    inflight.insert(
-        key,
-        InflightEntry {
-            text,
-            leader: id,
-            subs: Arc::clone(&subs),
-            done: Arc::clone(&done),
-        },
-    );
     lock_unpoisoned(&state.queue).push(
         &tenant,
         cost,
         QueuedJob {
-            leader: id,
+            id,
             design,
-            key,
             budget,
-            subs: Arc::clone(&subs),
+            stream: runner_stream,
+            cancel: Arc::clone(&cancel),
             done: Arc::clone(&done),
         },
     );
-    drop(inflight);
     state.queue_cv.notify_all();
 
-    watch_subscriber(state, &stream, id, &subs, &detach, &done);
+    watch_job(state, &stream, id, &cancel, &done);
 }
 
-/// Lingers on the submitting connection until the job finishes; a read of 0
-/// bytes (client hangup), a socket error, or the subscriber's detach flag
-/// (set by `DELETE` or shutdown) detaches this subscriber from the fan-out.
-fn watch_subscriber(
+/// Lingers on the submitting connection until job `id` is done.  A read of
+/// 0 bytes (client hangup) or a socket error cancels the job; a job
+/// cancelled from elsewhere (`DELETE`, a failed frame write, the drain
+/// deadline or shutdown) has its client's stream ended at once.  Either way
+/// the record settles cancelled.
+fn watch_job(
     state: &Arc<ServerState>,
     stream: &TcpStream,
     id: u64,
-    subs: &Subscribers,
-    detach: &AtomicBool,
+    cancel: &AtomicBool,
     done: &AtomicBool,
 ) {
     if stream.set_read_timeout(Some(WATCH_INTERVAL)).is_err() {
         return;
     }
     let mut scratch = [0u8; 64];
-    let mut stream = stream;
+    let mut reader = stream;
     loop {
         if done.load(Ordering::SeqCst) {
             return;
         }
-        if detach.load(Ordering::SeqCst) {
-            detach_subscriber(state, id, subs);
-            return;
+        if cancel.load(Ordering::SeqCst) {
+            break;
         }
-        match io::Read::read(&mut stream, &mut scratch) {
-            Ok(0) => {
-                detach.store(true, Ordering::SeqCst);
-                detach_subscriber(state, id, subs);
-                return;
-            }
+        match io::Read::read(&mut reader, &mut scratch) {
+            Ok(0) => break,
             // Bytes after the request are not part of the protocol; drain
             // and ignore them.
             Ok(_) => {}
@@ -795,64 +627,44 @@ fn watch_subscriber(
                     e.kind(),
                     io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
                 ) => {}
-            Err(_) => {
-                detach.store(true, Ordering::SeqCst);
-                detach_subscriber(state, id, subs);
-                return;
-            }
+            Err(_) => break,
         }
     }
+    cancel.store(true, Ordering::SeqCst);
+    // Settle before the stream ends, so a client that sees its stream end
+    // reads a settled job in `/stats`.
+    settle_job(state, id, JobState::Cancelled, None);
+    let _ = stream.shutdown(Shutdown::Both);
 }
 
-/// Removes subscriber `id` from the fan-out and settles its record; the
-/// underlying run is cancelled once no subscribers remain.
-fn detach_subscriber(state: &Arc<ServerState>, id: u64, subs: &Subscribers) {
-    let mut sinks = lock_unpoisoned(&subs.sinks);
-    sinks.retain(|sink| sink.job != id);
-    let abandoned = sinks.is_empty();
-    drop(sinks);
-    if abandoned {
-        subs.cancel.store(true, Ordering::SeqCst);
-    }
-    settle_subscriber(state, id, JobState::Cancelled, None);
-}
-
-/// The `accepted` frame: the subscriber's job id, the design name and one
-/// path-specific field (`queue_depth` for a leader, `coalesced_into` for a
-/// follower).
-fn accepted_frame(id: u64, design: &str, tail: (&'static str, Json)) -> Json {
+/// The `accepted` frame: the job id, the design name and the queue depth at
+/// admission.
+fn accepted_frame(id: u64, design: &str, queue_depth: usize) -> Json {
     Json::obj([
         ("event", Json::str("accepted")),
         ("job", Json::UInt(id)),
         ("design", Json::str(design)),
-        tail,
+        ("queue_depth", Json::UInt(queue_depth as u64)),
     ])
 }
 
-/// Decodes a `POST /jobs` body into the parsed design, the submitted
-/// netlist text and the request's budget.  The body is dropped once decoded,
-/// and the text is moved out of the document, not copied.
-fn parse_submission(body: String) -> Result<(ValidatedDesign, String, SolveBudget), String> {
-    let mut document =
+/// Decodes a `POST /jobs` body into the parsed design, the length of its
+/// netlist text (the job's fair-queue cost) and the request's budget.  The
+/// body is dropped once decoded, and the text with the document.
+fn parse_submission(body: String) -> Result<(ValidatedDesign, u64, SolveBudget), String> {
+    let document =
         Json::parse(&body).map_err(|e| format!("request body is not valid JSON: {e}"))?;
     drop(body);
-    let text = match &mut document {
-        Json::Obj(fields) => fields
-            .iter_mut()
-            .find(|(key, _)| key == "netlist")
-            .and_then(|(_, value)| match value {
-                Json::Str(text) => Some(std::mem::take(text)),
-                _ => None,
-            }),
-        _ => None,
-    }
-    .ok_or_else(|| "request body must be an object with a string `netlist` field".to_owned())?;
-    let design = netlist::parse(&text).map_err(|e| format!("netlist rejected: {e}"))?;
+    let text = document
+        .get("netlist")
+        .and_then(Json::as_str)
+        .ok_or("request body must be an object with a string `netlist` field")?;
+    let design = netlist::parse(text).map_err(|e| format!("netlist rejected: {e}"))?;
     let budget = match document.get("budget") {
         None => SolveBudget::default(),
         Some(spec) => parse_budget(spec)?,
     };
-    Ok((design, text, budget))
+    Ok((design, text.len() as u64, budget))
 }
 
 fn parse_budget(spec: &Json) -> Result<SolveBudget, String> {
@@ -899,14 +711,14 @@ fn runner_loop(state: &Arc<ServerState>) {
 
 fn run_job(state: &Arc<ServerState>, job: QueuedJob) {
     let QueuedJob {
-        leader,
+        id,
         design,
-        key,
         budget,
-        subs,
+        mut stream,
+        cancel,
         done,
     } = job;
-    set_running(state, &subs);
+    set_running(state, id);
     let started = Instant::now();
     let fault = state.options.fault;
 
@@ -921,28 +733,21 @@ fn run_job(state: &Arc<ServerState>, job: QueuedJob) {
         }
         if let Some(FaultSpec::SolveStall(stall)) = fault {
             let stall_until = Instant::now() + stall;
-            while Instant::now() < stall_until && !subs.cancel.load(Ordering::SeqCst) {
+            while Instant::now() < stall_until && !cancel.load(Ordering::SeqCst) {
                 std::thread::sleep(Duration::from_millis(10));
             }
         }
-        if subs.cancel.load(Ordering::SeqCst) {
-            (
-                JobState::Cancelled,
-                vec![error_frame(
-                    leader,
-                    "cancelled",
-                    "job cancelled before it started",
-                )],
-            )
+        if cancel.load(Ordering::SeqCst) {
+            (JobState::Cancelled, Vec::new())
         } else {
-            serve_detection(state, leader, design, budget, &subs)
+            serve_detection(state, id, design, budget, &stream, &cancel)
         }
     }));
     let (final_state, terminal) = outcome.unwrap_or_else(|payload| {
         (
             JobState::Failed,
             vec![error_frame(
-                leader,
+                id,
                 "internal",
                 &format!("job runner panicked: {}", panic_message(&payload)),
             )],
@@ -950,27 +755,19 @@ fn run_job(state: &Arc<ServerState>, job: QueuedJob) {
     });
     let wall = started.elapsed().as_secs_f64();
 
-    // Retire the inflight entry *before* the terminal frames go out: a new
-    // identical submission must lead a fresh run, not attach to a finishing
-    // one.  Leader-checked, because a stale abandoned entry may have been
-    // replaced by a newer leader for the same key.
-    {
-        let mut inflight = lock_unpoisoned(&state.inflight);
-        if inflight.get(&key).is_some_and(|e| e.leader == leader) {
-            inflight.remove(&key);
-        }
-    }
-
-    let sinks: Vec<Sink> = std::mem::take(&mut *lock_unpoisoned(&subs.sinks));
-    for mut sink in sinks {
-        if !sink.detach.load(Ordering::SeqCst) {
-            let _ = write_frames(&mut sink.stream, &terminal);
-        }
-        settle_subscriber(state, sink.job, final_state, Some(wall));
-        // Half-close so the client sees EOF immediately; the watcher's
-        // clone shares the socket and exits on the done flag.
-        let _ = sink.stream.shutdown(Shutdown::Write);
-    }
+    // A cancelled job gets no terminal frames: its watcher ends the stream.
+    // A cancel that lands after the run returned still counts, so the record
+    // agrees with the `DELETE` answer that reported it cancelled.
+    let final_state = if cancel.load(Ordering::SeqCst) {
+        JobState::Cancelled
+    } else {
+        let _ = write_frames(&mut stream, &terminal);
+        final_state
+    };
+    settle_job(state, id, final_state, Some(wall));
+    // Half-close so the client sees EOF immediately; the watcher's handle
+    // shares the socket and exits on the done flag.
+    let _ = stream.shutdown(Shutdown::Write);
     done.store(true, Ordering::SeqCst);
 }
 
@@ -993,73 +790,59 @@ fn panic_message(payload: &Box<dyn std::any::Any + Send>) -> String {
         .unwrap_or_else(|| "unknown panic payload".to_owned())
 }
 
-/// Marks every current subscriber's record as running.
-fn set_running(state: &Arc<ServerState>, subs: &Subscribers) {
-    let ids: Vec<u64> = lock_unpoisoned(&subs.sinks)
-        .iter()
-        .map(|sink| sink.job)
-        .collect();
+/// Marks job `id`'s record as running.
+fn set_running(state: &Arc<ServerState>, id: u64) {
     let mut jobs = lock_unpoisoned(&state.jobs);
-    for record in &mut jobs.records {
-        if ids.contains(&record.id) && record.state == JobState::Queued {
-            record.state = JobState::Running;
-        }
+    if let Some(record) = jobs
+        .records
+        .iter_mut()
+        .find(|r| r.id == id && r.state == JobState::Queued)
+    {
+        record.state = JobState::Running;
     }
 }
 
-/// Writes one frame to every live subscriber, detaching the dead ones; the
-/// run is cancelled once no subscribers remain.
-fn fan_out(state: &Arc<ServerState>, subs: &Subscribers, frame: &Json) {
+/// Writes the `index`-th flow frame of a job to its client.  A cancelled
+/// job's client gets no more frames, and a failed write (a hangup, or
+/// WRITE_TIMEOUT elapsing on a full send buffer) cancels the job.
+fn stream_frame(
+    state: &Arc<ServerState>,
+    mut stream: &TcpStream,
+    index: u64,
+    cancel: &AtomicBool,
+    frame: &Json,
+) {
     let fault = state.options.fault;
     if let Some(FaultSpec::SlowWrites(delay)) = fault {
         std::thread::sleep(delay);
     }
-    let line = format!("{frame}\n");
-    let mut sinks = lock_unpoisoned(&subs.sinks);
-    let frame_index = subs.frames.fetch_add(1, Ordering::SeqCst) + 1;
     if let Some(FaultSpec::StreamDisconnect(after)) = fault {
-        if frame_index == after && state.fault_armed.swap(false, Ordering::SeqCst) {
-            if let Some(first) = sinks.first() {
-                let _ = first.stream.shutdown(Shutdown::Both);
-            }
+        if index == after && state.fault_armed.swap(false, Ordering::SeqCst) {
+            let _ = stream.shutdown(Shutdown::Both);
         }
     }
-    let mut dead = Vec::new();
-    sinks.retain_mut(|sink| {
-        if sink.detach.load(Ordering::SeqCst) || sink.stream.write_all(line.as_bytes()).is_err() {
-            // The client hung up, was cancelled, or stopped reading
-            // (WRITE_TIMEOUT elapsed on a full send buffer): detach it so
-            // later frames don't block on it again.
-            sink.detach.store(true, Ordering::SeqCst);
-            dead.push(sink.job);
-            false
-        } else {
-            true
-        }
-    });
-    let abandoned = sinks.is_empty();
-    drop(sinks);
-    for id in dead {
-        settle_subscriber(state, id, JobState::Cancelled, None);
-    }
-    if abandoned {
-        subs.cancel.store(true, Ordering::SeqCst);
+    let line = format!("{frame}\n");
+    if cancel.load(Ordering::SeqCst) || stream.write_all(line.as_bytes()).is_err() {
+        cancel.store(true, Ordering::SeqCst);
     }
 }
 
 /// Builds the job's session the way `htd detect` does, runs the flow under
-/// the job's budget, and fans the event frames out to every subscriber.
+/// the job's budget, and streams the event frames to the job's client.
 /// Returns the job's final state and the terminal frames for [`run_job`] to
-/// deliver after the inflight entry is retired.
+/// deliver.
 fn serve_detection(
     state: &Arc<ServerState>,
     id: u64,
     design: ValidatedDesign,
     budget: SolveBudget,
-    subs: &Subscribers,
+    stream: &TcpStream,
+    cancel: &Arc<AtomicBool>,
 ) -> (JobState, Vec<Json>) {
-    let mut config = state.options.config.clone();
-    config.budget = budget;
+    let config = DetectorConfig {
+        budget,
+        ..DetectorConfig::default()
+    };
     // Backend bring-up was validated at Server::start, so a failure here
     // (e.g. a solver library deleted at runtime) fails only this job, with a
     // clean frame.
@@ -1076,10 +859,12 @@ fn serve_detection(
             );
         }
     };
-    session.set_cancel_flag(Arc::clone(&subs.cancel));
+    session.set_cancel_flag(Arc::clone(cancel));
 
+    let mut frames = 0;
     let result = session.run_with_observer(&mut |event| {
-        fan_out(state, subs, &event_json(id, event));
+        frames += 1;
+        stream_frame(state, stream, frames, cancel, &event_json(id, event));
     });
 
     match result {
@@ -1097,10 +882,7 @@ fn serve_detection(
             let report = report_frame(id, &report);
             (JobState::Completed, vec![stats, report])
         }
-        Err(DetectError::Cancelled) => (
-            JobState::Cancelled,
-            vec![error_frame(id, "cancelled", "detection run cancelled")],
-        ),
+        Err(DetectError::Cancelled) => (JobState::Cancelled, Vec::new()),
         Err(DetectError::BudgetExhausted { reason, conflicts }) => {
             let frame = Json::obj([
                 ("event", Json::str("budget_exhausted")),
@@ -1261,16 +1043,11 @@ fn session_json(stats: &SessionStats) -> Json {
     ])
 }
 
-/// Settles subscriber `id`'s record exactly once: a record that already
-/// reached a terminal state (settled by a watcher on detach, or by the
-/// runner at job end — whichever got there first) is left untouched, so the
-/// totals are bumped once per record.
-fn settle_subscriber(
-    state: &Arc<ServerState>,
-    id: u64,
-    final_state: JobState,
-    wall_secs: Option<f64>,
-) {
+/// Settles job `id`'s record exactly once: a record that already reached a
+/// terminal state (settled by its watcher on a cancel, or by the runner at
+/// job end — whichever got there first) is left untouched, so the totals
+/// are bumped once per record.
+fn settle_job(state: &Arc<ServerState>, id: u64, final_state: JobState, wall_secs: Option<f64>) {
     {
         let mut jobs = lock_unpoisoned(&state.jobs);
         let Some(record) = jobs.records.iter_mut().find(|r| r.id == id) else {
@@ -1357,7 +1134,6 @@ fn stats_json(state: &Arc<ServerState>) -> Json {
         ("cancelled", Json::UInt(totals.cancelled)),
         ("failed", Json::UInt(totals.failed)),
         ("budget_exhausted", Json::UInt(totals.budget_exhausted)),
-        ("coalesced", Json::UInt(totals.coalesced)),
         ("cache", cache_stats_json()),
         ("solver_totals", solver_json(&totals.solver)),
         ("session_totals", session_json(&totals.session)),
@@ -1408,23 +1184,18 @@ mod tests {
     use htd_trusthub::registry::Benchmark;
 
     #[test]
-    fn both_accepted_heads_go_out_in_one_write() {
-        for tail in [
-            ("queue_depth", Json::UInt(0)),
-            ("coalesced_into", Json::UInt(1)),
-        ] {
-            let accepted = accepted_frame(2, "AES (HT-free)", tail);
-            let mut out = CountingWriter::default();
-            http::write_stream_head(&mut out, &accepted).unwrap();
-            assert_eq!(out.writes, 1, "{accepted}");
-            assert_eq!(
-                String::from_utf8(out.bytes).unwrap(),
-                format!(
-                    "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
-                     Connection: close\r\n\r\n{accepted}\n"
-                )
-            );
-        }
+    fn the_accepted_head_goes_out_in_one_write() {
+        let accepted = accepted_frame(2, "AES (HT-free)", 0);
+        let mut out = CountingWriter::default();
+        http::write_stream_head(&mut out, &accepted).unwrap();
+        assert_eq!(out.writes, 1, "{accepted}");
+        assert_eq!(
+            String::from_utf8(out.bytes).unwrap(),
+            format!(
+                "HTTP/1.1 200 OK\r\nContent-Type: application/x-ndjson\r\n\
+                 Connection: close\r\n\r\n{accepted}\n"
+            )
+        );
     }
 
     #[test]
@@ -1446,15 +1217,12 @@ mod tests {
     }
 
     #[test]
-    fn a_submission_keeps_its_text_as_submitted() {
+    fn a_submission_costs_the_length_of_its_text() {
         let design = Benchmark::AesHtFree.build().unwrap();
         let text = format!("{}# resubmitted\n", netlist::dump(&design));
         let body = Json::obj([("netlist", Json::str(text.clone()))]).to_string();
-        let (parsed, kept, budget) = parse_submission(body).unwrap();
-        assert_eq!(
-            kept, text,
-            "the text is the coalescing identity, not a re-dump"
-        );
+        let (parsed, cost, budget) = parse_submission(body).unwrap();
+        assert_eq!(cost, text.len() as u64, "the fair-queue cost");
         assert_eq!(netlist::dump(&parsed), netlist::dump(&design));
         assert_eq!(budget, SolveBudget::default());
         for body in ["{\"netlist\":7}", "[\"netlist\"]", "{\"budget\":{}}"] {

@@ -1,7 +1,7 @@
 //! End-to-end service tests over a loopback daemon: concurrent multi-tenant
-//! determinism, resubmission, coalescing, cancellation isolation and the
-//! error schema.  Every served report must be byte-identical to a solo
-//! session's.
+//! determinism, resubmission, identical concurrent submissions, cancellation
+//! isolation and the error schema.  Every served report must be
+//! byte-identical to a solo session's.
 
 use std::fmt::Write as _;
 use std::io::{BufRead, BufReader, Read as _, Write};
@@ -68,7 +68,6 @@ fn test_options() -> ServeOptions {
         addr: "127.0.0.1:0".to_owned(),
         max_jobs: NonZeroUsize::new(4).unwrap(),
         workers: NonZeroUsize::new(2).unwrap(),
-        config: DetectorConfig::default(),
         ..ServeOptions::default()
     }
 }
@@ -381,12 +380,24 @@ fn an_exhausted_budget_streams_a_structured_frame_and_frees_the_runner() {
     server.stop();
 }
 
+/// The frames of a raw NDJSON stream, parsed.
+fn parse_frames(lines: &[String]) -> Vec<Json> {
+    lines
+        .iter()
+        .map(|line| Json::parse(line).unwrap())
+        .collect()
+}
+
+fn event_of(frame: &Json) -> Option<&str> {
+    frame.get("event").and_then(Json::as_str)
+}
+
 #[test]
-fn identical_concurrent_submissions_coalesce_into_one_run() {
+fn identical_concurrent_submissions_run_as_two_jobs() {
     let infected = accelerator(true);
     let (want, solo_stats) = solo_run(&infected);
 
-    // Stall the runner before the flow starts so the second submission
+    // Stall every run before its flow starts, so the second submission
     // reliably arrives while the first is still in flight.
     let server = Server::start(ServeOptions {
         fault: Some(FaultSpec::SolveStall(Duration::from_millis(1500))),
@@ -395,50 +406,70 @@ fn identical_concurrent_submissions_coalesce_into_one_run() {
     .expect("loopback server starts");
     let addr = server.addr().to_string();
 
-    let (leader, follower) = std::thread::scope(|scope| {
-        let leader = scope.spawn(|| client::submit(&addr, &infected, &mut |_| {}).unwrap());
-        // The leader is admitted within the stall window; 300ms is two
-        // orders of magnitude below the 1500ms stall.
+    let submit = || {
+        let mut lines = Vec::new();
+        let submission = client::submit(&addr, &infected, &mut |line| lines.push(line.to_owned()))
+            .expect("submission succeeds");
+        (submission, parse_frames(&lines))
+    };
+    let (first, second) = std::thread::scope(|scope| {
+        let first = scope.spawn(submit);
+        // The first job is admitted within the stall window; 300ms is well
+        // below the 1500ms stall.
         std::thread::sleep(Duration::from_millis(300));
-        let follower = scope.spawn(|| client::submit(&addr, &infected, &mut |_| {}).unwrap());
-        (leader.join().unwrap(), follower.join().unwrap())
+        let second = scope.spawn(submit);
+        (first.join().unwrap(), second.join().unwrap())
     });
+    assert_ne!(first.0.job, second.0.job);
 
-    // Both subscribers stream the *same* run: byte-identical reports and
-    // byte-identical stats frames (the leader's job id).
-    assert_eq!(leader.report_text, want);
-    assert_eq!(follower.report_text, want);
-    let stats_of = |s: &client::Submission| s.stats.clone().expect("stats frame streamed");
-    assert_eq!(stats_of(&leader), stats_of(&follower));
+    // Each job streams its own frames, level by level, and reports the solo
+    // run's text.
+    let levels_of = |frames: &[Json]| {
+        frames
+            .iter()
+            .filter(|frame| event_of(frame) == Some("level_started"))
+            .count()
+    };
+    for (submission, frames) in [&first, &second] {
+        assert_eq!(submission.report_text, want);
+        let accepted = &frames[0];
+        assert_eq!(event_of(accepted), Some("accepted"), "{accepted}");
+        assert!(accepted.get("queue_depth").is_some(), "{accepted}");
+        for frame in frames {
+            assert_eq!(
+                frame.get("job").and_then(Json::as_u64),
+                Some(submission.job),
+                "{frame}"
+            );
+        }
+        assert!(levels_of(frames) > 0, "{frames:?}");
+        assert_eq!(levels_of(frames), levels_of(&first.1));
+    }
 
-    // Aggregates: two completions, one coalesced attach, and the flow ran
-    // once: the session totals checked what one solo run checks.
+    // The flow ran twice: the session totals checked twice what one solo
+    // run checks.
     let served = client::stats(&addr).expect("stats endpoint answers");
     assert_eq!(served.get("completed").and_then(Json::as_u64), Some(2));
-    assert_eq!(served.get("coalesced").and_then(Json::as_u64), Some(1));
+    assert_eq!(served.get("coalesced"), None, "{served}");
     assert_eq!(
         served
             .get("session_totals")
             .and_then(|s| s.get("properties_checked"))
             .and_then(Json::as_u64),
-        Some(solo_stats.properties_checked),
-        "a coalesced pair must run the flow once"
+        Some(2 * solo_stats.properties_checked),
+        "two submissions run the flow twice"
     );
 
     server.stop();
 }
 
 #[test]
-fn submissions_of_one_design_in_two_spellings_run_as_two_jobs() {
+fn deleting_a_running_job_from_another_connection_cancels_that_job_only() {
     let infected = accelerator(true);
-    assert!(infected.ends_with('\n'));
-    // The same design, spelled with one more comment line.
-    let commented = format!("{infected}# the same design, resubmitted\n");
-    let (want, solo_stats) = solo_run(&infected);
-    assert_eq!(solo_normalized_report(&commented), want);
+    let clean = accelerator(false);
+    let want_clean = solo_normalized_report(&clean);
 
-    // Hold the first run as the coalescing test does, so the second
-    // submission arrives while the first is in flight.
+    // Hold every run, so the job is still in flight when the DELETE lands.
     let server = Server::start(ServeOptions {
         fault: Some(FaultSpec::SolveStall(Duration::from_millis(1500))),
         ..test_options()
@@ -446,42 +477,49 @@ fn submissions_of_one_design_in_two_spellings_run_as_two_jobs() {
     .expect("loopback server starts");
     let addr = server.addr().to_string();
 
-    let submit = |text: &str| {
-        let mut frames = Vec::new();
-        let submission = client::submit(&addr, text, &mut |line| frames.push(line.to_owned()))
-            .expect("submission succeeds");
-        (submission, frames)
-    };
-    let (first, second) = std::thread::scope(|scope| {
-        let first = scope.spawn(|| submit(&infected));
-        std::thread::sleep(Duration::from_millis(300));
-        let second = scope.spawn(|| submit(&commented));
-        (first.join().unwrap(), second.join().unwrap())
+    let (job_tx, job_rx) = std::sync::mpsc::channel();
+    let (doomed, tenant) = std::thread::scope(|scope| {
+        let doomed = scope.spawn(|| {
+            let mut lines = Vec::new();
+            let result = client::submit(&addr, &infected, &mut |line| {
+                let frame = Json::parse(line).unwrap();
+                if event_of(&frame) == Some("accepted") {
+                    job_tx
+                        .send(frame.get("job").and_then(Json::as_u64))
+                        .unwrap();
+                }
+                lines.push(line.to_owned());
+            });
+            (result, lines)
+        });
+        let tenant = scope.spawn(|| client::submit(&addr, &clean, &mut |_| {}).unwrap());
+
+        // The id comes from the doomed job's `accepted` frame; the DELETE
+        // goes out on a connection of its own.
+        let job = job_rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("an accepted frame")
+            .expect("the accepted frame names its job");
+        let answer = client::cancel(&addr, job).expect("DELETE answers");
+        assert_eq!(answer.get("cancelled"), Some(&Json::Bool(true)), "{answer}");
+        (doomed.join().unwrap(), tenant.join().unwrap())
     });
 
-    // Coalescing keys on the submitted text, so the two spellings lead a
-    // run each, and both reports are still the solo run's.
-    for (submission, frames) in [&first, &second] {
-        assert_eq!(submission.report_text, want);
-        let accepted = frames
+    // The submitter gets an error, never a report...
+    let (result, lines) = doomed;
+    assert!(result.is_err(), "{result:?}");
+    assert!(
+        !lines
             .iter()
-            .filter_map(|line| Json::parse(line).ok())
-            .find(|frame| frame.get("event").and_then(Json::as_str) == Some("accepted"))
-            .expect("an accepted frame is streamed");
-        assert_eq!(accepted.get("coalesced_into"), None, "{accepted}");
-    }
-    assert_ne!(first.0.job, second.0.job);
-    let served = client::stats(&addr).expect("stats endpoint answers");
-    assert_eq!(served.get("completed").and_then(Json::as_u64), Some(2));
-    assert_eq!(served.get("coalesced").and_then(Json::as_u64), Some(0));
-    assert_eq!(
-        served
-            .get("session_totals")
-            .and_then(|s| s.get("properties_checked"))
-            .and_then(Json::as_u64),
-        Some(2 * solo_stats.properties_checked),
-        "two spellings must run the flow twice"
+            .any(|line| line.contains("\"event\":\"report\"")),
+        "{lines:?}"
     );
+    // ...and the concurrent tenant its solo report.
+    assert_eq!(tenant.report_text, want_clean);
+
+    let served = client::stats(&addr).expect("stats endpoint answers");
+    assert_eq!(served.get("cancelled").and_then(Json::as_u64), Some(1));
+    assert_eq!(served.get("completed").and_then(Json::as_u64), Some(1));
 
     server.stop();
 }

@@ -25,8 +25,8 @@
 //!   checking, random testing, UCI, FANCI) the paper's related work argues
 //!   against ([`htd_baselines`]).
 //! * [`serve`] — the multi-tenant detection service behind `htd serve`: a
-//!   fair-share job queue, a fixed set of runner threads, request coalescing
-//!   and NDJSON event streaming ([`htd_serve`]).
+//!   fair-share job queue, a fixed set of runner threads and NDJSON event
+//!   streaming ([`htd_serve`]).
 //! * [`analyze`] — the workspace invariant checker behind `htd lint`: a
 //!   dependency-free Rust token scanner enforcing the repo's determinism,
 //!   unsafe-audit and panic-hygiene conventions ([`htd_analyze`]).

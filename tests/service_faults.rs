@@ -294,7 +294,7 @@ fn a_runner_panic_fails_that_job_and_the_pool_survives() {
 #[test]
 fn a_mid_stream_disconnect_settles_the_job_and_frees_the_queue() {
     let server = Server::start(ServeOptions {
-        // Force-close the subscriber's socket right after the first streamed
+        // Force-close the client's socket right after the first streamed
         // event frame.
         fault: Some(FaultSpec::StreamDisconnect(1)),
         ..test_options()
@@ -307,7 +307,7 @@ fn a_mid_stream_disconnect_settles_the_job_and_frees_the_queue() {
     let err = client::submit(&addr, &infected_accelerator(), &mut |_| {});
     assert!(err.is_err(), "the severed stream cannot yield a report");
 
-    // The orphaned run settles (cancelled once its only subscriber was cut)
+    // The orphaned run settles (cancelled once its client was cut)
     // and the daemon keeps serving.
     wait_idle(&addr);
     let ok = client::submit(&addr, &infected_accelerator(), &mut |_| {})
