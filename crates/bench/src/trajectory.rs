@@ -79,8 +79,8 @@ impl TrajectoryRecord {
 
 /// The smoke subset used by CI: the cheapest representative of each base
 /// design class, the two designs with the hardest properties, and BasicRSA
-/// (HT-free), whose spurious-counterexample query (684 conflicts) is the
-/// only one in the bundled set that needs more than 5 conflicts.
+/// (HT-free), whose spurious-counterexample query (79 conflicts) is the
+/// only one in the bundled set that needs more than 3 conflicts.
 #[must_use]
 pub fn smoke_set() -> Vec<Benchmark> {
     vec![

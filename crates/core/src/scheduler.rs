@@ -25,7 +25,7 @@
 //! # Why one thread
 //!
 //! On the bundled designs almost all solver work is a single query
-//! (BasicRSA (HT-free)'s 684-conflict spurious counterexample), so a second
+//! (BasicRSA (HT-free)'s 79-conflict spurious counterexample), so a second
 //! worker has nothing to share.  A worker pool with level pipelining and
 //! speculative prepares measured slower than this loop, or no faster, on
 //! every workload, and was deleted.  The names it left behind are inert

@@ -9,7 +9,9 @@
 //! for those queries.  It is a classic MiniSat-style CDCL solver:
 //!
 //! * two-watched-literal unit propagation,
-//! * VSIDS variable activities with phase saving,
+//! * VSIDS variable activities with phase saving: a decision takes the
+//!   variable's saved phase, which is true before its first assignment (see
+//!   [`Solver`] for why),
 //! * first-UIP conflict analysis with clause minimisation,
 //! * Luby restarts,
 //! * activity-based learnt-clause database reduction,

@@ -364,6 +364,11 @@ pub const DEFAULT_GC_MIN_CLAUSES: usize = 128;
 /// clause count: every clause lives inline in one flat word arena, and the
 /// watcher lists in another.
 ///
+/// A decision assigns the variable its saved phase: the value it last held,
+/// or true if it was never assigned.  A true AND-gate output makes both of
+/// the gate's Tseitin binary clauses `(¬x ∨ a)`, `(¬x ∨ b)` unit, so one
+/// decision fixes the gate's whole fanin; a false one makes no clause unit.
+///
 /// See the [crate-level documentation](crate) for an overview and an example.
 #[derive(Clone, Debug, Default)]
 pub struct Solver {
@@ -444,7 +449,7 @@ impl Solver {
     pub fn new_var(&mut self) -> Var {
         let v = Var::from_index(self.assigns.len() as u32);
         self.assigns.push(None);
-        self.phase.push(false);
+        self.phase.push(true);
         self.reason.push(None);
         self.level.push(0);
         self.activity.push(0.0);
@@ -1599,6 +1604,22 @@ mod tests {
         s.solve();
         let st = s.stats();
         assert!(st.decisions > 0 || st.propagations > 0);
+    }
+
+    #[test]
+    fn a_first_decision_branches_true_and_fixes_an_and_gates_fanin() {
+        // x <-> a & b, with x allocated last: the newest variable is picked
+        // first, and deciding it true makes both binary clauses unit.
+        let (mut s, v) = make_solver(3);
+        let (a, b, x) = (1, 2, 3);
+        s.add_clause([lit(&v, -x), lit(&v, a)]);
+        s.add_clause([lit(&v, -x), lit(&v, b)]);
+        s.add_clause([lit(&v, -a), lit(&v, -b), lit(&v, x)]);
+        assert_eq!(s.solve(), SolveResult::Sat);
+        assert_eq!(s.stats().decisions, 1);
+        for var in &v {
+            assert_eq!(s.value(*var), Some(true), "{var:?}");
+        }
     }
 
     #[test]

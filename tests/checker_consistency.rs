@@ -4,19 +4,23 @@
 //!   a verdict, only the encoding size (experiment E10's correctness side);
 //! * every counterexample the checker returns is *real*: replaying its
 //!   starting states and inputs on two concrete simulator instances
-//!   reproduces the reported divergence.
+//!   reproduces the reported divergence;
+//! * so is every counterexample a detection session reports on a bundled
+//!   benchmark.
 
 mod common;
 
 use std::collections::HashMap;
 
 use common::{build_design, design_recipe};
+use golden_free_htd::detect::{DetectionOutcome, DetectorConfig, SessionBuilder};
 use golden_free_htd::ipc::{
     CheckOutcome, CheckerOptions, Counterexample, IntervalProperty, PropertyChecker,
 };
 use golden_free_htd::rtl::sim::Simulator;
 use golden_free_htd::rtl::structural::get_fanout;
 use golden_free_htd::rtl::ValidatedDesign;
+use golden_free_htd::trusthub::registry::Benchmark;
 use proptest::prelude::*;
 
 /// The init property of a design (the first property of the flow).
@@ -71,6 +75,31 @@ fn replay(design: &ValidatedDesign, cex: &Counterexample) {
         );
         assert_ne!(v1, v2, "{} was reported as diverging", diff.name);
     }
+}
+
+/// The counterexample a session reports on each bundled benchmark, run
+/// with the benchmark's waivers, replays on the simulator.
+#[test]
+fn session_counterexamples_replay_on_every_bundled_benchmark() {
+    let mut replayed = 0;
+    for benchmark in Benchmark::all() {
+        let design = benchmark.build().expect("benchmark builds");
+        let config = DetectorConfig {
+            benign_state: benchmark.benign_state(&design),
+            ..DetectorConfig::default()
+        };
+        let report = SessionBuilder::new(design.clone())
+            .config(config)
+            .build()
+            .expect("session builder accepts the design")
+            .run()
+            .expect("flow completes");
+        if let DetectionOutcome::PropertyFailed { counterexample, .. } = &report.outcome {
+            replay(&design, counterexample);
+            replayed += 1;
+        }
+    }
+    assert_eq!(replayed, 28, "one counterexample per infected benchmark");
 }
 
 proptest! {

@@ -81,9 +81,9 @@ fn assert_equivalent(benchmark: Benchmark) {
     // Both paths run the same loop over the same levels.  A row that holds
     // on both paths resolved the same number of spurious counterexamples; a
     // failing row may not, because the two encodings may return different
-    // models (BasicRSA-T300's init property: the reference's first model is
-    // explained by waived state, the session's is not).  A round assumes the
-    // level's whole benign fanin, so no row takes a second one.
+    // models (on some infected BasicRSA designs the reference's first model
+    // is explained by waived state and the session's is not).  A round
+    // assumes the level's whole benign fanin, so no row takes a second one.
     for (legacy_row, session_row) in legacy.properties.iter().zip(&session.properties) {
         let property = &legacy_row.name;
         assert_eq!(property, &session_row.name, "{name}: property order");
