@@ -60,7 +60,8 @@ pub struct DetectArgs {
     /// Write counterexample waveforms to `<prefix>_instance{1,2}.vcd`.
     pub vcd_prefix: Option<PathBuf>,
     /// Register names to waive as benign state (Sec. V-B scenario 2).  A
-    /// name the design does not define is an error, never silently dropped.
+    /// name the design does not define, or one naming an input, output or
+    /// wire, is an error, never silently dropped.
     /// A `trusthub:NAME` input adds these to the benchmark's own waivers.
     pub benign: Vec<String>,
     /// The SAT backend to solve with (`builtin`, `dimacs:CMD` or
@@ -206,7 +207,9 @@ pub enum Command {
 }
 
 impl Command {
-    /// Parses the command line (without the binary name).
+    /// Parses the command line (without the binary name).  `--help` or
+    /// `-h` anywhere after a known subcommand asks for the usage, whatever
+    /// else the line holds.
     ///
     /// # Errors
     ///
@@ -219,7 +222,17 @@ impl Command {
         let mut args = args.into_iter().map(Into::into);
         let command = args.next().ok_or(ParseArgsError::MissingCommand)?;
         let rest: Vec<String> = args.collect();
-        match command.as_str() {
+        let wants_help = rest.iter().any(|arg| arg == "--help" || arg == "-h");
+        match Self::parse_subcommand(&command, rest) {
+            unknown @ Err(ParseArgsError::UnknownCommand(_)) => unknown,
+            _ if wants_help => Ok(Command::Help),
+            parsed => parsed,
+        }
+    }
+
+    /// Parses the arguments `rest` of the subcommand `command`.
+    fn parse_subcommand(command: &str, rest: Vec<String>) -> Result<Command, ParseArgsError> {
+        match command {
             "detect" => {
                 let mut parsed = DetectArgs::default();
                 let mut input = None;
@@ -499,7 +512,7 @@ USAGE:
     htd bench [--json FILE] [--smoke] [--backend builtin|dimacs:CMD|ipasir:LIB]
     htd sat <file.cnf>
     htd lint [ROOT] [--json]
-    htd help
+    htd help            (or --help / -h after any subcommand)
 
 INPUTS:
     *.v / *.sv      synthesizable-subset Verilog (single clock domain)
@@ -522,7 +535,8 @@ SUBCOMMANDS:
 
 DETECT FLAGS:
     --benign REG             waive register REG as benign state (repeatable);
-                             a name the design does not define is an error;
+                             a name the design does not define, or a signal
+                             that is not a register, is an error;
                              trusthub:NAME inputs already carry the
                              benchmark's own waivers, and REG adds to them
     --backend builtin        solve with the bundled incremental CDCL solver (default)
@@ -698,6 +712,42 @@ mod tests {
             Command::Baselines { bound, .. } => assert_eq!(bound, 16),
             other => panic!("expected baselines, got {other:?}"),
         }
+    }
+
+    /// `--help` or `-h` after any subcommand, alone or among other
+    /// arguments, asks for the usage; an unknown subcommand stays an error.
+    #[test]
+    fn help_after_every_subcommand_asks_for_the_usage() {
+        for command in [
+            "detect",
+            "serve",
+            "submit",
+            "export",
+            "stats",
+            "baselines",
+            "table1",
+            "bench",
+            "sat",
+            "lint",
+            "help",
+        ] {
+            for flag in ["--help", "-h"] {
+                assert_eq!(
+                    Command::parse([command, flag]),
+                    Ok(Command::Help),
+                    "{command} {flag}"
+                );
+                assert_eq!(
+                    Command::parse([command, "x.v", "--bogus", flag]),
+                    Ok(Command::Help),
+                    "{command} x.v --bogus {flag}"
+                );
+            }
+        }
+        assert_eq!(
+            Command::parse(["bogus", "--help"]),
+            Err(ParseArgsError::UnknownCommand("bogus".into()))
+        );
     }
 
     #[test]

@@ -20,7 +20,7 @@ use htd_rtl::export::fanout_dot;
 use htd_rtl::netlist;
 use htd_rtl::stats::DesignStats;
 use htd_rtl::structural::fanout_levels;
-use htd_rtl::ValidatedDesign;
+use htd_rtl::{SignalKind, ValidatedDesign};
 use htd_sat::{parse_dimacs, SolveResult, Var};
 use htd_serve::server::{ServeOptions, Server};
 use htd_serve::{client as serve_client, ClientError};
@@ -366,6 +366,19 @@ fn detect(args: &DetectArgs) -> Result<String, CliError> {
                 d.name()
             ),
         })?;
+        // The flow waives registers only, so any other signal would be
+        // dropped without a word.
+        let kind = match d.signal_info(reg).kind() {
+            SignalKind::Register { .. } => None,
+            SignalKind::Input => Some("an input"),
+            SignalKind::Output => Some("an output"),
+            SignalKind::Wire => Some("a wire"),
+        };
+        if let Some(kind) = kind {
+            return Err(CliError::Config {
+                message: format!("--benign {name}: `{name}` is {kind}, not a register"),
+            });
+        }
         if !benign.contains(&reg) {
             benign.push(reg);
         }
@@ -731,17 +744,22 @@ endmodule
     #[test]
     fn detect_rejects_an_unknown_benign_register_by_name() {
         let input = write_temp("htd_cli_detect_benign_input.v", INFECTED);
-        let command = Command::Detect(DetectArgs {
-            input: input.clone(),
-            benign: vec!["armed".to_string(), "no_such_reg".to_string()],
-            ..DetectArgs::default()
-        });
-        match run(&command).unwrap_err() {
-            CliError::Config { message } => {
-                assert!(message.contains("`no_such_reg`"), "{message}");
-                assert!(!message.contains("`armed`"), "{message}");
+        for (name, want) in [
+            ("no_such_reg", "has no register named `no_such_reg`"),
+            ("q", "`q` is an output, not a register"),
+        ] {
+            let command = Command::Detect(DetectArgs {
+                input: input.clone(),
+                benign: vec!["armed".to_string(), name.to_string()],
+                ..DetectArgs::default()
+            });
+            match run(&command).unwrap_err() {
+                CliError::Config { message } => {
+                    assert!(message.contains(want), "{message}");
+                    assert!(!message.contains("`armed`"), "{message}");
+                }
+                other => panic!("expected a configuration error, got {other:?}"),
             }
-            other => panic!("expected a configuration error, got {other:?}"),
         }
         std::fs::remove_file(input).ok();
     }

@@ -39,7 +39,7 @@ fn process_backend_solves_through_the_htd_binary() {
         SolveResult::Unsat
     );
     assert_eq!(backend.solve_under(&[]).unwrap(), SolveResult::Sat);
-    assert_eq!(backend.stats().queries, 3);
+    assert_eq!(backend.stats().solver.solves, 3);
 }
 
 #[test]

@@ -26,16 +26,18 @@ pub struct ReplayedCounterexample {
     /// VCD waveform of instance 2.
     pub instance2_vcd: String,
     /// Signal names that differ between the instances at the end of the
-    /// replay — for a genuine counterexample this is non-empty and contains
-    /// the signals reported by the property checker.
+    /// replay, time `t + frame` — for a genuine counterexample this is
+    /// non-empty and contains the signals reported by the property checker.
     pub diverging_signals: Vec<String>,
 }
 
 /// Replays a counterexample on the simulator, one run per miter instance.
 ///
-/// Each run starts from the counterexample's per-instance starting state,
-/// applies the shared input values frame by frame, and records every input,
-/// register and output into a VCD trace.
+/// Each run starts from the counterexample's per-instance starting state
+/// at time `t` and ends at the failing frame `t + frame`: at every time
+/// step it clocks the design (except at `t`), applies that frame's shared
+/// input values and records every input, register and output into a VCD
+/// trace.
 ///
 /// # Errors
 ///
@@ -91,14 +93,15 @@ pub fn replay_counterexample(
             sim.set_register(state.signal, value)?;
         }
         let mut recorder = TraceRecorder::all_signals(design);
-        for frame in &cex.inputs {
-            for (name, value) in frame {
+        for step in 0..=cex.frame {
+            if step > 0 {
+                sim.step()?;
+            }
+            for (name, value) in cex.inputs.get(step).into_iter().flatten() {
                 sim.set_input_by_name(name, *value)?;
             }
             recorder.record(&sim);
-            sim.step()?;
         }
-        recorder.record(&sim);
         final_values.push(
             recorder
                 .signals()

@@ -32,22 +32,11 @@
 //! * `ipasir_set_learn` — accepted and ignored (the shim exports no learnt
 //!   clauses).
 //!
-//! # The `ipasir_htd_*` extensions
-//!
-//! Two optional extra symbols expose the solver's decision-variable
-//! masking so the `IpasirBackend` in `htd-sat` can focus the search on a
-//! query's cone exactly like the builtin backend does (standard IPASIR
-//! clients never look these up and are unaffected):
-//!
-//! * `ipasir_htd_mask_all_decisions(S)` — mark every variable ineligible
-//!   for branching ([`Solver::mask_all_decisions`]).
-//! * `ipasir_htd_set_decision(S, var, eligible)` — per-variable eligibility
-//!   ([`Solver::set_decision_var`]), `var` 1-based as everywhere in IPASIR.
-//!
-//! With the extensions in play a solver handle receives the *same*
-//! operation sequence as the builtin solver, which makes detection
-//! reports byte-identical across `--backend builtin` and the shim (checked
-//! by `tests/ipasir_equivalence.rs` on every bundled benchmark).
+//! The shim exports nothing beyond the standard ABI.  A handle wraps the
+//! builtin solver and receives the clauses and assumptions the builtin
+//! backend would, in the same order, which makes detection reports
+//! byte-identical across `--backend builtin` and the shim (checked by
+//! `tests/ipasir_equivalence.rs` on every bundled benchmark).
 //!
 //! # Safety
 //!
@@ -300,37 +289,6 @@ pub unsafe extern "C" fn ipasir_set_learn(
 ) {
     // SAFETY: this entry point's contract — `solver` is a live handle.
     let _ = unsafe { shim(solver) };
-}
-
-/// Extension: mark every variable ineligible for branching
-/// ([`Solver::mask_all_decisions`]).
-///
-/// # Safety
-///
-/// `solver` must be a live [`ipasir_init`] handle.
-#[no_mangle]
-pub unsafe extern "C" fn ipasir_htd_mask_all_decisions(solver: *mut c_void) {
-    // SAFETY: this entry point's contract — `solver` is a live handle.
-    let shim = unsafe { shim(solver) };
-    shim.solver.mask_all_decisions();
-}
-
-/// Extension: per-variable branching eligibility
-/// ([`Solver::set_decision_var`]); `var` is 1-based.
-///
-/// # Safety
-///
-/// `solver` must be a live [`ipasir_init`] handle.
-#[no_mangle]
-pub unsafe extern "C" fn ipasir_htd_set_decision(solver: *mut c_void, var: c_int, eligible: c_int) {
-    // SAFETY: this entry point's contract — `solver` is a live handle.
-    let shim = unsafe { shim(solver) };
-    let index = var.unsigned_abs() - 1;
-    while shim.solver.num_vars() <= index as usize {
-        shim.solver.new_var();
-    }
-    shim.solver
-        .set_decision_var(Var::from_index(index), eligible != 0);
 }
 
 #[cfg(test)]

@@ -68,8 +68,8 @@ const UNENCODED: u32 = u32::MAX;
 /// final AIG size — one encoding, not one per property.
 ///
 /// The node-to-variable map is a dense table indexed by AIG node id, and
-/// cone walks mark visited nodes in one reused stamp table, so neither
-/// encoding nor [`cone_vars`](Self::cone_vars) hashes or allocates per node.
+/// cone walks mark visited nodes in one reused stamp table, so encoding
+/// neither hashes nor allocates per node.
 ///
 /// # Example
 ///
@@ -142,24 +142,6 @@ impl IncrementalEncoder {
         fresh.len()
     }
 
-    /// The backend variables of every node in the cone of `roots`
-    /// (constants excluded), each once, in no particular order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cone has not been fully encoded by a prior
-    /// [`encode`](Self::encode) call over (a superset of) the same roots.
-    #[must_use]
-    pub fn cone_vars(&mut self, aig: &Aig, roots: &[AigLit]) -> Vec<Var> {
-        let vars = &self.vars;
-        let mut cone: Vec<Var> = Vec::new();
-        self.walker.run(aig, roots, |node| {
-            cone.push(encoded_var(vars, node).expect("cone_vars over an unencoded cone"));
-            true
-        });
-        cone
-    }
-
     /// The SAT literal of an already-encoded AIG literal.
     ///
     /// # Panics
@@ -175,9 +157,10 @@ impl IncrementalEncoder {
     /// The model value of every encoded primary input of `aig`, keyed by
     /// node id — the assignment counterexample reconstruction evaluates the
     /// graph under.  `model` reads a variable's value from the solver that
-    /// answered SAT; unassigned variables read `false`, and inputs outside
-    /// every encoded cone are left out (evaluation defaults them to
-    /// `false`).
+    /// answered SAT.  The builtin solver's models are total, but an external
+    /// backend may leave a variable without a value, which reads `false`;
+    /// inputs outside every encoded cone are left out (evaluation defaults
+    /// them to `false`).
     #[must_use]
     pub fn input_model(
         &self,
@@ -334,7 +317,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(96))]
 
         #[test]
-        fn cone_vars_match_a_brute_force_cone_and_reencoding_is_free(
+        fn encoding_allocates_one_var_per_cone_node_and_reencoding_is_free(
             inputs in 1usize..8,
             picks in prop::collection::vec(
                 (0usize..64, any::<bool>(), 0usize..64, any::<bool>()),
@@ -356,16 +339,13 @@ mod tests {
             encoder.encode(&mut solver, &aig, &second);
             let both: Vec<AigLit> = first.iter().chain(&second).copied().collect();
             // One variable per cone node, and nothing else.
-            prop_assert_eq!(solver.num_vars(), brute_force_cone(&aig, &both).len());
-            for roots in [&first, &second, &both] {
-                let want: BTreeSet<Var> = brute_force_cone(&aig, roots)
-                    .into_iter()
-                    .map(|node| encoder.lit(AigLit::positive(node)).var())
-                    .collect();
-                let got = encoder.cone_vars(&aig, roots);
-                prop_assert_eq!(got.len(), want.len(), "cone_vars repeats a variable");
-                prop_assert_eq!(got.into_iter().collect::<BTreeSet<Var>>(), want);
-            }
+            let cone = brute_force_cone(&aig, &both);
+            let node_vars: BTreeSet<Var> = cone
+                .iter()
+                .map(|&node| encoder.lit(AigLit::positive(node)).var())
+                .collect();
+            prop_assert_eq!(node_vars.len(), cone.len(), "two cone nodes share a variable");
+            prop_assert_eq!(solver.num_vars(), cone.len());
             let (vars, clauses) = (solver.num_vars(), solver.num_clauses());
             prop_assert_eq!(encoder.encode(&mut solver, &aig, &both), 0);
             prop_assert_eq!((solver.num_vars(), solver.num_clauses()), (vars, clauses));

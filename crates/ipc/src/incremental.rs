@@ -21,10 +21,10 @@
 //! * **One sub-property at a time, in place.**  A property splits into one
 //!   sub-property per prove signal.  In prove-list order, each is lowered,
 //!   encoded, guarded by a fresh activation literal and solved on the master
-//!   backend itself, with decisions confined to its cone; the first
-//!   counterexample decides the property, and the prove signals behind it
-//!   are never lowered.  The next check retires the literals with unit
-//!   clauses, permanently simplifying their miter clauses away.
+//!   backend itself; the first counterexample decides the property, and the
+//!   prove signals behind it are never lowered.  The next check retires the
+//!   literals with unit clauses, permanently simplifying their miter clauses
+//!   away.
 //!
 //! Register starting-state variables follow the same sharing discipline as
 //! the legacy checker (see
@@ -291,10 +291,9 @@ impl MiterSession {
     /// taken in prove-list order.  Each one takes the structural fast path
     /// or has its cone lowered; only the AIG nodes not yet in the backend
     /// are encoded; its miter is guarded by a fresh activation literal; and
-    /// it is solved in place on the master with decisions confined to its
-    /// cone.  The first counterexample decides the property, rebuilt from
-    /// the master's model: the prove signals behind it are never lowered,
-    /// encoded or solved.
+    /// it is solved in place on the master.  The first counterexample
+    /// decides the property, rebuilt from the master's model: the prove
+    /// signals behind it are never lowered, encoded or solved.
     ///
     /// Master hygiene runs when the check starts: the previous check's
     /// activation literals are retired (unit clauses permanently disable
@@ -426,29 +425,20 @@ impl MiterSession {
                         .collect()
                 })
                 .clone();
-            let mut cone_roots = antecedent_roots.clone();
-            let act = if diff == AigLit::TRUE {
-                // The miter holds structurally for every assignment; the
-                // query only needs a model of the antecedent.
-                None
-            } else {
-                cone_roots.push(diff);
+            // A miter that holds structurally for every assignment needs no
+            // activation literal: the query only needs a model of the
+            // antecedent.
+            if diff != AigLit::TRUE {
                 let act = self.backend.new_var();
                 let miter_lit = self.encoder.lit(diff);
                 self.backend.add_clause(&[Lit::neg(act), miter_lit]);
                 assumptions.push(Lit::pos(act));
                 self.pending_acts.push(act);
-                Some(act)
-            };
+            }
             let grown_to = self.backend.stats();
             cnf_vars += grown_to.vars - grown_from.vars;
             cnf_clauses += grown_to.clauses.saturating_sub(grown_from.clauses);
 
-            self.backend.mask_all_decisions();
-            let cone = self.encoder.cone_vars(&self.aig, &cone_roots);
-            for v in cone.into_iter().chain(act) {
-                self.backend.set_decision_var(v, true);
-            }
             self.stats.queries += 1;
             match self.backend.solve_under(&assumptions)? {
                 SolveResult::Unsat => {}
@@ -714,7 +704,6 @@ mod tests {
     use crate::PropertyChecker;
     use htd_rtl::Design;
     use htd_sat::Solver;
-    use std::sync::atomic::Ordering;
 
     fn trojan_design() -> ValidatedDesign {
         let mut d = Design::new("tiny_trojan");
@@ -890,39 +879,10 @@ mod tests {
         assert_eq!(nodes(&accumulator(true)), alone);
     }
 
-    /// The builtin solver, counting its `solve_under` calls.
-    struct CountingSolver(Solver, Arc<std::sync::atomic::AtomicU64>);
-
-    impl SatBackend for CountingSolver {
-        fn name(&self) -> String {
-            "counting".to_owned()
-        }
-
-        fn new_var(&mut self) -> Var {
-            SatBackend::new_var(&mut self.0)
-        }
-
-        fn add_clause(&mut self, lits: &[Lit]) -> bool {
-            SatBackend::add_clause(&mut self.0, lits)
-        }
-
-        fn solve_under(&mut self, assumptions: &[Lit]) -> Result<SolveResult, BackendError> {
-            self.1.fetch_add(1, Ordering::SeqCst);
-            self.0.solve_under(assumptions)
-        }
-
-        fn model_value(&self, var: Var) -> Option<bool> {
-            self.0.model_value(var)
-        }
-
-        fn stats(&self) -> htd_sat::BackendStats {
-            SatBackend::stats(&self.0)
-        }
-    }
-
-    /// `queries` counts every `solve_under` call exactly once: here a check
-    /// whose first sub-property holds under its antecedent (one query) and
-    /// whose second fails (another), then a check of the same antecedent.
+    /// `queries` counts every `solve_under` call exactly once, as the
+    /// solver's own `solves` counter does: here a check whose first
+    /// sub-property holds under its antecedent (one query) and whose second
+    /// fails (another), then a check of the same antecedent.
     #[test]
     fn queries_count_each_solve_once() {
         let mut d = Design::new("relay");
@@ -937,19 +897,18 @@ mod tests {
         d.add_output("out", d.signal(q)).unwrap();
         let design = d.validated().unwrap();
 
-        let calls = Arc::new(std::sync::atomic::AtomicU64::new(0));
-        let backend = CountingSolver(Solver::new(), Arc::clone(&calls));
-        let mut session = MiterSession::new(&design, Box::new(backend));
+        let mut session = MiterSession::new(&design, Box::new(Solver::new()));
+        let solves = |session: &MiterSession| session.backend_stats().solver.solves;
         let relayed = IntervalProperty::new("relayed", vec![w], vec![q, r]);
         let report = session.check(&design, &relayed).unwrap();
         assert_eq!(
             report.outcome.counterexample().unwrap().diff_names(),
             vec!["r"]
         );
-        assert_eq!(calls.load(Ordering::SeqCst), 2);
+        assert_eq!(solves(&session), 2);
         let relayed_only = IntervalProperty::new("relayed_only", vec![w], vec![q]);
         assert!(session.check(&design, &relayed_only).unwrap().holds());
-        assert_eq!(calls.load(Ordering::SeqCst), 3);
+        assert_eq!(solves(&session), 3);
         assert_eq!(session.stats().queries, 3);
     }
 

@@ -71,11 +71,10 @@ pub struct BackendStats {
     pub vars: usize,
     /// Clauses currently held (for the bundled solver: non-deleted clauses).
     pub clauses: usize,
-    /// Satisfiability queries answered.
-    pub queries: u64,
     /// Detailed work counters.  External backends cannot observe a foreign
     /// solver's internals (decisions, conflicts, …stay zero), but they do
-    /// report what the interface makes visible: `solves` mirrors `queries`.
+    /// report what the interface makes visible: `solves` counts the
+    /// satisfiability queries answered.
     pub solver: SolverStats,
 }
 
@@ -111,22 +110,6 @@ pub trait SatBackend: Send {
 
     /// Work counters accumulated so far.
     fn stats(&self) -> BackendStats;
-
-    /// Marks a variable as eligible (default) or ineligible for branching.
-    ///
-    /// Incremental clients mask variables belonging to retired queries so
-    /// the search stays inside the live cone; see
-    /// [`Solver::set_decision_var`] for the soundness contract.  Backends
-    /// without decision-variable support (e.g. process backends that re-read
-    /// the whole CNF per query) ignore the hint, which is always sound.
-    fn set_decision_var(&mut self, _var: Var, _eligible: bool) {}
-
-    /// Marks *every* variable ineligible for branching (the bulk counterpart
-    /// of [`set_decision_var`](Self::set_decision_var)); an incremental
-    /// client calls this before each query and then re-enables exactly the
-    /// query's cone.
-    /// Backends without decision-variable support ignore it.
-    fn mask_all_decisions(&mut self) {}
 
     /// Creates an independent snapshot of this backend: same variables, same
     /// clause database, no shared mutable state.  No detection entry point
@@ -218,17 +201,8 @@ impl SatBackend for Solver {
         BackendStats {
             vars: self.num_vars(),
             clauses: self.num_clauses(),
-            queries: Solver::stats(self).solves,
             solver: Solver::stats(self),
         }
-    }
-
-    fn set_decision_var(&mut self, var: Var, eligible: bool) {
-        Solver::set_decision_var(self, var, eligible);
-    }
-
-    fn mask_all_decisions(&mut self) {
-        Solver::mask_all_decisions(self);
     }
 
     fn fork(&self) -> Result<Box<dyn SatBackend>, BackendError> {
@@ -638,9 +612,6 @@ impl SatBackend for DimacsProcessBackend {
         BackendStats {
             vars: self.num_vars as usize,
             clauses: self.clauses.len(),
-            queries: self.queries,
-            // `solves` is derived, not a second hand-maintained counter, so
-            // it can never drift from `queries`.
             solver: SolverStats {
                 solves: self.queries,
                 ..SolverStats::default()
@@ -692,7 +663,7 @@ mod tests {
         let _ = a;
         let stats = SatBackend::stats(&solver);
         assert_eq!(stats.vars, 2);
-        assert_eq!(stats.queries, 3);
+        assert_eq!(stats.solver.solves, 3);
     }
 
     #[test]
@@ -871,7 +842,7 @@ mod tests {
         assert_eq!(backend.solve_under(&[]).unwrap(), SolveResult::Sat);
         assert_eq!(backend.model_value(a), Some(true));
         assert_eq!(backend.model_value(b), Some(false));
-        assert_eq!(backend.stats().queries, 1);
+        assert_eq!(backend.stats().solver.solves, 1);
         std::fs::remove_file(&script).ok();
     }
 }

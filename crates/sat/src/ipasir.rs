@@ -32,27 +32,15 @@
 //!   [`fork`](SatBackend::fork) keeps the trait's default and answers
 //!   `Err`; only the builtin solver forks.
 //!
-//! # The `ipasir_htd_*` extension subset
-//!
-//! Standard IPASIR has no notion of decision-variable masking, so a generic
-//! library ignores the scheduler's cone-focusing hints (sound, but the
-//! search may wander and models of satisfiable queries may differ from the
-//! builtin backend's).  The bundled shim library (`crates/ipasir-shim`,
-//! built as `libipasir_htd.so`) additionally exports two optional symbols
-//! that [`IpasirBackend`] resolves and uses when present:
-//!
-//! | symbol | mirrors |
-//! |---|---|
-//! | `ipasir_htd_mask_all_decisions(S)` | [`SatBackend::mask_all_decisions`] |
-//! | `ipasir_htd_set_decision(S, var, eligible)` | [`SatBackend::set_decision_var`] |
-//!
-//! With the extensions resolved, a shim handle receives exactly the
-//! operation sequence the builtin solver receives, which is what makes
-//! detection reports byte-identical between `--backend builtin` and
+//! Only the standard ABI is used, so any IPASIR library plugs in.  The
+//! bundled shim (`crates/ipasir-shim`, built as `libipasir_htd.so`) wraps
+//! the builtin solver, and a shim handle receives the same clauses and
+//! assumptions in the same order as the builtin solver does.  That is what
+//! makes detection reports byte-identical between `--backend builtin` and
 //! `--backend ipasir:libipasir_htd.so` (the equivalence suite in
 //! `tests/ipasir_equivalence.rs` checks this on every bundled benchmark).
-//! Libraries without the extensions still produce equivalent *verdicts* —
-//! masking is a search hint, never a soundness requirement.
+//! Other libraries search differently, so their models of satisfiable
+//! queries may differ, but their verdicts are the same.
 //!
 //! # Safety
 //!
@@ -99,8 +87,6 @@ type IpasirVal = unsafe extern "C" fn(*mut c_void, c_int) -> c_int;
 type IpasirSignature = unsafe extern "C" fn() -> *const c_char;
 type TerminateCallback = unsafe extern "C" fn(*mut c_void) -> c_int;
 type IpasirSetTerminate = unsafe extern "C" fn(*mut c_void, *mut c_void, Option<TerminateCallback>);
-type HtdMaskAll = unsafe extern "C" fn(*mut c_void);
-type HtdSetDecision = unsafe extern "C" fn(*mut c_void, c_int, c_int);
 
 /// A loaded IPASIR shared library: the `dlopen` handle plus every resolved
 /// entry point.  Owned by the one [`IpasirBackend`] that loaded it, which
@@ -126,8 +112,6 @@ struct IpasirLibrary {
     solve: IpasirSolve,
     val: IpasirVal,
     set_terminate: Option<IpasirSetTerminate>,
-    htd_mask_all: Option<HtdMaskAll>,
-    htd_set_decision: Option<HtdSetDecision>,
 }
 
 impl Drop for IpasirLibrary {
@@ -145,7 +129,6 @@ impl std::fmt::Debug for IpasirLibrary {
         f.debug_struct("IpasirLibrary")
             .field("path", &self.path)
             .field("signature", &self.signature)
-            .field("htd_extensions", &self.htd_set_decision.is_some())
             .finish_non_exhaustive()
     }
 }
@@ -244,10 +227,6 @@ impl IpasirLibrary {
                 val: std::mem::transmute::<*mut c_void, IpasirVal>(sym("ipasir_val")?),
                 set_terminate: optional("ipasir_set_terminate")
                     .map(|p| std::mem::transmute::<*mut c_void, IpasirSetTerminate>(p)),
-                htd_mask_all: optional("ipasir_htd_mask_all_decisions")
-                    .map(|p| std::mem::transmute::<*mut c_void, HtdMaskAll>(p)),
-                htd_set_decision: optional("ipasir_htd_set_decision")
-                    .map(|p| std::mem::transmute::<*mut c_void, HtdSetDecision>(p)),
             }
         };
         Ok(library)
@@ -286,11 +265,8 @@ const IPASIR_INTERRUPTED: c_int = 0;
 ///
 /// Every clause streams into the live handle once and is never re-sent,
 /// assumptions hold for one query, and interrupts reach the library through
-/// `ipasir_set_terminate`.  A library that also exports the optional
-/// `ipasir_htd_*` decision-masking symbols (see
-/// [`has_htd_extensions`](Self::has_htd_extensions)) receives exactly the
-/// operation sequence the builtin solver does.  Create one with
-/// [`IpasirBackend::load`]; the CLI syntax is `--backend ipasir:LIB.so`.
+/// `ipasir_set_terminate`.  Create one with [`IpasirBackend::load`]; the
+/// CLI syntax is `--backend ipasir:LIB.so`.
 pub struct IpasirBackend {
     library: IpasirLibrary,
     /// The live solver handle of this instance (owned: released on drop).
@@ -303,9 +279,10 @@ pub struct IpasirBackend {
     /// Exclusive upper bound on the variables this handle has actually
     /// seen (in a transmitted clause or an assumption).  `ipasir_val` is
     /// only defined for variables in the formula, so the model readback
-    /// stops here — variables allocated by `new_var` but never mentioned
-    /// are unconstrained and read as `None`, like the builtin solver's
-    /// unassigned variables.
+    /// stops here: variables allocated by `new_var` but never mentioned
+    /// are unconstrained and read as `None`.  The builtin solver's models
+    /// are total, so only an external backend leaves a variable without a
+    /// value.
     transmitted_vars: u32,
     /// Model of the most recent SAT answer, indexed by variable.
     model: Vec<Option<bool>>,
@@ -350,10 +327,8 @@ impl IpasirBackend {
     /// [`BackendError`] if the library cannot be loaded or misses one of
     /// the required IPASIR symbols (`ipasir_init` / `ipasir_release` /
     /// `ipasir_add` / `ipasir_assume` / `ipasir_solve` / `ipasir_val`).
-    /// `ipasir_set_terminate` and the `ipasir_htd_*` extensions are
-    /// optional: without the former, interrupts are ignored (wasted work,
-    /// never wrong answers); without the latter, decision-masking hints are
-    /// ignored (see [`has_htd_extensions`](Self::has_htd_extensions)).
+    /// `ipasir_set_terminate` is optional: without it, interrupts are
+    /// ignored (wasted work, never wrong answers).
     pub fn load(path: impl AsRef<Path>) -> Result<Self, BackendError> {
         let library = IpasirLibrary::open(path.as_ref())?;
         // SAFETY: `init` was resolved from the live library.
@@ -382,18 +357,6 @@ impl IpasirBackend {
     #[must_use]
     pub fn signature(&self) -> &str {
         &self.library.signature
-    }
-
-    /// `true` if the library exports the `ipasir_htd_*` decision-masking
-    /// extension subset: `ipasir_htd_mask_all_decisions` and
-    /// `ipasir_htd_set_decision`, which mirror
-    /// [`SatBackend::mask_all_decisions`] and [`SatBackend::set_decision_var`].
-    /// The bundled shim exports both; a standard IPASIR library exports
-    /// neither, and its verdicts stay equivalent because masking is a search
-    /// hint, never a soundness requirement.
-    #[must_use]
-    pub fn has_htd_extensions(&self) -> bool {
-        self.library.htd_set_decision.is_some() && self.library.htd_mask_all.is_some()
     }
 
     /// How many clauses this instance has streamed into its library handle.
@@ -482,8 +445,7 @@ impl SatBackend for IpasirBackend {
                 self.model.clear();
                 // `ipasir_val` is only defined for variables the library
                 // has seen; allocated-but-never-mentioned variables are
-                // unconstrained and stay `None` (the builtin solver leaves
-                // them unassigned too).
+                // unconstrained and stay `None`.
                 let bound = self.transmitted_vars.min(self.num_vars);
                 self.model.reserve(self.num_vars as usize);
                 for index in 0..bound {
@@ -524,27 +486,10 @@ impl SatBackend for IpasirBackend {
         BackendStats {
             vars: self.num_vars as usize,
             clauses: self.clauses_transmitted as usize,
-            queries: self.queries,
-            // `solves` is derived from `queries` (see the dimacs backend):
-            // one hand-maintained counter, no drift.
             solver: SolverStats {
                 solves: self.queries,
                 ..SolverStats::default()
             },
-        }
-    }
-
-    fn set_decision_var(&mut self, var: Var, eligible: bool) {
-        if let Some(set_decision) = self.library.htd_set_decision {
-            // SAFETY: live handle; optional extension resolved at load time.
-            unsafe { set_decision(self.solver, var.index() as c_int + 1, c_int::from(eligible)) };
-        }
-    }
-
-    fn mask_all_decisions(&mut self) {
-        if let Some(mask_all) = self.library.htd_mask_all {
-            // SAFETY: live handle; optional extension resolved at load time.
-            unsafe { mask_all(self.solver) };
         }
     }
 

@@ -24,11 +24,11 @@
 //!   keyed by `(activity, index)`: a flat `Vec<Var>` heap plus a flat
 //!   per-variable slot index, 8 bytes per variable in all.  A variable is in
 //!   the heap at most once.  A conflict bump sifts it up in place,
-//!   backtracking and [`set_decision_var`](Solver::set_decision_var)
-//!   insert only decision-eligible variables that are missing, an activity
-//!   rescale re-heapifies, and a decision pops past assigned or masked
-//!   variables.  Every unassigned eligible variable is always in the heap,
-//!   so the pop is the argmax of `(activity, index)` over them.
+//!   backtracking re-inserts the variables it unassigns, an activity
+//!   rescale re-heapifies, and a decision pops past assigned variables.
+//!   Every unassigned variable is always in the heap, so the pop is the
+//!   argmax of `(activity, index)` over them, and a SAT answer assigns
+//!   every variable.
 //!
 //! Three consequences of the layout drive the incremental detection flow:
 //!
@@ -275,13 +275,6 @@ impl VarOrder {
         Some(top)
     }
 
-    fn clear(&mut self) {
-        for &v in &self.heap {
-            self.pos[v.index() as usize] = NOT_IN_HEAP;
-        }
-        self.heap.clear();
-    }
-
     /// Re-establishes the heap property over the whole heap, after every
     /// key changed at once (an activity rescale).
     fn rebuild(&mut self, activity: &[f64]) {
@@ -393,7 +386,6 @@ pub struct Solver {
     qhead: usize,
     seen: Vec<bool>,
     model: Vec<Option<bool>>,
-    decision: Vec<bool>,
     ok: bool,
     stats: SolverStats,
     max_learnt: f64,
@@ -455,7 +447,6 @@ impl Solver {
         self.activity.push(0.0);
         self.seen.push(false);
         self.model.push(None);
-        self.decision.push(true);
         self.watches.add_literal();
         self.watches.add_literal();
         self.order.add_var();
@@ -493,11 +484,11 @@ impl Solver {
     /// bytes).
     ///
     /// The decision-order heap (at most 8 bytes per variable) is excluded.
-    /// It is derived state: the unassigned decision-eligible variables
-    /// ordered by activity, which the columns above determine.  Its length
-    /// at a fork also depends on which assigned or masked variables earlier
-    /// decisions happened to pop, so counting it would tie the cost model
-    /// to search history instead of to the formula.
+    /// It is derived state: the unassigned variables ordered by activity,
+    /// which the columns above determine.  Its length at a fork also
+    /// depends on which assigned variables earlier decisions happened to
+    /// pop, so counting it would tie the cost model to search history
+    /// instead of to the formula.
     /// `SatBackend::fork` records this value in the child's
     /// [`SolverStats::bytes_cloned`].
     #[must_use]
@@ -505,7 +496,7 @@ impl Solver {
         let arena = self.arena.words() * 4;
         let per_var = self.num_vars()
             * (std::mem::size_of::<Option<bool>>() * 2 // assigns + model
-                + std::mem::size_of::<bool>() * 3 // phase + seen + decision
+                + std::mem::size_of::<bool>() * 2 // phase + seen
                 + std::mem::size_of::<Option<ClauseRef>>()
                 + std::mem::size_of::<u32>() // level
                 + std::mem::size_of::<f64>()); // activity
@@ -560,36 +551,6 @@ impl Solver {
         self.interrupt
             .as_ref()
             .is_some_and(|check| check.fires(self.stats.conflicts))
-    }
-
-    /// Marks a variable as eligible (`true`, the default) or ineligible
-    /// (`false`) for branching decisions.
-    ///
-    /// Incremental clients use this to confine the search to the cone of the
-    /// current query: variables belonging to *retired* queries are purely
-    /// definitional (acyclic Tseitin gate definitions whose guard literals
-    /// have been forced off), so any partial model extends over them and the
-    /// solver must not waste decisions — and conflicts — guessing their
-    /// values.
-    ///
-    /// **Soundness caveat**: when the solver answers [`SolveResult::Sat`]
-    /// with masked variables, those variables may be left unassigned
-    /// ([`value`](Self::value) returns `None`).  The caller asserts, by
-    /// masking, that every total assignment of the decision variables
-    /// extends to the masked ones; this holds for definitional clauses but
-    /// not for arbitrary CNF.
-    pub fn set_decision_var(&mut self, var: Var, eligible: bool) {
-        let vi = var.index() as usize;
-        self.decision[vi] = eligible;
-        if eligible && self.assigns[vi].is_none() {
-            self.order.insert(var, &self.activity);
-        }
-    }
-
-    /// Whether a variable is currently eligible for branching decisions.
-    #[must_use]
-    pub fn is_decision_var(&self, var: Var) -> bool {
-        self.decision[var.index() as usize]
     }
 
     /// Adds a clause (a disjunction of literals) to the formula.
@@ -787,9 +748,7 @@ impl Solver {
             let vi = v.index() as usize;
             self.assigns[vi] = None;
             self.reason[vi] = None;
-            if self.decision[vi] {
-                self.order.insert(v, &self.activity);
-            }
+            self.order.insert(v, &self.activity);
         }
         self.trail_lim.truncate(level);
         self.qhead = self.trail.len();
@@ -1035,12 +994,12 @@ impl Solver {
         })
     }
 
-    /// The unassigned decision-eligible variable of highest
-    /// `(activity, index)`.  Every such variable is in the heap, so popping
-    /// past assigned and masked ones reaches it.
+    /// The unassigned variable of highest `(activity, index)`.  Every
+    /// unassigned variable is in the heap, so popping past assigned ones
+    /// reaches it.
     fn pick_branch_var(&mut self) -> Option<Var> {
         while let Some(v) = self.order.pop(&self.activity) {
-            if self.var_value(v).is_none() && self.decision[v.index() as usize] {
+            if self.var_value(v).is_none() {
                 return Some(v);
             }
         }
@@ -1203,19 +1162,6 @@ impl Solver {
             return 0;
         }
         self.collect_garbage()
-    }
-
-    /// Marks every variable ineligible for branching in one sweep.
-    ///
-    /// Incremental clients forking a per-query solver call this and then
-    /// re-enable exactly the cone of the query with
-    /// [`set_decision_var`](Self::set_decision_var); the same soundness
-    /// contract applies.
-    pub fn mask_all_decisions(&mut self) {
-        for d in &mut self.decision {
-            *d = false;
-        }
-        self.order.clear();
     }
 
     /// The literal-block distance of a clause whose literals are currently
@@ -1828,10 +1774,9 @@ mod tests {
     }
 
     /// The decision-order contract: `pick_branch_var` returns the argmax of
-    /// `(activity, index)` over the unassigned decision-eligible variables,
-    /// whatever mix of bumps, assignments, backtracks, masks and activity
-    /// rescales preceded it.  Checked against a brute-force scan on random
-    /// operation sequences.
+    /// `(activity, index)` over the unassigned variables, whatever mix of
+    /// bumps, assignments, backtracks and activity rescales preceded it.
+    /// Checked against a brute-force scan on random operation sequences.
     #[test]
     fn pick_branch_var_is_the_argmax_of_activity_then_index() {
         use rand::rngs::StdRng;
@@ -1840,7 +1785,7 @@ mod tests {
         fn brute_force(s: &Solver) -> Option<Var> {
             (0..s.num_vars() as u32)
                 .map(Var::from_index)
-                .filter(|v| s.var_value(*v).is_none() && s.is_decision_var(*v))
+                .filter(|v| s.var_value(*v).is_none())
                 .max_by(|&a, &b| {
                     let (x, y) = (
                         s.activity[a.index() as usize],
@@ -1857,7 +1802,7 @@ mod tests {
             let (mut s, v) = make_solver(rng.gen_range(1..48));
             for _ in 0..400 {
                 let var = v[rng.gen_range(0..v.len())];
-                match rng.gen_range(0..12) {
+                match rng.gen_range(0..10) {
                     0..=2 => s.bump_var(var),
                     3 => s.decay_activities(),
                     // Activities this small round to tied zeros at the next
@@ -1878,15 +1823,6 @@ mod tests {
                     7 => {
                         let level = rng.gen_range(0..=s.decision_level());
                         s.cancel_until(level);
-                    }
-                    8 => s.set_decision_var(var, rng.gen_range(0..2) == 0),
-                    9 => {
-                        s.mask_all_decisions();
-                        for &w in &v {
-                            if rng.gen_range(0..3) > 0 {
-                                s.set_decision_var(w, true);
-                            }
-                        }
                     }
                     _ => {
                         let expected = brute_force(&s);

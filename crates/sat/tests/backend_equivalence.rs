@@ -113,5 +113,5 @@ fn backend_stats_track_queries_and_clauses() {
     let stats = SatBackend::stats(&backend);
     assert_eq!(stats.vars, 2);
     assert_eq!(stats.clauses, 1);
-    assert_eq!(stats.queries, 2);
+    assert_eq!(stats.solver.solves, 2);
 }

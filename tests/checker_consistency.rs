@@ -6,13 +6,15 @@
 //!   starting states and inputs on two concrete simulator instances
 //!   reproduces the reported divergence;
 //! * so is every counterexample a detection session reports on a bundled
-//!   benchmark.
+//!   benchmark, and `replay_counterexample` (the `htd detect --vcd` path)
+//!   finds the reported signals diverging at the failing frame.
 
 mod common;
 
 use std::collections::HashMap;
 
 use common::{build_design, design_recipe};
+use golden_free_htd::detect::replay::replay_counterexample;
 use golden_free_htd::detect::{DetectionOutcome, DetectorConfig, SessionBuilder};
 use golden_free_htd::ipc::{
     CheckOutcome, CheckerOptions, Counterexample, IntervalProperty, PropertyChecker,
@@ -78,7 +80,9 @@ fn replay(design: &ValidatedDesign, cex: &Counterexample) {
 }
 
 /// The counterexample a session reports on each bundled benchmark, run
-/// with the benchmark's waivers, replays on the simulator.
+/// with the benchmark's waivers, replays on the simulator, and
+/// `replay_counterexample` ends its traces where the reported signals
+/// diverge.
 #[test]
 fn session_counterexamples_replay_on_every_bundled_benchmark() {
     let mut replayed = 0;
@@ -96,6 +100,15 @@ fn session_counterexamples_replay_on_every_bundled_benchmark() {
             .expect("flow completes");
         if let DetectionOutcome::PropertyFailed { counterexample, .. } = &report.outcome {
             replay(&design, counterexample);
+            let traces = replay_counterexample(&design, counterexample).expect("replay runs");
+            for reported in counterexample.diff_names() {
+                assert!(
+                    traces.diverging_signals.iter().any(|s| s == reported),
+                    "{}: {reported} does not diverge at the end of the replay: {:?}",
+                    benchmark.name(),
+                    traces.diverging_signals
+                );
+            }
             replayed += 1;
         }
     }

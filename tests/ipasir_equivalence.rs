@@ -13,12 +13,11 @@
 //! library is a black box that can only report its queries, so those
 //! counters are backend-*dependent* by design.
 //!
-//! Identical models (not just identical verdicts) are possible because the
-//! shim exports the optional `ipasir_htd_*` decision-masking extensions:
-//! with them, a shim handle receives exactly the operation sequence of the
-//! builtin solver (see `crates/sat/src/ipasir.rs`).  A foreign IPASIR
-//! library without the extensions would still produce equivalent verdicts,
-//! just not bit-equal counterexamples.
+//! Identical models (not just identical verdicts) follow from the standard
+//! ABI alone: the shim wraps the builtin solver, and a shim handle receives
+//! the same clauses and assumptions in the same order as the builtin
+//! solver (see `crates/sat/src/ipasir.rs`).  A foreign IPASIR library would
+//! still produce equivalent verdicts, just not bit-equal counterexamples.
 
 use std::path::PathBuf;
 
@@ -118,10 +117,6 @@ fn all_benchmarks_report_identically_on_the_ipasir_shim() {
 fn clauses_are_transmitted_exactly_once_per_backend_instance() {
     let mut backend = IpasirBackend::load(shim_library()).expect("shim loads");
     assert!(
-        backend.has_htd_extensions(),
-        "the shim exports the ipasir_htd_* subset"
-    );
-    assert!(
         backend.signature().contains("htd-cdcl"),
         "{}",
         backend.signature()
@@ -150,7 +145,6 @@ fn clauses_are_transmitted_exactly_once_per_backend_instance() {
     );
     assert_eq!(backend.model_value(vars[7]), Some(true));
     assert_eq!(backend.clauses_transmitted(), clause_count);
-    assert_eq!(backend.stats().queries, 3);
     assert_eq!(backend.stats().solver.solves, 3);
 
     // A late clause is transmitted once, on add.

@@ -53,10 +53,10 @@ const SEARCH: &[(&str, [u64; 4])] = &[
     ("BasicRSA-T200", [5, 82, 0, 0]),
     ("BasicRSA-T300", [27, 258, 0, 0]),
     ("BasicRSA-T400", [28, 280, 0, 0]),
-    ("RS232-T2400", [33, 580, 0, 0]),
+    ("RS232-T2400", [56, 757, 0, 0]),
     ("AES (HT-free)", [0, 0, 0, 0]),
     ("BasicRSA (HT-free)", [324, 74245, 79, 0]),
-    ("RS232 (HT-free)", [42, 310, 0, 0]),
+    ("RS232 (HT-free)", [66, 506, 0, 0]),
 ];
 
 fn builder(benchmark: Benchmark) -> SessionBuilder {
