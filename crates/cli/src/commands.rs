@@ -416,8 +416,12 @@ fn detect(args: &DetectArgs) -> Result<String, CliError> {
         let _ = writeln!(
             out,
             "session: {} properties, {} AIG nodes encoded, {} SAT queries, \
-             {} signals proved structurally",
-            stats.properties_checked, stats.nodes_encoded, stats.queries, stats.structurally_proved
+             {} signals proved structurally, {} refuted by simulation",
+            stats.properties_checked,
+            stats.nodes_encoded,
+            stats.queries,
+            stats.structurally_proved,
+            stats.refuted_by_simulation
         );
     }
 
@@ -732,10 +736,12 @@ endmodule
             ..DetectArgs::default()
         });
         let output = run(&command).unwrap();
+        // The armed-flag Trojan's init property diverges in a simulation
+        // lane, so no query runs.
         assert!(
-            output
-                .lines()
-                .any(|line| line.starts_with("session: ") && line.contains(" SAT queries, ")),
+            output.lines().any(|line| line.starts_with("session: ")
+                && line.contains(" 0 SAT queries, ")
+                && line.ends_with(" 1 refuted by simulation")),
             "{output}"
         );
         std::fs::remove_file(input).ok();
@@ -811,20 +817,27 @@ endmodule
         assert_eq!(detect(vec!["tx_busy".to_string()]), plain);
     }
 
+    /// A missing DIMACS solver fails `detect` on an infected design and on
+    /// one whose flow never queries the solver (AES (HT-free) proves every
+    /// level structurally), naming the missing program.
     #[test]
     fn missing_dimacs_backend_preserves_the_detect_error_variant() {
-        let input = write_temp("htd_cli_detect_backend_input.v", INFECTED);
-        let command = Command::Detect(DetectArgs {
-            input: input.clone(),
-            backend: htd_core::BackendChoice::dimacs("/nonexistent/solver"),
-            ..DetectArgs::default()
-        });
-        let err = run(&command).unwrap_err();
-        match err {
-            CliError::Flow(DetectError::Backend { .. }) => {}
-            other => panic!("expected Flow(Backend), got {other:?}"),
+        let infected = write_temp("htd_cli_detect_backend_input.v", INFECTED);
+        for input in [infected.clone(), PathBuf::from("trusthub:AES (HT-free)")] {
+            let command = Command::Detect(DetectArgs {
+                input: input.clone(),
+                backend: htd_core::BackendChoice::dimacs("/nonexistent/solver"),
+                ..DetectArgs::default()
+            });
+            let err = run(&command).unwrap_err();
+            match err {
+                CliError::Flow(DetectError::Backend { message }) => {
+                    assert!(message.contains("/nonexistent/solver"), "{message}");
+                }
+                other => panic!("{}: expected Flow(Backend), got {other:?}", input.display()),
+            }
         }
-        std::fs::remove_file(input).ok();
+        std::fs::remove_file(infected).ok();
     }
 
     #[test]

@@ -89,15 +89,19 @@ fn process_backend_agrees_with_the_builtin_solver_on_random_formulas() {
 #[test]
 fn detection_session_runs_on_the_dimacs_process_backend() {
     // An input-triggered Trojan: the init property must fail identically on
-    // the builtin and the external-process backend.
+    // the builtin and the external-process backend.  The payload flips the
+    // result's low bit only while a 32-bit running sum of the inputs holds
+    // a magic value, a state no random simulation lane reaches, so the
+    // counterexample comes from a query on both backends.
     let mut d = Design::new("proc_backend_trojan");
     let input = d.add_input("in", 8).unwrap();
-    let trigger = d.add_register("trigger", 1, 0).unwrap();
     let result = d.add_register("result", 8, 0).unwrap();
-    let magic = d.eq_const(d.signal(input), 0xA5).unwrap();
-    let trig_next = d.or(d.signal(trigger), magic).unwrap();
-    d.set_register_next(trigger, trig_next).unwrap();
-    let flip = d.zero_ext(d.signal(trigger), 8).unwrap();
+    let sum = d.add_register("sum", 32, 0).unwrap();
+    let widened = d.zero_ext(d.signal(input), 32).unwrap();
+    let sum_next = d.add(d.signal(sum), widened).unwrap();
+    d.set_register_next(sum, sum_next).unwrap();
+    let magic = d.eq_const(d.signal(sum), 0xDEAD_BEEF).unwrap();
+    let flip = d.zero_ext(magic, 8).unwrap();
     let payload = d.xor(d.signal(input), flip).unwrap();
     d.set_register_next(result, payload).unwrap();
     d.add_output("out", d.signal(result)).unwrap();

@@ -39,8 +39,9 @@
 //!   property's antecedent through solver assumptions and starting-state
 //!   variable sharing, and keeps the backend's learnt clauses alive across
 //!   properties and re-verification rounds.  The flow runs on the calling
-//!   thread: each sub-property is lowered, encoded and solved on the master,
-//!   one after another, up to the first counterexample.
+//!   thread: each sub-property is lowered, simulated, and (unless a
+//!   simulation lane refutes it) encoded and solved on the master, one
+//!   after another, up to the first counterexample.
 //! * [`FlowEvent`] — the streaming observer API: per-level, per-property and
 //!   per-counterexample progress while the flow runs (ordering contract
 //!   documented on the type); consumed by the CLI for live output and by the

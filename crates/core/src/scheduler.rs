@@ -17,16 +17,17 @@
 //!
 //! A report is a pure function of the design, the configuration and the
 //! backend: the master's mutation stream (retire the previous check's
-//! activation literals → clause-GC → lower, encode and solve each
+//! activation literals → clause-GC → lower, simulate, encode and solve each
 //! sub-property in turn) follows the order in which the flow reaches its
 //! levels, which the design and the configuration fix.  Every query sees the
 //! learnt clauses of the queries before it, and only those.
 //!
 //! # Why one thread
 //!
-//! On the bundled designs almost all solver work is a single query
-//! (BasicRSA (HT-free)'s 79-conflict spurious counterexample), so a second
-//! worker has nothing to share.  A worker pool with level pipelining and
+//! On the bundled designs the solver does almost no work: simulation finds
+//! every counterexample but those of AES-T2500 to T2800 and one of
+//! RS232-T2400, and the five queries left take 4 conflicts in all, so a
+//! second worker has nothing to share.  A worker pool with level pipelining and
 //! speculative prepares measured slower than this loop, or no faster, on
 //! every workload, and was deleted.  The names it left behind are inert
 //! (see `compat.rs`).

@@ -16,8 +16,9 @@
 //! are planned lazily by a structural level planner
 //! ([`FlowGraph`](crate::FlowGraph)), and the flow proves them in order on
 //! the calling thread.  Each level splits into per-signal sub-properties,
-//! lowered, encoded and solved in place on the master one at a time, in id
-//! order, and the first counterexample decides the level.  Reports are
+//! lowered, simulated and (unless simulation refutes them) encoded and
+//! solved in place on the master one at a time, in id order, and the first
+//! counterexample decides the level.  Reports are
 //! therefore a pure function of the design, the configuration and the
 //! backend ([`DetectionReport::normalized`] zeroes the wall-clock fields).
 //! The deprecated [`TrojanDetector`](crate::TrojanDetector) runs the same
@@ -84,59 +85,39 @@ impl BackendChoice {
         BackendChoice::Ipasir(library.into())
     }
 
-    /// Checks the choice can be brought up at all — for `ipasir:` this
-    /// dlopens the library and resolves its symbols (then releases it), for
-    /// `dimacs:` it checks the solver program exists (directly or on
-    /// `PATH`) — so callers that run many sessions (e.g. the bench harness)
-    /// can reject a typo with a clean error instead of failing mid-run.
+    /// Checks the choice can be brought up at all: exactly what
+    /// [`instantiate`](Self::instantiate) checks, with the instance
+    /// released again.  Callers that run many sessions (e.g. the bench
+    /// harness) reject a typo with a clean error before they start.
     ///
     /// # Errors
     ///
-    /// [`DetectError::Backend`] when instantiation (or, for process
-    /// backends, the first solver spawn) would fail.
+    /// [`DetectError::Backend`] when instantiation would fail.
     pub fn validate(&self) -> Result<(), DetectError> {
-        if let BackendChoice::DimacsProcess(program, _) = self {
-            // A bare program name goes through the PATH search `Command`
-            // will perform; anything with a separator is a filesystem path.
-            let found = if program.components().count() > 1 {
-                program.is_file()
-            } else {
-                std::env::var_os("PATH").is_some_and(|paths| {
-                    std::env::split_paths(&paths).any(|dir| dir.join(program).is_file())
-                })
-            };
-            if !found {
-                return Err(DetectError::Backend {
-                    message: format!(
-                        "solver binary `{}` not found (checked {})",
-                        program.display(),
-                        if program.components().count() > 1 {
-                            "the given path"
-                        } else {
-                            "PATH"
-                        }
-                    ),
-                });
-            }
-        }
         self.instantiate().map(drop)
     }
 
     /// Brings up one backend instance of this choice: the bundled solver or
     /// an external process/library wrapper.  [`SessionBuilder::build`] calls
     /// it once per session, and the daemon once at start-up to refuse a
-    /// backend that cannot come up.
+    /// backend that cannot come up.  For `ipasir:` it dlopens the library
+    /// and resolves its symbols; for `dimacs:` it checks that the solver
+    /// program exists (directly or on `PATH`), so a missing solver fails
+    /// every session at build, also one whose flow never queries it.
     ///
     /// # Errors
     ///
     /// [`DetectError::Backend`] when bring-up fails (e.g. a missing
-    /// library).
+    /// library or solver program).
     pub fn instantiate(&self) -> Result<Box<dyn SatBackend>, DetectError> {
         match self {
             BackendChoice::Builtin => Ok(Box::new(Solver::new())),
-            BackendChoice::DimacsProcess(path, args) => Ok(Box::new(
-                DimacsProcessBackend::new(path).with_args(args.clone()),
-            )),
+            BackendChoice::DimacsProcess(path, args) => {
+                find_program(path)?;
+                Ok(Box::new(
+                    DimacsProcessBackend::new(path).with_args(args.clone()),
+                ))
+            }
             // The library is dlopen'ed (and its IPASIR symbols resolved)
             // right here, so a bad path fails at session build time with a
             // clear error instead of mid-flow.
@@ -146,6 +127,30 @@ impl BackendChoice {
             },
         }
     }
+}
+
+/// Checks that a DIMACS solver program exists.  A bare program name goes
+/// through the `PATH` search `Command` will perform; anything with a
+/// separator is a filesystem path.
+fn find_program(program: &std::path::Path) -> Result<(), DetectError> {
+    let is_path = program.components().count() > 1;
+    let found = if is_path {
+        program.is_file()
+    } else {
+        std::env::var_os("PATH").is_some_and(|paths| {
+            std::env::split_paths(&paths).any(|dir| dir.join(program).is_file())
+        })
+    };
+    if found {
+        return Ok(());
+    }
+    Err(DetectError::Backend {
+        message: format!(
+            "solver binary `{}` not found (checked {})",
+            program.display(),
+            if is_path { "the given path" } else { "PATH" }
+        ),
+    })
 }
 
 impl FromStr for BackendChoice {
@@ -460,8 +465,8 @@ impl DetectionSession {
     }
 
     /// Counters of the underlying miter session (properties checked, nodes
-    /// encoded, queries issued, signals proved structurally, binding epochs
-    /// built).
+    /// encoded, queries issued, signals proved structurally, sub-properties
+    /// refuted by simulation, binding epochs built).
     #[must_use]
     pub fn session_stats(&self) -> SessionStats {
         self.miter.stats()
@@ -694,14 +699,23 @@ mod tests {
         assert_eq!(err, DetectError::NoInputs);
     }
 
+    /// A missing DIMACS solver fails the session whether or not its flow
+    /// would ever query the solver: the clean pipeline proves every level
+    /// structurally.
     #[test]
     fn missing_dimacs_solver_surfaces_as_a_backend_error() {
-        let mut session = SessionBuilder::new(infected_design())
-            .backend(BackendChoice::dimacs("/nonexistent/solver"))
-            .build()
-            .unwrap();
-        let err = session.run().unwrap_err();
-        assert!(matches!(err, DetectError::Backend { .. }), "got {err:?}");
+        for design in [infected_design(), clean_pipeline()] {
+            let name = design.design().name().to_owned();
+            let err = SessionBuilder::new(design)
+                .backend(BackendChoice::dimacs("/nonexistent/solver"))
+                .build()
+                .and_then(|mut session| session.run())
+                .unwrap_err();
+            assert!(
+                matches!(err, DetectError::Backend { .. }),
+                "{name}: {err:?}"
+            );
+        }
     }
 
     /// `validate` rejects unusable backends up front — a missing dimacs
@@ -726,8 +740,8 @@ mod tests {
         }
     }
 
-    /// A bad `ipasir:` library fails at `build()` (the dlopen happens
-    /// eagerly), not mid-flow like a missing process-backend binary.
+    /// A bad `ipasir:` library fails at `build()`: the dlopen happens
+    /// eagerly, as the program check of a `dimacs:` backend does.
     #[test]
     fn missing_ipasir_library_fails_at_session_build() {
         let err = SessionBuilder::new(infected_design())
@@ -843,13 +857,24 @@ mod tests {
         assert!(session.run().is_ok(), "the flag serves the next run too");
         assert!(!flag.load(Ordering::SeqCst), "after the second Ok");
 
-        // The first query fails: the solver binary does not exist.
+        // The run fails: a zero deadline stops it before its first
+        // sub-property.
+        let config = DetectorConfig {
+            budget: SolveBudget {
+                deadline: Some(Duration::ZERO),
+                conflict_ceiling: None,
+            },
+            ..DetectorConfig::default()
+        };
         let mut session = SessionBuilder::new(infected_design())
-            .backend(BackendChoice::dimacs("/nonexistent/solver"))
+            .config(config)
             .build()
             .unwrap();
         session.set_cancel_flag(Arc::clone(&flag));
-        assert!(matches!(session.run(), Err(DetectError::Backend { .. })));
+        assert!(matches!(
+            session.run(),
+            Err(DetectError::BudgetExhausted { .. })
+        ));
         assert!(!flag.load(Ordering::SeqCst), "after Err");
     }
 }

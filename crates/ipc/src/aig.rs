@@ -267,81 +267,93 @@ impl Aig {
         }
     }
 
-    /// Evaluates every node under an assignment of the inputs, in one pass.
+    /// Simulates every node, in one pass over the node table: returns one
+    /// word per node, indexed by node id.
     ///
-    /// Returns a vector indexed by node id; missing inputs default to
-    /// `false`.  Use this (rather than repeated [`eval`](Self::eval) calls)
-    /// when many literals must be evaluated under the same assignment, e.g.
-    /// when reconstructing a counterexample.
+    /// With `u64` words, lane `i` of every word is the node's value under
+    /// the `i`-th of 64 input assignments; with `bool` words there is one
+    /// assignment.  An input node's word comes from `input` (called with
+    /// its node id), the constant's word is all false, and an AND node's
+    /// word is the conjunction of its fanin words, complemented where the
+    /// fanin literal is inverted.
+    #[must_use]
+    pub fn simulate<W: Lanes>(&self, mut input: impl FnMut(u32) -> W) -> Vec<W> {
+        let mut words: Vec<W> = Vec::with_capacity(self.nodes.len());
+        for (idx, node) in self.nodes.iter().enumerate() {
+            let word = match *node {
+                Node::ConstFalse => W::FALSE,
+                Node::Input => input(idx as u32),
+                Node::And(a, b) => self.lit_value(&words, a).and(self.lit_value(&words, b)),
+            };
+            words.push(word);
+        }
+        words
+    }
+
+    /// Evaluates every node under one assignment of the inputs, in one
+    /// pass: [`simulate`](Self::simulate) with one lane.
+    ///
+    /// Returns a vector indexed by node id, read with
+    /// [`lit_value`](Self::lit_value); missing inputs default to `false`.
+    /// Counterexample reconstruction, the BMC baseline and FANCI read many
+    /// literals under one assignment this way.
     #[must_use]
     pub fn eval_all<S: BuildHasher>(&self, input_values: &HashMap<u32, bool, S>) -> Vec<bool> {
-        let mut values = vec![false; self.nodes.len()];
-        for (idx, node) in self.nodes.iter().enumerate() {
-            values[idx] = match *node {
-                Node::ConstFalse => false,
-                Node::Input => *input_values.get(&(idx as u32)).unwrap_or(&false),
-                Node::And(a, b) => {
-                    (values[a.node() as usize] ^ a.is_inverted())
-                        && (values[b.node() as usize] ^ b.is_inverted())
-                }
-            };
-        }
-        values
+        self.simulate(|node| input_values.get(&node).copied().unwrap_or(false))
     }
 
-    /// Reads the value of a literal from a node-value vector produced by
-    /// [`eval_all`](Self::eval_all).
+    /// Reads the value of a literal from node values produced by
+    /// [`simulate`](Self::simulate) or [`eval_all`](Self::eval_all): its
+    /// node's word, complemented in every lane when the literal is
+    /// inverted.
     #[must_use]
-    pub fn lit_value(&self, values: &[bool], lit: AigLit) -> bool {
-        values[lit.node() as usize] ^ lit.is_inverted()
+    pub fn lit_value<W: Lanes>(&self, values: &[W], lit: AigLit) -> W {
+        values[lit.node() as usize].invert_if(lit.is_inverted())
     }
 
-    /// Evaluates a literal under a full assignment of the inputs.
-    ///
-    /// `input_values` maps node indices of inputs to Boolean values; missing
-    /// inputs default to `false`.  Mainly used in tests and for
-    /// counterexample replay.
+    /// Evaluates one literal under an assignment of the inputs (missing
+    /// inputs default to `false`).
+    #[cfg(test)]
+    pub(crate) fn eval<S: BuildHasher>(
+        &self,
+        lit: AigLit,
+        input_values: &HashMap<u32, bool, S>,
+    ) -> bool {
+        self.lit_value(&self.eval_all(input_values), lit)
+    }
+}
+
+/// A node's value in [`Aig::simulate`]: `bool` under one input assignment,
+/// `u64` under 64 assignments at once, one per bit (lane).
+pub trait Lanes: Copy {
+    /// The value of the constant-false node in every lane.
+    const FALSE: Self;
+    /// Lane-wise conjunction.
     #[must_use]
-    pub fn eval<S: BuildHasher>(&self, lit: AigLit, input_values: &HashMap<u32, bool, S>) -> bool {
-        let mut cache: Vec<Option<bool>> = vec![None; self.nodes.len()];
-        cache[0] = Some(false);
-        let mut stack = vec![lit.node()];
-        while let Some(&node) = stack.last() {
-            if cache[node as usize].is_some() {
-                stack.pop();
-                continue;
-            }
-            match self.nodes[node as usize] {
-                Node::ConstFalse => {
-                    cache[node as usize] = Some(false);
-                    stack.pop();
-                }
-                Node::Input => {
-                    cache[node as usize] = Some(*input_values.get(&node).unwrap_or(&false));
-                    stack.pop();
-                }
-                Node::And(a, b) => {
-                    let va = cache[a.node() as usize];
-                    let vb = cache[b.node() as usize];
-                    match (va, vb) {
-                        (Some(va), Some(vb)) => {
-                            let value = (va ^ a.is_inverted()) && (vb ^ b.is_inverted());
-                            cache[node as usize] = Some(value);
-                            stack.pop();
-                        }
-                        _ => {
-                            if va.is_none() {
-                                stack.push(a.node());
-                            }
-                            if vb.is_none() {
-                                stack.push(b.node());
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        cache[lit.node() as usize].expect("evaluated above") ^ lit.is_inverted()
+    fn and(self, other: Self) -> Self;
+    /// The value complemented in every lane when `inverted` is set, with
+    /// no branch on it.
+    #[must_use]
+    fn invert_if(self, inverted: bool) -> Self;
+}
+
+impl Lanes for bool {
+    const FALSE: bool = false;
+    fn and(self, other: bool) -> bool {
+        self & other
+    }
+    fn invert_if(self, inverted: bool) -> bool {
+        self ^ inverted
+    }
+}
+
+impl Lanes for u64 {
+    const FALSE: u64 = 0;
+    fn and(self, other: u64) -> u64 {
+        self & other
+    }
+    fn invert_if(self, inverted: bool) -> u64 {
+        self ^ 0u64.wrapping_sub(u64::from(inverted))
     }
 }
 

@@ -189,7 +189,7 @@ fn encoded_var(vars: &[u32], node: u32) -> Option<Var> {
 /// stamp: a node is visited by the current walk iff its stamp equals
 /// `walk`, so starting a walk bumps one counter instead of clearing a set.
 #[derive(Clone, Debug, Default)]
-struct ConeWalk {
+pub(crate) struct ConeWalk {
     stamps: Vec<u32>,
     walk: u32,
     stack: Vec<u32>,
@@ -199,7 +199,7 @@ impl ConeWalk {
     /// Visits every non-constant node reachable from `roots` once,
     /// descending into a node's fan-in only when `visit(node)` returns
     /// `true`.
-    fn run(&mut self, aig: &Aig, roots: &[AigLit], mut visit: impl FnMut(u32) -> bool) {
+    pub(crate) fn run(&mut self, aig: &Aig, roots: &[AigLit], mut visit: impl FnMut(u32) -> bool) {
         if self.walk == u32::MAX {
             self.stamps.fill(0);
             self.walk = 0;

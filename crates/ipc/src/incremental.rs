@@ -19,12 +19,25 @@
 //!   signals become solver *assumptions* instead of baked-in unit clauses, so
 //!   the same encoding serves every antecedent the flow tries.
 //! * **One sub-property at a time, in place.**  A property splits into one
-//!   sub-property per prove signal.  In prove-list order, each is lowered,
-//!   encoded, guarded by a fresh activation literal and solved on the master
-//!   backend itself; the first counterexample decides the property, and the
-//!   prove signals behind it are never lowered.  The next check retires the
-//!   literals with unit clauses, permanently simplifying their miter clauses
-//!   away.
+//!   sub-property per prove signal.  In prove-list order, each takes the
+//!   structural fast path or is lowered; a lowered one is then simulated,
+//!   and only if simulation finds no counterexample is it encoded, guarded
+//!   by a fresh activation literal and solved on the master backend itself.
+//!   The first counterexample decides the property, and the prove signals
+//!   behind it are never lowered.  The next check retires the literals with
+//!   unit clauses, permanently simplifying their miter clauses away.
+//! * **Simulate before you solve.**  Before encoding a sub-property, the
+//!   session evaluates its AIG on 64 pseudo-random input assignments at
+//!   once, one `u64` per node ([`Aig::simulate`]).  An input's word is
+//!   SplitMix64 of its node id, a pure function of the graph.  A lane that
+//!   makes the sub-property's miter output and every antecedent literal
+//!   true is an exact witness: the sub-property fails with that lane's
+//!   counterexample, and nothing is encoded or solved for it.  Simulation
+//!   answers only queries the solver would answer SAT, so it never changes
+//!   which sub-property fails first; a property still holds only on the
+//!   backend's UNSAT answers.  The words are dropped before anything is
+//!   encoded or reconstructed, so they never add to the memory the solver
+//!   and the encoding hold.
 //!
 //! Register starting-state variables follow the same sharing discipline as
 //! the legacy checker (see
@@ -45,7 +58,7 @@ use htd_sat::{BackendError, Lit, SatBackend, SolveResult, Var};
 use crate::aig::{Aig, AigLit};
 use crate::bitblast::{equal, BitVec, BlastContext};
 use crate::checker::CheckerOptions;
-use crate::cnf::IncrementalEncoder;
+use crate::cnf::{ConeWalk, IncrementalEncoder};
 use crate::property::{CheckOutcome, CheckStats, Counterexample, IntervalProperty, PropertyReport};
 
 /// Counters describing a whole [`MiterSession`].
@@ -57,14 +70,19 @@ pub struct SessionStats {
     /// properties; nodes shared between properties are counted once).
     pub nodes_encoded: u64,
     /// SAT queries issued: one [`SatBackend::solve_under`] call per
-    /// sub-property handed to the solver.  Structurally proved signals issue
-    /// none, and the prove signals behind a property's first counterexample
-    /// are never lowered, so they issue none either.
+    /// sub-property handed to the solver.  Structurally proved and
+    /// simulation-refuted signals issue none, and the prove signals behind a
+    /// property's first counterexample are never lowered, so they issue none
+    /// either.
     pub queries: u64,
     /// Prove signals discharged by the structural fast path: their cone
     /// reduced to shared variables, so equality held by construction with no
     /// lowering and no solver work.
     pub structurally_proved: u64,
+    /// Sub-properties refuted by simulation: a simulation lane satisfied the
+    /// miter and the antecedent, so the counterexample came from that lane
+    /// with no encoding and no query.
+    pub refuted_by_simulation: u64,
     /// Number of binding epochs built: a new epoch starts whenever a property
     /// arrives with a different set of merged (assumed-equal) registers.
     /// Properties within one epoch share their lowering contexts, so word-
@@ -126,6 +144,8 @@ pub struct MiterSession {
     pending_acts: Vec<Var>,
     /// The stop predicate installed with [`set_interrupt`](Self::set_interrupt).
     interrupt: Option<Arc<dyn Fn(u64) -> bool + Send + Sync>>,
+    /// Cone walks that collect a simulation witness's inputs.
+    cone: ConeWalk,
     stats: SessionStats,
 }
 
@@ -205,6 +225,7 @@ impl MiterSession {
             epoch: None,
             pending_acts: Vec::new(),
             interrupt: None,
+            cone: ConeWalk::default(),
             stats: SessionStats::default(),
         }
     }
@@ -257,6 +278,7 @@ impl MiterSession {
             epoch: self.epoch.clone(),
             pending_acts: self.pending_acts.clone(),
             interrupt: self.interrupt.clone(),
+            cone: self.cone.clone(),
             stats: self.stats,
         })
     }
@@ -289,11 +311,14 @@ impl MiterSession {
     ///
     /// The prove consequent splits into one sub-property per prove signal,
     /// taken in prove-list order.  Each one takes the structural fast path
-    /// or has its cone lowered; only the AIG nodes not yet in the backend
-    /// are encoded; its miter is guarded by a fresh activation literal; and
-    /// it is solved in place on the master.  The first counterexample
-    /// decides the property, rebuilt from the master's model: the prove
-    /// signals behind it are never lowered, encoded or solved.
+    /// or has its cone lowered; a lowered one is simulated on 64 lanes, and
+    /// a lane that satisfies its miter and the antecedent refutes it
+    /// outright.  Otherwise only the AIG nodes not yet in the backend are
+    /// encoded, its miter is guarded by a fresh activation literal, and it
+    /// is solved in place on the master.  The first counterexample decides
+    /// the property, rebuilt from the simulation lane or the master's
+    /// model: the prove signals behind it are never lowered, simulated,
+    /// encoded or solved.
     ///
     /// Master hygiene runs when the check starts: the previous check's
     /// activation literals are retired (unit clauses permanently disable
@@ -358,8 +383,10 @@ impl MiterSession {
     }
 
     /// The sub-property loop of [`check`](Self::check), under the binding
-    /// epoch of the property's antecedent.  Returns the outcome and the CNF
-    /// variables and clauses the encoding added.
+    /// epoch of the property's antecedent.  Each sub-property goes through,
+    /// in order: the interrupt poll, the structural fast path, lowering,
+    /// simulation, then encoding and solving.  Returns the outcome and the
+    /// CNF variables and clauses the encoding added.
     fn solve_sub_properties(
         &mut self,
         design: &ValidatedDesign,
@@ -405,6 +432,11 @@ impl MiterSession {
                 // Equal by construction under this epoch's sharing.
                 continue;
             }
+            if let Some(env) = self.simulation_witness(diff, &antecedent_roots) {
+                self.stats.refuted_by_simulation += 1;
+                let cex = self.reconstruct(d, &property.name, (sig, b1, b2), &epoch.regs, &env);
+                return Ok((CheckOutcome::Fails(Box::new(cex)), cnf_vars, cnf_clauses));
+            }
 
             let grown_from = self.backend.stats();
             let mut roots = if base_assumptions.is_none() {
@@ -443,7 +475,10 @@ impl MiterSession {
             match self.backend.solve_under(&assumptions)? {
                 SolveResult::Unsat => {}
                 SolveResult::Sat => {
-                    let cex = self.reconstruct(d, &property.name, (sig, b1, b2), &epoch.regs);
+                    let env = self
+                        .encoder
+                        .input_model(&self.aig, |var| self.backend.model_value(var));
+                    let cex = self.reconstruct(d, &property.name, (sig, b1, b2), &epoch.regs, &env);
                     return Ok((CheckOutcome::Fails(Box::new(cex)), cnf_vars, cnf_clauses));
                 }
                 SolveResult::Interrupted => return Err(interrupted(property, index)),
@@ -621,29 +656,73 @@ impl MiterSession {
         }
     }
 
-    /// Rebuilds the counterexample of a failing sub-property from the
-    /// master's model via the reconstruction shared with the one-shot
-    /// checker.
+    /// Simulates the graph built so far on 64 lanes and looks for a lane
+    /// that makes the miter output `diff` and every antecedent root true.
+    /// Such a lane is an exact witness in the graph the solver would
+    /// receive, so the sub-property fails.  Returns the lowest such lane's
+    /// value of every input in the cone of `diff` and the roots; the other
+    /// inputs read `false`, as [`IncrementalEncoder::input_model`] treats
+    /// unencoded inputs.  `None` when no lane is a witness.  The words are
+    /// dropped on return, before the caller encodes or reconstructs.
+    fn simulation_witness(
+        &mut self,
+        diff: AigLit,
+        antecedent_roots: &[AigLit],
+    ) -> Option<FxHashMap<u32, bool>> {
+        let aig = &self.aig;
+        let sim = aig.simulate(|node| splitmix64(u64::from(node)));
+        let hit = antecedent_roots
+            .iter()
+            .fold(aig.lit_value(&sim, diff), |hit, &a| {
+                hit & aig.lit_value(&sim, a)
+            });
+        if hit == 0 {
+            return None;
+        }
+        let lane = hit.trailing_zeros();
+        let mut roots = antecedent_roots.to_vec();
+        roots.push(diff);
+        let mut env = FxHashMap::default();
+        self.cone.run(aig, &roots, |node| {
+            if aig.and_inputs(node).is_none() {
+                env.insert(node, (sim[node as usize] >> lane) & 1 == 1);
+            }
+            true
+        });
+        Some(env)
+    }
+
+    /// Rebuilds the counterexample of a failing sub-property from an
+    /// assignment of the AIG inputs (a simulation lane or the master's
+    /// model) via the reconstruction shared with the one-shot checker.
     fn reconstruct(
         &self,
         d: &htd_rtl::Design,
         name: &str,
         prove_value: (SignalId, BitVec, BitVec),
         regs: &[FxHashMap<SignalId, BitVec>; 2],
+        env: &FxHashMap<u32, bool>,
     ) -> Counterexample {
-        let env = self
-            .encoder
-            .input_model(&self.aig, |var| self.backend.model_value(var));
         crate::checker::reconstruct_counterexample(
             d,
             &self.aig,
-            &env,
+            env,
             name,
             &[vec![prove_value]],
             &self.inputs,
             regs,
         )
     }
+}
+
+/// SplitMix64's output for seed `x`: the simulation word of the AIG input
+/// with node id `x`, so every input's 64 lanes are a pure function of the
+/// graph.
+fn splitmix64(x: u64) -> u64 {
+    let mut z = x.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
 }
 
 /// The error of a sub-property whose query the stop predicate cut short.
@@ -879,26 +958,46 @@ mod tests {
         assert_eq!(nodes(&accumulator(true)), alone);
     }
 
-    /// `queries` counts every `solve_under` call exactly once, as the
-    /// solver's own `solves` counter does: here a check whose first
-    /// sub-property holds under its antecedent (one query) and whose second
-    /// fails (another), then a check of the same antecedent.
-    #[test]
-    fn queries_count_each_solve_once() {
+    /// A 32-bit relay: `r` accumulates the input, wire `w = r & in` feeds
+    /// `q`, and `q` drives the output.  Assuming `w` equal makes `q`'s next
+    /// state equal, but not structurally, and leaves `r` free to differ; a
+    /// random lane satisfies the 32-bit antecedent `w1 == w2` only with
+    /// probability (3/4)^32, so no lane does.
+    fn relay() -> ValidatedDesign {
         let mut d = Design::new("relay");
-        let input = d.add_input("in", 8).unwrap();
-        let r = d.add_register("r", 8, 0).unwrap();
+        let input = d.add_input("in", 32).unwrap();
+        let r = d.add_register("r", 32, 0).unwrap();
         let next = d.xor(d.signal(r), d.signal(input)).unwrap();
         d.set_register_next(r, next).unwrap();
         let masked = d.and(d.signal(r), d.signal(input)).unwrap();
         let w = d.add_wire("w", masked).unwrap();
-        let q = d.add_register("q", 8, 0).unwrap();
+        let q = d.add_register("q", 32, 0).unwrap();
         d.set_register_next(q, d.signal(w)).unwrap();
         d.add_output("out", d.signal(q)).unwrap();
-        let design = d.validated().unwrap();
+        d.validated().unwrap()
+    }
+
+    fn solves(session: &MiterSession) -> u64 {
+        session.backend_stats().solver.solves
+    }
+
+    /// `queries` counts every `solve_under` call exactly once, as the
+    /// solver's own `solves` counter does: here a check whose first
+    /// sub-property holds under its antecedent (one query) and whose second
+    /// fails (another), then a check of the same antecedent.  A
+    /// sub-property that simulation refutes counts in
+    /// `refuted_by_simulation` and nowhere else.
+    #[test]
+    fn queries_count_each_solve_once() {
+        let design = relay();
+        let d = design.design();
+        let (w, q, r) = (
+            d.require("w").unwrap(),
+            d.require("q").unwrap(),
+            d.require("r").unwrap(),
+        );
 
         let mut session = MiterSession::new(&design, Box::new(Solver::new()));
-        let solves = |session: &MiterSession| session.backend_stats().solver.solves;
         let relayed = IntervalProperty::new("relayed", vec![w], vec![q, r]);
         let report = session.check(&design, &relayed).unwrap();
         assert_eq!(
@@ -909,7 +1008,98 @@ mod tests {
         let relayed_only = IntervalProperty::new("relayed_only", vec![w], vec![q]);
         assert!(session.check(&design, &relayed_only).unwrap().holds());
         assert_eq!(solves(&session), 3);
+        assert_eq!(session.stats().refuted_by_simulation, 0);
+
+        // Without the antecedent, `r` diverges in a simulation lane.
+        let unassumed = IntervalProperty::new("unassumed", vec![], vec![r]);
+        assert!(!session.check(&design, &unassumed).unwrap().holds());
+        assert_eq!(solves(&session), 3);
         assert_eq!(session.stats().queries, 3);
+        assert_eq!(session.stats().refuted_by_simulation, 1);
+    }
+
+    /// A sub-property that a simulation lane refutes never reaches the
+    /// backend, and the counterexample's printed values are exact: stepping
+    /// the design from its starting state under its inputs gives the
+    /// reported diverging values.
+    #[test]
+    fn a_simulation_lane_refutes_without_the_solver() {
+        let design = trojan_design();
+        let d = design.design();
+        let data = d.require("data").unwrap();
+        let property = IntervalProperty::new("init_property", vec![], vec![data]);
+        let mut session = MiterSession::new(&design, Box::new(Solver::new()));
+        let report = session.check(&design, &property).unwrap();
+
+        assert_eq!(solves(&session), 0);
+        let stats = session.stats();
+        assert_eq!(
+            (
+                stats.queries,
+                stats.nodes_encoded,
+                stats.refuted_by_simulation
+            ),
+            (0, 0, 1)
+        );
+        assert_eq!((report.stats.cnf_vars, report.stats.cnf_clauses), (0, 0));
+        let cex = report.outcome.counterexample().unwrap();
+        assert_eq!(cex.diff_names(), vec!["data"]);
+        let step = |instance: usize| {
+            let mut sim = htd_rtl::sim::Simulator::new(&design);
+            for state in &cex.starting_state {
+                let value = [state.instance1, state.instance2][instance];
+                sim.set_register(state.signal, value).unwrap();
+            }
+            for (name, value) in &cex.inputs[0] {
+                sim.set_input_by_name(name, *value).unwrap();
+            }
+            sim.step().unwrap();
+            sim.peek(data)
+        };
+        let diff = &cex.diffs[0];
+        assert_eq!((step(0), step(1)), (diff.instance1, diff.instance2));
+        assert_ne!(diff.instance1, diff.instance2);
+    }
+
+    /// A wire antecedent that no simulation lane satisfies sends a failing
+    /// sub-property to the solver, which finds the counterexample.
+    #[test]
+    fn an_antecedent_no_lane_satisfies_falls_through_to_the_solver() {
+        let design = relay();
+        let d = design.design();
+        let (w, r) = (d.require("w").unwrap(), d.require("r").unwrap());
+        let property = IntervalProperty::new("relayed", vec![w], vec![r]);
+        let mut session = MiterSession::new(&design, Box::new(Solver::new()));
+        let report = session.check(&design, &property).unwrap();
+        assert_eq!(
+            report.outcome.counterexample().unwrap().diff_names(),
+            vec!["r"]
+        );
+        assert_eq!(solves(&session), 1);
+        assert_eq!(session.stats().refuted_by_simulation, 0);
+    }
+
+    /// A sub-property that holds without being structurally equal
+    /// (`(r + in) - r` is `in`, but not in the AIG) has no witness lane, so
+    /// the solver proves it.
+    #[test]
+    fn a_holding_sub_property_is_proved_by_the_solver() {
+        let mut d = Design::new("identity");
+        let input = d.add_input("in", 8).unwrap();
+        let r = d.add_register("r", 8, 0).unwrap();
+        let sum = d.add(d.signal(input), d.signal(r)).unwrap();
+        let next = d.sub(sum, d.signal(r)).unwrap();
+        d.set_register_next(r, next).unwrap();
+        d.add_output("out", d.signal(r)).unwrap();
+        let design = d.validated().unwrap();
+
+        let property = IntervalProperty::new("init_property", vec![], vec![r]);
+        let mut session = MiterSession::new(&design, Box::new(Solver::new()));
+        assert!(session.check(&design, &property).unwrap().holds());
+        assert_eq!(solves(&session), 1);
+        let stats = session.stats();
+        assert_eq!((stats.queries, stats.structurally_proved), (1, 0));
+        assert_eq!(stats.refuted_by_simulation, 0);
     }
 
     #[test]

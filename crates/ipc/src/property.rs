@@ -104,6 +104,14 @@ impl fmt::Display for SignalValuePair {
 
 /// A counterexample to an interval property: a symbolic starting state (plus
 /// input values) under which the two instances diverge.
+///
+/// The values come from a SAT model or, for a sub-property that
+/// [`MiterSession`](crate::MiterSession) refutes by simulation, from one
+/// simulation lane.  A lane's values look random: every input and register
+/// bit in the failing cone takes the lane's pseudo-random value, and bits
+/// outside the cone read 0.  Either way they replay exactly: stepping two
+/// instances of the design from the starting state under the inputs gives
+/// the reported diverging values.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Counterexample {
     /// Name of the failing property.

@@ -1039,6 +1039,10 @@ fn session_json(stats: &SessionStats) -> Json {
         ("nodes_encoded", Json::UInt(stats.nodes_encoded)),
         ("queries", Json::UInt(stats.queries)),
         ("structurally_proved", Json::UInt(stats.structurally_proved)),
+        (
+            "refuted_by_simulation",
+            Json::UInt(stats.refuted_by_simulation),
+        ),
         ("epoch_rebinds", Json::UInt(stats.epoch_rebinds)),
     ])
 }
@@ -1090,12 +1094,14 @@ fn accumulate_session(into: &mut SessionStats, add: &SessionStats) {
         nodes_encoded,
         queries,
         structurally_proved,
+        refuted_by_simulation,
         epoch_rebinds,
     } = *add;
     into.properties_checked += properties_checked;
     into.nodes_encoded += nodes_encoded;
     into.queries += queries;
     into.structurally_proved += structurally_proved;
+    into.refuted_by_simulation += refuted_by_simulation;
     into.epoch_rebinds += epoch_rebinds;
 }
 

@@ -18,7 +18,10 @@ use htd_serve::server::{ServeOptions, Server};
 use htd_serve::{ClientError, FaultSpec};
 
 /// An 8-bit pass-through accelerator; `infected` adds a sequential Trojan
-/// (a magic-value-armed trigger FSM flipping the result's low bit).
+/// (a magic-value-armed trigger FSM flipping the result's low bit).  The
+/// clean one passes `(data_in + result) - result`: equal to `data_in`, but
+/// not structurally, so its init property is proved by a SAT query that
+/// simulation cannot answer.
 fn accelerator(infected: bool) -> String {
     let name = if infected {
         "acc_infected"
@@ -36,7 +39,8 @@ fn accelerator(infected: bool) -> String {
         let flip = d.zero_ext(d.signal(trigger), 8).unwrap();
         d.xor(d.signal(data_in), flip).unwrap()
     } else {
-        d.signal(data_in)
+        let sum = d.add(d.signal(data_in), d.signal(result)).unwrap();
+        d.sub(sum, d.signal(result)).unwrap()
     };
     d.set_register_next(result, next).unwrap();
     d.add_output("data_out", d.signal(result)).unwrap();
@@ -114,7 +118,13 @@ fn concurrent_tenants_and_a_resubmission_match_solo_runs() {
         .expect("resubmission succeeds");
     assert_eq!(again.report_text, want_infected);
     let stats = again.stats.expect("a stats frame is streamed");
-    assert!(stats.get("session").is_some(), "frames: {frames:?}");
+    let session = stats.get("session").expect("a session object");
+    // The Trojan's init property diverges in a simulation lane.
+    assert_eq!(
+        session.get("refuted_by_simulation").and_then(Json::as_u64),
+        Some(1),
+        "frames: {frames:?}"
+    );
     assert_eq!(stats.get("cache"), None, "no job carries a cache tag");
     assert!(
         frames.iter().any(|f| f.contains("\"event\":\"accepted\"")),
@@ -145,6 +155,16 @@ fn concurrent_tenants_and_a_resubmission_match_solo_runs() {
     }
     let solver = served.get("solver_totals").expect("solver totals present");
     assert!(solver.get("propagations").and_then(Json::as_u64).unwrap() > 0);
+    let session_totals = served
+        .get("session_totals")
+        .expect("session totals present");
+    assert_eq!(
+        session_totals
+            .get("refuted_by_simulation")
+            .and_then(Json::as_u64),
+        Some(2),
+        "the two infected runs"
+    );
 
     server.stop();
 }

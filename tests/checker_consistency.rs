@@ -7,7 +7,12 @@
 //!   reproduces the reported divergence;
 //! * so is every counterexample a detection session reports on a bundled
 //!   benchmark, and `replay_counterexample` (the `htd detect --vcd` path)
-//!   finds the reported signals diverging at the failing frame.
+//!   finds the reported signals diverging at the failing frame;
+//! * on random designs, the session path (`MiterSession`, whose simulation
+//!   lanes refute sub-properties before any solver runs) and the
+//!   fresh-encode checker agree on every property of the flow and on one
+//!   that assumes only the outputs equal, and every session counterexample
+//!   replays and satisfies its antecedent.
 
 mod common;
 
@@ -17,11 +22,12 @@ use common::{build_design, design_recipe};
 use golden_free_htd::detect::replay::replay_counterexample;
 use golden_free_htd::detect::{DetectionOutcome, DetectorConfig, SessionBuilder};
 use golden_free_htd::ipc::{
-    CheckOutcome, CheckerOptions, Counterexample, IntervalProperty, PropertyChecker,
+    CheckOutcome, CheckerOptions, Counterexample, IntervalProperty, MiterSession, PropertyChecker,
 };
 use golden_free_htd::rtl::sim::Simulator;
-use golden_free_htd::rtl::structural::get_fanout;
+use golden_free_htd::rtl::structural::{fanout_levels, get_fanout};
 use golden_free_htd::rtl::ValidatedDesign;
+use golden_free_htd::sat::Solver;
 use golden_free_htd::trusthub::registry::Benchmark;
 use proptest::prelude::*;
 
@@ -31,10 +37,69 @@ fn init_property(design: &ValidatedDesign) -> IntervalProperty {
     IntervalProperty::new("init_property", vec![], get_fanout(design, &inputs))
 }
 
+/// The flow's properties: the init property, then one fanout property per
+/// later level, assuming the level before it equal (Algorithm 1).  A last
+/// property assumes only the outputs equal, an antecedent that constrains
+/// the split starting state without merging any register.
+fn flow_properties(design: &ValidatedDesign) -> Vec<IntervalProperty> {
+    let d = design.design();
+    let levels = fanout_levels(design);
+    let mut properties = vec![init_property(design)];
+    for k in 1..levels.len() {
+        properties.push(IntervalProperty::new(
+            format!("fanout_property_{k}"),
+            levels[k - 1].clone(),
+            levels[k].clone(),
+        ));
+    }
+    properties.push(IntervalProperty::new(
+        "outputs_assumed",
+        d.outputs(),
+        d.state_and_output_signals(),
+    ));
+    properties
+}
+
+/// Checks that a counterexample satisfies its property's antecedent: every
+/// assumed-equal signal has the same value in both instances at `t`.
+fn assert_antecedent_holds(
+    design: &ValidatedDesign,
+    property: &IntervalProperty,
+    cex: &Counterexample,
+) {
+    let instances: Vec<Simulator> = (0..2)
+        .map(|instance| {
+            let mut sim = Simulator::new(design);
+            for state in &cex.starting_state {
+                let value = [state.instance1, state.instance2][instance];
+                sim.set_register(state.signal, value).unwrap();
+            }
+            for (name, value) in &cex.inputs[0] {
+                sim.set_input_by_name(name, *value).unwrap();
+            }
+            sim
+        })
+        .collect();
+    for &assumed in &property.assume_equal {
+        assert_eq!(
+            instances[0].peek(assumed),
+            instances[1].peek(assumed),
+            "{}: assumed-equal {} differs at t",
+            property.name,
+            design.design().signal_name(assumed)
+        );
+    }
+}
+
 /// Replays a single-cycle counterexample on two simulator instances and
 /// checks that the reported diverging signals really do diverge with exactly
-/// the reported values.
+/// the reported values.  A counterexample names at least one.
 fn replay(design: &ValidatedDesign, cex: &Counterexample) {
+    assert!(
+        !cex.diffs.is_empty(),
+        "counterexample for {} names no diverging signal",
+        cex.property
+    );
     let mut instance1 = Simulator::new(design);
     let mut instance2 = Simulator::new(design);
     for state in &cex.starting_state {
@@ -142,6 +207,28 @@ proptest! {
         let property = init_property(&design);
         if let CheckOutcome::Fails(cex) = checker.check(&property).outcome {
             replay(&design, &cex);
+        }
+    }
+
+    /// The session, simulation first, against a fresh checker per
+    /// property: the same verdict on the init property and on every fanout
+    /// level, and every session counterexample replays with its printed
+    /// values under an antecedent that holds.
+    #[test]
+    fn session_agrees_with_the_checker_and_its_counterexamples_replay(
+        recipe in design_recipe()
+    ) {
+        let design = build_design(&recipe);
+        let checker = PropertyChecker::new(&design);
+        let mut session = MiterSession::new(&design, Box::new(Solver::new()));
+        for property in flow_properties(&design) {
+            let reference = checker.check(&property);
+            let report = session.check(&design, &property).expect("the builtin solver answers");
+            prop_assert_eq!(report.holds(), reference.holds(), "{}", property.name);
+            if let CheckOutcome::Fails(cex) = &report.outcome {
+                assert_antecedent_holds(&design, &property, cex);
+                replay(&design, cex);
+            }
         }
     }
 

@@ -42,6 +42,26 @@ fn infected_accelerator() -> String {
     netlist::dump(&d.validated().unwrap())
 }
 
+/// The accelerator with a rare trigger: the payload flips the result's low
+/// bit only while a 32-bit running sum of the inputs holds a magic value.
+/// No simulation lane reaches that state, so the init property's
+/// counterexample needs a SAT query, the first sub-property of the flow.
+fn rare_trigger_accelerator() -> String {
+    let mut d = Design::new("acc_rare_trigger");
+    let data_in = d.add_input("data_in", 8).unwrap();
+    let result = d.add_register("result", 8, 0).unwrap();
+    let sum = d.add_register("sum", 32, 0).unwrap();
+    let widened = d.zero_ext(d.signal(data_in), 32).unwrap();
+    let sum_next = d.add(d.signal(sum), widened).unwrap();
+    d.set_register_next(sum, sum_next).unwrap();
+    let magic = d.eq_const(d.signal(sum), 0xDEAD_BEEF).unwrap();
+    let flip = d.zero_ext(magic, 8).unwrap();
+    let next = d.xor(d.signal(data_in), flip).unwrap();
+    d.set_register_next(result, next).unwrap();
+    d.add_output("data_out", d.signal(result)).unwrap();
+    netlist::dump(&d.validated().unwrap())
+}
+
 fn test_options() -> ServeOptions {
     ServeOptions {
         addr: "127.0.0.1:0".to_owned(),
@@ -177,12 +197,20 @@ fn dimacs_backend_kills_a_stalled_child_at_the_deadline() {
     // executing it (a sibling thread's fork may still hold it open for
     // writing, and exec would fail with ETXTBSY), and `exec` hands the
     // child's pid to `sleep`, so the deadline's kill reaches the sleeper.
+    // The script first leaves a marker, the proof that the flow's query
+    // spawned it.
     let script = std::env::temp_dir().join("htd_faults_sleeping_solver.sh");
-    std::fs::write(&script, "exec sleep 30\n").unwrap();
+    let marker = std::env::temp_dir().join("htd_faults_sleeping_solver.spawned");
+    std::fs::remove_file(&marker).ok();
+    std::fs::write(
+        &script,
+        format!("touch '{}'\nexec sleep 30\n", marker.display()),
+    )
+    .unwrap();
 
     let started = std::time::Instant::now();
     let err = run_budgeted(
-        &infected_accelerator(),
+        &rare_trigger_accelerator(),
         BackendChoice::DimacsProcess("/bin/sh".into(), vec![script.display().to_string()]),
         SolveBudget {
             deadline: Some(Duration::from_millis(150)),
@@ -199,7 +227,9 @@ fn dimacs_backend_kills_a_stalled_child_at_the_deadline() {
         "the child was killed at the deadline, not waited out ({:?})",
         started.elapsed()
     );
+    assert!(marker.is_file(), "the stalled solver was never spawned");
     std::fs::remove_file(script).ok();
+    std::fs::remove_file(marker).ok();
 }
 
 #[test]
@@ -226,9 +256,10 @@ fn ipasir_backend_honours_the_deadline_through_the_terminate_seam() {
 #[test]
 fn a_conflict_ceiling_trips_with_the_conflicts_reason() {
     use golden_free_htd::trusthub::registry::Benchmark;
-    // AES-T1400's properties need real search; a ceiling of zero conflicts
-    // trips on the first one and reports how much was charged.
-    let benchmark = Benchmark::AesT1400;
+    // AES-T2800's deep fanout query needs real search (simulation does not
+    // refute it); a ceiling of zero conflicts trips on the first conflict
+    // and reports how much was charged.
+    let benchmark = Benchmark::AesT2800;
     let design = benchmark.build().expect("bundled benchmark builds");
     let config = DetectorConfig {
         benign_state: benchmark.benign_state(&design),

@@ -216,14 +216,15 @@ fn a_flow_report_records_no_forks() {
 
 /// Clause-GC thresholds are configurable: with the thresholds floored, the
 /// master compacts once a check retires activation literals, and the GC
-/// counters reach the backend stats.  AES-T1600 is an infected AES flow: its init property fails, and
-/// the end-of-flow hygiene retires the failing generation's activation
-/// literals, leaving dead miter clauses for the compactor.
+/// counters reach the backend stats.  AES-T2800 is an infected AES flow
+/// whose deep fanout levels are solved by queries, not refuted by
+/// simulation: each check retires the previous one's activation literals,
+/// leaving dead miter clauses for the compactor.
 #[test]
 fn lowered_gc_thresholds_fire_on_an_infected_aes_flow() {
-    let design = Benchmark::AesT1600.build().expect("benchmark builds");
+    let design = Benchmark::AesT2800.build().expect("benchmark builds");
     let config = DetectorConfig {
-        benign_state: Benchmark::AesT1600.benign_state(&design),
+        benign_state: Benchmark::AesT2800.benign_state(&design),
         checker: CheckerOptions {
             gc_dead_pct: 0,
             gc_min_clauses: 1,
