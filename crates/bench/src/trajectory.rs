@@ -59,6 +59,9 @@ pub struct TrajectoryRecord {
     pub queries: u64,
     /// Prove signals discharged structurally (no solver work).
     pub structurally_proved: u64,
+    /// Sub-properties whose counterexample simulation found, before any
+    /// CNF was built (no solver work either).
+    pub refuted_by_simulation: u64,
     /// Arena words reclaimed by clause-GC compaction sweeps.
     pub arena_words_reclaimed: u64,
 }
@@ -101,6 +104,7 @@ struct RunOutcome {
     secs: f64,
     report: htd_core::DetectionReport,
     structurally_proved: u64,
+    refuted_by_simulation: u64,
 }
 
 fn run_once(benchmark: Benchmark, backend: &BackendChoice) -> RunOutcome {
@@ -117,10 +121,12 @@ fn run_once(benchmark: Benchmark, backend: &BackendChoice) -> RunOutcome {
     let start = Instant::now();
     let report = session.run().expect("detection flow completes");
     let secs = start.elapsed().as_secs_f64();
+    let stats = session.session_stats();
     RunOutcome {
         secs,
         report,
-        structurally_proved: session.session_stats().structurally_proved,
+        structurally_proved: stats.structurally_proved,
+        refuted_by_simulation: stats.refuted_by_simulation,
     }
 }
 
@@ -165,6 +171,7 @@ pub fn measure(benchmark: Benchmark, backend: &BackendChoice) -> TrajectoryRecor
         learnt_lbd_sum: totals.learnt_lbd_sum,
         queries: totals.solves,
         structurally_proved: outcome.structurally_proved,
+        refuted_by_simulation: outcome.refuted_by_simulation,
         arena_words_reclaimed: totals.arena_words_reclaimed,
     }
 }
@@ -197,8 +204,10 @@ fn json_escape(text: &str) -> String {
 pub fn to_json(records: &[TrajectoryRecord], backend: &BackendChoice) -> String {
     let mut out = String::new();
     out.push_str("{\n");
-    // Schema v11: `parallel_tasks` is gone; it equalled `queries`, one SAT
-    // query per sub-property handed to the solver.  (v10: every query
+    // Schema v12: `refuted_by_simulation`, the sub-properties whose
+    // counterexample simulation found without a query.  (v11:
+    // `parallel_tasks` is gone; it equalled `queries`, one SAT query per
+    // sub-property handed to the solver; v10: every query
     // solves on the master, so the fork columns (`fork_count`,
     // `bytes_cloned`, its watcher-arena slice, `snapshot_forks`,
     // `snapshot_bytes_cloned`) are gone; v9: the flow
@@ -212,7 +221,7 @@ pub fn to_json(records: &[TrajectoryRecord], backend: &BackendChoice) -> String 
     // trajectory with the SAT backend it measured; v3 added the fork cost
     // model of the arena-backed clause store: per-flow fork counts,
     // snapshot bytes and compaction words.)
-    out.push_str("  \"schema\": \"htd-bench-trajectory-v11\",\n");
+    out.push_str("  \"schema\": \"htd-bench-trajectory-v12\",\n");
     out.push_str("  \"engine\": \"flowgraph\",\n");
     out.push_str(&format!(
         "  \"backend\": \"{}\",\n",
@@ -265,6 +274,10 @@ pub fn to_json(records: &[TrajectoryRecord], backend: &BackendChoice) -> String 
             r.structurally_proved
         ));
         out.push_str(&format!(
+            "      \"refuted_by_simulation\": {},\n",
+            r.refuted_by_simulation
+        ));
+        out.push_str(&format!(
             "      \"arena_words_reclaimed\": {}\n",
             r.arena_words_reclaimed
         ));
@@ -290,7 +303,7 @@ mod tests {
         assert_eq!(records[0].verdict, "fanout_property_1");
         assert!(records[0].wall_secs > 0.0);
         let json = to_json(&records, &backend);
-        assert!(json.contains("\"schema\": \"htd-bench-trajectory-v11\""));
+        assert!(json.contains("\"schema\": \"htd-bench-trajectory-v12\""));
         assert!(json.contains("\"backend\": \"builtin\""));
         assert!(json.contains("\"engine\": \"flowgraph\""));
         assert!(json.contains("\"host_parallelism\""));
@@ -311,6 +324,25 @@ mod tests {
         assert!(json.contains(&format!("\"cnf_vars\": {}", records[0].cnf_vars)));
         assert!(records[0].aig_nodes > 0 && records[0].cnf_vars > 0);
         assert!(json.contains("\"arena_words_reclaimed\""));
+        assert!(json.contains(&format!(
+            "\"refuted_by_simulation\": {}",
+            records[0].refuted_by_simulation
+        )));
+    }
+
+    /// A counterexample that simulation found shows as such, and a flow
+    /// that finds none reads 0: AES-T100's `AIG/var` is infinite because
+    /// its property never reached the solver.
+    #[test]
+    fn records_say_which_engine_answered() {
+        let backend = BackendChoice::Builtin;
+        let infected = measure(Benchmark::AesT100, &backend);
+        assert_eq!(infected.verdict, "init_property");
+        assert!(infected.refuted_by_simulation >= 1);
+        assert_eq!((infected.queries, infected.cnf_vars), (0, 0));
+        let clean = measure(Benchmark::AesHtFree, &backend);
+        assert_eq!(clean.verdict, "secure");
+        assert_eq!(clean.refuted_by_simulation, 0);
     }
 
     #[test]

@@ -387,7 +387,7 @@ fn detect(args: &DetectArgs) -> Result<String, CliError> {
         benign_state: benign,
         ..DetectorConfig::default()
     };
-    let mut session = SessionBuilder::new(design.clone())
+    let mut session = SessionBuilder::new(design)
         .config(config)
         .backend(args.backend.clone())
         .build()?;
@@ -425,8 +425,9 @@ fn detect(args: &DetectArgs) -> Result<String, CliError> {
         );
     }
 
+    let design = session.design();
     if let Some(dot_path) = &args.dot {
-        std::fs::write(dot_path, fanout_dot(&design)).map_err(|e| CliError::Io {
+        std::fs::write(dot_path, fanout_dot(design)).map_err(|e| CliError::Io {
             path: dot_path.clone(),
             message: e.to_string(),
         })?;
@@ -435,7 +436,7 @@ fn detect(args: &DetectArgs) -> Result<String, CliError> {
     if let Some(prefix) = &args.vcd_prefix {
         if let DetectionOutcome::PropertyFailed { counterexample, .. } = &report.outcome {
             let replay =
-                replay_counterexample(&design, counterexample).map_err(|e| CliError::Replay {
+                replay_counterexample(design, counterexample).map_err(|e| CliError::Replay {
                     message: e.to_string(),
                 })?;
             for (suffix, vcd) in [
@@ -477,19 +478,28 @@ fn bench(
     let _ = writeln!(out, "backend: {backend}");
     let _ = writeln!(
         out,
-        "{:<18} {:<20} {:>10}  {:>9} {:>8} {:>9} {:>6} {:>9}",
-        "Benchmark", "Verdict", "wall (s)", "AIG nodes", "AIG/var", "conflicts", "GC", "collected"
+        "{:<18} {:<20} {:>10}  {:>9} {:>8} {:>7} {:>9} {:>6} {:>9}",
+        "Benchmark",
+        "Verdict",
+        "wall (s)",
+        "AIG nodes",
+        "AIG/var",
+        "sim cex",
+        "conflicts",
+        "GC",
+        "collected"
     );
-    let _ = writeln!(out, "{}", "-".repeat(97));
+    let _ = writeln!(out, "{}", "-".repeat(105));
     for r in &records {
         let _ = writeln!(
             out,
-            "{:<18} {:<20} {:>10.4}  {:>9} {:>8.2} {:>9} {:>6} {:>9}",
+            "{:<18} {:<20} {:>10.4}  {:>9} {:>8.2} {:>7} {:>9} {:>6} {:>9}",
             r.name,
             r.verdict,
             r.wall_secs,
             r.aig_nodes,
             r.aig_per_cnf_var(),
+            r.refuted_by_simulation,
             r.conflicts,
             r.gc_runs,
             r.clauses_collected

@@ -7,7 +7,7 @@ use std::sync::Arc;
 use crate::error::DesignError;
 use crate::expr::{BinaryOp, Expr, ExprId, UnaryOp};
 use crate::structural::SupportTable;
-use crate::MAX_WIDTH;
+use crate::{MAX_EXPR_DEPTH, MAX_WIDTH};
 
 /// Handle to a signal (input, output, wire or register) of a [`Design`].
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -749,8 +749,8 @@ impl Design {
         index: ExprId,
         width: u32,
     ) -> Result<ExprId, DesignError> {
-        self.check_rom(&table, index, width)?;
-        let table = self.intern_table(table);
+        self.check_rom(&table, entry_bits(&table), index, width)?;
+        let table = self.resident(table);
         Ok(self.intern(
             Expr::Rom {
                 table,
@@ -762,17 +762,18 @@ impl Design {
     }
 
     /// [`rom`](Self::rom) over a table [`intern_table`](Self::intern_table)
-    /// returned, so a table read many times is hashed once.
+    /// returned: the table was hashed and measured once, at its
+    /// declaration, not at every read.
     pub(crate) fn rom_interned(
         &mut self,
-        table: Arc<Vec<u128>>,
+        table: &InternedTable,
         index: ExprId,
         width: u32,
     ) -> Result<ExprId, DesignError> {
-        self.check_rom(&table, index, width)?;
+        self.check_rom(&table.entries, table.entry_bits, index, width)?;
         Ok(self.intern(
             Expr::Rom {
-                table,
+                table: Arc::clone(&table.entries),
                 index,
                 width,
             },
@@ -780,9 +781,17 @@ impl Design {
         ))
     }
 
+    /// Stores `table` for [`rom_interned`](Self::rom_interned) to read.
+    pub(crate) fn intern_table(&mut self, table: Vec<u128>) -> InternedTable {
+        InternedTable {
+            entry_bits: entry_bits(&table),
+            entries: self.resident(table),
+        }
+    }
+
     /// The resident copy of `table`: the one stored earlier if its contents
     /// are equal, else `table`, now stored.
-    pub(crate) fn intern_table(&mut self, table: Vec<u128>) -> Arc<Vec<u128>> {
+    fn resident(&mut self, table: Vec<u128>) -> Arc<Vec<u128>> {
         if let Some(resident) = self.tables.get(&table) {
             return Arc::clone(resident);
         }
@@ -791,7 +800,15 @@ impl Design {
         table
     }
 
-    fn check_rom(&self, table: &[u128], index: ExprId, width: u32) -> Result<(), DesignError> {
+    /// Checks a read of `table`, whose [`entry_bits`] are `widest`; only a
+    /// table too wide for `width` is scanned, for the entry to name.
+    fn check_rom(
+        &self,
+        table: &[u128],
+        widest: u32,
+        index: ExprId,
+        width: u32,
+    ) -> Result<(), DesignError> {
         if width == 0 || width > MAX_WIDTH {
             return Err(DesignError::InvalidWidth { width });
         }
@@ -807,7 +824,7 @@ impl Design {
                 reason: format!("table has {} entries, expected {expected}", table.len()),
             });
         }
-        if width < 128 {
+        if widest > width {
             if let Some(&bad) = table.iter().find(|&&v| v >> width != 0) {
                 return Err(DesignError::InvalidRom {
                     reason: format!("entry {bad:#x} does not fit into {width} bits"),
@@ -821,14 +838,17 @@ impl Design {
     // Validation
     // ------------------------------------------------------------------
 
-    /// Checks the design for completeness and absence of combinational loops.
+    /// Checks the design for completeness, depth and absence of
+    /// combinational loops.
     ///
     /// # Errors
     ///
     /// Returns the first problem found: a register without a next-state
-    /// expression, a driver width mismatch, or a combinational loop.
+    /// expression, a driver width mismatch, a driver nested deeper than
+    /// [`MAX_EXPR_DEPTH`], or a combinational loop.
     pub fn validate(&self) -> Result<(), DesignError> {
         self.check_drivers()?;
+        self.check_depth()?;
         SupportTable::build(self).map(drop)
     }
 
@@ -840,11 +860,42 @@ impl Design {
     /// Same as [`validate`](Self::validate).
     pub fn validated(self) -> Result<ValidatedDesign, DesignError> {
         self.check_drivers()?;
+        self.check_depth()?;
         let supports = SupportTable::build(&self)?;
         Ok(ValidatedDesign {
             design: self,
             supports,
         })
+    }
+
+    /// No driver nests deeper than [`MAX_EXPR_DEPTH`] (levels as defined
+    /// there).  One sweep in id order: a node's operands, and the driver of
+    /// a wire or output it references, have lower ids than the node.
+    fn check_depth(&self) -> Result<(), DesignError> {
+        let mut depth = vec![0u32; self.exprs.len()];
+        for (i, expr) in self.exprs.iter().enumerate() {
+            depth[i] = match *expr {
+                Expr::Signal(s) => match self.signals[s.index()] {
+                    Signal {
+                        kind: SignalKind::Wire | SignalKind::Output,
+                        driver: Some(driver),
+                        ..
+                    } => depth[driver.index()],
+                    _ => 0,
+                },
+                _ => 1 + expr.children().map(|c| depth[c.index()]).max().unwrap_or(0),
+            };
+        }
+        for s in &self.signals {
+            let Some(driver) = s.driver else { continue };
+            if depth[driver.index()] > MAX_EXPR_DEPTH {
+                return Err(DesignError::ExpressionTooDeep {
+                    name: s.name.clone(),
+                    depth: depth[driver.index()],
+                });
+            }
+        }
+        Ok(())
     }
 
     /// Every non-input signal has a driver of its own width.
@@ -909,6 +960,20 @@ impl Design {
             stack.extend(expr.children());
         }
     }
+}
+
+/// A ROM table stored in a [`Design`], with the bit width of its widest
+/// entry: [`Design::intern_table`] measures the entries once, so each read
+/// of the table is checked without scanning them.
+#[derive(Clone)]
+pub(crate) struct InternedTable {
+    entries: Arc<Vec<u128>>,
+    entry_bits: u32,
+}
+
+/// The bit width of a ROM table's widest entry.
+fn entry_bits(table: &[u128]) -> u32 {
+    u128::BITS - table.iter().fold(0, |acc, v| acc | v).leading_zeros()
 }
 
 /// Characters the netlist text uses as syntax: `(` and `)` delimit

@@ -97,6 +97,13 @@ pub enum DesignError {
         /// Explanation of the problem.
         message: String,
     },
+    /// A signal's driver nests deeper than [`crate::MAX_EXPR_DEPTH`].
+    ExpressionTooDeep {
+        /// Name of the signal.
+        name: String,
+        /// How many levels deep its driver nests.
+        depth: u32,
+    },
     /// An input value supplied to the simulator does not fit the input width.
     SimValueTooWide {
         /// Name of the input.
@@ -155,6 +162,12 @@ impl fmt::Display for DesignError {
             DesignError::Parse { line, message } => {
                 write!(f, "netlist parse error at line {line}: {message}")
             }
+            DesignError::ExpressionTooDeep { name, depth } => write!(
+                f,
+                "the driver of signal `{name}` nests {depth} expression levels deep \
+                 (at most {} allowed)",
+                crate::MAX_EXPR_DEPTH
+            ),
             DesignError::SimValueTooWide { name, value, width } => write!(
                 f,
                 "value {value:#x} does not fit input `{name}` of width {width}"

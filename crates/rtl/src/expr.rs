@@ -40,6 +40,7 @@ pub enum UnaryOp {
 
 impl UnaryOp {
     /// Every unary operator.
+    #[cfg(test)]
     pub(crate) const ALL: [UnaryOp; 5] = [
         UnaryOp::Not,
         UnaryOp::Neg,
@@ -98,6 +99,7 @@ pub enum BinaryOp {
 
 impl BinaryOp {
     /// Every binary operator.
+    #[cfg(test)]
     pub(crate) const ALL: [BinaryOp; 12] = [
         BinaryOp::And,
         BinaryOp::Or,

@@ -70,3 +70,12 @@ pub use expr::{BinaryOp, Expr, ExprId, UnaryOp};
 /// Wider buses (e.g. the 128-bit AES state plus key) are modelled as several
 /// signals.
 pub const MAX_WIDTH: u32 = 128;
+
+/// How deep a signal's driver may nest: [`Design::validated`] rejects a
+/// design with a deeper one, and the netlist parser an expression whose
+/// text nests deeper.  A reference to an input or register is level 0, a
+/// reference to a wire or output is its driver's level, and every other
+/// node is one level above its deepest operand.  The lowering, the
+/// simulator and the netlist printer recurse along these paths; the
+/// bound keeps them within a 2 MiB thread stack.
+pub const MAX_EXPR_DEPTH: u32 = 1024;

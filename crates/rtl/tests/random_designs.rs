@@ -1,7 +1,7 @@
 //! Property-based tests on the RTL substrate: netlist round-trips preserve
-//! simulation behaviour, structural analysis invariants hold, the support
-//! table equals a brute-force walk, and the simulator agrees with a direct
-//! word-level interpretation of the design.
+//! simulation behaviour and survive textual noise, structural analysis
+//! invariants hold, the support table equals a brute-force walk, and the
+//! simulator agrees with a direct word-level interpretation of the design.
 
 use std::collections::BTreeSet;
 
@@ -269,6 +269,225 @@ proptest! {
             prop_assert_eq!(sim.peek_by_name("r0").unwrap(), r0);
             prop_assert_eq!(sim.peek_by_name("r1").unwrap(), r1);
             prop_assert_eq!(sim.peek_by_name("out").unwrap(), r1);
+        }
+    }
+}
+
+/// A random design whose nodes share subterms, read ROM tables and carry
+/// constants up to 128 bits, so its dump has `let`, `table`, `const`,
+/// `slice` and `concat` lines.  Every `nodes` entry combines earlier nodes
+/// (operand picks index the node list modulo its length); each output reads
+/// one node and the register `r` another.
+#[derive(Clone, Debug)]
+struct Shared {
+    /// `(operator, operand, operand, operand)`.
+    nodes: Vec<(u8, u16, u16, u16)>,
+    outputs: Vec<u16>,
+    next: u16,
+    wide: u128,
+}
+
+fn shared() -> impl Strategy<Value = Shared> {
+    (
+        prop::collection::vec((0u8..8, any::<u16>(), any::<u16>(), any::<u16>()), 1..24),
+        prop::collection::vec(any::<u16>(), 1..5),
+        any::<u16>(),
+        any::<u128>(),
+    )
+        .prop_map(|(nodes, outputs, next, wide)| Shared {
+            nodes,
+            outputs,
+            next,
+            wide,
+        })
+}
+
+fn build_shared(s: &Shared) -> ValidatedDesign {
+    let mut d = Design::new("shared");
+    let a = d.add_input("a", 4).unwrap();
+    let b = d.add_input("b", 4).unwrap();
+    let r = d.add_register("r", 4, 9).unwrap();
+    let big = d.add_register("big", 128, s.wide).unwrap();
+    let wide = d.constant(s.wide, 128).unwrap();
+    let big_next = d.xor(d.signal(big), wide).unwrap();
+    d.set_register_next(big, big_next).unwrap();
+    let top = d.slice(d.signal(big), 127, 124).unwrap();
+    let mut nodes = vec![d.signal(a), d.signal(b), d.signal(r), top];
+    let tables: [Vec<u128>; 2] = [
+        (0..16).map(|i| i * 7 % 16).collect(),
+        (0..16).map(|i| 15 - i).collect(),
+    ];
+    for &(op, x, y, z) in &s.nodes {
+        let pick = |n: u16| nodes[usize::from(n) % nodes.len()];
+        let (x, y, zn) = (pick(x), pick(y), pick(z));
+        let node = match op {
+            0 => d.xor(x, y).unwrap(),
+            1 => d.add(x, y).unwrap(),
+            2 => d.not(x),
+            3 => {
+                let cond = d.red_or(x);
+                d.mux(cond, y, zn).unwrap()
+            }
+            4 => {
+                let hi = d.slice(x, 1, 0).unwrap();
+                let lo = d.slice(y, 3, 2).unwrap();
+                d.concat(hi, lo).unwrap()
+            }
+            5 => d.rom(tables[0].clone(), x, 4).unwrap(),
+            6 => d.rom(tables[usize::from(z % 2)].clone(), x, 4).unwrap(),
+            _ => d.constant(u128::from(z % 16), 4).unwrap(),
+        };
+        nodes.push(node);
+    }
+    for (k, &o) in s.outputs.iter().enumerate() {
+        let node = nodes[usize::from(o) % nodes.len()];
+        d.add_output(format!("o{k}"), node).unwrap();
+    }
+    let next = nodes[usize::from(s.next) % nodes.len()];
+    d.set_register_next(r, next).unwrap();
+    d.validated().unwrap()
+}
+
+/// SplitMix64, so one `u64` of proptest input drives a whole rewrite.
+struct Mix(u64);
+
+impl Mix {
+    fn next(&mut self) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let mut z = self.0;
+        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        z ^ (z >> 31)
+    }
+
+    fn below(&mut self, n: usize) -> usize {
+        (self.next() % n as u64) as usize
+    }
+
+    fn pick<'a>(&mut self, options: &[&'a str]) -> &'a str {
+        options[self.below(options.len())]
+    }
+}
+
+/// Whitespace the parser must skip: ASCII, and Unicode separators.
+const SPACES: [&str; 10] = [
+    " ", " ", "\t", "\x0b", "\x0c", "\r", "\u{85}", "\u{a0}", "\u{2003}", "\u{3000}",
+];
+
+fn spaces(mix: &mut Mix, at_least_one: bool) -> String {
+    let n = mix.below(3) + usize::from(at_least_one);
+    (0..n).map(|_| mix.pick(&SPACES)).collect()
+}
+
+/// Renumbers `%N` or `@N`: identity, reversed, or sparse near `u32::MAX`,
+/// spelled with a `+` or leading zeros now and then.
+fn renumber(mix: &mut Mix, sigil: char, n: u64, count: u64, mode: u64) -> String {
+    let m = match mode {
+        0 => n,
+        1 => count - 1 - n,
+        _ => u64::from(u32::MAX) - n * 9_973,
+    };
+    let spelling = mix.pick(&["", "", "+", "00"]);
+    format!("{sigil}{spelling}{m}")
+}
+
+/// Rewrites a canonical dump into a text that parses to the same design:
+/// separators become runs of ASCII or Unicode whitespace (and vanish next
+/// to parentheses and `=`), numbers change base, case, sign and leading
+/// zeros, `%N` and `@N` are renumbered out of order or sparsely, lines end
+/// in CRLF or a comment, and blank and comment lines appear between them.
+fn noisy(dump: &str, seed: u64) -> String {
+    let mut mix = Mix(seed);
+    let lets = dump.matches("let %").count() as u64;
+    let tables = dump.matches("table @").count() as u64;
+    let (let_mode, table_mode) = (mix.next() % 3, mix.next() % 3);
+    let mut out = String::new();
+    for line in dump.lines() {
+        match mix.below(6) {
+            0 => out.push_str(&spaces(&mut mix, false)),
+            1 => out.push_str("# (a comment = ignored) \u{2003}é\n"),
+            _ => {}
+        }
+        if mix.below(4) == 0 {
+            out.push('\n');
+        }
+        let mut tokens = Vec::new();
+        let mut rest = line;
+        loop {
+            rest = rest.trim_start_matches(' ');
+            if rest.is_empty() {
+                break;
+            }
+            let end = if rest.starts_with(['(', ')']) {
+                1
+            } else {
+                rest.find([' ', '(', ')']).unwrap_or(rest.len())
+            };
+            tokens.push(&rest[..end]);
+            rest = &rest[end..];
+        }
+        out.push_str(&spaces(&mut mix, false));
+        for (i, &token) in tokens.iter().enumerate() {
+            if i > 0 {
+                let prev = tokens[i - 1];
+                let optional = matches!(prev, "(" | ")" | "=") || matches!(token, ")" | "=");
+                out.push_str(&spaces(&mut mix, !optional));
+            }
+            if let Some(n) = token.strip_prefix('%') {
+                let n = n.parse().unwrap();
+                out.push_str(&renumber(&mut mix, '%', n, lets, let_mode));
+            } else if let Some(n) = token.strip_prefix('@') {
+                let n = n.parse().unwrap();
+                out.push_str(&renumber(&mut mix, '@', n, tables, table_mode));
+            } else if let Some(v) = number(token) {
+                let spelled = match mix.below(6) {
+                    0 => format!("{v:#x}"),
+                    1 => format!("0X{v:X}"),
+                    2 => format!("{v}"),
+                    3 => format!("+{v}"),
+                    4 => format!("0x000{v:x}"),
+                    _ => format!("000{v}"),
+                };
+                out.push_str(&spelled);
+            } else {
+                out.push_str(token);
+            }
+        }
+        out.push_str(&spaces(&mut mix, false));
+        if mix.below(4) == 0 {
+            out.push_str("#=(");
+        }
+        out.push_str(mix.pick(&["\n", "\r\n"]));
+    }
+    out
+}
+
+/// The value of a token the dump writes as a number.
+fn number(token: &str) -> Option<u128> {
+    match token.strip_prefix("0x") {
+        Some(hex) => u128::from_str_radix(hex, 16).ok(),
+        None if token.bytes().all(|b| b.is_ascii_digit()) => token.parse().ok(),
+        None => None,
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    /// Textual noise never changes the design a dump parses to.
+    #[test]
+    fn noisy_dumps_parse_back_to_the_same_dump(
+        s in shared(),
+        dag in dag(),
+        recipe in recipe(),
+        seed in any::<u64>(),
+    ) {
+        for design in [build_shared(&s), build_dag(&dag), build(&recipe)] {
+            let dump = netlist::dump(&design);
+            let text = noisy(&dump, seed);
+            let parsed = netlist::parse(&text)
+                .unwrap_or_else(|e| panic!("{e}\n--- dump:\n{dump}\n--- noisy:\n{text:?}"));
+            prop_assert_eq!(netlist::dump(&parsed), dump);
         }
     }
 }

@@ -6,9 +6,16 @@
 //! emitted in insertion order.  The parser accepts standard JSON (RFC 8259)
 //! with two deliberate simplifications documented on [`Json::parse`]:
 //! numbers outside `u64`/`i64`/`f64` and `\u` escapes above the BMP are
-//! rejected rather than silently approximated.
+//! rejected rather than silently approximated.  It also bounds how deep
+//! arrays and objects nest (128 levels).
 
 use std::fmt;
+
+/// How deep arrays and objects may nest in a parsed document.  The
+/// protocol's own documents nest at most 3 levels (`/stats`); the bound
+/// keeps the recursive descent, and the recursive drop of the value it
+/// builds, well within a connection thread's stack.
+const MAX_DEPTH: usize = 128;
 
 /// A parsed or built JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -80,7 +87,8 @@ impl Json {
     /// Restrictions relative to RFC 8259, both loud failures rather than
     /// silent precision loss: integers must fit `u64` (non-negative) or
     /// `i64` (negative), and `\uXXXX` escapes must not form surrogate
-    /// pairs — the protocol never emits them.
+    /// pairs — the protocol never emits them.  Arrays and objects nested
+    /// more than 128 levels deep are an error too.
     ///
     /// # Errors
     ///
@@ -90,6 +98,7 @@ impl Json {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let value = p.value()?;
@@ -177,6 +186,8 @@ fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// How many arrays and objects enclose the value being parsed.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -205,8 +216,20 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Json, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(format!(
+                "arrays and objects nested deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            )),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let value = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -413,6 +436,28 @@ mod tests {
         for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"\\q\"", "1 2"] {
             assert!(Json::parse(bad).is_err(), "accepted {bad:?}");
         }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let nested = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(Json::parse(&nested(MAX_DEPTH)).is_ok());
+        let err = Json::parse(&nested(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nested deeper than 128 levels"), "{err}");
+        // Far past the bound, on a small stack: an error, not an overflow.
+        let deep = format!("{{\"pad\":{}}}", nested(200_000));
+        let err = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || Json::parse(&deep).unwrap_err())
+            .unwrap()
+            .join()
+            .unwrap();
+        // The object is the first level, so the array opened at byte
+        // 7 + 127 is the first one too deep.
+        assert!(
+            err.contains(&format!("at byte {}", 7 + MAX_DEPTH - 1)),
+            "{err}"
+        );
     }
 
     #[test]

@@ -271,6 +271,56 @@ fn rejections_use_the_structured_error_schema() {
     server.stop();
 }
 
+/// A netlist nested far past the expression depth bound, and a request
+/// body whose JSON nests far past the parser's bound, are refused like any
+/// other bad request, naming the bound, and the daemon keeps serving: the
+/// same connection threads then stream an exact report.
+#[test]
+fn deeply_nested_requests_are_refused_and_the_daemon_keeps_serving() {
+    let server = test_server();
+    let addr = server.addr().to_string();
+    let depth = 20_000;
+    let deep = format!(
+        "design deep\ninput a 1\noutput o 1 = {}a{}\n",
+        "(not ".repeat(depth),
+        ")".repeat(depth)
+    );
+    match client::submit(&addr, &deep, &mut |_| {}) {
+        Err(ClientError::Server { code, message }) => {
+            assert_eq!(code, "bad_request");
+            assert!(
+                message.contains("line 3: expression nested deeper than 1024 levels"),
+                "{message}"
+            );
+        }
+        other => panic!("expected a bad_request rejection, got {other:?}"),
+    }
+    // `client::submit` writes its own JSON, so this body goes by hand.
+    let depth = 100_000;
+    let body = format!(
+        "{{\"netlist\":\"x\",\"pad\":{}{}}}",
+        "[".repeat(depth),
+        "]".repeat(depth)
+    );
+    let mut raw = TcpStream::connect(&addr).unwrap();
+    write!(
+        raw,
+        "POST /jobs HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}",
+        body.len()
+    )
+    .unwrap();
+    let mut answer = String::new();
+    BufReader::new(raw).read_to_string(&mut answer).unwrap();
+    assert!(answer.starts_with("HTTP/1.1 400"), "{answer}");
+    assert!(answer.contains("\"code\":\"bad_request\""), "{answer}");
+    assert!(answer.contains("nested deeper than 128 levels"), "{answer}");
+
+    let text = accelerator(true);
+    let served = client::submit(&addr, &text, &mut |_| {}).expect("the daemon still serves");
+    assert_eq!(served.report_text, solo_normalized_report(&text));
+    server.stop();
+}
+
 /// The `text` of the terminal `report` frame in a raw NDJSON response.
 fn report_text(response: &str) -> Option<String> {
     response
